@@ -26,7 +26,7 @@ serving_query_isolation:...``).
 
 Run directly (``python benchmarks/bench_serving_throughput.py
 [--quick] [--out BENCH_serving.json]``) to produce the committed
-baseline.  The committed payload is an honest 1-CPU run.
+baseline.  The committed payload records the ``n_cpus`` it ran on.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Blocking clients for the serving API (tests, smoke runs, benchmarks).
 
 :class:`ServingClient` wraps one keep-alive ``http.client`` connection —
-use one instance per thread.  Requests retry under a bounded
-exponential-backoff budget (the
-:class:`~repro.streams.network_sources._RetryBudget` discipline):
-connection resets are retried only for idempotent requests (GETs and
+use one instance per thread.  Row blocks passed as ndarrays go out as
+one binary block of :mod:`.codec` (``application/octet-stream``: no
+float is printed or parsed on either end); Python lists go out as JSON.
+Requests retry under a bounded exponential-backoff budget
+(:class:`~repro.streams.retry.RetryBudget`): connection resets are
+retried only for idempotent requests (GETs and
 the read-only query POSTs — an ingest that died mid-exchange may have
 been applied, so it is never silently re-sent), and 429 shed replies
 are retried honoring the server's ``Retry-After`` when ``retry_429``
@@ -21,29 +23,17 @@ import json
 import os
 import socket
 import struct
-import time
 from dataclasses import dataclass
 from typing import Any
 
-from ..streams.network_sources import _RetryBudget
+import numpy as np
+
+from ..streams.retry import RetryBudget
+from .codec import encode_block
 
 __all__ = ["Reply", "ServingClient", "WebSocketClient"]
 
 _WS_MAGIC = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
-
-
-class _ClientRetryBudget(_RetryBudget):
-    """The network-source retry budget, plus a per-wait delay floor so a
-    429's ``Retry-After`` can stretch (never shrink) the backoff."""
-
-    def wait(self, floor_s: float = 0.0) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        delay = self._delay * (1.0 + self._jitter * self._rng.random())
-        time.sleep(max(delay, float(floor_s)))
-        self._delay = min(self._delay * 2.0, self._cap)
-        return True
 
 
 @dataclass(frozen=True)
@@ -98,8 +88,8 @@ class ServingClient:
         self.n_retries = 0
         self._conn: http.client.HTTPConnection | None = None
 
-    def _budget(self) -> _ClientRetryBudget:
-        return _ClientRetryBudget(
+    def _budget(self) -> RetryBudget:
+        return RetryBudget(
             self.max_retries,
             base_s=self.backoff_base_s,
             cap_s=self.backoff_cap_s,
@@ -145,6 +135,9 @@ class ServingClient:
     ) -> Reply:
         """One exchange, with bounded retries.
 
+        ``payload`` is sent as JSON, or — when it already is ``bytes``
+        — verbatim as ``application/octet-stream``.
+
         ``idempotent`` defaults to ``method == "GET"``.  A failure while
         *sending* is always safe to retry (the server never saw the
         request); a failure while *receiving* the response is retried
@@ -156,7 +149,10 @@ class ServingClient:
             idempotent = method.upper() == "GET"
         body = None
         headers = {}
-        if payload is not None:
+        if isinstance(payload, bytes):
+            body = payload
+            headers["Content-Type"] = "application/octet-stream"
+        elif payload is not None:
             body = json.dumps(payload).encode()
             headers["Content-Type"] = "application/json"
         budget = self._budget()
@@ -199,32 +195,31 @@ class ServingClient:
 
     # -- the API surface ---------------------------------------------------
 
-    def ingest(self, tenant: str, rows) -> Reply:
-        rows = rows.tolist() if hasattr(rows, "tolist") else rows
+    def _post_rows(
+        self, tenant: str, op: str, rows, *, idempotent: bool
+    ) -> Reply:
+        if isinstance(rows, np.ndarray):
+            payload = encode_block(rows)
+        else:
+            payload = {"rows": rows}
         return self.request(
-            "POST", f"/v1/{tenant}/ingest", {"rows": rows},
-            idempotent=False,
+            "POST", f"/v1/{tenant}/{op}", payload, idempotent=idempotent
         )
+
+    def ingest(self, tenant: str, rows) -> Reply:
+        return self._post_rows(tenant, "ingest", rows, idempotent=False)
 
     def transform(self, tenant: str, rows) -> Reply:
-        rows = rows.tolist() if hasattr(rows, "tolist") else rows
-        return self.request(
-            "POST", f"/v1/{tenant}/transform", {"rows": rows},
-            idempotent=True,
-        )
+        return self._post_rows(tenant, "transform", rows, idempotent=True)
 
     def reconstruction_error(self, tenant: str, rows) -> Reply:
-        rows = rows.tolist() if hasattr(rows, "tolist") else rows
-        return self.request(
-            "POST", f"/v1/{tenant}/reconstruction_error", {"rows": rows},
-            idempotent=True,
+        return self._post_rows(
+            tenant, "reconstruction_error", rows, idempotent=True
         )
 
     def outlier_score(self, tenant: str, rows) -> Reply:
-        rows = rows.tolist() if hasattr(rows, "tolist") else rows
-        return self.request(
-            "POST", f"/v1/{tenant}/outlier_score", {"rows": rows},
-            idempotent=True,
+        return self._post_rows(
+            tenant, "outlier_score", rows, idempotent=True
         )
 
     def eigenspectra(

@@ -58,6 +58,7 @@ from ..io.checkpoint import (
     load_eigensystem_extras,
     save_eigensystem,
 )
+from .codec import BlockCodecError, decode_block, encode_block
 
 __all__ = [
     "DurabilityPlane",
@@ -104,45 +105,15 @@ class WalRecord:
 
 
 def _encode_record(seq: int, block: np.ndarray, ts: float) -> bytes:
-    """Frame one admitted block as a self-checking WAL record."""
-    arr = np.ascontiguousarray(block, dtype=np.float64)
-    if arr.ndim != 2:
-        raise WalError(f"WAL blocks must be 2-D, got shape {arr.shape}")
-    header = json.dumps(
-        {"rows": int(arr.shape[0]), "dim": int(arr.shape[1]), "ts": ts},
-        separators=(",", ":"),
-    ).encode()
-    body = struct.pack("!I", len(header)) + header + arr.tobytes()
+    """Frame one admitted block as a self-checking WAL record: the
+    record head, then the shared block body of :mod:`.codec`."""
+    if np.ndim(block) != 2:
+        raise WalError(
+            f"WAL blocks must be 2-D, got shape {np.shape(block)}"
+        )
+    body = encode_block(block, ts)
     crc = zlib.crc32(body) & 0xFFFFFFFF
     return _REC_HEAD.pack(WAL_MAGIC + b"\x00" * 4, seq, len(body), crc) + body
-
-
-def _decode_body(body: bytes) -> tuple[np.ndarray, float]:
-    """Body bytes -> (block, ts); raises :class:`WalError` on malformed."""
-    try:
-        (header_len,) = struct.unpack_from("!I", body, 0)
-        if header_len > len(body) - 4:
-            raise WalError("header length exceeds body")
-        header = json.loads(body[4 : 4 + header_len].decode())
-        rows, dim = int(header["rows"]), int(header["dim"])
-        ts = float(header.get("ts", 0.0))
-        payload = body[4 + header_len :]
-        if rows < 0 or dim <= 0 or len(payload) != rows * dim * 8:
-            raise WalError(
-                f"payload of {len(payload)} bytes does not match "
-                f"({rows}, {dim}) float64"
-            )
-        block = (
-            np.frombuffer(payload, dtype=np.float64)
-            .reshape(rows, dim)
-            .copy()
-        )
-        return block, ts
-    except WalError:
-        raise
-    except (struct.error, ValueError, KeyError, TypeError,
-            UnicodeDecodeError) as exc:
-        raise WalError(f"malformed WAL body: {exc!r}") from exc
 
 
 class WriteAheadLog:
@@ -364,8 +335,8 @@ class WriteAheadLog:
             if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
                 return
             try:
-                block, ts = _decode_body(body)
-            except WalError:
+                block, ts = decode_block(body)
+            except BlockCodecError:
                 return
             yield WalRecord(seq=seq, block=block, ts=ts), body_end
             pos = body_end
@@ -760,7 +731,8 @@ class RecoveryManager:
         rec.wal_records_total = wal.records_on_disk(after_seq)
         last_seq = after_seq
         for record in wal.replay(after_seq):
-            model.apply_block(record.block, wal_seq=record.seq)
+            # Not judged: see TenantModel.apply_block.
+            model.apply_block(record.block, wal_seq=record.seq, judge=False)
             last_seq = record.seq
             rec.wal_records_replayed += 1
             rec.rows_replayed += int(record.block.shape[0])
@@ -784,6 +756,7 @@ class RecoveryManager:
                 svc.cache,
                 version=ckpt_version + rec.wal_records_replayed,
             )
+            model.reanchor_monitor()
             if self.plane.checkpointer is not None:
                 self.plane.checkpointer.note_saved(spec.name, ckpt_version)
         rec.phase = "done"

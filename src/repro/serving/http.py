@@ -4,9 +4,20 @@ Stdlib only: one background thread runs an asyncio event loop; each
 connection is a coroutine doing keep-alive HTTP/1.1 request parsing
 (``readuntil`` for headers, ``readexactly`` for the body, a per-read
 idle timeout so slow/hung clients cannot pin a connection forever).
-The routes are a thin JSON codec over the transport-independent
-service core — all policy (admission, snapshot reads, readiness)
-lives in :mod:`repro.serving.service`.
+The routes are a thin codec over the transport-independent service
+core — all policy (admission, snapshot reads, readiness) lives in
+:mod:`repro.serving.service`.  Row bodies arrive as JSON
+(``application/json``) or as one binary block of :mod:`.codec`
+(``application/octet-stream``); both reach the service as the same
+rows.
+
+The one thing this layer decides itself is *when* an ingest is routed:
+an ingest whose tenant queue is already more than one lane block deep
+is held (a non-blocking wait on the connection's own coroutine, at most
+:data:`ACK_HOLD_MAX_S`) until the lane has caught up, so a closed-loop
+client is paced by its acks to the rate the lane applies at instead of
+filling the queue to the 429 bound.  Admission itself is untouched: a
+hold that expires falls through to the same valve and queue checks.
 
 Routes::
 
@@ -14,10 +25,13 @@ Routes::
     GET  /ready                            readiness (503 when degraded)
     GET  /metrics                          Prometheus text exposition
     GET  /status                           full serving status JSON
-    POST /v1/<tenant>/ingest               {"rows": [[...], ...]} -> 202/429
-    POST /v1/<tenant>/transform            {"rows": ...} -> coefficients
-    POST /v1/<tenant>/reconstruction_error {"rows": ...} -> r^2 per row
-    POST /v1/<tenant>/outlier_score        {"rows": ...} -> scores + flags
+    POST /v1/<tenant>/ingest               rows -> 202/429
+    POST /v1/<tenant>/transform            rows -> coefficients
+    POST /v1/<tenant>/reconstruction_error rows -> r^2 per row
+    POST /v1/<tenant>/outlier_score        rows -> scores + flags
+                                           (rows: {"rows": [[...], ...]}
+                                           or an octet-stream block;
+                                           malformed 400, other types 415)
     GET  /v1/<tenant>/eigenspectra[?top_k=&include_basis=]
     GET  /v1/<tenant>/snapshot             snapshot metadata only
     GET  /v1/<tenant>/events               WebSocket push (drift/health/
@@ -41,16 +55,24 @@ import time
 import urllib.parse
 from typing import Any
 
+from .codec import BlockCodecError, decode_block
 from .service import PCAService
 
 __all__ = ["ServingServer"]
+
+#: Longest one ingest is held for its tenant's lane to catch up; after
+#: that it is routed whatever the queue depth (and may be answered 429).
+ACK_HOLD_MAX_S = 1.0
+#: How often a held ingest looks at the queue depth again.
+ACK_HOLD_POLL_S = 0.001
 
 _WS_MAGIC = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 _HTTP_CODES = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
-    413: "Payload Too Large", 422: "Unprocessable Entity",
+    413: "Payload Too Large", 415: "Unsupported Media Type",
+    422: "Unprocessable Entity",
     426: "Upgrade Required", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
@@ -205,10 +227,15 @@ class ServingServer:
                     headers.get("connection", "keep-alive").lower()
                     != "close"
                 )
+                label = self._route_label(path)
+                if method == "POST" and label == "ingest":
+                    await self._pace_ingest(path)
                 t0 = time.perf_counter()
-                code, payload, extra = self._route(method, path, body)
+                code, payload, extra = self._route(
+                    method, path, headers.get("content-type", ""), body
+                )
                 self.service.observe_latency(
-                    self._route_label(path), time.perf_counter() - t0
+                    label, time.perf_counter() - t0
                 )
                 self.n_requests += 1
                 if isinstance(payload, (bytes, str)):
@@ -278,8 +305,32 @@ class ServingServer:
             return parts[2]
         return "/" + "/".join(parts)
 
+    async def _pace_ingest(self, path: str) -> None:
+        """Hold an ingest while its tenant's queue is more than one lane
+        block (``spec.max_block_rows``) deep.
+
+        The lane pops at most that many rows per update, so at the
+        threshold it still has a full block waiting when it finishes the
+        current one: holding costs the lane nothing and keeps the
+        backlog — memory and snapshot staleness — at a block or two.
+        Only this connection waits; the loop keeps serving the others.
+        """
+        tenant = path.split("?", 1)[0].strip("/").split("/")[1]
+        st = self.service.get_tenants().get(tenant)
+        if st is None:
+            return  # the route answers 404 (or auto-creates the tenant)
+        limit = st.spec.max_block_rows
+        if st.queue.depth_rows <= limit:
+            return
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < ACK_HOLD_MAX_S:
+            await asyncio.sleep(ACK_HOLD_POLL_S)
+            if st.queue.depth_rows <= limit:
+                break
+        self.service.observe_ack_hold(st, time.perf_counter() - t0)
+
     def _route(
-        self, method: str, target: str, body: bytes
+        self, method: str, target: str, content_type: str, body: bytes
     ) -> tuple[int, Any, dict[str, str]]:
         parsed = urllib.parse.urlsplit(target)
         path = parsed.path
@@ -306,7 +357,7 @@ class ServingServer:
             parts = path.strip("/").split("/")
             if len(parts) == 3 and parts[0] == "v1":
                 return self._route_tenant(
-                    method, parts[1], parts[2], body, query
+                    method, parts[1], parts[2], content_type, body, query
                 )
             return 404, {
                 "error": "unknown path", "path": path,
@@ -318,8 +369,8 @@ class ServingServer:
             return 500, {"error": f"internal error: {exc!r}"}, {}
 
     def _route_tenant(
-        self, method: str, tenant: str, op: str, body: bytes,
-        query: dict[str, list[str]],
+        self, method: str, tenant: str, op: str, content_type: str,
+        body: bytes, query: dict[str, list[str]],
     ) -> tuple[int, Any, dict[str, str]]:
         svc = self.service
         post_ops = {
@@ -330,7 +381,7 @@ class ServingServer:
                 return 405, {"error": f"{op} requires POST"}, {
                     "Allow": "POST",
                 }
-            rows = self._parse_rows(body)
+            rows = self._parse_rows(content_type, body)
             if op == "ingest":
                 code, payload = svc.ingest(tenant, rows)
             elif op == "transform":
@@ -378,7 +429,19 @@ class ServingServer:
         }, {}
 
     @staticmethod
-    def _parse_rows(body: bytes):
+    def _parse_rows(content_type: str, body: bytes):
+        """The rows of any POST route, from either body encoding."""
+        ctype = content_type.split(";", 1)[0].strip().lower()
+        if ctype == "application/octet-stream":
+            try:
+                return decode_block(body)[0]
+            except BlockCodecError as exc:
+                raise _BadRequest(400, f"bad block body: {exc}")
+        if ctype not in ("application/json", ""):
+            raise _BadRequest(
+                415, f"unsupported Content-Type {ctype!r}; send "
+                     "application/json or application/octet-stream"
+            )
         if not body:
             raise _BadRequest(400, "empty body; expected JSON")
         try:

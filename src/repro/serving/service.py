@@ -543,6 +543,14 @@ class PCAService:
             "repro_serving_request_seconds", route=route
         ).observe(seconds)
 
+    def observe_ack_hold(self, st: TenantState, seconds: float) -> None:
+        """Record one ingest the front end held back for ``seconds`` to
+        pace its client to the lane (see :mod:`repro.serving.http`)."""
+        st.note_ack_hold(seconds)
+        self.telemetry.metrics.histogram(
+            "repro_serving_ack_hold_seconds"
+        ).observe(seconds)
+
     def _count(self, tenant: str, route: str) -> None:
         self.telemetry.metrics.counter(
             "repro_serving_requests_total", route=route
@@ -581,6 +589,10 @@ class PCAService:
                     "repro_serving_rows_shed_total", "counter", t,
                     st.rows_shed + st.rows_rejected_full,
                 ))
+                samples.append((
+                    "repro_serving_ack_holds_total", "counter", t,
+                    st.ack_holds,
+                ))
             samples.append((
                 "repro_serving_live_lanes", "gauge", {},
                 len(self.pool.live_lane_ids()),
@@ -611,6 +623,8 @@ class PCAService:
             return samples
 
         self.telemetry.metrics.register_collector(_serving_samples)
+        # Created now so /metrics shows the series at zero holds too.
+        self.telemetry.metrics.histogram("repro_serving_ack_hold_seconds")
 
     def latency_summary(self) -> dict[str, dict[str, float]]:
         """Per-route p50/p95/p99 from the request histograms."""

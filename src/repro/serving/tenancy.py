@@ -288,44 +288,55 @@ class TenantModel:
 
     # -- compute side (owning lane only) ---------------------------------
 
-    def apply_block(self, xs: np.ndarray, wal_seq: int = -1) -> None:
-        """Fold one block of admitted rows into the model."""
+    def apply_block(
+        self, xs: np.ndarray, wal_seq: int = -1, *, judge: bool = True
+    ) -> None:
+        """Fold one block of admitted rows into the model.
+
+        ``judge=False`` keeps the block away from the health monitor:
+        recovery replays a WAL tail this way, because a control chart
+        whose whole baseline is that tail would page on its last window
+        and — with no traffic after a restart — never be judged again.
+        """
+        monitor = self.monitor if judge else None
         with self.lock:
             if self.parallel:
-                self._apply_parallel(xs)
+                self._apply_parallel(xs, monitor)
             else:
                 result = self._estimator.update_block(xs)
                 self.n_outliers += int(result.n_outliers)
-                if self.monitor is not None:
+                if monitor is not None:
                     gaps = int(np.isnan(xs).any(axis=1).sum())
                     if result.n_processed:
-                        self.monitor.note_rows(
+                        monitor.note_rows(
                             xs.shape[0], n_gap_rows=gaps,
                             n_outliers=int(result.n_outliers),
                             weight_sum=float(np.sum(result.weights)),
                             r2_sum=float(np.sum(result.residual_norm2)),
                         )
                     else:
-                        self.monitor.note_rows(xs.shape[0], n_gap_rows=gaps)
-                    self.monitor.maybe_check(self._estimator)
+                        monitor.note_rows(xs.shape[0], n_gap_rows=gaps)
+                    monitor.maybe_check(self._estimator)
             self.rows_applied += int(xs.shape[0])
             self.blocks_applied += 1
             if wal_seq > self.last_wal_seq:
                 self.last_wal_seq = wal_seq
             self._blocks_since_publish += 1
 
-    def _apply_parallel(self, xs: np.ndarray) -> None:
+    def _apply_parallel(
+        self, xs: np.ndarray, monitor: HealthMonitor | None
+    ) -> None:
         self._pending.append(np.asarray(xs, dtype=np.float64))
         self._pending_rows += int(xs.shape[0])
-        if self.monitor is not None:
-            self.monitor.note_rows(
+        if monitor is not None:
+            monitor.note_rows(
                 int(xs.shape[0]),
                 n_gap_rows=int(np.isnan(xs).any(axis=1).sum()),
             )
         if self._pending_rows >= self.spec.chunk_rows:
-            self._run_chunk()
+            self._run_chunk(monitor)
 
-    def _run_chunk(self) -> None:
+    def _run_chunk(self, monitor: HealthMonitor | None) -> None:
         """Process the pending chunk through a full parallel-PCA run and
         fold its merged eigensystem into the tenant state."""
         from ..data.streams import VectorStream
@@ -363,14 +374,14 @@ class TenantModel:
             self._merged = merge_eigensystems(
                 [self._merged, chunk_state], s.n_components
             )
-        if self.monitor is not None:
-            self.monitor.maybe_check(self._estimator_view())
+        if monitor is not None:
+            monitor.maybe_check(self._estimator_view())
 
     def flush(self) -> None:
         """Force any pending chunk through (drain/shutdown path)."""
         with self.lock:
             if self.parallel and self._pending_rows:
-                self._run_chunk()
+                self._run_chunk(self.monitor)
                 self._blocks_since_publish += 1
 
     def _estimator_view(self):
@@ -450,12 +461,8 @@ class TenantModel:
                 if snapshot.wal_seq > self.last_wal_seq:
                     self.last_wal_seq = snapshot.wal_seq
             self.n_reseeds += 1
-            if self.monitor is not None and snapshot is not None:
-                view = (
-                    self._estimator_view() if self.parallel
-                    else self._estimator
-                )
-                self.monitor.on_merge(view, reseed=True)
+            if snapshot is not None:
+                self._reanchor_monitor()
 
     def adopt_recovered(
         self,
@@ -487,12 +494,22 @@ class TenantModel:
             self.last_wal_seq = int(wal_seq)
             self._blocks_since_publish = 0
             self._published_initialized = True
-            if self.monitor is not None:
-                view = (
-                    self._estimator_view() if self.parallel
-                    else self._estimator
-                )
-                self.monitor.on_merge(view, reseed=True)
+            self._reanchor_monitor()
+
+    def _reanchor_monitor(self) -> None:
+        """Anchor the health monitor on the state the model now holds
+        (lock held by the caller)."""
+        if self.monitor is not None and self.is_initialized:
+            view = (
+                self._estimator_view() if self.parallel
+                else self._estimator
+            )
+            self.monitor.on_merge(view, reseed=True)
+
+    def reanchor_monitor(self) -> None:
+        """Re-anchor after rows were applied with ``judge=False``."""
+        with self.lock:
+            self._reanchor_monitor()
 
     def stats(self) -> dict[str, Any]:
         return {
@@ -526,6 +543,10 @@ class TenantState:
         self.rows_shed = 0
         self.rows_rejected_full = 0
         self.n_requests = 0
+        #: Ingest acks the HTTP front end held for lane-rate pacing, and
+        #: the seconds they were held in total.
+        self.ack_holds = 0
+        self.ack_hold_s = 0.0
         #: Set by the pool when this tenant's owning lane died uncleanly;
         #: the next lane to pick the tenant up reseeds the model from the
         #: latest published snapshot before applying anything.
@@ -548,6 +569,11 @@ class TenantState:
         with self._lock:
             self.rows_rejected_full += n
 
+    def note_ack_hold(self, seconds: float) -> None:
+        with self._lock:
+            self.ack_holds += 1
+            self.ack_hold_s += seconds
+
     def publish_now(self, cache, version: int | None = None) -> None:
         """Publish the current model state unconditionally (recovery —
         the first post-restart query must see the replayed rows, not
@@ -564,6 +590,8 @@ class TenantState:
             "valve_trips": self.valve.n_trips,
             "queue_depth_rows": self.queue.depth_rows,
             "queue_capacity_rows": self.queue.capacity_rows,
+            "ack_holds": self.ack_holds,
+            "ack_hold_s": self.ack_hold_s,
             **self.model.stats(),
         }
 

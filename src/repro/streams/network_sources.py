@@ -32,7 +32,6 @@ Robustness (heavy-traffic reality):
 from __future__ import annotations
 
 import pathlib
-import random
 import socket
 import threading
 import time
@@ -42,6 +41,7 @@ import numpy as np
 
 from .operators import Source
 from .resilience import DeadLetterQueue
+from .retry import RetryBudget
 from .sources import OBSERVATION_SCHEMA
 from .tuples import StreamTuple
 
@@ -71,38 +71,6 @@ def _parse_csv_line(line: str, lineno: int, origin: str) -> np.ndarray | None:
         )
     except ValueError as exc:
         raise ValueError(f"{origin}:{lineno}: unparsable line ({exc})") from None
-
-
-class _RetryBudget:
-    """Exponential backoff with jitter and a bounded retry budget.
-
-    ``wait()`` consumes one retry and sleeps ``base * 2**attempt`` capped
-    at ``cap_s``, stretched by up to ``jitter`` (fraction, seeded RNG so
-    tests are reproducible).  Returns ``False`` — without sleeping — once
-    the budget is exhausted.
-    """
-
-    def __init__(
-        self,
-        max_retries: int,
-        base_s: float,
-        cap_s: float,
-        jitter: float,
-        seed: int,
-    ) -> None:
-        self.left = int(max_retries)
-        self._delay = float(base_s)
-        self._cap = float(cap_s)
-        self._jitter = float(jitter)
-        self._rng = random.Random(seed)
-
-    def wait(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        time.sleep(self._delay * (1.0 + self._jitter * self._rng.random()))
-        self._delay = min(self._delay * 2.0, self._cap)
-        return True
 
 
 class _ResilientCSVSource(Source):
@@ -195,7 +163,7 @@ class TCPVectorSource(_ResilientCSVSource):
         self.retry_seed = int(retry_seed)
 
     def generate(self) -> Iterator[StreamTuple]:
-        budget = _RetryBudget(
+        budget = RetryBudget(
             self.max_retries, self.backoff_base_s, self.backoff_cap_s,
             self.backoff_jitter, self.retry_seed,
         )
@@ -403,7 +371,7 @@ class HTTPVectorSource(_ResilientCSVSource):
         import http.client
         import urllib.request
 
-        budget = _RetryBudget(
+        budget = RetryBudget(
             self.max_retries, self.backoff_base_s, self.backoff_cap_s,
             self.backoff_jitter, self.retry_seed,
         )

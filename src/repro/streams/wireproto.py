@@ -25,8 +25,8 @@ then further vetted by ``from_wire(..., allow_pickle=False)`` and the
 
 :class:`ReconnectingChannel` is the host-side client: a framed socket
 that transparently redials the coordinator with the same exponential
-backoff budget the network sources use (``_RetryBudget`` from
-:mod:`repro.streams.network_sources`), re-sending its hello on every
+backoff budget the network sources use
+(:class:`repro.streams.retry.RetryBudget`), re-sending its hello on every
 reconnect so the coordinator can re-associate the stream.
 """
 
@@ -42,7 +42,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .network_sources import _RetryBudget
+from .retry import RetryBudget
 
 __all__ = [
     "FrameError",
@@ -332,7 +332,7 @@ class ReconnectingChannel:
 
     One engine host holds exactly one channel to the coordinator.  Both
     :meth:`send` and :meth:`recv` transparently reconnect on socket
-    failure, consuming a fresh ``_RetryBudget`` (the same exponential
+    failure, consuming a fresh ``RetryBudget`` (the same exponential
     backoff machinery as the reconnecting network sources) per outage
     and re-sending ``hello`` so the coordinator re-associates the host.
     An exhausted budget raises :class:`ConnectionError` — the host then
@@ -403,7 +403,7 @@ class ReconnectingChannel:
                 self._sock = self._dial_with_budget()
 
     def _dial_with_budget(self) -> socket.socket:
-        budget = _RetryBudget(*self._budget_args)
+        budget = RetryBudget(*self._budget_args)
         while True:
             try:
                 sock = self._dial()

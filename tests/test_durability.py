@@ -38,7 +38,8 @@ from repro.serving import (
     WalError,
     WriteAheadLog,
 )
-from repro.serving.durability import _decode_body, _encode_record
+from repro.serving.codec import BlockCodecError, decode_block
+from repro.serving.durability import _encode_record
 
 
 def _blocks(n, rows=6, dim=5, seed=0):
@@ -60,7 +61,7 @@ class TestWalFraming:
     def test_round_trip(self):
         block = np.arange(12.0).reshape(3, 4)
         data = _encode_record(7, block, 123.5)
-        got, ts = _decode_body(data[24:])  # past the 24-byte head
+        got, ts = decode_block(data[24:])  # past the 24-byte head
         assert np.array_equal(got, block)
         assert ts == 123.5
 
@@ -69,10 +70,10 @@ class TestWalFraming:
             _encode_record(0, np.zeros(5), 0.0)
 
     def test_decode_rejects_garbage(self):
-        with pytest.raises(WalError):
-            _decode_body(b"\x00\x00\x00\x04abcdxyz")
-        with pytest.raises(WalError):
-            _decode_body(b"\xff\xff\xff\xff")
+        with pytest.raises(BlockCodecError):
+            decode_block(b"\x00\x00\x00\x04abcdxyz")
+        with pytest.raises(BlockCodecError):
+            decode_block(b"\xff\xff\xff\xff")
 
     def test_decode_rejects_shape_mismatch(self):
         data = _encode_record(0, np.zeros((2, 3)), 0.0)
@@ -82,8 +83,8 @@ class TestWalFraming:
         forged = (
             len(hdr).to_bytes(4, "big") + hdr + bytes(body[-48:])
         )
-        with pytest.raises(WalError):
-            _decode_body(forged)
+        with pytest.raises(BlockCodecError):
+            decode_block(forged)
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +697,47 @@ class TestServiceDurability:
             assert payload["recovering"] is False
         finally:
             plane.stop()
+            svc2.stop()
+
+    def test_ready_not_judged_on_the_replayed_tail(self, tmp_path):
+        """A WAL tail that ends on a residual excursion pages the live
+        service (rightly, and the next window could clear it).  Replayed
+        after a restart, the same tail must not leave ``/ready`` at 503:
+        no traffic is arriving to move the chart off its last verdict,
+        so a restart would otherwise never become ready."""
+        def cfg():
+            return _cfg(tmp_path, checkpoint_every_publishes=10_000,
+                        checkpoint_interval_s=60.0)
+
+        svc = PCAService(cfg())
+        svc.add_tenant(_spec(health_check_every=64))
+        svc.start()
+        svc.durability.recovery.wait(5)
+        rng = np.random.default_rng(0)
+        plant = rng.normal(size=(3, 8))
+        for noise, n_blocks in ((0.05, 40), (1.0, 8)):
+            for _ in range(n_blocks):
+                block = (rng.normal(size=(16, 3)) @ plant
+                         + noise * rng.normal(size=(16, 8)))
+                assert svc.ingest("t0", block)[0] == 202
+        assert svc.pool.drain(10)
+        code, body = svc.ready()
+        assert code == 503
+        assert [f["rule"] for f in body["firing"]] == ["r2-above-page-band"]
+        svc.pool.stop()  # SIGKILL stand-in: no stop(), no checkpoint
+        svc._started = False
+
+        svc2 = PCAService(cfg())
+        svc2.start()
+        assert svc2.durability.recovery.wait(10)
+        try:
+            code, body = svc2.ready()
+            assert code == 200, body
+            assert body["recovering"] is False
+            model = svc2.tenant("t0").model
+            assert model.rows_applied == 48 * 16
+            assert model.monitor.n_reseeds == 1  # anchored on the result
+        finally:
             svc2.stop()
 
     def test_status_and_metrics_expose_durability(self, tmp_path):

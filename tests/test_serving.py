@@ -12,8 +12,10 @@ with zero loss on admitted traffic, and a lane kill driving
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -38,6 +40,8 @@ from repro.serving import (
     TenantState,
     WebSocketClient,
 )
+from repro.serving import http as serving_http
+from repro.serving.codec import BlockCodecError, decode_block, encode_block
 
 SEED = 20120513
 
@@ -80,6 +84,132 @@ def _wait(pred, timeout_s=10.0, interval_s=0.005):
             return True
         time.sleep(interval_s)
     return pred()
+
+
+# ---------------------------------------------------------------------------
+# the block codec (WAL record body == octet-stream request body)
+# ---------------------------------------------------------------------------
+
+
+def _forged(header: bytes, payload: bytes = b"") -> bytes:
+    return struct.pack("!I", len(header)) + header + payload
+
+
+def _hdr(**fields) -> bytes:
+    return json.dumps(fields).encode()
+
+
+class TestBlockCodec:
+    def test_round_trip_is_bit_exact(self):
+        block = np.random.default_rng(SEED).normal(size=(5, 7))
+        block[0, 2] = np.nan
+        block[1] = np.inf
+        block[2, ::2] = -np.inf
+        block[3, 0] = -0.0
+        block[4, 1] = 5e-324  # smallest subnormal
+        got, ts = decode_block(encode_block(block, ts=12.25))
+        assert ts == 12.25
+        assert got.dtype == np.float64 and got.shape == block.shape
+        assert got.tobytes() == block.tobytes()
+        assert got.flags.writeable and got.flags.aligned
+
+    def test_one_row_travels_as_a_one_row_block(self):
+        row = np.array([1.5, np.nan, -2.0])
+        got, ts = decode_block(encode_block(row))
+        assert ts == 0.0
+        assert got.shape == (1, 3)
+        assert got.tobytes() == row.tobytes()
+
+    def test_other_dtypes_and_layouts_encode_as_float64(self):
+        ints = np.arange(6, dtype=np.int32).reshape(2, 3)
+        assert np.array_equal(decode_block(encode_block(ints))[0], ints)
+        strided = np.arange(24.0).reshape(4, 6)[::2, ::3]
+        assert np.array_equal(
+            decode_block(encode_block(strided))[0], strided
+        )
+
+    def test_unencodable_rows_rejected(self):
+        for bad in (np.zeros((2, 2, 2)), np.zeros((3, 0)), np.float64(1.0),
+                    [["a"]]):
+            with pytest.raises(BlockCodecError):
+                encode_block(bad)
+
+    def test_malformed_bodies_rejected(self):
+        good = encode_block(np.zeros((2, 3)))
+        payload = good[-48:]
+        cases = {
+            "empty": b"",
+            "short prefix": b"\x00\x00",
+            "truncated payload": good[:-1],
+            "extra payload": good + b"\x00",
+            "header_len past body": struct.pack("!I", len(good)) + good[4:],
+            "header_len huge": b"\xff\xff\xff\xff" + good[4:],
+            "rows too many": _forged(_hdr(rows=9, dim=3, ts=0.0), payload),
+            "rows negative": _forged(_hdr(rows=-2, dim=-3, ts=0.0), payload),
+            "dim zero": _forged(_hdr(rows=0, dim=0, ts=0.0)),
+            "dim negative": _forged(_hdr(rows=2, dim=-3, ts=0.0), payload),
+            "huge product": _forged(_hdr(rows=2**62, dim=2**62, ts=0.0),
+                                    payload),
+            "wraps to 48 in u64": _forged(
+                _hdr(rows=2**61 + 2, dim=3, ts=0.0), payload),
+            "float shape": _forged(_hdr(rows=2.0, dim=3, ts=0.0), payload),
+            "bool shape": _forged(_hdr(rows=True, dim=6, ts=0.0),
+                                  payload),
+            "infinite shape": _forged(
+                b'{"rows":Infinity,"dim":3,"ts":0}', payload),
+            "missing key": _forged(_hdr(rows=2, ts=0.0), payload),
+            "header not an object": _forged(b"[2,3]", payload),
+            "header not JSON": _forged(b"{rows:2}", payload),
+            "header not UTF-8": _forged(b'{"rows":2,"dim":3,"\xff":0}',
+                                        payload),
+            "ts not a number": _forged(_hdr(rows=2, dim=3, ts="x"), payload),
+            "oversized header": _forged(b"[" * 2048, payload),
+        }
+        for name, body in cases.items():
+            with pytest.raises(BlockCodecError):
+                decode_block(body)
+
+    def test_mutation_fuzz_raises_or_stays_inside_the_input(self):
+        """Seeded byte/length mutations of a valid body: the decoder
+        either raises BlockCodecError or returns a block exactly as big
+        as the payload bytes it was given — a length read from the body
+        never sizes an allocation on its own."""
+        rng = np.random.default_rng(8)
+        good = encode_block(rng.normal(size=(6, 5)), ts=3.5)
+        (header_len,) = struct.unpack_from("!I", good)
+        head_end = 4 + header_len
+        n_raised = n_decoded = 0
+        for _ in range(600):
+            data = bytearray(good)
+            kind = int(rng.integers(0, 5))
+            if kind == 0:    # bit flip in the length prefix or header
+                pos = int(rng.integers(0, head_end))
+                data[pos] ^= 1 << int(rng.integers(0, 8))
+            elif kind == 1:  # random byte anywhere
+                data[int(rng.integers(0, len(data)))] = int(
+                    rng.integers(0, 256))
+            elif kind == 2:  # truncate
+                del data[int(rng.integers(0, len(data))):]
+            elif kind == 3:  # random length prefix
+                struct.pack_into("!I", data, 0, int(rng.integers(0, 2**32)))
+            else:            # forged shape over the real payload
+                header = json.dumps({
+                    "rows": int(rng.integers(-4, 2**40)),
+                    "dim": int(rng.integers(-4, 2**40)), "ts": 0.0,
+                }).encode()
+                data = bytearray(_forged(header, good[head_end:]))
+            body = bytes(data)
+            try:
+                block, _ts = decode_block(body)
+            except BlockCodecError:
+                n_raised += 1
+                continue
+            n_decoded += 1
+            (hl,) = struct.unpack_from("!I", body)
+            assert block.nbytes == len(body) - 4 - hl
+        # Only a mutation that leaves the framing intact decodes (a flip
+        # inside the float payload, or in "ts"); every other one raises.
+        assert n_raised > 400 and n_decoded > 0
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +750,77 @@ class TestServingHTTP:
         finally:
             conn.close()
 
+    def test_binary_and_json_queries_agree(self, server):
+        """The three query POSTs take the octet-stream body through the
+        same parser as ingest: an ndarray and its list give one answer."""
+        rows = _rows(5, seed=3)
+        with ServingClient(server.host, server.port) as c:
+            assert c.ingest("a", _rows(64)).code == 202
+            assert _wait(lambda: c.snapshot("a").code == 200)
+            version = c.snapshot("a").body["snapshot_version"]
+            for call, key in (
+                (c.transform, "coefficients"),
+                (c.reconstruction_error, "reconstruction_error"),
+                (c.outlier_score, "scores"),
+            ):
+                binary, text = call("a", rows), call("a", rows.tolist())
+                assert binary.code == text.code == 200
+                assert binary.body["snapshot_version"] == version
+                assert binary.body[key] == text.body[key]
+
+    def _post(self, server, path, body, ctype):
+        conn = http.client.HTTPConnection(
+            server.host, server.port, timeout=10.0
+        )
+        try:
+            headers = {} if ctype is None else {"Content-Type": ctype}
+            conn.request("POST", path, body=body, headers=headers)
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def test_unknown_content_type_gets_415(self, server):
+        body = json.dumps({"rows": _rows(2).tolist()}).encode()
+        for op in ("ingest", "transform", "reconstruction_error",
+                   "outlier_score"):
+            code, doc = self._post(server, f"/v1/a/{op}", body, "text/csv")
+            assert code == 415 and "text/csv" in doc["error"]
+        # A parameter after the type, and no header at all, stay JSON.
+        for ctype in ("application/json; charset=utf-8", None):
+            code, _ = self._post(server, "/v1/a/ingest", body, ctype)
+            assert code == 202
+        assert server.service.tenant("a").rows_accepted == 4
+
+    def test_malformed_block_body_gets_400_never_5xx(self, server):
+        good = encode_block(_rows(4))
+        payload = good[-4 * 8 * 8:]
+        bodies = [
+            b"",
+            good[:10],
+            good[:-8],                                       # truncated
+            struct.pack("!I", len(good)) + good[4:],         # header_len
+            _forged(_hdr(rows=5, dim=8, ts=0.0), payload),    # != len
+            _forged(_hdr(rows=-4, dim=-8, ts=0.0), payload),  # rows < 0
+            _forged(_hdr(rows=0, dim=0, ts=0.0)),             # dim <= 0
+            _forged(b'{"rows":4,"dim":8,"\xff\xfe":0}', payload),
+            _forged(_hdr(rows=2**62, dim=2**62, ts=0.0), payload),
+        ]
+        for op in ("ingest", "transform"):
+            for body in bodies:
+                code, doc = self._post(
+                    server, f"/v1/a/{op}", body, "application/octet-stream"
+                )
+                assert code == 400, (op, body[:40], code, doc)
+                assert "error" in doc
+        st = server.service.tenant("a")
+        assert st.rows_accepted == 0 and st.queue.depth_rows == 0
+        # The connection-level checks still come first.
+        with ServingClient(server.host, server.port) as c:
+            assert c.request("POST", "/v1/a/ingest", good).code == 202
+            server.max_body_bytes = len(good) - 1
+            assert c.request("POST", "/v1/a/ingest", good).code == 413
+
     def test_snapshot_409_then_200(self, server):
         with ServingClient(server.host, server.port) as c:
             assert c.transform("b", _rows(2).tolist()).code == 409
@@ -794,6 +995,147 @@ class TestServingEndToEnd:
                 # cache reader answers immediately
                 assert elapsed < 1.0
         finally:
+            srv.stop()
+
+
+    def test_binary_and_json_ingest_build_the_same_model(self):
+        """Same rows (NaN gaps included) through either wire format:
+        identical accounting and bit-identical snapshots."""
+        rows = _rows(320, seed=5)
+        rows[::7, 3] = np.nan
+        states = []
+        for as_wire in (lambda b: b, lambda b: b.tolist()):
+            svc = _service(_spec("a"), n_lanes=1)
+            srv = ServingServer(svc, port=0).start()
+            try:
+                model = svc.tenant("a").model
+                with ServingClient(srv.host, srv.port) as c:
+                    for lo in range(0, len(rows), 32):
+                        assert c.ingest(
+                            "a", as_wire(rows[lo:lo + 32])
+                        ).code == 202
+                        # One block per update on both sides: how the
+                        # lane coalesces must not be what differs.
+                        assert _wait(
+                            lambda: model.rows_applied == lo + 32
+                        )
+                assert _wait(lambda: model.n_publishes == 10)
+                snap = svc.cache.peek("a")
+                states.append((
+                    model.rows_applied, snap.version, snap.rows_applied,
+                    snap.state.basis.tobytes(),
+                    snap.state.eigenvalues.tobytes(),
+                    snap.state.mean.tobytes(),
+                ))
+            finally:
+                srv.stop()
+        assert states[0][:3] == (320, 10, 320)
+        assert states[0] == states[1]
+
+    def test_ack_pacing_with_the_lane_stalled(self, monkeypatch):
+        """With the model lock held the lane cannot drain: ingest acks
+        are withheld once the queue is more than one lane block deep,
+        queries on another connection are not, a caught-up lane releases
+        the ack at once, an expired hold falls through to the unchanged
+        429 admission, and no admitted row is lost."""
+        block = _rows(16)
+        svc = _service(
+            _spec("a", max_block_rows=32, queue_capacity_rows=128),
+            n_lanes=1,
+        )
+        srv = ServingServer(svc, port=0).start()
+        st = svc.tenant("a")
+        writer = ServingClient(srv.host, srv.port)
+        reader = ServingClient(srv.host, srv.port)
+        acked = 0
+        try:
+            assert writer.ingest("a", _rows(64)).code == 202
+            acked += 64
+            assert _wait(lambda: reader.transform("a", block).code == 200)
+            assert _wait(lambda: st.model.rows_applied == 64)
+
+            monkeypatch.setattr(serving_http, "ACK_HOLD_MAX_S", 30.0)
+            st.model.lock.acquire()
+            try:
+                # Up to and including the threshold acks are immediate:
+                # the lane takes one block and stalls on the lock, the
+                # next three leave 48 > 32 rows queued.
+                t0 = time.perf_counter()
+                for _ in range(4):
+                    assert writer.ingest("a", block).code == 202
+                    acked += 16
+                assert time.perf_counter() - t0 < 5.0
+                assert _wait(lambda: st.queue.depth_rows == 48)
+                assert st.ack_holds == 0
+
+                held: list = []
+                thread = threading.Thread(
+                    target=lambda: held.append(writer.ingest("a", block))
+                )
+                thread.start()
+                thread.join(0.3)
+                assert thread.is_alive() and not held  # ack withheld
+                assert st.queue.depth_rows == 48       # and not routed
+                t0 = time.perf_counter()
+                assert reader.transform("a", block).code == 200
+                assert reader.snapshot("a").code == 200
+                assert time.perf_counter() - t0 < 1.0
+                assert thread.is_alive()
+            finally:
+                st.model.lock.release()
+            thread.join(10.0)  # far inside the 30 s bound: lane caught up
+            assert not thread.is_alive()
+            assert held[0].code == 202
+            acked += 16
+            assert st.ack_holds == 1 and 0.3 <= st.ack_hold_s < 10.0
+            assert svc.pool.drain(10)
+            assert _wait(lambda: st.model.rows_applied == acked)
+
+            # An expired hold is not a refusal: the request goes through
+            # the usual admission, which still says 429 at capacity.
+            monkeypatch.setattr(serving_http, "ACK_HOLD_MAX_S", 0.05)
+            st.model.lock.acquire()
+            try:
+                codes = []
+                for _ in range(12):
+                    t0 = time.perf_counter()
+                    reply = writer.ingest("a", block)
+                    codes.append(reply.code)
+                    if reply.code == 429:
+                        break
+                    acked += 16
+                assert codes[-1] == 429, codes
+                assert reply.body["reason"] == "queue_full"
+                assert reply.retry_after_s is not None
+                assert 0.05 <= time.perf_counter() - t0 < 5.0
+                assert set(codes[:-1]) == {202}
+                assert st.queue.depth_rows + 16 > 128
+                assert st.rows_rejected_full == 16
+                assert reader.transform("a", block).code == 200
+            finally:
+                st.model.lock.release()
+            assert svc.pool.drain(10)
+            assert _wait(lambda: st.model.rows_applied == acked)
+            stats = st.stats()
+            assert stats["rows_accepted"] == acked == (
+                stats["rows_applied"] + stats["queue_depth_rows"]
+                + stats["pending_rows"]
+            )
+            assert stats["ack_holds"] == st.ack_holds > 1
+            text = reader.metrics_text()
+            assert (
+                f'repro_serving_ack_holds_total{{tenant="a"}} '
+                f"{st.ack_holds}" in text
+            )
+            assert (
+                f"repro_serving_ack_hold_seconds_count {st.ack_holds}"
+                in text
+            )
+            tenant_status = reader.status().body["tenants"]["a"]
+            assert tenant_status["ack_holds"] == st.ack_holds
+        finally:
+            writer.close()
+            reader.close()
             srv.stop()
 
 
