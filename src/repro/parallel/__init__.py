@@ -12,7 +12,6 @@ from .partition import (
     partition_round_robin,
 )
 from .pca_operator import StreamingPCAOperator
-from .process_runner import ProcessParallelStreamingPCA, ProcessRunResult
 from .runner import ParallelRunResult, ParallelStreamingPCA
 from .sync import (
     BroadcastStrategy,
@@ -36,8 +35,6 @@ __all__ = [
     "ParallelStreamingPCA",
     "PeerStatus",
     "PeerToPeerStrategy",
-    "ProcessParallelStreamingPCA",
-    "ProcessRunResult",
     "QuorumError",
     "RingStrategy",
     "StreamingPCAOperator",

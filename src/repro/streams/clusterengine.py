@@ -1,15 +1,16 @@
-"""ClusterEngine: a multi-node TCP runtime completing the engine quartet.
+"""ClusterEngine: the coordinator with TCP-connected hosts as remote ends.
 
 The process runtime scales the parallel PCA across the cores of one
 machine; the paper's Figs 6–7 scale *out* — engines on separate hosts
-exchanging sync tuples over the network.  :class:`ClusterEngine` is that
-fourth runtime: a **coordinator** process keeps the sources, sinks and
-control operators (split, sync controller) and places every other
+exchanging sync tuples over the network.  :class:`ClusterEngine` is the
+:class:`~repro.streams.engine.ThreadedEngine` coordinator (a subclass:
+the run protocol is inherited unchanged) that keeps the sources, sinks
+and control operators (split, sync controller) and places every other
 operator on **engine hosts** — separate OS processes reached over real
 TCP sockets speaking the length-prefixed framed protocol of
-:mod:`repro.streams.wireproto`.  On localhost the hosts are spawned
-processes (how the tests and ``python -m repro cluster`` run); the
-protocol itself is host-agnostic.
+:mod:`repro.streams.wireproto`.  On localhost the hosts are
+spawned processes (how the tests and ``python -m repro cluster`` run);
+the protocol itself is host-agnostic.
 
 Topology and transport
 ----------------------
@@ -45,18 +46,16 @@ The SyncController's ring merges, membership/eviction/quorum and
 late-rejoin reseeding run unchanged over the wire: the controller only
 ever sees tuples on ports.
 
-Completion and fault tolerance
-------------------------------
-Shutdown extends the drain protocol of the other runtimes with wire
-counters: the coordinator finishes when its sources are done, its local
-operators are closed, and every live host reports *quiesced* with
-matching sent/received tuple counts in both directions (nothing in
-flight on the sockets).  Only then does it send ``finish``; hosts reply
-``done`` with their operators' final state (folded back into the
-coordinator-side graph, exactly like the process runtime) plus their
-telemetry shard, merged under an ``h<id>`` process label.
+Run-protocol delta
+------------------
+The transport's in-flight ledger is a pair of wire counters per link: a
+host is quiet once its heartbeat says *quiesced* and the sent/received
+tuple counts match in both directions (nothing in flight on the
+sockets).  The final report additionally carries the host's channel
+counters (see :attr:`ClusterEngine.cluster_stats`), and its operator
+state arrives wire-encoded, merged under an ``h<id>`` process label.
 
-A host that dies is detected by the coordinator.  With
+A host that dies is detected by the per-tick liveness check.  With
 ``tolerate_host_loss=True`` (the chaos scenarios and the CLI kill runs)
 the coordinator injects punctuation on the dead host's routes so the
 controller's punctuation contract holds, drops (and counts) traffic
@@ -66,10 +65,11 @@ Without the flag a host death fails fast, matching the other engines.
 
 After a death or a flap, frames that were in the kernel's socket
 buffers may be lost (delivery is at-least-once across reconnects, see
-:class:`~repro.streams.wireproto.ReconnectingChannel`); the coordinator
-then accepts completion once every surviving counter has been frozen
-for a grace period and records the residue in
-``cluster_stats["tuples_lost"]``.
+:class:`~repro.streams.wireproto.ReconnectingChannel`); the
+frozen-progress grace window then first nudges the hosts with an early
+``finish`` (the loss may have swallowed end-of-stream punctuation) and,
+if the counters stay frozen, accepts completion and records the residue
+in ``cluster_stats["tuples_lost"]``.
 """
 
 from __future__ import annotations
@@ -87,14 +87,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .engine import RunStats, SynchronousEngine, ThreadedEngine, _SourceRunner
+from .engine import _MAIN, SynchronousEngine, ThreadedEngine, _final_report
 from .graph import Graph
 from .operators import Operator, Sink, Source
-from .procengine import _sanitize, _strip_payload
 from .shm import safe_mp_context
-from .split import Split
-from .supervision import OperatorFailure, Supervisor
-from .telemetry import Telemetry, operator_metric_samples
+from .supervision import EngineAborted, OperatorFailure, Supervisor
+from .telemetry import Telemetry
 from .tuples import (
     StreamTuple,
     _decode_value,
@@ -112,9 +110,6 @@ from .wireproto import (
 )
 
 __all__ = ["ClusterEngine"]
-
-#: Coordinator location marker in route tables (host locations are ints).
-_COORD = "c"
 
 #: Tuples per coalesced ``"tuples"`` frame.
 _BATCH_MAX = 64
@@ -464,26 +459,12 @@ def _host_loop(spec: _HostSpec, channel: ReconnectingChannel) -> None:
         out_cv.notify_all()
     sender.join(timeout=5.0)
 
-    payloads = {
-        op.name: {
-            k: _encode_value(v)
-            for k, v in _strip_payload(dict(op.__dict__)).items()
-        }
-        for op in spec.ops
-    }
-    shard = (
-        [
-            [name, kind, dict(labels), float(value)]
-            for name, kind, labels, value in operator_metric_samples(spec.ops)
-        ]
-        if spec.metrics
-        else []
-    )
     channel.send({
         "t": "done",
         "host": spec.host_id,
-        "ops": payloads,
-        "metrics": shard,
+        **_final_report(
+            spec.ops, supervisor, spec.metrics, encode=_encode_value
+        ),
         "counters": dict(counters),
         "transport": channel.counters(),
     })
@@ -548,14 +529,14 @@ class _HostLink:
         return n
 
 
-class ClusterEngine:
+class ClusterEngine(ThreadedEngine):
     """Coordinator of the multi-node TCP runtime.
 
     Parameters
     ----------
     graph:
-        The application graph — unchanged operator code runs under all
-        four engines.
+        The application graph — unchanged operator code runs under
+        every engine.
     main_ops:
         Operator names pinned to the coordinator (sources and sinks are
         always pinned).  Every unpinned operator is placed on an engine
@@ -589,6 +570,8 @@ class ClusterEngine:
         ``process="h<id>"`` labels.
     """
 
+    _runtime = "cluster"
+
     def __init__(
         self,
         graph: Graph,
@@ -605,13 +588,15 @@ class ClusterEngine:
         telemetry: Telemetry | None = None,
         mp_context: str | None = None,
     ) -> None:
-        graph.validate()
         if host_runtime not in ("synchronous", "threaded"):
             raise ValueError(
                 f"host_runtime must be 'synchronous' or 'threaded', "
                 f"got {host_runtime!r}"
             )
-        self.graph = graph
+        if n_hosts is not None and n_hosts < 1:
+            raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
+        super().__init__(graph, supervisor=supervisor, telemetry=telemetry)
+        self._tracer = None  # spans do not cross the wire
         self.host_runtime = host_runtime
         self.bind_host = bind_host
         #: Pickled ``done`` payload values are only trusted on a
@@ -634,66 +619,22 @@ class ClusterEngine:
         self.tolerate_host_loss = tolerate_host_loss
         self.flap_hosts = dict(flap_hosts or {})
         self.reconnect = dict(reconnect or {})
-        self.supervisor = supervisor
-        self.telemetry = telemetry
         self._ctx = safe_mp_context(mp_context)
-        if telemetry is not None:
-            telemetry.attach_graph(graph)
-            if supervisor is not None:
-                telemetry.attach_supervisor(supervisor)
 
-        known = {op.name for op in graph}
-        self.main_ops = set(main_ops)
-        unknown = self.main_ops - known
-        if unknown:
-            raise ValueError(
-                f"main_ops name unknown operators: {sorted(unknown)}"
-            )
-
-        self._ops_by_name = {op.name: op for op in graph}
-        unpinned = [
-            op
-            for op in graph.operators
-            if not (
-                isinstance(op, (Source, Sink)) or op.name in self.main_ops
-            )
-        ]
-        if not unpinned:
+        if not self._place(main_ops, n_hosts):
             raise ValueError(
                 "cluster runtime has no operators to place on hosts; "
                 "use the synchronous/threaded runtime instead"
             )
-        if n_hosts is None:
-            n_hosts = len(unpinned)
-        if not 1 <= n_hosts:
-            raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
-        n_hosts = min(n_hosts, len(unpinned))
-        self._host_ops: dict[int, list[Operator]] = {
-            hid: [] for hid in range(n_hosts)
-        }
-        self._loc_of: dict[str, Any] = {
-            op.name: _COORD for op in graph.operators
-        }
-        for i, op in enumerate(unpinned):
-            hid = i % n_hosts
-            self._host_ops[hid].append(op)
-            self._loc_of[op.name] = hid
-        self._local_ops = [
-            op for op in graph.operators if self._loc_of[op.name] == _COORD
-        ]
-
         self._links: dict[int, _HostLink] = {
-            hid: _HostLink(hid) for hid in self._host_ops
+            hid: _HostLink(hid) for hid in self._remote_ops
         }
-        self._lock = threading.RLock()
-        self._work: deque = deque()
-        self._draining = False
-        self._stop = threading.Event()
-        self._errors: list[BaseException] = []
         self._threads: list[threading.Thread] = []
         self._listener: socket.socket | None = None
         self._run_id = ""
         self._host_deaths = 0
+        self._nudged = False
+        self._lost = 0
         #: Wire/transport totals, populated at shutdown.
         self.cluster_stats: dict[str, int] = {}
 
@@ -701,20 +642,7 @@ class ClusterEngine:
 
     @property
     def n_hosts(self) -> int:
-        return len(self._host_ops)
-
-    def _routes_for(
-        self, op: Operator
-    ) -> dict[int, list[tuple[Any, str, int]]]:
-        routes: dict[int, list[tuple[Any, str, int]]] = {}
-        for port in range(op.n_outputs):
-            entries = [
-                (self._loc_of[dst.name], dst.name, in_port)
-                for dst, in_port in self.graph.successors(op, port)
-            ]
-            if entries:
-                routes[port] = entries
-        return routes
+        return len(self._remote_ops)
 
     def _inbound_for(self, hid: int) -> list[tuple[str, int]]:
         pairs: set[tuple[str, int]] = set()
@@ -727,98 +655,29 @@ class ClusterEngine:
         return sorted(pairs)
 
     def _build_spec(self, hid: int, addr: tuple[str, int]) -> _HostSpec:
-        ops = self._host_ops[hid]
-        policies = {}
-        if self.supervisor is not None:
-            policies = {
-                op.name: self.supervisor.policies[op.name]
-                for op in ops
-                if op.name in self.supervisor.policies
-            }
         return _HostSpec(
             host_id=hid,
             addr=addr,
             run_id=self._run_id,
-            ops=[_sanitize(op) for op in ops],
-            routes={op.name: self._routes_for(op) for op in ops},
             inbound=self._inbound_for(hid),
             host_runtime=self.host_runtime,
-            policies=policies,
-            metrics=(
-                self.telemetry is not None and self.telemetry.config.metrics
-            ),
             timeout_s=self._timeout_s,
             flap_after=self.flap_hosts.get(hid),
             reconnect=self.reconnect,
+            **self._spec_fields(hid),
         )
 
-    # -- local dispatch ---------------------------------------------------
+    # -- seams: sending, probing ------------------------------------------
 
-    def _deliver(self, dst: Operator, tup: StreamTuple, port: int) -> None:
-        if self.supervisor is not None:
-            self.supervisor.dispatch(dst, tup, port)
-        else:
-            dst._dispatch(tup, port)
-
-    def _local_dispatch(
-        self, dst: Operator, tup: StreamTuple, port: int
-    ) -> None:
-        """FIFO run-to-quiescence dispatch, safe across threads.
-
-        Source threads and per-connection receiver threads all feed the
-        same work deque under one re-entrant lock; nested emissions
-        during a drain append and return, preserving SynchronousEngine's
-        breadth-first order for the coordinator-local subgraph.
-        """
-        with self._lock:
-            self._work.append((dst, port, tup))
-            if self._draining:
-                return
-            self._draining = True
-            try:
-                while self._work:
-                    d, p, t = self._work.popleft()
-                    self._deliver(d, t, p)
-            finally:
-                self._draining = False
-
-    def _send_tuple(
+    def _send_remote(
         self, loc: int, dst_name: str, dst_port: int, tup: StreamTuple
     ) -> None:
         self._links[loc].enqueue(
             (dst_name, dst_port, to_wire(tup, describe_schema=True))
         )
 
-    def _wire_local(self) -> None:
-        for op in self._local_ops:
-            routes = self._routes_for(op)
-
-            def emit(
-                tup: StreamTuple, port: int, _routes: dict = routes
-            ) -> None:
-                for dst_loc, dst_name, dst_port in _routes.get(port, ()):
-                    if dst_loc == _COORD:
-                        self._local_dispatch(
-                            self._ops_by_name[dst_name], tup, dst_port
-                        )
-                    else:
-                        self._send_tuple(dst_loc, dst_name, dst_port, tup)
-
-            op.bind(emit)
-            if isinstance(op, Split):
-                op.set_load_probe(self._make_probe(op))
-
-    def _make_probe(self, split: Split):
-        def probe(port: int) -> int:
-            succ = self.graph.successors(split, port)
-            if not succ:
-                return 0
-            loc = self._loc_of[succ[0][0].name]
-            if loc == _COORD:
-                return 0
-            return len(self._links[loc].outq)
-
-        return probe
+    def _remote_depth(self, loc: int) -> int:
+        return len(self._links[loc].outq)
 
     # -- sockets ----------------------------------------------------------
 
@@ -886,6 +745,8 @@ class ClusterEngine:
                 if msg is None:
                     return
                 self._handle(link, msg)
+        except EngineAborted:
+            pass
         except BaseException as exc:  # pragma: no cover - defensive
             self._errors.append(exc)
             self._stop.set()
@@ -895,16 +756,16 @@ class ClusterEngine:
         if t == "tuples":
             for dst, port, wire in msg["items"]:
                 tup = from_wire(wire, allow_pickle=False)
-                link.received_from += 1
                 loc = self._loc_of[dst]
-                if loc == _COORD:
-                    self._local_dispatch(
-                        self._ops_by_name[dst], tup, int(port)
-                    )
+                if loc == _MAIN:
+                    self._inject(dst, tup, int(port))
                 else:
                     # Star relay for host→host edges (unused by the PCA
                     # app, but the protocol supports arbitrary cuts).
                     self._links[loc].enqueue((dst, int(port), wire))
+                # Counted once it is on the local ledger, so the two
+                # never both read "nothing in flight" for this tuple.
+                link.received_from += 1
         elif t == "status":
             link.report = msg
         elif t == "done":
@@ -991,7 +852,40 @@ class ClusterEngine:
         if proc is not None and proc.is_alive():
             os.kill(proc.pid, signal.SIGKILL)
 
-    def _check_hosts(self) -> None:
+    def _start_remote(self, timeout_s: float) -> None:
+        self._timeout_s = timeout_s
+        self._run_id = uuid.uuid4().hex
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((self.bind_host, self.port))
+        listener.listen(len(self._links) + 2)
+        listener.settimeout(0.2)
+        self._listener = listener
+        addr = (self.bind_host, listener.getsockname()[1])
+
+        self._accept = threading.Thread(
+            target=self._accept_loop, name="cluster-accept", daemon=True
+        )
+        self._accept.start()
+        for link in self._links.values():
+            t = threading.Thread(
+                target=self._sender_loop,
+                args=(link,),
+                name=f"cluster-send-h{link.host_id}",
+                daemon=True,
+            )
+            t.start()
+            self._threads.append(t)
+        for hid, link in self._links.items():
+            link.proc = self._ctx.Process(
+                target=_host_main,
+                args=(self._build_spec(hid, addr),),
+                name=f"repro-host{hid}",
+                daemon=True,
+            )
+            link.proc.start()
+
+    def _supervise_remote(self) -> None:
         for hid, link in self._links.items():
             if link.done is not None or link.dead:
                 continue
@@ -1027,235 +921,122 @@ class ClusterEngine:
             # every route out of its operators so the controller's and
             # sinks' punctuation contracts hold (eviction + quorum own
             # state correctness from here).
-            for op in self._host_ops[hid]:
+            for op in self._remote_ops[hid]:
                 for dests in self._routes_for(op).values():
                     for dst_loc, dst_name, dst_port in dests:
                         punct = StreamTuple.punctuation()
-                        if dst_loc == _COORD:
-                            self._local_dispatch(
-                                self._ops_by_name[dst_name], punct, dst_port
-                            )
+                        if dst_loc == _MAIN:
+                            self._inject(dst_name, punct, dst_port)
                         elif not self._links[dst_loc].dead:
-                            self._send_tuple(
+                            self._send_remote(
                                 dst_loc, dst_name, dst_port, punct
                             )
 
     def _live_links(self) -> list[_HostLink]:
         return [l for l in self._links.values() if not l.dead]
 
-    def _links_quiet(self) -> tuple[bool, tuple]:
-        """(all live hosts drained?, counter signature for grace logic).
+    # -- seams: quiescence, finish, stop ------------------------------------
 
-        Counter comparisons are ``>=`` on purpose: reconnect retries can
+    def _remote_quiet(self) -> bool:
+        """Every live host quiesced and both wire counters balanced.
+
+        Comparisons are ``>=`` on purpose: reconnect retries can
         duplicate a frame (at-least-once), so a receiver may count more
         tuples than the sender believes it sent.
         """
-        ok = True
-        sig = []
+        return all(
+            bool(link.report.get("quiesced"))
+            and link.report.get("received", -1) >= link.sent_to
+            and link.received_from >= link.report.get("sent", float("inf"))
+            and not link.outq
+            for link in self._live_links()
+        )
+
+    def _loss_signature(self, sources_done: bool, local_quiet: bool) -> Any:
+        # Frames can be lost across a death or flap, so once either has
+        # happened watch the *full* progress picture: wire counters plus
+        # local-operator closure and tuple counts.
+        if not sources_done or not (
+            self._host_deaths or any(l.reconnects for l in self._links.values())
+        ):
+            return None
+        return (
+            tuple(
+                (
+                    link.host_id,
+                    link.report.get("quiesced"),
+                    link.report.get("received"),
+                    link.report.get("sent"),
+                    link.sent_to,
+                    link.received_from,
+                    len(link.outq),
+                )
+                for link in self._live_links()
+            ),
+            tuple(op.is_closed for op in self._local_ops),
+            sum(op.tuples_in for op in self._local_ops),
+            self._inflight,
+        )
+
+    def _accept_loss(self) -> bool:
+        if not self._nudged:
+            # The loss may have swallowed end-of-stream punctuation, in
+            # which case no amount of waiting completes the run.  An
+            # early "finish" makes every host's channel source return,
+            # punctuating the host graph and, via the relays, the
+            # coordinator's operators.
+            self._nudged = True
+            self._finish_remote()
+            return False
+        # Frozen again after the nudge: the residue is truly gone.
         for link in self._live_links():
             rep = link.report
-            drained = (
-                bool(rep.get("quiesced"))
-                and rep.get("received", -1) >= link.sent_to
-                and link.received_from >= rep.get("sent", float("inf"))
-                and not link.outq
-            )
-            ok = ok and drained
-            sig.append((
-                link.host_id,
-                rep.get("quiesced"),
-                rep.get("received"),
-                rep.get("sent"),
-                link.sent_to,
-                link.received_from,
-                len(link.outq),
-            ))
-        return ok, tuple(sig)
+            self._lost += max(0, link.sent_to - rep.get("received", 0))
+            self._lost += max(0, rep.get("sent", 0) - link.received_from)
+        return True
 
-    # -- run --------------------------------------------------------------
-
-    def run(self, *, timeout_s: float = 300.0) -> RunStats:
-        """Execute to completion; raises on host/operator failure."""
-        self._timeout_s = timeout_s
-        self._run_id = uuid.uuid4().hex
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.bind_host, self.port))
-        listener.listen(len(self._links) + 2)
-        listener.settimeout(0.2)
-        self._listener = listener
-        addr = (self.bind_host, listener.getsockname()[1])
-
-        if self.telemetry is not None:
-            self.telemetry.run_started(
-                engine="cluster", graph=self.graph.name
-            )
-
-        start = time.perf_counter()
-        accept = threading.Thread(
-            target=self._accept_loop, name="cluster-accept", daemon=True
-        )
-        accept.start()
-        senders = []
-        for link in self._links.values():
-            t = threading.Thread(
-                target=self._sender_loop,
-                args=(link,),
-                name=f"cluster-send-h{link.host_id}",
-                daemon=True,
-            )
-            t.start()
-            senders.append(t)
-
-        for hid, link in self._links.items():
-            spec = self._build_spec(hid, addr)
-            link.proc = self._ctx.Process(
-                target=_host_main,
-                args=(spec,),
-                name=f"repro-host{hid}",
-                daemon=True,
-            )
-            link.proc.start()
-
-        self._wire_local()
-        for op in self._local_ops:
-            op.open()
-        src_threads = [
-            _SourceRunner(src, self._errors, self._stop)
-            for src in self.graph.sources
+    def _remote_running(self) -> list[str]:
+        return [
+            f"h{hid} (to host {link.sent_to}/{link.report.get('received')}"
+            f" received, from host {link.received_from}/"
+            f"{link.report.get('sent')} sent)"
+            for hid, link in self._links.items()
+            if link.proc is not None and link.proc.is_alive()
         ]
-        for t in src_threads:
-            t.start()
 
-        deadline = start + timeout_s
-        stable: tuple[float, tuple] | None = None
-        nudged = False
-        lost = 0
+    def _finish_remote(self) -> None:
+        for link in self._live_links():
+            link.enqueue({"t": "finish"})
+
+    def _reports_pending(self) -> list:
+        return [l.host_id for l in self._live_links() if l.done is None]
+
+    def _stop_remote(self) -> None:
+        for link in self._links.values():
+            with link.cv:
+                link.cv.notify_all()
+            if link.proc is not None:
+                if link.done is None:
+                    # Aborted run: nothing will tell this host to finish.
+                    link.proc.terminate()
+                link.proc.join(timeout=5.0)
+                if link.proc.is_alive():  # pragma: no cover - hung
+                    link.proc.terminate()
+            with link.cv:
+                if link.sock is not None:
+                    try:
+                        link.sock.close()
+                    except OSError:  # pragma: no cover
+                        pass
+                    link.sock = None
         try:
-            while True:
-                if self._errors:
-                    raise self._errors[0]
-                self._check_hosts()
-                links_ok, sig = self._links_quiet()
-                sources_done = all(not t.is_alive() for t in src_threads)
-                quiet = sources_done and all(
-                    op.is_closed for op in self._local_ops
-                )
-                if quiet and links_ok:
-                    break
-                degraded = self._host_deaths > 0 or any(
-                    l.reconnects for l in self._links.values()
-                )
-                if sources_done and degraded:
-                    # Frames can be lost across a death or flap — and
-                    # the loss can swallow end-of-stream punctuation, in
-                    # which case no amount of waiting completes the run.
-                    # Watch the *full* progress signature (wire counters
-                    # plus local-operator closure and tuple counts); if
-                    # it freezes for a grace period, first *nudge*:
-                    # "finish" makes every host's channel source return,
-                    # punctuating the host graph and, via the relays,
-                    # the coordinator's operators.  A second frozen
-                    # period means the residue is truly gone — accept
-                    # completion and count it as lost.
-                    now = time.perf_counter()
-                    full_sig = (
-                        sig,
-                        tuple(op.is_closed for op in self._local_ops),
-                        sum(op.tuples_in for op in self._local_ops),
-                    )
-                    if stable is None or stable[1] != full_sig:
-                        stable = (now, full_sig)
-                    elif now - stable[0] > 2.0:
-                        if not nudged:
-                            nudged = True
-                            stable = None
-                            for link in self._live_links():
-                                link.enqueue({"t": "finish"})
-                        else:
-                            for link in self._live_links():
-                                rep = link.report
-                                lost += max(
-                                    0,
-                                    link.sent_to - rep.get("received", 0),
-                                )
-                                lost += max(
-                                    0,
-                                    rep.get("sent", 0) - link.received_from,
-                                )
-                            break
-                else:
-                    stable = None
-                if time.perf_counter() > deadline:
-                    alive = [
-                        f"h{hid}"
-                        for hid, l in self._links.items()
-                        if l.proc is not None and l.proc.is_alive()
-                    ]
-                    raise RuntimeError(
-                        f"graph {self.graph.name!r} did not finish within "
-                        f"{timeout_s}s (hosts still running: {alive}, "
-                        f"links: {sig})"
-                    )
-                time.sleep(0.002)
+            self._listener.close()
+        except OSError:  # pragma: no cover
+            pass
+        for t in [self._accept] + self._threads:
+            t.join(timeout=2.0)
 
-            # Global quiescence: tell every live host to finish and
-            # collect final state.
-            for link in self._live_links():
-                link.enqueue({"t": "finish"})
-            done_deadline = time.perf_counter() + 60.0
-            while any(l.done is None for l in self._live_links()):
-                if self._errors:
-                    raise self._errors[0]
-                self._check_hosts()
-                if time.perf_counter() > done_deadline:
-                    missing = [
-                        l.host_id
-                        for l in self._live_links()
-                        if l.done is None
-                    ]
-                    raise RuntimeError(
-                        f"hosts {missing} did not report final state"
-                    )
-                time.sleep(0.002)
-        finally:
-            self._stop.set()
-            for link in self._links.values():
-                with link.cv:
-                    link.cv.notify_all()
-            for t in src_threads + senders:
-                t.join(timeout=2.0)
-            for link in self._links.values():
-                if link.proc is not None:
-                    link.proc.join(timeout=5.0)
-                    if link.proc.is_alive():  # pragma: no cover - hung
-                        link.proc.terminate()
-                with link.cv:
-                    if link.sock is not None:
-                        try:
-                            link.sock.close()
-                        except OSError:  # pragma: no cover
-                            pass
-                        link.sock = None
-            try:
-                listener.close()
-            except OSError:  # pragma: no cover
-                pass
-            accept.join(timeout=2.0)
-            for t in self._threads:
-                t.join(timeout=2.0)
-
-        self._apply_done(lost)
-        stats = RunStats.collect(
-            self.graph, time.perf_counter() - start, self.supervisor
-        )
-        if self.telemetry is not None:
-            self.telemetry.run_finished(stats)
-        return stats
-
-    # -- shutdown bookkeeping ---------------------------------------------
-
-    def _apply_done(self, lost: int) -> None:
+    def _fold_reports(self) -> None:
         """Fold host results back into coordinator-side objects.
 
         ``done`` payload values may carry pickled attributes; decoding
@@ -1269,48 +1050,30 @@ class ClusterEngine:
         a pickled attribute raises ``WireDecodeError`` instead of
         executing.  Data-plane frames stay pickle-free regardless.
         """
+        links = self._links.values()
         totals = {
-            "hosts": len(self._links),
+            "hosts": len(links),
             "host_deaths": self._host_deaths,
-            "reconnects": sum(
-                l.reconnects for l in self._links.values()
-            ),
-            "tuples_to_hosts": sum(
-                l.sent_to for l in self._links.values()
-            ),
-            "tuples_from_hosts": sum(
-                l.received_from for l in self._links.values()
-            ),
-            "tuples_dropped": sum(
-                l.dropped for l in self._links.values()
-            ),
-            "tuples_lost": lost,
+            "reconnects": sum(l.reconnects for l in links),
+            "tuples_to_hosts": sum(l.sent_to for l in links),
+            "tuples_from_hosts": sum(l.received_from for l in links),
+            "tuples_dropped": sum(l.dropped for l in links),
+            "tuples_lost": self._lost,
             "frames_in": 0,
             "frames_out": 0,
             "bytes_in": 0,
             "bytes_out": 0,
         }
-        for hid, link in self._links.items():
-            msg = link.done
-            if msg is None:
+        for link in links:
+            if link.done is None:
                 continue
-            for name, payload in msg["ops"].items():
-                op = self._ops_by_name.get(name)
-                if op is None:
-                    continue
-                state = {
-                    k: _decode_value(v, allow_pickle=self._pickle_ok)
-                    for k, v in payload.items()
-                }
-                op.__dict__.update(_strip_payload(state))
-            if self.telemetry is not None and msg.get("metrics"):
-                self.telemetry.merge_shard(
-                    f"h{hid}",
-                    [
-                        (name, kind, labels, value)
-                        for name, kind, labels, value in msg["metrics"]
-                    ],
-                )
+            self._fold_report(
+                f"h{link.host_id}",
+                link.done,
+                decode=lambda v: _decode_value(
+                    v, allow_pickle=self._pickle_ok
+                ),
+            )
             for key in ("frames_in", "frames_out", "bytes_in", "bytes_out"):
-                totals[key] += msg.get("transport", {}).get(key, 0)
+                totals[key] += link.done.get("transport", {}).get(key, 0)
         self.cluster_stats = totals

@@ -1,23 +1,24 @@
-"""ProcessEngine: a multi-process runtime completing the engine trilogy.
+"""ProcessEngine: the coordinator with worker processes as remote ends.
 
 The paper's PEs run as separate OS processes placed across a cluster;
-our :class:`~repro.streams.engine.ThreadedEngine` shares one GIL-bound
+:class:`~repro.streams.engine.ThreadedEngine` shares one GIL-bound
 interpreter, so CPU-bound operators (robust PCA updates at large ``d``)
-cannot scale past one core.  :class:`ProcessEngine` runs the same
-operator graph with compute PEs in **worker processes** behind the same
-``run()``/drain-shutdown contract as the other two engines.
+cannot scale past one core.  :class:`ProcessEngine` is that coordinator
+with compute PEs in **worker processes**: it subclasses
+:class:`~repro.streams.engine.ThreadedEngine`, inherits the run protocol
+unchanged, and adds only what is about its transport.
 
 Placement model (hybrid, like the paper's coordinator + compute nodes)
 ----------------------------------------------------------------------
 Processing elements that contain a ``Source`` or ``Sink``, or any
 operator named in ``main_ops``, execute in the **coordinator process**
-on threads (reusing the threaded engine's PE runners); every other PE
-becomes a worker process.  For the parallel-PCA application this puts
-the source, batcher, split, sync controller, and diagnostics sink in the
-coordinator and each PCA engine in its own process — blocks make
-exactly one process hop, and run results (controller state, collected
-diagnostics, operator counters) are read from coordinator-side objects
-exactly as with the other runtimes.
+on the inherited PE threads; every other PE becomes a worker process.
+For the parallel-PCA application this puts the source, batcher, split,
+sync controller, and diagnostics sink in the coordinator and each PCA
+engine in its own process — blocks make exactly one process hop, and
+run results (controller state, collected diagnostics, operator counters)
+are read from coordinator-side objects exactly as with the other
+runtimes.
 
 Transport (see :mod:`repro.streams.shm`)
 ----------------------------------------
@@ -38,21 +39,17 @@ punctuation is therefore held back by the consumer until that
 producer's ring has drained (the producer always publishes its blocks
 before emitting punctuation, so the holdback is sufficient).
 
-Shutdown and fault tolerance
-----------------------------
-The two-phase drain protocol matches the threaded engine: a shared
-in-flight counter covers every cross-process message; the coordinator
-raises ``finish`` only when sources are done, every PE (thread or
-process) has quiesced, and nothing is in flight.  Workers then drain
-their inboxes, ship final operator state (plus their per-process
-metrics shard and transport counters) back to the coordinator, and
-exit; the coordinator folds worker state into the graph's own operator
-objects so ``RunStats`` and application-level result collection are
-runtime-agnostic.
+Run-protocol delta
+------------------
+The transport's in-flight ledger is one shared counter covering every
+cross-process message; a worker is quiet once it has announced
+``quiesced`` (all operators closed) and that counter is zero.  The
+final report additionally carries the worker's transport counters and
+ring names (see :attr:`ProcessEngine.transport_stats`).
 
-A worker that dies mid-run is detected by the coordinator.  If the
-attached :class:`~repro.streams.supervision.Supervisor` gives any of the
-worker's operators a
+A worker that dies mid-run is detected by the per-tick liveness check.
+If the attached :class:`~repro.streams.supervision.Supervisor` gives any
+of the worker's operators a
 :class:`~repro.streams.supervision.RestartFromCheckpoint` policy, the
 worker is respawned with ``resume=True`` — operators reload their last
 snapshot from the policy's on-disk
@@ -61,8 +58,10 @@ the command queue and ring survive (both are process-external), and the
 coordinator re-announces rings and re-sends any punctuation the dead
 worker had already received.  Loss is bounded to tuples that were being
 dispatched at the instant of death plus operator state since the last
-checkpoint.  Without a restart policy a worker death aborts the run
-with :class:`~repro.streams.supervision.OperatorFailure`.
+checkpoint; their in-flight counts never clear, which is what the
+frozen-progress grace window absorbs.  Without a restart policy a worker
+death aborts the run with
+:class:`~repro.streams.supervision.OperatorFailure`.
 """
 
 from __future__ import annotations
@@ -73,31 +72,24 @@ import threading
 import time
 import traceback
 import uuid
-from copy import copy as _shallow_copy
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from .batcher import BLOCK_SCHEMA
-from .engine import RunStats, _PERunner, _SourceRunner
-from .fusion import FusionPlan, ProcessingElement
+from .engine import _MAIN, ThreadedEngine, _deliverer, _final_report
+from .fusion import FusionPlan
 from .graph import Graph
-from .operators import Operator, Sink, Source
-from .split import Split
+from .operators import Operator
 from .supervision import (
     EngineAborted,
     OperatorFailure,
     RestartFromCheckpoint,
     StallDetected,
     Supervisor,
-    Watchdog,
 )
-from .telemetry import (
-    BackpressureSampler,
-    Telemetry,
-    operator_metric_samples,
-)
+from .telemetry import Telemetry
 from .tuples import (
     StreamTuple,
     TupleKind,
@@ -116,34 +108,9 @@ from .shm import (
 
 __all__ = ["ProcessEngine"]
 
-#: Attributes never shipped across the process boundary: runtime wiring
-#: (closures), telemetry objects (hold locks), and probe callables.
-_UNPICKLABLE_ATTRS = (
-    "_emit", "_load_probe", "_latency_hist", "_telemetry",
-    "_e2e_hist", "_watermark", "_health_monitor",
-    "_state_lock", "_snapshot_listeners",
-)
-
-_MAIN = "main"
-
 
 def _loc_str(loc: Any) -> str:
     return _MAIN if loc == _MAIN else f"w{loc}"
-
-
-def _sanitize(op: Operator) -> Operator:
-    """A shallow copy of ``op`` safe to pickle into a worker."""
-    clone = _shallow_copy(op)
-    for attr in _UNPICKLABLE_ATTRS:
-        if hasattr(clone, attr):
-            setattr(clone, attr, None)
-    return clone
-
-
-def _strip_payload(state: dict[str, Any]) -> dict[str, Any]:
-    for attr in _UNPICKLABLE_ATTRS:
-        state.pop(attr, None)
-    return state
 
 
 def _unlink_segment(name: str) -> None:
@@ -436,6 +403,7 @@ def _worker_loop(spec: _WorkerSpec) -> None:
     wid = spec.worker_id
     ops_by_name = {op.name: op for op in spec.ops}
     supervisor = Supervisor(policies=spec.policies) if spec.policies else None
+    deliver = _deliverer(supervisor)
 
     queues: dict[Any, Any] = {_MAIN: spec.main_q}
     queues.update(spec.peer_qs)
@@ -451,12 +419,6 @@ def _worker_loop(spec: _WorkerSpec) -> None:
         disown_rings=True,
         coalesce=True,
     )
-
-    def deliver(op: Operator, tup: StreamTuple, port: int) -> None:
-        if supervisor is not None:
-            supervisor.dispatch(op, tup, port)
-        else:
-            op._dispatch(tup, port)
 
     for op in spec.ops:
         op_routes = spec.routes.get(op.name, {})
@@ -620,37 +582,13 @@ def _worker_loop(spec: _WorkerSpec) -> None:
         sender.close(unlink=False)
         return
 
-    # Ship final operator state, the metrics shard, supervision stats and
-    # transport counters back to the coordinator.
-    payloads = {
-        op.name: _strip_payload(dict(op.__dict__)) for op in spec.ops
-    }
-    shard = (
-        [
-            (name, kind, dict(labels), float(value))
-            for name, kind, labels, value in operator_metric_samples(spec.ops)
-        ]
-        if spec.metrics
-        else []
-    )
-    sup_stats = None
-    if supervisor is not None:
-        s = supervisor.stats
-        sup_stats = {
-            "failures": dict(s.failures),
-            "retries": dict(s.retries),
-            "skipped_tuples": dict(s.skipped_tuples),
-            "restarts": dict(s.restarts),
-            "recovery_time_s": dict(s.recovery_time_s),
-        }
+    # The common final report, plus this transport's own counters.
     transport = dict(sender.counters)
     transport["blocks_ring_in"] = sum(r.blocks_out for r in rings.values())
     spec.main_q.put({
         "t": "done",
         "w": wid,
-        "ops": payloads,
-        "metrics": shard,
-        "sup": sup_stats,
+        **_final_report(spec.ops, supervisor, spec.metrics),
         "transport": transport,
         "rings": [r.name for r in sender.rings.values()]
         + [r.name for r in rings.values()],
@@ -665,14 +603,14 @@ def _worker_loop(spec: _WorkerSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-class ProcessEngine:
+class ProcessEngine(ThreadedEngine):
     """Multi-process runtime with shared-memory block transport.
 
     Parameters
     ----------
     graph:
-        The application graph — unchanged operator code runs under all
-        three engines.
+        The application graph — unchanged operator code runs under
+        every engine.
     fusion:
         PE assignment; default :meth:`FusionPlan.per_operator`.
     main_ops:
@@ -717,6 +655,8 @@ class ProcessEngine:
         time plus worker startup.
     """
 
+    _runtime = "process"
+
     def __init__(
         self,
         graph: Graph,
@@ -731,32 +671,17 @@ class ProcessEngine:
         telemetry: Telemetry | None = None,
         stall_timeout_s: float | None = None,
     ) -> None:
-        graph.validate()
-        self.graph = graph
-        self.fusion = fusion or FusionPlan.per_operator(graph)
-        self.fusion.validate(graph)
-        if queue_size < 1:
-            raise ValueError(f"queue_size must be >= 1, got {queue_size}")
-        self.queue_size = queue_size
+        super().__init__(
+            graph,
+            fusion=fusion,
+            queue_size=queue_size,
+            supervisor=supervisor,
+            stall_timeout_s=stall_timeout_s,
+            telemetry=telemetry,
+        )
+        self._tracer = None  # spans do not cross the process boundary
         self.ring_slots = ring_slots
         self.ring_slot_rows = ring_slot_rows
-        self.supervisor = supervisor
-        self.telemetry = telemetry
-        self.stall_timeout_s = stall_timeout_s
-        self._watchdog: Watchdog | None = None
-        self._tracer = None  # tracing is not propagated across processes
-        if telemetry is not None:
-            telemetry.attach_graph(graph, fusion=self.fusion)
-            if supervisor is not None:
-                telemetry.attach_supervisor(supervisor)
-
-        known = {op.name for op in graph}
-        self.main_ops = set(main_ops)
-        unknown = self.main_ops - known
-        if unknown:
-            raise ValueError(
-                f"main_ops name unknown operators: {sorted(unknown)}"
-            )
 
         if mp_context is None and supervisor is not None and any(
             isinstance(p, RestartFromCheckpoint)
@@ -768,38 +693,10 @@ class ProcessEngine:
                 mp_context = "forkserver"
         self._ctx = safe_mp_context(mp_context)
 
-        self._ops_by_name: dict[str, Operator] = {
-            op.name: op for op in graph
-        }
         self._op_index = {op.name: i for i, op in enumerate(graph.operators)}
         self._idx_names = [op.name for op in graph.operators]
-
-        # Placement: worker PEs vs coordinator PEs.
-        self._worker_pes: dict[int, ProcessingElement] = {}
-        self._main_pes: list[ProcessingElement] = []
-        next_wid = 0
-        for pe in self.fusion.pes:
-            if self._pinned(pe):
-                self._main_pes.append(pe)
-            else:
-                self._worker_pes[next_wid] = pe
-                next_wid += 1
-        self._loc_of: dict[str, Any] = {}
-        for pe in self._main_pes:
-            for op in pe.operators:
-                self._loc_of[op.name] = _MAIN
-        for wid, pe in self._worker_pes.items():
-            for op in pe.operators:
-                self._loc_of[op.name] = wid
-
-        # Coordinator-side threading state (mirrors ThreadedEngine).
-        self._inboxes: dict[int, queue.Queue] = {}
-        self._pe_of: dict[int, ProcessingElement] = {}
-        self._stop = threading.Event()
-        self._finish = threading.Event()
-        self._errors: list[BaseException] = []
-        self._local_inflight = 0
-        self._local_lock = threading.Lock()
+        #: worker id → the PE it runs (one worker process per placed PE).
+        self._worker_pes = dict(enumerate(self._place(main_ops)))
 
         # Cross-process state, populated by run().
         self._procs: dict[int, Any] = {}
@@ -820,130 +717,26 @@ class ProcessEngine:
         #: hot path.
         self.transport_stats: dict[str, int] = {}
 
-    # -- placement -------------------------------------------------------
-
-    def _pinned(self, pe: ProcessingElement) -> bool:
-        return any(
-            isinstance(op, (Source, Sink)) or op.name in self.main_ops
-            for op in pe.operators
-        )
-
     @property
     def n_workers(self) -> int:
         """Worker processes this graph will run with."""
         return len(self._worker_pes)
 
-    # -- in-flight accounting (coordinator local + shared) --------------
-
-    def _tuple_enqueued(self) -> None:
-        with self._local_lock:
-            self._local_inflight += 1
-
-    def _tuple_done(self) -> None:
-        with self._local_lock:
-            self._local_inflight -= 1
-        if self._watchdog is not None:
-            self._watchdog.poke()
-
     def _dec_shared(self, n: int = 1) -> None:
-        with self._inflight.get_lock():
-            self._inflight.value -= n
+        with self._wire_inflight.get_lock():
+            self._wire_inflight.value -= n
 
-    # -- dispatch (coordinator threads) ----------------------------------
+    # -- seams: sending, probing ------------------------------------------
 
-    def _deliver(self, dst: Operator, tup: StreamTuple, port: int) -> None:
-        if self.supervisor is not None:
-            self.supervisor.dispatch(dst, tup, port)
-        else:
-            dst._dispatch(tup, port)
+    def _send_remote(
+        self, loc: int, dst_name: str, dst_port: int, tup: StreamTuple
+    ) -> None:
+        if tup.is_punctuation:
+            # Remembered so a respawned worker can be told again.
+            self._sent_puncts.setdefault(loc, set()).add((dst_name, dst_port))
+        self._sender.send(loc, dst_name, dst_port, tup)
 
-    _dispatch = _deliver  # _PERunner calls engine._dispatch
-
-    def _local_put(self, pe_id: int, item) -> None:
-        inbox = self._inboxes[pe_id]
-        self._tuple_enqueued()
-        while True:
-            try:
-                inbox.put(item, timeout=0.05)
-                return
-            except queue.Full:
-                if self._stop.is_set():
-                    with self._local_lock:
-                        self._local_inflight -= 1
-                    raise EngineAborted from None
-
-    # -- wiring ----------------------------------------------------------
-
-    def _routes_for(
-        self, op: Operator
-    ) -> dict[int, list[tuple[Any, str, int]]]:
-        routes: dict[int, list[tuple[Any, str, int]]] = {}
-        for port in range(op.n_outputs):
-            entries = [
-                (self._loc_of[dst.name], dst.name, in_port)
-                for dst, in_port in self.graph.successors(op, port)
-            ]
-            if entries:
-                routes[port] = entries
-        return routes
-
-    def _wire_main(self) -> None:
-        for pe in self._main_pes:
-            inbox: queue.Queue = queue.Queue(maxsize=self.queue_size)
-            self._inboxes[pe.pe_id] = inbox
-            for op in pe.operators:
-                self._pe_of[id(op)] = pe
-
-        for pe in self._main_pes:
-            for op in pe.operators:
-                routes = self._routes_for(op)
-
-                def emit(
-                    tup: StreamTuple,
-                    port: int,
-                    _routes: dict = routes,
-                    _my_pe: ProcessingElement = pe,
-                ) -> None:
-                    for dst_loc, dst_name, dst_port in _routes.get(port, ()):
-                        if dst_loc == _MAIN:
-                            dst = self._ops_by_name[dst_name]
-                            dst_pe = self._pe_of[id(dst)]
-                            if dst_pe is _my_pe:
-                                self._dispatch(dst, tup, dst_port)
-                            else:
-                                self._local_put(
-                                    dst_pe.pe_id, (dst, dst_port, tup)
-                                )
-                        else:
-                            if tup.is_punctuation:
-                                self._sent_puncts.setdefault(
-                                    dst_loc, set()
-                                ).add((dst_name, dst_port))
-                            self._sender.send(
-                                dst_loc, dst_name, dst_port, tup
-                            )
-
-                op.bind(emit)
-                if isinstance(op, Split):
-                    op.set_load_probe(self._make_probe(op))
-
-    def _make_probe(self, split: Split):
-        def probe(port: int) -> int:
-            succ = self.graph.successors(split, port)
-            if not succ:
-                return 0
-            dst = succ[0][0]
-            loc = self._loc_of[dst.name]
-            if loc == _MAIN:
-                dst_pe = self._pe_of[id(dst)]
-                if dst_pe is self._pe_of.get(id(split)):
-                    return 0
-                return self._inboxes[dst_pe.pe_id].qsize()
-            return self._transport_depth(loc)
-
-        return probe
-
-    def _transport_depth(self, wid: int) -> int:
+    def _remote_depth(self, wid: int) -> int:
         depth = 0
         try:
             depth += self._cmd_qs[wid].qsize()
@@ -955,43 +748,37 @@ class ProcessEngine:
                 depth += ring.depth()
         return depth
 
+    def _remote_gauges(self) -> tuple[list[tuple[str, int, int]], int]:
+        return [
+            (
+                f"w{wid}:{pe.label()}",
+                self._remote_depth(wid),
+                self.queue_size + self.ring_slots,
+            )
+            for wid, pe in self._worker_pes.items()
+        ], max(self._wire_inflight.value, 0)
+
     # -- worker lifecycle ------------------------------------------------
 
-    def _worker_policies(self, pe: ProcessingElement) -> dict[str, Any]:
-        if self.supervisor is None:
-            return {}
-        return {
-            op.name: self.supervisor.policies[op.name]
-            for op in pe.operators
-            if op.name in self.supervisor.policies
-        }
-
-    def _build_spec(self, wid: int, pe: ProcessingElement) -> _WorkerSpec:
+    def _build_spec(self, wid: int) -> _WorkerSpec:
         return _WorkerSpec(
             worker_id=wid,
-            label=pe.label(),
-            ops=[_sanitize(op) for op in pe.operators],
+            label=self._worker_pes[wid].label(),
             op_index=self._op_index,
             idx_names=self._idx_names,
-            routes={
-                op.name: self._routes_for(op) for op in pe.operators
-            },
             cmd_q=self._cmd_qs[wid],
             main_q=self._main_q,
             peer_qs={
                 w: q for w, q in self._cmd_qs.items() if w != wid
             },
-            inflight=self._inflight,
+            inflight=self._wire_inflight,
             stop_ev=self._stop_ev,
             finish_ev=self._finish_ev,
             run_id=self._run_id,
             queue_size=self.queue_size,
             ring_slots=self.ring_slots,
             slot_rows=self.ring_slot_rows,
-            policies=self._worker_policies(pe),
-            metrics=(
-                self.telemetry is not None and self.telemetry.config.metrics
-            ),
+            **self._spec_fields(wid),
         )
 
     def _start_worker(self, wid: int) -> None:
@@ -1005,19 +792,24 @@ class ProcessEngine:
         proc.start()
         self._procs[wid] = proc
 
-    def _restartable(self, wid: int) -> bool:
-        if self.supervisor is None:
-            return False
-        pe = self._worker_pes[wid]
-        for op in pe.operators:
-            policy = self.supervisor.policies.get(op.name)
-            if isinstance(policy, RestartFromCheckpoint):
-                n = self.supervisor.stats.restarts.get(op.name, 0)
-                if policy.max_restarts is None or n < policy.max_restarts:
-                    return True
-        return False
+    def _restart_policies(self, wid: int) -> list[tuple[str, Any]]:
+        """(operator name, policy) for the worker's restartable operators."""
+        policies = self.supervisor.policies if self.supervisor else {}
+        return [
+            (op.name, policies[op.name])
+            for op in self._remote_ops[wid]
+            if isinstance(policies.get(op.name), RestartFromCheckpoint)
+        ]
 
-    def _check_workers(self) -> None:
+    def _restartable(self, wid: int) -> bool:
+        return any(
+            policy.max_restarts is None
+            or self.supervisor.stats.restarts.get(name, 0)
+            < policy.max_restarts
+            for name, policy in self._restart_policies(wid)
+        )
+
+    def _supervise_remote(self) -> None:
         for wid, proc in list(self._procs.items()):
             if wid in self._done or proc.is_alive():
                 self._death_grace.pop(wid, None)
@@ -1034,34 +826,25 @@ class ProcessEngine:
             self._death_grace.pop(wid, None)
             # Worker process died before reporting done.
             self._worker_deaths += 1
-            pe = self._worker_pes[wid]
             if not self._restartable(wid):
                 raise OperatorFailure(
-                    pe.label(),
+                    self._worker_pes[wid].label(),
                     RuntimeError(
                         f"worker process exited with code {proc.exitcode}"
                     ),
                     "no RestartFromCheckpoint policy covers this PE",
                 )
-            for op in pe.operators:
-                if isinstance(
-                    self.supervisor.policies.get(op.name),
-                    RestartFromCheckpoint,
-                ):
-                    stats = self.supervisor.stats
-                    stats.restarts[op.name] = (
-                        stats.restarts.get(op.name, 0) + 1
-                    )
+            restarts = self.supervisor.stats.restarts
+            for name, _ in self._restart_policies(wid):
+                restarts[name] = restarts.get(name, 0) + 1
             self._quiesced.discard(wid)
             self._unpoison_cmd_queue(wid)
-            spec = self._specs[wid]
-            spec.resume = True
+            self._specs[wid].resume = True
             self._start_worker(wid)
             # The new worker re-attaches the surviving queue/ring state;
             # re-announce coordinator rings and re-send punctuation the
             # dead worker had already consumed into local memory.
-            if self._sender is not None:
-                self._sender.announce(wid)
+            self._sender.announce(wid)
             for dst_name, dst_port in sorted(
                 self._sent_puncts.get(wid, ())
             ):
@@ -1096,22 +879,16 @@ class ProcessEngine:
         except ValueError:  # pragma: no cover - lost the (benign) race
             pass
 
-    def _check_stall(self) -> None:
+    def _on_stall(self, idle: float) -> None:
         """Recover from a wedged (alive but progress-free) worker.
 
-        A worker stuck in a hung syscall never dies, so
-        :meth:`_check_workers` never fires; the watchdog converts "no
-        coordinator-visible progress for ``stall_timeout_s``" into a
-        worker termination, and the normal death path respawns it from
-        its checkpoint.  Without a restartable worker to blame, failing
-        fast beats hanging until the run timeout.
+        A worker stuck in a hung syscall never dies, so the liveness
+        check never fires; the watchdog converts "no coordinator-visible
+        progress for ``stall_timeout_s``" into a worker termination, and
+        the normal death path respawns it from its checkpoint.  Without
+        a restartable worker to blame, failing fast beats hanging until
+        the run timeout.
         """
-        wd = self._watchdog
-        if wd is None:
-            return
-        idle = wd.stalled_for()
-        if idle is None:
-            return
         wedged = [
             wid for wid, proc in self._procs.items()
             if proc.is_alive()
@@ -1132,15 +909,9 @@ class ProcessEngine:
             if proc.is_alive():  # pragma: no cover - SIGTERM ignored
                 proc.kill()
                 proc.join(timeout=5.0)
-        wd.poke()  # the kill is progress; _check_workers respawns them
+        self._watchdog.poke()  # the kill is progress; the next tick respawns
 
     # -- receiver thread -------------------------------------------------
-
-    def _route_to_main(
-        self, dst_name: str, tup: StreamTuple, port: int
-    ) -> None:
-        dst = self._ops_by_name[dst_name]
-        self._local_put(self._pe_of[id(dst)].pe_id, (dst, port, tup))
 
     def _src_has_blocks(self, src: Any) -> bool:
         return any(
@@ -1171,7 +942,7 @@ class ProcessEngine:
                     item.event_ts,
                 )
                 ring.release()
-                self._route_to_main(name, tup, item.dst_port)
+                self._inject(name, tup, item.dst_port)
                 progressed = True
         if progressed and self._watchdog is not None:
             self._watchdog.poke()
@@ -1183,7 +954,7 @@ class ProcessEngine:
             if self._src_has_blocks(src):
                 remaining.append((src, name, port, tup))
                 continue
-            self._route_to_main(name, tup, port)
+            self._inject(name, tup, port)
         self._held[:] = remaining
 
     def _dispatch_wire(
@@ -1193,7 +964,7 @@ class ProcessEngine:
         if tup.is_punctuation and self._src_has_blocks(src):
             self._held.append((src, dst, port, tup))
             return
-        self._route_to_main(dst, tup, port)
+        self._inject(dst, tup, port)
 
     def _handle_main_msg(self, msg: dict) -> None:
         if self._watchdog is not None:
@@ -1271,23 +1042,15 @@ class ProcessEngine:
             self._stop.set()
             self._stop_ev.set()
 
-    # -- run -------------------------------------------------------------
+    # -- seams: start, quiescence, finish, stop ---------------------------
 
-    def run(self, *, timeout_s: float = 300.0) -> RunStats:
-        """Execute to completion; raises on worker/operator failure.
-
-        Follows the same quiesce → drain → finish protocol as the
-        threaded engine, extended with worker processes: completion
-        requires every source thread done, every coordinator PE and
-        every worker quiesced, and both in-flight counters (local thread
-        hops, cross-process messages) at zero.
-        """
+    def _start_remote(self, timeout_s: float) -> None:
         ctx = self._ctx
         ensure_shared_tracker()
         self._run_id = uuid.uuid4().hex[:8]
         self._stop_ev = ctx.Event()
         self._finish_ev = ctx.Event()
-        self._inflight = ctx.Value("q", 0)
+        self._wire_inflight = ctx.Value("q", 0)
         self._main_q = ctx.Queue(maxsize=max(self.queue_size * 4, 1024))
         self._cmd_qs = {
             wid: ctx.Queue(maxsize=self.queue_size)
@@ -1298,194 +1061,62 @@ class ProcessEngine:
             _MAIN,
             self._run_id,
             self._cmd_qs,
-            self._inflight,
+            self._wire_inflight,
             self._stop.is_set,
             self._op_index,
             ring_slots=self.ring_slots,
             slot_rows=self.ring_slot_rows,
             disown_rings=False,
         )
-
-        if self.telemetry is not None:
-            self.telemetry.run_started(
-                engine="process", graph=self.graph.name
-            )
-
-        # Specs are built (and, under spawn/forkserver, pickled) before
-        # any coordinator thread starts: worker startup is spawn-safe by
-        # construction.
-        self._specs = {
-            wid: self._build_spec(wid, pe)
-            for wid, pe in self._worker_pes.items()
-        }
-        start = time.perf_counter()
-        self._watchdog = (
-            Watchdog(self.stall_timeout_s)
-            if self.stall_timeout_s is not None
-            else None
-        )
+        # Specs are built (and, under spawn/forkserver, pickled) and the
+        # workers started before any coordinator thread exists: worker
+        # startup is spawn-safe by construction.
+        self._specs = {wid: self._build_spec(wid) for wid in self._worker_pes}
         for wid in self._worker_pes:
             self._start_worker(wid)
-
-        self._wire_main()
-        for pe in self._main_pes:
-            for op in pe.operators:
-                op.open()
-
-        pe_runners = []
-        for pe in self._main_pes:
-            if all(isinstance(op, Source) for op in pe.operators):
-                continue
-            pe_runners.append(_PERunner(pe, self._inboxes[pe.pe_id], self))
-        src_threads = [
-            _SourceRunner(src, self._errors, self._stop)
-            for src in self.graph.sources
-        ]
-        receiver = threading.Thread(
+        self._receiver = threading.Thread(
             target=self._receiver_loop, name="proc-receiver", daemon=True
         )
-        sampler = self._start_sampler()
-        for t in src_threads + pe_runners:
-            t.start()
-        receiver.start()
+        self._receiver.start()
 
-        deadline = start + timeout_s
-        inflight_stable_since: tuple[float, int] | None = None
-        try:
-            while True:
-                if self._errors:
-                    raise self._errors[0]
-                self._check_workers()
-                self._check_stall()
-                shared = self._inflight.value
-                quiet = (
-                    all(not t.is_alive() for t in src_threads)
-                    and all(r.quiesced.is_set() for r in pe_runners)
-                    and set(self._worker_pes)
-                    <= (self._quiesced | set(self._done))
-                    and self._local_inflight == 0
-                )
-                if quiet and shared <= 0:
-                    break
-                if quiet and self._worker_deaths:
-                    # A crash can leak in-flight counts for messages that
-                    # died inside the worker; once everything is quiesced
-                    # and the count has been frozen for a grace period,
-                    # treat the residue as the (bounded) crash loss.
-                    now = time.perf_counter()
-                    if inflight_stable_since is None:
-                        inflight_stable_since = (now, shared)
-                    elif inflight_stable_since[1] != shared:
-                        inflight_stable_since = (now, shared)
-                    elif now - inflight_stable_since[0] > 2.0:
-                        break
-                else:
-                    inflight_stable_since = None
-                if time.perf_counter() > deadline:
-                    alive = [
-                        f"w{w}" for w, p in self._procs.items()
-                        if p.is_alive()
-                    ] + [t.name for t in src_threads + pe_runners
-                         if t.is_alive()]
-                    raise RuntimeError(
-                        f"graph {self.graph.name!r} did not finish within "
-                        f"{timeout_s}s (still running: {alive})"
-                    )
-                time.sleep(0.002)
+    def _workers_quiesced(self) -> bool:
+        return set(self._worker_pes) <= self._quiesced
 
-            # Global quiescence: raise finish everywhere, collect workers.
-            self._finish.set()
-            self._finish_ev.set()
-            for wid, q in self._cmd_qs.items():
-                try:
-                    q.put_nowait({"t": "finish"})
-                except queue.Full:
-                    pass
-            done_deadline = time.perf_counter() + 60.0
-            while set(self._worker_pes) - set(self._done):
-                if self._errors:
-                    raise self._errors[0]
-                self._check_workers()
-                self._check_stall()
-                if time.perf_counter() > done_deadline:
-                    missing = sorted(set(self._worker_pes) - set(self._done))
-                    raise RuntimeError(
-                        f"workers {missing} did not report final state"
-                    )
-                time.sleep(0.002)
-            for t in pe_runners:
-                t.join(timeout=5.0)
-            if self._errors:
-                raise self._errors[0]
-        finally:
-            self._finish.set()
-            self._finish_ev.set()
-            self._stop.set()
-            self._stop_ev.set()
-            self._recv_halt.set()
-            for t in src_threads + pe_runners:
-                t.join(timeout=1.0)
-            for proc in self._procs.values():
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - hung worker
-                    proc.terminate()
-            receiver.join(timeout=5.0)
-            if sampler is not None:
-                sampler.stop()
-            self._cleanup_transport()
+    def _remote_quiet(self) -> bool:
+        return self._wire_inflight.value <= 0 and self._workers_quiesced()
 
-        self._apply_done()
-        stats = RunStats.collect(
-            self.graph, time.perf_counter() - start, self.supervisor
-        )
-        if self.telemetry is not None:
-            self.telemetry.run_finished(stats)
-        return stats
+    def _loss_signature(self, sources_done: bool, local_quiet: bool) -> Any:
+        # A crash leaks the in-flight counts of messages that died inside
+        # the worker; once everything else is quiet, a count that stays
+        # frozen is that (bounded) crash loss.
+        if local_quiet and self._worker_deaths and self._workers_quiesced():
+            return self._wire_inflight.value
+        return None
 
-    # -- shutdown bookkeeping --------------------------------------------
+    def _remote_running(self) -> list[str]:
+        return [f"w{w}" for w, p in self._procs.items() if p.is_alive()]
 
-    def _apply_done(self) -> None:
-        """Fold worker results back into coordinator-side objects."""
-        totals: dict[str, int] = {
-            "blocks_ring": 0,
-            "blocks_queue": 0,
-            "tuples_queue": 0,
-            "tuple_batches": 0,
-            "blocks_ring_in": 0,
-        }
-        if self._sender is not None:
-            for key, value in self._sender.counters.items():
-                totals[key] += value
-            totals["blocks_ring_in"] += sum(
-                r.blocks_out for r in self._main_rings.values()
-            )
-        for wid, msg in self._done.items():
-            for name, payload in msg["ops"].items():
-                op = self._ops_by_name.get(name)
-                if op is not None:
-                    op.__dict__.update(_strip_payload(dict(payload)))
-            if self.telemetry is not None and msg.get("metrics"):
-                self.telemetry.merge_shard(f"w{wid}", msg["metrics"])
-            sup = msg.get("sup")
-            if sup and self.supervisor is not None:
-                stats = self.supervisor.stats
-                for field_name in (
-                    "failures", "retries", "skipped_tuples", "restarts",
-                ):
-                    table = getattr(stats, field_name)
-                    for name, n in sup[field_name].items():
-                        table[name] = table.get(name, 0) + n
-                for name, s in sup["recovery_time_s"].items():
-                    stats.recovery_time_s[name] = (
-                        stats.recovery_time_s.get(name, 0.0) + s
-                    )
-            for key, value in msg.get("transport", {}).items():
-                totals[key] = totals.get(key, 0) + value
-        self.transport_stats = totals
+    def _finish_remote(self) -> None:
+        self._finish_ev.set()
+        for q in self._cmd_qs.values():
+            try:
+                q.put_nowait({"t": "finish"})  # wake-up sentinel
+            except queue.Full:
+                pass
 
-    def _cleanup_transport(self) -> None:
-        if self._sender is not None:
-            self._sender.close(unlink=True)
+    def _reports_pending(self) -> list:
+        return sorted(set(self._worker_pes) - set(self._done))
+
+    def _stop_remote(self) -> None:
+        self._finish_ev.set()
+        self._stop_ev.set()
+        self._recv_halt.set()
+        for proc in self._procs.values():
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - hung worker
+                proc.terminate()
+        self._receiver.join(timeout=5.0)
+        self._sender.close(unlink=True)
         for ring in self._main_rings.values():
             ring.close()
         for name in self._worker_ring_names:
@@ -1497,40 +1128,13 @@ class ProcessEngine:
             except Exception:  # pragma: no cover - platform quirks
                 pass
 
-    # -- sampler ---------------------------------------------------------
-
-    def _start_sampler(self) -> BackpressureSampler | None:
-        tel = self.telemetry
-        if tel is None or tel.config.sampler_interval_s is None:
-            return None
-
-        def probe():
-            per_pe = [
-                (
-                    pe.label(),
-                    self._inboxes[pe.pe_id].qsize(),
-                    self.queue_size,
-                )
-                for pe in self._main_pes
-            ]
-            per_pe += [
-                (
-                    f"w{wid}:{pe.label()}",
-                    self._transport_depth(wid),
-                    self.queue_size + self.ring_slots,
-                )
-                for wid, pe in self._worker_pes.items()
-            ]
-            inflight = self._local_inflight + max(self._inflight.value, 0)
-            dispatched = sum(
-                op.tuples_in
-                for pe in self._main_pes
-                for op in pe.operators
-            )
-            return per_pe, inflight, dispatched
-
-        sampler = BackpressureSampler(
-            tel, probe, interval_s=tel.config.sampler_interval_s
+    def _fold_reports(self) -> None:
+        totals = dict(self._sender.counters)
+        totals["blocks_ring_in"] = sum(
+            r.blocks_out for r in self._main_rings.values()
         )
-        sampler.start()
-        return sampler
+        for wid, msg in self._done.items():
+            self._fold_report(f"w{wid}", msg)
+            for key, value in msg["transport"].items():
+                totals[key] += value
+        self.transport_stats = totals

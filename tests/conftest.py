@@ -33,3 +33,20 @@ def small_model() -> PlantedSubspaceModel:
 def small_data(small_model, rng) -> np.ndarray:
     """A 3000×40 sample from :func:`small_model`."""
     return small_model.sample(3000, rng)
+
+
+@pytest.fixture
+def concurrent_engine():
+    """Factory ``(runtime, graph, **kw) -> engine`` over the runtimes
+    that share one coordinator (``"threaded"``, ``"process"``,
+    ``"cluster"``).  Remote ends are forked, so test-local operator classes
+    never need to be importable from a child process."""
+    from repro.streams import ClusterEngine, ProcessEngine, ThreadedEngine
+
+    def make(runtime, graph, **kw):
+        if runtime == "threaded":
+            return ThreadedEngine(graph, **kw)
+        cls = {"process": ProcessEngine, "cluster": ClusterEngine}[runtime]
+        return cls(graph, mp_context="fork", **kw)
+
+    return make

@@ -304,7 +304,7 @@ class TestPickleGate:
                 bind_host="0.0.0.0",
             )
         assert engine._pickle_ok is False
-        op_name = engine._host_ops[0][0].name
+        op_name = engine._remote_ops[0][0].name
         engine._links[0].done = {
             "ops": {
                 op_name: {
@@ -319,7 +319,7 @@ class TestPickleGate:
             "transport": {},
         }
         with pytest.raises(WireDecodeError, match="allow_pickle=False"):
-            engine._apply_done(0)
+            engine._fold_reports()
 
     def test_loopback_bind_still_trusts_done_payloads(self):
         import pickle
@@ -330,7 +330,7 @@ class TestPickleGate:
             app.graph, main_ops=_main_ops(app), n_hosts=3
         )
         assert engine._pickle_ok is True
-        op = engine._host_ops[0][0]
+        op = engine._remote_ops[0][0]
         engine._links[0].done = {
             "ops": {
                 op.name: {
@@ -344,7 +344,7 @@ class TestPickleGate:
             "counters": {"received": 0, "sent": 0},
             "transport": {},
         }
-        engine._apply_done(0)
+        engine._fold_reports()
         assert op.extra_attr == {1, 2}
 
 

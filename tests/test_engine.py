@@ -1,5 +1,7 @@
-"""Tests for the synchronous and threaded runtimes."""
+"""Tests for the synchronous and threaded runtimes, and the abort/drain
+contract the threaded coordinator hands down to process and cluster."""
 
+import multiprocessing as mp
 import threading
 import time
 
@@ -12,6 +14,7 @@ from repro.streams import (
     Functor,
     FusionPlan,
     Graph,
+    OperatorFailure,
     RunStats,
     Split,
     SynchronousEngine,
@@ -138,40 +141,6 @@ class TestThreadedEngine:
         ThreadedEngine(g, queue_size=1).run(timeout_s=30)
         assert len(sink.got) == 30
 
-    def test_timeout_raises(self):
-        g = Graph("hang")
-
-        class Stuck(Source):
-            def generate(self):
-                yield StreamTuple.data(x=1)
-                time.sleep(60)
-
-        class Devnull(Sink):
-            def consume(self, tup, port):
-                pass
-
-        src = g.add(Stuck("src"))
-        sink = g.add(Devnull("sink"))
-        g.connect(src, sink)
-        with pytest.raises(RuntimeError, match="did not finish"):
-            ThreadedEngine(g).run(timeout_s=0.3)
-
-    def test_operator_exception_propagates(self):
-        g = Graph("boom")
-        src = g.add(
-            VectorSource("src", VectorStream.from_array(np.zeros((5, 1))))
-        )
-
-        def explode(t):
-            raise ValueError("kaboom")
-
-        f = g.add(Functor("f", explode))
-        sink = g.add(CollectingSink("sink"))
-        g.connect(src, f)
-        g.connect(f, sink)
-        with pytest.raises(ValueError, match="kaboom"):
-            ThreadedEngine(g).run(timeout_s=10)
-
     def test_least_loaded_probe_installed(self):
         x = np.zeros((50, 2))
         g, sink = _fan_graph(x, split_strategy="least_loaded")
@@ -242,20 +211,96 @@ def _race_graph(n=5):
     return g, col
 
 
-class TestShutdownDrain:
-    """Regression: `_PERunner` must drain tuples racing in during close
-    (a lost `final` state would corrupt the global merge)."""
+class _Ticker(Source):
+    """Never ends on its own: one tuple every few milliseconds."""
 
-    def test_final_tuple_never_lost_in_shutdown_race(self):
-        # The collector closes as soon as the fast path punctuates, while
-        # the slow path is still streaming; 50 iterations of the race must
-        # lose nothing.
-        for _ in range(50):
+    def generate(self):
+        while True:
+            yield StreamTuple.data(x=np.zeros(1))
+            time.sleep(0.005)
+
+
+def _explode(t):
+    raise ValueError("kaboom")
+
+
+def _identity(t):
+    return t
+
+
+def _pipe_graph(name, src, fn=_identity):
+    """``src → f → sink``; ``f`` is the operator a process/cluster run
+    places on a remote end."""
+    g = Graph(name)
+    f = g.add(Functor("f", fn))
+    sink = g.add(CollectingSink("sink"))
+    g.connect(g.add(src), f)
+    g.connect(f, sink)
+    return g
+
+
+class TestAbortDrainContract:
+    """The run protocol every concurrent runtime inherits from the one
+    coordinator: nothing lost on a clean drain, prompt failure on an
+    operator error, a timeout that says what is stuck — and, after
+    ``run()`` returns or raises, no thread or child process left over."""
+
+    RUNTIMES = ["threaded", "process", "cluster"]
+
+    @pytest.fixture(autouse=True)
+    def no_leftovers(self):
+        before = set(threading.enumerate())
+        yield
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            threads = [
+                t.name for t in threading.enumerate() if t not in before
+            ]
+            children = mp.active_children()
+            if not threads and not children:
+                return
+            time.sleep(0.02)
+        pytest.fail(f"left running: threads {threads}, children {children}")
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_final_tuple_never_lost_in_shutdown_race(
+        self, runtime, concurrent_engine
+    ):
+        # Regression: the collector closes as soon as the fast path
+        # punctuates, while the slow path (a remote end under process
+        # and cluster) is still streaming; a lost `final` state would
+        # corrupt the global merge.  Repeats of the race lose nothing.
+        for _ in range(50 if runtime == "threaded" else 8):
             g, col = _race_graph(n=5)
-            ThreadedEngine(g).run(timeout_s=30)
+            concurrent_engine(runtime, g).run(timeout_s=60)
             assert col.finals == 1
             assert col.port1_data == 5
 
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_operator_exception_fails_the_run_promptly(
+        self, runtime, concurrent_engine
+    ):
+        src = VectorSource("src", VectorStream.from_array(np.zeros((5, 1))))
+        engine = concurrent_engine(runtime, _pipe_graph("boom", src, _explode))
+        t0 = time.perf_counter()
+        # The original exception where it was raised in this process,
+        # an OperatorFailure carrying its repr from a remote end — never
+        # the run timeout.
+        with pytest.raises((ValueError, OperatorFailure), match="kaboom"):
+            engine.run(timeout_s=60)
+        assert time.perf_counter() - t0 < 30
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_timeout_names_what_is_still_running(
+        self, runtime, concurrent_engine
+    ):
+        engine = concurrent_engine(runtime, _pipe_graph("hang", _Ticker("src")))
+        with pytest.raises(RuntimeError, match="did not finish") as exc:
+            engine.run(timeout_s=0.5)
+        assert "src-src" in str(exc.value)
+
+
+class TestShutdownDrain:
     def test_synchronous_engine_same_semantics(self):
         g, col = _race_graph(n=5)
         SynchronousEngine(g).run()

@@ -10,7 +10,9 @@ import uuid
 import numpy as np
 import pytest
 
+from repro.core import largest_principal_angle
 from repro.core.eigensystem import Eigensystem
+from repro.data import PlantedSubspaceModel
 from repro.data.streams import VectorStream
 from repro.parallel.app import engine_restart_supervisor
 from repro.parallel.runner import ParallelStreamingPCA
@@ -20,9 +22,7 @@ from repro.streams import (
     Functor,
     Graph,
     ProcessEngine,
-    Sink,
     StreamTuple,
-    SynchronousEngine,
     TupleKind,
     VectorSource,
     from_wire,
@@ -265,75 +265,51 @@ class TestProcessParity:
         assert rows == X.shape[0]
 
 
-# ---------------------------------------------------------------------------
-# Shutdown drain across the process boundary (PR 1 race, reprised)
-# ---------------------------------------------------------------------------
+class TestProcessFacade:
+    """``ParallelStreamingPCA(runtime="process")`` end to end (cases
+    carried over from the deleted ``ProcessParallelStreamingPCA``)."""
 
+    @pytest.fixture(scope="class")
+    def model(self):
+        return PlantedSubspaceModel(
+            dim=50, signal_variances=(25.0, 16.0, 9.0), noise_std=0.4, seed=6
+        )
 
-class _FinalOnClose(Functor):
-    """Forwards tuples slowly; ships a ``final`` control tuple at close
-    (module-level so worker processes can unpickle it)."""
+    def _run(self, x, **kw):
+        runner = ParallelStreamingPCA(
+            3, runtime="process", mp_context="fork", **kw
+        )
+        return runner.run(VectorStream.from_array(x))
 
-    def __init__(self, name, delay_s=0.001):
-        super().__init__(name, None)
-        self._delay_s = delay_s
+    def test_every_observation_processed(self, model):
+        x = model.sample(3000, np.random.default_rng(3))
+        result = self._run(x, n_engines=4, alpha=0.995, split_seed=2)
+        rows = sum(r["n_local_rows"] for r in result.engine_reports)
+        assert rows == 3000
+        assert len(result.engine_states) == 4
 
-    def process(self, tup, port):
-        time.sleep(self._delay_s)
-        self.submit(tup)
+    def test_sync_traffic_happens(self, model):
+        x = model.sample(6000, np.random.default_rng(4))
+        # alpha=0.99 is N=100: many sync rounds in 6000 rows.
+        result = self._run(x, n_engines=3, alpha=0.99, split_seed=3)
+        assert result.sync_stats.n_states_routed > 0
+        assert (
+            result.sync_stats.n_merge_commands
+            >= result.sync_stats.n_states_routed
+        )
 
-    def close(self):
-        self.submit(StreamTuple.control(type="final"))
+    def test_single_engine(self, model):
+        x = model.sample(2000, np.random.default_rng(5))
+        result = self._run(x, n_engines=1, alpha=0.995)
+        assert result.sync_stats.n_merge_commands == 0
+        assert largest_principal_angle(
+            result.global_state.basis, model.basis
+        ) < 0.2
 
-
-class _LooseCollector(Sink):
-    """Two-input sink completing as soon as port 0 punctuates — forcing
-    the close-vs-late-arrivals race on port 1."""
-
-    def __init__(self, name):
-        super().__init__(name, n_inputs=2)
-        self.punctuation_ports = {0}
-        self.port1_data = 0
-        self.finals = 0
-
-    def consume(self, tup, port):
-        if tup.is_control and tup.get("type") == "final":
-            self.finals += 1
-        elif port == 1:
-            self.port1_data += 1
-
-
-def _race_graph(n=5):
-    g = Graph("proc-race")
-    fast = g.add(
-        VectorSource("fast", VectorStream.from_array(np.zeros((n, 1))))
-    )
-    slow_src = g.add(
-        VectorSource("slow-src", VectorStream.from_array(np.ones((n, 1))))
-    )
-    slow = g.add(_FinalOnClose("slow"))  # the one worker-process PE
-    col = g.add(_LooseCollector("collector"))
-    g.connect(fast, col, in_port=0)
-    g.connect(slow_src, slow)
-    g.connect(slow, col, in_port=1)
-    return g, col
-
-
-class TestShutdownDrain:
-    def test_final_tuple_never_lost_in_shutdown_race(self):
-        for _ in range(8):
-            g, col = _race_graph(n=5)
-            engine = ProcessEngine(g, mp_context="fork")
-            assert engine.n_workers == 1
-            engine.run(timeout_s=60)
-            assert col.finals == 1
-            assert col.port1_data == 5
-
-    def test_synchronous_engine_same_semantics(self):
-        g, col = _race_graph(n=5)
-        SynchronousEngine(g).run()
-        assert col.finals == 1
-        assert col.port1_data == 5
+    def test_too_short_stream_raises(self, model):
+        x = model.sample(5, np.random.default_rng(6))
+        with pytest.raises(RuntimeError, match="no final states"):
+            self._run(x, n_engines=2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from repro.streams import (
     Functor,
     Graph,
     SynchronousEngine,
+    Telemetry,
+    TelemetryConfig,
     ThreadedEngine,
     Union,
     VectorSource,
@@ -152,6 +154,12 @@ class TestPolicyValidation:
             Supervisor(policies={"x": object()})
 
 
+def _explode_on_odd(t):
+    if int(t["x"][0]) % 2:
+        raise ValueError("poison")
+    return t
+
+
 class TestRetryAndSkip:
     def _graph(self, fn, n=20):
         g = Graph("pol")
@@ -189,17 +197,33 @@ class TestRetryAndSkip:
             SynchronousEngine(g, supervisor=sup).run()
 
     def test_skip_drops_poison_tuples(self):
-        def explode_on_odd(t):
-            if int(t["x"][0]) % 2:
-                raise ValueError("poison")
-            return t
-
-        g, sink = self._graph(explode_on_odd)
+        g, sink = self._graph(_explode_on_odd)
         sup = Supervisor(policies={"flaky": SkipTuple()})
         stats = SynchronousEngine(g, supervisor=sup).run()
         assert len(sink.tuples) == 10
         assert stats.skipped_tuples["flaky"] == 10
         assert stats.failures["flaky"] == 10
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process", "cluster"])
+    def test_skip_counters_are_runtime_independent(
+        self, runtime, concurrent_engine
+    ):
+        """Regression: a failure handled on a cluster host never reached
+        ``RunStats`` or the ``repro_*_total`` counters — the host's
+        ``done`` frame carried no supervision block."""
+        g, sink = self._graph(_explode_on_odd, n=40)
+        sup = Supervisor(policies={"flaky": SkipTuple()})
+        tel = Telemetry(TelemetryConfig(metrics=True, tracing=False))
+        stats = concurrent_engine(
+            runtime, g, supervisor=sup, telemetry=tel
+        ).run(timeout_s=60)
+        assert len(sink.tuples) == 20
+        assert stats.failures == {"flaky": 20}
+        assert stats.skipped_tuples == {"flaky": 20}
+        assert (
+            'repro_skipped_tuples_total{operator="flaky"} 20'
+            in tel.to_prometheus()
+        )
 
     def test_skip_budget_escalates(self):
         g, _ = self._graph(lambda t: (_ for _ in ()).throw(ValueError("bad")))
