@@ -10,8 +10,10 @@ path — the numbers that calibrate the cluster simulator.
 
 Run directly (``python benchmarks/bench_core_update.py [--quick]``) to
 produce ``BENCH_core_update.json``: a sequential-vs-block comparison of
-the robust update hot path, recorded as rows/s and speedup ratios so the
-committed baseline stays machine-portable.
+the robust update hot path — clean rows across the dimensional range,
+plus one gappy leg (d = 1000, a quarter of the rows gappy, two extra
+components) for the gap-patching path — recorded as rows/s and speedup
+ratios so the committed baseline stays machine-portable.
 """
 
 import argparse
@@ -39,7 +41,7 @@ from repro.core import kernels as _kernels
 from repro.data import PlantedSubspaceModel
 
 
-def _warm_estimator(dim: int, p: int, seed: int = 0):
+def _warm_estimator(dim: int, p: int, seed: int = 0, **est_kwargs):
     model = PlantedSubspaceModel(
         dim=dim,
         signal_variances=tuple(float(v) for v in range(p + 4, 4, -1)),
@@ -47,7 +49,9 @@ def _warm_estimator(dim: int, p: int, seed: int = 0):
         seed=seed,
     )
     rng = np.random.default_rng(seed + 1)
-    est = RobustIncrementalPCA(p, alpha=0.999, init_size=max(2 * p, 16))
+    est = RobustIncrementalPCA(
+        p, alpha=0.999, init_size=max(2 * p, 16), **est_kwargs
+    )
     est.partial_fit(model.sample(est.init_size + 50, rng))
     return est, model, rng
 
@@ -134,16 +138,37 @@ def _time_rows(fn, repeats: int = 3) -> float:
     return best
 
 
-def _compare_at_dim(dim: int, n_rows: int, p: int = 8, repeats: int = 3):
+#: The gappy leg: share of rows with gaps, and of bins missing in them.
+GAPPY_ROW_SHARE = 0.25
+GAPPY_BIN_SHARE = 0.2
+
+
+def _compare_at_dim(
+    dim: int,
+    n_rows: int,
+    p: int = 8,
+    repeats: int = 3,
+    *,
+    gappy: bool = False,
+):
     """Seed (per-row ``update``) vs batched (``update_block``) throughput.
 
     Both paths start from identically warmed estimators and consume the
     same rows, so the ratio isolates the block kernel's amortization of
-    the eigensolve and the per-call Python overhead.
+    the eigensolve and the per-call Python overhead.  ``gappy=True``
+    punches NaN gaps into a quarter of the rows and carries two extra
+    components, so the masked least-squares fill and the higher-order
+    residual correction (§II-D) are on both paths; that entry is keyed
+    by ``name`` rather than ``dim``.
     """
-    est_seq, model, rng = _warm_estimator(dim, p=p, seed=0)
-    est_blk, _, _ = _warm_estimator(dim, p=p, seed=0)
+    est_kwargs = {"extra_components": 2} if gappy else {}
+    est_seq, model, rng = _warm_estimator(dim, p=p, seed=0, **est_kwargs)
+    est_blk, _, _ = _warm_estimator(dim, p=p, seed=0, **est_kwargs)
     rows = model.sample(n_rows, rng)
+    if gappy:
+        holes = rng.random(rows.shape) < GAPPY_BIN_SHARE
+        holes[rng.random(n_rows) >= GAPPY_ROW_SHARE] = False
+        rows[holes] = np.nan
 
     def run_seq():
         for i in range(n_rows):
@@ -154,13 +179,20 @@ def _compare_at_dim(dim: int, n_rows: int, p: int = 8, repeats: int = 3):
 
     t_seq = _time_rows(run_seq, repeats)
     t_blk = _time_rows(run_blk, repeats)
-    return {
+    out = {
         "dim": dim,
         "n_rows": n_rows,
         "seq_rows_per_s": n_rows / t_seq,
         "block_rows_per_s": n_rows / t_blk,
         "speedup": t_seq / t_blk,
     }
+    if gappy:
+        out = {
+            "name": f"gappy_d{dim}",
+            "gappy_row_share": float(np.isnan(rows).any(axis=1).mean()),
+            **out,
+        }
+    return out
 
 
 def _compare_jit(dim: int, n_rows: int, p: int = 8, repeats: int = 3):
@@ -226,11 +258,14 @@ def main(argv=None) -> int:
         repeats = 3
 
     results = []
-    for dim, n_rows in cases:
-        r = _compare_at_dim(dim, n_rows, repeats=repeats)
+    legs = [(dim, n_rows, False) for dim, n_rows in cases]
+    legs.append((1000, 256 if args.quick else 1024, True))
+    for dim, n_rows, gappy in legs:
+        r = _compare_at_dim(dim, n_rows, repeats=repeats, gappy=gappy)
         results.append(r)
         print(
-            f"d={dim:5d}  seq {r['seq_rows_per_s']:9.0f} rows/s"
+            f"d={dim:5d}{' gappy' if gappy else '      '}"
+            f"  seq {r['seq_rows_per_s']:9.0f} rows/s"
             f"  block {r['block_rows_per_s']:9.0f} rows/s"
             f"  speedup {r['speedup']:6.2f}x",
             flush=True,

@@ -38,6 +38,7 @@ from .gaps import (
     GapFillResult,
     corrected_residual_norm2,
     estimate_residual_norm2,
+    estimate_residual_norm2_block,
     fill_block_from_basis,
     fill_from_basis,
     has_gaps,
@@ -114,6 +115,7 @@ __all__ = [
     "corrected_residual_norm2",
     "eigensystem_of_factor",
     "estimate_residual_norm2",
+    "estimate_residual_norm2_block",
     "eigensystems_consistent",
     "expected_rho",
     "explained_variance_ratio",

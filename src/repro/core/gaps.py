@@ -38,6 +38,7 @@ __all__ = [
     "GapFiller",
     "corrected_residual_norm2",
     "estimate_residual_norm2",
+    "estimate_residual_norm2_block",
     "iterative_gap_fill",
     "GAP_RESIDUAL_MODES",
 ]
@@ -158,16 +159,16 @@ def fill_block_from_basis(
     basis: np.ndarray,
     *,
     ridge: float = 1e-8,
+    mask: np.ndarray | None = None,
 ) -> BlockGapFillResult:
     """Patch missing entries of a ``(k, d)`` block with the eigenbasis.
 
     Complete rows are passed through untouched (one vectorized copy);
-    each gappy row solves its own masked ridge least-squares problem —
-    the same normal equations as :func:`fill_from_basis` — via the
-    :func:`repro.core.kernels.fill_gappy_rows` kernel.  The masked
-    systems differ per row, so the inner loop runs only over the gappy
-    subset, which for astrophysical streams is typically a small
-    fraction of the block.
+    the gappy rows solve their masked ridge least-squares problems — the
+    same normal equations as :func:`fill_from_basis`, one small system
+    per row because the masks differ — together, in the
+    :func:`repro.core.kernels.fill_gappy_rows` kernel.  ``mask`` is the
+    block's ``np.isfinite(x)`` when the caller already has it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -184,22 +185,15 @@ def fill_block_from_basis(
             f"basis shape {basis.shape} does not match block dimension "
             f"{x.shape[1]}"
         )
-    mask = np.isfinite(x)
-    gappy = np.ascontiguousarray(
-        np.nonzero(~mask.all(axis=1))[0], dtype=np.int64
-    )
+    if mask is None:
+        mask = np.isfinite(x)
+    gappy = np.nonzero(~mask.all(axis=1))[0]
     filled = x.copy()
     n_filled_per_row = np.zeros(x.shape[0], dtype=np.int64)
     if gappy.size:
-        counts = _kernels.fill_gappy_rows(
-            filled,
-            np.ascontiguousarray(mask),
-            mean,
-            basis,
-            float(ridge),
-            gappy,
+        n_filled_per_row[gappy] = _kernels.fill_gappy_rows(
+            filled, mask, mean, basis, float(ridge), gappy
         )
-        n_filled_per_row[gappy] = counts
     return BlockGapFillResult(
         filled=filled,
         mask=mask,
@@ -343,6 +337,45 @@ def estimate_residual_norm2(
         return r2_obs + structured
     # hybrid
     return r2_obs * (y.size / n_obs) + structured
+
+
+def estimate_residual_norm2_block(
+    y: np.ndarray,
+    mask: np.ndarray,
+    basis_p: np.ndarray,
+    basis_extra: np.ndarray,
+    mode: str = "higher-order",
+) -> np.ndarray:
+    """Block form of :func:`estimate_residual_norm2`: one ``r²`` per row.
+
+    ``y`` is a ``(g, d)`` block of patched, centered rows and ``mask``
+    the matching observed-entry masks; row ``i`` of the result equals
+    ``estimate_residual_norm2(y[i], mask[i], ...)``.
+    """
+    if mode not in GAP_RESIDUAL_MODES:
+        raise ValueError(
+            f"unknown gap residual mode {mode!r}; "
+            f"choose from {GAP_RESIDUAL_MODES}"
+        )
+    y = np.asarray(y, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if y.ndim != 2 or y.shape != mask.shape:
+        raise ValueError(
+            f"expected matching (g, d) y and mask, got {y.shape} and "
+            f"{mask.shape}"
+        )
+    resid_obs = np.where(mask, y - (y @ basis_p) @ basis_p.T, 0.0)
+    r2 = np.einsum("ij,ij->i", resid_obs, resid_obs)
+    n_obs = np.count_nonzero(mask, axis=1)
+    if mode in ("extrapolate", "hybrid"):
+        r2 *= y.shape[1] / np.maximum(n_obs, 1)
+    if mode in ("higher-order", "hybrid") and basis_extra.size:
+        diff_miss = np.where(
+            mask, 0.0, (y @ basis_extra) @ basis_extra.T
+        )
+        r2 += np.einsum("ij,ij->i", diff_miss, diff_miss)
+    r2[n_obs == 0] = 0.0
+    return r2
 
 
 def iterative_gap_fill(

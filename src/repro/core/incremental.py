@@ -50,10 +50,10 @@ __all__ = ["UpdateResult", "BlockUpdateResult", "IncrementalPCA"]
 _MAX_SCAN_EXPONENT = 60.0
 
 #: Hard cap on rows per rank-``k`` eigensolve.  Two forces pick this:
-#: per-chunk fixed costs amortize as ``1/k``, but the residual Gram and
-#: augmented-basis work grow as ``O(d·k)`` *per row* (the noisy residual
-#: block has rank ≈ ``k``), so throughput peaks at a moderate ``k`` —
-#: measured flat-optimal near 64 for d in [250, 4000].  Bounding the
+#: per-chunk fixed costs amortize as ``1/k``, but the block Gram
+#: ``Ywᵀ Yw`` and the rotation back grow as ``O(d·k)`` *per row*, so
+#: throughput peaks at a moderate ``k`` — measured flat-optimal near 64
+#: for d in [250, 4000].  Bounding the
 #: block also keeps the block-start basis (used for residual
 #: diagnostics and the scale recursion) fresh when a caller hands
 #: ``partial_fit`` an entire dataset at once.
@@ -489,7 +489,7 @@ class IncrementalPCA:
         y = x - means
         # Diagnostics against the block-start basis (fused kernel).
         r2 = _kernels.residual_norm2_block(
-            np.ascontiguousarray(y), np.ascontiguousarray(st.basis)
+            y, np.ascontiguousarray(st.basis)
         )
         scale_prev = st.scale if st.scale > 0 else 1.0
 

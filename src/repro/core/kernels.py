@@ -1,8 +1,8 @@
 """Compiled hot-path kernels with pure-numpy fallbacks.
 
 The streaming hot path spends its time in a handful of numerical
-primitives: the rank-``k`` covariance update (weighted block split
-``Z``/``R``, residual Gram assembly, the small-eigenproblem rotation),
+primitives: the rank-``k`` covariance update (Gram-of-factor assembly,
+one small ``eigh``, the rotation back),
 the per-block rho/weight/wstar evaluations of the three M-scale
 families, the block residual norms, and gap patching.  This module
 provides each as a numba ``@njit(nogil=True)`` kernel **and** as a pure
@@ -64,6 +64,10 @@ __all__ = [
 #: Relative rank tolerance shared with :mod:`repro.core.lowrank`.
 _RELATIVE_RANK_TOL = 1e-12
 
+#: Element budget of the ``(g, k, d)`` masked-basis temporary in the
+#: numpy gap fill (32 MiB of float64); larger gappy sets go in slabs.
+_FILL_SLAB_ELEMS = 1 << 22
+
 try:  # optional dependency — the fallback path must import cleanly
     import numba
 
@@ -100,102 +104,70 @@ def _rank_k_core_src(basis, lam, yw, gamma, p):
     weighted block with ``k >= 1`` columns, ``gamma > 0``.  Callers
     handle the degenerate cases (empty basis, zero gamma, empty block)
     before dispatching here — see :func:`repro.core.lowrank.rank_k_update`.
+
+    Gram-of-factor form: the update is ``A Aᵀ`` with
+    ``A = [E·sqrt(γΛ), Yw]``, and because ``EᵀE = I`` its Gram matrix
+    needs only ``Z = Eᵀ Yw`` and ``Ywᵀ Yw``::
+
+        G = [[γΛ, sqrt(γΛ)·Z], [Zᵀ·sqrt(γΛ), Ywᵀ Yw]]
+
+    One ``eigh`` of the ``(m+k) × (m+k)`` matrix ``G = V W Vᵀ`` gives
+    ``U = A V W^{-1/2}`` — the same route
+    :func:`repro.core.lowrank.eigensystem_of_factor` takes, without ever
+    concatenating ``A``.
     """
     d = basis.shape[0]
     m = basis.shape[1]
     k = yw.shape[1]
+    n = m + k
 
-    # Weighted block split: in-basis coordinates and residual.
+    s = np.empty(m)
+    for i in range(m):
+        s[i] = np.sqrt(gamma * lam[i])
     bt = np.ascontiguousarray(basis.T)
     z = np.dot(bt, yw)                 # (m, k)
-    r = yw - np.dot(basis, z)          # (d, k)
+    ywt = np.ascontiguousarray(yw.T)
+    gyy = np.dot(ywt, yw)              # (k, k)
 
-    # Residual subspace via the small Gram eigenproblem.
-    rt = np.ascontiguousarray(r.T)
-    gram_r = np.dot(rt, r)             # (k, k)
-    w_asc, v_asc = np.linalg.eigh(gram_r)
+    gram = np.zeros((n, n))
+    for i in range(m):
+        gram[i, i] = gamma * lam[i]
+        for j in range(k):
+            c = s[i] * z[i, j]
+            gram[i, m + j] = c
+            gram[m + j, i] = c
+    for i in range(k):
+        for j in range(k):
+            gram[m + i, m + j] = gyy[i, j]
+
+    w_asc, v_asc = np.linalg.eigh(gram)
     w = w_asc[::-1].copy()
     v = np.ascontiguousarray(v_asc[:, ::-1])
-    for i in range(k):
+    for i in range(n):
         if w[i] < 0.0:
             w[i] = 0.0
-
-    # Residual rank cut relative to the update's overall energy scale.
-    ref = w[0]
-    glam0 = gamma * lam[0]
-    if glam0 > ref:
-        ref = glam0
-    q_rank = 0
-    if ref > 0.0:
-        for i in range(k):
-            if w[i] > ref * _RELATIVE_RANK_TOL:
-                q_rank += 1
-
-    zt = np.ascontiguousarray(z.T)
-    zzt = np.dot(z, zt)                # (m, m)
-    if q_rank == 0:
-        # Block is (numerically) inside the current subspace.
-        n_aug = m
-        small = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                small[i, j] = zzt[i, j]
-            small[i, i] += gamma * lam[i]
-        aug = basis
-    else:
-        wq = w[:q_rank].copy()
-        vq = np.ascontiguousarray(v[:, :q_rank])
-        sq = np.sqrt(wq)
-        # Orthonormal augmentation Q = R V W^{-1/2}.
-        q_cols = np.dot(r, vq)         # (d, q)
-        for j in range(q_rank):
-            inv = 1.0 / sq[j]
-            for i in range(d):
-                q_cols[i, j] *= inv
-        # Z Sᵀ with R = Q S, S = sqrt(wq)·Vqᵀ  →  (Z Vq) scaled per column.
-        zs = np.dot(z, vq)             # (m, q)
-        for j in range(q_rank):
-            for i in range(m):
-                zs[i, j] *= sq[j]
-        n_aug = m + q_rank
-        small = np.empty((n_aug, n_aug))
-        for i in range(m):
-            for j in range(m):
-                small[i, j] = zzt[i, j]
-            small[i, i] += gamma * lam[i]
-        for i in range(m):
-            for j in range(q_rank):
-                small[i, m + j] = zs[i, j]
-                small[m + j, i] = zs[i, j]
-        for i in range(q_rank):
-            for j in range(q_rank):
-                small[m + i, m + j] = 0.0
-            small[m + i, m + i] = wq[i]    # S Sᵀ is diagonal
-        aug = np.empty((d, n_aug))
-        for i in range(d):
-            for j in range(m):
-                aug[i, j] = basis[i, j]
-            for j in range(q_rank):
-                aug[i, m + j] = q_cols[i, j]
-
-    ew_asc, ev_asc = np.linalg.eigh(small)
-    ew = ew_asc[::-1].copy()
-    ev = np.ascontiguousarray(ev_asc[:, ::-1])
-    for i in range(n_aug):
-        if ew[i] < 0.0:
-            ew[i] = 0.0
     keep = 0
-    if ew[0] > 0.0:
-        for i in range(n_aug):
-            if ew[i] > ew[0] * _RELATIVE_RANK_TOL:
+    if w[0] > 0.0:
+        for i in range(n):
+            if w[i] > w[0] * _RELATIVE_RANK_TOL:
                 keep += 1
     k_out = p if p < keep else keep
     if k_out == 0:
         return np.zeros((d, 0)), np.zeros(0)
-    e_new = np.dot(aug, np.ascontiguousarray(ev[:, :k_out]))
+
+    # U = A V W^{-1/2}, split by the two column groups of A.
+    v1 = np.empty((m, k_out))
+    v2 = np.empty((k, k_out))
+    for c in range(k_out):
+        inv = 1.0 / np.sqrt(w[c])
+        for i in range(m):
+            v1[i, c] = s[i] * v[i, c] * inv
+        for i in range(k):
+            v2[i, c] = v[m + i, c] * inv
+    e_new = np.dot(basis, v1) + np.dot(yw, v2)
     # Defensive re-orthonormalization, mirroring eigensystem_of_factor.
     q_mat, _ = np.linalg.qr(e_new)
-    return q_mat, ew[:k_out].copy()
+    return q_mat, w[:k_out].copy()
 
 
 def _rank_k_core_np(basis, lam, yw, gamma, p):
@@ -206,50 +178,30 @@ def _rank_k_core_np(basis, lam, yw, gamma, p):
     iterations when numba is absent, which would erase the block-update
     speedup the fallback exists to preserve.
     """
-    d = basis.shape[0]
     m = basis.shape[1]
-    z = basis.T @ yw                   # (m, k)
-    r = yw - basis @ z                 # (d, k)
-    gram_r = r.T @ r                   # (k, k)
-    w_asc, v_asc = np.linalg.eigh(gram_r)
+    n = m + yw.shape[1]
+    glam = gamma * lam
+    s = np.sqrt(glam)
+    cross = (basis.T @ yw) * s[:, None]    # (m, k)
+    gram = np.zeros((n, n))
+    np.fill_diagonal(gram[:m, :m], glam)
+    gram[:m, m:] = cross
+    gram[m:, :m] = cross.T
+    gram[m:, m:] = yw.T @ yw
+
+    w_asc, v_asc = np.linalg.eigh(gram)
     w = np.maximum(w_asc[::-1], 0.0)
-    v = v_asc[:, ::-1]
-
-    ref = max(w[0], gamma * lam[0])
-    q_rank = 0
-    if ref > 0.0:
-        q_rank = int(np.count_nonzero(w > ref * _RELATIVE_RANK_TOL))
-
-    zzt = z @ z.T                      # (m, m)
-    if q_rank == 0:
-        small = zzt + np.diag(gamma * lam)
-        aug = basis
-    else:
-        wq = w[:q_rank]
-        vq = v[:, :q_rank]
-        sq = np.sqrt(wq)
-        q_cols = (r @ vq) / sq         # (d, q), orthonormal
-        zs = (z @ vq) * sq             # (m, q)
-        n_aug = m + q_rank
-        small = np.zeros((n_aug, n_aug))
-        small[:m, :m] = zzt + np.diag(gamma * lam)
-        small[:m, m:] = zs
-        small[m:, :m] = zs.T
-        small[m:, m:] = np.diag(wq)
-        aug = np.concatenate((basis, q_cols), axis=1)
-
-    ew_asc, ev_asc = np.linalg.eigh(small)
-    ew = np.maximum(ew_asc[::-1], 0.0)
-    ev = ev_asc[:, ::-1]
     keep = 0
-    if ew[0] > 0.0:
-        keep = int(np.count_nonzero(ew > ew[0] * _RELATIVE_RANK_TOL))
+    if w[0] > 0.0:
+        keep = int(np.count_nonzero(w > w[0] * _RELATIVE_RANK_TOL))
     k_out = min(p, keep)
     if k_out == 0:
-        return np.zeros((d, 0)), np.zeros(0)
-    e_new = aug @ ev[:, :k_out]
+        return np.zeros((basis.shape[0], 0)), np.zeros(0)
+    w_top = w[:k_out]
+    v_top = v_asc[:, : -k_out - 1 : -1] / np.sqrt(w_top)
+    e_new = basis @ (v_top[:m] * s[:, None]) + yw @ v_top[m:]
     q_mat, _ = np.linalg.qr(e_new)
-    return q_mat, ew[:k_out].copy()
+    return q_mat, w_top.copy()
 
 
 def _residual_norm2_block_src(y, basis):
@@ -417,31 +369,40 @@ def _fill_gappy_rows_src(filled, mask, mean, basis, ridge, rows):
 
 
 def _fill_gappy_rows_np(filled, mask, mean, basis, ridge, rows):
-    """Vectorized numpy fallback of :func:`_fill_gappy_rows_src`.
+    """Row-vectorized numpy fallback of :func:`_fill_gappy_rows_src`.
 
-    The per-row masked gathers/scatters are boolean fancy indexing —
-    outside the jit dialect but far cheaper than element loops when
-    interpreted.
+    All listed rows are patched at once.  With ``M`` the ``(g, d)``
+    0/1 mask of the listed rows, row ``i``'s masked normal equations are
+    ``G_i = Σ_j M_ij e_j e_jᵀ + ridge·I`` and ``b_i = Σ_j M_ij y_ij e_j``:
+    every ``G_i`` comes from one GEMM of the masked basis copies
+    ``(g·k, d)`` against ``basis``, every ``b_i`` from one GEMM of the
+    zero-filled centered rows, then one stacked solve and one
+    ``np.where`` scatter.  A row with nothing observed has ``G = ridge·I``
+    and ``b = 0``, so it is mean-filled by the same algebra.  Rows are
+    taken in slabs so the ``(g, k, d)`` temporary stays bounded.
     """
+    d = filled.shape[1]
     kcomp = basis.shape[1]
-    n_filled = np.zeros(rows.shape[0], dtype=np.int64)
-    for ri in range(rows.shape[0]):
-        i = rows[ri]
-        obs = mask[i]
-        miss = ~obs
-        n_miss = int(np.count_nonzero(miss))
-        n_filled[ri] = n_miss
-        if n_miss == 0:
+    n_filled = np.empty(rows.shape[0], dtype=np.int64)
+    slab = max(1, _FILL_SLAB_ELEMS // max(d * kcomp, 1))
+    bt = np.ascontiguousarray(basis.T)               # (k, d)
+    for lo in range(0, rows.shape[0], slab):
+        sel = rows[lo : lo + slab]
+        obs = mask[sel]                              # (g, d)
+        x = filled[sel]
+        n_filled[lo : lo + slab] = d - np.count_nonzero(obs, axis=1)
+        if kcomp == 0:
+            filled[sel] = np.where(obs, x, mean)
             continue
-        if kcomp == 0 or n_miss == filled.shape[1]:
-            filled[i, miss] = mean[miss]
-            continue
-        e_obs = basis[obs]
-        y_obs = filled[i, obs] - mean[obs]
-        gram = e_obs.T @ e_obs
-        gram[np.diag_indices(kcomp)] += ridge
-        z = np.linalg.solve(gram, e_obs.T @ y_obs)
-        filled[i, miss] = mean[miss] + basis[miss] @ z
+        g = sel.shape[0]
+        masked_bt = obs[:, None, :] * bt             # (g, k, d)
+        gram = (masked_bt.reshape(g * kcomp, d) @ basis).reshape(
+            g, kcomp, kcomp
+        )
+        gram.reshape(g, -1)[:, :: kcomp + 1] += ridge    # the diagonals
+        rhs = np.where(obs, x - mean, 0.0) @ basis   # (g, k)
+        z = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+        filled[sel] = np.where(obs, x, mean + z @ bt)
     return n_filled
 
 

@@ -203,23 +203,23 @@ def rank_k_update(
     sklearn's ``IncrementalPCA`` uses the same structure): the eigensolve
     is amortized over the whole block instead of paid per observation.
 
-    Algorithm — QR-augmentation via the Gram trick:
+    Algorithm — the Gram trick on the factor ``A = [E·sqrt(γΛ), Y_w]``
+    (``C = A Aᵀ``), never materializing ``A``:
 
-    1. split the weighted block ``Y_w`` into its component inside the
-       current basis, ``Z = E^T Y_w``, and the residual ``R = Y_w - E Z``;
-    2. compress the residual subspace with the eigensystem of the small
-       Gram matrix ``R^T R`` (rank ``q <= k``), giving an orthonormal
-       augmentation ``Q`` with ``R = Q S``;
-    3. assemble the ``(p+q) x (p+q)`` projection of ``C`` onto the
-       augmented frame ``[E, Q]`` — since ``S S^T`` is diagonal by
-       construction this is two small products — and solve the small
-       symmetric eigenproblem;
-    4. rotate back, truncate to ``p``, and defensively re-orthonormalize.
+    1. project the weighted block on the current basis, ``Z = E^T Y_w``;
+    2. assemble the ``(p+k) x (p+k)`` Gram matrix ``G = A^T A`` from
+       ``γΛ`` (its leading block is diagonal because ``E^T E = I``),
+       ``sqrt(γΛ)·Z`` and ``Y_w^T Y_w``;
+    3. one symmetric eigensolve ``G = V W V^T``; the leading eigenvectors
+       of ``C`` are ``U = A V W^{-1/2} = E·sqrt(γΛ)·V_1 + Y_w V_2``;
+    4. truncate to ``p`` (relative rank cut) and defensively
+       re-orthonormalize.
 
     Per block this costs ``O(d·k·(p+k) + (p+k)^3)`` — the same flop
     order as ``k`` rank-one updates, but spent in a handful of large
     GEMMs instead of ``O(k)`` skinny operations, which is where the
-    measured speedup comes from (see ``benchmarks/bench_core_update.py``).
+    measured speedup comes from (see ``benchmarks/bench_core_update.py``
+    and ``docs/performance.md`` §2).
 
     Rows with zero weight are dropped before any algebra (rejected
     outliers are free, as in the rank-one path).
@@ -265,15 +265,17 @@ def rank_k_update(
         return basis.copy(), gamma * np.clip(eigenvalues, 0.0, None)
 
     lam = np.clip(eigenvalues, 0.0, None)
-    yw = np.ascontiguousarray(block.T * np.sqrt(weights))  # (d, k)
+    # Weighted block as (d, k) columns, written straight into a
+    # C-contiguous buffer (no transposed temporary).
+    yw = np.empty((block.shape[1], block.shape[0]))
+    np.multiply(block.T, np.sqrt(weights), out=yw)
     m = basis.shape[1]
     if m == 0 or gamma == 0.0:
         return eigensystem_of_factor(yw, p)
 
-    # Main path: one GIL-releasing kernel covering the weighted split,
-    # residual Gram compression, small-eigenproblem assembly/solve and
-    # the rotation back (compiled when numba is available — see
-    # repro.core.kernels).
+    # Main path: one GIL-releasing kernel covering the Gram assembly,
+    # the small eigensolve and the rotation back (compiled when numba
+    # is available — see repro.core.kernels).
     return _kernels.rank_k_core(
         np.ascontiguousarray(basis), lam, yw, float(gamma), int(p)
     )

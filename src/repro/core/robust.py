@@ -41,10 +41,16 @@ from .gaps import (
     GAP_RESIDUAL_MODES,
     GapFillResult,
     estimate_residual_norm2,
+    estimate_residual_norm2_block,
     fill_block_from_basis,
     fill_from_basis,
 )
-from .incremental import BlockUpdateResult, UpdateResult, _WarmupBuffer
+from .incremental import (
+    _MAX_BLOCK_ROWS,
+    BlockUpdateResult,
+    UpdateResult,
+    _WarmupBuffer,
+)
 from .lowrank import rank_k_update, rank_one_update
 from .rho import RhoFunction, make_rho
 
@@ -330,8 +336,6 @@ class RobustIncrementalPCA:
         fresh) keeps that approximation mild regardless of upstream
         batch size.
         """
-        from .incremental import _MAX_BLOCK_ROWS
-
         if self.alpha >= 1.0:
             return _MAX_BLOCK_ROWS
         window_cap = max(1, int(0.25 / (1.0 - self.alpha)))
@@ -560,14 +564,15 @@ class RobustIncrementalPCA:
             )
 
         p = self.n_components
-        basis_p = st.basis[:, :p]
+        # Contiguous once: a column slice of the (d, p+q) basis is not,
+        # and the kernels below all want it.
+        basis_p = np.ascontiguousarray(st.basis[:, :p])
         basis_extra = st.basis[:, p:]
 
-        # --- gap handling (vectorized; per-row solve only for gappy rows)
+        # --- gap handling (vectorized over the gappy rows) ---------------
         mask = np.isfinite(x)
         n_skipped = 0
-        n_filled_per_row = np.zeros(x.shape[0], dtype=np.int64)
-        gappy_rows = np.zeros(0, dtype=np.int64)
+        n_filled = 0
         kept_idx = np.arange(x.shape[0], dtype=np.int64)
         if not mask.all():
             if not self.handle_gaps:
@@ -584,20 +589,18 @@ class RobustIncrementalPCA:
                 kept_idx = kept_idx[keep]
                 if x.shape[0] == 0:
                     return BlockUpdateResult.empty(n_skipped=n_skipped)
-            fill = fill_block_from_basis(x, st.mean, basis_p)
+            fill = fill_block_from_basis(x, st.mean, basis_p, mask=mask)
             x = fill.filled
-            n_filled_per_row = fill.n_filled_per_row
+            n_filled = fill.n_filled
             gappy_rows = fill.gappy_rows
         k = x.shape[0]
 
         # --- residuals and robust weights (against the block-start state)
-        y_prev = x - st.mean
-        r2 = _kernels.residual_norm2_block(
-            np.ascontiguousarray(y_prev), np.ascontiguousarray(basis_p)
-        )
-        for i in gappy_rows:
-            r2[i] = estimate_residual_norm2(
-                y_prev[i], mask[i], basis_p, basis_extra,
+        y = x - st.mean
+        r2 = _kernels.residual_norm2_block(y, basis_p)
+        if n_filled:
+            r2[gappy_rows] = estimate_residual_norm2_block(
+                y[gappy_rows], mask[gappy_rows], basis_p, basis_extra,
                 self.gap_residual_mode,
             )
         scale_prev = st.scale if st.scale > 0 else 1.0
@@ -608,27 +611,28 @@ class RobustIncrementalPCA:
 
         # --- running sums, unrolled in closed form (eqs. 12-14) -----------
         a = self.alpha
-        j = np.arange(1, k + 1, dtype=np.float64)
         if a >= 1.0:
             pw = np.ones(k)
             decay_k = 1.0
         else:
-            pw = a ** (k - j)
+            pw = a ** np.arange(k - 1, -1, -1, dtype=np.float64)
             decay_k = float(a ** k)
+        pww = pw * w
         u_new = decay_k * st.sum_count + float(pw.sum())
-        v_new = decay_k * st.sum_weight + float(pw @ w)
-        q_new = decay_k * st.sum_weighted_r2 + float(pw @ (w * r2))
+        v_new = decay_k * st.sum_weight + float(pww.sum())
+        q_new = decay_k * st.sum_weighted_r2 + float(pww @ r2)
         gamma3 = decay_k * st.sum_count / u_new
 
         # --- location (block form of eq. 9) -------------------------------
         if v_new > 0.0:
-            st.mean = st.mean + ((pw * w) @ (x - st.mean)) / v_new
+            shift = (pww @ y) / v_new
+            st.mean = st.mean + shift
+            y -= shift          # re-centre on the new mean, in place
 
         # --- covariance (eq. 10, one rank-k eigensolve) --------------------
         if q_new > 0.0 and np.any(w * r2 > 0.0):
             gamma2 = decay_k * st.sum_weighted_r2 / q_new
-            coeff = pw * w * scale_prev / q_new
-            y = x - st.mean
+            coeff = pww * (scale_prev / q_new)
             k_tot = p + self.extra_components
             st.basis, st.eigenvalues = rank_k_update(
                 st.basis, st.eigenvalues, y, gamma2, coeff, k_tot
@@ -651,7 +655,7 @@ class RobustIncrementalPCA:
             is_outlier=is_outlier,
             n_processed=k,
             n_skipped=n_skipped,
-            n_filled=int(n_filled_per_row.sum()),
+            n_filled=n_filled,
             indices=kept_idx,
         )
 

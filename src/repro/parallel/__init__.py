@@ -11,7 +11,11 @@ from .partition import (
     partition_random,
     partition_round_robin,
 )
-from .pca_operator import StreamingPCAOperator
+from .pca_operator import (
+    DIAGNOSTICS_SCHEMA,
+    StreamingPCAOperator,
+    expand_diagnostics,
+)
 from .runner import ParallelRunResult, ParallelStreamingPCA
 from .sync import (
     BroadcastStrategy,
@@ -28,6 +32,7 @@ from .sync import (
 
 __all__ = [
     "BroadcastStrategy",
+    "DIAGNOSTICS_SCHEMA",
     "GroupStrategy",
     "MapReducePCAResult",
     "ParallelPCAApp",
@@ -43,6 +48,7 @@ __all__ = [
     "SyncStrategy",
     "build_parallel_pca_graph",
     "engine_restart_supervisor",
+    "expand_diagnostics",
     "make_strategy",
     "mapreduce_pca",
     "partition_contiguous",

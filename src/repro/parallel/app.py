@@ -55,8 +55,9 @@ class ParallelPCAApp:
         The ``n`` streaming-PCA operators, index-aligned with the
         controller's ports.
     diag_sink:
-        Collects per-observation diagnostics tuples (``None`` when
-        diagnostics are disabled).
+        Collects the engines' diagnostics tuples — per row, or one per
+        block when batching (``None`` when diagnostics are disabled);
+        read it with :func:`~repro.parallel.pca_operator.expand_diagnostics`.
     health_monitors:
         Per-engine model-health monitors (empty unless built with
         ``health=True``), index-aligned with ``engines``.

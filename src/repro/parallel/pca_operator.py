@@ -13,9 +13,12 @@ Port layout (mirroring Fig. 2):
   punctuation, so a silent controller never stalls shutdown).
 * output 0 — control channel to the sync controller (``ready`` /
   ``state`` / ``final`` messages).
-* output 1 — per-observation diagnostics (``seq``, ``weight``,
-  ``is_outlier``, ``r2``) plus periodic ``snapshot`` tuples carrying the
-  eigensystem for checkpoint sinks.
+* output 1 — diagnostics plus periodic ``snapshot`` tuples carrying the
+  eigensystem for checkpoint sinks.  A row tuple (field ``x``) yields one
+  per-observation tuple (``seq``, ``weight``, ``r2``, ``is_outlier``,
+  ``engine``); a block tuple (field ``xs``) yields **one**
+  :data:`DIAGNOSTICS_SCHEMA` tuple holding the same values as arrays.
+  :func:`expand_diagnostics` turns either form back into per-row dicts.
 
 The control protocol is deliberately tiny:
 
@@ -31,7 +34,7 @@ The control protocol is deliberately tiny:
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -39,9 +42,65 @@ from ..core.eigensystem import Eigensystem
 from ..core.merge import merge_eigensystems
 from ..core.robust import RobustIncrementalPCA
 from ..streams.operators import Operator
-from ..streams.tuples import StreamTuple, inherit_event_time
+from ..streams.tuples import (
+    FieldType,
+    StreamSchema,
+    StreamTuple,
+    inherit_event_time,
+    register_schema,
+)
 
-__all__ = ["StreamingPCAOperator"]
+__all__ = ["DIAGNOSTICS_SCHEMA", "StreamingPCAOperator", "expand_diagnostics"]
+
+#: Schema of the per-block diagnostics tuple: one entry per *processed*
+#: row of the block, in arrival order (``seqs`` int64, ``weights`` and
+#: ``r2s`` float64, ``outliers`` bool), plus the emitting engine's id.
+#: Rows buffered by warm-up or skipped as too gappy have no entry.
+DIAGNOSTICS_SCHEMA = register_schema(
+    "pca_block_diagnostics",
+    StreamSchema(
+        {
+            "seqs": FieldType.VECTOR,
+            "weights": FieldType.VECTOR,
+            "r2s": FieldType.VECTOR,
+            "outliers": FieldType.VECTOR,
+            "engine": FieldType.INT,
+        }
+    ),
+)
+
+
+def expand_diagnostics(tuples: Iterable[StreamTuple]) -> list[dict[str, Any]]:
+    """Per-row diagnostics dicts from a diagnostics sink's tuples.
+
+    Block tuples (:data:`DIAGNOSTICS_SCHEMA`) expand to one
+    ``{seq, weight, r2, is_outlier, engine}`` dict per row; per-row
+    tuples pass through as their payload; anything else on the stream
+    (snapshots) is dropped.  Order is the sink's arrival order.
+    """
+    rows: list[dict[str, Any]] = []
+    for tup in tuples:
+        payload = tup.payload
+        if "weights" in payload:
+            engine = int(payload["engine"])
+            rows.extend(
+                {
+                    "seq": seq,
+                    "weight": weight,
+                    "r2": r2,
+                    "is_outlier": outlier,
+                    "engine": engine,
+                }
+                for seq, weight, r2, outlier in zip(
+                    payload["seqs"].tolist(),
+                    payload["weights"].tolist(),
+                    payload["r2s"].tolist(),
+                    payload["outliers"].tolist(),
+                )
+            )
+        elif "weight" in payload:
+            rows.append(dict(payload))
+    return rows
 
 
 class StreamingPCAOperator(Operator):
@@ -60,8 +119,8 @@ class StreamingPCAOperator(Operator):
         Emit a ``snapshot`` diagnostics tuple with the current state every
         this many observations (0 disables).
     emit_diagnostics:
-        Emit the per-observation diagnostics tuples (disable for pure
-        throughput runs).
+        Emit diagnostics on output port 1 — one tuple per row tuple,
+        one :data:`DIAGNOSTICS_SCHEMA` tuple per block tuple.
     heartbeat_every:
         Send a lightweight ``heartbeat`` control message to the sync
         controller every this many data tuples (0 disables).  Heartbeats
@@ -233,9 +292,11 @@ class StreamingPCAOperator(Operator):
         """Consume one ``(k, d)`` block tuple from an upstream Batcher.
 
         The whole block goes through the estimator's vectorized
-        :meth:`update_block`; per-row diagnostics (when enabled) are
-        re-expanded afterwards using the result's row-index map, so the
-        diagnostics stream is identical to the unbatched one.
+        :meth:`update_block`, and its diagnostics (when enabled) leave as
+        one :data:`DIAGNOSTICS_SCHEMA` tuple — the result's row-index map
+        picks the processed rows' ``seqs`` — so the per-block cost is
+        independent of the row count; :func:`expand_diagnostics` recovers
+        the per-row stream of the unbatched path.
         """
         xs = np.asarray(tup["xs"], dtype=np.float64)
         n_before = self.estimator.n_seen
@@ -245,24 +306,24 @@ class StreamingPCAOperator(Operator):
         if self.emit_diagnostics and result.n_processed:
             seqs = tup.get("seqs")
             indices = result.indices
-            for j in range(result.n_processed):
-                if seqs is not None and indices is not None:
-                    seq = int(seqs[int(indices[j])])
-                else:
-                    seq = -1
-                self.submit(
-                    inherit_event_time(
-                        StreamTuple.data(
-                            seq=seq,
-                            weight=float(result.weights[j]),
-                            r2=float(result.residual_norm2[j]),
-                            is_outlier=bool(result.is_outlier[j]),
-                            engine=self.engine_id,
-                        ),
-                        tup,
+            if seqs is not None and indices is not None:
+                seqs = np.asarray(seqs, dtype=np.int64)[indices]
+            else:
+                seqs = np.full(result.n_processed, -1, dtype=np.int64)
+            self.submit(
+                inherit_event_time(
+                    StreamTuple.data(
+                        DIAGNOSTICS_SCHEMA,
+                        seqs=seqs,
+                        weights=result.weights,
+                        r2s=result.residual_norm2,
+                        outliers=result.is_outlier,
+                        engine=self.engine_id,
                     ),
-                    port=1,
-                )
+                    tup,
+                ),
+                port=1,
+            )
         monitor = self._health_monitor
         if monitor is not None:
             n_gaps = int(np.isnan(xs).any(axis=1).sum())

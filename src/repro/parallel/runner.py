@@ -21,6 +21,7 @@ from ..streams.fusion import FusionPlan
 from ..streams.procengine import ProcessEngine
 from ..streams.supervision import Supervisor
 from .app import ParallelPCAApp, build_parallel_pca_graph
+from .pca_operator import expand_diagnostics
 from .sync import SyncStats, SyncStrategy
 
 __all__ = ["ParallelRunResult", "ParallelStreamingPCA"]
@@ -316,11 +317,7 @@ class ParallelStreamingPCA:
         global_state = controller.global_state(self.n_components)
         diagnostics = []
         if app.diag_sink is not None:
-            diagnostics = [
-                dict(t.payload)
-                for t in app.diag_sink.tuples
-                if "weight" in t.payload
-            ]
+            diagnostics = expand_diagnostics(app.diag_sink.tuples)
         return ParallelRunResult(
             global_state=global_state,
             engine_states=dict(controller.final_states),

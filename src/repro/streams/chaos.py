@@ -591,12 +591,13 @@ def _fill_report(
     ref: np.ndarray,
     poisoned: set[int],
 ) -> None:
+    from ..parallel.pca_operator import expand_diagnostics
+
     seen: dict[int, int] = {}
     if app.diag_sink is not None:
-        for t in app.diag_sink.tuples:
-            if "weight" in t.payload and "seq" in t.payload:
-                seq = int(t["seq"])
-                seen[seq] = seen.get(seq, 0) + 1
+        for row in expand_diagnostics(app.diag_sink.tuples):
+            seq = int(row["seq"])
+            seen[seq] = seen.get(seq, 0) + 1
     report.n_observed = len(seen)
     report.n_duplicated = sum(n - 1 for n in seen.values() if n > 1)
     dlq = app.dlq

@@ -146,8 +146,9 @@ class _TransportSender:
     message each: they accumulate in a per-destination pending list that
     :meth:`flush` ships as one ``"tuples"`` batch per loop iteration.
     One queue put, one pickle header and one in-flight lock acquisition
-    then cover the whole batch — this is what keeps per-row diagnostics
-    fan-in from dominating the coordinator (see docs/performance.md §8).
+    then cover the whole batch — this is what keeps the per-row
+    diagnostics fan-in of an unbatched pipeline from dominating the
+    coordinator (see docs/performance.md §8).
     The coordinator's own sender keeps ``coalesce=False``: it is shared
     by several PE threads and per-message puts are already off the block
     hot path there.

@@ -50,3 +50,35 @@ def concurrent_engine():
         return cls(graph, mp_context="fork", **kw)
 
     return make
+
+
+@pytest.fixture
+def block_diag_case():
+    """The seeded 420-row stream and runner behind
+    ``tests/data/block_diagnostics_golden.json`` (three gross outliers,
+    sixty gappy rows, rows 150 and 300 too gappy to use).  Returns
+    ``(x, make_runner)`` with ``make_runner(runtime="synchronous", **kw)``.
+    Two engines, round-robin 64-row blocks, no syncs: every runtime
+    gives each engine the same rows in the same order."""
+    from repro.parallel import ParallelStreamingPCA
+
+    model = PlantedSubspaceModel(
+        dim=24, signal_variances=(16.0, 9.0, 4.0), noise_std=0.3, seed=11
+    )
+    rng = np.random.default_rng(12)
+    x = model.sample(420, rng)
+    x[[90, 205, 333]] += 50.0 * rng.standard_normal((3, 24))
+    for i in rng.choice(np.arange(70, 420), size=60, replace=False):
+        x[i, rng.random(24) < 0.3] = np.nan
+    x[150] = np.nan
+    x[300, 1:] = np.nan
+
+    def make_runner(runtime="synchronous", **kw):
+        return ParallelStreamingPCA(
+            3, n_engines=2, alpha=0.995, batch_size=64, runtime=runtime,
+            split_strategy="round_robin", sync_gate_factor=1e9,
+            estimator_kwargs={"extra_components": 2, "init_size": 20},
+            **kw,
+        )
+
+    return x, make_runner

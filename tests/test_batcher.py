@@ -230,6 +230,38 @@ class TestBatchedParallelPipeline:
         assert set(bad) <= seqs[16]
         assert seqs[0] == seqs[16]
 
+    @pytest.mark.parametrize("runtime", ["threaded", "process", "cluster"])
+    def test_block_diagnostics_cross_every_transport(
+        self, block_diag_case, runtime
+    ):
+        """The per-block diagnostics tuple over the in-process queue,
+        the worker queue and TCP: same rows, same flags, same values as
+        the synchronous reference."""
+        x, make_runner = block_diag_case
+        ref = make_runner().run(VectorStream.from_array(x))
+        kw = {} if runtime == "threaded" else {"mp_context": "fork"}
+        got = make_runner(runtime, timeout_s=120, **kw).run(
+            VectorStream.from_array(x)
+        )
+        assert len(got.diagnostics) == len(ref.diagnostics) == 378
+        np.testing.assert_array_equal(
+            got.outlier_seqs(), ref.outlier_seqs()
+        )
+        assert set(ref.outlier_seqs().tolist()) == {90, 205, 333}
+
+        def per_engine(result, engine):
+            return [
+                (d["seq"], d["is_outlier"], d["weight"], d["r2"])
+                for d in result.diagnostics if d["engine"] == engine
+            ]
+
+        for engine in (0, 1):
+            a, b = per_engine(got, engine), per_engine(ref, engine)
+            assert [r[:2] for r in a] == [r[:2] for r in b]
+            np.testing.assert_allclose(
+                [r[2:] for r in a], [r[2:] for r in b], rtol=1e-9
+            )
+
     def test_batcher_counters_exposed_on_app(self):
         model = PlantedSubspaceModel(dim=20, seed=1)
         x = model.sample(300, np.random.default_rng(2))

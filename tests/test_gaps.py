@@ -9,6 +9,8 @@ from repro.core.gaps import (
     GapFiller,
     corrected_residual_norm2,
     estimate_residual_norm2,
+    estimate_residual_norm2_block,
+    fill_block_from_basis,
     fill_from_basis,
     has_gaps,
     observed_mask,
@@ -180,6 +182,91 @@ class TestResidualEstimation:
         bp, be, y, mask = self._setup(rng)
         with pytest.raises(ValueError, match="shape"):
             estimate_residual_norm2(y[:10], mask, bp, be, "observed")
+
+
+def _gappy_block(rng, n=40, d=30):
+    """Seeded block with random masks plus the edge rows: fully
+    observed (0), one observed bin (1), nothing observed (2)."""
+    x = rng.standard_normal((n, d))
+    mask = rng.random((n, d)) < rng.uniform(0.3, 0.95, (n, 1))
+    mask[0] = True
+    mask[1] = False
+    mask[1, 7] = True
+    mask[2] = False
+    x[~mask] = np.nan
+    return x, mask
+
+
+class TestBlockFormsMatchPerRow:
+    """The block gap fill / block residual against their scalar
+    references, row by row, at 1e-10."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fill_block_matches_fill_from_basis(self, subspace, seed):
+        mean, basis = subspace
+        x, mask = _gappy_block(np.random.default_rng(seed))
+        x_before = x.copy()
+        block = fill_block_from_basis(x, mean, basis)
+        np.testing.assert_array_equal(x, x_before)  # input untouched
+        np.testing.assert_array_equal(block.mask, mask)
+        np.testing.assert_array_equal(
+            block.gappy_rows, np.nonzero(~mask.all(axis=1))[0]
+        )
+        for i in range(x.shape[0]):
+            row = fill_from_basis(x[i], mean, basis)
+            np.testing.assert_allclose(
+                block.filled[i], row.filled, rtol=0, atol=1e-10
+            )
+            assert block.n_filled_per_row[i] == row.n_filled
+        np.testing.assert_array_equal(block.filled[0], x[0])
+        np.testing.assert_allclose(block.filled[2], mean)
+
+    def test_fill_block_accepts_a_precomputed_mask(self, subspace, rng):
+        mean, basis = subspace
+        x, mask = _gappy_block(rng)
+        a = fill_block_from_basis(x, mean, basis)
+        b = fill_block_from_basis(x, mean, basis, mask=mask)
+        np.testing.assert_array_equal(a.filled, b.filled)
+        assert b.mask is mask
+
+    def test_fill_block_empty_basis_is_mean_fill(self, rng):
+        x, mask = _gappy_block(rng)
+        mean = rng.standard_normal(30)
+        block = fill_block_from_basis(x, mean, np.zeros((30, 0)))
+        np.testing.assert_array_equal(
+            block.filled, np.where(mask, x, mean)
+        )
+
+    @pytest.mark.parametrize("mode", GAP_RESIDUAL_MODES)
+    @pytest.mark.parametrize("n_extra", [0, 2])
+    def test_block_residual_matches_scalar(self, rng, mode, n_extra):
+        basis, _ = np.linalg.qr(rng.standard_normal((30, 3 + n_extra)))
+        basis_p, basis_extra = basis[:, :3], basis[:, 3:]
+        x, mask = _gappy_block(rng)
+        y = fill_block_from_basis(x, np.zeros(30), basis_p).filled
+        got = estimate_residual_norm2_block(
+            y, mask, basis_p, basis_extra, mode
+        )
+        want = [
+            estimate_residual_norm2(
+                y[i], mask[i], basis_p, basis_extra, mode
+            )
+            for i in range(y.shape[0])
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+        assert got[2] == 0.0  # nothing observed carries no residual
+
+    def test_block_residual_validation(self, rng):
+        bp = np.linalg.qr(rng.standard_normal((30, 3)))[0]
+        y = rng.standard_normal((4, 30))
+        with pytest.raises(ValueError, match="unknown gap residual mode"):
+            estimate_residual_norm2_block(
+                y, np.ones((4, 30), bool), bp, bp[:, :0], "magic"
+            )
+        with pytest.raises(ValueError, match="matching"):
+            estimate_residual_norm2_block(
+                y, np.ones((3, 30), bool), bp, bp[:, :0]
+            )
 
 
 class TestIterativeGapFill:

@@ -93,8 +93,8 @@ class TestInterpretedSourceParity:
         )
 
     def test_rank_k_core_src_vs_np_low_rank_block(self):
-        # A block inside the current subspace exercises the q_rank == 0
-        # branch of both faces.
+        # A block inside the current subspace: the Gram has rank m, the
+        # trailing k eigenvalues fall to the relative rank cut.
         rng = np.random.default_rng(4)
         d, m, p = 80, 4, 4
         basis, lam = _random_state(rng, d, m)
@@ -124,19 +124,31 @@ class TestInterpretedSourceParity:
         # Complete rows untouched.
         np.testing.assert_array_equal(block.filled[0], x[0])
 
-    def test_fill_gappy_rows_src_vs_np(self):
-        rng = np.random.default_rng(8)
-        d, n, m = 30, 10, 3
-        basis, _ = _random_state(rng, d, m)
-        mean = rng.standard_normal(d)
+    @staticmethod
+    def _edge_block(rng, d=30, n=10):
+        """Random gaps plus: a listed fully-observed row (2), one
+        observed bin (5), nothing observed (8)."""
         x = rng.standard_normal((n, d))
         x[0, :5] = np.nan
         x[3, ::2] = np.nan
+        x[5, :] = np.nan
+        x[5, 11] = 0.7
         x[8, :] = np.nan
-        mask = np.ascontiguousarray(np.isfinite(x))
-        rows = np.array([0, 3, 8], dtype=np.int64)
-        filled_np = np.where(mask, x, 0.0)
-        filled_src = filled_np.copy()
+        mask = np.isfinite(x)
+        rows = np.array([0, 2, 3, 5, 8], dtype=np.int64)
+        return x, mask, rows
+
+    def test_fill_gappy_rows_src_vs_np(self):
+        for m in (3, 0):           # with a basis, and with none
+            self._check_fill_src_vs_np(m)
+
+    def _check_fill_src_vs_np(self, m):
+        rng = np.random.default_rng(8)
+        basis, _ = _random_state(rng, 30, m)
+        mean = rng.standard_normal(30)
+        x, mask, rows = self._edge_block(rng)
+        filled_np = x.copy()          # NaNs go straight to the kernel
+        filled_src = x.copy()
         n_np = kernels._fill_gappy_rows_np(
             filled_np, mask, mean, basis, 1e-8, rows
         )
@@ -144,9 +156,35 @@ class TestInterpretedSourceParity:
             filled_src, mask, mean, basis, 1e-8, rows
         )
         np.testing.assert_array_equal(n_np, n_src)
+        np.testing.assert_array_equal(n_np, [5, 0, 15, 29, 30])
         np.testing.assert_allclose(
-            filled_np, filled_src, rtol=1e-10, atol=1e-12
+            filled_np, filled_src, rtol=0, atol=1e-10
         )
+        # Unlisted rows are not touched, listed ones are complete.
+        np.testing.assert_array_equal(filled_np[[1, 4]], x[[1, 4]])
+        assert np.isfinite(filled_np[rows]).all()
+        np.testing.assert_allclose(filled_np[8], mean)
+        for i in rows:
+            want = fill_from_basis(x[i], mean, basis).filled
+            np.testing.assert_allclose(
+                filled_np[i], want, rtol=0, atol=1e-10
+            )
+
+    def test_fill_gappy_rows_np_slabs(self, monkeypatch):
+        # A slab budget below one row's (k, d) still walks every row.
+        rng = np.random.default_rng(9)
+        basis, _ = _random_state(rng, 30, 3)
+        mean = rng.standard_normal(30)
+        x, mask, rows = self._edge_block(rng)
+        whole = x.copy()
+        kernels._fill_gappy_rows_np(whole, mask, mean, basis, 1e-8, rows)
+        monkeypatch.setattr(kernels, "_FILL_SLAB_ELEMS", 2 * 30 * 3)
+        slabbed = x.copy()
+        counts = kernels._fill_gappy_rows_np(
+            slabbed, mask, mean, basis, 1e-8, rows
+        )
+        np.testing.assert_array_equal(counts, [5, 0, 15, 29, 30])
+        np.testing.assert_allclose(slabbed, whole, rtol=0, atol=1e-12)
 
     def test_fill_gappy_rows_empty_basis(self):
         rng = np.random.default_rng(6)

@@ -10,6 +10,7 @@ from repro.core.lowrank import (
     build_merge_factor,
     build_update_factor,
     eigensystem_of_factor,
+    rank_k_update,
     rank_one_update,
 )
 
@@ -159,3 +160,105 @@ class TestBuildMergeFactor:
         b2, _ = np.linalg.qr(rng.standard_normal((9, 2)))
         with pytest.raises(ValueError, match="dimension mismatch"):
             build_merge_factor(b1, np.ones(2), b2, np.ones(2), 0.5, 0.5)
+
+
+def _two_eigh_rank_k(basis, lam, yw, gamma, p, tol=1e-12):
+    """The rank-k update as it was before the Gram-of-factor form:
+    residual split, eigh of the k x k residual Gram, orthonormal
+    augmentation, eigh of the (m+q) x (m+q) projection.  Kept here as
+    the reference the one-eigh kernel is held to."""
+    m = basis.shape[1]
+    z = basis.T @ yw
+    r = yw - basis @ z
+    w_asc, v_asc = np.linalg.eigh(r.T @ r)
+    w, v = np.maximum(w_asc[::-1], 0.0), v_asc[:, ::-1]
+    ref = max(w[0], gamma * lam[0])
+    q_rank = int(np.count_nonzero(w > ref * tol)) if ref > 0.0 else 0
+    small = z @ z.T + np.diag(gamma * lam)
+    aug = basis
+    if q_rank:
+        sq = np.sqrt(w[:q_rank])
+        vq = v[:, :q_rank]
+        zs = (z @ vq) * sq
+        small = np.block([[small, zs], [zs.T, np.diag(w[:q_rank])]])
+        aug = np.concatenate((basis, (r @ vq) / sq), axis=1)
+    ew_asc, ev_asc = np.linalg.eigh(small)
+    ew, ev = np.maximum(ew_asc[::-1], 0.0), ev_asc[:, ::-1]
+    keep = int(np.count_nonzero(ew > ew[0] * tol)) if ew[0] > 0 else 0
+    k_out = min(p, keep)
+    q_mat, _ = np.linalg.qr(aug @ ev[:, :k_out])
+    return q_mat, ew[:k_out]
+
+
+class TestRankKUpdateVsTwoEigh:
+    """One-eigh Gram-of-factor rank-k == the two-eigh QR-augmentation."""
+
+    D, M = 90, 5
+
+    def _state(self, rng, m=None):
+        m = self.M if m is None else m
+        basis, _ = np.linalg.qr(rng.standard_normal((self.D, m)))
+        lam = np.sort(rng.uniform(0.5, 5.0, m))[::-1].copy()
+        return basis, lam
+
+    def _check(self, basis, lam, block, weights, gamma, p):
+        got_e, got_lam = rank_k_update(basis, lam, block, gamma, weights, p)
+        live = weights > 0.0
+        yw = block[live].T * np.sqrt(weights[live])
+        ref_e, ref_lam = _two_eigh_rank_k(basis, lam, yw, gamma, p)
+        assert got_e.shape == ref_e.shape
+        np.testing.assert_allclose(got_lam, ref_lam, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(
+            got_e @ got_e.T, ref_e @ ref_e.T, rtol=0, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            got_e.T @ got_e, np.eye(got_e.shape[1]), atol=1e-12
+        )
+
+    def test_full_rank_block(self, rng):
+        basis, lam = self._state(rng)
+        block = rng.standard_normal((24, self.D))
+        self._check(basis, lam, block, rng.uniform(0.1, 1.0, 24), 0.97, 5)
+
+    def test_block_inside_the_current_subspace(self, rng):
+        # The old code's q_rank == 0 branch: no residual direction at all.
+        basis, lam = self._state(rng)
+        block = rng.standard_normal((12, self.M)) @ basis.T
+        self._check(basis, lam, block, np.ones(12), 0.99, 5)
+
+    def test_rank_deficient_block(self, rng):
+        basis, lam = self._state(rng)
+        block = rng.standard_normal((20, 2)) @ rng.standard_normal(
+            (2, self.D)
+        )
+        # p = 7 = m + rank(block): the whole updated range is returned
+        # (distinct eigenvalues, so the truncation is well-posed).
+        self._check(basis, lam, block, rng.uniform(0.1, 1.0, 20), 0.9, 7)
+
+    def test_zero_weight_rows_are_dropped(self, rng):
+        basis, lam = self._state(rng)
+        block = rng.standard_normal((16, self.D))
+        weights = rng.uniform(0.1, 1.0, 16)
+        weights[[0, 5, 15]] = 0.0
+        block[5] = 1e6  # a rejected outlier must not touch the result
+        self._check(basis, lam, block, weights, 0.95, 5)
+
+    def test_single_row_block(self, rng):
+        basis, lam = self._state(rng)
+        block = rng.standard_normal((1, self.D))
+        self._check(basis, lam, block, np.array([0.4]), 0.98, 5)
+
+    def test_single_component_single_row(self, rng):
+        basis, lam = self._state(rng, m=1)
+        block = rng.standard_normal((1, self.D))
+        self._check(basis, lam, block, np.array([0.4]), 0.98, 1)
+
+    def test_matches_dense_eigendecomposition(self, rng):
+        basis, lam = self._state(rng)
+        block = rng.standard_normal((24, self.D))
+        weights = rng.uniform(0.1, 1.0, 24)
+        e, got = rank_k_update(basis, lam, block, 0.97, weights, 5)
+        dense = 0.97 * (basis * lam) @ basis.T + (block.T * weights) @ block
+        e_ref, lam_ref = _dense_top_eig(dense, 5)
+        np.testing.assert_allclose(got, lam_ref, rtol=1e-10)
+        np.testing.assert_allclose(e @ e.T, e_ref @ e_ref.T, atol=1e-9)

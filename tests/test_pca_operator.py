@@ -1,11 +1,20 @@
 """Tests for the StreamingPCAOperator control protocol."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.core import RobustIncrementalPCA, largest_principal_angle
 from repro.data import PlantedSubspaceModel
-from repro.parallel.pca_operator import StreamingPCAOperator
+from repro.data import VectorStream
+from repro.parallel.pca_operator import (
+    DIAGNOSTICS_SCHEMA,
+    StreamingPCAOperator,
+    expand_diagnostics,
+)
+from repro.streams import BLOCK_SCHEMA, SynchronousEngine
 from repro.streams.tuples import StreamTuple
 
 
@@ -52,6 +61,103 @@ class TestDataPath:
                  if port == 1 and t.get("kind") == "snapshot"]
         assert len(snaps) == 4  # init at 20, snapshots at 25/50/75/100
         assert snaps[0]["state"].n_components == 3
+
+
+class TestBlockDiagnostics:
+    """A block tuple leaves as ONE diagnostics tuple; the per-row view
+    is recovered by ``expand_diagnostics``."""
+
+    def _block(self, model, rng, n, start):
+        xs = model.sample(n, rng)
+        seqs = np.arange(start, start + n, dtype=np.int64)
+        return StreamTuple.data(BLOCK_SCHEMA, xs=xs, seqs=seqs, count=n)
+
+    def test_one_schema_tuple_per_block(self, model, rng):
+        op, out = _make_op()
+        _feed(op, model, rng, 20)                       # warm-up, per row
+        tup = self._block(model, rng, 64, start=1000)
+        tup.payload["xs"][5] = np.nan                   # skipped row
+        tup.payload["xs"][9] += 80.0                    # gross outlier
+        op._dispatch(tup, 0)
+        diags = [t for t, port in out if port == 1]
+        assert len(diags) == 1
+        d = diags[0]
+        assert d.schema is DIAGNOSTICS_SCHEMA
+        assert d["engine"] == 0
+        want_seqs = np.delete(np.arange(1000, 1064), 5)
+        np.testing.assert_array_equal(d["seqs"], want_seqs)
+        assert d["seqs"].dtype == np.int64
+        assert d["outliers"].dtype == bool
+        for key in ("weights", "r2s", "outliers"):
+            assert d[key].shape == (63,)
+        assert d["outliers"][8] and d["weights"][8] == 0.0
+
+        rows = expand_diagnostics(diags)
+        assert [r["seq"] for r in rows] == want_seqs.tolist()
+        assert list(rows[0]) == ["seq", "weight", "r2", "is_outlier", "engine"]
+        assert [type(v) for v in rows[0].values()] == [
+            int, float, float, bool, int
+        ]
+        assert [r["seq"] for r in rows if r["is_outlier"]] == [1009]
+
+    def test_block_without_seqs_reports_minus_one(self, model, rng):
+        op, out = _make_op()
+        _feed(op, model, rng, 20)
+        op._dispatch(StreamTuple.data(xs=model.sample(8, rng)), 0)
+        (d,) = [t for t, port in out if port == 1]
+        np.testing.assert_array_equal(d["seqs"], np.full(8, -1))
+
+    def test_warmup_only_block_emits_nothing(self, model, rng):
+        op, out = _make_op()
+        op._dispatch(self._block(model, rng, 10, start=0), 0)
+        assert [t for t, port in out if port == 1] == []
+
+    def test_expand_mixes_row_and_block_forms(self, model, rng):
+        op, out = _make_op(snapshot_every=25)
+        _feed(op, model, rng, 30)                       # 10 per-row tuples
+        op._dispatch(self._block(model, rng, 16, start=30), 0)
+        port1 = [t for t, port in out if port == 1]
+        assert any(t.get("kind") == "snapshot" for t in port1)
+        rows = expand_diagnostics(port1)
+        assert [r["seq"] for r in rows] == list(range(20, 46))
+        assert all(set(r) == set(rows[0]) for r in rows)
+
+    def test_run_result_matches_parent_commit_golden(self, block_diag_case):
+        """``ParallelRunResult.diagnostics`` at batch_size=64 is the
+        list the per-row emission produced before the block tuple
+        existed (values captured at that commit)."""
+        x, make_runner = block_diag_case
+        golden = json.loads(
+            (
+                pathlib.Path(__file__).parent
+                / "data" / "block_diagnostics_golden.json"
+            ).read_text()
+        )
+        got = make_runner().run(VectorStream.from_array(x)).diagnostics
+        assert all(
+            list(r) == ["seq", "weight", "r2", "is_outlier", "engine"]
+            for r in got
+        )
+        for key in ("seq", "engine", "is_outlier"):
+            assert [r[key] for r in got] == golden[key]
+        for key in ("weight", "r2"):
+            np.testing.assert_allclose(
+                [r[key] for r in got], golden[key], rtol=1e-7, atol=1e-9
+            )
+        seqs = {r["seq"] for r in got}
+        assert len(got) == 420 - 2 * 20 - 2
+        assert not {150, 300} & seqs                    # skipped rows
+
+    def test_sink_holds_one_tuple_per_block(self, block_diag_case):
+        x, make_runner = block_diag_case
+        app = make_runner().build(VectorStream.from_array(x))
+        stats = SynchronousEngine(app.graph).run()
+        n_blocks = stats.tuples_in[app.split.name]
+        assert n_blocks == 7
+        assert len(app.diag_sink.tuples) == n_blocks
+        assert all(
+            t.schema is DIAGNOSTICS_SCHEMA for t in app.diag_sink.tuples
+        )
 
 
 class TestSyncProtocol:

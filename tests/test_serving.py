@@ -1058,14 +1058,22 @@ class TestServingEndToEnd:
             st.model.lock.acquire()
             try:
                 # Up to and including the threshold acks are immediate:
-                # the lane takes one block and stalls on the lock, the
-                # next three leave 48 > 32 rows queued.
+                # the lane takes one block and stalls on the lock (wait
+                # until it holds it — a lane that had not popped yet
+                # would coalesce the first two blocks), the next three
+                # leave 48 > 32 rows queued.
                 t0 = time.perf_counter()
-                for _ in range(4):
+                assert writer.ingest("a", block).code == 202
+                acked += 16
+                assert _wait(
+                    lambda: st.queue.rows_popped == acked
+                    and st.queue.depth_rows == 0
+                )
+                for _ in range(3):
                     assert writer.ingest("a", block).code == 202
                     acked += 16
                 assert time.perf_counter() - t0 < 5.0
-                assert _wait(lambda: st.queue.depth_rows == 48)
+                assert st.queue.depth_rows == 48
                 assert st.ack_holds == 0
 
                 held: list = []
