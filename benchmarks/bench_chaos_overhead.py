@@ -12,17 +12,20 @@ The guards ride the source's emit loop
 (``repro.streams.sources.GuardedVectorSource``), so the hooked graph
 has the *same topology* — same operators, PE threads, and queue hops —
 as the plain one; what is being priced is pure guard work (validation
-~0.5 µs/row, token bucket ~0.4 µs/row, heartbeat control tuples),
-~2-3 % of wall time at d=512.  That meets the ≤ 5 % budget with
-room to spare; the committed ``BENCH_chaos_overhead.json`` baseline
-records it.  When the guards were separate graph stages each cost a
+~0.5 µs/row, token bucket ~0.75 µs/row, heartbeat control tuples).
+Both sides are block-native (the guards judge each row as it is pulled
+into the block buffer), so the fault-free run costs ~22 µs/row at d=512
+and the guards' ~1.5 µs are ~6 % of it synchronous, ~1 % threaded —
+they were 2-3 % of the 52 µs/row the per-row feed cost; the committed
+``BENCH_chaos_overhead.json`` baseline records it.  When the guards
+were separate graph stages each cost a
 dispatch hop per tuple and the threaded runtime paid ~8-10 % even
 under chain fusion — that architectural regression is what the CI
 floor (``check_regression.py --min-speedup chaos_hooks_*:0.90
---min-cpus 1``) exists to catch.  The floor sits below the 0.95 the
-budget implies because single measurements on shared runners swing
-±10 %; the interleaved-pair total-time ratio averages that down, and a
-reintroduced per-tuple stage (~0.85) still trips it.
+--min-cpus 1``) exists to catch.  Single measurements on shared
+runners swing ±10 %; the interleaved-pair total-time ratio averages
+that down, and a reintroduced per-tuple stage (~0.85) still trips the
+floor.
 
 Run directly (``python benchmarks/bench_chaos_overhead.py [--quick]``)
 to produce ``BENCH_chaos_overhead.json``.

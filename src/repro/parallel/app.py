@@ -176,12 +176,15 @@ def build_parallel_pca_graph(
     snapshot_every:
         Periodic eigensystem snapshots on the diagnostics stream.
     batch_size:
-        When > 1, insert a :class:`~repro.streams.batcher.Batcher`
-        between the source and the split so the engines consume
-        ``(k, d)`` blocks through the vectorized block kernel.  The
-        block becomes the routing unit of the load balancer — each
-        block lands on one engine (see docs/performance.md for the
-        trade-off).  0 or 1 keeps the seed per-tuple path.
+        When > 1, the block is the unit from the ingest boundary on:
+        the source emits ``(batch_size, d)`` block tuples and the
+        engines consume them through the vectorized block kernel.  A
+        :class:`~repro.streams.batcher.Batcher` (``app.batcher``) sits
+        between the source and the split as the re-grouper; full blocks
+        pass through it uncopied.  The block becomes the routing unit
+        of the load balancer — each block lands on one engine (see
+        docs/performance.md for the trade-off).  0 or 1 keeps the
+        paper-faithful per-tuple graph.
     batch_timeout_s:
         Optional timeout flush for the batcher (lazily checked; see
         :class:`~repro.streams.batcher.Batcher`).
@@ -191,8 +194,8 @@ def build_parallel_pca_graph(
         tuples (wrong dimensionality, non-numeric, all-NaN) are
         captured into the dead-letter queue (``dlq`` or a fresh one of
         ``dead_letter_capacity``) instead of crashing an engine.
-        Validation runs *before* batching so a poison row can never
-        contaminate a block.
+        Every row is judged *before* it enters a block, so a poison
+        row can never contaminate one.
     shed_max_rate_hz / shed_open_for_s:
         When set, arms the source's load-shedding valve
         (:class:`~repro.streams.resilience.LoadShedValve` semantics, as
@@ -229,6 +232,7 @@ def build_parallel_pca_graph(
             GuardedVectorSource(
                 "source",
                 stream,
+                batch_size=batch_size,
                 quarantine=quarantine or dlq is not None,
                 dlq=dlq
                 if dlq is not None
@@ -242,7 +246,9 @@ def build_parallel_pca_graph(
             )
         )
     else:
-        source = graph.add(VectorSource("source", stream))
+        source = graph.add(
+            VectorSource("source", stream, batch_size=batch_size)
+        )
     split = graph.add(
         Split("split", n_engines, strategy=split_strategy, seed=split_seed)
     )

@@ -1,12 +1,15 @@
-"""Micro-batching operators — amortize per-tuple overhead on the hot path.
+"""Micro-batching — the block is the unit of the hot path.
 
 The engine's per-tuple dispatch costs a few microseconds of Python per
-hop, which dominates once the numerical kernel is vectorized.  The
-:class:`Batcher` coalesces consecutive observation tuples into one
-``(k, d)`` block tuple so every downstream hop — queue transfer, dispatch,
-and above all the PCA update itself — runs once per *block* instead of
-once per row.  :class:`Unbatcher` restores a per-row stream for consumers
-that need one.
+hop, which dominates once the numerical kernel is vectorized, so every
+hop — queue transfer, dispatch, and above all the PCA update itself —
+runs once per ``(k, d)`` *block* instead of once per row.  Pull sources
+built with a ``batch_size`` emit such blocks themselves; the
+:class:`Batcher` is the operator face of the same
+:class:`BlockAssembler` for everything else: it coalesces per-row
+tuples (live sources, whose rows may wait on a socket) and re-groups
+blocks of any other size.  :class:`Unbatcher` restores a per-row stream
+for consumers that need one.
 
 Flush policy (all punctuation- and control-aware):
 
@@ -45,10 +48,11 @@ from .tuples import (
 
 __all__ = ["BLOCK_SCHEMA", "Batcher", "Unbatcher", "FLUSH_REASONS"]
 
-#: Schema of the block tuples a :class:`Batcher` emits: the ``(k, d)``
-#: observation block, the per-row source sequence numbers, and the row
-#: count.  Registered for wire round-tripping: block tuples are the
-#: shared-memory hot path of the multi-process runtime.
+#: Schema of block tuples: the ``(k, d)`` observation block, the rows'
+#: source sequence numbers (int64 arrival indices; they skip rows an
+#: ingress guard dropped) and the row count.  Registered for wire
+#: round-tripping: block tuples are the shared-memory hot path of the
+#: multi-process runtime.
 BLOCK_SCHEMA = register_schema(
     "block",
     StreamSchema(
@@ -64,8 +68,78 @@ BLOCK_SCHEMA = register_schema(
 FLUSH_REASONS = ("size", "timeout", "punctuation", "control")
 
 
+class BlockAssembler:
+    """The one ``(k, d)`` row buffer behind every block tuple.
+
+    A preallocated ``(batch_size, d)`` array filled in place (allocated
+    once the first row reveals ``d``), the rows' sequence numbers and
+    the oldest of their event times.  Its two callers are the pull
+    sources' emit loop (:mod:`repro.streams.sources`) and
+    :meth:`Batcher.process`.
+    """
+
+    def __init__(self, batch_size: int, owner: str) -> None:
+        self.batch_size = batch_size
+        self.count = 0
+        self._owner = owner
+        self._rows: np.ndarray | None = None
+        self._seqs = np.empty(batch_size, dtype=np.int64)
+        #: Low watermark of the buffered rows: downstream latency and
+        #: watermark accounting sees the *oldest* contributing row.
+        self._min_ts: float | None = None
+
+    def _fit(self, shape: tuple, event_ts: float | None) -> np.ndarray:
+        """The buffer, once rows of ``shape`` are known to fit it and
+        ``event_ts`` is folded into the watermark."""
+        rows = self._rows
+        if len(shape) != 1:
+            raise ValueError(
+                f"{self._owner}: expected a vector, got shape {shape}"
+            )
+        if rows is None:
+            rows = self._rows = np.empty((self.batch_size, shape[0]))
+        elif shape[0] != rows.shape[1]:
+            raise ValueError(
+                f"{self._owner}: row dim changed from {rows.shape[1]} "
+                f"to {shape[0]}"
+            )
+        if event_ts is not None and (
+            self._min_ts is None or event_ts < self._min_ts
+        ):
+            self._min_ts = event_ts
+        return rows
+
+    def add(self, x, seq: int, event_ts: float | None = None) -> bool:
+        """Append one row; ``True`` when the buffer is full."""
+        x = np.asarray(x, dtype=np.float64)
+        i = self.count
+        self._fit(x.shape, event_ts)[i] = x
+        self._seqs[i] = seq
+        self.count = i + 1
+        return self.count >= self.batch_size
+
+    def extend(self, xs, seqs, event_ts: float | None = None) -> int:
+        """Append the leading rows of ``xs`` that fit; returns how many."""
+        i = self.count
+        n = min(len(xs), self.batch_size - i)
+        self._fit(xs.shape[1:], event_ts)[i:i + n] = xs[:n]
+        self._seqs[i:i + n] = seqs[:n]
+        self.count = i + n
+        return n
+
+    def take(self) -> StreamTuple:
+        """The buffered rows as one block tuple; empties the buffer."""
+        k, min_ts = self.count, self._min_ts
+        self.count, self._min_ts = 0, None
+        return StreamTuple(
+            {"xs": self._rows[:k].copy(), "seqs": self._seqs[:k].copy(),
+             "count": k},
+            schema=BLOCK_SCHEMA, event_ts=min_ts,
+        )
+
+
 class Batcher(Operator):
-    """Coalesce observation tuples into ``(k, d)`` block tuples.
+    """Re-group observation tuples and blocks into ``(k, d)`` block tuples.
 
     Parameters
     ----------
@@ -87,11 +161,14 @@ class Batcher(Operator):
 
     Notes
     -----
-    The row buffer is a preallocated ``(batch_size, d)`` array filled in
-    place (allocated lazily once the first row reveals ``d``); each flush
-    copies out only the filled prefix.  Tuples without the ``field`` key
-    (and all control tuples) flush the buffer and are forwarded
-    unchanged, so heterogeneous streams keep their relative order.
+    Rows and blocks share one :class:`BlockAssembler`.  A
+    :data:`BLOCK_SCHEMA` tuple of exactly ``batch_size`` rows arriving
+    on an empty buffer — what a block-emitting source sends — is
+    forwarded as is, without a copy; any other block is slice-copied
+    into the buffer and leaves re-grouped.  Tuples with neither the
+    ``field`` nor a block (and all control tuples) flush the buffer and
+    are forwarded unchanged, so heterogeneous streams keep their
+    relative order.
     """
 
     def __init__(
@@ -114,23 +191,16 @@ class Batcher(Operator):
         self.field = field
         self.seq_field = seq_field
         self._clock = clock
-        self._rows: np.ndarray | None = None
-        self._seqs = np.empty(self.batch_size, dtype=np.int64)
-        self._count = 0
-        self._oldest_at: float | None = None
-        #: Low watermark of the buffered rows: the minimum ``event_ts``
-        #: among them, carried onto the flushed block so downstream
-        #: latency/watermark accounting sees the *oldest* contributing
-        #: observation (separate from ``_oldest_at``, which is monotonic
-        #: arrival time for the timeout policy).
-        self._min_event_ts: float | None = None
+        self._asm = BlockAssembler(self.batch_size, f"Batcher {name!r}")
+        #: Monotonic arrival time of the oldest buffered row (the
+        #: timeout policy's clock; event time is the assembler's).
+        self._oldest_at = 0.0
         #: rows buffered in, blocks flushed out
         self.rows_in = 0
         self.batches_out = 0
         #: flush counts by reason — exported as
         #: ``repro_batch_flush_total{reason=...}``.
         self.flush_counts: dict[str, int] = {r: 0 for r in FLUSH_REASONS}
-        self._size_sum = 0
 
     # -- statistics -----------------------------------------------------
 
@@ -138,71 +208,61 @@ class Batcher(Operator):
         """Mean rows per emitted block (0.0 before the first flush)."""
         if self.batches_out == 0:
             return 0.0
-        return self._size_sum / self.batches_out
+        return (self.rows_in - self._asm.count) / self.batches_out
 
     # -- operator lifecycle ----------------------------------------------
 
     def process(self, tup: StreamTuple, port: int) -> None:
-        if tup.is_control or self.field not in tup.payload:
+        payload = tup.payload
+        is_block = "xs" in payload
+        if tup.is_control or not (is_block or self.field in payload):
             # Flush-then-forward keeps control/sync ordering intact.
             self._flush("control")
             self.submit(tup)
             return
+        asm = self._asm
         now = self._clock()
         if (
             self.timeout_s is not None
-            and self._count > 0
-            and self._oldest_at is not None
+            and asm.count > 0
             and now - self._oldest_at >= self.timeout_s
         ):
             self._flush("timeout")
-        x = np.asarray(tup[self.field], dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError(
-                f"Batcher {self.name!r} expected a vector in field "
-                f"{self.field!r}, got shape {x.shape}"
-            )
-        if self._rows is None:
-            self._rows = np.empty((self.batch_size, x.shape[0]))
-        elif x.shape[0] != self._rows.shape[1]:
-            raise ValueError(
-                f"Batcher {self.name!r}: row dim changed from "
-                f"{self._rows.shape[1]} to {x.shape[0]}"
-            )
-        if self._count == 0:
+        if asm.count == 0:
             self._oldest_at = now
-        self._rows[self._count] = x
-        self._seqs[self._count] = int(tup.get(self.seq_field, -1))
-        if tup.event_ts is not None and (
-            self._min_event_ts is None or tup.event_ts < self._min_event_ts
-        ):
-            self._min_event_ts = tup.event_ts
-        self._count += 1
-        self.rows_in += 1
-        if self._count >= self.batch_size:
-            self._flush("size")
+        if not is_block:
+            self.rows_in += 1
+            if asm.add(
+                tup[self.field], int(tup.get(self.seq_field, -1)),
+                tup.event_ts,
+            ):
+                self._flush("size")
+            return
+        n = int(payload["count"])
+        self.rows_in += n
+        if asm.count == 0 and n == self.batch_size:
+            self._emit_block(tup, "size")
+            return
+        lo = 0
+        while lo < n:
+            lo += asm.extend(
+                payload["xs"][lo:n], payload["seqs"][lo:n], tup.event_ts
+            )
+            if asm.count >= self.batch_size:
+                self._flush("size")
+                self._oldest_at = now
 
     def on_punctuation(self, port: int) -> None:
         self._flush("punctuation")
 
     def _flush(self, reason: str) -> None:
-        if self._count == 0:
-            return
-        k = self._count
-        assert self._rows is not None
-        block = self._rows[:k].copy()
-        seqs = self._seqs[:k].copy()
-        min_ts = self._min_event_ts
-        self._count = 0
-        self._oldest_at = None
-        self._min_event_ts = None
+        if self._asm.count:
+            self._emit_block(self._asm.take(), reason)
+
+    def _emit_block(self, block: StreamTuple, reason: str) -> None:
         self.batches_out += 1
-        self._size_sum += k
         self.flush_counts[reason] += 1
-        out = StreamTuple.data(BLOCK_SCHEMA, xs=block, seqs=seqs, count=k)
-        if min_ts is not None:
-            object.__setattr__(out, "event_ts", min_ts)
-        self.submit(out)
+        self.submit(block)
 
 
 class Unbatcher(Operator):

@@ -167,6 +167,9 @@ class ChaosScenario:
     supervise: bool = True
     checkpoint_every: int = 50
     sync_gate_factor: float = 1.5
+    #: Rows per block (``build_parallel_pca_graph(batch_size=)``); the
+    #: loss accounting counts rows either way.
+    batch_size: int = 0
     #: Wall-clock ceiling for the run.  Generous: worker-restart
     #: scenarios on a loaded single-CPU CI box have been observed to
     #: need well over 120 s while still recovering correctly.
@@ -220,7 +223,7 @@ class ChaosReport:
 
     ``n_lost`` is the number of input observations that are entirely
     unaccounted for: not processed by any engine (``n_processed`` sums
-    the engines' own data-tuple counters; ``n_observed`` counts unique
+    the engines' own data-row counters; ``n_observed`` counts unique
     sequence numbers on the diagnostics stream, which excludes
     estimator warm-up), not quarantined, not shed — the true
     (undesirable) loss.  ``affinity`` is
@@ -486,6 +489,7 @@ def run_scenario(
         split_seed=scenario.seed,
         sync_gate_factor=scenario.sync_gate_factor,
         collect_diagnostics=True,
+        batch_size=scenario.batch_size,
         quarantine=scenario.quarantine,
         stale_after=scenario.stale_after,
         quorum=scenario.quorum,
@@ -604,7 +608,7 @@ def _fill_report(
     report.n_quarantined = dlq.total if dlq is not None else 0
     report.n_shed = app.n_shed
     report.n_processed = sum(
-        int(getattr(op, "n_data_tuples", 0)) for op in app.engines
+        int(getattr(op, "n_data_rows", 0)) for op in app.engines
     )
     report.n_lost = max(
         0,

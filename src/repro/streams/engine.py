@@ -65,6 +65,7 @@ from typing import Any, Callable, Iterable
 from .fusion import FusionPlan, ProcessingElement
 from .graph import Graph
 from .operators import Operator, Sink, Source
+from .profiling import enable_profiling, note_child_time
 from .split import Split
 from .supervision import EngineAborted, StallDetected, Supervisor, Watchdog
 from .telemetry import (
@@ -206,8 +207,6 @@ class SynchronousEngine:
         graph.validate()
         self.graph = graph
         if profile:
-            from .profiling import enable_profiling
-
             enable_profiling(graph.operators)
         self.supervisor = supervisor
         self.telemetry = telemetry
@@ -292,6 +291,34 @@ class SynchronousEngine:
         if self.telemetry is not None:
             self.telemetry.run_finished(stats)
         return stats
+
+
+class _RowQueue(queue.Queue):
+    """An inbox whose depth and bound count rows: a block tuple weighs
+    its ``count``, any other tuple 1.  A put is admitted whenever the
+    depth is below the bound, so a block larger than the whole bound
+    passes (alone) instead of wedging, and the depth overshoots the
+    bound by less than one block."""
+
+    def _init(self, maxsize: int) -> None:
+        super()._init(maxsize)
+        self._rows = 0
+
+    def _qsize(self) -> int:
+        return self._rows
+
+    def _put(self, item) -> None:
+        super()._put(item)
+        self._rows += self._weight(item[2].payload)
+
+    def _get(self):
+        item = super()._get()
+        self._rows -= self._weight(item[2].payload)
+        return item
+
+    @staticmethod
+    def _weight(payload) -> int:
+        return max(int(payload["count"]), 1) if "xs" in payload else 1
 
 
 class _PERunner(threading.Thread):
@@ -512,8 +539,12 @@ class ThreadedEngine:
     fusion:
         PE assignment; default :meth:`FusionPlan.per_operator`.
     queue_size:
-        Bound of each inter-PE queue (backpressure); control loops stay
-        well below it by construction.
+        Bound of each inter-PE queue (backpressure) in **rows** — a
+        block tuple counts its rows, any other tuple one — so what an
+        inbox can hold does not grow with the batch size; the
+        ``least_loaded`` probe, the backpressure sampler and the stall
+        report read the same unit.  Control loops stay well below it
+        by construction.
     supervisor:
         Optional :class:`~repro.streams.supervision.Supervisor` applying
         per-operator failure policies (retry / skip / checkpoint-restart)
@@ -574,9 +605,8 @@ class ThreadedEngine:
     ) -> None:
         graph.validate()
         self.graph = graph
+        self._profile = profile
         if profile:
-            from .profiling import enable_profiling
-
             enable_profiling(graph.operators)
         self.fusion = fusion or FusionPlan.per_operator(graph)
         self.fusion.validate(graph)
@@ -699,6 +729,7 @@ class ThreadedEngine:
             self._tracer.note_enqueued(item[2], self._pe_of_id[pe_id])
         with self._inflight_lock:
             self._inflight += 1
+        started = time.perf_counter() if self._profile else 0.0
         while True:
             try:
                 inbox.put(item, timeout=0.05)
@@ -708,6 +739,10 @@ class ThreadedEngine:
                         self._inflight -= 1
                     raise EngineAborted from None
                 continue
+            if self._profile:
+                # Waiting on a full inbox is backpressure, not the
+                # emitting operator's work.
+                note_child_time(time.perf_counter() - started)
             if self._watchdog is not None:
                 self._watchdog.poke()
             return
@@ -722,7 +757,7 @@ class ThreadedEngine:
     def _wire(self) -> None:
         tracer = self._tracer
         for pe in self._main_pes:
-            self._inboxes[pe.pe_id] = queue.Queue(maxsize=self.queue_size)
+            self._inboxes[pe.pe_id] = _RowQueue(maxsize=self.queue_size)
             self._pe_of_id[pe.pe_id] = pe.label()
             for op in pe.operators:
                 self._pe_of[id(op)] = pe

@@ -619,7 +619,8 @@ class ProcessEngine(ThreadedEngine):
         and sinks are always pinned).  PEs containing only unpinned
         non-source/sink operators become worker processes.
     queue_size:
-        Bound of each cross-process command queue (backpressure).
+        Bound of each cross-process command queue (backpressure), in
+        messages, and of each coordinator-side inbox, in rows.
     ring_slots / ring_slot_rows:
         Shared-memory ring geometry per transport edge: ``ring_slots``
         blocks of up to ``ring_slot_rows`` rows each.  Keep

@@ -24,7 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .operators import Operator
     from .tuples import StreamTuple
 
-__all__ = ["profiled_dispatch", "enable_profiling", "supervision_report"]
+__all__ = ["profiled_dispatch", "note_child_time", "enable_profiling",
+           "supervision_report"]
 
 _tls = threading.local()
 
@@ -57,6 +58,15 @@ def profiled_dispatch(
             hist.observe(exclusive)
         if stack:
             stack[-1] += elapsed
+
+
+def note_child_time(seconds: float) -> None:
+    """Bill ``seconds`` of the dispatch now running on this thread as
+    child time, not its own (the engine reports waits on a full
+    downstream inbox); a no-op outside a profiled dispatch."""
+    stack = getattr(_tls, "stack", None)
+    if stack:
+        stack[-1] += seconds
 
 
 def enable_profiling(operators) -> None:

@@ -43,6 +43,7 @@ __all__ = [
     "LoadShedValve",
     "QuarantineOperator",
     "default_validator",
+    "row_poison_reason",
 ]
 
 
@@ -133,34 +134,41 @@ class DeadLetterQueue:
                 self._total += int(n)
 
 
+def row_poison_reason(
+    x: np.ndarray, expected_dim: int | None = None
+) -> str | None:
+    """Reason a float64 observation row is poison, or ``None``.
+
+    The observation contract the PCA engines rely on: a non-empty
+    vector of the expected dimensionality, not entirely NaN.  NaN
+    *cells* are legitimate — they are the paper's gaps — but an all-NaN
+    observation carries no information and a wrong-dimension one would
+    raise deep inside the estimator.
+    """
+    if x.ndim != 1 or x.size == 0:
+        return f"'x' has shape {x.shape}"
+    if expected_dim is not None and x.size != expected_dim:
+        return f"dim {x.size} != expected {expected_dim}"
+    # The all-NaN scan is O(d); short-circuit it on the first cell, which
+    # is finite for every healthy row and for almost every gappy one.
+    if x[0] != x[0] and bool(np.all(np.isnan(x))):
+        return "all cells NaN"
+    return None
+
+
 def default_validator(
     tup: StreamTuple, expected_dim: int | None = None
 ) -> str | None:
     """Reason a data tuple is poison, or ``None`` when it is healthy.
 
-    Checks the observation contract the PCA engines rely on: an ``x``
-    vector (or ``xs`` block) of floats, finite dimensionality, not
-    entirely NaN.  NaN *cells* are legitimate — they are the paper's
-    gaps — but an all-NaN observation carries no information and a
-    wrong-dimension or non-numeric one would raise deep inside the
-    estimator.
+    An ``x`` field is judged by :func:`row_poison_reason` once it is
+    known to be numeric; an ``xs`` block must be a non-empty numeric
+    matrix of the expected width.
     """
     payload = tup.payload
     x = payload.get("x")
-    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64:
-        # Hot path: a well-formed observation vector.  The all-NaN scan
-        # is O(d); short-circuit it on the first cell, which is finite
-        # for every healthy row and for almost every gappy one.
-        n = x.shape[0]
-        if n == 0:
-            return "'x' has shape (0,)"
-        if expected_dim is not None and n != expected_dim:
-            return f"dim {n} != expected {expected_dim}"
-        if x[0] == x[0]:  # not NaN: cannot be all-NaN
-            return None
-        if not bool(np.all(np.isnan(x))):
-            return None
-        return "all cells NaN"
+    if type(x) is np.ndarray and x.dtype == np.float64:
+        return row_poison_reason(x, expected_dim)
     if "xs" in payload:
         try:
             xs = np.asarray(payload["xs"], dtype=np.float64)
@@ -179,13 +187,7 @@ def default_validator(
         x = np.asarray(payload["x"], dtype=np.float64)
     except (TypeError, ValueError):
         return "'x' is not numeric"
-    if x.ndim != 1 or x.size == 0:
-        return f"'x' has shape {getattr(x, 'shape', None)}"
-    if expected_dim is not None and x.size != expected_dim:
-        return f"dim {x.size} != expected {expected_dim}"
-    if bool(np.all(np.isnan(x))):
-        return "all cells NaN"
-    return None
+    return row_poison_reason(x, expected_dim)
 
 
 class QuarantineOperator(Operator):

@@ -15,25 +15,26 @@ sockets.  We mirror the useful subset for an offline reproduction:
   "side service" / custom-operator escape hatch).
 
 All sources emit data tuples with fields ``x`` (the vector) and ``seq``
-(the arrival index), the schema the PCA application expects.
+(the arrival index), the schema the PCA application expects.  The pull
+sources (all but :class:`CallbackSource`, whose next row may wait on a
+socket) take a ``batch_size``: above 1 they emit one
+:data:`~repro.streams.batcher.BLOCK_SCHEMA` tuple per ``batch_size``
+rows, paying validation, event-time stamp and queue hop per block.
 """
 
 from __future__ import annotations
 
 import pathlib
 import time
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ..data.streams import VectorStream
 from ..io.csvio import read_vectors_csv
+from .batcher import BlockAssembler
 from .operators import Source
-from .resilience import (
-    DeadLetterQueue,
-    LoadShedValve,
-    default_validator,
-)
+from .resilience import DeadLetterQueue, LoadShedValve, row_poison_reason
 from .tuples import FieldType, StreamSchema, StreamTuple, register_schema
 
 __all__ = [
@@ -59,21 +60,46 @@ def _observation(x: np.ndarray, seq: int) -> StreamTuple:
     )
 
 
-class VectorSource(Source):
-    """Emit observation tuples from a :class:`VectorStream`."""
+def _emit(
+    rows: Iterable[tuple[int, np.ndarray]], batch_size: int, owner: str
+) -> Iterator[StreamTuple]:
+    """Tuples for ``(arrival index, row)`` pairs: one observation each,
+    or — ``batch_size > 1`` — one block per ``batch_size`` rows (the
+    last one short)."""
+    if batch_size <= 1:
+        for seq, x in rows:
+            yield _observation(x, seq)
+        return
+    asm = BlockAssembler(batch_size, owner)
+    for seq, x in rows:
+        if asm.add(x, seq):
+            yield asm.take()
+    if asm.count:
+        yield asm.take()
 
-    def __init__(self, name: str, stream: VectorStream) -> None:
+
+class VectorSource(Source):
+    """Emit the rows of a :class:`VectorStream`: one observation tuple
+    each, or ``(batch_size, d)`` blocks when ``batch_size > 1``."""
+
+    def __init__(
+        self, name: str, stream: VectorStream, *, batch_size: int = 0
+    ) -> None:
         super().__init__(name)
         self._stream = stream
+        self.batch_size = int(batch_size)
 
     @property
     def dim(self) -> int:
         """Vector dimensionality of the stream."""
         return self._stream.dim
 
+    def _rows(self) -> Iterable[tuple[int, np.ndarray]]:
+        """``(arrival index, row)`` of every row to emit."""
+        return enumerate(self._stream)
+
     def generate(self) -> Iterator[StreamTuple]:
-        for seq, x in enumerate(self._stream):
-            yield _observation(x, seq)
+        return _emit(self._rows(), self.batch_size, self.name)
 
 
 class GuardedVectorSource(VectorSource):
@@ -87,7 +113,13 @@ class GuardedVectorSource(VectorSource):
     ~8-10 % of fault-free wall time at d=512 — while the guard work
     itself is under a microsecond per row, so fusing it into the source
     makes readiness-for-chaos essentially free on every runtime
-    (``benchmarks/bench_chaos_overhead.py`` gates this at ≥ 0.95).
+    (``benchmarks/bench_chaos_overhead.py`` gates this at ≥ 0.90).
+
+    The guards judge *rows*, whatever the emission unit: each row is
+    validated and then spends one valve token as it is pulled, and each
+    poison row gets its own dead-letter record.  With ``batch_size > 1``
+    a dropped row never enters the block buffer; survivors keep filling
+    it, so blocks stay full and their ``seqs`` skip the dropped indices.
 
     Counters mirror the operator forms — ``n_quarantined`` when
     quarantine is armed, ``n_shed`` / ``n_trips`` / ``state`` when the
@@ -96,7 +128,8 @@ class GuardedVectorSource(VectorSource):
 
     Parameters mirror :class:`~repro.streams.resilience.QuarantineOperator`
     and :class:`~repro.streams.resilience.CircuitBreaker`; ``quarantine``
-    and ``max_rate_hz`` arm the two guards independently.
+    and ``max_rate_hz`` arm the two guards independently (``validator``
+    defaults to :func:`~repro.streams.resilience.row_poison_reason`).
     """
 
     def __init__(
@@ -104,6 +137,7 @@ class GuardedVectorSource(VectorSource):
         name: str,
         stream: VectorStream,
         *,
+        batch_size: int = 0,
         quarantine: bool = True,
         dlq: DeadLetterQueue | None = None,
         expected_dim: int | None = None,
@@ -114,9 +148,9 @@ class GuardedVectorSource(VectorSource):
         open_for_s: float = 0.5,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        super().__init__(name, stream)
+        super().__init__(name, stream, batch_size=batch_size)
         self.expected_dim = expected_dim
-        self.validator = validator or default_validator
+        self.validator = validator
         self.dlq: DeadLetterQueue | None = None
         self._n_quarantined = 0
         if quarantine or dlq is not None:
@@ -163,29 +197,27 @@ class GuardedVectorSource(VectorSource):
             raise AttributeError("no shed valve armed")
         return self._valve.state
 
-    def generate(self) -> Iterator[StreamTuple]:
+    def _rows(self) -> Iterator[tuple[int, np.ndarray]]:
         dlq = self.dlq
         validator = self.validator
         dim = self.expected_dim
-        valve = self._valve
-        for tup in super().generate():
-            if tup.is_control:
-                yield tup
-                continue
+        admit = self._valve.admit_n if self._valve is not None else None
+        for seq, x in super()._rows():
+            x = np.asarray(x, dtype=np.float64)
             if dlq is not None:
-                reason = validator(tup, dim)
+                if validator is None:
+                    reason = row_poison_reason(x, dim)
+                else:
+                    reason = validator(_observation(x, seq), dim)
                 if reason is not None:
                     self._n_quarantined += 1
                     dlq.quarantine(
-                        self.name,
-                        reason,
-                        payload=dict(tup.payload),
-                        seq=tup.get("seq"),
+                        self.name, reason, {"x": x, "seq": seq}, seq
                     )
                     continue
-            if valve is not None and not valve.admit():
+            if admit is not None and not admit():
                 continue
-            yield tup
+            yield seq, x
 
 
 class CSVFileSource(Source):
@@ -196,9 +228,11 @@ class CSVFileSource(Source):
     """
 
     def __init__(
-        self, name: str, paths: str | pathlib.Path | list
+        self, name: str, paths: str | pathlib.Path | list, *,
+        batch_size: int = 0,
     ) -> None:
         super().__init__(name)
+        self.batch_size = int(batch_size)
         if isinstance(paths, (str, pathlib.Path)):
             paths = [paths]
         self.paths = [pathlib.Path(p) for p in paths]
@@ -207,25 +241,24 @@ class CSVFileSource(Source):
                 raise FileNotFoundError(p)
 
     def generate(self) -> Iterator[StreamTuple]:
-        seq = 0
-        for path in self.paths:
-            for x in read_vectors_csv(path):
-                yield _observation(x, seq)
-                seq += 1
+        rows = (x for path in self.paths for x in read_vectors_csv(path))
+        return _emit(enumerate(rows), self.batch_size, self.name)
 
 
 class DirectorySource(CSVFileSource):
     """Emit observations from every ``*.csv`` in a directory (sorted) —
     the "folder of such files can feed the data" mode."""
 
-    def __init__(self, name: str, directory: str | pathlib.Path) -> None:
+    def __init__(
+        self, name: str, directory: str | pathlib.Path, *, batch_size: int = 0
+    ) -> None:
         directory = pathlib.Path(directory)
         if not directory.is_dir():
             raise NotADirectoryError(directory)
         files = sorted(directory.glob("*.csv"))
         if not files:
             raise FileNotFoundError(f"no *.csv files in {directory}")
-        super().__init__(name, files)
+        super().__init__(name, files, batch_size=batch_size)
 
 
 class CallbackSource(Source):

@@ -118,6 +118,65 @@ class TestBatcher:
         with pytest.raises(ValueError, match="dim changed"):
             b._dispatch(StreamTuple.data(x=np.zeros(5), seq=1), 0)
 
+    def _block(self, start, n, d=4, ts=None):
+        rows = np.arange(start, start + n, dtype=float)
+        tup = StreamTuple.data(
+            BLOCK_SCHEMA, xs=np.repeat(rows[:, None], d, axis=1),
+            seqs=np.arange(start, start + n), count=n,
+        )
+        if ts is not None:
+            object.__setattr__(tup, "event_ts", ts)
+        return tup
+
+    def test_full_block_on_empty_buffer_is_forwarded_uncopied(self):
+        b = Batcher("b", batch_size=8)
+        out = wire(b)
+        full = self._block(0, 8)
+        b._dispatch(full, 0)
+        assert out == [(full, 0)]
+        assert (b.rows_in, b.batches_out) == (8, 1)
+        assert b.flush_counts["size"] == 1
+        assert b.achieved_batch_size() == 8.0
+
+    def test_misaligned_blocks_rows_and_control_regroup_in_order(self):
+        """Blocks of 10, 64, 7 and 100 rows, a control tuple and three
+        single rows through a 64-row Batcher: full blocks in arrival
+        order, nothing reordered across the control tuple, every seq
+        and the oldest event time of each block preserved."""
+        b = Batcher("b", batch_size=64)
+        out = wire(b)
+        ctl = StreamTuple.control(type="sync")
+        b._dispatch(self._block(0, 10, ts=50.0), 0)
+        b._dispatch(self._block(10, 64, ts=40.0), 0)    # 54 + 10 carried
+        b._dispatch(self._block(74, 7, ts=60.0), 0)     # buffer: 17
+        b._dispatch(ctl, 0)                             # flushes the 17
+        feed_rows(b, 3, start_seq=81)
+        b._dispatch(self._block(84, 100, ts=70.0), 0)   # 61 + 39
+        b._dispatch(StreamTuple.punctuation(), 0)
+        blocks = [t for t, _ in out if t.is_data]
+        assert [t["count"] for t in blocks] == [64, 17, 64, 39]
+        assert out.index((ctl, 0)) == 2
+        assert out[-1][0].is_punctuation
+        seqs = np.concatenate([t["seqs"] for t in blocks])
+        assert seqs.dtype == np.int64 and list(seqs) == list(range(184))
+        np.testing.assert_array_equal(
+            np.concatenate([t["xs"] for t in blocks])[:, 0], np.arange(184.0)
+        )
+        assert [t.event_ts for t in blocks] == [40.0, 40.0, 70.0, 70.0]
+        assert all(t.schema is BLOCK_SCHEMA for t in blocks)
+        assert b.rows_in == 184 and b.batches_out == 4
+        assert b.flush_counts == {
+            "size": 2, "timeout": 0, "punctuation": 1, "control": 1,
+        }
+        assert b.achieved_batch_size() == pytest.approx(46.0)
+
+    def test_block_dimension_change_raises(self):
+        b = Batcher("b", batch_size=8)
+        wire(b)
+        b._dispatch(self._block(0, 3, d=4), 0)
+        with pytest.raises(ValueError, match="dim changed"):
+            b._dispatch(self._block(3, 3, d=5), 0)
+
     def test_block_schema_validates(self):
         BLOCK_SCHEMA.validate(
             {"xs": np.zeros((2, 3)), "seqs": np.zeros(2), "count": 2}

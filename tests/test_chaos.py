@@ -1,5 +1,7 @@
 """Chaos harness: scenarios, fault injection, reports, acceptance."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.streams.chaos import (
@@ -127,9 +129,7 @@ class TestKillEngine:
 class TestPoison:
     """Acceptance: poison tuples land in the DLQ, nothing crashes."""
 
-    @pytest.mark.parametrize("runtime", ["synchronous", "threaded"])
-    def test_output_is_input_minus_quarantined(self, runtime):
-        scenario = poison_scenario(runtime, n_poison=12)
+    def _check(self, scenario):
         report = run_scenario(scenario)
         assert report.ok, report.error
         assert report.n_quarantined == 12
@@ -140,6 +140,34 @@ class TestPoison:
             e for e in report.events if e.get("kind") == "dlq"
         ]
         assert len(dlq_events) == 12
+
+    @pytest.mark.parametrize("runtime", ["synchronous", "threaded"])
+    def test_output_is_input_minus_quarantined(self, runtime):
+        self._check(poison_scenario(runtime, n_poison=12))
+
+    @pytest.mark.parametrize("runtime", ["synchronous", "threaded"])
+    def test_batched_output_is_input_minus_quarantined(self, runtime):
+        """Rows, not tuples, are what the books balance: with
+        ``batch_size=64`` the engines' 25 block tuples carry the same
+        1588 rows."""
+        self._check(replace(
+            poison_scenario(runtime, n_poison=12), batch_size=64
+        ))
+
+    def test_block_guard_dead_letters_equal_the_per_row_run(self):
+        def dead_letters(batch_size):
+            report = run_scenario(replace(
+                poison_scenario("synchronous", n_poison=12),
+                batch_size=batch_size,
+            ))
+            return [
+                (e["seq"], e["reason"], e["op"])
+                for e in report.events if e.get("kind") == "dlq"
+            ]
+
+        batched = dead_letters(64)
+        assert batched == dead_letters(0)
+        assert len(batched) == 12
 
 
 class TestBackgroundFaults:

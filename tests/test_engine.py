@@ -141,6 +141,35 @@ class TestThreadedEngine:
         ThreadedEngine(g, queue_size=1).run(timeout_s=30)
         assert len(sink.got) == 30
 
+    def test_profiler_does_not_bill_backpressure_as_work(self):
+        """An operator blocked on its consumer's full inbox is waiting,
+        not processing: the wait is the consumer's exclusive time."""
+        n, nap = 40, 0.005
+        g = Graph("bp-profile")
+        src = g.add(
+            VectorSource("src", VectorStream.from_array(np.zeros((n, 2))))
+        )
+        up = g.add(Functor("up", lambda t: t))
+
+        def slow(t):
+            time.sleep(nap)
+            return t
+
+        down = g.add(Functor("down", slow))
+        sink = g.add(CollectingSink("sink"))
+        g.connect(src, up)
+        g.connect(up, down)
+        g.connect(down, sink)
+        stats = ThreadedEngine(g, queue_size=1, profile=True).run(
+            timeout_s=30
+        )
+        assert len(sink.tuples) == n
+        busy = stats.processing_time_s
+        assert busy["down"] >= n * nap
+        # ``up`` spent about as long as ``down`` slept inside its own
+        # ``submit`` (queue_size=1); none of that is processing.
+        assert busy["up"] < 0.25 * n * nap
+
     def test_least_loaded_probe_installed(self):
         x = np.zeros((50, 2))
         g, sink = _fan_graph(x, split_strategy="least_loaded")
