@@ -3,7 +3,9 @@
 Section III-C: "the intermediate calculation results are periodically
 saved to the disk for future reference."  Checkpoints are ``.npz``
 archives (compact, lossless float64) named by the observation count, so a
-directory of them *is* the convergence history of a run.
+directory of them *is* the convergence history of a run.  The serving
+layer's durable tenant checkpoints are the same store, keyed by snapshot
+version (:mod:`repro.serving.durability`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import os
 import pathlib
 import re
+import time
 from typing import Any
 
 import numpy as np
@@ -26,7 +29,10 @@ __all__ = [
     "CheckpointStore",
 ]
 
-_CKPT_RE = re.compile(r"^eigensystem-(\d+)\.npz$")
+#: ``ckpt-<version>.npz`` is what the serving layer's tenant stores wrote
+#: before they were folded into :class:`CheckpointStore`; still read, so
+#: a data directory from that layout recovers.
+_CKPT_RE = re.compile(r"^(?:eigensystem|ckpt)-(\d+)\.npz$")
 
 
 def fsync_directory(directory: str | pathlib.Path) -> None:
@@ -132,7 +138,12 @@ def load_eigensystem_extras(
 
 
 class CheckpointStore:
-    """A directory of periodic eigensystem snapshots.
+    """A directory of eigensystem snapshots, ordered by an integer key.
+
+    The key is the observation count by default (a run's periodic
+    snapshots, :meth:`maybe_save`) or whatever the caller counts by —
+    the serving layer keys a tenant's checkpoints by snapshot version
+    and stores its accounting in ``extras``.
 
     Parameters
     ----------
@@ -176,9 +187,6 @@ class CheckpointStore:
         snaps = self.list()
         self._last_saved_at = snaps[-1][0] if snaps else -1
 
-    def _path_for(self, n_seen: int) -> pathlib.Path:
-        return self.directory / f"eigensystem-{n_seen:012d}.npz"
-
     def maybe_save(self, state: Eigensystem) -> bool:
         """Snapshot if a full period elapsed since the last one."""
         if state.n_seen // self.every <= self._last_saved_at // self.every:
@@ -187,18 +195,23 @@ class CheckpointStore:
         self.save(state)
         return True
 
-    def save(self, state: Eigensystem) -> pathlib.Path:
-        """Snapshot unconditionally."""
-        path = self._path_for(state.n_seen)
-        save_eigensystem(path, state, fsync=self.fsync)
-        self._last_saved_at = state.n_seen
-        self._prune()
+    def save(
+        self,
+        state: Eigensystem,
+        *,
+        key: int | None = None,
+        extras: dict[str, Any] | None = None,
+    ) -> pathlib.Path:
+        """Snapshot unconditionally, under ``key`` (default: the
+        observation count), with an optional JSON-able ``extras`` dict
+        that :meth:`load_latest` can hand back."""
+        key = state.n_seen if key is None else int(key)
+        path = self.directory / f"eigensystem-{key:012d}.npz"
+        save_eigensystem(path, state, extras=extras, fsync=self.fsync)
+        self._last_saved_at = key
+        if self.keep is not None:
+            self.gc(self.keep)
         return path
-
-    def _prune(self) -> None:
-        if self.keep is None:
-            return
-        self.gc(self.keep)
 
     def gc(self, keep_last: int) -> int:
         """Delete all but the newest ``keep_last`` snapshots.
@@ -211,7 +224,7 @@ class CheckpointStore:
             raise ValueError(f"keep_last must be >= 1, got {keep_last}")
         snaps = self.list()
         removed = 0
-        for _n_seen, path in snaps[: max(len(snaps) - keep_last, 0)]:
+        for _key, path in snaps[: max(len(snaps) - keep_last, 0)]:
             try:
                 path.unlink()
                 removed += 1
@@ -222,7 +235,7 @@ class CheckpointStore:
         return removed
 
     def list(self) -> list[tuple[int, pathlib.Path]]:
-        """All snapshots as ``(n_seen, path)``, ascending."""
+        """All snapshots as ``(key, path)``, ascending."""
         out = []
         for path in self.directory.iterdir():
             m = _CKPT_RE.match(path.name)
@@ -230,19 +243,30 @@ class CheckpointStore:
                 out.append((int(m.group(1)), path))
         return sorted(out)
 
-    def load_latest(self) -> Eigensystem | None:
-        """The most recent *readable* snapshot (``None`` if none).
+    def load_latest(self, *, with_extras: bool = False):
+        """The most recent *readable* snapshot (``None`` if none) — the
+        eigensystem, or ``(eigensystem, extras)`` when ``with_extras``.
 
         Snapshots written by current code are atomic, but a store may
         hold a truncated archive from an older writer or a torn copy;
         fall back to the next-newest rather than fail the restart.
         """
+        load = load_eigensystem_extras if with_extras else load_eigensystem
         for _, path in reversed(self.list()):
             try:
-                return load_eigensystem(path)
+                return load(path)
             except (OSError, EOFError, ValueError, KeyError):
                 continue
         return None
+
+    def age_s(self) -> float | None:
+        """Seconds since the newest snapshot was written (``None``
+        without one), from its mtime — so it survives a restart."""
+        snaps = self.list()
+        try:
+            return max(0.0, time.time() - snaps[-1][1].stat().st_mtime)
+        except (IndexError, OSError):
+            return None
 
     def load_history(self) -> list[tuple[int, Eigensystem]]:
         """Every snapshot — the convergence history."""

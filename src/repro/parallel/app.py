@@ -88,33 +88,6 @@ class ParallelPCAApp:
             rules=rules if rules is not None else default_rules(),
         )
 
-    def attach_snapshot_cache(
-        self, cache, tenant: str = "parallel", *, outlier_t: float = 9.0
-    ) -> None:
-        """Publish every engine's snapshot into a serving eigenbasis cache.
-
-        Wires a snapshot listener onto each
-        :class:`~repro.parallel.pca_operator.StreamingPCAOperator`
-        (requires ``snapshot_every > 0`` at build time): the per-engine
-        states land in ``cache`` under ``"<tenant>/e<engine_id>"``, so a
-        serving deployment can answer reads for an in-flight parallel
-        run from versioned copy-on-publish snapshots instead of touching
-        live operator state.
-        """
-        def _make_listener(op):
-            def _on_snapshot(engine_id: int, state) -> None:
-                cache.publish(
-                    f"{tenant}/e{engine_id}",
-                    state,
-                    rows_applied=op.n_data_rows,
-                    blocks_applied=op.n_data_tuples,
-                    outlier_t=outlier_t,
-                )
-            return _on_snapshot
-
-        for op in self.engines:
-            op.add_snapshot_listener(_make_listener(op))
-
     @property
     def dlq(self) -> DeadLetterQueue | None:
         """The dead-letter queue (``None`` without a quarantine guard)."""
@@ -198,10 +171,9 @@ def build_parallel_pca_graph(
         row can never contaminate one.
     shed_max_rate_hz / shed_open_for_s:
         When set, arms the source's load-shedding valve
-        (:class:`~repro.streams.resilience.LoadShedValve` semantics, as
-        in :class:`~repro.streams.resilience.CircuitBreaker`):
-        sustained input above the rate is shed instead of growing
-        queues without bound.
+        (a :class:`~repro.streams.resilience.LoadShedValve`): sustained
+        input above the rate is shed instead of growing queues without
+        bound.
     stale_after / quorum:
         Controller membership: evict peers silent for ``stale_after``
         controller messages and let :meth:`SyncController.global_state`

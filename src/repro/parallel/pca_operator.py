@@ -34,7 +34,7 @@ The control protocol is deliberately tiny:
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -177,18 +177,12 @@ class StreamingPCAOperator(Operator):
         #: and the lock is uncontended; cross-thread readers must go
         #: through :meth:`published_state`.
         self._state_lock = threading.RLock()
-        self._snapshot_listeners: list[
-            Callable[[int, Eigensystem], None]
-        ] = []
 
     # -- pickling (ProcessEngine ships operators to workers) -------------
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        # Locks don't pickle; snapshot listeners are process-local
-        # closures (a worker cannot call back into the parent anyway).
-        state["_state_lock"] = None
-        state["_snapshot_listeners"] = []
+        state["_state_lock"] = None  # locks don't pickle
         return state
 
     def __setstate__(self, state):
@@ -209,19 +203,6 @@ class StreamingPCAOperator(Operator):
     def attach_health_monitor(self, monitor) -> None:
         """Attach a model-health monitor (see ``repro.streams.health``)."""
         self._health_monitor = monitor
-
-    def add_snapshot_listener(
-        self, fn: Callable[[int, Eigensystem], None]
-    ) -> None:
-        """Call ``fn(engine_id, state_copy)`` at every snapshot emission.
-
-        The serving layer's snapshot publisher hangs off this hook: the
-        state handed to listeners is a private copy taken under the
-        state lock (copy-on-publish), safe to read from any thread.
-        """
-        if self._snapshot_listeners is None:
-            self._snapshot_listeners = []
-        self._snapshot_listeners.append(fn)
 
     def published_state(self) -> Eigensystem | None:
         """A torn-free copy of the current state, from any thread.
@@ -326,17 +307,7 @@ class StreamingPCAOperator(Operator):
             )
         monitor = self._health_monitor
         if monitor is not None:
-            n_gaps = int(np.isnan(xs).any(axis=1).sum())
-            if result.n_processed:
-                monitor.note_rows(
-                    xs.shape[0],
-                    n_gap_rows=n_gaps,
-                    n_outliers=int(np.count_nonzero(result.is_outlier)),
-                    weight_sum=float(np.sum(result.weights)),
-                    r2_sum=float(np.sum(result.residual_norm2)),
-                )
-            else:
-                monitor.note_rows(xs.shape[0], n_gap_rows=n_gaps)
+            monitor.note_block(xs, result)
             monitor.maybe_check(self.estimator)
         self._maybe_snapshot(before=n_before)
         self._maybe_heartbeat()
@@ -377,11 +348,6 @@ class StreamingPCAOperator(Operator):
                 ),
                 port=1,
             )
-            for fn in self._snapshot_listeners or ():
-                try:
-                    fn(self.engine_id, state)
-                except Exception:
-                    pass  # a broken listener must not stall the stream
 
     def _maybe_announce_ready(self) -> None:
         if (

@@ -7,9 +7,7 @@ The serving layer separates the three planes the ROADMAP's
   queues behind a per-tenant :class:`~repro.streams.resilience.\
 LoadShedValve` (429 + ``Retry-After`` on shed, never silent drop);
 * **compute** — a shared :class:`~repro.serving.pool.EnginePool` of
-  lanes drains the queues into per-tenant streaming-PCA models
-  (direct recursion, or parallel chunk mode over
-  :class:`~repro.parallel.ParallelStreamingPCA` on any runtime) and
+  lanes drains the queues into per-tenant streaming-PCA models and
   publishes versioned eigenbasis snapshots every ``k`` blocks;
 * **query** — transform / reconstruction-error / outlier-score /
   eigenspectra answered *only* from the immutable copy-on-publish
@@ -32,7 +30,6 @@ from .durability import (
     DurabilityPlane,
     RecoveryManager,
     TenantCheckpointer,
-    TenantCheckpointStore,
     WalError,
     WriteAheadLog,
 )
@@ -68,7 +65,6 @@ __all__ = [
     "ServingConfig",
     "ServingServer",
     "TenantCheckpointer",
-    "TenantCheckpointStore",
     "TenantModel",
     "TenantRouter",
     "TenantSpec",

@@ -1,7 +1,7 @@
 """The durability plane: WAL, crash-consistent checkpoints, recovery.
 
 The serving layer's zero-loss accounting contract (``rows_accepted ==
-rows_applied + queued + pending``) held only while the process lived:
+rows_applied + queued``) held only while the process lived:
 every tenant model was pure memory, so one ``kill -9`` discarded months
 of accumulated eigenbasis.  This module makes an *acknowledged* ingest
 durable:
@@ -14,13 +14,14 @@ durable:
   guarantee: ``none`` (buffered, lost on crash), ``async`` (written to
   the OS before ack — survives process death, not power loss),
   ``fsync`` (fsynced before ack — survives power loss).
-* :class:`TenantCheckpointStore` / :class:`TenantCheckpointer` — ride
-  the :class:`~.snapshots.EigenbasisCache` publish listeners and
-  persist eigenbasis + accounting (``rows_applied``,
-  ``snapshot_version``, last applied WAL ``seq``) through the extended
-  :mod:`repro.io.checkpoint` writer (atomic replace + dir fsync +
-  ``keep_last`` GC).  A checkpoint *covers* every WAL record up to its
-  ``wal_seq``, so covered segments are truncated.
+* :class:`TenantCheckpointer` — rides the
+  :class:`~.snapshots.EigenbasisCache` publish listeners and persists
+  eigenbasis + accounting (``rows_applied``, ``snapshot_version``, last
+  applied WAL ``seq``, ``outlier_t``) into one
+  :class:`repro.io.checkpoint.CheckpointStore` per tenant, keyed by
+  snapshot version (atomic replace + file/dir fsync + ``keep`` GC,
+  corrupt-newest fallback on load).  A checkpoint *covers* every WAL
+  record up to its ``wal_seq``, so covered segments are truncated.
 * :class:`RecoveryManager` — on startup, loads the latest readable
   checkpoint per tenant, replays the WAL tail through the tenant
   model, truncates at the first torn/bad-CRC record instead of
@@ -35,7 +36,9 @@ holds: one WAL + checkpoint store per tenant under ``data_dir``::
     data_dir/
       tenants/<name>/spec.json          # TenantSpec, for re-creation
       tenants/<name>/wal/seg-<seq>.wal  # segmented write-ahead log
-      tenants/<name>/ckpt/ckpt-<version>.npz
+      tenants/<name>/ckpt/eigensystem-<version>.npz
+                                        # (the older ckpt-<version>.npz
+                                        # name is still read)
 """
 
 from __future__ import annotations
@@ -47,23 +50,19 @@ import re
 import struct
 import threading
 import time
+import warnings
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ..io.checkpoint import (
-    fsync_directory,
-    load_eigensystem_extras,
-    save_eigensystem,
-)
+from ..io.checkpoint import CheckpointStore, fsync_directory
 from .codec import BlockCodecError, decode_block, encode_block
 
 __all__ = [
     "DurabilityPlane",
     "RecoveryManager",
-    "TenantCheckpointStore",
     "TenantCheckpointer",
     "WalError",
     "WalRecord",
@@ -88,7 +87,6 @@ MAX_RECORD_BYTES = 1 << 28  # 256 MiB
 DURABILITY_MODES = ("none", "async", "fsync")
 
 _SEG_RE = re.compile(r"^seg-(\d{12})\.wal$")
-_CKPT_RE = re.compile(r"^ckpt-(\d{12})\.npz$")
 
 
 class WalError(ValueError):
@@ -418,87 +416,6 @@ class WriteAheadLog:
         }
 
 
-class TenantCheckpointStore:
-    """Crash-consistent per-tenant checkpoints, keyed by snapshot version.
-
-    Each checkpoint is one ``.npz`` written through the extended
-    :func:`repro.io.checkpoint.save_eigensystem` (atomic replace +
-    file/dir fsync) carrying the eigenbasis plus the accounting extras
-    a restart needs: ``rows_applied``, ``blocks_applied``,
-    ``snapshot_version``, ``wal_seq``, ``outlier_t``.
-    """
-
-    def __init__(
-        self,
-        directory: str | pathlib.Path,
-        *,
-        keep_last: int = 3,
-        fsync: bool = True,
-    ) -> None:
-        if keep_last < 1:
-            raise ValueError("keep_last must be >= 1")
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep_last = int(keep_last)
-        self.fsync = bool(fsync)
-        self.n_saved = 0
-        self.last_saved_unix: float | None = self._seed_last_saved()
-
-    def _seed_last_saved(self) -> float | None:
-        ckpts = self.list()
-        if not ckpts:
-            return None
-        try:
-            return ckpts[-1][1].stat().st_mtime
-        except OSError:
-            return None
-
-    def list(self) -> list[tuple[int, pathlib.Path]]:
-        """All checkpoints as ``(snapshot_version, path)``, ascending."""
-        out = []
-        for path in self.directory.iterdir():
-            m = _CKPT_RE.match(path.name)
-            if m:
-                out.append((int(m.group(1)), path))
-        return sorted(out)
-
-    def save(self, state, extras: dict[str, Any]) -> pathlib.Path:
-        version = int(extras["snapshot_version"])
-        path = self.directory / f"ckpt-{version:012d}.npz"
-        save_eigensystem(path, state, extras=extras, fsync=self.fsync)
-        self.n_saved += 1
-        self.last_saved_unix = time.time()
-        self._gc()
-        return path
-
-    def _gc(self) -> None:
-        ckpts = self.list()
-        for _v, path in ckpts[: max(len(ckpts) - self.keep_last, 0)]:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def load_latest(self) -> tuple[Any, dict[str, Any]] | None:
-        """Newest *readable* checkpoint as ``(state, extras)``.
-
-        A checkpoint that fails to parse (torn by an older writer, bad
-        disk) falls back to the next-newest instead of failing the
-        restart — the WAL tail will cover the difference.
-        """
-        for _version, path in reversed(self.list()):
-            try:
-                return load_eigensystem_extras(path)
-            except (OSError, EOFError, ValueError, KeyError):
-                continue
-        return None
-
-    def age_s(self, now: float | None = None) -> float | None:
-        if self.last_saved_unix is None:
-            return None
-        return max(0.0, (now or time.time()) - self.last_saved_unix)
-
-
 class TenantCheckpointer(threading.Thread):
     """Background persister riding the cache's publish listeners.
 
@@ -556,7 +473,7 @@ class TenantCheckpointer(threading.Thread):
     def _persist(self, snap) -> None:
         store = self.plane.checkpoints_for(snap.tenant)
         try:
-            store.save(snap.state, {
+            store.save(snap.state, key=snap.version, extras={
                 "tenant": snap.tenant,
                 "snapshot_version": int(snap.version),
                 "rows_applied": int(snap.rows_applied),
@@ -711,7 +628,9 @@ class RecoveryManager:
         wal = self.plane.wal_for(spec.name)
 
         rec.phase = "checkpoint"
-        loaded = self.plane.checkpoints_for(spec.name).load_latest()
+        loaded = self.plane.checkpoints_for(spec.name).load_latest(
+            with_extras=True
+        )
         after_seq = -1
         ckpt_version = 0
         if loaded is not None:
@@ -796,7 +715,7 @@ class DurabilityPlane:
         self.telemetry = telemetry
         self._lock = threading.Lock()
         self._wals: dict[str, WriteAheadLog] = {}
-        self._stores: dict[str, TenantCheckpointStore] = {}
+        self._stores: dict[str, CheckpointStore] = {}
         self.checkpointer = TenantCheckpointer(
             self,
             every_publishes=checkpoint_every_publishes,
@@ -841,13 +760,13 @@ class DurabilityPlane:
                 self._wals[tenant] = wal
             return wal
 
-    def checkpoints_for(self, tenant: str) -> TenantCheckpointStore:
+    def checkpoints_for(self, tenant: str) -> CheckpointStore:
         with self._lock:
             store = self._stores.get(tenant)
             if store is None:
-                store = TenantCheckpointStore(
+                store = CheckpointStore(
                     self.tenant_dir(tenant) / "ckpt",
-                    keep_last=self.keep_checkpoints,
+                    keep=self.keep_checkpoints,
                     fsync=(self.durability != "none"),
                 )
                 self._stores[tenant] = store
@@ -879,6 +798,19 @@ class DurabilityPlane:
                 continue
             try:
                 doc = json.loads(path.read_text())
+                # Fields of the retired parallel chunk mode, which older
+                # spec files carry.  Its checkpoint is a plain
+                # eigensystem, so the tenant recovers as the
+                # single-estimator tenant every tenant now is.
+                if doc.pop("n_engines", 1) > 1:
+                    warnings.warn(
+                        f"tenant {d.name!r} was saved with n_engines > 1 "
+                        "(parallel chunk mode, removed); recovering it "
+                        "as a single-estimator tenant",
+                        RuntimeWarning,
+                    )
+                doc.pop("runtime", None)
+                doc.pop("parallel_chunk_rows", None)
                 specs.append(TenantSpec(**doc))
             except (OSError, ValueError, TypeError):
                 continue

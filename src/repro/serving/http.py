@@ -1,12 +1,11 @@
-"""Asyncio HTTP/1.1 + WebSocket front end over :class:`PCAService`.
+"""HTTP/1.1 + WebSocket front end over :class:`PCAService`.
 
-Stdlib only: one background thread runs an asyncio event loop; each
-connection is a coroutine doing keep-alive HTTP/1.1 request parsing
-(``readuntil`` for headers, ``readexactly`` for the body, a per-read
-idle timeout so slow/hung clients cannot pin a connection forever).
-The routes are a thin codec over the transport-independent service
-core — all policy (admission, snapshot reads, readiness) lives in
-:mod:`repro.serving.service`.  Row bodies arrive as JSON
+The connection loop, request parser, bounds, timeouts and response
+writers are :class:`repro.streams.httpd.HttpServer`'s; this module
+supplies the routes.  They are a thin codec over the
+transport-independent service core — all policy (admission, snapshot
+reads, readiness) lives in :mod:`repro.serving.service`.  Row bodies
+arrive as JSON
 (``application/json``) or as one binary block of :mod:`.codec`
 (``application/octet-stream``); both reach the service as the same
 rows.
@@ -23,8 +22,13 @@ Routes::
 
     GET  /live                             liveness
     GET  /ready                            readiness (503 when degraded)
-    GET  /metrics                          Prometheus text exposition
     GET  /status                           full serving status JSON
+    GET  /metrics                          Prometheus text exposition
+    GET  /health                           rule-engine verdict (503 when
+                                           CRITICAL)
+    GET  /health/model[/<engine_id>]       per-tenant model-health
+                                           snapshots (the four routes of
+                                           repro.streams.obs_server)
     POST /v1/<tenant>/ingest               rows -> 202/429
     POST /v1/<tenant>/transform            rows -> coefficients
     POST /v1/<tenant>/reconstruction_error rows -> r^2 per row
@@ -48,13 +52,12 @@ import asyncio
 import base64
 import hashlib
 import json
-import socket
 import struct
-import threading
 import time
 import urllib.parse
-from typing import Any
 
+from ..streams.httpd import HttpError, HttpServer, Reply
+from ..streams.obs_server import OBSERVABILITY_ROUTES, observability_reply
 from .codec import BlockCodecError, decode_block
 from .service import PCAService
 
@@ -68,25 +71,18 @@ ACK_HOLD_POLL_S = 0.001
 
 _WS_MAGIC = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
-_HTTP_CODES = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
-    413: "Payload Too Large", 415: "Unsupported Media Type",
-    422: "Unprocessable Entity",
-    426: "Upgrade Required", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
-}
 
-
-class _BadRequest(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
-class ServingServer:
+class ServingServer(HttpServer):
     """The network face of one :class:`PCAService` deployment."""
+
+    routes = (
+        "/live", "/ready", "/status", *OBSERVABILITY_ROUTES,
+        "/v1/<tenant>/ingest", "/v1/<tenant>/transform",
+        "/v1/<tenant>/reconstruction_error", "/v1/<tenant>/outlier_score",
+        "/v1/<tenant>/eigenspectra", "/v1/<tenant>/snapshot",
+        "/v1/<tenant>/events",
+    )
+    thread_name = "serving-http"
 
     def __init__(
         self,
@@ -98,204 +94,47 @@ class ServingServer:
         max_body_bytes: int = 16 * 1024 * 1024,
         ws_ping_interval_s: float = 15.0,
     ) -> None:
+        super().__init__(
+            host=host, port=port, conn_timeout_s=conn_timeout_s,
+            max_body_bytes=max_body_bytes,
+        )
         self.service = service
-        self.host = host
-        self.port = int(port)  # 0 = ephemeral; real port set at start()
-        self.conn_timeout_s = float(conn_timeout_s)
-        self.max_body_bytes = int(max_body_bytes)
         self.ws_ping_interval_s = float(ws_ping_interval_s)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._start_error: BaseException | None = None
-        self.n_requests = 0
         self.n_ws_connections = 0
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self, timeout_s: float = 10.0) -> "ServingServer":
         """Boot the service and the listener; returns once bound."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
         self.service.start()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="serving-http", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout_s):
-            raise RuntimeError("serving loop failed to start in time")
-        if self._start_error is not None:
-            raise RuntimeError(
-                f"serving listener failed: {self._start_error!r}"
-            )
-        return self
+        return super().start(timeout_s)
 
     def stop(self) -> None:
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        super().stop()
         self.service.stop()
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            server = loop.run_until_complete(
-                asyncio.start_server(
-                    self._handle_conn, self.host, self.port,
-                    family=socket.AF_INET,
-                )
-            )
-            self._server = server
-            self.port = server.sockets[0].getsockname()[1]
-        except BaseException as exc:
-            self._start_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            server.close()
-            try:
-                loop.run_until_complete(server.wait_closed())
-                # Give in-flight connection handlers one pass to unwind,
-                # then cancel stragglers so loop.close() is quiet.
-                pending = [
-                    t for t in asyncio.all_tasks(loop) if not t.done()
-                ]
-                for t in pending:
-                    t.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-                loop.run_until_complete(loop.shutdown_asyncgens())
-            except Exception:
-                pass
-            loop.close()
-
-    # -- connection handling ----------------------------------------------
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader),
-                        timeout=self.conn_timeout_s,
-                    )
-                except asyncio.TimeoutError:
-                    break  # idle keep-alive connection: just drop it
-                except (
-                    asyncio.IncompleteReadError, ConnectionError
-                ):
-                    break
-                except asyncio.LimitOverrunError:
-                    await self._send_json(
-                        writer, 413, {"error": "headers too large"},
-                        close=True,
-                    )
-                    break
-                except _BadRequest as exc:
-                    await self._send_json(
-                        writer, exc.code, {"error": exc.message},
-                        close=True,
-                    )
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                if self._is_ws_upgrade(headers):
-                    await self._handle_websocket(
-                        reader, writer, path, headers
-                    )
-                    return
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower()
-                    != "close"
-                )
-                label = self._route_label(path)
-                if method == "POST" and label == "ingest":
-                    await self._pace_ingest(path)
-                t0 = time.perf_counter()
-                code, payload, extra = self._route(
-                    method, path, headers.get("content-type", ""), body
-                )
-                self.service.observe_latency(
-                    label, time.perf_counter() - t0
-                )
-                self.n_requests += 1
-                if isinstance(payload, (bytes, str)):
-                    await self._send_raw(
-                        writer, code, payload, extra,
-                        close=not keep_alive,
-                    )
-                else:
-                    await self._send_json(
-                        writer, code, payload, extra_headers=extra,
-                        close=not keep_alive,
-                    )
-                if not keep_alive:
-                    break
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one HTTP/1.1 request; None on clean EOF."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean close between requests
-            raise
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split(" ", 2)
-        except ValueError:
-            raise _BadRequest(400, f"malformed request line: {lines[0]!r}")
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = headers.get("content-length")
-        if length is not None:
-            try:
-                n = int(length)
-            except ValueError:
-                raise _BadRequest(400, f"bad content-length: {length!r}")
-            if n > self.max_body_bytes:
-                raise _BadRequest(
-                    413, f"body of {n} bytes exceeds "
-                         f"{self.max_body_bytes}"
-                )
-            if n:
-                body = await reader.readexactly(n)
-        elif headers.get("transfer-encoding", "").lower() == "chunked":
-            raise _BadRequest(400, "chunked bodies not supported")
-        return method.upper(), target, headers, body
-
     # -- routing ----------------------------------------------------------
+
+    async def respond(self, method, target, headers, body) -> Reply | None:
+        label = self._route_label(target)
+        if method == "POST" and label == "ingest":
+            await self._pace_ingest(target)
+        t0 = time.perf_counter()
+        try:
+            return self._route(
+                method, target, headers.get("content-type", ""), body
+            )
+        finally:
+            self.service.observe_latency(label, time.perf_counter() - t0)
+
+    async def upgrade(self, reader, writer, target, headers) -> bool:
+        if (
+            "websocket" not in headers["upgrade"].lower()
+            or "upgrade" not in headers.get("connection", "").lower()
+        ):
+            return False
+        await self._handle_websocket(reader, writer, target, headers)
+        return True
 
     @staticmethod
     def _route_label(path: str) -> str:
@@ -331,47 +170,35 @@ class ServingServer:
 
     def _route(
         self, method: str, target: str, content_type: str, body: bytes
-    ) -> tuple[int, Any, dict[str, str]]:
+    ) -> Reply | None:
         parsed = urllib.parse.urlsplit(target)
         path = parsed.path
         query = urllib.parse.parse_qs(parsed.query)
         svc = self.service
-        try:
-            if path in ("/live", "/healthz"):
-                code, payload = svc.live()
-                return code, payload, {}
-            if path == "/ready":
-                code, payload = svc.ready()
-                extra = {}
-                if code == 503 and "retry_after_s" in payload:
-                    retry = payload["retry_after_s"]
-                    extra["Retry-After"] = f"{max(retry, 0.001):.3f}"
-                return code, payload, extra
-            if path == "/metrics":
-                return 200, svc.telemetry.metrics.to_prometheus(), {
-                    "Content-Type": "text/plain; version=0.0.4",
-                }
-            if path == "/status":
-                code, payload = svc.status()
-                return code, payload, {}
-            parts = path.strip("/").split("/")
-            if len(parts) == 3 and parts[0] == "v1":
-                return self._route_tenant(
-                    method, parts[1], parts[2], content_type, body, query
-                )
-            return 404, {
-                "error": "unknown path", "path": path,
-                "hint": "see docs/serving.md for the API surface",
-            }, {}
-        except _BadRequest as exc:
-            return exc.code, {"error": exc.message}, {}
-        except Exception as exc:  # pragma: no cover - last-resort guard
-            return 500, {"error": f"internal error: {exc!r}"}, {}
+        if path in ("/live", "/healthz"):
+            code, payload = svc.live()
+            return code, payload, {}
+        if path == "/ready":
+            code, payload = svc.ready()
+            extra = {}
+            if code == 503 and "retry_after_s" in payload:
+                retry = payload["retry_after_s"]
+                extra["Retry-After"] = f"{max(retry, 0.001):.3f}"
+            return code, payload, extra
+        if path == "/status":
+            code, payload = svc.status()
+            return code, payload, {}
+        parts = path.strip("/").split("/")
+        if len(parts) == 3 and parts[0] == "v1":
+            return self._route_tenant(
+                method, parts[1], parts[2], content_type, body, query
+            )
+        return observability_reply(path, svc.telemetry, svc.rule_engine)
 
     def _route_tenant(
         self, method: str, tenant: str, op: str, content_type: str,
         body: bytes, query: dict[str, list[str]],
-    ) -> tuple[int, Any, dict[str, str]]:
+    ) -> Reply:
         svc = self.service
         post_ops = {
             "ingest", "transform", "reconstruction_error", "outlier_score",
@@ -405,7 +232,7 @@ class ServingServer:
                 try:
                     top_k = int(query["top_k"][0])
                 except ValueError:
-                    raise _BadRequest(400, "top_k must be an integer")
+                    raise HttpError(400, "top_k must be an integer")
             include_basis = (
                 query.get("include_basis", ["0"])[0].lower()
                 in ("1", "true", "yes")
@@ -436,81 +263,34 @@ class ServingServer:
             try:
                 return decode_block(body)[0]
             except BlockCodecError as exc:
-                raise _BadRequest(400, f"bad block body: {exc}")
+                raise HttpError(400, f"bad block body: {exc}")
         if ctype not in ("application/json", ""):
-            raise _BadRequest(
+            raise HttpError(
                 415, f"unsupported Content-Type {ctype!r}; send "
                      "application/json or application/octet-stream"
             )
         if not body:
-            raise _BadRequest(400, "empty body; expected JSON")
+            raise HttpError(400, "empty body; expected JSON")
         try:
             doc = json.loads(body)
         except json.JSONDecodeError as exc:
-            raise _BadRequest(400, f"bad JSON: {exc}")
+            raise HttpError(400, f"bad JSON: {exc}")
         if isinstance(doc, dict):
             if "rows" not in doc:
-                raise _BadRequest(422, 'missing "rows" field')
+                raise HttpError(422, 'missing "rows" field')
             return doc["rows"]
         if isinstance(doc, list):
             return doc
-        raise _BadRequest(422, "expected {'rows': [[...]]} or a list")
-
-    # -- responses --------------------------------------------------------
-
-    async def _send_json(
-        self, writer: asyncio.StreamWriter, code: int, payload: Any,
-        extra_headers: dict[str, str] | None = None, *, close: bool = False,
-    ) -> None:
-        data = json.dumps(payload, separators=(",", ":")).encode()
-        await self._send_bytes(
-            writer, code, data, "application/json",
-            extra_headers or {}, close,
-        )
-
-    async def _send_raw(
-        self, writer: asyncio.StreamWriter, code: int, payload,
-        extra_headers: dict[str, str], *, close: bool = False,
-    ) -> None:
-        data = payload.encode() if isinstance(payload, str) else payload
-        ctype = extra_headers.pop("Content-Type", "text/plain")
-        await self._send_bytes(
-            writer, code, data, ctype, extra_headers, close
-        )
-
-    async def _send_bytes(
-        self, writer, code, data: bytes, ctype: str,
-        extra_headers: dict[str, str], close: bool,
-    ) -> None:
-        reason = _HTTP_CODES.get(code, "Unknown")
-        head = [
-            f"HTTP/1.1 {code} {reason}",
-            f"Content-Type: {ctype}",
-            f"Content-Length: {len(data)}",
-            f"Connection: {'close' if close else 'keep-alive'}",
-        ]
-        for k, v in extra_headers.items():
-            head.append(f"{k}: {v}")
-        writer.write(
-            ("\r\n".join(head) + "\r\n\r\n").encode() + data
-        )
-        await writer.drain()
+        raise HttpError(422, "expected {'rows': [[...]]} or a list")
 
     # -- WebSocket push ----------------------------------------------------
-
-    @staticmethod
-    def _is_ws_upgrade(headers: dict[str, str]) -> bool:
-        return (
-            "websocket" in headers.get("upgrade", "").lower()
-            and "upgrade" in headers.get("connection", "").lower()
-        )
 
     async def _handle_websocket(
         self, reader, writer, path: str, headers: dict[str, str]
     ) -> None:
         parts = path.split("?", 1)[0].strip("/").split("/")
         if len(parts) != 3 or parts[0] != "v1" or parts[2] != "events":
-            await self._send_json(
+            await self._send(
                 writer, 404,
                 {"error": "unknown websocket path", "path": path},
                 close=True,
@@ -519,7 +299,7 @@ class ServingServer:
         tenant = parts[1]
         key = headers.get("sec-websocket-key")
         if not key:
-            await self._send_json(
+            await self._send(
                 writer, 400, {"error": "missing Sec-WebSocket-Key"},
                 close=True,
             )

@@ -326,7 +326,7 @@ class EnginePool:
         inflight = 0
         dispatched = 0
         for name, st in tenants.items():
-            depth = st.queue.depth_rows + st.model.pending_rows
+            depth = st.queue.depth_rows
             inflight += depth
             dispatched += st.queue.rows_popped
             if live:
@@ -369,8 +369,7 @@ class EnginePool:
 
     def queue_depth_rows(self) -> int:
         return sum(
-            st.queue.depth_rows + st.model.pending_rows
-            for st in self.get_tenants().values()
+            st.queue.depth_rows for st in self.get_tenants().values()
         )
 
     def drain(self, timeout_s: float = 10.0) -> bool:

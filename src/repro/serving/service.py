@@ -47,8 +47,9 @@ class _ServingRuleEngine(HealthRuleEngine):
     The base class freezes ``monitors`` and ``controller`` at
     construction; tenants and lanes come and go, so this subclass
     refreshes both from the service before every snapshot.  Works
-    unchanged wherever a :class:`HealthRuleEngine` is expected (the
-    observability server's ``/health`` endpoints included).
+    unchanged wherever a :class:`HealthRuleEngine` is expected — the
+    ``/health`` routes of :mod:`repro.streams.obs_server`, which
+    :class:`~.http.ServingServer` mounts, included.
     """
 
     def __init__(self, service: "PCAService") -> None:
@@ -237,8 +238,6 @@ class PCAService:
             self.elastic.stop()
         if self.sampler is not None:
             self.sampler.stop()
-        for st in self.get_tenants().values():
-            st.model.flush()
         self.pool.stop()
         if self.durability is not None:
             # Final publish per tenant so the shutdown checkpoint covers
@@ -309,7 +308,7 @@ class PCAService:
         then the queue bound (429, full).  Admitted rows are counted
         into ``rows_accepted`` *before* enqueue, so the zero-loss
         invariant is checkable: ``rows_accepted == rows_applied +
-        queued + model-pending`` at any quiet point.
+        queued`` at any quiet point.
         """
         if self._recovering():
             # Replay order must not interleave with fresh traffic.

@@ -7,7 +7,7 @@ serving contract:
 
 * zero 5xx across every request;
 * the overloaded tenant shed (429) but **lost nothing it admitted** —
-  ``rows_accepted == rows_applied + queued + model-pending`` exactly;
+  ``rows_accepted == rows_applied + queued`` exactly;
 * queries were answered from published snapshots (version monotone,
   reported in each reply);
 * the telemetry JSONL artifact is written for upload.
@@ -170,10 +170,7 @@ def run_smoke(
     for name, st in svc.get_tenants().items():
         stats = st.stats()
         tenant_stats[name] = stats
-        settled = (
-            stats["rows_applied"] + stats["queue_depth_rows"]
-            + stats["pending_rows"]
-        )
+        settled = stats["rows_applied"] + stats["queue_depth_rows"]
         if stats["rows_accepted"] != settled:
             failures.append(
                 f"tenant {name}: accepted {stats['rows_accepted']} rows "

@@ -31,9 +31,8 @@ from ..core.eigensystem import Eigensystem
 __all__ = ["BasisSnapshot", "EigenbasisCache"]
 
 #: Default scaled-residual cutoff for :meth:`BasisSnapshot.outlier_score`
-#: when the publishing model carries no calibrated rho rejection point
-#: (e.g. the parallel chunk mode): ``r²/σ² >= 9`` is the classical
-#: 3-sigma rule on the residual norm.
+#: when the publisher carries no calibrated rho rejection point:
+#: ``r²/σ² >= 9`` is the classical 3-sigma rule on the residual norm.
 DEFAULT_OUTLIER_T = 9.0
 
 

@@ -23,7 +23,6 @@ from typing import Any
 import numpy as np
 
 from ..core.eigensystem import Eigensystem
-from ..core.merge import merge_eigensystems
 from ..core.robust import RobustIncrementalPCA
 from ..streams.health import HealthMonitor
 from ..streams.resilience import LoadShedValve
@@ -42,8 +41,6 @@ _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
 _MONITOR_IDS = itertools.count()
 
-_RUNTIMES = ("synchronous", "threaded", "process", "cluster")
-
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -55,17 +52,8 @@ class TenantSpec:
         URL-safe tenant id (``[A-Za-z0-9][A-Za-z0-9_.-]*``, <= 64 chars).
     n_components / alpha / delta / init_size / estimator_kwargs:
         Forwarded to the tenant's
-        :class:`~repro.core.robust.RobustIncrementalPCA`.
-    n_engines / runtime:
-        ``n_engines == 1`` (default) updates one estimator in place on
-        the owning lane — the hot path.  ``n_engines > 1`` switches the
-        tenant to *parallel chunk mode*: ingest rows accumulate into
-        chunks of ``parallel_chunk_rows``, each chunk is processed by a
-        full :class:`~repro.parallel.ParallelStreamingPCA` run on the
-        chosen runtime, and the chunk's merged eigensystem is folded
-        into the tenant state with
-        :func:`~repro.core.merge.merge_eigensystems` (the paper's merge
-        operator used as the incremental step).
+        :class:`~repro.core.robust.RobustIncrementalPCA`, which the
+        owning lane updates in place.
     publish_every_blocks:
         Snapshot cadence ``k``: the lane publishes a fresh eigenbasis
         snapshot after every ``k`` applied blocks (plus once immediately
@@ -93,9 +81,6 @@ class TenantSpec:
     delta: float = 0.5
     init_size: int = 20
     estimator_kwargs: dict[str, Any] = field(default_factory=dict)
-    n_engines: int = 1
-    runtime: str = "synchronous"
-    parallel_chunk_rows: int = 0  # 0 = auto
     publish_every_blocks: int = 4
     max_rate_hz: float | None = None
     burst_s: float = 1.0
@@ -113,12 +98,6 @@ class TenantSpec:
             )
         if self.n_components < 1:
             raise ValueError("n_components must be >= 1")
-        if self.n_engines < 1:
-            raise ValueError("n_engines must be >= 1")
-        if self.runtime not in _RUNTIMES:
-            raise ValueError(
-                f"runtime must be one of {_RUNTIMES}, got {self.runtime!r}"
-            )
         if self.publish_every_blocks < 1:
             raise ValueError("publish_every_blocks must be >= 1")
         if self.max_rate_hz is not None and self.max_rate_hz <= 0:
@@ -129,14 +108,6 @@ class TenantSpec:
             raise ValueError("queue_capacity_rows must be >= 1")
         if self.max_block_rows < 1:
             raise ValueError("max_block_rows must be >= 1")
-
-    @property
-    def chunk_rows(self) -> int:
-        """Effective parallel chunk size (auto = enough to warm every
-        engine with comfortable margin under random splitting)."""
-        if self.parallel_chunk_rows > 0:
-            return self.parallel_chunk_rows
-        return max(512, 4 * self.n_engines * self.init_size)
 
 
 class QueueFull(Exception):
@@ -237,11 +208,6 @@ class TenantModel:
         self.spec = spec
         self.lock = threading.Lock()
         self._estimator = self._make_estimator()
-        #: Parallel chunk mode state (n_engines > 1): merged eigensystem
-        #: plus the pending chunk buffer.
-        self._merged: Eigensystem | None = None
-        self._pending: list[np.ndarray] = []
-        self._pending_rows = 0
         self.monitor: HealthMonitor | None = None
         if spec.health_check_every > 0:
             # Each tenant model gets a unique monitor id so the rule
@@ -272,19 +238,8 @@ class TenantModel:
         )
 
     @property
-    def parallel(self) -> bool:
-        return self.spec.n_engines > 1
-
-    @property
     def is_initialized(self) -> bool:
-        if self.parallel:
-            return self._merged is not None
         return self._estimator.is_initialized
-
-    @property
-    def pending_rows(self) -> int:
-        """Rows buffered inside the model (parallel chunk mode only)."""
-        return self._pending_rows
 
     # -- compute side (owning lane only) ---------------------------------
 
@@ -300,96 +255,16 @@ class TenantModel:
         """
         monitor = self.monitor if judge else None
         with self.lock:
-            if self.parallel:
-                self._apply_parallel(xs, monitor)
-            else:
-                result = self._estimator.update_block(xs)
-                self.n_outliers += int(result.n_outliers)
-                if monitor is not None:
-                    gaps = int(np.isnan(xs).any(axis=1).sum())
-                    if result.n_processed:
-                        monitor.note_rows(
-                            xs.shape[0], n_gap_rows=gaps,
-                            n_outliers=int(result.n_outliers),
-                            weight_sum=float(np.sum(result.weights)),
-                            r2_sum=float(np.sum(result.residual_norm2)),
-                        )
-                    else:
-                        monitor.note_rows(xs.shape[0], n_gap_rows=gaps)
-                    monitor.maybe_check(self._estimator)
+            result = self._estimator.update_block(xs)
+            self.n_outliers += result.n_outliers
+            if monitor is not None:
+                monitor.note_block(xs, result)
+                monitor.maybe_check(self._estimator)
             self.rows_applied += int(xs.shape[0])
             self.blocks_applied += 1
             if wal_seq > self.last_wal_seq:
                 self.last_wal_seq = wal_seq
             self._blocks_since_publish += 1
-
-    def _apply_parallel(
-        self, xs: np.ndarray, monitor: HealthMonitor | None
-    ) -> None:
-        self._pending.append(np.asarray(xs, dtype=np.float64))
-        self._pending_rows += int(xs.shape[0])
-        if monitor is not None:
-            monitor.note_rows(
-                int(xs.shape[0]),
-                n_gap_rows=int(np.isnan(xs).any(axis=1).sum()),
-            )
-        if self._pending_rows >= self.spec.chunk_rows:
-            self._run_chunk(monitor)
-
-    def _run_chunk(self, monitor: HealthMonitor | None) -> None:
-        """Process the pending chunk through a full parallel-PCA run and
-        fold its merged eigensystem into the tenant state."""
-        from ..data.streams import VectorStream
-        from ..parallel.runner import ParallelStreamingPCA
-
-        chunk = np.vstack(self._pending)
-        self._pending.clear()
-        self._pending_rows = 0
-        s = self.spec
-        if chunk.shape[0] >= 2 * s.n_engines * s.init_size:
-            runner = ParallelStreamingPCA(
-                s.n_components,
-                n_engines=s.n_engines,
-                alpha=s.alpha,
-                delta=s.delta,
-                estimator_kwargs=dict(
-                    s.estimator_kwargs, init_size=s.init_size
-                ),
-                runtime=s.runtime,
-                collect_diagnostics=False,
-            )
-            result = runner.run(VectorStream.from_array(chunk))
-            chunk_state = result.global_state
-        else:
-            # Flush remainder too small to warm a parallel run: a
-            # single sequential estimator covers it.
-            est = self._make_estimator()
-            est.update_block(chunk)
-            if not est.is_initialized:
-                return  # too few rows to learn anything from
-            chunk_state = est.public_state()
-        if self._merged is None:
-            self._merged = chunk_state.copy()
-        else:
-            self._merged = merge_eigensystems(
-                [self._merged, chunk_state], s.n_components
-            )
-        if monitor is not None:
-            monitor.maybe_check(self._estimator_view())
-
-    def flush(self) -> None:
-        """Force any pending chunk through (drain/shutdown path)."""
-        with self.lock:
-            if self.parallel and self._pending_rows:
-                self._run_chunk(self.monitor)
-                self._blocks_since_publish += 1
-
-    def _estimator_view(self):
-        """Estimator-shaped shim over the merged state (health checks)."""
-        class _View:
-            is_initialized = True
-            state = self._merged
-        return _View()
 
     # -- publish discipline ----------------------------------------------
 
@@ -410,18 +285,14 @@ class TenantModel:
         with self.lock:
             if not self.is_initialized:
                 return None
-            if self.parallel:
-                state = self._merged.copy()
-                outlier_t = self.spec.outlier_t
-            else:
-                state = self._estimator.public_state()
-                threshold = getattr(
-                    self._estimator, "_outlier_threshold", None
-                )
-                outlier_t = (
-                    float(threshold()) if threshold is not None
-                    else self.spec.outlier_t
-                )
+            state = self._estimator.public_state()
+            threshold = getattr(
+                self._estimator, "_outlier_threshold", None
+            )
+            outlier_t = (
+                float(threshold()) if threshold is not None
+                else self.spec.outlier_t
+            )
             rows, blocks = self.rows_applied, self.blocks_applied
             wal_seq = self.last_wal_seq
             self._blocks_since_publish = 0
@@ -447,21 +318,14 @@ class TenantModel:
         """
         with self.lock:
             self._estimator = self._make_estimator()
-            self._pending.clear()
-            self._pending_rows = 0
-            self._merged = None
             self._blocks_since_publish = 0
             self._published_initialized = False
+            self.n_reseeds += 1
             if snapshot is not None:
-                if self.parallel:
-                    self._merged = snapshot.state.copy()
-                else:
-                    self._estimator.adopt_state(snapshot.state)
+                self._estimator.adopt_state(snapshot.state)
                 self._published_initialized = True
                 if snapshot.wal_seq > self.last_wal_seq:
                     self.last_wal_seq = snapshot.wal_seq
-            self.n_reseeds += 1
-            if snapshot is not None:
                 self._reanchor_monitor()
 
     def adopt_recovered(
@@ -482,13 +346,7 @@ class TenantModel:
         """
         with self.lock:
             self._estimator = self._make_estimator()
-            self._pending.clear()
-            self._pending_rows = 0
-            self._merged = None
-            if self.parallel:
-                self._merged = state.copy()
-            else:
-                self._estimator.adopt_state(state)
+            self._estimator.adopt_state(state)
             self.rows_applied = int(rows_applied)
             self.blocks_applied = int(blocks_applied)
             self.last_wal_seq = int(wal_seq)
@@ -500,11 +358,7 @@ class TenantModel:
         """Anchor the health monitor on the state the model now holds
         (lock held by the caller)."""
         if self.monitor is not None and self.is_initialized:
-            view = (
-                self._estimator_view() if self.parallel
-                else self._estimator
-            )
-            self.monitor.on_merge(view, reseed=True)
+            self.monitor.on_merge(self._estimator, reseed=True)
 
     def reanchor_monitor(self) -> None:
         """Re-anchor after rows were applied with ``judge=False``."""
@@ -515,15 +369,18 @@ class TenantModel:
         return {
             "rows_applied": self.rows_applied,
             "blocks_applied": self.blocks_applied,
-            "pending_rows": self._pending_rows,
+            # Constants since the parallel chunk mode went (rows are
+            # never buffered inside a model); kept so /status readers
+            # that sum or display them keep working.
+            "pending_rows": 0,
+            "parallel": False,
+            "n_engines": 1,
+            "runtime": "synchronous",
             "n_outliers": self.n_outliers,
             "n_publishes": self.n_publishes,
             "n_reseeds": self.n_reseeds,
             "last_wal_seq": self.last_wal_seq,
             "initialized": self.is_initialized,
-            "parallel": self.parallel,
-            "n_engines": self.spec.n_engines,
-            "runtime": self.spec.runtime,
         }
 
 

@@ -456,7 +456,7 @@ _MAIN = "main"
 _UNPICKLABLE_ATTRS = (
     "_emit", "_load_probe", "_latency_hist", "_telemetry",
     "_e2e_hist", "_watermark", "_health_monitor",
-    "_state_lock", "_snapshot_listeners",
+    "_state_lock",
 )
 
 

@@ -34,8 +34,8 @@ On top of the monitors sits a declarative rule layer:
 over a combined snapshot (model monitors + sync-controller membership +
 sink watermark lags) into an overall **OK / DEGRADED / CRITICAL**
 verdict with the firing rules named.  The
-:class:`~repro.streams.obs_server.ObservabilityServer` serves the
-verdict live at ``/health``; a :class:`HealthSampler` thread records it
+Both HTTP front ends serve the verdict live at ``/health``
+(:mod:`repro.streams.obs_server`); a :class:`HealthSampler` thread records it
 periodically as ``health_verdict`` events for post-mortems
 (``python -m repro health <log.jsonl>``).
 """
@@ -80,8 +80,8 @@ class HealthMonitor:
     """Rolling model-health state of one streaming-PCA engine.
 
     The operator feeds it two cheap calls per consumed tuple/block —
-    :meth:`note_rows` (accumulate window counters) and
-    :meth:`maybe_check` (run the actual check once per ``check_every``
+    :meth:`note_rows` / :meth:`note_block` (accumulate window counters)
+    and :meth:`maybe_check` (run the actual check once per ``check_every``
     rows) — plus :meth:`on_merge` at every sync merge.  All numerical
     work happens inside the periodic check.
 
@@ -202,6 +202,22 @@ class HealthMonitor:
         self._w_r2_sum += r2_sum
         self._rows_since_check += n_rows
         self.n_rows += n_rows
+
+    def note_block(self, xs: np.ndarray, result) -> None:
+        """:meth:`note_rows` for one ``(k, d)`` block and the
+        :class:`~repro.core.incremental.BlockUpdateResult` of folding it
+        in (a warm-up block carries no weights or residuals)."""
+        n_gaps = int(np.isnan(xs).any(axis=1).sum())
+        if result.n_processed:
+            self.note_rows(
+                xs.shape[0],
+                n_gap_rows=n_gaps,
+                n_outliers=result.n_outliers,
+                weight_sum=float(np.sum(result.weights)),
+                r2_sum=float(np.sum(result.residual_norm2)),
+            )
+        else:
+            self.note_rows(xs.shape[0], n_gap_rows=n_gaps)
 
     def maybe_check(self, estimator) -> bool:
         """Run a health check if the window filled; returns whether it ran."""

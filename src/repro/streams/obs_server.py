@@ -1,7 +1,9 @@
-"""Live observability endpoint: ``/metrics``, ``/health``, ``/health/model``.
+"""Live observability routes: ``/metrics``, ``/health``, ``/health/model``.
 
-A tiny stdlib-only HTTP server (no new dependencies — the container
-rule) that exposes the running pipeline to scrapers and operators:
+The routes are written once, here, and mounted by both HTTP front ends
+— :class:`ObservabilityServer` (a pipeline run's scrape endpoint) and
+:class:`repro.serving.ServingServer` (``python -m repro serve``) — over
+the one transport in :mod:`repro.streams.httpd`:
 
 * ``GET /metrics`` — the full :class:`~repro.streams.telemetry.MetricsRegistry`
   in the Prometheus text exposition format (``text/plain; version=0.0.4``).
@@ -17,14 +19,10 @@ rule) that exposes the running pipeline to scrapers and operators:
 * ``GET /health/model/<engine_id>`` — one engine's snapshot; unknown
   ids answer with a JSON 404 listing the known ids.
 
-Unknown paths also answer JSON 404, and every accepted connection gets
-a socket timeout (``conn_timeout_s``) so slow or hung clients can't pin
-handler threads.
-
-The server runs on a daemon :class:`~http.server.ThreadingHTTPServer`
-thread; ``port=0`` picks a free port (``server.port`` reports it), so
-tests and multi-run hosts never collide.  Use as a context manager or
-call :meth:`start`/:meth:`stop` explicitly::
+``port=0`` picks a free port (``server.port`` reports it), so tests and
+multi-run hosts never collide.  Use as a context manager or call
+:meth:`~ObservabilityServer.start` / :meth:`~ObservabilityServer.stop`
+explicitly::
 
     with ObservabilityServer(telemetry, rule_engine=engine) as srv:
         engine_.run(graph)
@@ -33,90 +31,95 @@ call :meth:`start`/:meth:`stop` explicitly::
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-__all__ = ["ObservabilityServer"]
+from .httpd import HttpServer, Reply
+
+__all__ = [
+    "OBSERVABILITY_ROUTES",
+    "ObservabilityServer",
+    "observability_reply",
+]
+
+#: The shared route list (what CI probes and a JSON 404 names).
+OBSERVABILITY_ROUTES = (
+    "/metrics", "/health", "/health/model", "/health/model/<engine_id>",
+)
 
 _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
-def _json_default(obj: Any):
-    try:
-        return float(obj)
-    except (TypeError, ValueError):
-        return str(obj)
+def health_payload(rule_engine) -> tuple[int, dict[str, Any]]:
+    """(HTTP status, JSON body) for ``/health``."""
+    if rule_engine is None:
+        return 200, {"status": "OK", "firing": [], "rules_wired": False}
+    verdict = rule_engine.evaluate()
+    status = 503 if verdict.status == "CRITICAL" else 200
+    return status, {
+        "status": verdict.status,
+        "firing": verdict.firing,
+        "ts": verdict.ts,
+        "rules_wired": True,
+    }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    # Set per-server via the factory in ObservabilityServer.start().
-    server_ref: "ObservabilityServer"
-
-    # Per-connection socket timeout: StreamRequestHandler.setup()
-    # applies this to the accepted socket, so a client that connects
-    # and then hangs (or dribbles a request line forever) releases its
-    # handler thread instead of pinning it for the life of the run.
-    # Overridden per-server via the factory in start().
-    timeout = 10.0
-
-    # Silence the default stderr request log (one line per scrape would
-    # drown a soak run); requests are counted on the server instead.
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    def log_error(self, format: str, *args: Any) -> None:  # noqa: A002
-        # handle_one_request routes read/write timeouts here before
-        # dropping the connection; count them so tests/operators can see
-        # stuck-client churn (everything else stays silent like
-        # log_message).
-        if format.startswith("Request timed out"):
-            self.server_ref.n_timeouts += 1
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        srv = self.server_ref
-        srv.n_requests += 1
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        try:
-            if path == "/metrics":
-                body = srv.telemetry.to_prometheus().encode()
-                self._reply(200, _PROM_CONTENT_TYPE, body)
-            elif path == "/health":
-                self._reply_json(*srv.health_payload())
-            elif path == "/health/model":
-                self._reply_json(200, srv.model_payload())
-            elif path.startswith("/health/model/"):
-                engine_id = path[len("/health/model/"):]
-                self._reply_json(*srv.engine_payload(engine_id))
-            else:
-                self._reply_json(404, {
-                    "error": f"no such path: {path}",
-                    "paths": [
-                        "/metrics", "/health", "/health/model",
-                        "/health/model/<engine_id>",
-                    ],
-                })
-        except Exception as exc:  # the obs plane must not take down a run
-            srv.n_errors += 1
-            try:
-                self._reply_json(500, {"error": str(exc)})
-            except Exception:
-                pass
-
-    def _reply(self, status: int, ctype: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_json(self, status: int, payload: Any) -> None:
-        body = json.dumps(payload, default=_json_default).encode()
-        self._reply(status, "application/json", body)
+def model_payload(rule_engine) -> dict[str, Any]:
+    """JSON body for ``/health/model``."""
+    if rule_engine is None:
+        return {"engines": {}, "rules_wired": False}
+    snap = rule_engine.snapshot()
+    return {
+        "engines": snap.get("engines", {}),
+        "snapshot": {
+            k: v for k, v in snap.items() if k != "engines"
+        },
+        "rules_wired": True,
+    }
 
 
-class ObservabilityServer:
+def engine_payload(rule_engine, engine_id: str) -> tuple[int, dict[str, Any]]:
+    """(HTTP status, JSON body) for ``/health/model/<engine_id>``.
+
+    Unknown ids get a JSON 404 naming the known ids, not a bare
+    error page.
+    """
+    payload = model_payload(rule_engine)
+    engines = payload["engines"]
+    # Monitor ids are ints; the URL path hands us a string.
+    for key, snapshot in engines.items():
+        if str(key) == engine_id:
+            return 200, {
+                "engine": str(key),
+                "snapshot": snapshot,
+                "rules_wired": payload["rules_wired"],
+            }
+    return 404, {
+        "error": f"no such engine: {engine_id}",
+        "known_engines": sorted(str(k) for k in engines),
+        "rules_wired": payload["rules_wired"],
+    }
+
+
+def observability_reply(target: str, telemetry, rule_engine) -> Reply | None:
+    """The answer to one of :data:`OBSERVABILITY_ROUTES` (``None`` for
+    any other path), over ``telemetry`` and an optional
+    :class:`~repro.streams.health.HealthRuleEngine`."""
+    path = target.split("?", 1)[0].rstrip("/")
+    if path == "/metrics":
+        return 200, telemetry.to_prometheus(), {
+            "Content-Type": _PROM_CONTENT_TYPE,
+        }
+    if path == "/health":
+        return *health_payload(rule_engine), {}
+    if path == "/health/model":
+        return 200, model_payload(rule_engine), {}
+    if path.startswith("/health/model/"):
+        engine_id = path[len("/health/model/"):]
+        return *engine_payload(rule_engine, engine_id), {}
+    return None
+
+
+class ObservabilityServer(HttpServer):
     """Background HTTP server exposing a run's telemetry and health.
 
     Parameters
@@ -131,11 +134,13 @@ class ObservabilityServer:
     host / port:
         Bind address; ``port=0`` (default) auto-assigns a free port.
     conn_timeout_s:
-        Per-connection socket timeout applied to every accepted
-        handler: a client that connects and goes silent is dropped
-        after this many seconds instead of pinning a handler thread
+        Idle timeout of every accepted connection: a client that
+        connects and goes silent is dropped after this many seconds
         (counted in ``n_timeouts``).
     """
+
+    routes = OBSERVABILITY_ROUTES
+    thread_name = "obs-server"
 
     def __init__(
         self,
@@ -146,110 +151,28 @@ class ObservabilityServer:
         port: int = 0,
         conn_timeout_s: float = 10.0,
     ) -> None:
-        if conn_timeout_s <= 0:
-            raise ValueError("conn_timeout_s must be positive")
+        # Every route is a GET: a request that announces a body is
+        # refused (413) before a byte of it is read.
+        super().__init__(
+            host=host, port=port, conn_timeout_s=conn_timeout_s,
+            max_body_bytes=0,
+        )
         self.telemetry = telemetry
         self.rule_engine = rule_engine
-        self.host = host
-        self.conn_timeout_s = float(conn_timeout_s)
-        self._requested_port = port
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-        self.n_requests = 0
-        self.n_errors = 0
-        self.n_timeouts = 0
+
+    async def respond(self, method, target, headers, body) -> Reply | None:
+        return observability_reply(target, self.telemetry, self.rule_engine)
 
     # -- payloads (also callable directly, e.g. from tests) --------------
 
     def health_payload(self) -> tuple[int, dict[str, Any]]:
-        """(HTTP status, JSON body) for ``/health``."""
-        if self.rule_engine is None:
-            return 200, {"status": "OK", "firing": [], "rules_wired": False}
-        verdict = self.rule_engine.evaluate()
-        status = 503 if verdict.status == "CRITICAL" else 200
-        return status, {
-            "status": verdict.status,
-            "firing": verdict.firing,
-            "ts": verdict.ts,
-            "rules_wired": True,
-        }
+        return health_payload(self.rule_engine)
 
     def model_payload(self) -> dict[str, Any]:
-        """JSON body for ``/health/model``."""
-        if self.rule_engine is None:
-            return {"engines": {}, "rules_wired": False}
-        snap = self.rule_engine.snapshot()
-        return {
-            "engines": snap.get("engines", {}),
-            "snapshot": {
-                k: v for k, v in snap.items() if k != "engines"
-            },
-            "rules_wired": True,
-        }
+        return model_payload(self.rule_engine)
 
     def engine_payload(self, engine_id: str) -> tuple[int, dict[str, Any]]:
-        """(HTTP status, JSON body) for ``/health/model/<engine_id>``.
-
-        Unknown ids get a JSON 404 naming the known ids, not a bare
-        error page.
-        """
-        payload = self.model_payload()
-        engines = payload.get("engines", {})
-        # Monitor ids are ints; the URL path hands us a string.
-        for key, snapshot in engines.items():
-            if str(key) == engine_id:
-                return 200, {
-                    "engine": str(key),
-                    "snapshot": snapshot,
-                    "rules_wired": payload.get("rules_wired", False),
-                }
-        return 404, {
-            "error": f"no such engine: {engine_id}",
-            "known_engines": sorted(str(k) for k in engines),
-            "rules_wired": payload.get("rules_wired", False),
-        }
-
-    # -- lifecycle -------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        """The bound port (only valid after :meth:`start`)."""
-        if self._httpd is None:
-            raise RuntimeError("server not started")
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ObservabilityServer":
-        if self._httpd is not None:
-            return self
-        handler = type("_BoundHandler", (_Handler,), {
-            "server_ref": self,
-            "timeout": self.conn_timeout_s,
-        })
-        self._httpd = ThreadingHTTPServer(
-            (self.host, self._requested_port), handler
-        )
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="obs-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        httpd, thread = self._httpd, self._thread
-        self._httpd = None
-        self._thread = None
-        if httpd is not None:
-            httpd.shutdown()
-            httpd.server_close()
-        if thread is not None:
-            thread.join(timeout=2.0)
+        return engine_payload(self.rule_engine, engine_id)
 
     def __enter__(self) -> "ObservabilityServer":
         return self.start()

@@ -1,26 +1,26 @@
-"""Graceful-degradation operators: dead-letter queue and circuit breaker.
+"""Graceful-degradation guards: dead-letter queue and load-shed valve.
 
 Production stream systems treat malformed input and sustained overload as
-routine, not exceptional (the ROADMAP's north star).  This module adds
+routine, not exceptional (the ROADMAP's north star).  This module holds
 the two standard guards in front of the compute plane:
 
-* :class:`DeadLetterQueue` + :class:`QuarantineOperator` — a validating
-  pass-through that captures *poison tuples* (wrong dimensionality,
-  non-finite garbage, missing fields) into a bounded dead-letter queue
-  instead of letting them crash an engine deep inside the graph.  The
-  payloads are kept for post-mortem, the ``repro_dlq_total`` counter
-  makes the loss visible, and the pipeline keeps flowing.
-* :class:`CircuitBreaker` — a load-shedding valve for sustained
-  overload: a token bucket admits up to ``max_rate_hz`` data tuples per
-  second; when the bucket runs dry the breaker *opens* and sheds data
-  tuples for ``open_for_s`` before closing again.  Control tuples and
-  punctuation always pass, so shedding never breaks the sync protocol
-  or shutdown.
+* :class:`DeadLetterQueue` + :func:`default_validator` /
+  :func:`row_poison_reason` — *poison* input (wrong dimensionality,
+  non-finite garbage, missing fields) is captured into a bounded
+  dead-letter queue instead of crashing an engine deep inside the
+  graph.  The payloads are kept for post-mortem, the ``repro_dlq_total``
+  counter makes the loss visible, and the pipeline keeps flowing.
+* :class:`LoadShedValve` — load shedding for sustained overload: a
+  token bucket admits up to ``max_rate_hz`` rows per second; when the
+  bucket runs dry the valve *opens* and sheds for ``open_for_s`` before
+  closing again.
 
-Both are wired into the parallel application by
-:func:`repro.parallel.app.build_parallel_pca_graph` (``quarantine=`` /
-``shed_max_rate_hz=``) and exercised by the chaos harness
-(:mod:`repro.streams.chaos`).  See ``docs/robustness.md`` for tuning.
+Both run fused into the ingest boundary, never as graph stages: in
+:class:`~repro.streams.sources.GuardedVectorSource` (armed by
+:func:`repro.parallel.app.build_parallel_pca_graph`'s ``quarantine=`` /
+``shed_max_rate_hz=`` and exercised by :mod:`repro.streams.chaos`), in
+the network sources, and per tenant in :mod:`repro.serving`.  See
+``docs/robustness.md`` for tuning.
 """
 
 from __future__ import annotations
@@ -33,15 +33,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .operators import Operator
 from .tuples import StreamTuple
 
 __all__ = [
-    "CircuitBreaker",
     "DeadLetterQueue",
     "DeadLetterRecord",
     "LoadShedValve",
-    "QuarantineOperator",
     "default_validator",
     "row_poison_reason",
 ]
@@ -61,7 +58,7 @@ class DeadLetterRecord:
 class DeadLetterQueue:
     """Bounded, thread-safe store of quarantined inputs.
 
-    Multiple producers (a quarantine operator, network sources routing
+    Multiple producers (a guarded source, network sources routing
     unparsable lines) may share one queue or hold their own; the
     ``total`` counter never decreases even when old records are dropped
     by the capacity bound.
@@ -190,64 +187,13 @@ def default_validator(
     return row_poison_reason(x, expected_dim)
 
 
-class QuarantineOperator(Operator):
-    """Validating pass-through: poison tuples go to the DLQ, not the graph.
-
-    Parameters
-    ----------
-    dlq:
-        Destination for quarantined tuples (a fresh private queue when
-        ``None``).
-    expected_dim:
-        When set, observations of any other dimensionality are poison.
-    validator:
-        ``(tup, expected_dim) -> reason | None`` override of
-        :func:`default_validator`.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        dlq: DeadLetterQueue | None = None,
-        expected_dim: int | None = None,
-        validator: Callable[[StreamTuple, int | None], str | None]
-        | None = None,
-    ) -> None:
-        super().__init__(name, n_inputs=1, n_outputs=1)
-        self.dlq = dlq if dlq is not None else DeadLetterQueue()
-        self.expected_dim = expected_dim
-        self.validator = validator or default_validator
-        self.n_quarantined = 0
-
-    def bind_telemetry(self, telemetry) -> None:
-        self.dlq.bind_telemetry(telemetry)
-
-    def process(self, tup: StreamTuple, port: int) -> None:
-        if tup.is_control:
-            self.submit(tup, port=0)
-            return
-        reason = self.validator(tup, self.expected_dim)
-        if reason is not None:
-            self.n_quarantined += 1
-            self.dlq.quarantine(
-                self.name,
-                reason,
-                payload=dict(tup.payload),
-                seq=tup.get("seq"),
-            )
-            return
-        self.submit(tup, port=0)
-
-
 class LoadShedValve:
     """The token bucket + open/closed state behind load shedding.
 
-    Shared by the operator form (:class:`CircuitBreaker`) and the
-    source-inline form
-    (:class:`~repro.streams.sources.GuardedVectorSource`): a bucket of
-    depth ``max_rate_hz * burst_s`` refills at ``max_rate_hz``
-    tokens/s; every admitted data tuple spends one.  Sustained arrival
+    Held by :class:`~repro.streams.sources.GuardedVectorSource` and by
+    every serving tenant: a bucket of depth ``max_rate_hz * burst_s``
+    refills at ``max_rate_hz`` tokens/s; every admitted row spends one
+    (control tuples and punctuation never meet it).  Sustained arrival
     above the rate drains the bucket, the valve *opens* (one
     ``breaker`` telemetry event + ``n_trips``) and sheds — counted in
     ``n_shed`` — until ``open_for_s`` passes, after which it closes
@@ -379,55 +325,3 @@ class LoadShedValve:
             )
             deficit = max(0.0, float(n) - tokens)
             return deficit / self.max_rate_hz
-
-
-class CircuitBreaker(Operator):
-    """Load-shedding valve as a graph stage (see :class:`LoadShedValve`).
-
-    ``max_rate_hz=None`` disables the valve entirely (pure pass-through
-    with zero bookkeeping): the safe default for wiring the operator
-    into a graph unconditionally.
-
-    Control tuples and punctuation always pass: shedding must never
-    starve the sync protocol or stall shutdown.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        max_rate_hz: float | None = None,
-        burst_s: float = 1.0,
-        open_for_s: float = 0.5,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        super().__init__(name, n_inputs=1, n_outputs=1)
-        self._valve = LoadShedValve(
-            max_rate_hz, burst_s=burst_s, open_for_s=open_for_s,
-            clock=clock,
-        )
-        self._valve._origin = name
-
-    def bind_telemetry(self, telemetry) -> None:
-        self._valve.bind_telemetry(telemetry, origin=self.name)
-
-    @property
-    def max_rate_hz(self) -> float | None:
-        return self._valve.max_rate_hz
-
-    @property
-    def n_shed(self) -> int:
-        return self._valve.n_shed
-
-    @property
-    def n_trips(self) -> int:
-        return self._valve.n_trips
-
-    @property
-    def state(self) -> str:
-        """``"open"`` (shedding) or ``"closed"`` (admitting)."""
-        return self._valve.state
-
-    def process(self, tup: StreamTuple, port: int) -> None:
-        if tup.is_control or self._valve.admit():
-            self.submit(tup, port=0)

@@ -105,15 +105,16 @@ class VectorSource(Source):
 class GuardedVectorSource(VectorSource):
     """A :class:`VectorSource` with the ingress guards fused in.
 
-    Functionally equivalent to wiring ``VectorSource →
-    QuarantineOperator → CircuitBreaker``, but the validation and the
-    shed valve run inline in the emit loop instead of as graph stages.
-    The operator form costs a dispatch hop per stage per tuple — on the
-    threaded runtime a dedicated PE thread plus a queue transfer each,
-    ~8-10 % of fault-free wall time at d=512 — while the guard work
-    itself is under a microsecond per row, so fusing it into the source
-    makes readiness-for-chaos essentially free on every runtime
-    (``benchmarks/bench_chaos_overhead.py`` gates this at ≥ 0.90).
+    Poison-row validation into a
+    :class:`~repro.streams.resilience.DeadLetterQueue` and a
+    :class:`~repro.streams.resilience.LoadShedValve` run inline in the
+    emit loop, not as graph stages: a stage costs a dispatch hop per
+    tuple — on the threaded runtime a dedicated PE thread plus a queue
+    transfer, ~8-10 % of fault-free wall time at d=512 for the two —
+    while the guard work itself is under a microsecond per row, so
+    fusing it into the source makes readiness-for-chaos essentially
+    free on every runtime (``benchmarks/bench_chaos_overhead.py`` gates
+    this at ≥ 0.90).
 
     The guards judge *rows*, whatever the emission unit: each row is
     validated and then spends one valve token as it is pulled, and each
@@ -121,15 +122,21 @@ class GuardedVectorSource(VectorSource):
     a dropped row never enters the block buffer; survivors keep filling
     it, so blocks stay full and their ``seqs`` skip the dropped indices.
 
-    Counters mirror the operator forms — ``n_quarantined`` when
-    quarantine is armed, ``n_shed`` / ``n_trips`` / ``state`` when the
-    valve is — and only exist when the matching guard is armed, so the
-    telemetry collector exports exactly the armed guards' metrics.
+    Counters — ``n_quarantined`` when quarantine is armed, ``n_shed`` /
+    ``n_trips`` / ``state`` when the valve is — only exist when the
+    matching guard is armed, so the telemetry collector exports exactly
+    the armed guards' metrics.
 
-    Parameters mirror :class:`~repro.streams.resilience.QuarantineOperator`
-    and :class:`~repro.streams.resilience.CircuitBreaker`; ``quarantine``
-    and ``max_rate_hz`` arm the two guards independently (``validator``
-    defaults to :func:`~repro.streams.resilience.row_poison_reason`).
+    Parameters
+    ----------
+    quarantine / dlq / expected_dim / validator:
+        ``quarantine=True`` (or a ``dlq`` to share) arms validation:
+        a row the validator rejects — ``(tup, expected_dim) -> reason |
+        None``, default :func:`~repro.streams.resilience.row_poison_reason`
+        on the row itself — goes to the dead-letter queue, not the graph.
+    max_rate_hz / burst_s / open_for_s / clock:
+        ``max_rate_hz`` arms the valve; the rest are
+        :class:`~repro.streams.resilience.LoadShedValve`'s.
     """
 
     def __init__(

@@ -90,6 +90,15 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 )
 
 
+def json_default(obj: Any):
+    """``json.dumps(default=)`` for values that are not JSON-native:
+    numpy scalars as floats, anything else as its ``str``."""
+    try:
+        return float(obj)
+    except (TypeError, ValueError):
+        return str(obj)
+
+
 def _label_key(labels: Mapping[str, Any]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -998,15 +1007,9 @@ class Telemetry:
             "metrics": self.metrics.snapshot(),
         })
 
-        def default(obj):
-            try:
-                return float(obj)
-            except (TypeError, ValueError):
-                return str(obj)
-
         with open(path, "w") as fh:
             for event in events:
-                fh.write(json.dumps(event, default=default) + "\n")
+                fh.write(json.dumps(event, default=json_default) + "\n")
         return len(events)
 
     def render_report(self, **kwargs) -> str:

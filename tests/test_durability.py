@@ -33,7 +33,6 @@ from repro.serving import (
     RecoveryManager,
     ServingClient,
     ServingConfig,
-    TenantCheckpointStore,
     TenantSpec,
     WalError,
     WriteAheadLog,
@@ -283,42 +282,66 @@ class TestWalTornWriteFuzz:
 
 
 class TestTenantCheckpointStore:
+    """``io.CheckpointStore`` as the durability plane drives it: keyed
+    by snapshot version, accounting in ``extras``."""
+
     def test_save_load_extras_round_trip(self, tmp_path):
-        store = TenantCheckpointStore(tmp_path)
+        store = CheckpointStore(tmp_path)
         state = _state()
         extras = {
             "tenant": "t0", "snapshot_version": 5, "rows_applied": 100,
             "blocks_applied": 9, "wal_seq": 42, "outlier_t": 9.0,
             "published_unix": 1.0,
         }
-        store.save(state, extras)
-        loaded = store.load_latest()
+        path = store.save(state, key=5, extras=extras)
+        assert path.name == "eigensystem-000000000005.npz"
+        loaded = store.load_latest(with_extras=True)
         assert loaded is not None
         got_state, got_extras = loaded
         assert got_extras["wal_seq"] == 42
         assert got_extras["snapshot_version"] == 5
         np.testing.assert_allclose(got_state.basis, state.basis)
+        # Without the flag the eigensystem alone comes back.
+        np.testing.assert_allclose(store.load_latest().basis, state.basis)
+        assert store.age_s() < 60.0
 
     def test_keep_last_gc(self, tmp_path):
-        store = TenantCheckpointStore(tmp_path, keep_last=2)
+        store = CheckpointStore(tmp_path, keep=2)
         for v in range(6):
-            store.save(_state(), {"snapshot_version": v})
+            store.save(_state(), key=v, extras={"snapshot_version": v})
         assert [v for v, _p in store.list()] == [4, 5]
 
     def test_corrupt_newest_falls_back(self, tmp_path):
-        store = TenantCheckpointStore(tmp_path, keep_last=3)
-        store.save(_state(seed=1), {"snapshot_version": 1, "wal_seq": 7})
-        store.save(_state(seed=2), {"snapshot_version": 2, "wal_seq": 9})
+        store = CheckpointStore(tmp_path, keep=3)
+        store.save(_state(seed=1), key=1, extras={"wal_seq": 7})
+        store.save(_state(seed=2), key=2, extras={"wal_seq": 9})
         newest = store.list()[-1][1]
         newest.write_bytes(b"not an npz")
-        loaded = store.load_latest()
+        loaded = store.load_latest(with_extras=True)
         assert loaded is not None
         assert loaded[1]["wal_seq"] == 7
 
     def test_empty_store(self, tmp_path):
-        store = TenantCheckpointStore(tmp_path)
-        assert store.load_latest() is None
+        store = CheckpointStore(tmp_path)
+        assert store.load_latest(with_extras=True) is None
         assert store.age_s() is None
+
+    def test_older_ckpt_file_name_is_read_and_collected(self, tmp_path):
+        """Tenant stores once wrote ``ckpt-<version>.npz``: such files
+        are listed, loaded and garbage-collected with the rest."""
+        save_eigensystem(
+            tmp_path / "ckpt-000000000005.npz", _state(seed=1),
+            extras={"snapshot_version": 5, "wal_seq": 4},
+        )
+        store = CheckpointStore(tmp_path, keep=2)
+        assert [v for v, _p in store.list()] == [5]
+        assert store.load_latest(with_extras=True)[1]["wal_seq"] == 4
+        assert store.age_s() is not None
+        for v in (6, 7):
+            store.save(_state(seed=v), key=v, extras={"wal_seq": v})
+        assert [p.name for _v, p in store.list()] == [
+            "eigensystem-000000000006.npz", "eigensystem-000000000007.npz",
+        ]
 
 
 class TestCheckpointStoreHardening:
@@ -791,6 +814,95 @@ class TestServiceDurability:
             assert svc.status()[1]["durability"] is None
         finally:
             svc.stop()
+
+
+class TestOlderDataDirLayout:
+    """A data dir as the commit before the checkpoint stores were merged
+    wrote it: ``spec.json`` carrying the three parallel-chunk-mode keys,
+    a ``ckpt-<version>.npz`` checkpoint, and a WAL tail past it."""
+
+    ROWS, DIM, N_BLOCKS, CKPT_BLOCKS = 16, 8, 8, 5
+
+    def _write(self, data_dir, name="t0", **retired):
+        tdir = data_dir / "tenants" / name
+        (tdir / "ckpt").mkdir(parents=True)
+        spec = {
+            **_spec(name).__dict__,
+            "n_engines": 1, "runtime": "synchronous",
+            "parallel_chunk_rows": 0, **retired,
+        }
+        (tdir / "spec.json").write_text(json.dumps(spec))
+        blocks = _blocks(self.N_BLOCKS, rows=self.ROWS, dim=self.DIM)
+        wal = WriteAheadLog(tdir / "wal", durability="fsync")
+        for block in blocks:
+            wal.append(block)
+        wal.close()
+        est = RobustIncrementalPCA(3, init_size=10)
+        for block in blocks[:self.CKPT_BLOCKS]:
+            est.update_block(block)
+        save_eigensystem(
+            tdir / "ckpt" / f"ckpt-{self.CKPT_BLOCKS:012d}.npz",
+            est.public_state(),
+            extras={
+                "tenant": name, "snapshot_version": self.CKPT_BLOCKS,
+                "rows_applied": self.CKPT_BLOCKS * self.ROWS,
+                "blocks_applied": self.CKPT_BLOCKS,
+                "wal_seq": self.CKPT_BLOCKS - 1, "outlier_t": 9.0,
+                "published_unix": time.time(),
+            },
+            fsync=True,
+        )
+
+    def test_recovers_rows_version_and_tenants(self, tmp_path):
+        data_dir = tmp_path / "data"
+        self._write(data_dir)
+        svc = PCAService(_cfg(tmp_path))
+        svc.start()
+        assert svc.durability.recovery.wait(10)
+        try:
+            assert sorted(svc.get_tenants()) == ["t0"]
+            prog = svc.durability.recovery.progress()["tenants"]["t0"]
+            assert prog["checkpoint_version"] == self.CKPT_BLOCKS
+            assert prog["wal_records_replayed"] == (
+                self.N_BLOCKS - self.CKPT_BLOCKS
+            )
+            model = svc.tenant("t0").model
+            assert model.rows_applied == self.N_BLOCKS * self.ROWS
+            assert model.last_wal_seq == self.N_BLOCKS - 1
+            assert svc.cache.version("t0") == self.N_BLOCKS
+            total = self.N_BLOCKS * self.ROWS + _ingest_n(svc, "t0", 4)
+            assert svc.pool.drain(10)
+        finally:
+            svc.stop()
+        # New checkpoints land beside the old file, under the one
+        # store's own name, and a second restart reads those.
+        names = {p.name for p in (
+            data_dir / "tenants" / "t0" / "ckpt"
+        ).iterdir()}
+        assert any(n.startswith("eigensystem-") for n in names), names
+        svc2 = PCAService(_cfg(tmp_path))
+        svc2.start()
+        assert svc2.durability.recovery.wait(10)
+        try:
+            assert svc2.tenant("t0").model.rows_applied == total
+            assert svc2.cache.version("t0") >= self.N_BLOCKS + 4
+        finally:
+            svc2.stop()
+
+    def test_chunk_mode_tenant_loads_as_a_plain_tenant(self, tmp_path):
+        data_dir = tmp_path / "data"
+        self._write(data_dir)
+        self._write(
+            data_dir, "wide", n_engines=4, runtime="threaded",
+            parallel_chunk_rows=512,
+        )
+        plane = DurabilityPlane(data_dir)
+        with pytest.warns(RuntimeWarning, match="wide.*n_engines"):
+            specs = plane.load_specs()
+        assert [s.name for s in specs] == ["t0", "wide"]
+        assert specs[1] == _spec("wide")
+        with pytest.raises(TypeError):
+            TenantSpec("t", n_engines=2)
 
 
 # ---------------------------------------------------------------------------

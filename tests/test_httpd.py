@@ -1,0 +1,215 @@
+"""The HTTP transport contract, over both front ends.
+
+``repro.streams.httpd.HttpServer`` is the one server in ``src/``;
+``ObservabilityServer`` and ``ServingServer`` supply routes only.  Every
+connection-level behaviour is therefore checked once, here, against
+each of them over raw sockets: keep-alive reuse, ``Connection: close``,
+the idle timeout, the 400s and 413s of the request parser, the JSON 404
+that lists the routes, and the JSON 500 of a route that raises.
+"""
+
+from __future__ import annotations
+
+import inspect
+import json
+import socket
+import time
+
+import pytest
+
+from repro.serving import PCAService, ServingConfig, ServingServer
+from repro.streams import (
+    OBSERVABILITY_ROUTES,
+    ObservabilityServer,
+    Telemetry,
+    TelemetryConfig,
+)
+
+CONN_TIMEOUT_S = 0.3
+
+
+@pytest.fixture(params=["obs", "serving"])
+def front_end(request):
+    """``(server, its telemetry)``, started; both mount ``/metrics``."""
+    if request.param == "obs":
+        telemetry = Telemetry(TelemetryConfig())
+        server = ObservabilityServer(
+            telemetry, conn_timeout_s=CONN_TIMEOUT_S
+        )
+    else:
+        service = PCAService(ServingConfig(n_lanes=1, elastic=False))
+        telemetry = service.telemetry
+        server = ServingServer(
+            service, conn_timeout_s=CONN_TIMEOUT_S, max_body_bytes=4096
+        )
+    server.start()
+    yield server, telemetry
+    server.stop()
+
+
+def _connect(server) -> socket.socket:
+    return socket.create_connection((server.host, server.port), timeout=5.0)
+
+
+def _read_response(sock):
+    """``(status, headers, JSON-or-text body)`` of the next response."""
+    buf = b""
+    while b"\r\n\r\n" not in buf:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-response: {buf!r}"
+        buf += chunk
+    head, _, body = buf.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    status = int(lines[0].split(" ")[1])
+    headers = {
+        name.lower(): value.strip()
+        for name, value in (line.split(":", 1) for line in lines[1:])
+    }
+    while len(body) < int(headers["content-length"]):
+        body += sock.recv(65536)
+    if headers["content-type"] == "application/json":
+        return status, headers, json.loads(body)
+    return status, headers, body.decode()
+
+
+def _get(sock, path, *extra_headers):
+    lines = [f"GET {path} HTTP/1.1", "Host: test", *extra_headers]
+    sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode())
+    return _read_response(sock)
+
+
+def _closed_by_server(sock) -> bool:
+    sock.settimeout(5.0)
+    return sock.recv(1) == b""
+
+
+class TestTransportContract:
+    def test_keep_alive_connection_is_reused(self, front_end):
+        server, _ = front_end
+        with _connect(server) as sock:
+            for _ in range(3):
+                status, headers, _ = _get(sock, "/metrics")
+                assert status == 200
+                assert headers["connection"] == "keep-alive"
+                assert headers["content-type"].startswith("text/plain")
+        assert server.n_requests == 3
+
+    def test_connection_close_is_honoured(self, front_end):
+        server, _ = front_end
+        with _connect(server) as sock:
+            status, headers, _ = _get(sock, "/health", "Connection: close")
+            assert status == 200
+            assert headers["connection"] == "close"
+            assert _closed_by_server(sock)
+
+    def test_half_sent_request_is_dropped_and_counted(self, front_end):
+        server, _ = front_end
+        with _connect(server) as sock:
+            sock.sendall(b"GET /metr")  # ... and go silent
+            t0 = time.perf_counter()
+            assert _closed_by_server(sock)
+            assert time.perf_counter() - t0 >= CONN_TIMEOUT_S * 0.5
+        assert server.n_timeouts == 1
+        with _connect(server) as sock:  # still serving
+            assert _get(sock, "/metrics")[0] == 200
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"NONSENSE\r\n\r\n",
+        b"GET /metrics HTTP/1.1\r\nContent-Length: nine\r\n\r\n",
+        b"GET /metrics HTTP/1.1\r\nContent-Length: -9\r\n\r\n",
+        b"POST /metrics HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+    ], ids=["request-line", "length-word", "length-negative", "chunked"])
+    def test_malformed_request_gets_400(self, front_end, request_bytes):
+        server, _ = front_end
+        with _connect(server) as sock:
+            sock.sendall(request_bytes)
+            status, headers, body = _read_response(sock)
+            assert status == 400 and "error" in body
+            assert headers["connection"] == "close"
+            assert _closed_by_server(sock)
+        assert server.n_errors == 0
+
+    def test_oversized_body_gets_413_before_it_is_read(self, front_end):
+        server, _ = front_end
+        too_big = server.max_body_bytes + 1
+        with _connect(server) as sock:
+            # Headers only: the bound is judged on the announced length.
+            status, _, body = _get(
+                sock, "/metrics", f"Content-Length: {too_big}"
+            )
+            assert status == 413 and str(too_big) in body["error"]
+            assert _closed_by_server(sock)
+
+    def test_oversized_headers_get_413(self, front_end):
+        server, _ = front_end
+        with _connect(server) as sock:
+            # Stay under the 64 KiB header bound until the server has
+            # taken everything in, then cross it with one small write:
+            # nothing is left unread when it answers and closes.
+            sock.sendall(b"GET /metrics HTTP/1.1\r\nX-Pad: " + b"a" * 65000)
+            time.sleep(0.1)
+            sock.sendall(b"a" * 1000)
+            status, _, body = _read_response(sock)
+            assert status == 413 and "headers" in body["error"]
+            assert _closed_by_server(sock)
+
+    def test_unknown_path_is_json_404_listing_routes(self, front_end):
+        server, _ = front_end
+        with _connect(server) as sock:
+            status, _, body = _get(sock, "/no/such/thing?x=1")
+            assert status == 404
+            assert "/no/such/thing" in body["error"]
+            assert body["paths"] == list(server.routes)
+            assert set(OBSERVABILITY_ROUTES) <= set(body["paths"])
+            # The connection survives a 404.
+            assert _get(sock, "/health")[0] == 200
+        assert server.n_errors == 0
+
+    def test_raising_route_is_json_500_and_counted(
+        self, front_end, monkeypatch
+    ):
+        server, telemetry = front_end
+
+        def boom():
+            raise RuntimeError("registry on fire")
+
+        monkeypatch.setattr(telemetry, "to_prometheus", boom)
+        with _connect(server) as sock:
+            status, _, body = _get(sock, "/metrics")
+            assert status == 500 and "registry on fire" in body["error"]
+            assert server.n_errors == 1
+            # A broken route takes neither the connection nor the
+            # server down.
+            assert _get(sock, "/health")[0] == 200
+        assert server.n_errors == 1
+
+
+class TestFrontEndSurface:
+    def test_constructor_signatures_are_pinned(self):
+        assert str(inspect.signature(ObservabilityServer.__init__)) == (
+            "(self, telemetry, *, rule_engine=None, "
+            "host: 'str' = '127.0.0.1', port: 'int' = 0, "
+            "conn_timeout_s: 'float' = 10.0) -> 'None'"
+        )
+        assert str(inspect.signature(ServingServer.__init__)) == (
+            "(self, service: 'PCAService', *, host: 'str' = '127.0.0.1', "
+            "port: 'int' = 0, conn_timeout_s: 'float' = 30.0, "
+            "max_body_bytes: 'int' = 16777216, "
+            "ws_ping_interval_s: 'float' = 15.0) -> 'None'"
+        )
+
+    def test_conn_timeout_must_be_positive(self):
+        service = PCAService(ServingConfig(n_lanes=1, elastic=False))
+        with pytest.raises(ValueError):
+            ServingServer(service, conn_timeout_s=0.0)
+
+    def test_start_is_idempotent_and_stop_allows_restart(self):
+        server = ObservabilityServer(Telemetry(TelemetryConfig()))
+        assert server.start() is server.start()
+        port = server.port
+        server.stop()
+        server.stop()  # harmless when not running
+        with server:
+            assert server.port == port
+            with _connect(server) as sock:
+                assert _get(sock, "/health")[0] == 200

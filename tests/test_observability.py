@@ -819,9 +819,9 @@ class TestObservabilityServer:
 
 
 class TestObservabilityServerHardening:
-    """Regression tests for the serving-PR hardening: JSON 404s on
-    unknown paths and unknown engine ids, and per-connection socket
-    timeouts so hung clients can't pin handler threads."""
+    """JSON 404s on unknown engine ids.  (Unknown paths, hung clients
+    and the other connection-level cases are the transport's:
+    ``tests/test_httpd.py`` runs them against this front end too.)"""
 
     def _engine(self):
         tel = Telemetry(TelemetryConfig())
@@ -830,17 +830,6 @@ class TestObservabilityServerHardening:
         mon.note_rows(10, r2_sum=10.0, weight_sum=10.0)
         mon.maybe_check(est)
         return tel, HealthRuleEngine(tel, monitors=[mon])
-
-    def test_unknown_path_is_json_404_listing_routes(self):
-        tel = Telemetry(TelemetryConfig())
-        with ObservabilityServer(tel) as srv:
-            status, body = http_get(srv.url + "/no/such/thing")
-            payload = json.loads(body)
-            assert status == 404
-            assert "/no/such/thing" in payload["error"]
-            assert "/metrics" in payload["paths"]
-            assert "/health/model/<engine_id>" in payload["paths"]
-        assert srv.n_errors == 0
 
     def test_engine_snapshot_endpoint(self):
         tel, engine = self._engine()
@@ -869,30 +858,6 @@ class TestObservabilityServerHardening:
             assert status == 404
             assert payload["known_engines"] == []
             assert not payload["rules_wired"]
-
-    def test_hung_client_is_dropped_after_conn_timeout(self):
-        import socket as socket_mod
-
-        tel = Telemetry(TelemetryConfig())
-        with ObservabilityServer(tel, conn_timeout_s=0.2) as srv:
-            # Connect, dribble half a request line, then go silent.
-            sock = socket_mod.create_connection(
-                ("127.0.0.1", srv.port), timeout=5.0
-            )
-            try:
-                sock.sendall(b"GET /metr")
-                deadline = time.perf_counter() + 5.0
-                while (
-                    srv.n_timeouts == 0
-                    and time.perf_counter() < deadline
-                ):
-                    time.sleep(0.02)
-                assert srv.n_timeouts >= 1
-            finally:
-                sock.close()
-            # The server still answers fresh requests afterwards.
-            status, _ = http_get(srv.url + "/metrics")
-            assert status == 200
 
     def test_conn_timeout_must_be_positive(self):
         tel = Telemetry(TelemetryConfig())

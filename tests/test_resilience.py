@@ -1,4 +1,4 @@
-"""Dead-letter queue, quarantine operator, and circuit breaker."""
+"""Dead-letter queue, validators, load-shed valve, and the guarded source."""
 
 import threading
 import time
@@ -8,11 +8,9 @@ import pytest
 
 from repro.data.streams import VectorStream
 from repro.streams import (
-    CircuitBreaker,
     DeadLetterQueue,
     GuardedVectorSource,
     LoadShedValve,
-    QuarantineOperator,
     StreamTuple,
     SynchronousEngine,
     Telemetry,
@@ -95,111 +93,99 @@ class TestDefaultValidator:
 
 
 class TestQuarantineOperator:
-    def _op(self, **kw):
-        op = QuarantineOperator("q", expected_dim=2, **kw)
-        out = []
-        op.bind(lambda tup, port: out.append((tup, port)))
-        return op, out
+    """What the operator form pinned, on its parts as the guarded source
+    wires them: the tuple validator's verdict decides, and a rejected
+    row's context lands in the dead-letter queue."""
+
+    def _run(self, rows, name="q", **kw):
+        stream = VectorStream.from_iterable(rows, dim=2, length=len(rows))
+        src = GuardedVectorSource(
+            name, stream, expected_dim=2, validator=default_validator, **kw
+        )
+        return src, list(src.generate())
 
     def test_healthy_tuples_flow_through(self):
-        op, out = self._op()
-        op._dispatch(_obs([1.0, 2.0], seq=0), 0)
+        src, out = self._run([np.array([1.0, 2.0])])
         assert len(out) == 1
-        assert op.n_quarantined == 0
+        assert src.n_quarantined == 0
 
     def test_poison_is_captured_not_raised(self):
-        op, out = self._op()
-        op._dispatch(_obs([1.0, 2.0, 3.0], seq=5), 0)
-        assert out == []
-        assert op.n_quarantined == 1
-        [rec] = op.dlq.records
+        rows = [np.array([1.0, 2.0])] * 5 + [np.array([1.0, 2.0, 3.0])]
+        src, out = self._run(rows)
+        assert len(out) == 5
+        assert src.n_quarantined == 1
+        [rec] = src.dlq.records
         assert rec.seq == 5
         assert rec.origin == "q"
+        assert "dim" in rec.reason
         np.testing.assert_array_equal(
             rec.payload["x"], [1.0, 2.0, 3.0]
         )
 
-    def test_control_always_passes(self):
-        op, out = self._op()
-        op._dispatch(StreamTuple.control(type="share"), 0)
-        assert len(out) == 1
-
     def test_shared_dlq(self):
         dlq = DeadLetterQueue()
-        op, _ = self._op(dlq=dlq)
-        op._dispatch(_obs([np.nan, np.nan], seq=1), 0)
-        assert dlq.total == 1
+        self._run([np.full(2, np.nan)], name="a", dlq=dlq)
+        self._run([np.ones(3)], name="b", dlq=dlq)
+        assert dlq.total == 2
+        assert dlq.counts_by_origin() == {"a": 1, "b": 1}
 
 
 class TestCircuitBreaker:
+    """Per-row admission (``admit``) through burst, trip, cooldown and
+    the trip event, driven by a fake clock."""
+
     def _breaker(self, **kw):
         clock = {"t": 0.0}
         kw.setdefault("clock", lambda: clock["t"])
-        br = CircuitBreaker("br", **kw)
-        out = []
-        br.bind(lambda tup, port: out.append((tup, port)))
-        return br, out, clock
+        return LoadShedValve(**kw), clock
 
     def test_disabled_is_pure_passthrough(self):
-        br, out, _ = self._breaker(max_rate_hz=None)
-        for i in range(100):
-            br._dispatch(_obs([1.0], seq=i), 0)
-        assert len(out) == 100
+        br, _ = self._breaker(max_rate_hz=None)
+        assert all(br.admit() for _ in range(100))
         assert br.n_shed == 0
 
     def test_burst_within_bucket_passes(self):
-        br, out, _ = self._breaker(max_rate_hz=10.0, burst_s=1.0)
-        for i in range(10):
-            br._dispatch(_obs([1.0], seq=i), 0)
-        assert len(out) == 10
+        br, _ = self._breaker(max_rate_hz=10.0, burst_s=1.0)
+        assert all(br.admit() for _ in range(10))
         assert br.state == "closed"
 
     def test_sustained_overload_trips_and_sheds(self):
-        br, out, clock = self._breaker(
+        br, clock = self._breaker(
             max_rate_hz=10.0, burst_s=1.0, open_for_s=0.5
         )
-        for i in range(15):  # no time passes: instant overload
-            br._dispatch(_obs([1.0], seq=i), 0)
+        # No time passes: instant overload.
+        admitted = sum(br.admit() for _ in range(15))
         assert br.state == "open"
         assert br.n_trips == 1
         assert br.n_shed == 5
-        assert len(out) == 10
+        assert admitted == 10
         # Still open: keeps shedding.
         clock["t"] = 0.4
-        br._dispatch(_obs([1.0], seq=99), 0)
+        assert not br.admit()
         assert br.n_shed == 6
         # Cooldown over: closes and admits again.
         clock["t"] = 0.6
-        br._dispatch(_obs([1.0], seq=100), 0)
+        assert br.admit()
         assert br.state == "closed"
-        assert len(out) == 11
-
-    def test_control_passes_while_open(self):
-        br, out, _ = self._breaker(max_rate_hz=1.0, burst_s=1.0)
-        br._dispatch(_obs([1.0], seq=0), 0)
-        br._dispatch(_obs([1.0], seq=1), 0)  # trips
-        assert br.state == "open"
-        br._dispatch(StreamTuple.control(type="share"), 0)
-        assert any(t.is_control for t, _ in out)
 
     def test_trip_emits_event(self):
         tel = Telemetry(TelemetryConfig())
-        br, _, _ = self._breaker(max_rate_hz=1.0)
-        br.bind_telemetry(tel)
-        br._dispatch(_obs([1.0], seq=0), 0)
-        br._dispatch(_obs([1.0], seq=1), 0)
+        br, _ = self._breaker(max_rate_hz=1.0)
+        br.bind_telemetry(tel, origin="br")
+        br.admit()
+        br.admit()
         events = [
             e for e in tel.events.events() if e["kind"] == "breaker"
         ]
-        assert [e["event"] for e in events] == ["open"]
+        assert [(e["event"], e["op"]) for e in events] == [("open", "br")]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_rate_hz"):
-            CircuitBreaker("b", max_rate_hz=0.0)
+            LoadShedValve(max_rate_hz=0.0)
         with pytest.raises(ValueError, match="burst_s"):
-            CircuitBreaker("b", max_rate_hz=1.0, burst_s=0)
+            LoadShedValve(max_rate_hz=1.0, burst_s=0)
         with pytest.raises(ValueError, match="open_for_s"):
-            CircuitBreaker("b", max_rate_hz=1.0, open_for_s=0)
+            LoadShedValve(max_rate_hz=1.0, open_for_s=0)
 
 
 class TestGuardedVectorSource:
@@ -244,8 +230,8 @@ class TestGuardedVectorSource:
         assert next(gen)["seq"] == 0  # spends the single token
         # At a frozen clock the bucket never refills: the valve trips
         # on the next arrival and sheds the rest inline.  (Cooldown /
-        # recovery semantics are pinned by TestCircuitBreaker — the
-        # operator form drives the same LoadShedValve.)
+        # recovery semantics are pinned by TestCircuitBreaker, on the
+        # LoadShedValve itself.)
         assert list(gen) == []
         assert src.n_shed == 3
         assert src.n_trips == 1

@@ -356,8 +356,13 @@ class TestTenantSpec:
             TenantSpec("t", queue_capacity_rows=0)
 
     def test_unknown_runtime_rejected(self):
-        with pytest.raises(ValueError):
-            TenantSpec("t", runtime="quantum")
+        # The parallel chunk mode and its three fields are gone: every
+        # tenant is one estimator on its lane, whatever a caller asks.
+        for retired in ("runtime", "n_engines", "parallel_chunk_rows"):
+            with pytest.raises(TypeError):
+                TenantSpec("t", **{retired: 2})
+        stats = TenantModel(TenantSpec("t")).stats()
+        assert stats["pending_rows"] == 0 and stats["n_engines"] == 1
 
 
 class TestIngestQueue:
@@ -724,8 +729,6 @@ class TestServingHTTP:
 
     def test_json_errors(self, server):
         with ServingClient(server.host, server.port) as c:
-            r = c.request("GET", "/no/such/path")
-            assert r.code == 404 and "error" in r.body
             r = c.request("GET", "/v1/nope/snapshot")
             assert r.code == 404
             r = c.request("GET", "/v1/a/transform")  # GET on a POST route
@@ -815,11 +818,39 @@ class TestServingHTTP:
                 assert "error" in doc
         st = server.service.tenant("a")
         assert st.rows_accepted == 0 and st.queue.depth_rows == 0
-        # The connection-level checks still come first.
+
+    def test_health_routes_follow_the_lanes(self, server):
+        """The observability routes on the serving front end (what
+        ``python -m repro serve`` answers): the rule engine's live
+        verdict, 503 once the lanes are killed below quorum."""
+        svc = server.service
         with ServingClient(server.host, server.port) as c:
-            assert c.request("POST", "/v1/a/ingest", good).code == 202
-            server.max_body_bytes = len(good) - 1
-            assert c.request("POST", "/v1/a/ingest", good).code == 413
+            assert c.ingest("a", _rows(64)).code == 202
+            r = c.request("GET", "/health")
+            assert r.code == 200
+            assert r.body["rules_wired"] and r.body["status"] != "CRITICAL"
+            r = c.request("GET", "/health/model")
+            assert r.code == 200
+            monitors = {str(m.engine_id) for m in svc._live_monitors()}
+            assert set(r.body["engines"]) == monitors and len(monitors) == 2
+            one = c.request("GET", f"/health/model/{min(monitors)}")
+            assert one.code == 200 and one.body["engine"] == min(monitors)
+            r = c.request("GET", "/health/model/nope")
+            assert r.code == 404 and r.body["known_engines"]
+
+            victim = svc.pool.live_lane_ids()[0]
+            with svc.pool._lock:
+                svc.pool._lanes[victim].kill()
+            svc.pool.work_event.set()
+            seen = []
+            assert _wait(lambda: (
+                seen.append(c.request("GET", "/health"))
+                or seen[-1].code == 503
+            ))
+            body = seen[-1].body
+            assert body["status"] == "CRITICAL"
+            assert "quorum-lost" in {f["rule"] for f in body["firing"]}
+            assert c.live().code == 200  # liveness is not health
 
     def test_snapshot_409_then_200(self, server):
         with ServingClient(server.host, server.port) as c:
