@@ -34,10 +34,9 @@ from repro.core import (
     Eigensystem,
     RobustIncrementalPCA,
     fill_from_basis,
+    jit_status,
     merge_pair,
-    rank_k_update,
 )
-from repro.core import kernels as _kernels
 from repro.data import PlantedSubspaceModel
 
 
@@ -195,45 +194,6 @@ def _compare_at_dim(
     return out
 
 
-def _compare_jit(dim: int, n_rows: int, p: int = 8, repeats: int = 3):
-    """Compiled vs numpy-fallback ``rank_k_update`` at one dimension.
-
-    Returns ``None`` when numba is not installed (the CI jit leg is the
-    place this ratio gets measured and gated).  The first compiled call
-    is burned before timing so compile latency never pollutes the ratio.
-    """
-    if not _kernels.HAVE_NUMBA:
-        return None
-    est, model, rng = _warm_estimator(dim, p=p, seed=0)
-    st: Eigensystem = est.state
-    basis = np.ascontiguousarray(st.basis)
-    lam = np.asarray(st.eigenvalues, dtype=np.float64).copy()
-    block = model.sample(n_rows, rng)
-    weights = rng.uniform(0.5, 1.0, n_rows)
-
-    def run_all():
-        for i in range(n_rows):
-            rank_k_update(
-                basis, lam, block[i : i + 1], 0.999, weights[i : i + 1], p
-            )
-        rank_k_update(basis, lam, block, 0.999, weights, p)
-
-    with _kernels.use_jit(True):
-        run_all()  # warmup: JIT compile + caches
-        t_jit = _time_rows(run_all, repeats)
-    with _kernels.use_jit(False):
-        run_all()
-        t_np = _time_rows(run_all, repeats)
-    return {
-        "name": "jit_vs_numpy",
-        "dim": dim,
-        "n_rows": n_rows,
-        "jit_rows_per_s": 2 * n_rows / t_jit,
-        "numpy_rows_per_s": 2 * n_rows / t_np,
-        "speedup": t_np / t_jit,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Sequential-vs-block robust update throughput"
@@ -271,25 +231,13 @@ def main(argv=None) -> int:
             flush=True,
         )
 
-    jit = _compare_jit(4000, 64 if args.quick else 128, repeats=repeats)
-    if jit is not None:
-        results.append(jit)
-        print(
-            f"d= 4000  jit {jit['jit_rows_per_s']:9.0f} rows/s"
-            f"  numpy {jit['numpy_rows_per_s']:9.0f} rows/s"
-            f"  jit_vs_numpy {jit['speedup']:6.2f}x",
-            flush=True,
-        )
-    else:
-        print("jit_vs_numpy: skipped (numba not installed)", flush=True)
-
     from conftest import bench_environment  # benchmarks/ is sys.path[0]
 
     payload = {
         "benchmark": "core_update",
         "quick": args.quick,
         "config": {"n_components": 8, "alpha": 0.999, "repeats": repeats},
-        "jit": _kernels.jit_status(),
+        "jit": jit_status(),
         "results": results,
         **bench_environment(),
     }

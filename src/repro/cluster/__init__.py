@@ -8,7 +8,6 @@ from .network import Network
 from .placement import Placement
 from .resources import Resource, Store
 from .topology import PAPER_TESTBED, ClusterSpec
-from .tuning import TuningResult, optimal_thread_count, scaling_efficiency
 
 __all__ = [
     "AllOf",
@@ -25,8 +24,5 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "TuningResult",
-    "optimal_thread_count",
-    "scaling_efficiency",
     "simulate_streaming_pca",
 ]

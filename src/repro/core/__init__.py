@@ -46,7 +46,7 @@ from .gaps import (
     observed_mask,
 )
 from .incremental import BlockUpdateResult, IncrementalPCA, UpdateResult
-from .kernels import jit_enabled, jit_status, set_jit, use_jit
+from .kernels import jit_status
 from .lowrank import (
     build_merge_factor,
     build_update_factor,
@@ -124,7 +124,6 @@ __all__ = [
     "flag_outliers",
     "has_gaps",
     "iterative_gap_fill",
-    "jit_enabled",
     "jit_status",
     "largest_principal_angle",
     "make_rho",
@@ -139,9 +138,7 @@ __all__ = [
     "rank_one_update",
     "robust_eigenvalues_along",
     "roughness",
-    "set_jit",
     "subspace_distance",
     "unit_mean_flux",
     "unit_norm",
-    "use_jit",
 ]

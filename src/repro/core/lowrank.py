@@ -30,9 +30,6 @@ __all__ = [
     "rank_k_update",
 ]
 
-#: Relative threshold below which factor singular values are treated as 0.
-_RELATIVE_RANK_TOL = 1e-12
-
 
 def eigensystem_of_factor(
     a: np.ndarray, p: int
@@ -81,7 +78,7 @@ def eigensystem_of_factor(
     # Numerical rank cut: eigenvalues of G are squared singular values.
     w = np.clip(w, 0.0, None)
     if w.size and w[0] > 0.0:
-        keep = w > w[0] * _RELATIVE_RANK_TOL
+        keep = w > w[0] * _kernels.RELATIVE_RANK_TOL
     else:
         keep = np.zeros_like(w, dtype=bool)
     k = min(p, int(np.count_nonzero(keep)))
@@ -273,9 +270,8 @@ def rank_k_update(
     if m == 0 or gamma == 0.0:
         return eigensystem_of_factor(yw, p)
 
-    # Main path: one GIL-releasing kernel covering the Gram assembly,
-    # the small eigensolve and the rotation back (compiled when numba
-    # is available — see repro.core.kernels).
+    # Main path: one kernel covering the Gram assembly, the small
+    # eigensolve and the rotation back (see repro.core.kernels).
     return _kernels.rank_k_core(
         np.ascontiguousarray(basis), lam, yw, float(gamma), int(p)
     )

@@ -35,8 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels as _kernels
-
 __all__ = [
     "RhoFunction",
     "BisquareRho",
@@ -95,26 +93,14 @@ class RhoFunction(abc.ABC):
         return float(out[0]) if scalar else out
 
     def block_weights(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fused ``(W(t), W*(t))`` over a 1-D block of scaled residuals.
+        """``(W(t), W*(t))`` over a 1-D block of scaled residuals.
 
-        Dispatches to the family's compiled kernel when one exists (see
-        :mod:`repro.core.kernels`); the generic fallback is two
-        vectorized passes.  Used by the block update of
+        Used by the block update of
         :class:`~repro.core.robust.RobustIncrementalPCA`, where both
         weights are needed for every row.
         """
         arr = np.ascontiguousarray(t, dtype=np.float64)
-        kern = self._weights_kernel()
-        if kern is None:
-            return (
-                np.asarray(self.weight(arr)),
-                np.asarray(self.wstar(arr)),
-            )
-        return kern(arr, self.c2)
-
-    def _weights_kernel(self):
-        """The fused kernel for this family (``None`` → generic path)."""
-        return None
+        return np.asarray(self.weight(arr)), np.asarray(self.wstar(arr))
 
     def rejection_point(self) -> float:
         """Value of ``t`` beyond which ``W(t) = 0`` (``inf`` if none)."""
@@ -183,9 +169,6 @@ class BisquareRho(RhoFunction):
     def rejection_point(self) -> float:
         return self.c2
 
-    def _weights_kernel(self):
-        return _kernels.rho_weights_bisquare
-
 
 @dataclass(frozen=True)
 class CauchyRho(RhoFunction):
@@ -234,9 +217,6 @@ class CauchyRho(RhoFunction):
     def weight_at_zero(self) -> float:
         return 1.0 / self.c2
 
-    def _weights_kernel(self):
-        return _kernels.rho_weights_cauchy
-
 
 @dataclass(frozen=True)
 class SkippedMeanRho(RhoFunction):
@@ -273,9 +253,6 @@ class SkippedMeanRho(RhoFunction):
 
     def rejection_point(self) -> float:
         return self.c2
-
-    def _weights_kernel(self):
-        return _kernels.rho_weights_skipped
 
 
 _FAMILIES: dict[str, type[RhoFunction]] = {

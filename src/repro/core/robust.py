@@ -503,7 +503,7 @@ class RobustIncrementalPCA:
         t = r2 / scale_prev
         w = float(rho.weight(t))
         wstar = float(rho.wstar(t))
-        is_outlier = t >= self._outlier_threshold()
+        is_outlier = t >= self.outlier_threshold()
         if is_outlier:
             self.n_outliers += 1
 
@@ -606,7 +606,7 @@ class RobustIncrementalPCA:
         scale_prev = st.scale if st.scale > 0 else 1.0
         t = r2 / scale_prev
         w, wstar = rho.block_weights(t)
-        is_outlier = t >= self._outlier_threshold()
+        is_outlier = t >= self.outlier_threshold()
         self.n_outliers += int(np.count_nonzero(is_outlier))
 
         # --- running sums, unrolled in closed form (eqs. 12-14) -----------
@@ -659,7 +659,10 @@ class RobustIncrementalPCA:
             indices=kept_idx,
         )
 
-    def _outlier_threshold(self) -> float:
+    def outlier_threshold(self) -> float:
+        """Scaled residual ``t`` at or above which a row is flagged an
+        outlier: ``outlier_t`` when given, else the rho family's
+        rejection point (``4·c2`` for families that never reject)."""
         if self._outlier_t is not None:
             return self._outlier_t
         rej = self.rho.rejection_point()

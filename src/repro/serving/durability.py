@@ -811,6 +811,9 @@ class DurabilityPlane:
                     )
                 doc.pop("runtime", None)
                 doc.pop("parallel_chunk_rows", None)
+                # Retired with its only reader: snapshots carry the
+                # estimator's own threshold.
+                doc.pop("outlier_t", None)
                 specs.append(TenantSpec(**doc))
             except (OSError, ValueError, TypeError):
                 continue

@@ -26,7 +26,7 @@ from ..core.eigensystem import Eigensystem
 from ..core.robust import RobustIncrementalPCA
 from ..streams.health import HealthMonitor
 from ..streams.resilience import LoadShedValve
-from .snapshots import DEFAULT_OUTLIER_T, EigenbasisCache
+from .snapshots import EigenbasisCache
 
 __all__ = [
     "IngestQueue",
@@ -70,9 +70,6 @@ class TenantSpec:
         model update (keeps publish latency and lock hold times bounded).
     health_check_every:
         Rows between model-health checks (0 disables the monitor).
-    outlier_t:
-        Scaled-residual outlier cutoff stamped into snapshots when the
-        model cannot provide a calibrated one.
     """
 
     name: str
@@ -88,7 +85,6 @@ class TenantSpec:
     queue_capacity_rows: int = 50_000
     max_block_rows: int = 256
     health_check_every: int = 512
-    outlier_t: float = DEFAULT_OUTLIER_T
 
     def __post_init__(self) -> None:
         if not _TENANT_RE.match(self.name):
@@ -286,13 +282,7 @@ class TenantModel:
             if not self.is_initialized:
                 return None
             state = self._estimator.public_state()
-            threshold = getattr(
-                self._estimator, "_outlier_threshold", None
-            )
-            outlier_t = (
-                float(threshold()) if threshold is not None
-                else self.spec.outlier_t
-            )
+            outlier_t = float(self._estimator.outlier_threshold())
             rows, blocks = self.rows_applied, self.blocks_applied
             wal_seq = self.last_wal_seq
             self._blocks_since_publish = 0
@@ -369,13 +359,9 @@ class TenantModel:
         return {
             "rows_applied": self.rows_applied,
             "blocks_applied": self.blocks_applied,
-            # Constants since the parallel chunk mode went (rows are
-            # never buffered inside a model); kept so /status readers
-            # that sum or display them keep working.
+            # Constant (rows are never buffered inside a model); kept
+            # because /status readers sum it with queue_depth_rows.
             "pending_rows": 0,
-            "parallel": False,
-            "n_engines": 1,
-            "runtime": "synchronous",
             "n_outliers": self.n_outliers,
             "n_publishes": self.n_publishes,
             "n_reseeds": self.n_reseeds,

@@ -339,43 +339,6 @@ class TestLatencyAndOpenLoop:
             )
 
 
-class TestTuning:
-    def test_finds_the_paper_optimum(self):
-        from repro.cluster import optimal_thread_count, scaling_efficiency
-
-        result = optimal_thread_count(
-            PAPER_TESTBED,
-            PCACostModel.paper_scale(),
-            candidates=(1, 5, 10, 20, 30),
-        )
-        # "The optimum number is 2 instances per node" — 20 on 10 nodes.
-        assert result.best_threads == 20
-        assert result.best_throughput > result.throughput_of(30)
-        eff = scaling_efficiency(result)
-        assert eff[5] > 0.9          # near-linear early
-        assert eff[30] < eff[5]      # saturation knee
-
-    def test_custom_placement_rule(self):
-        from repro.cluster import optimal_thread_count
-
-        result = optimal_thread_count(
-            PAPER_TESTBED,
-            PCACostModel.paper_scale(),
-            candidates=(1, 4),
-            placement_rule=lambda n, nodes: Placement.single_node(n),
-        )
-        assert result.best_threads == 4  # core-bound single node
-
-    def test_efficiency_requires_base_point(self):
-        from repro.cluster import optimal_thread_count, scaling_efficiency
-
-        result = optimal_thread_count(
-            PAPER_TESTBED, PCACostModel.paper_scale(), candidates=(5, 10)
-        )
-        with pytest.raises(ValueError, match="single-engine"):
-            scaling_efficiency(result)
-
-
 class TestHeterogeneousNodes:
     def test_faster_nodes_get_more_data(self):
         """The paper's load-balancer property: work-conserving delivery

@@ -817,9 +817,9 @@ class TestServiceDurability:
 
 
 class TestOlderDataDirLayout:
-    """A data dir as the commit before the checkpoint stores were merged
-    wrote it: ``spec.json`` carrying the three parallel-chunk-mode keys,
-    a ``ckpt-<version>.npz`` checkpoint, and a WAL tail past it."""
+    """A data dir as older commits wrote it: ``spec.json`` carrying the
+    three parallel-chunk-mode keys and ``outlier_t``, a
+    ``ckpt-<version>.npz`` checkpoint, and a WAL tail past it."""
 
     ROWS, DIM, N_BLOCKS, CKPT_BLOCKS = 16, 8, 8, 5
 
@@ -829,7 +829,7 @@ class TestOlderDataDirLayout:
         spec = {
             **_spec(name).__dict__,
             "n_engines": 1, "runtime": "synchronous",
-            "parallel_chunk_rows": 0, **retired,
+            "parallel_chunk_rows": 0, "outlier_t": 9.0, **retired,
         }
         (tdir / "spec.json").write_text(json.dumps(spec))
         blocks = _blocks(self.N_BLOCKS, rows=self.ROWS, dim=self.DIM)

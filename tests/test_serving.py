@@ -356,13 +356,17 @@ class TestTenantSpec:
             TenantSpec("t", queue_capacity_rows=0)
 
     def test_unknown_runtime_rejected(self):
-        # The parallel chunk mode and its three fields are gone: every
-        # tenant is one estimator on its lane, whatever a caller asks.
-        for retired in ("runtime", "n_engines", "parallel_chunk_rows"):
+        # The parallel chunk mode and its three fields are gone (every
+        # tenant is one estimator on its lane, whatever a caller asks),
+        # and so is the snapshot-cutoff fallback nothing could reach.
+        for retired in (
+            "runtime", "n_engines", "parallel_chunk_rows", "outlier_t"
+        ):
             with pytest.raises(TypeError):
                 TenantSpec("t", **{retired: 2})
         stats = TenantModel(TenantSpec("t")).stats()
-        assert stats["pending_rows"] == 0 and stats["n_engines"] == 1
+        assert stats["pending_rows"] == 0
+        assert not {"parallel", "n_engines", "runtime"} & set(stats)
 
 
 class TestIngestQueue:
@@ -412,6 +416,8 @@ class TestTenantModel:
         snap = model.publish(cache)
         assert snap is not None and snap.version == 1
         assert cache.get("t0").rows_applied == 64
+        # The cutoff queries flag outliers by is the estimator's own.
+        assert snap.outlier_t == model._estimator.outlier_threshold()
 
     def test_reseed_adopts_snapshot(self):
         model = TenantModel(_spec())
