@@ -62,9 +62,9 @@ def _time_cluster(x, n_hosts, batch_size) -> tuple[float, dict]:
         timeout_s=600.0,
     )
     t0 = time.perf_counter()
-    runner.run(VectorStream.from_array(x))
+    result = runner.run(VectorStream.from_array(x))
     wall = time.perf_counter() - t0
-    return wall, dict(runner.cluster_engine.cluster_stats)
+    return wall, dict(result.engine.cluster_stats)
 
 
 def _sim_throughput(n_engines: int, dim: int) -> float:

@@ -32,7 +32,6 @@ except ModuleNotFoundError:
 
 from repro.data import PlantedSubspaceModel, VectorStream
 from repro.parallel import ParallelStreamingPCA
-from repro.streams import ProcessEngine
 
 
 def _runner(n_engines: int, runtime: str, dim: int, batch_size: int):
@@ -47,29 +46,13 @@ def _runner(n_engines: int, runtime: str, dim: int, batch_size: int):
     )
 
 
-def _time_threaded(x, n_engines, batch_size) -> float:
+def _time(x, n_engines, runtime, batch_size):
+    """One run through the front door; returns (wall_s, result)."""
     t0 = time.perf_counter()
-    _runner(n_engines, "threaded", x.shape[1], batch_size).run(
+    result = _runner(n_engines, runtime, x.shape[1], batch_size).run(
         VectorStream.from_array(x)
     )
-    return time.perf_counter() - t0
-
-
-def _time_process(x, n_engines, batch_size) -> tuple[float, dict]:
-    """One process-runtime run; returns (wall_s, transport_stats)."""
-    runner = _runner(n_engines, "process", x.shape[1], batch_size)
-    app = runner.build(VectorStream.from_array(x))
-    main_ops = {app.split.name, app.controller.name}
-    if app.batcher is not None:
-        main_ops.add(app.batcher.name)
-    engine = ProcessEngine(
-        app.graph,
-        main_ops=main_ops,
-        ring_slot_rows=max(batch_size, 64),
-    )
-    t0 = time.perf_counter()
-    engine.run(timeout_s=600.0)
-    return time.perf_counter() - t0, dict(engine.transport_stats)
+    return time.perf_counter() - t0, result
 
 
 def main(argv=None) -> int:
@@ -105,15 +88,15 @@ def main(argv=None) -> int:
     transport = None
     for n_engines in fleets:
         t_thread = min(
-            _time_threaded(x, n_engines, batch_size)
+            _time(x, n_engines, "threaded", batch_size)[0]
             for _ in range(repeats)
         )
         best = None
         for _ in range(repeats):
-            wall, stats = _time_process(x, n_engines, batch_size)
+            wall, result = _time(x, n_engines, "process", batch_size)
             if best is None or wall < best:
                 best = wall
-                transport = stats
+                transport = dict(result.engine.transport_stats)
         r = {
             "name": f"process_vs_thread_e{n_engines}",
             "n_engines": n_engines,

@@ -68,6 +68,7 @@ from .metrics import (
     largest_principal_angle,
     principal_angles,
     roughness,
+    subspace_affinity,
     subspace_distance,
 )
 from .normalize import NormalizationError, normalize_block, unit_mean_flux, unit_norm
@@ -138,6 +139,7 @@ __all__ = [
     "rank_one_update",
     "robust_eigenvalues_along",
     "roughness",
+    "subspace_affinity",
     "subspace_distance",
     "unit_mean_flux",
     "unit_norm",

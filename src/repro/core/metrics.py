@@ -20,6 +20,7 @@ __all__ = [
     "principal_angles",
     "largest_principal_angle",
     "subspace_distance",
+    "subspace_affinity",
     "align_signs",
     "roughness",
     "explained_variance_ratio",
@@ -59,6 +60,13 @@ def largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
 def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """``sin`` of the largest principal angle (the projector 2-norm gap)."""
     return float(np.sin(largest_principal_angle(a, b)))
+
+
+def subspace_affinity(a: np.ndarray, b: np.ndarray) -> float:
+    """``cos`` of the largest principal angle between the leading
+    ``min(k_a, k_b)`` columns of two bases (1.0 = identical span)."""
+    k = min(a.shape[1], b.shape[1])
+    return float(np.cos(largest_principal_angle(a[:, :k], b[:, :k])))
 
 
 def align_signs(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:

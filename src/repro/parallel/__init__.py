@@ -1,6 +1,7 @@
 """The parallel streaming-PCA application (paper Sections II-C, III)."""
 
 from .app import (
+    ENGINE_CLASSES,
     ParallelPCAApp,
     build_parallel_pca_graph,
     engine_restart_supervisor,
@@ -33,6 +34,7 @@ from .sync import (
 __all__ = [
     "BroadcastStrategy",
     "DIAGNOSTICS_SCHEMA",
+    "ENGINE_CLASSES",
     "GroupStrategy",
     "MapReducePCAResult",
     "ParallelPCAApp",

@@ -13,6 +13,9 @@ The topology::
                                               └──────┬────────┘  broadcast /
                                                      │ ctl (share/merge)
                                               back to every engine
+
+Fused or distributed is a placement taken at launch, not a different
+application: :meth:`ParallelPCAApp.engine` is the one runtime switch.
 """
 
 from __future__ import annotations
@@ -24,9 +27,13 @@ from ..core.robust import RobustIncrementalPCA
 from ..data.streams import VectorStream
 from ..io.checkpoint import CheckpointStore
 from ..streams.batcher import Batcher
+from ..streams.clusterengine import ClusterEngine
+from ..streams.engine import SynchronousEngine, ThreadedEngine
+from ..streams.fusion import FusionPlan
 from ..streams.graph import Graph
 from ..streams.health import HealthMonitor, HealthRuleEngine, default_rules
 from ..streams.resilience import DeadLetterQueue
+from ..streams.procengine import ProcessEngine
 from ..streams.sinks import CollectingSink
 from ..streams.sources import GuardedVectorSource, VectorSource
 from ..streams.split import Split
@@ -35,10 +42,36 @@ from .pca_operator import StreamingPCAOperator
 from .sync import SyncController, SyncStrategy
 
 __all__ = [
+    "ENGINE_CLASSES",
+    "FUSION_PLANS",
     "ParallelPCAApp",
     "build_parallel_pca_graph",
     "engine_restart_supervisor",
 ]
+
+#: Runtime name → engine class.
+ENGINE_CLASSES = {
+    "synchronous": SynchronousEngine,
+    "threaded": ThreadedEngine,
+    "process": ProcessEngine,
+    "cluster": ClusterEngine,
+}
+
+#: Fusion name → plan constructor (threaded runtime).
+FUSION_PLANS = {
+    "per-operator": FusionPlan.per_operator,
+    "fused": FusionPlan.fused,
+    "chains": FusionPlan.fuse_chains,
+}
+
+
+def _choice(table: dict, what: str, name: str):
+    """``table[name]``, or a ``ValueError`` listing the valid names."""
+    if name not in table:
+        raise ValueError(
+            f"{what} must be one of {sorted(table)}, got {name!r}"
+        )
+    return table[name]
 
 
 @dataclass
@@ -71,6 +104,54 @@ class ParallelPCAApp:
     diag_sink: CollectingSink | None = None
     batcher: Batcher | None = None
     health_monitors: list[HealthMonitor] = field(default_factory=list)
+
+    @property
+    def main_ops(self) -> set[str]:
+        """The coordination plane: what stays on the coordinator, beside
+        the source and the sinks the engines pin there themselves, when
+        the PCA engines are placed remotely — a block makes one hop."""
+        names = {self.split.name, self.controller.name}
+        if self.batcher is not None:
+            names.add(self.batcher.name)
+        return names
+
+    def engine(
+        self,
+        runtime: str,
+        *,
+        fusion: str = "per-operator",
+        supervisor: Supervisor | None = None,
+        telemetry=None,
+        stall_timeout_s: float | None = None,
+        **engine_options,
+    ):
+        """The engine that runs this graph under ``runtime``.
+
+        What the application already says is worked out here: the
+        coordinator cut (:attr:`main_ops`), one remote end per PCA
+        engine, ring slots as tall as the batcher's blocks (64 rows at
+        least), the plan behind the ``fusion`` name (threaded runtime).
+        ``stall_timeout_s`` arms the watchdog where there is one
+        (threaded, process); ``engine_options`` go to the engine class
+        verbatim (``mp_context=``, ``tolerate_host_loss=``, ...).
+        """
+        engine_class = _choice(ENGINE_CLASSES, "runtime", runtime)
+        plan = _choice(FUSION_PLANS, "fusion", fusion)
+        options = dict(
+            supervisor=supervisor, telemetry=telemetry, **engine_options
+        )
+        if runtime == "threaded":
+            options["fusion"] = plan(self.graph)
+        if runtime in ("threaded", "process"):
+            options["stall_timeout_s"] = stall_timeout_s
+        if runtime in ("process", "cluster"):
+            options["main_ops"] = self.main_ops
+        if runtime == "process":
+            rows = self.batcher.batch_size if self.batcher else 0
+            options.setdefault("ring_slot_rows", max(rows, 64))
+        if runtime == "cluster":
+            options.setdefault("n_hosts", len(self.engines))
+        return engine_class(self.graph, **options)
 
     def health_rule_engine(
         self, telemetry=None, *, rules=None
@@ -115,9 +196,7 @@ def build_parallel_pca_graph(
     batch_timeout_s: float | None = None,
     quarantine: bool = False,
     dlq: DeadLetterQueue | None = None,
-    dead_letter_capacity: int = 1024,
     shed_max_rate_hz: float | None = None,
-    shed_open_for_s: float = 0.5,
     stale_after: int | None = None,
     quorum: int | None = None,
     heartbeat_every: int = 0,
@@ -161,15 +240,15 @@ def build_parallel_pca_graph(
     batch_timeout_s:
         Optional timeout flush for the batcher (lazily checked; see
         :class:`~repro.streams.batcher.Batcher`).
-    quarantine / dlq / dead_letter_capacity:
+    quarantine / dlq:
         ``quarantine=True`` arms poison-tuple validation in the source
         (:class:`~repro.streams.sources.GuardedVectorSource`): poison
         tuples (wrong dimensionality, non-numeric, all-NaN) are
-        captured into the dead-letter queue (``dlq`` or a fresh one of
-        ``dead_letter_capacity``) instead of crashing an engine.
+        captured into the dead-letter queue (``dlq`` or a fresh one)
+        instead of crashing an engine.
         Every row is judged *before* it enters a block, so a poison
         row can never contaminate one.
-    shed_max_rate_hz / shed_open_for_s:
+    shed_max_rate_hz:
         When set, arms the source's load-shedding valve
         (a :class:`~repro.streams.resilience.LoadShedValve`): sustained
         input above the rate is shed instead of growing queues without
@@ -205,16 +284,10 @@ def build_parallel_pca_graph(
                 "source",
                 stream,
                 batch_size=batch_size,
-                quarantine=quarantine or dlq is not None,
-                dlq=dlq
-                if dlq is not None
-                else (
-                    DeadLetterQueue(capacity=dead_letter_capacity)
-                    if quarantine else None
-                ),
+                quarantine=quarantine,
+                dlq=dlq,
                 expected_dim=getattr(stream, "dim", None),
                 max_rate_hz=shed_max_rate_hz,
-                open_for_s=shed_open_for_s,
             )
         )
     else:

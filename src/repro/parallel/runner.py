@@ -1,8 +1,10 @@
 """High-level façade: run the whole parallel streaming-PCA application.
 
-One call builds the Fig. 2 graph, executes it on either runtime, merges
-the engines' final eigensystems into the global solution, and returns a
-structured result with all the telemetry the experiments need.
+One call builds the Fig. 2 graph, executes it on any of the four
+runtimes (the engine comes from
+:meth:`~repro.parallel.app.ParallelPCAApp.engine`), merges the engines'
+final eigensystems into the global solution, and returns a structured
+result with all the telemetry the experiments need.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ import numpy as np
 from ..core.eigensystem import Eigensystem
 from ..core.robust import RobustIncrementalPCA
 from ..data.streams import VectorStream
-from ..streams.clusterengine import ClusterEngine
-from ..streams.engine import RunStats, SynchronousEngine, ThreadedEngine
-from ..streams.fusion import FusionPlan
-from ..streams.procengine import ProcessEngine
+from ..streams.engine import RunStats
 from ..streams.supervision import Supervisor
-from .app import ParallelPCAApp, build_parallel_pca_graph
+from .app import (
+    ENGINE_CLASSES,
+    FUSION_PLANS,
+    ParallelPCAApp,
+    _choice,
+    build_parallel_pca_graph,
+)
 from .pca_operator import expand_diagnostics
 from .sync import SyncStats, SyncStrategy
 
@@ -47,6 +52,10 @@ class ParallelRunResult:
         Per-observation diagnostic payloads (empty when disabled).
     engine_reports:
         Per-engine counter dicts from the operators.
+    engine:
+        The engine the run executed on; the remote runtimes' transport
+        totals are read from it (``engine.transport_stats`` on
+        ``"process"``, ``engine.cluster_stats`` on ``"cluster"``).
     """
 
     global_state: Eigensystem
@@ -55,6 +64,7 @@ class ParallelRunResult:
     sync_stats: SyncStats
     diagnostics: list[dict[str, Any]] = field(default_factory=list)
     engine_reports: list[dict[str, Any]] = field(default_factory=list)
+    engine: Any = None
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -103,8 +113,9 @@ class ParallelStreamingPCA:
         :class:`~repro.streams.clusterengine.ClusterEngine`).
     fusion:
         For the threaded runtime: ``"per-operator"`` (default, every
-        operator its own thread — the distributed analog) or ``"fused"``
-        (all PCA work on one thread — the single-node analog).
+        operator its own thread — the distributed analog), ``"fused"``
+        (all PCA work on one thread — the single-node analog) or
+        ``"chains"`` (linear operator chains fused, branches apart).
     sync_gate_factor / min_sync_interval / split_strategy / split_seed /
     collect_diagnostics / snapshot_every / batch_size / batch_timeout_s:
         See :func:`repro.parallel.app.build_parallel_pca_graph`;
@@ -132,16 +143,6 @@ class ParallelStreamingPCA:
         Process/cluster runtimes: multiprocessing start method
         (``"fork"``, ``"forkserver"``, ``"spawn"``) or ``None`` for
         :func:`~repro.streams.shm.safe_mp_context`.
-    ring_slots:
-        Process runtime only: shared-memory ring slots per transport
-        edge (the per-edge backpressure window; slot rows follow
-        ``batch_size``).
-    n_hosts / host_runtime / tolerate_host_loss / flap_hosts:
-        Cluster runtime only: engine-host process count (default
-        ``n_engines``), the runtime each host runs its local graph
-        under, whether a host death degrades the run instead of failing
-        it, and the chaos flap hook — see
-        :class:`~repro.streams.clusterengine.ClusterEngine`.
 
     Example
     -------
@@ -181,22 +182,9 @@ class ParallelStreamingPCA:
         supervisor: Supervisor | None = None,
         stall_timeout_s: float | None = None,
         mp_context: str | None = None,
-        ring_slots: int = 8,
-        n_hosts: int | None = None,
-        host_runtime: str = "synchronous",
-        tolerate_host_loss: bool = False,
-        flap_hosts: dict[int, int] | None = None,
     ) -> None:
-        if runtime not in ("synchronous", "threaded", "process", "cluster"):
-            raise ValueError(
-                f"runtime must be 'synchronous', 'threaded', 'process' or "
-                f"'cluster', got {runtime!r}"
-            )
-        if fusion not in ("per-operator", "fused", "chains"):
-            raise ValueError(
-                f"fusion must be 'per-operator', 'fused' or 'chains', "
-                f"got {fusion!r}"
-            )
+        _choice(ENGINE_CLASSES, "runtime", runtime)
+        _choice(FUSION_PLANS, "fusion", fusion)
         self.n_components = n_components
         self.n_engines = n_engines
         self.alpha = alpha
@@ -222,11 +210,6 @@ class ParallelStreamingPCA:
         self.supervisor = supervisor
         self.stall_timeout_s = stall_timeout_s
         self.mp_context = mp_context
-        self.ring_slots = ring_slots
-        self.n_hosts = n_hosts
-        self.host_runtime = host_runtime
-        self.tolerate_host_loss = tolerate_host_loss
-        self.flap_hosts = dict(flap_hosts or {})
 
     def _make_estimator(self, engine_id: int) -> RobustIncrementalPCA:
         return RobustIncrementalPCA(
@@ -261,57 +244,24 @@ class ParallelStreamingPCA:
     def run(self, stream: VectorStream) -> ParallelRunResult:
         """Build and execute the application; return the merged result."""
         app = self.build(stream)
-        if self.runtime == "synchronous":
-            stats = SynchronousEngine(
-                app.graph, supervisor=self.supervisor
-            ).run()
-        elif self.runtime == "process":
-            # Pin the coordination plane (split, batcher, controller) to
-            # the main process; each PCA engine becomes its own worker.
-            # Source (with any ingress guards riding it) and the
-            # diagnostics sink are pinned automatically.
-            main_ops = {app.split.name, app.controller.name}
-            if app.batcher is not None:
-                main_ops.add(app.batcher.name)
-            stats = ProcessEngine(
-                app.graph,
-                main_ops=main_ops,
-                mp_context=self.mp_context,
-                ring_slots=self.ring_slots,
-                ring_slot_rows=max(self.batch_size, 64),
-                supervisor=self.supervisor,
-                stall_timeout_s=self.stall_timeout_s,
-            ).run(timeout_s=self.timeout_s)
-        elif self.runtime == "cluster":
-            # Same placement cut as the process runtime, but the PCA
-            # engines land on TCP-connected host processes.
-            main_ops = {app.split.name, app.controller.name}
-            if app.batcher is not None:
-                main_ops.add(app.batcher.name)
-            self.cluster_engine = ClusterEngine(
-                app.graph,
-                main_ops=main_ops,
-                n_hosts=self.n_hosts or self.n_engines,
-                host_runtime=self.host_runtime,
-                tolerate_host_loss=self.tolerate_host_loss,
-                flap_hosts=self.flap_hosts,
-                mp_context=self.mp_context,
-                supervisor=self.supervisor,
-            )
-            stats = self.cluster_engine.run(timeout_s=self.timeout_s)
-        else:
-            if self.fusion == "fused":
-                plan = FusionPlan.fused(app.graph)
-            elif self.fusion == "chains":
-                plan = FusionPlan.fuse_chains(app.graph)
-            else:
-                plan = FusionPlan.per_operator(app.graph)
-            stats = ThreadedEngine(
-                app.graph,
-                fusion=plan,
-                supervisor=self.supervisor,
-                stall_timeout_s=self.stall_timeout_s,
-            ).run(timeout_s=self.timeout_s)
+        # mp_context reaches only a runtime that starts processes: the
+        # thread-only engines do not take it.
+        options = (
+            {} if self.mp_context is None
+            else {"mp_context": self.mp_context}
+        )
+        engine = app.engine(
+            self.runtime,
+            fusion=self.fusion,
+            supervisor=self.supervisor,
+            stall_timeout_s=self.stall_timeout_s,
+            **options,
+        )
+        # The deterministic engine has no wall clock to bound.
+        stats = (
+            engine.run() if self.runtime == "synchronous"
+            else engine.run(timeout_s=self.timeout_s)
+        )
 
         controller = app.controller
         global_state = controller.global_state(self.n_components)
@@ -325,4 +275,5 @@ class ParallelStreamingPCA:
             sync_stats=controller.stats,
             diagnostics=diagnostics,
             engine_reports=[op.diagnostics() for op in app.engines],
+            engine=engine,
         )

@@ -37,8 +37,8 @@ from typing import Any
 
 import numpy as np
 
+from ..core.metrics import subspace_affinity
 from ..core.robust import RobustIncrementalPCA
-from ..streams.chaos import _affinity
 from .client import ServingClient
 
 __all__ = ["run_crash_restart"]
@@ -244,7 +244,7 @@ def run_crash_restart(
             ref.update_block(np.vstack(acked[t]))
             spectra = client2.eigenspectra(t, include_basis=True)
             basis = np.array(spectra.body["spectra"]["basis"]).T
-            aff = _affinity(ref.public_state().basis, basis)
+            aff = subspace_affinity(ref.public_state().basis, basis)
             min_aff = min(min_aff, aff)
             if aff < min_affinity:
                 failures.append(

@@ -8,8 +8,7 @@ built with a ``batch_size`` emit such blocks themselves; the
 :class:`Batcher` is the operator face of the same
 :class:`BlockAssembler` for everything else: it coalesces per-row
 tuples (live sources, whose rows may wait on a socket) and re-groups
-blocks of any other size.  :class:`Unbatcher` restores a per-row stream
-for consumers that need one.
+blocks of any other size.
 
 Flush policy (all punctuation- and control-aware):
 
@@ -42,11 +41,10 @@ from .tuples import (
     FieldType,
     StreamSchema,
     StreamTuple,
-    inherit_event_time,
     register_schema,
 )
 
-__all__ = ["BLOCK_SCHEMA", "Batcher", "Unbatcher", "FLUSH_REASONS"]
+__all__ = ["BLOCK_SCHEMA", "Batcher", "FLUSH_REASONS"]
 
 #: Schema of block tuples: the ``(k, d)`` observation block, the rows'
 #: source sequence numbers (int64 arrival indices; they skip rows an
@@ -263,40 +261,3 @@ class Batcher(Operator):
         self.batches_out += 1
         self.flush_counts[reason] += 1
         self.submit(block)
-
-
-class Unbatcher(Operator):
-    """Expand ``(k, d)`` block tuples back into per-row tuples.
-
-    The inverse of :class:`Batcher` for consumers that need a row
-    stream.  Tuples without the block field pass through unchanged.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        field: str = "xs",
-        out_field: str = "x",
-        seq_field: str = "seq",
-        schema: StreamSchema | None = None,
-    ) -> None:
-        super().__init__(name, n_inputs=1, n_outputs=1)
-        self.field = field
-        self.out_field = out_field
-        self.seq_field = seq_field
-        self.schema = schema
-
-    def process(self, tup: StreamTuple, port: int) -> None:
-        if tup.is_control or self.field not in tup.payload:
-            self.submit(tup)
-            return
-        block = np.asarray(tup[self.field], dtype=np.float64)
-        seqs = tup.get("seqs")
-        for i in range(block.shape[0]):
-            seq = int(seqs[i]) if seqs is not None else -1
-            row = StreamTuple.data(
-                self.schema,
-                **{self.out_field: block[i].copy(), self.seq_field: seq},
-            )
-            self.submit(inherit_event_time(row, tup))

@@ -45,7 +45,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ..core.metrics import principal_angles
+from ..core.metrics import subspace_affinity
 from ..data.gaussian import PlantedSubspaceModel
 from ..data.streams import VectorStream
 from .supervision import FaultInjector, Supervisor
@@ -308,72 +308,38 @@ def _install_kill_engine(
     op.process = wrapped
 
 
-def _start_worker_killer(
+def _start_remote_killer(
     engine, app, spec: FaultSpec, tel: Telemetry
-) -> threading.Thread:
-    """SIGKILL the worker hosting ``spec.op`` mid-protocol.
+) -> None:
+    """SIGKILL the remote end holding ``spec.op`` mid-protocol.
 
-    Worker tuple counts are invisible from the coordinator, so the
-    trigger is the sync controller's own message counter reaching
-    ``spec.at_tuple`` — by then the target engine is provably
-    mid-stream.  The supervisor's RestartFromCheckpoint policy then
-    drives the normal death path: respawn, checkpoint resume, rejoin.
+    Serves ``worker_kill`` (process runtime) and ``host_kill`` (cluster
+    runtime) alike.  Tuple counts on the far side of a queue or socket
+    are invisible from the coordinator, so the trigger is the sync
+    controller's own message counter reaching ``spec.at_tuple`` — by
+    then the target engine is provably mid-stream.  What follows is the
+    runtime's normal death path: a worker is respawned from its
+    checkpoint under the supervisor's RestartFromCheckpoint policy; a
+    host lost under ``tolerate_host_loss=True`` has punctuation injected
+    on its routes and the controller's eviction + quorum machinery owns
+    correctness.
     """
     controller = app.controller
+    loc = engine._loc_of[spec.op]
 
     def run() -> None:
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             if controller._messages_seen >= spec.at_tuple:
-                for wid, pe in getattr(engine, "_worker_pes", {}).items():
-                    if any(o.name == spec.op for o in pe.operators):
-                        proc = engine._procs.get(wid)
-                        if proc is not None and proc.is_alive():
-                            proc.kill()
-                            tel.events.append({
-                                "ts": tel.now(), "kind": "chaos",
-                                "fault": "worker_kill", "op": spec.op,
-                                "pid": proc.pid,
-                            })
-                        return
+                if engine.kill_remote(loc):
+                    tel.events.append({
+                        "ts": tel.now(), "kind": "chaos",
+                        "fault": spec.kind, "op": spec.op, "loc": loc,
+                    })
                 return
             time.sleep(0.002)
 
-    t = threading.Thread(target=run, name="chaos-killer", daemon=True)
-    t.start()
-    return t
-
-
-def _start_host_killer(
-    engine, app, spec: FaultSpec, tel: Telemetry
-) -> threading.Thread:
-    """SIGKILL the engine host holding ``spec.op`` mid-protocol.
-
-    The cluster analog of :func:`_start_worker_killer`: host-side tuple
-    counts live across a socket, so the trigger is again the sync
-    controller's own message counter.  With ``tolerate_host_loss=True``
-    the coordinator injects punctuation on the dead host's routes and
-    the controller's eviction + quorum machinery owns correctness.
-    """
-    controller = app.controller
-    host_id = engine._loc_of[spec.op]
-
-    def run() -> None:
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            if controller._messages_seen >= spec.at_tuple:
-                engine.kill_host(host_id)
-                tel.events.append({
-                    "ts": tel.now(), "kind": "chaos",
-                    "fault": "host_kill", "op": spec.op,
-                    "host": host_id,
-                })
-                return
-            time.sleep(0.002)
-
-    t = threading.Thread(target=run, name="chaos-host-killer", daemon=True)
-    t.start()
-    return t
+    threading.Thread(target=run, name="chaos-killer", daemon=True).start()
 
 
 def _poison_rows(
@@ -418,11 +384,6 @@ def _reference_basis(scenario: ChaosScenario, x: np.ndarray) -> np.ndarray:
     return result.global_state.basis
 
 
-def _affinity(a: np.ndarray, b: np.ndarray) -> float:
-    k = min(a.shape[1], b.shape[1])
-    return float(np.cos(principal_angles(a[:, :k], b[:, :k]).max()))
-
-
 def run_scenario(
     scenario: ChaosScenario,
     *,
@@ -442,9 +403,6 @@ def run_scenario(
         build_parallel_pca_graph,
         engine_restart_supervisor,
     )
-    from ..streams.engine import SynchronousEngine, ThreadedEngine
-    from ..streams.fusion import FusionPlan
-    from ..streams.procengine import ProcessEngine
 
     report = ChaosReport(
         scenario=scenario.name, runtime=scenario.runtime,
@@ -529,55 +487,31 @@ def run_scenario(
             )
         t0 = time.perf_counter()
         try:
+            # The product's launch path; only the cluster runtime needs
+            # telling that losing a host is part of the experiment.
+            options = (
+                {"tolerate_host_loss": True}
+                if scenario.runtime == "cluster" else {}
+            )
+            engine = app.engine(
+                scenario.runtime, supervisor=supervisor, telemetry=tel,
+                **options,
+            )
+            for f in scenario.faults:
+                if f.kind == "netsplit":
+                    # Translate the op name into its host placement; the
+                    # host's channel severs itself after at_tuple
+                    # received frames and must redial.
+                    engine.flap_hosts[engine._loc_of[f.op]] = f.at_tuple
+                elif f.kind in ("worker_kill", "host_kill"):
+                    _start_remote_killer(engine, app, f, tel)
             if scenario.runtime == "synchronous":
-                SynchronousEngine(
-                    app.graph, supervisor=supervisor, telemetry=tel
-                ).run()
-            elif scenario.runtime == "threaded":
-                ThreadedEngine(
-                    app.graph,
-                    fusion=FusionPlan.per_operator(app.graph),
-                    supervisor=supervisor,
-                    telemetry=tel,
-                ).run(timeout_s=scenario.timeout_s)
-            elif scenario.runtime == "cluster":
-                from .clusterengine import ClusterEngine
-
-                main_ops = {app.split.name, app.controller.name}
-                engine = ClusterEngine(
-                    app.graph,
-                    main_ops=main_ops,
-                    n_hosts=scenario.n_engines,
-                    tolerate_host_loss=True,
-                    supervisor=supervisor,
-                    telemetry=tel,
-                )
-                for f in scenario.faults:
-                    if f.kind == "netsplit":
-                        # Translate the op name into its host placement;
-                        # the host's channel severs itself after
-                        # at_tuple received frames and must redial.
-                        engine.flap_hosts[engine._loc_of[f.op]] = (
-                            f.at_tuple
-                        )
-                    elif f.kind == "host_kill":
-                        _start_host_killer(engine, app, f, tel)
-                engine.run(timeout_s=scenario.timeout_s)
-                report.n_reconnects = engine.cluster_stats.get(
-                    "reconnects", 0
-                )
+                engine.run()
             else:
-                main_ops = {app.split.name, app.controller.name}
-                engine = ProcessEngine(
-                    app.graph,
-                    main_ops=main_ops,
-                    supervisor=supervisor,
-                    telemetry=tel,
-                )
-                for f in scenario.faults:
-                    if f.kind == "worker_kill":
-                        _start_worker_killer(engine, app, f, tel)
                 engine.run(timeout_s=scenario.timeout_s)
+            report.n_reconnects = getattr(
+                engine, "cluster_stats", {}
+            ).get("reconnects", 0)
             report.ok = True
         except Exception as exc:  # noqa: BLE001 - the suite must survive
             report.error = f"{type(exc).__name__}: {exc}"
@@ -644,7 +578,7 @@ def _fill_report(
     if report.ok:
         try:
             state = app.controller.global_state(scenario.n_components)
-            report.affinity = _affinity(ref, state.basis)
+            report.affinity = subspace_affinity(ref, state.basis)
         except Exception as exc:  # noqa: BLE001 - quorum not met, etc.
             report.ok = False
             report.error = f"{type(exc).__name__}: {exc}"
@@ -760,12 +694,12 @@ def cluster_kill_host_scenario(
 
 
 def cluster_flap_scenario(
-    *, seed: int = 0, n_engines: int = 3, at_frame: int = 3
+    *, seed: int = 0, n_engines: int = 3
 ) -> ChaosScenario:
     """Sever one host's TCP channel mid-run; it must redial and finish.
 
     The host's :class:`~repro.streams.wireproto.ReconnectingChannel`
-    force-closes its own socket after ``at_frame`` received frames; the
+    force-closes its own socket after its third received frame; the
     redial (with the network-source backoff budget) and the
     coordinator's re-association must complete the run, with any frames
     caught in kernel buffers surfacing as *counted* loss, never a hang.
@@ -773,7 +707,7 @@ def cluster_flap_scenario(
     return ChaosScenario(
         name="cluster-netsplit",
         faults=(
-            FaultSpec(kind="netsplit", op="pca-1", at_tuple=at_frame),
+            FaultSpec(kind="netsplit", op="pca-1", at_tuple=3),
         ),
         runtime="cluster",
         n_engines=n_engines,

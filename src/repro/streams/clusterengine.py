@@ -40,8 +40,8 @@ Each host rebuilds a *local* graph around its operators — a channel
 source feeding a demultiplexer that routes inbound tuples (data, sync
 control, punctuation) to the right (operator, port), and a relay sink
 forwarding every off-host emission — and runs it under an unmodified
-existing runtime (:class:`~repro.streams.engine.SynchronousEngine` or
-:class:`~repro.streams.engine.ThreadedEngine`, per ``host_runtime``).
+:class:`~repro.streams.engine.SynchronousEngine` (deterministic, the
+parity configuration).
 The SyncController's ring merges, membership/eviction/quorum and
 late-rejoin reseeding run unchanged over the wire: the controller only
 ever sees tuples on ports.
@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import ipaddress
 import os
-import signal
 import socket
 import threading
 import time
@@ -255,10 +254,8 @@ class _HostSpec:
     routes: dict[str, dict[int, list[tuple[Any, str, int]]]]
     #: (op name, in port) pairs fed from off-host, in demux-port order.
     inbound: list[tuple[str, int]]
-    host_runtime: str = "synchronous"
     policies: dict[str, Any] = field(default_factory=dict)
     metrics: bool = True
-    timeout_s: float = 300.0
     flap_after: int | None = None
     reconnect: dict[str, Any] = field(default_factory=dict)
 
@@ -398,10 +395,7 @@ def _host_loop(spec: _HostSpec, channel: ReconnectingChannel) -> None:
     supervisor = (
         Supervisor(policies=spec.policies) if spec.policies else None
     )
-    if spec.host_runtime == "threaded":
-        engine: Any = ThreadedEngine(graph, supervisor=supervisor)
-    else:
-        engine = SynchronousEngine(graph, supervisor=supervisor)
+    engine = SynchronousEngine(graph, supervisor=supervisor)
 
     sender = threading.Thread(
         target=_host_sender_loop,
@@ -441,10 +435,7 @@ def _host_loop(spec: _HostSpec, channel: ReconnectingChannel) -> None:
     status.start()
 
     try:
-        if isinstance(engine, SynchronousEngine):
-            engine.run()
-        else:
-            engine.run(timeout_s=spec.timeout_s)
+        engine.run()
     finally:
         stop.set()
         status.join(timeout=2.0)
@@ -480,7 +471,6 @@ class _HostLink:
 
     def __init__(self, host_id: int) -> None:
         self.host_id = host_id
-        self.proc: Any = None
         self.sock: socket.socket | None = None
         self.cv = threading.Condition()
         self.outq: deque = deque()
@@ -491,7 +481,6 @@ class _HostLink:
         self.dead = False
         self.reconnects = 0
         self.dropped = 0
-        self.death_seen: float | None = None
         self._ever_attached = False
 
     def enqueue(self, item: Any) -> None:
@@ -545,10 +534,6 @@ class ClusterEngine(ThreadedEngine):
         Engine-host process count; default one host per unpinned
         operator (the parallel-PCA runner passes ``n_hosts`` = engine
         count so each PCA engine gets its own host).
-    host_runtime:
-        Runtime each host runs its local graph under:
-        ``"synchronous"`` (default; deterministic, the parity
-        configuration) or ``"threaded"``.
     bind_host / port:
         Coordinator listen address; port 0 picks a free port.
     tolerate_host_loss:
@@ -578,7 +563,6 @@ class ClusterEngine(ThreadedEngine):
         *,
         main_ops: Iterable[str] = (),
         n_hosts: int | None = None,
-        host_runtime: str = "synchronous",
         bind_host: str = "127.0.0.1",
         port: int = 0,
         tolerate_host_loss: bool = False,
@@ -588,16 +572,10 @@ class ClusterEngine(ThreadedEngine):
         telemetry: Telemetry | None = None,
         mp_context: str | None = None,
     ) -> None:
-        if host_runtime not in ("synchronous", "threaded"):
-            raise ValueError(
-                f"host_runtime must be 'synchronous' or 'threaded', "
-                f"got {host_runtime!r}"
-            )
         if n_hosts is not None and n_hosts < 1:
             raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
         super().__init__(graph, supervisor=supervisor, telemetry=telemetry)
         self._tracer = None  # spans do not cross the wire
-        self.host_runtime = host_runtime
         self.bind_host = bind_host
         #: Pickled ``done`` payload values are only trusted on a
         #: loopback bind: the hello is authenticated by nothing stronger
@@ -660,8 +638,6 @@ class ClusterEngine(ThreadedEngine):
             addr=addr,
             run_id=self._run_id,
             inbound=self._inbound_for(hid),
-            host_runtime=self.host_runtime,
-            timeout_s=self._timeout_s,
             flap_after=self.flap_hosts.get(hid),
             reconnect=self.reconnect,
             **self._spec_fields(hid),
@@ -846,14 +822,7 @@ class ClusterEngine(ThreadedEngine):
 
     # -- host lifecycle ---------------------------------------------------
 
-    def kill_host(self, host_id: int) -> None:
-        """SIGKILL an engine host (chaos/blackout hook)."""
-        proc = self._links[host_id].proc
-        if proc is not None and proc.is_alive():
-            os.kill(proc.pid, signal.SIGKILL)
-
-    def _start_remote(self, timeout_s: float) -> None:
-        self._timeout_s = timeout_s
+    def _start_remote(self) -> None:
         self._run_id = uuid.uuid4().hex
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -876,30 +845,20 @@ class ClusterEngine(ThreadedEngine):
             )
             t.start()
             self._threads.append(t)
-        for hid, link in self._links.items():
-            link.proc = self._ctx.Process(
+        for hid in self._links:
+            self._procs[hid] = self._ctx.Process(
                 target=_host_main,
                 args=(self._build_spec(hid, addr),),
                 name=f"repro-host{hid}",
                 daemon=True,
             )
-            link.proc.start()
+            self._procs[hid].start()
 
     def _supervise_remote(self) -> None:
-        for hid, link in self._links.items():
-            if link.done is not None or link.dead:
+        for hid, proc in self._procs.items():
+            link = self._links[hid]
+            if link.done is not None or link.dead or not self._died(hid):
                 continue
-            proc = link.proc
-            if proc is None or proc.is_alive():
-                link.death_seen = None
-                continue
-            if proc.exitcode == 0:
-                # Clean exit: the final "done" frame may still be in the
-                # socket; give the receiver a grace window.
-                if link.death_seen is None:
-                    link.death_seen = time.perf_counter()
-                if time.perf_counter() - link.death_seen < 5.0:
-                    continue
             if not self.tolerate_host_loss:
                 raise OperatorFailure(
                     f"host{hid}",
@@ -1001,7 +960,7 @@ class ClusterEngine(ThreadedEngine):
             f" received, from host {link.received_from}/"
             f"{link.report.get('sent')} sent)"
             for hid, link in self._links.items()
-            if link.proc is not None and link.proc.is_alive()
+            if hid in self._procs and self._procs[hid].is_alive()
         ]
 
     def _finish_remote(self) -> None:
@@ -1012,16 +971,17 @@ class ClusterEngine(ThreadedEngine):
         return [l.host_id for l in self._live_links() if l.done is None]
 
     def _stop_remote(self) -> None:
-        for link in self._links.values():
+        for hid, link in self._links.items():
             with link.cv:
                 link.cv.notify_all()
-            if link.proc is not None:
+            proc = self._procs.get(hid)
+            if proc is not None:
                 if link.done is None:
                     # Aborted run: nothing will tell this host to finish.
-                    link.proc.terminate()
-                link.proc.join(timeout=5.0)
-                if link.proc.is_alive():  # pragma: no cover - hung
-                    link.proc.terminate()
+                    proc.terminate()
+                proc.join(timeout=5.0)
+                if proc.is_alive():  # pragma: no cover - hung
+                    proc.terminate()
             with link.cv:
                 if link.sock is not None:
                     try:

@@ -508,13 +508,14 @@ class _FrozenProgress:
     After a remote end dies or a link flaps, messages that were inside
     it are gone and the in-flight ledger keeps their count forever.
     :meth:`frozen` answers whether the progress signature the transport
-    reports has stayed the same for ``grace_s``; ``None`` (nothing lost,
-    keep waiting for exact quiescence) and every change restart the
-    clock, as does a positive answer.
+    reports has stayed the same for :attr:`GRACE_S`; ``None`` (nothing
+    lost, keep waiting for exact quiescence) and every change restart
+    the clock, as does a positive answer.
     """
 
-    def __init__(self, grace_s: float = 2.0) -> None:
-        self.grace_s = grace_s
+    GRACE_S = 2.0
+
+    def __init__(self) -> None:
         self._since: tuple[float, Any] | None = None
 
     def frozen(self, signature: Any) -> bool:
@@ -523,7 +524,7 @@ class _FrozenProgress:
             self._since = None
         elif self._since is None or self._since[1] != signature:
             self._since = (now, signature)
-        elif now - self._since[0] > self.grace_s:
+        elif now - self._since[0] > self.GRACE_S:
             self._since = None
             return True
         return False
@@ -574,9 +575,12 @@ class ThreadedEngine:
         ship one tuple to a remote operator / backlog towards a remote
         end (load-balancing probe);
     ``_supervise_remote`` / ``_on_stall``
-        per-tick liveness check, and what to do when the watchdog sees
-        no progress — each repairs what a policy covers, raises
-        otherwise;
+        per-tick liveness check (:meth:`_died` is the common part), and
+        what to do when the watchdog sees no progress — each repairs
+        what a policy covers, raises otherwise;
+    ``_procs``
+        remote end → its OS process, filled by ``_start_remote``: what
+        :meth:`kill_remote` (the chaos hook) and :meth:`_died` act on;
     ``_remote_quiet`` / ``_loss_signature`` / ``_accept_loss``
         the remote half of the quiescence predicate, and what to watch
         and do when loss makes exact quiescence unreachable;
@@ -634,6 +638,8 @@ class ThreadedEngine:
         self._errors: list[BaseException] = []
         self._inflight = 0
         self._inflight_lock = threading.Lock()
+        self._procs: dict[int, Any] = {}
+        self._exit_seen: dict[int, float] = {}
 
     # -- placement --------------------------------------------------------
 
@@ -836,7 +842,7 @@ class ThreadedEngine:
 
     # -- transport seams: a thread-only run has no remote ends ----------
 
-    def _start_remote(self, timeout_s: float) -> None:
+    def _start_remote(self) -> None:
         pass
 
     def _stop_remote(self) -> None:
@@ -897,7 +903,7 @@ class ThreadedEngine:
         self._wire()
         # Remote ends start before any local thread does: forking a
         # multi-threaded coordinator is unsafe.
-        self._start_remote(timeout_s)
+        self._start_remote()
         for op in self._local_ops:
             op.open()
 
@@ -990,6 +996,32 @@ class ThreadedEngine:
             stalled = self._watchdog.stalled_for()
             if stalled is not None:
                 self._on_stall(stalled)
+
+    def kill_remote(self, loc: int) -> bool:
+        """SIGKILL remote end ``loc`` (the chaos hook); whether a live
+        process was there to kill."""
+        proc = self._procs.get(loc)
+        if proc is None or not proc.is_alive():
+            return False
+        proc.kill()
+        return True
+
+    def _died(self, loc: int) -> bool:
+        """Whether remote end ``loc``'s process is gone for good.
+
+        A clean exit (code 0) gets a 5 s grace first: its final report
+        may still be in transit to the receiver.
+        """
+        proc = self._procs[loc]
+        if proc.is_alive():
+            self._exit_seen.pop(loc, None)
+            return False
+        if proc.exitcode == 0:
+            first_seen = self._exit_seen.setdefault(loc, time.perf_counter())
+            if time.perf_counter() - first_seen < 5.0:
+                return False
+        self._exit_seen.pop(loc, None)
+        return True
 
     def _fold_report(
         self,

@@ -49,6 +49,8 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from ..core.metrics import subspace_affinity
+
 __all__ = [
     "OK",
     "DEGRADED",
@@ -64,16 +66,6 @@ __all__ = [
 #: Verdict levels, ordered by severity; the gauge value is the index.
 OK, DEGRADED, CRITICAL = "OK", "DEGRADED", "CRITICAL"
 _LEVELS = {OK: 0, DEGRADED: 1, CRITICAL: 2}
-
-
-def _affinity(a: np.ndarray, b: np.ndarray) -> float:
-    """``cos`` of the largest principal angle (1.0 = identical span)."""
-    from ..core.metrics import largest_principal_angle
-
-    k = min(a.shape[1], b.shape[1])
-    if k == 0:
-        return 1.0
-    return float(np.cos(largest_principal_angle(a[:, :k], b[:, :k])))
 
 
 class HealthMonitor:
@@ -238,7 +230,7 @@ class HealthMonitor:
 
             if self._anchor_basis is None:
                 self._anchor_basis = basis.copy()
-            self.affinity = _affinity(basis, self._anchor_basis)
+            self.affinity = subspace_affinity(basis, self._anchor_basis)
 
             if self._prev_eigs is not None and self._prev_eigs.size:
                 k = min(eigs.size, self._prev_eigs.size)
@@ -319,7 +311,7 @@ class HealthMonitor:
                 self._anchor_basis = basis.copy()
                 self.n_reseeds += 1
             if self._anchor_basis is not None:
-                self.last_merge_affinity = _affinity(
+                self.last_merge_affinity = subspace_affinity(
                     basis, self._anchor_basis
                 )
             self.n_merges += 1

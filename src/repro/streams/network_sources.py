@@ -46,7 +46,6 @@ from .sources import OBSERVATION_SCHEMA
 from .tuples import StreamTuple
 
 __all__ = [
-    "HTTPVectorSource",
     "TCPVectorSource",
     "TailingFileSource",
     "serve_vectors",
@@ -324,85 +323,3 @@ class TailingFileSource(_ResilientCSVSource):
                     continue
                 yield StreamTuple.data(OBSERVATION_SCHEMA, x=vec, seq=seq)
                 seq += 1
-
-
-class HTTPVectorSource(_ResilientCSVSource):
-    """Fetch a CSV vector stream from an HTTP URL (§III-A.1).
-
-    "Network TCP sockets and http URLs are also supported out of the box
-    as a source of data."  The body is newline-delimited CSV, one
-    observation per line; the stream ends at the end of the response (or
-    an ``__END__`` line for chunked feeds).
-
-    Connection failures and mid-body drops are retried with exponential
-    backoff + jitter up to ``max_retries``.  Because a plain re-GET
-    replays the body from the start, the source skips the observations
-    it already delivered, so downstream sees no duplicates.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        url: str,
-        *,
-        timeout_s: float = 30.0,
-        max_retries: int = 5,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        backoff_jitter: float = 0.5,
-        retry_seed: int = 0,
-        dlq: DeadLetterQueue | None = None,
-        strict: bool = False,
-    ) -> None:
-        super().__init__(name, dlq=dlq, strict=strict)
-        if not url.startswith(("http://", "https://")):
-            raise ValueError(f"not an http(s) URL: {url!r}")
-        self.url = url
-        self.timeout_s = float(timeout_s)
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self.max_retries = int(max_retries)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.backoff_jitter = float(backoff_jitter)
-        self.retry_seed = int(retry_seed)
-
-    def generate(self) -> Iterator[StreamTuple]:
-        import http.client
-        import urllib.request
-
-        budget = RetryBudget(
-            self.max_retries, self.backoff_base_s, self.backoff_cap_s,
-            self.backoff_jitter, self.retry_seed,
-        )
-        seq = 0
-        fetched_before = False
-        while True:
-            skip = seq  # rows already delivered from a previous attempt
-            try:
-                with urllib.request.urlopen(
-                    self.url, timeout=self.timeout_s
-                ) as response:
-                    if fetched_before:
-                        self.n_reconnects += 1
-                    fetched_before = True
-                    for lineno, raw in enumerate(response, start=1):
-                        line = raw.decode("utf-8")
-                        if line.strip() == END_OF_STREAM:
-                            return
-                        vec = self._safe_parse(line, lineno, self.url)
-                        if vec is None:
-                            continue
-                        if skip > 0:
-                            skip -= 1
-                            continue
-                        yield StreamTuple.data(
-                            OBSERVATION_SCHEMA, x=vec, seq=seq
-                        )
-                        seq += 1
-                return  # complete body read
-            except (OSError, http.client.HTTPException):
-                # URLError subclasses OSError; a dropped keep-alive body
-                # surfaces as http.client.IncompleteRead.
-                if not budget.wait():
-                    raise

@@ -69,7 +69,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue
 import threading
-import time
 import traceback
 import uuid
 from dataclasses import dataclass, field
@@ -127,8 +126,13 @@ def _unlink_segment(name: str) -> None:
         pass
 
 
+def _add_inflight(inflight, n: int) -> None:
+    with inflight.get_lock():
+        inflight.value += n
+
+
 # ---------------------------------------------------------------------------
-# Transport sender (used by the coordinator and by every worker)
+# The two transport halves (used by the coordinator and by every worker)
 # ---------------------------------------------------------------------------
 
 
@@ -141,17 +145,18 @@ class _TransportSender:
     wire-encoded onto the destination's bounded queue.  Every message
     increments the shared in-flight counter before it is made visible.
 
-    With ``coalesce=True`` (workers — their sender is single-threaded by
-    construction) queue-path tuples are not shipped one ``"tuple"``
-    message each: they accumulate in a per-destination pending list that
-    :meth:`flush` ships as one ``"tuples"`` batch per loop iteration.
-    One queue put, one pickle header and one in-flight lock acquisition
-    then cover the whole batch — this is what keeps the per-row
-    diagnostics fan-in of an unbatched pipeline from dominating the
-    coordinator (see docs/performance.md §8).
-    The coordinator's own sender keeps ``coalesce=False``: it is shared
-    by several PE threads and per-message puts are already off the block
-    hot path there.
+    Queue-path tuples travel in ``"tuples"`` messages.  A worker's sender
+    (``src_loc`` is a worker id) is single-threaded by construction, so
+    it *coalesces*: its tuples accumulate in a per-destination pending
+    list that :meth:`flush` ships as one message per loop iteration.  One
+    queue put, one pickle header and one in-flight lock acquisition then
+    cover the whole batch — this is what keeps the per-row diagnostics
+    fan-in of an unbatched pipeline from dominating the coordinator (see
+    docs/performance.md §8).  The coordinator's own sender is shared by
+    several PE threads and ships one tuple per message; that is already
+    off the block hot path there.  A worker also disowns the rings it
+    creates and leaves unlinking them to the coordinator, which outlives
+    it.
     """
 
     #: Pending-batch cap per destination before an eager flush.
@@ -164,23 +169,20 @@ class _TransportSender:
         queues: Mapping[Any, Any],
         inflight,
         stop_check,
-        op_index: Mapping[str, int],
+        idx_names: list[str],
         *,
         ring_slots: int,
         slot_rows: int,
-        disown_rings: bool,
-        coalesce: bool = False,
     ) -> None:
         self.src_loc = src_loc
+        self.is_worker = src_loc != _MAIN
         self.run_id = run_id
         self.queues = dict(queues)
         self.inflight = inflight
         self.stop_check = stop_check
-        self.op_index = op_index
+        self.op_index = {name: i for i, name in enumerate(idx_names)}
         self.ring_slots = ring_slots
         self.slot_rows = slot_rows
-        self.disown_rings = disown_rings
-        self.coalesce = coalesce
         #: dst_loc -> [(dst_name, dst_port, wire), ...] awaiting flush.
         self._pending: dict[Any, list[tuple[str, int, dict]]] = {}
         self.rings: dict[Any, BlockRing] = {}
@@ -194,12 +196,10 @@ class _TransportSender:
     # -- in-flight helpers ----------------------------------------------
 
     def _inc(self, n: int = 1) -> None:
-        with self.inflight.get_lock():
-            self.inflight.value += n
+        _add_inflight(self.inflight, n)
 
     def _dec(self, n: int = 1) -> None:
-        with self.inflight.get_lock():
-            self.inflight.value -= n
+        _add_inflight(self.inflight, -n)
 
     # -- queue path -----------------------------------------------------
 
@@ -233,7 +233,7 @@ class _TransportSender:
             dim=dim,
             create=True,
         )
-        if self.disown_rings:
+        if self.is_worker:
             ring.disown()
         self.rings[dst_loc] = ring
         self.announce(dst_loc)
@@ -290,35 +290,26 @@ class _TransportSender:
             self.counters["blocks_queue"] += 1
         else:
             self.counters["tuples_queue"] += 1
-        if self.coalesce:
-            # Counted at append: the shared counter must cover the tuple
-            # from the instant it leaves the operator, or the quiesce
-            # check could fire while it sits in the pending list.
-            self._inc()
-            pending = self._pending.setdefault(dst_loc, [])
-            pending.append((dst_name, dst_port, to_wire(tup)))
-            if len(pending) >= self._COALESCE_MAX:
-                self._flush_dst(dst_loc)
-            return
-        msg = {
-            "t": "tuple",
-            "src": self.src_loc,
-            "dst": dst_name,
-            "port": dst_port,
-            "wire": to_wire(tup),
-        }
+        # Counted here: the shared counter must cover the tuple from the
+        # instant it leaves the operator, or the quiesce check could fire
+        # while it sits in the pending list.
         self._inc()
-        try:
-            self._qput(dst_loc, msg)
-        except EngineAborted:
-            self._dec()
-            raise
+        item = (dst_name, dst_port, to_wire(tup))
+        if not self.is_worker:
+            self._put_items(dst_loc, [item])
+            return
+        pending = self._pending.setdefault(dst_loc, [])
+        pending.append(item)
+        if len(pending) >= self._COALESCE_MAX:
+            self._flush_dst(dst_loc)
 
     def _flush_dst(self, dst_loc: Any) -> None:
         items = self._pending.get(dst_loc)
-        if not items:
-            return
-        self._pending[dst_loc] = []
+        if items:
+            self._pending[dst_loc] = []
+            self._put_items(dst_loc, items)
+
+    def _put_items(self, dst_loc: Any, items: list) -> None:
         self.counters["tuple_batches"] += 1
         try:
             self._qput(
@@ -334,11 +325,127 @@ class _TransportSender:
         for dst_loc in list(self._pending):
             self._flush_dst(dst_loc)
 
-    def close(self, *, unlink: bool) -> None:
+    def close(self) -> None:
         for ring in self.rings.values():
             ring.close()
-            if unlink:
+            if not self.is_worker:
                 ring.unlink()
+
+
+class _RingReceiver:
+    """The receive half: inbound rings and punctuation holdback.
+
+    ``deliver(op name, tuple, in port)`` hands a received tuple on.  With
+    ``copy=False`` (workers: delivery is a synchronous dispatch) a block
+    is delivered as views into its ring slot, released afterwards; with
+    ``copy=True`` (coordinator: delivery is a put on a PE inbox) it is
+    copied out first — one memcpy, still no pickling.  Every received
+    message leaves the shared ``inflight`` counter here.
+    """
+
+    def __init__(self, idx_names, inflight, deliver, *, copy: bool) -> None:
+        self.idx_names = idx_names
+        self.inflight = inflight
+        self.deliver = deliver
+        self.copy = copy
+        #: Keyed by segment name: a restarted producer creates a *new*
+        #: segment for the same source, and both must keep draining.
+        self.rings: dict[str, BlockRing] = {}
+        self._rings_of: dict[Any, list[BlockRing]] = {}
+        self.held: list[tuple[Any, str, int, StreamTuple]] = []
+
+    def _src_has_blocks(self, src: Any) -> bool:
+        return any(r.depth() > 0 for r in self._rings_of.get(src, ()))
+
+    def idle(self) -> bool:
+        return not self.held and all(
+            r.depth() == 0 for r in self.rings.values()
+        )
+
+    def blocks_in(self) -> int:
+        return sum(r.blocks_out for r in self.rings.values())
+
+    def drain(self) -> bool:
+        progressed = False
+        for ring in self.rings.values():
+            while True:
+                item = ring.get()
+                if item is None:
+                    break
+                _add_inflight(self.inflight, -1)
+                xs, seqs = item.xs, item.seqs
+                if self.copy:
+                    xs, seqs = np.array(xs), np.array(seqs)
+                    ring.release()
+                tup = tuple_from_fields(
+                    {"xs": xs, "seqs": seqs, "count": int(xs.shape[0])},
+                    TupleKind.DATA,
+                    BLOCK_SCHEMA,
+                    item.tuple_seq,
+                    item.event_ts,
+                )
+                try:
+                    self.deliver(
+                        self.idx_names[item.dst_idx], tup, item.dst_port
+                    )
+                finally:
+                    # Views into the slot are valid only during delivery.
+                    if not self.copy:
+                        ring.release()
+                progressed = True
+        return progressed
+
+    def release_held(self) -> bool:
+        progressed = False
+        remaining = []
+        for src, name, port, tup in self.held:
+            if self._src_has_blocks(src):
+                remaining.append((src, name, port, tup))
+                continue
+            self.deliver(name, tup, port)
+            progressed = True
+        self.held[:] = remaining
+        return progressed
+
+    def _dispatch_wire(
+        self, src: Any, dst: str, port: int, wire: dict
+    ) -> None:
+        tup = from_wire(wire)
+        if tup.is_punctuation and self._src_has_blocks(src):
+            # Punctuation holdback: this producer's blocks are still in
+            # its ring; dispatching end-of-stream now would lose them.
+            # Delivered by release_held() once the ring drains.
+            self.held.append((src, dst, port, tup))
+            return
+        self.deliver(dst, tup, port)
+
+    def handle(self, msg: dict) -> bool:
+        """Take a ``tuples`` or ``ring`` message; ``False`` for others."""
+        kind = msg["t"]
+        if kind == "tuples":
+            # One in-flight decrement for the whole batch.
+            items = msg["items"]
+            _add_inflight(self.inflight, -len(items))
+            for dst, port, wire in items:
+                self._dispatch_wire(msg["src"], dst, port, wire)
+        elif kind == "ring":
+            if msg["name"] not in self.rings:
+                ring = BlockRing(
+                    msg["name"],
+                    slots=msg["slots"],
+                    slot_rows=msg["rows"],
+                    dim=msg["dim"],
+                    create=False,
+                )
+                self.rings[msg["name"]] = ring
+                self._rings_of.setdefault(msg["src"], []).append(ring)
+        else:
+            return False
+        return True
+
+    def close(self) -> None:
+        for ring in self.rings.values():
+            ring.close()
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +460,6 @@ class _WorkerSpec:
     worker_id: int
     label: str
     ops: list[Operator]
-    op_index: dict[str, int]
     idx_names: list[str]
     #: op name -> out port -> [(dst_loc, dst_name, dst_port)]
     routes: dict[str, dict[int, list[tuple[Any, str, int]]]]
@@ -364,17 +470,11 @@ class _WorkerSpec:
     stop_ev: Any
     finish_ev: Any
     run_id: str
-    queue_size: int
     ring_slots: int
     slot_rows: int
     policies: dict[str, Any] = field(default_factory=dict)
     metrics: bool = True
     resume: bool = False
-
-
-def _dec_inflight(spec: _WorkerSpec, n: int = 1) -> None:
-    with spec.inflight.get_lock():
-        spec.inflight.value -= n
 
 
 def _worker_main(spec: _WorkerSpec) -> None:
@@ -406,19 +506,15 @@ def _worker_loop(spec: _WorkerSpec) -> None:
     supervisor = Supervisor(policies=spec.policies) if spec.policies else None
     deliver = _deliverer(supervisor)
 
-    queues: dict[Any, Any] = {_MAIN: spec.main_q}
-    queues.update(spec.peer_qs)
     sender = _TransportSender(
         wid,
         spec.run_id,
-        queues,
+        {_MAIN: spec.main_q, **spec.peer_qs},
         spec.inflight,
         spec.stop_ev.is_set,
-        spec.op_index,
+        spec.idx_names,
         ring_slots=spec.ring_slots,
         slot_rows=spec.slot_rows,
-        disown_rings=True,
-        coalesce=True,
     )
 
     for op in spec.ops:
@@ -455,100 +551,16 @@ def _worker_loop(spec: _WorkerSpec) -> None:
     for op in spec.ops:
         op.open()
 
-    # Inbound rings, keyed by segment name (a restarted producer creates
-    # a *new* segment for the same source, and both must keep draining),
-    # with a source → rings view for punctuation holdback.
-    rings: dict[str, BlockRing] = {}
-    rings_of: dict[Any, list[BlockRing]] = {}
-    held: list[tuple[Any, str, int, StreamTuple]] = []
+    recv = _RingReceiver(
+        spec.idx_names,
+        spec.inflight,
+        lambda name, tup, port: deliver(ops_by_name[name], tup, port),
+        copy=False,
+    )
     quiesced_sent = False
 
-    def src_has_blocks(src: Any) -> bool:
-        return any(r.depth() > 0 for r in rings_of.get(src, ()))
-
-    def drain_rings() -> bool:
-        progressed = False
-        for ring in rings.values():
-            while True:
-                item = ring.get()
-                if item is None:
-                    break
-                _dec_inflight(spec)
-                name = spec.idx_names[item.dst_idx]
-                tup = tuple_from_fields(
-                    {
-                        "xs": item.xs,
-                        "seqs": item.seqs,
-                        "count": int(item.xs.shape[0]),
-                    },
-                    TupleKind.DATA,
-                    BLOCK_SCHEMA,
-                    item.tuple_seq,
-                    item.event_ts,
-                )
-                try:
-                    # The payload views into the ring slot are valid only
-                    # during this dispatch; the slot is released after.
-                    deliver(ops_by_name[name], tup, item.dst_port)
-                finally:
-                    ring.release()
-                progressed = True
-        return progressed
-
-    def release_held() -> bool:
-        progressed = False
-        remaining = []
-        for src, name, port, tup in held:
-            if src_has_blocks(src):
-                remaining.append((src, name, port, tup))
-                continue
-            deliver(ops_by_name[name], tup, port)
-            progressed = True
-        held[:] = remaining
-        return progressed
-
-    def dispatch_wire(src: Any, dst: str, port: int, wire: dict) -> None:
-        tup = from_wire(wire)
-        if tup.is_punctuation and src_has_blocks(src):
-            # Punctuation holdback: this producer's blocks are still
-            # in its ring; dispatching end-of-stream now would lose
-            # them.  Deliver once the ring drains.
-            held.append((src, dst, port, tup))
-            return
-        deliver(ops_by_name[dst], tup, port)
-
-    def handle(msg: dict) -> bool:
-        kind = msg["t"]
-        if kind == "tuple":
-            _dec_inflight(spec)
-            dispatch_wire(msg["src"], msg["dst"], msg["port"], msg["wire"])
-            return True
-        if kind == "tuples":
-            # A coalesced batch: one in-flight decrement for all items.
-            items = msg["items"]
-            _dec_inflight(spec, len(items))
-            src = msg["src"]
-            for dst, port, wire in items:
-                dispatch_wire(src, dst, port, wire)
-            return True
-        if kind == "ring":
-            if msg["name"] not in rings:
-                ring = BlockRing(
-                    msg["name"],
-                    slots=msg["slots"],
-                    slot_rows=msg["rows"],
-                    dim=msg["dim"],
-                    create=False,
-                )
-                rings[msg["name"]] = ring
-                rings_of.setdefault(msg["src"], []).append(ring)
-            return True
-        return False  # "finish" wake-up sentinel
-
-    while True:
-        if spec.stop_ev.is_set():
-            break
-        progressed = drain_rings()
+    while not spec.stop_ev.is_set():
+        progressed = recv.drain()
         try:
             # After ring progress there is usually more ring traffic
             # right behind; poll the command queue without the blocking
@@ -560,43 +572,33 @@ def _worker_loop(spec: _WorkerSpec) -> None:
         except queue.Empty:
             msg = None
         if msg is not None:
-            progressed = handle(msg) or progressed
-        if held:
-            progressed = release_held() or progressed
+            # Anything it does not take is the "finish" wake-up sentinel.
+            progressed = recv.handle(msg) or progressed
+        if recv.held:
+            progressed = recv.release_held() or progressed
         # Ship everything the iteration's dispatches emitted as one
         # batch per destination (bounded latency: one loop iteration).
         sender.flush()
         if not quiesced_sent and all(op.is_closed for op in spec.ops):
             spec.main_q.put({"t": "quiesced", "w": wid})
             quiesced_sent = True
-        if (
-            spec.finish_ev.is_set()
-            and not progressed
-            and not held
-            and all(r.depth() == 0 for r in rings.values())
-        ):
+        if spec.finish_ev.is_set() and not progressed and recv.idle():
             break
 
-    if spec.stop_ev.is_set():
-        for ring in rings.values():
-            ring.close()
-        sender.close(unlink=False)
-        return
-
-    # The common final report, plus this transport's own counters.
-    transport = dict(sender.counters)
-    transport["blocks_ring_in"] = sum(r.blocks_out for r in rings.values())
-    spec.main_q.put({
-        "t": "done",
-        "w": wid,
-        **_final_report(spec.ops, supervisor, spec.metrics),
-        "transport": transport,
-        "rings": [r.name for r in sender.rings.values()]
-        + [r.name for r in rings.values()],
-    })
-    for ring in rings.values():
-        ring.close()
-    sender.close(unlink=False)
+    if not spec.stop_ev.is_set():
+        # The common final report, plus this transport's own counters.
+        transport = dict(sender.counters)
+        transport["blocks_ring_in"] = recv.blocks_in()
+        spec.main_q.put({
+            "t": "done",
+            "w": wid,
+            **_final_report(spec.ops, supervisor, spec.metrics),
+            "transport": transport,
+            "rings": [r.name for r in sender.rings.values()]
+            + list(recv.rings),
+        })
+    recv.close()
+    sender.close()
 
 
 # ---------------------------------------------------------------------------
@@ -695,25 +697,20 @@ class ProcessEngine(ThreadedEngine):
                 mp_context = "forkserver"
         self._ctx = safe_mp_context(mp_context)
 
-        self._op_index = {op.name: i for i, op in enumerate(graph.operators)}
         self._idx_names = [op.name for op in graph.operators]
         #: worker id → the PE it runs (one worker process per placed PE).
         self._worker_pes = dict(enumerate(self._place(main_ops)))
 
         # Cross-process state, populated by run().
-        self._procs: dict[int, Any] = {}
         self._specs: dict[int, _WorkerSpec] = {}
         self._cmd_qs: dict[int, Any] = {}
         self._quiesced: set[int] = set()
         self._done: dict[int, dict] = {}
         self._worker_deaths = 0
-        self._death_grace: dict[int, float] = {}
         self._sent_puncts: dict[int, set[tuple[str, int]]] = {}
-        self._main_rings: dict[str, BlockRing] = {}
-        self._main_rings_of: dict[Any, list[BlockRing]] = {}
-        self._held: list[tuple[Any, str, int, StreamTuple]] = []
         self._worker_ring_names: set[str] = set()
         self._sender: _TransportSender | None = None
+        self._recv: _RingReceiver | None = None
         #: Aggregated transport counters, merged from every process at
         #: shutdown.  ``blocks_queue`` staying 0 verifies the zero-copy
         #: hot path.
@@ -723,10 +720,6 @@ class ProcessEngine(ThreadedEngine):
     def n_workers(self) -> int:
         """Worker processes this graph will run with."""
         return len(self._worker_pes)
-
-    def _dec_shared(self, n: int = 1) -> None:
-        with self._wire_inflight.get_lock():
-            self._wire_inflight.value -= n
 
     # -- seams: sending, probing ------------------------------------------
 
@@ -766,7 +759,6 @@ class ProcessEngine(ThreadedEngine):
         return _WorkerSpec(
             worker_id=wid,
             label=self._worker_pes[wid].label(),
-            op_index=self._op_index,
             idx_names=self._idx_names,
             cmd_q=self._cmd_qs[wid],
             main_q=self._main_q,
@@ -777,7 +769,6 @@ class ProcessEngine(ThreadedEngine):
             stop_ev=self._stop_ev,
             finish_ev=self._finish_ev,
             run_id=self._run_id,
-            queue_size=self.queue_size,
             ring_slots=self.ring_slots,
             slot_rows=self.ring_slot_rows,
             **self._spec_fields(wid),
@@ -813,19 +804,8 @@ class ProcessEngine(ThreadedEngine):
 
     def _supervise_remote(self) -> None:
         for wid, proc in list(self._procs.items()):
-            if wid in self._done or proc.is_alive():
-                self._death_grace.pop(wid, None)
+            if wid in self._done or not self._died(wid):
                 continue
-            if proc.exitcode == 0:
-                # Clean exit: the final "done" message may still be in
-                # transit to the receiver; give it a grace window before
-                # declaring the worker dead.
-                first_seen = self._death_grace.setdefault(
-                    wid, time.perf_counter()
-                )
-                if time.perf_counter() - first_seen < 5.0:
-                    continue
-            self._death_grace.pop(wid, None)
             # Worker process died before reporting done.
             self._worker_deaths += 1
             if not self._restartable(wid):
@@ -915,87 +895,13 @@ class ProcessEngine(ThreadedEngine):
 
     # -- receiver thread -------------------------------------------------
 
-    def _src_has_blocks(self, src: Any) -> bool:
-        return any(
-            r.depth() > 0 for r in self._main_rings_of.get(src, ())
-        )
-
-    def _drain_main_rings(self) -> bool:
-        progressed = False
-        for ring in self._main_rings.values():
-            while True:
-                item = ring.get()
-                if item is None:
-                    break
-                self._dec_shared()
-                name = self._idx_names[item.dst_idx]
-                # Copy out of the slot: delivery is asynchronous (via a
-                # PE inbox), so views into the ring cannot outlive the
-                # release.  Still no pickling — one memcpy.
-                tup = tuple_from_fields(
-                    {
-                        "xs": np.array(item.xs, copy=True),
-                        "seqs": np.array(item.seqs, copy=True),
-                        "count": int(item.xs.shape[0]),
-                    },
-                    TupleKind.DATA,
-                    BLOCK_SCHEMA,
-                    item.tuple_seq,
-                    item.event_ts,
-                )
-                ring.release()
-                self._inject(name, tup, item.dst_port)
-                progressed = True
-        if progressed and self._watchdog is not None:
-            self._watchdog.poke()
-        return progressed
-
-    def _release_held(self) -> None:
-        remaining = []
-        for src, name, port, tup in self._held:
-            if self._src_has_blocks(src):
-                remaining.append((src, name, port, tup))
-                continue
-            self._inject(name, tup, port)
-        self._held[:] = remaining
-
-    def _dispatch_wire(
-        self, src: Any, dst: str, port: int, wire: dict
-    ) -> None:
-        tup = from_wire(wire)
-        if tup.is_punctuation and self._src_has_blocks(src):
-            self._held.append((src, dst, port, tup))
-            return
-        self._inject(dst, tup, port)
-
     def _handle_main_msg(self, msg: dict) -> None:
         if self._watchdog is not None:
             self._watchdog.poke()
+        if self._recv.handle(msg):
+            return
         kind = msg["t"]
-        if kind == "tuple":
-            self._dec_shared()
-            self._dispatch_wire(
-                msg["src"], msg["dst"], msg["port"], msg["wire"]
-            )
-        elif kind == "tuples":
-            items = msg["items"]
-            self._dec_shared(len(items))
-            src = msg["src"]
-            for dst, port, wire in items:
-                self._dispatch_wire(src, dst, port, wire)
-        elif kind == "ring":
-            if msg["name"] not in self._main_rings:
-                ring = BlockRing(
-                    msg["name"],
-                    slots=msg["slots"],
-                    slot_rows=msg["rows"],
-                    dim=msg["dim"],
-                    create=False,
-                )
-                self._main_rings[msg["name"]] = ring
-                self._main_rings_of.setdefault(msg["src"], []).append(ring)
-                self._worker_ring_names.add(msg["name"])
-        elif kind == "quiesced":
+        if kind == "quiesced":
             self._quiesced.add(msg["w"])
         elif kind == "done":
             self._done[msg["w"]] = msg
@@ -1015,7 +921,7 @@ class ProcessEngine(ThreadedEngine):
     def _receiver_loop(self) -> None:
         try:
             while True:
-                progressed = self._drain_main_rings()
+                progressed = self._recv.drain()
                 try:
                     # Same no-stall poll as the worker loop: only block
                     # on the queue when the rings had nothing.
@@ -1028,8 +934,8 @@ class ProcessEngine(ThreadedEngine):
                 if msg is not None:
                     self._handle_main_msg(msg)
                     progressed = True
-                if self._held:
-                    self._release_held()
+                if self._recv.held:
+                    self._recv.release_held()
                 if self._recv_halt.is_set() and not progressed:
                     return
                 if self._stop.is_set() and not progressed:
@@ -1046,7 +952,7 @@ class ProcessEngine(ThreadedEngine):
 
     # -- seams: start, quiescence, finish, stop ---------------------------
 
-    def _start_remote(self, timeout_s: float) -> None:
+    def _start_remote(self) -> None:
         ctx = self._ctx
         ensure_shared_tracker()
         self._run_id = uuid.uuid4().hex[:8]
@@ -1065,10 +971,12 @@ class ProcessEngine(ThreadedEngine):
             self._cmd_qs,
             self._wire_inflight,
             self._stop.is_set,
-            self._op_index,
+            self._idx_names,
             ring_slots=self.ring_slots,
             slot_rows=self.ring_slot_rows,
-            disown_rings=False,
+        )
+        self._recv = _RingReceiver(
+            self._idx_names, self._wire_inflight, self._inject, copy=True
         )
         # Specs are built (and, under spawn/forkserver, pickled) and the
         # workers started before any coordinator thread exists: worker
@@ -1118,10 +1026,9 @@ class ProcessEngine(ThreadedEngine):
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
         self._receiver.join(timeout=5.0)
-        self._sender.close(unlink=True)
-        for ring in self._main_rings.values():
-            ring.close()
-        for name in self._worker_ring_names:
+        self._sender.close()
+        self._recv.close()
+        for name in self._worker_ring_names | set(self._recv.rings):
             _unlink_segment(name)
         for q in list(self._cmd_qs.values()) + [self._main_q]:
             try:
@@ -1132,9 +1039,7 @@ class ProcessEngine(ThreadedEngine):
 
     def _fold_reports(self) -> None:
         totals = dict(self._sender.counters)
-        totals["blocks_ring_in"] = sum(
-            r.blocks_out for r in self._main_rings.values()
-        )
+        totals["blocks_ring_in"] = self._recv.blocks_in()
         for wid, msg in self._done.items():
             self._fold_report(f"w{wid}", msg)
             for key, value in msg["transport"].items():

@@ -1,15 +1,11 @@
-"""Stream sinks: collectors, CSV writers, checkpoint writers, probes.
+"""Stream sinks: collectors, CSV writers, checkpoint writers.
 
 The output side of the application graph — result collection for tests
-and examples, periodic eigensystem persistence (Section III-C), and the
-throughput probe used by the performance experiments ("the observations
-processing rate was measured as the number of output tuples at the
-operator splitting the stream", Section III-D).
+and examples, and periodic eigensystem persistence (Section III-C).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
 from ..io.checkpoint import CheckpointStore
@@ -17,7 +13,7 @@ from ..io.csvio import write_vectors_csv
 from .operators import Sink
 from .tuples import StreamTuple
 
-__all__ = ["CollectingSink", "CallbackSink", "CSVSink", "CheckpointSink", "RateProbe"]
+__all__ = ["CollectingSink", "CallbackSink", "CSVSink", "CheckpointSink"]
 
 
 class CollectingSink(Sink):
@@ -75,56 +71,3 @@ class CheckpointSink(Sink):
         state = tup.get("state")
         if state is not None:
             self.store.maybe_save(state)
-
-
-class RateProbe(Sink):
-    """Measure arrival rate over a sliding window of wall time.
-
-    ``rate()`` reports tuples/second over the last ``window_s`` seconds —
-    the paper's "averaged in 30 seconds" methodology, with a shorter
-    default suited to test runs.
-    """
-
-    def __init__(
-        self, name: str, *, window_s: float = 5.0, clock=time.monotonic
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        super().__init__(name)
-        self.window_s = window_s
-        self._clock = clock
-        self._stamps: list[float] = []
-        self.first_arrival: float | None = None
-        self.last_arrival: float | None = None
-        self.n_arrivals = 0
-
-    def consume(self, tup: StreamTuple, port: int) -> None:
-        now = self._clock()
-        self.n_arrivals += 1
-        if self.first_arrival is None:
-            self.first_arrival = now
-        self.last_arrival = now
-        self._stamps.append(now)
-        # Trim outside the window lazily to stay O(1) amortized.
-        cutoff = now - self.window_s
-        if self._stamps and self._stamps[0] < cutoff:
-            self._stamps = [s for s in self._stamps if s >= cutoff]
-
-    def rate(self) -> float:
-        """Tuples/second over the trailing window."""
-        if len(self._stamps) < 2:
-            return 0.0
-        span = self._stamps[-1] - self._stamps[0]
-        if span <= 0:
-            return 0.0
-        return (len(self._stamps) - 1) / span
-
-    def overall_rate(self) -> float:
-        """Tuples/second over the whole run."""
-        if (
-            self.first_arrival is None
-            or self.last_arrival is None
-            or self.last_arrival <= self.first_arrival
-        ):
-            return 0.0
-        return (self.n_arrivals - 1) / (self.last_arrival - self.first_arrival)

@@ -1106,9 +1106,10 @@ def operator_metric_samples(
             for reason, n in op.flush_counts.items():
                 yield ("repro_batch_flush_total", "counter",
                        dict(labels, reason=reason), int(n))
-        # Resilience counters are duck-typed: quarantining operators and
-        # network sources expose ``n_quarantined``, the circuit breaker
-        # ``n_shed``/``n_trips``, reconnecting sources ``n_reconnects``.
+        # Resilience counters are duck-typed: guarded and network sources
+        # expose ``n_quarantined``, a source with the load-shed valve
+        # armed ``n_shed``/``n_trips``/``state`` (the ``breaker`` metric
+        # names predate the valve), reconnecting sources ``n_reconnects``.
         n_quarantined = getattr(op, "n_quarantined", None)
         if n_quarantined is not None:
             yield ("repro_dlq_total", "counter", labels, int(n_quarantined))

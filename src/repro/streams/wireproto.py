@@ -38,7 +38,7 @@ import select
 import socket
 import struct
 import threading
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -362,14 +362,12 @@ class ReconnectingChannel:
         seed: int = 0,
         connect_timeout_s: float = 10.0,
         flap_after: int | None = None,
-        on_reconnect: Callable[[], None] | None = None,
     ) -> None:
         self.addr = tuple(addr)
         self.hello = dict(hello)
         self._budget_args = (max_retries, base_s, cap_s, jitter, seed)
         self.connect_timeout_s = connect_timeout_s
         self.flap_after = flap_after
-        self.on_reconnect = on_reconnect
         self._sock: socket.socket | None = None
         self._send_lock = threading.Lock()
         self._conn_lock = threading.Lock()
@@ -409,8 +407,6 @@ class ReconnectingChannel:
                 sock = self._dial()
                 if self._ever_connected:
                     self.n_reconnects += 1
-                    if self.on_reconnect is not None:
-                        self.on_reconnect()
                 self._ever_connected = True
                 return sock
             except OSError as exc:

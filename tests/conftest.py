@@ -41,13 +41,12 @@ def concurrent_engine():
     that share one coordinator (``"threaded"``, ``"process"``,
     ``"cluster"``).  Remote ends are forked, so test-local operator classes
     never need to be importable from a child process."""
-    from repro.streams import ClusterEngine, ProcessEngine, ThreadedEngine
+    from repro.parallel import ENGINE_CLASSES
 
     def make(runtime, graph, **kw):
-        if runtime == "threaded":
-            return ThreadedEngine(graph, **kw)
-        cls = {"process": ProcessEngine, "cluster": ClusterEngine}[runtime]
-        return cls(graph, mp_context="fork", **kw)
+        if runtime != "threaded":
+            kw["mp_context"] = "fork"
+        return ENGINE_CLASSES[runtime](graph, **kw)
 
     return make
 

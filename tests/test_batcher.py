@@ -1,4 +1,4 @@
-"""Tests for the Batcher/Unbatcher operators, their telemetry, and the
+"""Tests for the Batcher operator, its telemetry, and the
 batched parallel-PCA pipeline."""
 
 import numpy as np
@@ -17,7 +17,6 @@ from repro.streams import (
     Telemetry,
     TelemetryConfig,
     ThreadedEngine,
-    Unbatcher,
     VectorSource,
 )
 
@@ -187,29 +186,6 @@ class TestBatcher:
             Batcher("b", batch_size=0)
         with pytest.raises(ValueError):
             Batcher("b", timeout_s=0.0)
-
-
-class TestUnbatcher:
-    def test_roundtrip(self):
-        b = Batcher("b", batch_size=4)
-        u = Unbatcher("u")
-        blocks = wire(b)
-        rows = wire(u)
-        feed_rows(b, 10)
-        b._dispatch(StreamTuple.punctuation(), 0)
-        for tup, _ in blocks:
-            u._dispatch(tup, 0)
-        data = [t for t, _ in rows if t.is_data]
-        assert len(data) == 10
-        assert [t["seq"] for t in data] == list(range(10))
-        assert all(t["x"].shape == (4,) for t in data)
-
-    def test_passthrough_non_blocks(self):
-        u = Unbatcher("u")
-        rows = wire(u)
-        t = StreamTuple.data(x=np.zeros(3), seq=0)
-        u._dispatch(t, 0)
-        assert rows[0][0] is t
 
 
 class TestBatcherTelemetry:

@@ -18,6 +18,7 @@ from repro.streams.chaos import (
     smoke_suite,
     write_chaos_reports,
 )
+from repro.streams.telemetry import Telemetry, TelemetryConfig
 
 #: The acceptance bar: chaos must not push the merged global basis
 #: further than this from the fault-free solution.
@@ -171,6 +172,28 @@ class TestPoison:
 
 
 class TestBackgroundFaults:
+    def test_batched_process_run_spawns_one_worker_per_engine(self):
+        """The chaos harness launches the placement the product runs:
+        at ``batch_size=64`` the Batcher stays on the coordinator, so a
+        2-engine process run has 2 workers (a worker of its own for the
+        Batcher would be a third metrics shard)."""
+        tel = Telemetry(TelemetryConfig(metrics=True, tracing=False))
+        report = run_scenario(
+            ChaosScenario(
+                name="batched-clean", runtime="process", n_engines=2,
+                n_samples=640, batch_size=64, supervise=False,
+            ),
+            telemetry=tel,
+        )
+        assert report.ok, report.error
+        assert report.n_lost == 0
+        shards = {
+            s.labels.get("process")
+            for s in tel.metrics.collect()
+            if hasattr(s, "labels") and s.labels.get("process")
+        }
+        assert shards == {"w0", "w1"}
+
     def test_slow_operator_loses_nothing(self):
         report = run_scenario(slow_operator_scenario("threaded"))
         assert report.ok, report.error

@@ -55,13 +55,6 @@ def _pca_runner(runtime, **kw):
     )
 
 
-def _main_ops(app):
-    names = {app.split.name, app.controller.name}
-    if app.batcher is not None:
-        names.add(app.batcher.name)
-    return names
-
-
 class TestClusterParity:
     def test_matches_synchronous_engine_over_tcp(self):
         X = _spectra()
@@ -97,7 +90,7 @@ class TestClusterBookkeeping:
         app = runner.build(VectorStream.from_array(X))
         tel = Telemetry(TelemetryConfig(metrics=True, tracing=False))
         engine = ClusterEngine(
-            app.graph, main_ops=_main_ops(app), n_hosts=3, telemetry=tel
+            app.graph, main_ops=app.main_ops, n_hosts=3, telemetry=tel
         )
         engine.run(timeout_s=120)
 
@@ -130,7 +123,7 @@ class TestClusterBookkeeping:
         runner = _pca_runner("cluster")
         app = runner.build(VectorStream.from_array(X))
         engine = ClusterEngine(
-            app.graph, main_ops=_main_ops(app), n_hosts=3,
+            app.graph, main_ops=app.main_ops, n_hosts=3,
             tolerate_host_loss=False,
         )
 
@@ -139,7 +132,7 @@ class TestClusterBookkeeping:
             while time.perf_counter() < deadline:
                 link = engine._links.get(0)
                 if link is not None and link.sent_to > 0:
-                    engine.kill_host(0)
+                    engine.kill_remote(0)
                     return
                 time.sleep(0.01)
 
@@ -203,7 +196,7 @@ class TestAcceptLoopResilience:
         runner = _pca_runner("cluster")
         app = runner.build(VectorStream.from_array(X))
         engine = ClusterEngine(
-            app.graph, main_ops=_main_ops(app), n_hosts=3
+            app.graph, main_ops=app.main_ops, n_hosts=3
         )
 
         def _attack():
@@ -300,7 +293,7 @@ class TestPickleGate:
         app = _pca_runner("cluster").build(VectorStream.from_array(X))
         with pytest.warns(RuntimeWarning, match="non-loopback"):
             engine = ClusterEngine(
-                app.graph, main_ops=_main_ops(app), n_hosts=3,
+                app.graph, main_ops=app.main_ops, n_hosts=3,
                 bind_host="0.0.0.0",
             )
         assert engine._pickle_ok is False
@@ -327,7 +320,7 @@ class TestPickleGate:
         X = _spectra(n=60)
         app = _pca_runner("cluster").build(VectorStream.from_array(X))
         engine = ClusterEngine(
-            app.graph, main_ops=_main_ops(app), n_hosts=3
+            app.graph, main_ops=app.main_ops, n_hosts=3
         )
         assert engine._pickle_ok is True
         op = engine._remote_ops[0][0]

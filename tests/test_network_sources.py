@@ -167,62 +167,6 @@ class TestProfilingAndOptimizer:
         assert stats.processing_time_s["heavy"] > 0
 
 
-class TestHTTPVectorSource:
-    def _serve_http(self, body: bytes):
-        import http.server
-        import threading
-
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_GET(self):
-                self.send_response(200)
-                self.send_header("Content-Type", "text/csv")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        return server, server.server_address[1]
-
-    def test_fetches_csv_stream(self, rng):
-        from repro.streams import HTTPVectorSource
-
-        x = rng.standard_normal((8, 3))
-        body = "\n".join(
-            ",".join(repr(float(v)) for v in row) for row in x
-        ).encode() + b"\n"
-        server, port = self._serve_http(body)
-        try:
-            src = HTTPVectorSource(
-                "http-src", f"http://127.0.0.1:{port}/feed.csv"
-            )
-            got = np.vstack([t["x"] for t in src.generate()])
-            assert np.allclose(got, x)
-        finally:
-            server.shutdown()
-
-    def test_end_marker_stops_stream(self):
-        from repro.streams import HTTPVectorSource
-
-        body = b"1.0,2.0\n__END__\n3.0,4.0\n"
-        server, port = self._serve_http(body)
-        try:
-            src = HTTPVectorSource("h", f"http://127.0.0.1:{port}/x")
-            assert len(list(src.generate())) == 1
-        finally:
-            server.shutdown()
-
-    def test_rejects_non_http_url(self):
-        from repro.streams import HTTPVectorSource
-
-        with pytest.raises(ValueError, match="http"):
-            HTTPVectorSource("h", "ftp://example/feed.csv")
-
-
 class TestReconnect:
     """Sources survive connection flaps within the retry budget."""
 
@@ -385,68 +329,3 @@ class TestMalformedLines:
             s["name"]: s.get("value") for s in tel.metrics.snapshot()
         }
         assert samples.get("repro_dlq_total") == 1
-
-
-class TestHTTPReconnect:
-    def test_reset_body_resumes_without_duplicates(self, rng):
-        # A raw socket server, because http.server half-closes (FIN)
-        # before closing, which reads as a clean short body; only a
-        # hard RST mid-body surfaces as the OSError the source retries.
-        import socket as socket_mod
-
-        from repro.streams import HTTPVectorSource
-
-        x = rng.standard_normal((6, 3))
-        lines = [
-            ",".join(repr(float(v)) for v in row).encode() + b"\n"
-            for row in x
-        ]
-        body = b"".join(lines)
-        server = socket_mod.socket(
-            socket_mod.AF_INET, socket_mod.SOCK_STREAM
-        )
-        server.setsockopt(
-            socket_mod.SOL_SOCKET, socket_mod.SO_REUSEADDR, 1
-        )
-        server.bind(("127.0.0.1", 0))
-        server.listen(2)
-        port = server.getsockname()[1]
-        requests = []
-
-        def serve():
-            head = (
-                b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n"
-                % len(body)
-            )
-            for attempt in range(2):
-                conn, _ = server.accept()
-                conn.recv(65536)  # the GET; one read is enough
-                requests.append(1)
-                if attempt == 0:
-                    conn.sendall(head + b"".join(lines[:3]))
-                    time.sleep(0.1)  # let the client drain the rows
-                    conn.setsockopt(
-                        socket_mod.SOL_SOCKET,
-                        socket_mod.SO_LINGER,
-                        b"\x01\x00\x00\x00\x00\x00\x00\x00",
-                    )
-                    conn.close()  # RST: a failure, not a short body
-                else:
-                    conn.sendall(head + body)
-                    conn.close()
-            server.close()
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        src = HTTPVectorSource(
-            "http-src", f"http://127.0.0.1:{port}/feed",
-            max_retries=3, backoff_base_s=0.01,
-        )
-        tuples = list(src.generate())
-        thread.join(timeout=5)
-        assert len(requests) == 2
-        assert src.n_reconnects == 1
-        # The re-GET replays the body; already-delivered rows are
-        # skipped so downstream sees each observation exactly once.
-        assert [t["seq"] for t in tuples] == list(range(6))
-        assert np.allclose(np.vstack([t["x"] for t in tuples]), x)

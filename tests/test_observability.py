@@ -40,7 +40,7 @@ from repro.streams import (
     load_events,
     render_report,
 )
-from repro.streams.batcher import Batcher, Unbatcher
+from repro.streams.batcher import Batcher
 from repro.streams.shm import BlockRing
 from repro.streams.telemetry import EventLog, Histogram, WatermarkTracker
 from repro.streams.tuples import (
@@ -148,22 +148,6 @@ class TestEventTime:
         assert len(out) == 1
         assert out[0].event_ts == 10.0  # the oldest buffered row
 
-    def test_unbatcher_rows_inherit_block_event_ts(self):
-        b = Batcher("b", batch_size=2)
-        u = Unbatcher("u")
-        blocks, rows = [], []
-        b.bind(lambda t, port: blocks.append(t))
-        u.bind(lambda t, port: rows.append(t))
-        for ts in (5.0, 6.0):
-            b.process(
-                stamp_event_time(
-                    StreamTuple.data(x=np.zeros(2), seq=0), ts
-                ),
-                0,
-            )
-        u.process(blocks[0], 0)
-        assert [t.event_ts for t in rows] == [5.0, 5.0]
-
     def test_block_ring_roundtrips_event_ts(self):
         ring = BlockRing(
             f"repro-test-{uuid.uuid4().hex[:8]}",
@@ -243,9 +227,9 @@ class TestWatermarksAcrossRuntimes:
             collect_diagnostics=True,
         )
         tel = Telemetry(TelemetryConfig())
-        main_ops = {app.split.name, app.controller.name, app.batcher.name}
         ProcessEngine(
-            app.graph, main_ops=main_ops, telemetry=tel, mp_context="fork"
+            app.graph, main_ops=app.main_ops, telemetry=tel,
+            mp_context="fork",
         ).run(timeout_s=120)
         hist = e2e_hist(tel, sink="diagnostics")
         assert hist is not None and hist.count > 0

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import largest_principal_angle
+from repro.core import RobustIncrementalPCA, largest_principal_angle
 from repro.data import (
     GrossOutlierInjector,
     PlantedSubspaceModel,
     VectorStream,
 )
 from repro.parallel import (
+    ENGINE_CLASSES,
     ParallelStreamingPCA,
     build_parallel_pca_graph,
     partition_contiguous,
@@ -42,6 +43,7 @@ class TestParallelRunner:
         assert result.eigenvalues.shape == (3,)
         assert result.components.shape == (3, 50)
         assert result.mean.shape == (50,)
+        assert type(result.engine) is ENGINE_CLASSES[runtime]
 
     def test_engines_synchronized(self, model, data):
         runner = ParallelStreamingPCA(
@@ -116,6 +118,57 @@ class TestParallelRunner:
             assert largest_principal_angle(
                 result.global_state.basis, model.basis
             ) < 0.35
+
+    @pytest.mark.parametrize(
+        "runtime", ["synchronous", "threaded", "process", "cluster"]
+    )
+    def test_engine_places_only_the_pca_engines_remotely(self, runtime):
+        """The one launch path, on the app ``chaos.run_scenario`` builds
+        (blocks of 64, two engines): the Batcher stays on the coordinator
+        and there is exactly one remote end per PCA engine."""
+        app = build_parallel_pca_graph(
+            VectorStream.from_array(np.zeros((128, 8))),
+            2,
+            lambda i: RobustIncrementalPCA(3),
+            batch_size=64,
+            quarantine=True,
+            stale_after=12,
+            heartbeat_every=25,
+        )
+        assert app.main_ops == {"split", "sync-controller", "batcher"}
+        engine = app.engine(runtime)
+        assert type(engine) is ENGINE_CLASSES[runtime]
+        if runtime == "synchronous":
+            return  # one thread, nothing to place
+        remote = runtime in ("process", "cluster")
+        for name in ("source", "batcher", "split", "sync-controller",
+                     "diagnostics"):
+            assert engine._loc_of[name] == "main"
+        assert [engine._loc_of[op.name] for op in app.engines] == (
+            [0, 1] if remote else ["main", "main"]
+        )
+        if runtime == "process":
+            assert engine.n_workers == 2
+            assert engine.ring_slot_rows == 64
+        if runtime == "cluster":
+            assert engine.n_hosts == 2
+
+    def test_engine_options_reach_the_engine_class(self):
+        app = build_parallel_pca_graph(
+            VectorStream.from_array(np.zeros((8, 4))),
+            3,
+            lambda i: RobustIncrementalPCA(2),
+        )
+        engine = app.engine(
+            "cluster", tolerate_host_loss=True, flap_hosts={1: 3}
+        )
+        assert engine.n_hosts == 3
+        assert engine.tolerate_host_loss and engine.flap_hosts == {1: 3}
+        assert app.engine("process", ring_slots=4).ring_slots == 4
+        with pytest.raises(ValueError, match="runtime"):
+            app.engine("mpi")
+        with pytest.raises(TypeError):
+            app.engine("threaded", mp_context="fork")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="runtime"):

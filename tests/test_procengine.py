@@ -2,7 +2,6 @@
 
 import multiprocessing as mp
 import os
-import signal
 import threading
 import time
 import uuid
@@ -247,10 +246,9 @@ class TestProcessParity:
         X = _spectra(n=800)
         runner = _pca_runner("process")
         app = runner.build(VectorStream.from_array(X))
-        main_ops = {app.split.name, app.controller.name, app.batcher.name}
         reset_wire_stats()
         engine = ProcessEngine(
-            app.graph, main_ops=main_ops, mp_context="fork"
+            app.graph, main_ops=app.main_ops, mp_context="fork"
         )
         engine.run(timeout_s=120)
         stats = engine.transport_stats
@@ -332,16 +330,11 @@ class TestWorkerRestart:
         supervisor = engine_restart_supervisor(
             app, directory=tmp_path, checkpoint_every=5
         )
-        main_ops = {app.split.name, app.controller.name, app.batcher.name}
         # mp_context defaults: restart policies auto-prefer forkserver.
         engine = ProcessEngine(
-            app.graph, main_ops=main_ops, supervisor=supervisor
+            app.graph, main_ops=app.main_ops, supervisor=supervisor
         )
-        wid0 = next(
-            w
-            for w, pe in engine._worker_pes.items()
-            if any(op.name == "pca-0" for op in pe.operators)
-        )
+        wid0 = engine._loc_of["pca-0"]
 
         errors: list[BaseException] = []
         done = threading.Event()
@@ -362,11 +355,8 @@ class TestWorkerRestart:
             deadline = time.time() + 120
             killed = False
             while not done.is_set() and time.time() < deadline:
-                proc = engine._procs.get(wid0)
                 if (
-                    proc is not None
-                    and proc.is_alive()
-                    and ckpt_dir.is_dir()
+                    ckpt_dir.is_dir()
                     # Ignore the hidden .tmp files save_eigensystem stages
                     # before os.replace: kill only once a checkpoint has
                     # actually been committed.
@@ -374,8 +364,8 @@ class TestWorkerRestart:
                         not p.name.startswith(".")
                         for p in ckpt_dir.iterdir()
                     )
+                    and engine.kill_remote(wid0)
                 ):
-                    os.kill(proc.pid, signal.SIGKILL)
                     killed = True
                     break
                 time.sleep(0.001)

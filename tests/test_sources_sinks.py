@@ -15,7 +15,6 @@ from repro.streams import (
     CSVSink,
     DirectorySource,
     Graph,
-    RateProbe,
     SynchronousEngine,
     VectorSource,
 )
@@ -131,39 +130,3 @@ class TestSinks:
         # Tuples without a state field are ignored.
         sink._dispatch(StreamTuple.data(other=1), 0)
         assert len(store.list()) == 1
-
-
-class TestRateProbe:
-    def test_rate_with_fake_clock(self):
-        now = [0.0]
-        probe = RateProbe("r", window_s=10.0, clock=lambda: now[0])
-        probe.bind(lambda t, p: None)
-        for i in range(11):
-            probe._dispatch(StreamTuple.data(x=i), 0)
-            now[0] += 0.1
-        # 11 arrivals over 1.0s span => 10/s.
-        assert probe.rate() == pytest.approx(10.0, rel=0.01)
-        assert probe.overall_rate() == pytest.approx(10.0, rel=0.01)
-        assert probe.n_arrivals == 11
-
-    def test_window_trimming(self):
-        now = [0.0]
-        probe = RateProbe("r", window_s=1.0, clock=lambda: now[0])
-        probe.bind(lambda t, p: None)
-        # Slow arrivals, then fast burst: rate reflects the window only.
-        for _ in range(3):
-            probe._dispatch(StreamTuple.data(x=0), 0)
-            now[0] += 5.0
-        for _ in range(20):
-            probe._dispatch(StreamTuple.data(x=0), 0)
-            now[0] += 0.01
-        assert probe.rate() == pytest.approx(100.0, rel=0.1)
-
-    def test_empty_probe(self):
-        probe = RateProbe("r")
-        assert probe.rate() == 0.0
-        assert probe.overall_rate() == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="window_s"):
-            RateProbe("r", window_s=0.0)
