@@ -1,17 +1,18 @@
 """Process-vs-thread scaling of the parallel PCA application.
 
 The paper's Fig. 6 scales PEs across real CPUs; our ThreadedEngine
-cannot (one GIL), so this bench measures what the ProcessEngine buys at
-a CPU-bound operating point — robust PCA at d >= 1000, micro-batched —
-for growing engine fleets.  Speedup here is **process over thread at
-equal engine count**: both share the machine and BLAS, so the ratio
-cancels hardware out.
+cannot (one GIL), so this bench measures what the process runtime (one
+loopback engine host per PCA engine) buys at a CPU-bound operating point
+— robust PCA at d >= 1000, micro-batched — for growing engine fleets.
+Speedup here is **process over thread at equal engine count**: both
+share the machine and BLAS, so the ratio cancels hardware out.
 
 The payload records ``n_cpus``: on a single-core runner the process
 runtime *cannot* beat the threaded one (expect ~1x minus transport
 overhead), and ``check_regression.py --min-speedup`` skips its absolute
-gate accordingly.  Transport counters from an instrumented run verify
-the zero-copy hot path (``blocks_queue == 0``).
+gate accordingly.  The link counters (``result.engine.cluster_stats``)
+of the fastest run are recorded, and the run checks that no payload
+fell back to pickling (``wire_stats()["pickled_payloads"] == 0``).
 
 Run directly (``python benchmarks/bench_process_scaling.py [--quick]``)
 to produce ``BENCH_process_scaling.json``.
@@ -32,6 +33,7 @@ except ModuleNotFoundError:
 
 from repro.data import PlantedSubspaceModel, VectorStream
 from repro.parallel import ParallelStreamingPCA
+from repro.streams import wire_stats
 
 
 def _runner(n_engines: int, runtime: str, dim: int, batch_size: int):
@@ -96,7 +98,7 @@ def main(argv=None) -> int:
             wall, result = _time(x, n_engines, "process", batch_size)
             if best is None or wall < best:
                 best = wall
-                transport = dict(result.engine.transport_stats)
+                transport = dict(result.engine.cluster_stats)
         r = {
             "name": f"process_vs_thread_e{n_engines}",
             "n_engines": n_engines,
@@ -112,12 +114,6 @@ def main(argv=None) -> int:
             f"  process {r['process_rows_per_s']:8.0f} rows/s"
             f"  speedup {r['speedup']:5.2f}x",
             flush=True,
-        )
-
-    if transport is not None and transport.get("blocks_queue", 0):
-        print(
-            f"warning: {transport['blocks_queue']} block(s) fell back to "
-            f"the pickled queue path — check ring_slot_rows vs batch_size"
         )
 
     payload = {
@@ -138,6 +134,10 @@ def main(argv=None) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out} (n_cpus={n_cpus})")
+    pickled = wire_stats()["pickled_payloads"]
+    if pickled:
+        print(f"error: {pickled} payload value(s) fell back to pickling")
+        return 1
     return 0
 
 

@@ -33,7 +33,6 @@ from ..streams.fusion import FusionPlan
 from ..streams.graph import Graph
 from ..streams.health import HealthMonitor, HealthRuleEngine, default_rules
 from ..streams.resilience import DeadLetterQueue
-from ..streams.procengine import ProcessEngine
 from ..streams.sinks import CollectingSink
 from ..streams.sources import GuardedVectorSource, VectorSource
 from ..streams.split import Split
@@ -49,11 +48,12 @@ __all__ = [
     "engine_restart_supervisor",
 ]
 
-#: Runtime name → engine class.
+#: Runtime name → engine class.  ``"process"`` is the cluster engine
+#: with its hosts as local processes on loopback.
 ENGINE_CLASSES = {
     "synchronous": SynchronousEngine,
     "threaded": ThreadedEngine,
-    "process": ProcessEngine,
+    "process": ClusterEngine,
     "cluster": ClusterEngine,
 }
 
@@ -128,12 +128,12 @@ class ParallelPCAApp:
         """The engine that runs this graph under ``runtime``.
 
         What the application already says is worked out here: the
-        coordinator cut (:attr:`main_ops`), one remote end per PCA
-        engine, ring slots as tall as the batcher's blocks (64 rows at
-        least), the plan behind the ``fusion`` name (threaded runtime).
-        ``stall_timeout_s`` arms the watchdog where there is one
-        (threaded, process); ``engine_options`` go to the engine class
-        verbatim (``mp_context=``, ``tolerate_host_loss=``, ...).
+        coordinator cut (:attr:`main_ops`), one engine host per PCA
+        engine, the plan behind the ``fusion`` name (threaded runtime).
+        ``stall_timeout_s`` arms the watchdog where there is one (every
+        runtime but the synchronous); ``engine_options`` go to the
+        engine class verbatim (``mp_context=``, ``tolerate_host_loss=``,
+        ...).
         """
         engine_class = _choice(ENGINE_CLASSES, "runtime", runtime)
         plan = _choice(FUSION_PLANS, "fusion", fusion)
@@ -142,14 +142,10 @@ class ParallelPCAApp:
         )
         if runtime == "threaded":
             options["fusion"] = plan(self.graph)
-        if runtime in ("threaded", "process"):
+        if runtime != "synchronous":
             options["stall_timeout_s"] = stall_timeout_s
-        if runtime in ("process", "cluster"):
+        if engine_class is ClusterEngine:
             options["main_ops"] = self.main_ops
-        if runtime == "process":
-            rows = self.batcher.batch_size if self.batcher else 0
-            options.setdefault("ring_slot_rows", max(rows, 64))
-        if runtime == "cluster":
             options.setdefault("n_hosts", len(self.engines))
         return engine_class(self.graph, **options)
 

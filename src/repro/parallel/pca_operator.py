@@ -178,7 +178,7 @@ class StreamingPCAOperator(Operator):
         #: through :meth:`published_state`.
         self._state_lock = threading.RLock()
 
-    # -- pickling (ProcessEngine ships operators to workers) -------------
+    # -- pickling (the remote runtimes ship operators to engine hosts) ---
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -190,8 +190,8 @@ class StreamingPCAOperator(Operator):
         self._state_lock = threading.RLock()
 
     def _lock(self) -> threading.RLock:
-        # ProcessEngine's sanitizer nulls the lock before shipping the
-        # operator to a fork-context worker (no pickle round-trip means
+        # The coordinator's sanitizer nulls the lock before shipping the
+        # operator to a fork-context host (no pickle round-trip means
         # __setstate__ never runs there); recreate on first use.
         lock = self._state_lock
         if lock is None:
@@ -442,7 +442,7 @@ class StreamingPCAOperator(Operator):
             return
         with self._lock():
             if not self.estimator.is_initialized:
-                # A respawned worker process holds a fresh estimator:
+                # A respawned engine host holds a fresh estimator:
                 # adopt the checkpoint outright (estimators without
                 # adopt_state keep the old semantics — restart from a
                 # clean warm-up).

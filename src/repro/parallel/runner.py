@@ -54,8 +54,8 @@ class ParallelRunResult:
         Per-engine counter dicts from the operators.
     engine:
         The engine the run executed on; the remote runtimes' transport
-        totals are read from it (``engine.transport_stats`` on
-        ``"process"``, ``engine.cluster_stats`` on ``"cluster"``).
+        totals are read from it (``engine.cluster_stats`` on
+        ``"process"`` and ``"cluster"``).
     """
 
     global_state: Eigensystem
@@ -106,11 +106,10 @@ class ParallelStreamingPCA:
     runtime:
         ``"synchronous"`` (deterministic), ``"threaded"`` (one thread
         per PE, shared GIL), ``"process"`` (each PCA engine in its own
-        worker process with shared-memory block transport; see
-        :class:`~repro.streams.procengine.ProcessEngine`), or
-        ``"cluster"`` (each PCA engine on its own host process reached
-        over real TCP sockets — the paper's multi-node scale-out; see
-        :class:`~repro.streams.clusterengine.ClusterEngine`).
+        local process reached over loopback TCP), or ``"cluster"``
+        (the same engine hosts as the paper's multi-node scale-out);
+        both remote runtimes are
+        :class:`~repro.streams.clusterengine.ClusterEngine`.
     fusion:
         For the threaded runtime: ``"per-operator"`` (default, every
         operator its own thread — the distributed analog), ``"fused"``
@@ -134,15 +133,15 @@ class ParallelStreamingPCA:
         common engines-restart-from-checkpoint configuration); without
         one, execution is fail-fast.
     stall_timeout_s:
-        Threaded/process runtimes: arm the deadlock/stall watchdog (see
-        :class:`~repro.streams.engine.ThreadedEngine` and
-        :class:`~repro.streams.procengine.ProcessEngine`; on the process
-        runtime a wedged restartable worker is terminated and respawned
-        from its checkpoint).
+        Threaded/process/cluster runtimes: arm the deadlock/stall
+        watchdog (see :class:`~repro.streams.engine.ThreadedEngine` and
+        :class:`~repro.streams.clusterengine.ClusterEngine`; on the
+        remote runtimes a wedged restartable host is terminated and
+        respawned from its checkpoint).
     mp_context:
         Process/cluster runtimes: multiprocessing start method
         (``"fork"``, ``"forkserver"``, ``"spawn"``) or ``None`` for
-        :func:`~repro.streams.shm.safe_mp_context`.
+        :func:`~repro.streams.clusterengine.safe_mp_context`.
 
     Example
     -------

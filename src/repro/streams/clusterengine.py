@@ -1,16 +1,16 @@
 """ClusterEngine: the coordinator with TCP-connected hosts as remote ends.
 
-The process runtime scales the parallel PCA across the cores of one
-machine; the paper's Figs 6–7 scale *out* — engines on separate hosts
-exchanging sync tuples over the network.  :class:`ClusterEngine` is the
+The paper treats fused vs distributed as a placement with two costs: a
+local handoff or a network hop.  :class:`ClusterEngine` is the
 :class:`~repro.streams.engine.ThreadedEngine` coordinator (a subclass:
 the run protocol is inherited unchanged) that keeps the sources, sinks
 and control operators (split, sync controller) and places every other
 operator on **engine hosts** — separate OS processes reached over real
 TCP sockets speaking the length-prefixed framed protocol of
-:mod:`repro.streams.wireproto`.  On localhost the hosts are
-spawned processes (how the tests and ``python -m repro cluster`` run);
-the protocol itself is host-agnostic.
+:mod:`repro.streams.wireproto`.  It runs both remote runtimes:
+``"process"`` (the hosts are local processes on loopback, one per PCA
+engine, scaling across the cores of one machine) and ``"cluster"`` (the
+paper's Figs 6–7 scale-out); the protocol itself is host-agnostic.
 
 Topology and transport
 ----------------------
@@ -21,14 +21,19 @@ place).  Each host holds one :class:`~repro.streams.wireproto.
 ReconnectingChannel` to the coordinator:
 
 * tuples travel as ``to_wire`` dicts inside coalesced ``"tuples"``
-  frames — numpy blocks cross as raw buffers, never pickled;
-* the receive side decodes with ``from_wire(..., allow_pickle=False)``
-  and the ``register_wire_type`` allowlist: socket bytes are untrusted
-  (see ``docs/robustness.md``);
-* outbound traffic on both sides goes through an **unbounded deque
-  drained by a dedicated sender thread**, so neither end ever blocks on
-  a socket write while the peer is itself mid-write (the classic TCP
-  backpressure deadlock cycle);
+  frames — numpy blocks cross as raw buffers, never pickled or copied;
+* the receive side decodes with ``from_wire`` (no pickles) and the
+  ``register_wire_type`` allowlist: socket bytes are untrusted (see
+  ``docs/robustness.md``);
+* outbound traffic on both sides goes through a deque drained by a
+  dedicated sender thread, so neither end ever blocks on a socket write
+  while the peer is itself mid-write (the classic TCP backpressure
+  deadlock cycle);
+* each link has a **data window** of :data:`_WINDOW_ROWS` rows: a data
+  tuple for a host waits until the host has acked enough of the rows it
+  was sent (hosts ack as they consume), which bounds the coordinator's
+  memory and what a host death can lose.  Control tuples and
+  punctuation never wait, so the sync cycle cannot deadlock on it;
 * the host channel redials with the ``network_sources`` backoff budget
   and re-sends its hello, and the coordinator's accept loop
   re-associates the stream by host id — a network flap costs a counted
@@ -55,13 +60,22 @@ sockets).  The final report additionally carries the host's channel
 counters (see :attr:`ClusterEngine.cluster_stats`), and its operator
 state arrives wire-encoded, merged under an ``h<id>`` process label.
 
-A host that dies is detected by the per-tick liveness check.  With
-``tolerate_host_loss=True`` (the chaos scenarios and the CLI kill runs)
-the coordinator injects punctuation on the dead host's routes so the
-controller's punctuation contract holds, drops (and counts) traffic
+A host that dies — or that stops making progress for ``stall_timeout_s``
+and is terminated — is detected by the per-tick liveness check.  When
+the supervisor gives one of its operators a
+:class:`~repro.streams.supervision.RestartFromCheckpoint` policy the
+host is respawned with ``resume=True``: its operators reload the
+policy store's latest checkpoint, the new process re-attaches through
+the hello handshake, whatever was still queued for the link goes to it,
+and the punctuation its predecessor had been sent is sent again.  There
+is no redelivery: loss is bounded by the window (rows sent, not yet
+consumed) plus the operator state since the last checkpoint.  Otherwise,
+with ``tolerate_host_loss=True`` (the chaos scenarios and the CLI kill
+runs) the coordinator injects punctuation on the dead host's routes so
+the controller's punctuation contract holds, drops (and counts) traffic
 bound for it, and lets the SyncController's staleness eviction + quorum
 carry the run — the paper's degraded-mode story over a real wire.
-Without the flag a host death fails fast, matching the other engines.
+Without either a host death fails fast, matching the other engines.
 
 After a death or a flap, frames that were in the kernel's socket
 buffers may be lost (delivery is at-least-once across reconnects, see
@@ -74,7 +88,10 @@ in ``cluster_stats["tuples_lost"]``.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import ipaddress
+import multiprocessing as mp
 import os
 import socket
 import threading
@@ -86,11 +103,24 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .engine import _MAIN, SynchronousEngine, ThreadedEngine, _final_report
+import numpy as np
+
+from .engine import (
+    _MAIN,
+    SynchronousEngine,
+    ThreadedEngine,
+    _final_report,
+    _RowQueue,
+)
 from .graph import Graph
 from .operators import Operator, Sink, Source
-from .shm import safe_mp_context
-from .supervision import EngineAborted, OperatorFailure, Supervisor
+from .supervision import (
+    EngineAborted,
+    OperatorFailure,
+    RestartFromCheckpoint,
+    StallDetected,
+    Supervisor,
+)
 from .telemetry import Telemetry
 from .tuples import (
     StreamTuple,
@@ -108,10 +138,59 @@ from .wireproto import (
     wait_readable,
 )
 
-__all__ = ["ClusterEngine"]
+__all__ = ["ClusterEngine", "safe_mp_context"]
 
 #: Tuples per coalesced ``"tuples"`` frame.
 _BATCH_MAX = 64
+
+#: Data rows a link may have queued or in flight and not yet consumed
+#: by its host: eight 64-row blocks.  It also bounds each coordinator
+#: inbox, so a remote run's coordinator holds a few windows of rows.
+_WINDOW_ROWS = 8 * 64
+
+#: A host acks once this many consumed rows are unacknowledged (and at
+#: the end of every inbound frame), so the window refills while the
+#: host still has rows to work on.
+_ACK_ROWS = _WINDOW_ROWS // 4
+
+
+def _rows(tup: StreamTuple) -> int:
+    """What ``tup`` weighs against the window: a data tuple its rows (a
+    block its ``count``), control and punctuation nothing."""
+    return _RowQueue._weight(tup.payload) if tup.is_data else 0
+
+
+def _close(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it: the shutdown wakes a thread
+    blocked in ``select``/``accept`` on it, which a close alone does not."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # not connected, or already torn down
+        pass
+    sock.close()
+
+
+def safe_mp_context(prefer: str | None = None):
+    """A :mod:`multiprocessing` context that is safe to start *now*.
+
+    ``fork`` is the cheapest start method but forking a multi-threaded
+    process can deadlock the child on locks held by threads that do not
+    survive the fork.  This helper picks ``fork`` only when the calling
+    process is single-threaded, otherwise falls back to ``forkserver``
+    (children fork from a clean single-threaded server) and finally
+    ``spawn``.  Pass ``prefer`` to force a specific method (validated by
+    :func:`multiprocessing.get_context`).
+    """
+    if prefer is not None:
+        return mp.get_context(prefer)
+    methods = mp.get_all_start_methods()
+    if "fork" in methods and threading.active_count() == 1:
+        return mp.get_context("fork")
+    for method in ("forkserver", "spawn"):
+        if method in methods:
+            return mp.get_context(method)
+    return mp.get_context()  # pragma: no cover - exotic platforms
+
 
 def _is_loopback_bind(host: str) -> bool:
     """Whether ``host`` binds only the loopback interface.
@@ -152,8 +231,13 @@ class _ChannelSource(Source):
     Every inbound tuple is wrapped in a control envelope carrying its
     demux output index: engines drive sources through ``submit(tup, 0)``
     only, so routing happens one hop downstream in :class:`_Demux`.
-    Decoding is strict — ``allow_pickle=False`` — because these bytes
-    arrived over TCP.
+    Decoding is strict (no pickles) because these bytes arrived over
+    TCP.
+
+    The engine resumes this generator only once the previous tuple is
+    fully dispatched, so that is where a data tuple's rows count as
+    consumed (``counters["consumed"]``); the sender thread, woken here,
+    acks them to the coordinator.
     """
 
     def __init__(
@@ -162,26 +246,42 @@ class _ChannelSource(Source):
         channel: ReconnectingChannel,
         portmap: dict[tuple[str, int], int],
         counters: dict[str, int],
+        out_cv: threading.Condition,
         stop: threading.Event,
     ) -> None:
         super().__init__(name, n_outputs=1)
         self._channel = channel
         self._portmap = portmap
         self._counters = counters
+        self._out_cv = out_cv
         self._stop = stop
 
+    def _ack(self) -> None:
+        with self._out_cv:
+            self._out_cv.notify()
+
     def generate(self):
+        counters = self._counters
         while not self._stop.is_set():
             msg = self._channel.recv(timeout_s=0.05)
             if msg is None:
                 continue
             t = msg.get("t")
             if t == "tuples":
+                unacked = 0
                 for dst, port, wire in msg["items"]:
-                    tup = from_wire(wire, allow_pickle=False)
+                    tup = from_wire(wire)
                     out = self._portmap[(dst, int(port))]
-                    self._counters["received"] += 1
+                    counters["received"] += 1
                     yield StreamTuple.control(out=out, tup=tup)
+                    rows = _rows(tup)
+                    counters["consumed"] += rows
+                    unacked += rows
+                    if unacked >= _ACK_ROWS:
+                        self._ack()
+                        unacked = 0
+                if unacked:
+                    self._ack()
             elif t == "finish":
                 return
 
@@ -200,8 +300,7 @@ class _RelaySink(Sink):
     """Forward every off-host emission (and its punctuation) upstream.
 
     One input port per outgoing cross-host edge; tuples are wire-encoded
-    here (with schema descriptors, so the receiver's registry never has
-    to be warm) and drained to the socket by the host's sender thread.
+    here and drained to the socket by the host's sender thread.
     """
 
     def __init__(
@@ -218,7 +317,7 @@ class _RelaySink(Sink):
 
     def _forward(self, port: int, tup: StreamTuple) -> None:
         dst_name, dst_port = self._targets[port]
-        item = (dst_name, dst_port, to_wire(tup, describe_schema=True))
+        item = (dst_name, dst_port, to_wire(tup))
         with self._out_cv:
             self._outq.append(item)
             self._out_cv.notify()
@@ -258,10 +357,33 @@ class _HostSpec:
     metrics: bool = True
     flap_after: int | None = None
     reconnect: dict[str, Any] = field(default_factory=dict)
+    #: A respawned host restores its operators from checkpoint first.
+    resume: bool = False
+    #: This host's share of the machine's cores, for its BLAS pool.
+    blas_threads: int = 1
+
+
+def _cap_blas_threads(n: int) -> None:
+    """Cap this process's OpenBLAS pool at ``n`` threads.
+
+    Every host inherits a pool sized for the whole machine, and OpenBLAS
+    threads spin between calls: with two hosts on two cores, the block
+    step's one ``eigh`` (69 × 69) measured 2.9 ms against 0.47 ms with
+    one thread per host.  A no-op unless numpy runs its bundled OpenBLAS.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        set_threads = getattr(
+            ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None
+        )
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(n)
 
 
 def _host_main(spec: _HostSpec) -> None:
     """Engine-host entry point (top-level: importable under spawn)."""
+    _cap_blas_threads(spec.blas_threads)
     reseed_sequence(spec.host_id + 1)
     channel = ReconnectingChannel(
         spec.addr,
@@ -316,7 +438,7 @@ def _build_host_graph(
 
     g = Graph(f"host{hid}")
     src = _ChannelSource(
-        f"__chan_h{hid}", channel, portmap, counters, stop
+        f"__chan_h{hid}", channel, portmap, counters, out_cv, stop
     )
     demux = _Demux(f"__demux_h{hid}", len(spec.inbound))
     g.add(src)
@@ -368,30 +490,51 @@ def _host_sender_loop(
     host_id: int,
 ) -> None:
     try:
+        acked = 0
         while True:
             batch: list = []
             with out_cv:
                 while outq and len(batch) < _BATCH_MAX:
                     batch.append(outq.popleft())
-                if not batch:
+                if not batch and counters["consumed"] == acked:
                     if stop.is_set():
                         return
                     out_cv.wait(timeout=0.05)
                     continue
-            channel.send({"t": "tuples", "items": batch})
+                acked = counters["consumed"]
+            # Every frame carries the cumulative ack; with nothing to
+            # relay the frame is an ack alone.
+            channel.send({"t": "tuples", "items": batch, "acked": acked})
             counters["sent"] += len(batch)
     except BaseException:
         _host_thread_failed(host_id, "sender")
 
 
+def _restore_checkpoints(spec: _HostSpec) -> None:
+    """Reload each restartable operator's last persisted snapshot (a
+    respawned host, before its operators open)."""
+    for op in spec.ops:
+        policy = spec.policies.get(op.name)
+        if (
+            isinstance(policy, RestartFromCheckpoint)
+            and policy.store is not None
+            and hasattr(op, "restore_state")
+        ):
+            snap = policy.store.load_latest()
+            if snap is not None:
+                op.restore_state(snap)
+
+
 def _host_loop(spec: _HostSpec, channel: ReconnectingChannel) -> None:
     outq: deque = deque()
     out_cv = threading.Condition()
-    counters = {"received": 0, "sent": 0}
+    counters = {"received": 0, "sent": 0, "consumed": 0}
     stop = threading.Event()
     sender_stop = threading.Event()
 
     graph = _build_host_graph(spec, channel, outq, out_cv, counters, stop)
+    if spec.resume:
+        _restore_checkpoints(spec)
     supervisor = (
         Supervisor(policies=spec.policies) if spec.policies else None
     )
@@ -467,15 +610,36 @@ def _host_loop(spec: _HostSpec, channel: ReconnectingChannel) -> None:
 
 
 class _HostLink:
-    """Coordinator-side state for one engine host."""
+    """Coordinator-side state for one engine host.
+
+    The wire counters (``sent_to``, ``received_from``, ``report``,
+    ``acked``) describe the host's current *incarnation*; a respawn
+    retires them and bumps :attr:`incarnation`, so frames still
+    draining from the dead process cannot be mistaken for its
+    successor's.
+    """
 
     def __init__(self, host_id: int) -> None:
         self.host_id = host_id
         self.sock: socket.socket | None = None
-        self.cv = threading.Condition()
+        lock = threading.Lock()
+        #: Wakes the sender thread: work queued, socket attached.
+        self.cv = threading.Condition(lock)
+        #: Wakes producers waiting for window credit.
+        self.credit = threading.Condition(lock)
+        #: ``(item, rows)``: a tuple triple or a control frame, and the
+        #: rows it weighs against the window.
         self.outq: deque = deque()
+        #: Data rows queued or sent and not yet acked — the window fill.
+        self.outstanding = 0
+        #: The host's cumulative consumed-row count, as last acked.
+        self.acked = 0
+        self.incarnation = 0
         self.sent_to = 0
         self.received_from = 0
+        #: Wire counters of the incarnations before a respawn.
+        self.retired_to = 0
+        self.retired_from = 0
         self.report: dict[str, Any] = {}
         self.done: dict[str, Any] | None = None
         self.dead = False
@@ -483,29 +647,83 @@ class _HostLink:
         self.dropped = 0
         self._ever_attached = False
 
-    def enqueue(self, item: Any) -> None:
+    def enqueue(
+        self, item: Any, rows: int = 0, stop: threading.Event | None = None
+    ) -> None:
+        """Queue ``item`` for the sender thread.
+
+        With ``stop``, a data item (``rows > 0``) first waits for credit:
+        it is admitted when it fits the window or nothing is outstanding
+        (a block taller than the window goes alone), so the window fill
+        never exceeds ``max(_WINDOW_ROWS, rows)``.  Control items never
+        wait.
+        """
         with self.cv:
+            if stop is not None:
+                while (
+                    rows
+                    and self.outstanding
+                    and self.outstanding + rows > _WINDOW_ROWS
+                    and not self.dead
+                ):
+                    if stop.is_set():
+                        raise EngineAborted
+                    self.credit.wait(timeout=0.05)
             if self.dead:
                 self.dropped += 1
                 return
-            self.outq.append(item)
+            self.outq.append((item, rows))
+            self.outstanding += rows
             self.cv.notify()
 
-    def attach(self, sock: socket.socket) -> None:
+    def ack(self, acked: int) -> None:
+        with self.cv:
+            if acked > self.acked:
+                self.outstanding = max(
+                    0, self.outstanding - (acked - self.acked)
+                )
+                self.acked = acked
+                self.credit.notify_all()
+
+    def _restart_window(self) -> None:
+        # Rows sent on a socket that is gone will never be acked: only
+        # what is still queued stays outstanding.
+        self.outstanding = sum(rows for _, rows in self.outq)
+        self.credit.notify_all()
+
+    def attach(self, sock: socket.socket) -> int:
+        """Make ``sock`` the link's socket; returns the incarnation its
+        frames belong to."""
         with self.cv:
             if self.sock is not None:
-                try:
-                    self.sock.close()
-                except OSError:  # pragma: no cover - already dead
-                    pass
+                _close(self.sock)
             if self._ever_attached:
                 # Any attach after the first is a reconnect, whether or
                 # not the sender already tore down the dead socket (the
                 # EPIPE may land before or after the redial arrives).
                 self.reconnects += 1
+                self._restart_window()
             self._ever_attached = True
             self.sock = sock
             self.cv.notify_all()
+            return self.incarnation
+
+    def respawn(self) -> int:
+        """Start a new incarnation.  What the dead one was sent and had
+        not received is lost (returned, in tuples); what is still queued
+        goes to its successor.  The old socket is left to its receiver
+        thread, which drains it to EOF."""
+        with self.cv:
+            lost = max(0, self.sent_to - self.report.get("received", 0))
+            self.incarnation += 1
+            self.retired_to += self.sent_to
+            self.retired_from += self.received_from
+            self.sent_to = self.received_from = self.acked = 0
+            self.report = {}
+            self.sock = None
+            self._ever_attached = False
+            self._restart_window()
+        return lost
 
     def mark_dead(self) -> int:
         """Flag the host dead; returns the dropped outbound backlog."""
@@ -514,7 +732,9 @@ class _HostLink:
             n = len(self.outq)
             self.dropped += n
             self.outq.clear()
+            self.outstanding = 0
             self.cv.notify_all()
+            self.credit.notify_all()
         return n
 
 
@@ -537,11 +757,11 @@ class ClusterEngine(ThreadedEngine):
     bind_host / port:
         Coordinator listen address; port 0 picks a free port.
     tolerate_host_loss:
-        ``False`` (default): a dying host fails the run fast, like a
-        worker death without a restart policy.  ``True``: the run
-        degrades — punctuation is injected on the dead host's routes,
-        its traffic is dropped (counted), and the SyncController's
-        eviction/quorum machinery owns correctness.
+        What a dying host that no restart policy covers does to the run.
+        ``False`` (default): it fails fast.  ``True``: the run degrades
+        — punctuation is injected on the dead host's routes, its traffic
+        is dropped (counted), and the SyncController's eviction/quorum
+        machinery owns correctness.
     flap_hosts:
         Chaos hook: ``{host_id: n_frames}`` makes that host's channel
         sever itself once after receiving ``n_frames`` frames,
@@ -549,10 +769,27 @@ class ClusterEngine(ThreadedEngine):
     reconnect:
         Overrides for the hosts' redial budget
         (``max_retries``/``base_s``/``cap_s``/``jitter``).
-    supervisor / telemetry / mp_context:
-        As in the other engines.  Host-side operator failures surface as
-        :class:`OperatorFailure`; host metrics shards merge back under
-        ``process="h<id>"`` labels.
+    supervisor:
+        Coordinator-side supervisor.  Its *policies* (not the object —
+        it holds locks) are shipped to the hosts, which run their own
+        in-process supervisor; host stats merge back at shutdown.
+        ``RestartFromCheckpoint`` policies additionally respawn a dead
+        or wedged host from its checkpoint.
+    telemetry:
+        Host metrics shards merge back under ``process="h<id>"``
+        labels; span tracing does not cross the wire.
+    mp_context:
+        Start-method name or ``None`` for :func:`safe_mp_context`; with
+        restart policies ``None`` prefers ``forkserver``, because a
+        respawn forks while coordinator threads are live.
+    stall_timeout_s:
+        Arm a :class:`~repro.streams.supervision.Watchdog` on
+        coordinator-visible progress (local dispatches, frames from
+        hosts).  When progress stops this long, a *wedged* host — alive
+        but making no progress — that a restart policy covers is
+        terminated and respawned like a dead one; with none to blame the
+        run fails fast with :class:`StallDetected`.  Must exceed the
+        slowest single-tuple processing time plus host start-up.
     """
 
     _runtime = "cluster"
@@ -571,10 +808,17 @@ class ClusterEngine(ThreadedEngine):
         supervisor: Supervisor | None = None,
         telemetry: Telemetry | None = None,
         mp_context: str | None = None,
+        stall_timeout_s: float | None = None,
     ) -> None:
         if n_hosts is not None and n_hosts < 1:
             raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
-        super().__init__(graph, supervisor=supervisor, telemetry=telemetry)
+        super().__init__(
+            graph,
+            queue_size=_WINDOW_ROWS,
+            supervisor=supervisor,
+            stall_timeout_s=stall_timeout_s,
+            telemetry=telemetry,
+        )
         self._tracer = None  # spans do not cross the wire
         self.bind_host = bind_host
         #: Pickled ``done`` payload values are only trusted on a
@@ -597,6 +841,16 @@ class ClusterEngine(ThreadedEngine):
         self.tolerate_host_loss = tolerate_host_loss
         self.flap_hosts = dict(flap_hosts or {})
         self.reconnect = dict(reconnect or {})
+        if (
+            mp_context is None
+            and supervisor is not None
+            and any(
+                isinstance(p, RestartFromCheckpoint)
+                for p in supervisor.policies.values()
+            )
+            and "forkserver" in mp.get_all_start_methods()
+        ):
+            mp_context = "forkserver"
         self._ctx = safe_mp_context(mp_context)
 
         if not self._place(main_ops, n_hosts):
@@ -607,6 +861,10 @@ class ClusterEngine(ThreadedEngine):
         self._links: dict[int, _HostLink] = {
             hid: _HostLink(hid) for hid in self._remote_ops
         }
+        self._specs: dict[int, _HostSpec] = {}
+        #: host → (operator, port) pairs it has been sent punctuation
+        #: on, sent again to a respawned host.
+        self._sent_puncts: dict[int, set[tuple[str, int]]] = {}
         self._threads: list[threading.Thread] = []
         self._listener: socket.socket | None = None
         self._run_id = ""
@@ -640,6 +898,7 @@ class ClusterEngine(ThreadedEngine):
             inbound=self._inbound_for(hid),
             flap_after=self.flap_hosts.get(hid),
             reconnect=self.reconnect,
+            blas_threads=max(1, (os.cpu_count() or 1) // self.n_hosts),
             **self._spec_fields(hid),
         )
 
@@ -648,12 +907,21 @@ class ClusterEngine(ThreadedEngine):
     def _send_remote(
         self, loc: int, dst_name: str, dst_port: int, tup: StreamTuple
     ) -> None:
+        if tup.is_punctuation:
+            self._sent_puncts.setdefault(loc, set()).add((dst_name, dst_port))
         self._links[loc].enqueue(
-            (dst_name, dst_port, to_wire(tup, describe_schema=True))
+            (dst_name, dst_port, to_wire(tup)), _rows(tup), self._stop
         )
 
     def _remote_depth(self, loc: int) -> int:
-        return len(self._links[loc].outq)
+        return self._links[loc].outstanding
+
+    def _remote_gauges(self) -> tuple[list[tuple[str, int, int]], int]:
+        gauges = [
+            (f"h{hid}", link.outstanding, _WINDOW_ROWS)
+            for hid, link in self._links.items()
+        ]
+        return gauges, sum(depth for _, depth, _ in gauges)
 
     # -- sockets ----------------------------------------------------------
 
@@ -692,10 +960,9 @@ class ClusterEngine(ThreadedEngine):
             conn.settimeout(None)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             link = self._links[hello["host"]]
-            link.attach(conn)
             t = threading.Thread(
                 target=self._receiver_loop,
-                args=(link, conn),
+                args=(link, conn, link.attach(conn)),
                 name=f"cluster-recv-h{link.host_id}",
                 daemon=True,
             )
@@ -709,7 +976,9 @@ class ClusterEngine(ThreadedEngine):
                     "reconnects": link.reconnects,
                 })
 
-    def _receiver_loop(self, link: _HostLink, conn: socket.socket) -> None:
+    def _receiver_loop(
+        self, link: _HostLink, conn: socket.socket, incarnation: int
+    ) -> None:
         try:
             while not self._stop.is_set():
                 if not wait_readable(conn, 0.2):
@@ -720,37 +989,40 @@ class ClusterEngine(ThreadedEngine):
                     return  # reconnect (or death detection) takes over
                 if msg is None:
                     return
-                self._handle(link, msg)
+                self._handle(link, msg, incarnation == link.incarnation)
         except EngineAborted:
             pass
         except BaseException as exc:  # pragma: no cover - defensive
             self._errors.append(exc)
             self._stop.set()
+        finally:
+            _close(conn)
 
-    def _handle(self, link: _HostLink, msg: dict) -> None:
+    def _handle(self, link: _HostLink, msg: dict, current: bool) -> None:
+        """One frame from a host.  Frames a dead incarnation left in its
+        socket (``current`` false) still deliver their tuples but no
+        longer count on the link."""
+        if self._watchdog is not None:
+            self._watchdog.poke()
         t = msg.get("t")
         if t == "tuples":
+            if current:
+                link.ack(msg["acked"])
             for dst, port, wire in msg["items"]:
-                tup = from_wire(wire, allow_pickle=False)
+                tup = from_wire(wire)
                 loc = self._loc_of[dst]
                 if loc == _MAIN:
                     self._inject(dst, tup, int(port))
                 else:
                     # Star relay for host→host edges (unused by the PCA
                     # app, but the protocol supports arbitrary cuts).
-                    self._links[loc].enqueue((dst, int(port), wire))
+                    self._links[loc].enqueue(
+                        (dst, int(port), wire), _rows(tup)
+                    )
                 # Counted once it is on the local ledger, so the two
                 # never both read "nothing in flight" for this tuple.
-                link.received_from += 1
-        elif t == "status":
-            link.report = msg
-        elif t == "done":
-            link.report = {
-                "quiesced": True,
-                "received": msg["counters"]["received"],
-                "sent": msg["counters"]["sent"],
-            }
-            link.done = msg
+                if current:
+                    link.received_from += 1
         elif t == "error":
             self._errors.append(
                 OperatorFailure(
@@ -760,6 +1032,17 @@ class ClusterEngine(ThreadedEngine):
                 )
             )
             self._stop.set()
+        elif not current:
+            return
+        elif t == "status":
+            link.report = msg
+        elif t == "done":
+            link.report = {
+                "quiesced": True,
+                "received": msg["counters"]["received"],
+                "sent": msg["counters"]["sent"],
+            }
+            link.done = msg
 
     def _sender_loop(self, link: _HostLink) -> None:
         pending: list = []
@@ -767,7 +1050,7 @@ class ClusterEngine(ThreadedEngine):
             if not pending:
                 with link.cv:
                     while link.outq and len(pending) < _BATCH_MAX:
-                        pending.append(link.outq.popleft())
+                        pending.append(link.outq.popleft()[0])
                     if not pending:
                         if self._stop.is_set() or link.dead:
                             return
@@ -812,10 +1095,7 @@ class ClusterEngine(ThreadedEngine):
             except OSError:
                 with link.cv:
                     if link.sock is sock:
-                        try:
-                            sock.close()
-                        except OSError:  # pragma: no cover
-                            pass
+                        _close(sock)
                         link.sock = None
                 # Loop: wait for the accept loop to attach a fresh
                 # socket (host redial) or for death detection.
@@ -832,6 +1112,12 @@ class ClusterEngine(ThreadedEngine):
         self._listener = listener
         addr = (self.bind_host, listener.getsockname()[1])
 
+        # Hosts start before any coordinator thread: they dial into the
+        # listen backlog, and a fork-context child never inherits a
+        # thread's locks.
+        self._specs = {hid: self._build_spec(hid, addr) for hid in self._links}
+        for hid in self._links:
+            self._start_host(hid)
         self._accept = threading.Thread(
             target=self._accept_loop, name="cluster-accept", daemon=True
         )
@@ -845,19 +1131,89 @@ class ClusterEngine(ThreadedEngine):
             )
             t.start()
             self._threads.append(t)
-        for hid in self._links:
-            self._procs[hid] = self._ctx.Process(
-                target=_host_main,
-                args=(self._build_spec(hid, addr),),
-                name=f"repro-host{hid}",
-                daemon=True,
+
+    def _start_host(self, hid: int) -> None:
+        self._procs[hid] = self._ctx.Process(
+            target=_host_main,
+            args=(self._specs[hid],),
+            name=f"repro-host{hid}",
+            daemon=True,
+        )
+        self._procs[hid].start()
+
+    def _restart_policies(self, hid: int) -> list[tuple[str, Any]]:
+        """(operator name, policy) for the host's restartable operators."""
+        policies = self.supervisor.policies if self.supervisor else {}
+        return [
+            (op.name, policies[op.name])
+            for op in self._remote_ops[hid]
+            if isinstance(policies.get(op.name), RestartFromCheckpoint)
+        ]
+
+    def _restartable(self, hid: int) -> bool:
+        return any(
+            policy.max_restarts is None
+            or self.supervisor.stats.restarts.get(name, 0)
+            < policy.max_restarts
+            for name, policy in self._restart_policies(hid)
+        )
+
+    def _respawn(self, hid: int) -> None:
+        """Start a successor for dead host ``hid``, restored from its
+        operators' checkpoints."""
+        restarts = self.supervisor.stats.restarts
+        for name, _ in self._restart_policies(hid):
+            restarts[name] = restarts.get(name, 0) + 1
+        link = self._links[hid]
+        self._lost += link.respawn()
+        self._specs[hid].resume = True
+        self._start_host(hid)
+        # Punctuation the predecessor consumed is gone with it.
+        for dst_name, dst_port in sorted(self._sent_puncts.get(hid, ())):
+            self._send_remote(
+                hid, dst_name, dst_port, StreamTuple.punctuation()
             )
-            self._procs[hid].start()
+
+    def _on_stall(self, idle: float) -> None:
+        """Recover from a wedged (alive but progress-free) host.
+
+        A host stuck in a hung call never dies, so the liveness check
+        never fires; the watchdog turns "no coordinator-visible progress
+        for ``stall_timeout_s``" into a termination, and the death path
+        respawns it from its checkpoint.  Without a restartable host to
+        blame, failing fast beats hanging until the run timeout.
+        """
+        wedged = [
+            hid for hid, proc in self._procs.items()
+            if proc.is_alive()
+            and self._links[hid].done is None
+            and not self._links[hid].report.get("quiesced")
+        ]
+        killable = [hid for hid in wedged if self._restartable(hid)]
+        if not killable:
+            raise StallDetected(
+                f"graph {self.graph.name!r}: no coordinator-visible "
+                f"progress for {idle:.1f}s and no wedged host with a "
+                f"RestartFromCheckpoint policy to recover "
+                f"(wedged: {wedged})"
+            )
+        for hid in killable:
+            proc = self._procs[hid]
+            proc.terminate()
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - SIGTERM ignored
+                proc.kill()
+                proc.join(timeout=5.0)
+        self._watchdog.poke()  # the kill is progress; the next tick respawns
 
     def _supervise_remote(self) -> None:
-        for hid, proc in self._procs.items():
+        for hid, proc in list(self._procs.items()):
             link = self._links[hid]
             if link.done is not None or link.dead or not self._died(hid):
+                continue
+            self._host_deaths += 1
+            if self._restartable(hid):
+                self._respawn(hid)
                 continue
             if not self.tolerate_host_loss:
                 raise OperatorFailure(
@@ -865,9 +1221,9 @@ class ClusterEngine(ThreadedEngine):
                     RuntimeError(
                         f"engine host exited with code {proc.exitcode}"
                     ),
-                    "tolerate_host_loss=False",
+                    "no RestartFromCheckpoint policy covers this host "
+                    "and tolerate_host_loss=False",
                 )
-            self._host_deaths += 1
             dropped = link.mark_dead()
             if self.telemetry is not None:
                 self.telemetry.events.append({
@@ -984,15 +1340,9 @@ class ClusterEngine(ThreadedEngine):
                     proc.terminate()
             with link.cv:
                 if link.sock is not None:
-                    try:
-                        link.sock.close()
-                    except OSError:  # pragma: no cover
-                        pass
+                    _close(link.sock)
                     link.sock = None
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
+        _close(self._listener)
         for t in [self._accept] + self._threads:
             t.join(timeout=2.0)
 
@@ -1015,8 +1365,10 @@ class ClusterEngine(ThreadedEngine):
             "hosts": len(links),
             "host_deaths": self._host_deaths,
             "reconnects": sum(l.reconnects for l in links),
-            "tuples_to_hosts": sum(l.sent_to for l in links),
-            "tuples_from_hosts": sum(l.received_from for l in links),
+            "tuples_to_hosts": sum(l.retired_to + l.sent_to for l in links),
+            "tuples_from_hosts": sum(
+                l.retired_from + l.received_from for l in links
+            ),
             "tuples_dropped": sum(l.dropped for l in links),
             "tuples_lost": self._lost,
             "frames_in": 0,

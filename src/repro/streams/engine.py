@@ -16,12 +16,11 @@ operators:
 
 :class:`ThreadedEngine` is also the coordinator of the runtimes that
 place operators outside this process:
-:class:`~repro.streams.procengine.ProcessEngine` (worker processes
-behind shared-memory rings) and
 :class:`~repro.streams.clusterengine.ClusterEngine` (engine hosts behind
-TCP) subclass it and override only the *transport seams* listed on the
-class — what crosses the boundary changes with the deployment, the run
-protocol does not.
+TCP — local processes for ``"process"``, the multi-node cluster for
+``"cluster"``) subclasses it and overrides only the *transport seams*
+listed on the class — what crosses the boundary changes with the
+deployment, the run protocol does not.
 
 Every engine returns a :class:`RunStats` with per-operator tuple counters
 (the profiling statistics the paper uses for placement tuning) plus the

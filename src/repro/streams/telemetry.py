@@ -954,13 +954,13 @@ class Telemetry:
     ) -> None:
         """Merge a per-process metrics shard into this registry.
 
-        The multi-process engine's workers each run their own
-        :class:`MetricsRegistry`; at shutdown every worker ships
+        The remote runtimes' engine hosts each run their own
+        :class:`MetricsRegistry`; at shutdown every host ships
         ``registry → collect → (name, kind, labels, value)`` rows back to
         the coordinator, which re-exposes them here with a
         ``process=<label>`` label.  The shard is a *labelled breakdown*
         of the run totals (the coordinator's own operator collector
-        reports the authoritative per-operator totals after worker state
+        reports the authoritative per-operator totals after host state
         is merged back) — aggregations across processes should filter on
         the ``process`` label rather than sum both views.
         """
@@ -1073,7 +1073,7 @@ def operator_metric_samples(
     Yields ``(name, kind, labels, value)`` rows for every operator's own
     counters (plus the Split/Throttle/Batcher specials).  Used both by
     :meth:`Telemetry.attach_graph` (coordinator-side collector) and by
-    multi-process workers building their per-process metrics shard — the
+    engine hosts building their per-process metrics shard — the
     sample schema is identical on both sides by construction.
     """
     from .batcher import Batcher

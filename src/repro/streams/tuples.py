@@ -46,9 +46,9 @@ def reseed_sequence(namespace: int, stride: int = 1 << 40) -> None:
     """Restart the global tuple-sequence counter in a disjoint band.
 
     Each process assigns tuple ``seq`` ids from its own module-level
-    counter; without namespacing, a worker process and the coordinator
-    would mint colliding ids.  The multi-process runtime calls this once
-    per worker with its worker number, giving every process a private
+    counter; without namespacing, a remote end and the coordinator
+    would mint colliding ids.  The remote runtimes call this once per
+    engine host with its host number, giving every process a private
     ``stride``-wide band (2^40 ids is unreachable within a run).
     """
     global _seq_counter
@@ -67,10 +67,9 @@ class UnknownSchemaError(SchemaError):
     Silently dropping the schema (the old behaviour) disabled validation
     and ``BLOCK_SCHEMA`` identity dispatch downstream without any
     signal — on a remote host with a different import order that is a
-    correctness trap, not a convenience.  Senders that cannot guarantee
-    the receiver's registry is warm should ship a descriptor
-    (``to_wire(..., describe_schema=True)``) so the receiver can
-    register the schema lazily instead of failing.
+    correctness trap, not a convenience.  :func:`to_wire` therefore
+    ships every registered schema's descriptor, so only a message
+    stripped of it (hostile input) can raise this.
     """
 
 
@@ -78,10 +77,10 @@ class WireDecodeError(ValueError):
     """A wire payload value failed safe decoding.
 
     Raised for ``__wire__ == "dict"`` payloads naming a type outside the
-    :func:`register_wire_type` allowlist, and for pickled payloads when
-    the transport decodes with ``allow_pickle=False`` (the TCP cluster
-    channels — unpickling bytes from a socket executes arbitrary code).
-    Every rejection is counted in ``wire_stats()["rejected_payloads"]``.
+    :func:`register_wire_type` allowlist, and for pickled payloads in a
+    tuple (:func:`from_wire` never unpickles: unpickling bytes from a
+    socket executes arbitrary code).  Every rejection is counted in
+    ``wire_stats()["rejected_payloads"]``.
     """
 
 
@@ -287,8 +286,8 @@ _WIRE_TYPES: dict[tuple[str, str], type] = {}
 _wire_types_seeded = False
 
 #: Cached wire descriptors (field name -> FieldType value) per interned
-#: schema object, so ``describe_schema=True`` costs one dict build per
-#: schema, not per tuple.
+#: schema object, so shipping them costs one dict build per schema, not
+#: per tuple.
 _SCHEMA_DESCRIPTORS: dict[int, dict[str, str]] = {}
 
 
@@ -359,8 +358,8 @@ def reset_wire_stats() -> None:
 
 
 def _encode_value(value: Any) -> Any:
-    # numpy arrays and plain scalars ship as-is: multiprocessing's
-    # transport pickles them efficiently (arrays via buffer protocol).
+    # numpy arrays and plain scalars ship as-is: the frame codec
+    # (repro.streams.wireproto) sends arrays as their raw buffers.
     if value is None or isinstance(
         value, (bool, int, float, str, bytes, np.ndarray, np.generic)
     ):
@@ -419,24 +418,18 @@ def _schema_descriptor(schema: StreamSchema) -> dict[str, str]:
     return desc
 
 
-def to_wire(
-    tup: StreamTuple, *, describe_schema: bool = False
-) -> dict[str, Any]:
+def to_wire(tup: StreamTuple) -> dict[str, Any]:
     """Encode ``tup`` as a transport-friendly plain dict.
 
-    The schema travels by registered *name* (interned on arrival), the
-    ``seq`` id is preserved exactly, and payload values are encoded via
+    The schema travels by registered *name* (interned on arrival) plus
+    its field descriptor, so a receiver whose registry does not know
+    the name (a remote host with a different import order) registers it
+    lazily instead of raising :class:`UnknownSchemaError`.  The ``seq``
+    id is preserved exactly, and payload values are encoded via
     :func:`_encode_value` — arrays/scalars pass through, ``to_dict``
     -capable objects (e.g. :class:`~repro.core.eigensystem.Eigensystem`)
     use their documented dict form, and anything else falls back to a
-    counted pickle.
-
-    ``describe_schema=True`` additionally ships the schema's field
-    descriptor so a receiver whose registry does not know the name (a
-    remote host with a different import order) can register it lazily
-    instead of raising :class:`UnknownSchemaError`.  The cluster
-    transport turns this on; same-image transports (the process
-    runtime's queues) do not need the extra bytes.
+    counted pickle, which :func:`from_wire` refuses.
     """
     _WIRE_STATS["tuples"] += 1
     name = schema_name(tup.schema)
@@ -447,14 +440,12 @@ def to_wire(
         "event_ts": tup.event_ts,
         "payload": {k: _encode_value(v) for k, v in tup.payload.items()},
     }
-    if describe_schema and name is not None:
+    if name is not None:
         msg["schema_fields"] = _schema_descriptor(tup.schema)
     return msg
 
 
-def from_wire(
-    msg: Mapping[str, Any], *, allow_pickle: bool = True
-) -> StreamTuple:
+def from_wire(msg: Mapping[str, Any]) -> StreamTuple:
     """Rebuild the :class:`StreamTuple` encoded by :func:`to_wire`.
 
     Payloads were validated at origin, so reconstruction skips
@@ -466,12 +457,12 @@ def from_wire(
     ``wire_stats()["unknown_schema"]``) unless it carries a
     ``schema_fields`` descriptor, in which case the schema is built and
     registered on the spot (counted in ``schemas_registered``).
-    ``allow_pickle=False`` refuses pickle-fallback payload values with
-    :class:`WireDecodeError` — required for sockets, where pickled
+    Pickle-fallback payload values are refused with
+    :class:`WireDecodeError`: tuples arrive over sockets, where pickled
     bytes are untrusted.
     """
     payload = {
-        k: _decode_value(v, allow_pickle=allow_pickle)
+        k: _decode_value(v, allow_pickle=False)
         for k, v in msg["payload"].items()
     }
     tup = StreamTuple(payload=payload, kind=TupleKind(msg["kind"]))
@@ -492,35 +483,12 @@ def from_wire(
                 _WIRE_STATS["unknown_schema"] += 1
                 raise UnknownSchemaError(
                     f"wire message names schema {name!r}, which this "
-                    f"process has not registered; import the module that "
-                    f"registers it, or have the sender use "
-                    f"to_wire(..., describe_schema=True)"
+                    f"process has not registered, and carries no "
+                    f"schema_fields descriptor"
                 )
         object.__setattr__(tup, "schema", schema)
     object.__setattr__(tup, "seq", int(msg["seq"]))
     event_ts = msg.get("event_ts")
-    if event_ts is not None:
-        object.__setattr__(tup, "event_ts", float(event_ts))
-    return tup
-
-
-def tuple_from_fields(
-    payload: Mapping[str, Any],
-    kind: TupleKind,
-    schema: StreamSchema | None,
-    seq: int,
-    event_ts: float | None = None,
-) -> StreamTuple:
-    """Build a tuple with an explicit ``seq``, skipping validation.
-
-    Used by transports reconstructing tuples from already-validated
-    bytes (e.g. shared-memory ring slots) where re-validation would cost
-    a payload copy.
-    """
-    tup = StreamTuple(payload=payload, kind=kind)
-    if schema is not None:
-        object.__setattr__(tup, "schema", schema)
-    object.__setattr__(tup, "seq", int(seq))
     if event_ts is not None:
         object.__setattr__(tup, "event_ts", float(event_ts))
     return tup
@@ -532,7 +500,7 @@ def stamp_event_time(tup: StreamTuple, ts: float) -> StreamTuple:
     Engines call this at source emission — the single point where wall
     clock becomes event time.  ``time.time()`` (not ``perf_counter``) is
     the clock on purpose: it is comparable across processes, which the
-    shm/queue transports rely on.  Tuples already stamped are left
+    remote runtimes rely on.  Tuples already stamped are left
     untouched so replayed/restored tuples keep their original lineage.
 
     **Wall-clock contract.**  ``event_ts`` is epoch seconds from the

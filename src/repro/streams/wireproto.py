@@ -1,10 +1,8 @@
-"""Length-prefixed framed wire protocol for the cluster runtime.
+"""Length-prefixed framed wire protocol of the remote runtimes.
 
-The multi-process engine ships :func:`~repro.streams.tuples.to_wire`
-dicts over ``multiprocessing`` queues, which pickle them implicitly.  A
-TCP transport cannot do that safely — unpickling socket bytes executes
-arbitrary code — so the cluster runtime frames the *same* wire dicts
-explicitly:
+Unpickling socket bytes executes arbitrary code, so the
+:func:`~repro.streams.tuples.to_wire` dicts that cross to a remote end
+are framed explicitly:
 
 ``MAGIC | body_len:u64 | header_len:u32 | n_blobs:u32 |
 blob_len:u64 × n_blobs | header_json | blob₀ | blob₁ | …``
@@ -13,14 +11,20 @@ The header is JSON (structure, scalars, schema names); numpy arrays and
 raw byte strings are hoisted out of it into binary *blobs* referenced by
 index, so vector/block payloads cross the socket as their raw buffers
 with no base64 inflation and no pickle.  Floats round-trip exactly
-(``json`` emits shortest-repr), so cluster runs can hold numeric parity
+(``json`` emits shortest-repr), so remote runs can hold numeric parity
 with the in-process runtimes.
+
+Framing copies no payload: :func:`send_frame` hands the header and the
+arrays' own buffers to one scatter-gather ``sendmsg``, and
+:func:`recv_frame` reads each frame with ``recv_into`` one buffer and
+decodes arrays as views into it.  The header is padded with JSON
+whitespace so that buffer's first blob is 8-byte aligned.
 
 Everything arriving over a socket is untrusted until decoded:
 :func:`decode_frame` rejects bad magic, oversized frames, and
 unframeable structure with :class:`FrameError`; payload *values* are
-then further vetted by ``from_wire(..., allow_pickle=False)`` and the
-``register_wire_type`` allowlist (see :mod:`repro.streams.tuples` and
+then further vetted by :func:`~repro.streams.tuples.from_wire`, which
+refuses pickles, and the ``register_wire_type`` allowlist (see
 ``docs/robustness.md``).
 
 :class:`ReconnectingChannel` is the host-side client: a framed socket
@@ -66,6 +70,10 @@ MAX_FRAME_BYTES = 1 << 28  # 256 MiB
 
 _HEAD = struct.Struct("!QII")
 _U64 = struct.Struct("!Q")
+_PREFIX = len(MAGIC) + _HEAD.size
+
+#: Buffers per ``sendmsg`` call, below every platform's ``IOV_MAX``.
+_IOV_MAX = 512
 
 
 class FrameError(ValueError):
@@ -77,8 +85,9 @@ class FrameError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(value: Any, blobs: list[bytes]) -> Any:
-    """JSON-safe view of ``value``; arrays/bytes hoisted into ``blobs``."""
+def _jsonify(value: Any, blobs: list) -> Any:
+    """JSON-safe view of ``value``; arrays/bytes hoisted into ``blobs``
+    (arrays as byte views of their own buffers, not copies)."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, np.generic):
@@ -91,7 +100,7 @@ def _jsonify(value: Any, blobs: list[bytes]) -> Any:
             "dtype": arr.dtype.str,
             "shape": list(arr.shape),
         }
-        blobs.append(arr.tobytes())
+        blobs.append(memoryview(arr.reshape(-1).view(np.uint8)))
         return ref
     if isinstance(value, (bytes, bytearray, memoryview)):
         ref = {"__frame__": "bytes", "i": len(blobs)}
@@ -124,7 +133,7 @@ def _jsonify(value: Any, blobs: list[bytes]) -> Any:
 _DTYPE_RE = re.compile(r"^[<>|=][a-zA-Z]\d*(\[[a-zA-Z]+\])?$")
 
 
-def _dejsonify(value: Any, blobs: list[bytes]) -> Any:
+def _dejsonify(value: Any, blobs: list[np.ndarray]) -> Any:
     if isinstance(value, dict):
         tag = value.get("__frame__")
         if tag == "nd":
@@ -135,53 +144,60 @@ def _dejsonify(value: Any, blobs: list[bytes]) -> Any:
             dtype = np.dtype(dtype_s)
             if dtype.hasobject:
                 raise FrameError("object dtypes cannot cross the wire")
-            # Copy: the decoded array must be writable and must not pin
-            # the receive buffer.
-            return (
-                np.frombuffer(raw, dtype=dtype)
-                .reshape(value["shape"])
-                .copy()
-            )
+            # A view into the (writable) frame buffer; only a blob the
+            # sender left unaligned is copied.
+            arr = raw.view(dtype).reshape(value["shape"])
+            return arr if arr.flags.aligned else arr.copy()
         if tag == "bytes":
-            return blobs[value["i"]]
+            return blobs[value["i"]].tobytes()
         return {k: _dejsonify(v, blobs) for k, v in value.items()}
     if isinstance(value, list):
         return [_dejsonify(v, blobs) for v in value]
     return value
 
 
-def encode_frame(msg: dict[str, Any]) -> bytes:
-    """Serialize ``msg`` (a plain dict) into one framed byte string."""
-    blobs: list[bytes] = []
+def _frame_parts(msg: dict[str, Any]) -> list:
+    """The frame as buffers: the fixed prefix plus header, then every
+    blob as it lies in memory."""
+    blobs: list = []
     header = _jsonify(msg, blobs)
     hj = json.dumps(header, separators=(",", ":")).encode()
     lens = b"".join(_U64.pack(len(b)) for b in blobs)
+    hj += b" " * (-(_PREFIX + len(lens) + len(hj)) % 8)
     body_len = len(hj) + len(lens) + sum(len(b) for b in blobs)
     if body_len > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame body {body_len} bytes exceeds MAX_FRAME_BYTES"
         )
-    parts = [MAGIC, _HEAD.pack(body_len, len(hj), len(blobs)), lens, hj]
-    parts.extend(blobs)
-    return b"".join(parts)
+    head = MAGIC + _HEAD.pack(body_len, len(hj), len(blobs)) + lens + hj
+    return [head, *blobs]
 
 
-def decode_frame(data: bytes | memoryview) -> dict[str, Any]:
+def encode_frame(msg: dict[str, Any]) -> bytes:
+    """Serialize ``msg`` (a plain dict) into one framed byte string."""
+    return b"".join(_frame_parts(msg))
+
+
+def decode_frame(data: bytes | memoryview | np.ndarray) -> dict[str, Any]:
     """Rebuild the dict encoded by :func:`encode_frame`.
 
-    The bytes are untrusted: every length field is validated against the
-    actual buffer before any slice, and *any* parse failure — junk JSON,
-    truncated structs, bogus blob refs, a dtype/shape that does not
-    match its blob — surfaces as :class:`FrameError`, never as a raw
-    ``json``/``struct``/``KeyError`` leaking out of the protocol layer.
-    Callers (the coordinator accept/receiver loops, the host channel)
-    rely on that contract to treat a malformed frame as a protocol
-    violation rather than an internal crash.
+    Arrays come back as views into ``data`` (into a writable copy of it
+    when ``data`` is read-only).  The bytes are untrusted: every length
+    field is validated against the actual buffer before any slice, and
+    *any* parse failure — junk JSON, truncated structs, bogus blob refs,
+    a dtype/shape that does not match its blob — surfaces as
+    :class:`FrameError`, never as a raw ``json``/``struct``/``KeyError``
+    leaking out of the protocol layer.  Callers (the coordinator
+    accept/receiver loops, the host channel) rely on that contract to
+    treat a malformed frame as a protocol violation rather than an
+    internal crash.
     """
-    view = memoryview(data)
-    if len(view) < len(MAGIC) + _HEAD.size:
+    view = np.frombuffer(data, dtype=np.uint8)
+    if not view.flags.writeable:
+        view = view.copy()
+    if len(view) < _PREFIX:
         raise FrameError("truncated frame: shorter than the fixed header")
-    if bytes(view[: len(MAGIC)]) != MAGIC:
+    if view[: len(MAGIC)].tobytes() != MAGIC:
         raise FrameError("bad frame magic")
     off = len(MAGIC)
     body_len, header_len, n_blobs = _HEAD.unpack_from(view, off)
@@ -205,11 +221,11 @@ def decode_frame(data: bytes | memoryview) -> dict[str, Any]:
         off += lens_size
         if sum(blob_lens) != body_len - header_len - lens_size:
             raise FrameError("blob lengths do not sum to the frame body")
-        header = json.loads(bytes(view[off : off + header_len]).decode())
+        header = json.loads(view[off : off + header_len].tobytes().decode())
         off += header_len
-        blobs: list[bytes] = []
+        blobs: list[np.ndarray] = []
         for blen in blob_lens:
-            blobs.append(bytes(view[off : off + blen]))
+            blobs.append(view[off : off + blen])
             off += blen
         decoded = _dejsonify(header, blobs)
     except FrameError:
@@ -241,27 +257,25 @@ def decode_frame(data: bytes | memoryview) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly ``n`` bytes.
+def _recv_into(sock: socket.socket, view: memoryview) -> bool:
+    """Fill ``view`` from the socket.
 
-    Returns ``None`` on a clean EOF *before any byte* (the peer closed
+    Returns ``False`` on a clean EOF *before any byte* (the peer closed
     at a frame boundary); raises :class:`ConnectionError` on EOF
     mid-read (a torn frame — the connection died with a frame in
     flight).  ``socket.timeout`` propagates to the caller.
     """
-    chunks: list[bytes] = []
-    got = 0
+    got, n = 0, len(view)
     while got < n:
-        chunk = sock.recv(n - got)
-        if not chunk:
+        k = sock.recv_into(view[got:])
+        if not k:
             if got == 0:
-                return None
+                return False
             raise ConnectionError(
                 f"torn frame: connection closed after {got}/{n} bytes"
             )
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += k
+    return True
 
 
 def wait_readable(sock: socket.socket, timeout_s: float) -> bool:
@@ -282,10 +296,20 @@ def wait_readable(sock: socket.socket, timeout_s: float) -> bool:
 
 
 def send_frame(sock: socket.socket, msg: dict[str, Any]) -> int:
-    """Encode ``msg`` and write the whole frame; returns bytes sent."""
-    data = encode_frame(msg)
-    sock.sendall(data)
-    return len(data)
+    """Encode ``msg`` and write the whole frame with scatter-gather
+    ``sendmsg`` (payload buffers are not copied); returns bytes sent."""
+    views = [memoryview(p) for p in _frame_parts(msg) if len(p)]
+    total = sum(len(v) for v in views)
+    i = 0
+    while i < len(views):
+        sent = sock.sendmsg(views[i : i + _IOV_MAX])
+        # Advance past what went out; a partial write resumes mid-buffer.
+        while sent and sent >= len(views[i]):
+            sent -= len(views[i])
+            i += 1
+        if sent:
+            views[i] = views[i][sent:]
+    return total
 
 
 def recv_frame_sized(
@@ -297,18 +321,19 @@ def recv_frame_sized(
     need the size, and the decoded dict cannot tell them — blobs and
     header framing are gone after decode.
     """
-    head = _recv_exact(sock, len(MAGIC) + _HEAD.size)
-    if head is None:
+    head = bytearray(_PREFIX)
+    if not _recv_into(sock, memoryview(head)):
         return None, 0
     if head[: len(MAGIC)] != MAGIC:
         raise FrameError("bad frame magic")
     body_len, _, _ = _HEAD.unpack_from(head, len(MAGIC))
     if body_len > MAX_FRAME_BYTES:
         raise FrameError("frame length exceeds MAX_FRAME_BYTES")
-    body = _recv_exact(sock, body_len)
-    if body is None:
+    frame = np.empty(_PREFIX + body_len, dtype=np.uint8)
+    frame[:_PREFIX] = np.frombuffer(head, dtype=np.uint8)
+    if body_len and not _recv_into(sock, memoryview(frame)[_PREFIX:]):
         raise ConnectionError("torn frame: connection closed after header")
-    return decode_frame(head + body), len(head) + len(body)
+    return decode_frame(frame), len(frame)
 
 
 def recv_frame(sock: socket.socket) -> dict[str, Any] | None:

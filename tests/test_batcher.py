@@ -269,9 +269,9 @@ class TestBatchedParallelPipeline:
     def test_block_diagnostics_cross_every_transport(
         self, block_diag_case, runtime
     ):
-        """The per-block diagnostics tuple over the in-process queue,
-        the worker queue and TCP: same rows, same flags, same values as
-        the synchronous reference."""
+        """The per-block diagnostics tuple over the in-process queue and
+        TCP from local and cluster hosts: same rows, same flags, same
+        values as the synchronous reference."""
         x, make_runner = block_diag_case
         ref = make_runner().run(VectorStream.from_array(x))
         kw = {} if runtime == "threaded" else {"mp_context": "fork"}
@@ -425,12 +425,12 @@ class TestDrainTimeFlush:
         assert b.rows_in == self.N_ROWS
 
     def test_process_engine_flushes_tail_at_drain(self):
-        from repro.streams import ProcessEngine
+        from repro.parallel import ENGINE_CLASSES
 
         g, b, sink, rows = self._graph()
-        engine = ProcessEngine(g, mp_context="fork")
-        assert engine.n_workers == 1  # the batcher is the worker PE
+        engine = ENGINE_CLASSES["process"](g, mp_context="fork")
+        assert engine.n_hosts == 1  # the batcher is the one host
         engine.run(timeout_s=60.0)
-        # The batcher's counters live in the worker; the sink (running
-        # in the coordinator) proves the tail crossed the boundary.
+        # The sink (running in the coordinator) proves the tail crossed
+        # the boundary.
         self._check_sink(sink, rows)

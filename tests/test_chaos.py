@@ -175,8 +175,8 @@ class TestBackgroundFaults:
     def test_batched_process_run_spawns_one_worker_per_engine(self):
         """The chaos harness launches the placement the product runs:
         at ``batch_size=64`` the Batcher stays on the coordinator, so a
-        2-engine process run has 2 workers (a worker of its own for the
-        Batcher would be a third metrics shard)."""
+        2-engine process run has 2 engine hosts (a host of its own for
+        the Batcher would be a third metrics shard)."""
         tel = Telemetry(TelemetryConfig(metrics=True, tracing=False))
         report = run_scenario(
             ChaosScenario(
@@ -192,7 +192,7 @@ class TestBackgroundFaults:
             for s in tel.metrics.collect()
             if hasattr(s, "labels") and s.labels.get("process")
         }
-        assert shards == {"w0", "w1"}
+        assert shards == {"h0", "h1"}
 
     def test_slow_operator_loses_nothing(self):
         report = run_scenario(slow_operator_scenario("threaded"))

@@ -7,6 +7,7 @@ exposed: unknown-schema handling, the decode allowlist, and the
 pickle-fallback accounting.
 """
 
+import pickle
 import socket
 import threading
 import time
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.eigensystem import Eigensystem
+from repro.streams.batcher import BLOCK_SCHEMA
 from repro.streams.sources import OBSERVATION_SCHEMA
 from repro.streams.tuples import (
     FieldType,
@@ -24,6 +26,7 @@ from repro.streams.tuples import (
     WireDecodeError,
     from_wire,
     register_schema,
+    reset_wire_stats,
     to_wire,
     wire_stats,
 )
@@ -206,8 +209,8 @@ class TestSocketFraming:
         try:
             vec = np.linspace(-1.0, 1.0, 17)
             tup = StreamTuple.data(OBSERVATION_SCHEMA, x=vec, seq=7)
-            send_frame(a, to_wire(tup, describe_schema=True))
-            back = from_wire(recv_frame(b), allow_pickle=False)
+            send_frame(a, to_wire(tup))
+            back = from_wire(recv_frame(b))
             np.testing.assert_array_equal(back["x"], vec)
             assert back["seq"] == 7
             assert back.seq == tup.seq
@@ -224,8 +227,8 @@ class TestSocketFraming:
             send_frame(
                 a, to_wire(StreamTuple.control(type="grant", round=3))
             )
-            punct = from_wire(recv_frame(b), allow_pickle=False)
-            ctl = from_wire(recv_frame(b), allow_pickle=False)
+            punct = from_wire(recv_frame(b))
+            ctl = from_wire(recv_frame(b))
             assert punct.is_punctuation
             assert ctl.is_control and ctl["round"] == 3
         finally:
@@ -248,7 +251,7 @@ class TestSocketFraming:
             before = wire_stats()["pickled_payloads"]
             tup = StreamTuple.control(type="share", state=es, engine=1)
             send_frame(a, to_wire(tup))
-            back = from_wire(recv_frame(b), allow_pickle=False)
+            back = from_wire(recv_frame(b))
             assert wire_stats()["pickled_payloads"] == before
             np.testing.assert_allclose(
                 back["state"].eigenvalues, es.eigenvalues
@@ -286,6 +289,26 @@ class TestSocketFraming:
             with pytest.raises(ConnectionError, match="torn frame"):
                 recv_frame(b)
         finally:
+            b.close()
+
+    def test_received_arrays_are_aligned_views_of_the_frame(self):
+        # Copy-free receive: arrays decode as views into the one buffer
+        # the frame was read into, 8-byte aligned whatever the header's
+        # length, and writable.
+        a, b = _pair()
+        try:
+            for label in ("", "x" * 5):
+                xs = np.arange(12.0).reshape(3, 4)
+                seqs = np.arange(3, dtype=np.int64)
+                send_frame(a, {"l": label, "xs": xs, "seqs": seqs})
+                back = recv_frame(b)
+                for name, arr in (("xs", xs), ("seqs", seqs)):
+                    got = back[name]
+                    np.testing.assert_array_equal(got, arr)
+                    assert not got.flags.owndata
+                    assert got.flags.aligned and got.flags.writeable
+        finally:
+            a.close()
             b.close()
 
 
@@ -460,7 +483,9 @@ class TestWireTrustBoundary:
             "test-unknown-schema", StreamSchema({"v": FieldType.FLOAT})
         )
         msg = to_wire(StreamTuple.data(schema, v=1.0))
-        # Simulate a receiver that never registered the name.
+        # Hostile input: a message stripped of the descriptor every
+        # sender ships, at a receiver that never registered the name.
+        del msg["schema_fields"]
         del _SCHEMA_REGISTRY["test-unknown-schema"]
         del _SCHEMA_NAMES[id(schema)]
         before = wire_stats()["unknown_schema"]
@@ -473,10 +498,7 @@ class TestWireTrustBoundary:
             "test-lazy-schema",
             StreamSchema({"v": FieldType.FLOAT, "x": FieldType.VECTOR}),
         )
-        msg = to_wire(
-            StreamTuple.data(schema, v=1.0, x=np.zeros(3)),
-            describe_schema=True,
-        )
+        msg = to_wire(StreamTuple.data(schema, v=1.0, x=np.zeros(3)))
         del _SCHEMA_REGISTRY["test-lazy-schema"]
         del _SCHEMA_NAMES[id(schema)]
         before = wire_stats()["schemas_registered"]
@@ -513,17 +535,15 @@ class TestWireTrustBoundary:
         assert wire_stats()["rejected_payloads"] == before + 1
 
     def test_pickle_refused_without_allow_pickle(self):
-        before_pickled = wire_stats()["pickled_payloads"]
-        msg = to_wire(StreamTuple.control(blob={1, 2, 3}))
-        # The fallback itself is visible accounting...
-        assert wire_stats()["pickled_payloads"] == before_pickled + 1
-        # ...and a socket-side receiver refuses it outright.
+        # Hostile input: a hand-built pickled payload value.
+        msg = to_wire(StreamTuple.control(blob=1))
+        msg["payload"]["blob"] = {
+            "__wire__": "pickle", "data": pickle.dumps({1, 2, 3}),
+        }
         before = wire_stats()["rejected_payloads"]
         with pytest.raises(WireDecodeError, match="allow_pickle=False"):
-            from_wire(msg, allow_pickle=False)
+            from_wire(msg)
         assert wire_stats()["rejected_payloads"] == before + 1
-        # A trusted same-image transport may still opt in.
-        assert from_wire(msg, allow_pickle=True)["blob"] == {1, 2, 3}
 
     def test_eigensystem_is_allowlisted_by_default(self):
         es = Eigensystem(
@@ -531,7 +551,58 @@ class TestWireTrustBoundary:
             basis=np.eye(3)[:, :1],
             eigenvalues=np.array([1.0]),
         )
-        back = from_wire(
-            to_wire(StreamTuple.control(state=es)), allow_pickle=False
-        )
+        back = from_wire(to_wire(StreamTuple.control(state=es)))
         assert isinstance(back["state"], Eigensystem)
+
+
+class TestWireRoundTrip:
+    def test_scalar_data_tuple(self):
+        tup = StreamTuple.data(x=np.arange(3.0), label="a")
+        back = from_wire(to_wire(tup))
+        assert back.is_data
+        assert back.seq == tup.seq
+        assert back.payload["label"] == "a"
+        np.testing.assert_array_equal(back.payload["x"], tup.payload["x"])
+
+    def test_block_schema_travels_by_name(self):
+        xs = np.arange(12.0).reshape(3, 4)
+        seqs = np.array([5, 6, 7], dtype=np.int64)
+        tup = StreamTuple.data(BLOCK_SCHEMA, xs=xs, seqs=seqs, count=3)
+        back = from_wire(decode_frame(encode_frame(to_wire(tup))))
+        assert back.schema is BLOCK_SCHEMA  # interned by registered name
+        assert back.seq == tup.seq
+        np.testing.assert_array_equal(back.payload["xs"], xs)
+        np.testing.assert_array_equal(back.payload["seqs"], seqs)
+
+    def test_punctuation_and_control(self):
+        punct = from_wire(to_wire(StreamTuple.punctuation()))
+        assert punct.is_punctuation
+        ctl = from_wire(to_wire(StreamTuple.control(type="share")))
+        assert ctl.is_control
+        assert ctl.payload["type"] == "share"
+
+    def test_eigensystem_ships_as_dict_not_pickle(self):
+        state = Eigensystem(
+            mean=np.zeros(4),
+            basis=np.eye(4, 2),
+            eigenvalues=np.array([2.0, 1.0]),
+            n_seen=10,
+        )
+        tup = StreamTuple.control(type="state", engine=0, state=state)
+        reset_wire_stats()
+        back = from_wire(to_wire(tup))
+        assert wire_stats()["pickled_payloads"] == 0
+        got = back.payload["state"]
+        assert isinstance(got, Eigensystem)
+        np.testing.assert_allclose(got.basis, state.basis)
+        np.testing.assert_allclose(got.eigenvalues, state.eigenvalues)
+
+    def test_opaque_payload_falls_back_to_counted_pickle(self):
+        # The fallback is visible accounting on the sender, and no
+        # receiver unpickles it.
+        tup = StreamTuple.data(weird={"a", "b"})
+        reset_wire_stats()
+        msg = to_wire(tup)
+        assert wire_stats()["pickled_payloads"] == 1
+        with pytest.raises(WireDecodeError):
+            from_wire(msg)

@@ -8,7 +8,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-import uuid
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 
 from repro.core.robust import RobustIncrementalPCA
 from repro.data import VectorStream
-from repro.parallel.app import build_parallel_pca_graph
+from repro.parallel.app import ENGINE_CLASSES, build_parallel_pca_graph
 from repro.parallel.sync import SyncController
 from repro.streams import (
     CollectingSink,
@@ -28,7 +27,6 @@ from repro.streams import (
     HealthRuleEngine,
     HealthSampler,
     ObservabilityServer,
-    ProcessEngine,
     Split,
     SynchronousEngine,
     Telemetry,
@@ -41,7 +39,6 @@ from repro.streams import (
     render_report,
 )
 from repro.streams.batcher import Batcher
-from repro.streams.shm import BlockRing
 from repro.streams.telemetry import EventLog, Histogram, WatermarkTracker
 from repro.streams.tuples import (
     StreamTuple,
@@ -84,7 +81,7 @@ def http_get(url):
 
 
 # ---------------------------------------------------------------------------
-# Event time: stamping, inheritance, wire/shm round-trips
+# Event time: stamping, inheritance, wire round-trips
 # ---------------------------------------------------------------------------
 
 
@@ -148,27 +145,6 @@ class TestEventTime:
         assert len(out) == 1
         assert out[0].event_ts == 10.0  # the oldest buffered row
 
-    def test_block_ring_roundtrips_event_ts(self):
-        ring = BlockRing(
-            f"repro-test-{uuid.uuid4().hex[:8]}",
-            slots=2, slot_rows=2, dim=2, create=True,
-        )
-        try:
-            xs = np.ones((2, 2))
-            assert ring.try_put(0, 0, xs, None, 1, event_ts=42.25)
-            item = ring.get()
-            assert item.event_ts == 42.25
-            ring.release()
-            # The 0.0 sentinel maps back to None (no lineage).
-            assert ring.try_put(0, 0, xs, None, 2)
-            item = ring.get()
-            assert item.event_ts is None
-            ring.release()
-        finally:
-            item = None
-            ring.close()
-            ring.unlink()
-
 
 # ---------------------------------------------------------------------------
 # Watermarks + e2e latency on the three runtimes
@@ -210,33 +186,11 @@ class TestWatermarksAcrossRuntimes:
     def test_process(self):
         g, sink = pipeline_graph(self._data())
         tel = Telemetry(TelemetryConfig())
-        ProcessEngine(g, telemetry=tel, mp_context="fork").run(
+        ENGINE_CLASSES["process"](g, telemetry=tel, mp_context="fork").run(
             timeout_s=120
         )
         assert len(sink.tuples) == self.N
         self._check(tel, self.N)
-
-    def test_process_shm_block_path_carries_event_time(self):
-        """Lineage survives the zero-copy shared-memory block transport."""
-        x = np.random.default_rng(1).standard_normal((600, 8))
-        app = build_parallel_pca_graph(
-            VectorStream.from_array(x),
-            2,
-            lambda i: RobustIncrementalPCA(3),
-            batch_size=32,
-            collect_diagnostics=True,
-        )
-        tel = Telemetry(TelemetryConfig())
-        ProcessEngine(
-            app.graph, main_ops=app.main_ops, telemetry=tel,
-            mp_context="fork",
-        ).run(timeout_s=120)
-        hist = e2e_hist(tel, sink="diagnostics")
-        assert hist is not None and hist.count > 0
-        lag = tel.metrics.value(
-            "repro_watermark_lag_seconds", sink="diagnostics"
-        )
-        assert lag is not None and 0.0 <= lag < 60.0
 
     def test_sync_e2e_matches_dispatch_time(self):
         """Parity: on the synchronous engine (no queue waits), sink e2e

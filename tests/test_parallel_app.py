@@ -147,10 +147,7 @@ class TestParallelRunner:
         assert [engine._loc_of[op.name] for op in app.engines] == (
             [0, 1] if remote else ["main", "main"]
         )
-        if runtime == "process":
-            assert engine.n_workers == 2
-            assert engine.ring_slot_rows == 64
-        if runtime == "cluster":
+        if remote:
             assert engine.n_hosts == 2
 
     def test_engine_options_reach_the_engine_class(self):
@@ -164,7 +161,8 @@ class TestParallelRunner:
         )
         assert engine.n_hosts == 3
         assert engine.tolerate_host_loss and engine.flap_hosts == {1: 3}
-        assert app.engine("process", ring_slots=4).ring_slots == 4
+        engine = app.engine("process", tolerate_host_loss=True)
+        assert engine.n_hosts == 3 and engine.tolerate_host_loss
         with pytest.raises(ValueError, match="runtime"):
             app.engine("mpi")
         with pytest.raises(TypeError):

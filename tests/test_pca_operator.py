@@ -334,8 +334,8 @@ class TestConcurrentStateReads:
         np.testing.assert_array_equal(seen[0]["state"].basis, frozen)
 
     def test_operator_survives_pickle_roundtrip(self, model, rng):
-        """The ProcessEngine ships operators to workers and their
-        ``__dict__`` payloads back through multiprocessing queues; the
+        """The remote runtimes ship operators to engine hosts (pickled
+        under forkserver/spawn) and their ``__dict__`` payloads back; the
         state lock must never reach a pickler."""
         import pickle
 
