@@ -49,14 +49,16 @@ __all__ = ["UpdateResult", "BlockUpdateResult", "IncrementalPCA"]
 #: sums stay far from float64 overflow.
 _MAX_SCAN_EXPONENT = 60.0
 
-#: Hard cap on rows per rank-``k`` eigensolve.  Two forces pick this:
-#: per-chunk fixed costs amortize as ``1/k``, but the block Gram
-#: ``Ywᵀ Yw`` and the rotation back grow as ``O(d·k)`` *per row*, so
-#: throughput peaks at a moderate ``k`` — measured flat-optimal near 64
-#: for d in [250, 4000].  Bounding the
-#: block also keeps the block-start basis (used for residual
-#: diagnostics and the scale recursion) fresh when a caller hands
-#: ``partial_fit`` an entire dataset at once.
+#: Hard cap on rows per rank-``k`` eigensolve.  On the Gram route
+#: (``d > m + k``) two forces pick this: per-chunk fixed costs amortize
+#: as ``1/k``, but the block Gram ``Ywᵀ Yw`` and the rotation back grow
+#: as ``O(d·k)`` *per row*, so throughput peaks at a moderate ``k`` —
+#: measured flat-optimal near 64 for d in [250, 4000].  On the
+#: covariance route (``d <= m + k``) the eigensolve is ``d³`` whatever
+#: ``k`` is, so rows/s keeps rising past 64 (d = 32: 2.4× at 256); the
+#: cap holds there because bounding the block keeps the block-start
+#: basis (used for residual diagnostics and the scale recursion) fresh
+#: when a caller hands ``partial_fit`` an entire dataset at once.
 _MAX_BLOCK_ROWS = 64
 
 
@@ -255,8 +257,9 @@ class IncrementalPCA:
     Notes
     -----
     The per-update cost is ``O(d·p²)`` for the sequential path and
-    ``O(d·k·(p+k))`` per ``k``-row block — independent of how many
-    observations have been seen — and no ``d × d`` matrix is formed.
+    ``O(d·k·min(d, p+k))`` per ``k``-row block — independent of how many
+    observations have been seen — and nothing larger than the Gram of
+    the low-rank factor is formed.
     """
 
     def __init__(

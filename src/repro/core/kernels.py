@@ -1,7 +1,8 @@
 """The block kernels of the streaming hot path.
 
 The hot path spends its time in three numerical primitives: the rank-``k``
-covariance update (Gram-of-factor assembly, one small ``eigh``, the
+covariance update (one ``eigh`` of order ``min(d, m+k)`` — the ``d × d``
+covariance for narrow rows, else the Gram of the skinny factor and the
 rotation back), the per-row residual norms of a block, and gap patching.
 Each is written once, in vectorised numpy, so the O(d·k) work runs inside
 BLAS/LAPACK calls (which release the GIL) and the interpreter only
@@ -54,38 +55,53 @@ def rank_k_core(basis, lam, yw, gamma, p):
     handle the degenerate cases (empty basis, zero gamma, empty block)
     before calling — see :func:`repro.core.lowrank.rank_k_update`.
 
-    Gram-of-factor form: the update is ``A Aᵀ`` with
-    ``A = [E·sqrt(γΛ), Yw]``, and because ``EᵀE = I`` its Gram matrix
-    needs only ``Z = Eᵀ Yw`` and ``Ywᵀ Yw``::
+    The update is ``A Aᵀ`` with ``A = [E·sqrt(γΛ), Yw]`` (``d × (m+k)``).
+    ``A Aᵀ`` (``d × d``) and the Gram ``AᵀA`` (``(m+k) × (m+k)``) share
+    their non-zero spectrum, so one ``eigh`` of whichever is smaller —
+    order ``min(d, m+k)`` — gives the update:
 
-        G = [[γΛ, sqrt(γΛ)·Z], [Zᵀ·sqrt(γΛ), Ywᵀ Yw]]
+    * ``d <= m+k`` (narrow rows): ``C = (E·γΛ)·Eᵀ + Yw Ywᵀ`` is formed
+      and its top eigenvectors are returned as ``eigh`` gives them —
+      orthonormal already, so no QR follows.
+    * ``d > m+k``: because ``EᵀE = I`` the Gram needs only
+      ``Z = Eᵀ Yw`` and ``Ywᵀ Yw``::
 
-    One ``eigh`` of the ``(m+k) × (m+k)`` matrix ``G = V W Vᵀ`` gives
-    ``U = A V W^{-1/2}`` — the same route
-    :func:`repro.core.lowrank.eigensystem_of_factor` takes, without ever
-    concatenating ``A``.
+          G = [[γΛ, sqrt(γΛ)·Z], [Zᵀ·sqrt(γΛ), Ywᵀ Yw]]
+
+      and ``G = V W Vᵀ`` gives ``U = A V W^{-1/2}`` — the route
+      :func:`repro.core.lowrank.eigensystem_of_factor` takes, without
+      concatenating ``A`` — followed by the same defensive QR.
+
+    Both routes apply the same ``RELATIVE_RANK_TOL`` cut.
     """
-    m = basis.shape[1]
+    d, m = basis.shape
     n = m + yw.shape[1]
+    covariance_route = d <= n
     glam = gamma * lam
-    s = np.sqrt(glam)
-    cross = (basis.T @ yw) * s[:, None]    # (m, k)
-    gram = np.zeros((n, n))
-    np.fill_diagonal(gram[:m, :m], glam)
-    gram[:m, m:] = cross
-    gram[m:, :m] = cross.T
-    gram[m:, m:] = yw.T @ yw
+    if covariance_route:
+        w_asc, v_asc = np.linalg.eigh((basis * glam) @ basis.T + yw @ yw.T)
+    else:
+        s = np.sqrt(glam)
+        cross = (basis.T @ yw) * s[:, None]    # (m, k)
+        gram = np.zeros((n, n))
+        np.fill_diagonal(gram[:m, :m], glam)
+        gram[:m, m:] = cross
+        gram[m:, :m] = cross.T
+        gram[m:, m:] = yw.T @ yw
+        w_asc, v_asc = np.linalg.eigh(gram)
 
-    w_asc, v_asc = np.linalg.eigh(gram)
     w = np.maximum(w_asc[::-1], 0.0)
     keep = 0
     if w[0] > 0.0:
         keep = int(np.count_nonzero(w > w[0] * RELATIVE_RANK_TOL))
     k_out = min(p, keep)
     if k_out == 0:
-        return np.zeros((basis.shape[0], 0)), np.zeros(0)
+        return np.zeros((d, 0)), np.zeros(0)
     w_top = w[:k_out]
-    v_top = v_asc[:, : -k_out - 1 : -1] / np.sqrt(w_top)
+    v_top = v_asc[:, : -k_out - 1 : -1]
+    if covariance_route:
+        return np.ascontiguousarray(v_top), w_top.copy()
+    v_top = v_top / np.sqrt(w_top)
     # U = A V W^{-1/2}, split by the two column groups of A.
     e_new = basis @ (v_top[:m] * s[:, None]) + yw @ v_top[m:]
     # Defensive re-orthonormalization, mirroring eigensystem_of_factor.

@@ -12,8 +12,10 @@ the tiny ``m × m`` Gram matrix ``G = Aᵀ A`` instead of any ``d × d`` object:
     U = A V W^{-1} .
 
 Per update this costs ``O(d·m² + m³)`` with ``m = p + 1 ≪ d`` — the
-"computationally inexpensive algebraic operations" of Section III-A.2.  No
-``d × d`` matrix is ever materialized anywhere in the streaming path.
+"computationally inexpensive algebraic operations" of Section III-A.2.
+The block update (:func:`rank_k_update`) solves whichever of ``A Aᵀ`` and
+``AᵀA`` is smaller, so nothing larger than the Gram is ever formed in the
+streaming path.
 """
 
 from __future__ import annotations
@@ -200,21 +202,31 @@ def rank_k_update(
     sklearn's ``IncrementalPCA`` uses the same structure): the eigensolve
     is amortized over the whole block instead of paid per observation.
 
-    Algorithm — the Gram trick on the factor ``A = [E·sqrt(γΛ), Y_w]``
-    (``C = A Aᵀ``), never materializing ``A``:
+    Algorithm — one symmetric eigensolve on the smaller side of the
+    factor ``A = [E·sqrt(γΛ), Y_w]`` (``C = A Aᵀ``), never materializing
+    ``A``; with ``m`` current components and ``k`` live rows:
 
-    1. project the weighted block on the current basis, ``Z = E^T Y_w``;
-    2. assemble the ``(p+k) x (p+k)`` Gram matrix ``G = A^T A`` from
-       ``γΛ`` (its leading block is diagonal because ``E^T E = I``),
-       ``sqrt(γΛ)·Z`` and ``Y_w^T Y_w``;
-    3. one symmetric eigensolve ``G = V W V^T``; the leading eigenvectors
-       of ``C`` are ``U = A V W^{-1/2} = E·sqrt(γΛ)·V_1 + Y_w V_2``;
-    4. truncate to ``p`` (relative rank cut) and defensively
-       re-orthonormalize.
+    * ``d <= m+k``: eigendecompose ``C`` itself (``d x d``), formed as
+      ``(E·γΛ)·E^T + Y_w Y_w^T``; its eigenvectors are orthonormal as
+      ``eigh`` returns them;
+    * ``d > m+k`` — the Gram trick:
 
-    Per block this costs ``O(d·k·(p+k) + (p+k)^3)`` — the same flop
-    order as ``k`` rank-one updates, but spent in a handful of large
-    GEMMs instead of ``O(k)`` skinny operations, which is where the
+      1. project the weighted block on the current basis,
+         ``Z = E^T Y_w``;
+      2. assemble the ``(m+k) x (m+k)`` Gram matrix ``G = A^T A`` from
+         ``γΛ`` (its leading block is diagonal because ``E^T E = I``),
+         ``sqrt(γΛ)·Z`` and ``Y_w^T Y_w``;
+      3. one symmetric eigensolve ``G = V W V^T``; the leading
+         eigenvectors of ``C`` are
+         ``U = A V W^{-1/2} = E·sqrt(γΛ)·V_1 + Y_w V_2``, defensively
+         re-orthonormalized.
+
+    Either way the result is truncated to ``p`` by the same relative rank
+    cut (:func:`repro.core.kernels.rank_k_core`).
+
+    Per block this costs ``O(d·k·min(d, m+k) + min(d, m+k)^3)`` — the
+    same flop order as ``k`` rank-one updates, but spent in a handful of
+    large GEMMs instead of ``O(k)`` skinny operations, which is where the
     measured speedup comes from (see ``benchmarks/bench_core_update.py``
     and ``docs/performance.md`` §2).
 
@@ -270,8 +282,8 @@ def rank_k_update(
     if m == 0 or gamma == 0.0:
         return eigensystem_of_factor(yw, p)
 
-    # Main path: one kernel covering the Gram assembly, the small
-    # eigensolve and the rotation back (see repro.core.kernels).
+    # Main path: one kernel covering the assembly, the eigensolve of
+    # order min(d, m+k) and, on the Gram route, the rotation back.
     return _kernels.rank_k_core(
         np.ascontiguousarray(basis), lam, yw, float(gamma), int(p)
     )

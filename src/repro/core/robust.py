@@ -104,7 +104,8 @@ class RobustIncrementalPCA:
     Notes
     -----
     Per-update cost is ``O(d·(p+q)²)`` for inliers and ``O(d·(p+q))`` for
-    rejected outliers (no eigensolve).  No ``d × d`` matrix is formed.
+    rejected outliers (no eigensolve).  Nothing larger than the Gram of
+    the low-rank factor is formed.
     """
 
     def __init__(

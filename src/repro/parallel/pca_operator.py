@@ -253,17 +253,17 @@ class StreamingPCAOperator(Operator):
             )
         monitor = self._health_monitor
         if monitor is not None:
-            x = np.asarray(tup["x"])
+            gappy = int(not np.isfinite(tup["x"]).all())
             if result is not None:
                 monitor.note_rows(
                     1,
-                    n_gap_rows=int(bool(np.isnan(x).any())),
+                    n_gap_rows=gappy,
                     n_outliers=int(result.is_outlier),
                     weight_sum=float(result.weight),
                     r2_sum=float(result.residual_norm2),
                 )
             else:
-                monitor.note_rows(1, n_gap_rows=int(bool(np.isnan(x).any())))
+                monitor.note_rows(1, n_gap_rows=gappy)
             monitor.maybe_check(self.estimator)
         self._maybe_snapshot(before=self.estimator.n_seen - 1)
         self._maybe_heartbeat()

@@ -198,8 +198,9 @@ class HealthMonitor:
     def note_block(self, xs: np.ndarray, result) -> None:
         """:meth:`note_rows` for one ``(k, d)`` block and the
         :class:`~repro.core.incremental.BlockUpdateResult` of folding it
-        in (a warm-up block carries no weights or residuals)."""
-        n_gaps = int(np.isnan(xs).any(axis=1).sum())
+        in (a warm-up block carries no weights or residuals).  A gap row
+        is one with any non-finite cell — what the estimator patches."""
+        n_gaps = int(np.count_nonzero(~np.isfinite(xs).all(axis=1)))
         if result.n_processed:
             self.note_rows(
                 xs.shape[0],

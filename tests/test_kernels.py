@@ -11,7 +11,7 @@ an independent per-row reference that ships in ``repro.core``:
 import numpy as np
 import pytest
 
-from repro.core import Eigensystem, kernels, make_rho
+from repro.core import Eigensystem, RobustIncrementalPCA, kernels, make_rho
 from repro.core.lowrank import eigensystem_of_factor, rank_k_update
 from repro.core.gaps import fill_block_from_basis, fill_from_basis
 
@@ -37,6 +37,16 @@ def _factor_route(basis, lam, yw, gamma, p):
     """``rank_k_core``'s answer by the concatenated-factor route."""
     factor = np.concatenate([basis * np.sqrt(gamma * lam), yw], axis=1)
     return eigensystem_of_factor(factor, p)
+
+
+#: ``(d, m, k)`` on both sides of ``rank_k_core``'s route choice: the
+#: ``d × d`` covariance when ``d <= m + k``, the Gram otherwise; the last
+#: is the narrow benchmark workloads' block.
+_CROSSOVER_SHAPES = [(20, 5, 16), (21, 5, 16), (22, 5, 16), (32, 4, 64)]
+
+
+def _shape_params(shapes):
+    return [pytest.param(*s, id="d{}-m{}-k{}".format(*s)) for s in shapes]
 
 
 class TestInterpretedSourceParity:
@@ -73,11 +83,14 @@ class TestInterpretedSourceParity:
             kernels.residual_norm2_block(y, basis), r2_rows, rtol=1e-10
         )
 
-    def test_rank_k_core_matches_public_update(self):
+    @pytest.mark.parametrize(
+        "d, m, k", _shape_params(_CROSSOVER_SHAPES + [(120, 5, 16)])
+    )
+    def test_rank_k_core_matches_public_update(self, d, m, k):
         # The public rank_k_update main path calls the kernel; on a
         # full-rank block both must agree with the factor route.
         rng = np.random.default_rng(3)
-        d, m, k, p = 120, 5, 16, 5
+        p = m
         basis, lam = _random_state(rng, d, m)
         block = rng.standard_normal((k, d))
         weights = rng.uniform(0.1, 1.0, k)
@@ -90,19 +103,47 @@ class TestInterpretedSourceParity:
         _assert_same_eigensystem(
             got, _factor_route(basis, lam, yw, gamma, p)
         )
+        # The covariance route has no QR: its basis must not drift off
+        # orthonormal over a long chain of updates.
+        for _ in range(2000):
+            block = rng.standard_normal((k, d))
+            basis, lam = rank_k_update(basis, lam, block, gamma, weights, p)
+        assert np.linalg.norm(basis.T @ basis - np.eye(p)) <= 1e-12
 
-    def test_rank_k_core_low_rank_block(self):
-        # A block inside the current subspace: the Gram has rank m, the
-        # trailing k eigenvalues fall to the relative rank cut.
+    @pytest.mark.parametrize(
+        "d, m, k", _shape_params(_CROSSOVER_SHAPES + [(80, 4, 6), (8, 4, 6)])
+    )
+    def test_rank_k_core_low_rank_block(self, d, m, k):
+        # A block inside the current subspace: A Aᵀ has rank m, the
+        # trailing eigenvalues fall to the relative rank cut.
         rng = np.random.default_rng(4)
-        d, m, p = 80, 4, 4
+        p = m
         basis, lam = _random_state(rng, d, m)
-        coeffs = rng.standard_normal((6, m))
+        coeffs = rng.standard_normal((k, m))
         yw = np.ascontiguousarray((coeffs @ basis.T).T)
         _assert_same_eigensystem(
             kernels.rank_k_core(basis, lam, yw, 0.99, p),
             _factor_route(basis, lam, yw, 0.99, p),
         )
+
+    @pytest.mark.parametrize("d", [32, 1000])
+    def test_block_update_solves_the_smaller_side(self, monkeypatch, d):
+        # One 64-row block on a 4-component state: the eigenproblem is
+        # the d × d covariance when d <= m + k = 68, the Gram otherwise.
+        # Cauchy weights are never zero, so all 64 rows stay live.
+        rng = np.random.default_rng(12)
+        est = RobustIncrementalPCA(4, rho="cauchy", init_size=20)
+        est.update_block(rng.standard_normal((20, d)))
+        orders = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            orders.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        est.update_block(rng.standard_normal((64, d)))
+        assert orders == [min(d, 4 + 64)]
 
     def test_fill_gappy_rows_matches_fill_from_basis(self):
         rng = np.random.default_rng(5)

@@ -419,6 +419,17 @@ class TestTenantModel:
         # The cutoff queries flag outliers by is the estimator's own.
         assert snap.outlier_t == model._estimator.outlier_threshold()
 
+    def test_inf_cell_counts_as_a_gap_row(self):
+        # The estimator patches every non-finite cell, and nothing on
+        # the wire rejects ±inf, so the monitor counts inf rows as gaps.
+        model = TenantModel(_spec())
+        model.apply_block(_rows(64))
+        before = model.monitor._w_gap_rows
+        xs = _rows(64, seed=1)
+        xs[5, 2] = np.inf
+        model.apply_block(xs)
+        assert model.monitor._w_gap_rows == before + 1
+
     def test_reseed_adopts_snapshot(self):
         model = TenantModel(_spec())
         cache = EigenbasisCache()
