@@ -264,9 +264,25 @@ def rank_k_update(
         raise ValueError("gamma must be non-negative")
     if np.any(weights < 0.0):
         raise ValueError("block weights must be non-negative")
+    return _rank_k_update(basis, eigenvalues, block, gamma, weights, p)
 
+
+def _rank_k_update(
+    basis: np.ndarray,
+    eigenvalues: np.ndarray,
+    block: np.ndarray,
+    gamma: float,
+    weights: np.ndarray,
+    p: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rank_k_update` without its argument checks.
+
+    For callers whose float64 arguments are valid by construction: the
+    robust block step calls this directly, because everything it does
+    between BLAS calls holds the GIL and is kept to a call budget.
+    """
     live = weights > 0.0
-    if not np.all(live):
+    if not live.all():
         block = block[live]
         weights = weights[live]
     if block.shape[0] == 0:

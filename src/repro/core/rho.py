@@ -169,6 +169,23 @@ class BisquareRho(RhoFunction):
     def rejection_point(self) -> float:
         return self.c2
 
+    def block_weights(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(W, W*)`` from one shared ``u = 1 - min(t/c2, 1)``.
+
+        ``W = (3/c2)·u²``; for ``t <= c2``, ``W* = rho(t)/t`` is
+        ``(1 + u + u²)/c2`` (``3 - 3z + z²`` with ``z = 1 - u``: no
+        division by ``t``, so no special case at 0), and beyond the
+        rejection point ``rho = 1`` gives ``W* = 1/t``.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        u = 1.0 - np.minimum(t / self.c2, 1.0)
+        u2 = u * u
+        wstar = (1.0 + u + u2) / self.c2
+        rejected = t > self.c2
+        if rejected.any():
+            wstar[rejected] = 1.0 / t[rejected]
+        return (3.0 / self.c2) * u2, wstar
+
 
 @dataclass(frozen=True)
 class CauchyRho(RhoFunction):

@@ -51,7 +51,7 @@ from .incremental import (
     UpdateResult,
     _WarmupBuffer,
 )
-from .lowrank import rank_k_update, rank_one_update
+from .lowrank import _rank_k_update, rank_one_update
 from .rho import RhoFunction, make_rho
 
 __all__ = ["RobustIncrementalPCA", "RobustEigenvalueEstimator"]
@@ -293,20 +293,19 @@ class RobustIncrementalPCA:
             if self.n_skipped == skipped_before:
                 n_buffered += 1
         warm_skipped = i - n_buffered
-        x = x[i:]
-        if x.shape[0] == 0 or self._state is None:
+        n = x.shape[0]
+        if n == i or self._state is None:
             return BlockUpdateResult.empty(
                 n_buffered=n_buffered, n_skipped=warm_skipped
             )
-        parts = []
-        offset = i
-        for chunk in self._iter_chunks(x):
-            part = self._update_block_initialized(chunk)
-            if part.indices is not None:
-                part = replace(part, indices=part.indices + offset)
-            offset += chunk.shape[0]
-            parts.append(part)
-        result = BlockUpdateResult.concat(parts)
+        limit = self._chunk_limit()
+        if n - i <= limit:
+            result = self._update_block_initialized(x[i:], i)
+        else:
+            result = BlockUpdateResult.concat([
+                self._update_block_initialized(x[lo : lo + limit], lo)
+                for lo in range(i, n, limit)
+            ])
         if n_buffered or warm_skipped:
             result = replace(
                 result,
@@ -342,14 +341,6 @@ class RobustIncrementalPCA:
         window_cap = max(1, int(0.25 / (1.0 - self.alpha)))
         return min(_MAX_BLOCK_ROWS, window_cap)
 
-    def _iter_chunks(self, x: np.ndarray):
-        limit = self._chunk_limit()
-        if x.shape[0] <= limit:
-            yield x
-            return
-        for start in range(0, x.shape[0], limit):
-            yield x[start : start + limit]
-
     def _buffer_warmup(self, x: np.ndarray) -> None:
         mask = np.isfinite(x)
         frac = float(np.count_nonzero(mask)) / max(x.size, 1)
@@ -381,19 +372,21 @@ class RobustIncrementalPCA:
         self._calibrate_rho(self._state.dim)
 
     def _calibrate_rho(self, dim: int) -> None:
-        """Fix the rho-function for dimensionality ``dim`` (idempotent)."""
-        if self._rho is not None:
-            return
-        dof = max(dim - self.n_components, 1)
-        family = (
-            self._rho_spec if isinstance(self._rho_spec, str) else "bisquare"
-        )
-        c2 = (
-            self._rho_c2
-            if self._rho_c2 is not None
-            else calibrate_c2(self.delta, dof, family)
-        )
-        self._rho = make_rho(family, c2=c2)
+        """Fix the rho-function for dimensionality ``dim`` (idempotent)
+        and, with it, the outlier threshold."""
+        if self._rho is None:
+            dof = max(dim - self.n_components, 1)
+            family = (
+                self._rho_spec if isinstance(self._rho_spec, str)
+                else "bisquare"
+            )
+            c2 = (
+                self._rho_c2
+                if self._rho_c2 is not None
+                else calibrate_c2(self.delta, dof, family)
+            )
+            self._rho = make_rho(family, c2=c2)
+        self._outlier_cut = self.outlier_threshold()
 
     def adopt_state(self, state: Eigensystem) -> None:
         """Install ``state`` on a *fresh* (uninitialized) estimator.
@@ -504,7 +497,7 @@ class RobustIncrementalPCA:
         t = r2 / scale_prev
         w = float(rho.weight(t))
         wstar = float(rho.wstar(t))
-        is_outlier = t >= self.outlier_threshold()
+        is_outlier = t >= self._outlier_cut
         if is_outlier:
             self.n_outliers += 1
 
@@ -545,8 +538,11 @@ class RobustIncrementalPCA:
             n_filled=n_filled,
         )
 
-    def _update_block_initialized(self, x: np.ndarray) -> BlockUpdateResult:
-        """One rank-``k`` robust update over a block.
+    def _update_block_initialized(
+        self, x: np.ndarray, offset: int
+    ) -> BlockUpdateResult:
+        """One rank-``k`` robust update over a block whose first row is
+        row ``offset`` of the block passed to :meth:`update_block`.
 
         Unrolls the running sums of eqs. 12–14 in closed form (per-row
         decay weights ``α^{k-j}``), vectorizes gap filling, residual
@@ -555,13 +551,22 @@ class RobustIncrementalPCA:
         the block-*start* state and the mean/covariance are blended once
         per block — the per-block forgetting approximation documented in
         docs/performance.md (exact in the α=1, no-truncation-loss limit).
+
+        The interpreter work between the BLAS calls holds the GIL, so it
+        is kept to a budget (``tests/test_robust.py`` counts it): beyond
+        this method, a clean chunk calls into ``repro`` only for the
+        residuals, the fused ρ-weights and the rank-``k`` update.  The
+        update is entered below the checks of the public
+        :func:`~repro.core.lowrank.rank_k_update`: its arguments are
+        valid by construction here.
         """
         st = self._state
         rho = self._rho
         assert st is not None and rho is not None
-        if x.shape[1] != st.dim:
+        d = st.mean.shape[0]
+        if x.shape[1] != d:
             raise ValueError(
-                f"expected vectors of dim {st.dim}, got dim {x.shape[1]}"
+                f"expected vectors of dim {d}, got dim {x.shape[1]}"
             )
 
         p = self.n_components
@@ -574,13 +579,13 @@ class RobustIncrementalPCA:
         mask = np.isfinite(x)
         n_skipped = 0
         n_filled = 0
-        kept_idx = np.arange(x.shape[0], dtype=np.int64)
+        kept_idx = np.arange(offset, offset + x.shape[0], dtype=np.int64)
         if not mask.all():
             if not self.handle_gaps:
                 raise ValueError(
                     "observation contains NaN but handle_gaps=False"
                 )
-            frac = mask.sum(axis=1) / x.shape[1]
+            frac = mask.sum(axis=1) / d
             keep = frac >= max(self.min_observed_fraction, 1e-12)
             n_skipped = int(np.count_nonzero(~keep))
             if n_skipped:
@@ -607,7 +612,7 @@ class RobustIncrementalPCA:
         scale_prev = st.scale if st.scale > 0 else 1.0
         t = r2 / scale_prev
         w, wstar = rho.block_weights(t)
-        is_outlier = t >= self.outlier_threshold()
+        is_outlier = t >= self._outlier_cut
         self.n_outliers += int(np.count_nonzero(is_outlier))
 
         # --- running sums, unrolled in closed form (eqs. 12-14) -----------
@@ -635,7 +640,7 @@ class RobustIncrementalPCA:
             gamma2 = decay_k * st.sum_weighted_r2 / q_new
             coeff = pww * (scale_prev / q_new)
             k_tot = p + self.extra_components
-            st.basis, st.eigenvalues = rank_k_update(
+            st.basis, st.eigenvalues = _rank_k_update(
                 st.basis, st.eigenvalues, y, gamma2, coeff, k_tot
             )
 

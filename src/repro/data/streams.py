@@ -8,12 +8,30 @@ results" — :func:`shuffled` provides exactly that, and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["shuffled", "repeat_epochs", "VectorStream"]
+__all__ = ["shuffled", "repeat_epochs", "stack_rows", "VectorStream"]
+
+
+def stack_rows(rows: list, dim: int) -> np.ndarray:
+    """The float64 ``(len(rows), dim)`` stack of ``rows``, made in one
+    call once every row's shape is checked: a row that is not a
+    ``dim``-vector raises ``ValueError``."""
+    want = (dim,)
+    if {getattr(r, "shape", None) for r in rows} - {want}:
+        # Slow path: rows that are not arrays carry no .shape.
+        for shape in map(np.shape, rows):
+            if len(shape) != 1:
+                raise ValueError(f"expected a vector, got shape {shape}")
+            if shape != want:
+                raise ValueError(
+                    f"row dim changed from {dim} to {shape[0]}"
+                )
+    return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
 def shuffled(
@@ -50,6 +68,8 @@ class VectorStream:
 
     Thin wrapper pairing an iterator with the metadata that stream sources
     and the simulator need up front (dimensionality, nominal length).
+    It has two faces over one cursor: iterating yields one row at a
+    time, :meth:`blocks` yields ``(k, d)`` arrays.
 
     Attributes
     ----------
@@ -62,10 +82,49 @@ class VectorStream:
 
     dim: int
     length: int | None
-    _iterator: Iterator[np.ndarray]
+    _iterator: Iterator[np.ndarray] | None = None
+    #: The ``(n, d)`` array behind a :meth:`from_array` stream and the
+    #: index of its next row; both faces advance it.
+    _array: np.ndarray | None = None
+    _next: int = 0
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return self._iterator
+        if self._array is None:
+            return self._iterator
+        return self._array_rows()
+
+    @property
+    def array_backed(self) -> bool:
+        """Whether the rows are sliced from one ``(n, d)`` array, so
+        every row has width ``dim`` and :meth:`blocks` cannot raise."""
+        return self._array is not None
+
+    def _array_rows(self) -> Iterator[np.ndarray]:
+        x = self._array
+        while self._next < x.shape[0]:
+            self._next += 1
+            yield x[self._next - 1]
+
+    def blocks(self, k: int) -> Iterator[np.ndarray]:
+        """The remaining rows as float64 ``(k, d)`` blocks (the last one
+        short), each a fresh array the caller owns.
+
+        An array-backed stream copies one slice per block.  An
+        iterator-backed one pulls ``k`` rows and stacks them with
+        :func:`stack_rows`: a row that is not a ``dim``-vector raises
+        ``ValueError`` before it enters a block.
+        """
+        if k < 1:
+            raise ValueError(f"block size must be >= 1, got {k}")
+        x = self._array
+        if x is not None:
+            while self._next < x.shape[0]:
+                lo = self._next
+                self._next = min(lo + k, x.shape[0])
+                yield x[lo : self._next].astype(np.float64)
+            return
+        while rows := list(itertools.islice(self._iterator, k)):
+            yield stack_rows(rows, self.dim)
 
     @classmethod
     def from_array(cls, x: np.ndarray) -> "VectorStream":
@@ -73,7 +132,7 @@ class VectorStream:
         x = np.asarray(x)
         if x.ndim != 2:
             raise ValueError(f"expected (n, d) data, got shape {x.shape}")
-        return cls(dim=x.shape[1], length=x.shape[0], _iterator=iter(x))
+        return cls(dim=x.shape[1], length=x.shape[0], _array=x)
 
     @classmethod
     def from_iterable(
@@ -105,9 +164,5 @@ class VectorStream:
     def take(self, n: int) -> np.ndarray:
         """Materialize the next ``n`` vectors as an ``(m, d)`` array
         (``m < n`` if the stream ends early)."""
-        rows = []
-        for _, row in zip(range(n), self._iterator):
-            rows.append(np.asarray(row, dtype=np.float64))
-        if not rows:
-            return np.zeros((0, self.dim))
-        return np.vstack(rows)
+        empty = np.zeros((0, self.dim))
+        return next(self.blocks(n), empty) if n > 0 else empty

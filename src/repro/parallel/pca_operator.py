@@ -50,7 +50,12 @@ from ..streams.tuples import (
     register_schema,
 )
 
-__all__ = ["DIAGNOSTICS_SCHEMA", "StreamingPCAOperator", "expand_diagnostics"]
+__all__ = [
+    "DIAGNOSTICS_SCHEMA",
+    "StreamingPCAOperator",
+    "expand_diagnostics",
+    "outlier_seqs",
+]
 
 #: Schema of the per-block diagnostics tuple: one entry per *processed*
 #: row of the block, in arrival order (``seqs`` int64, ``weights`` and
@@ -101,6 +106,21 @@ def expand_diagnostics(tuples: Iterable[StreamTuple]) -> list[dict[str, Any]]:
         elif "weight" in payload:
             rows.append(dict(payload))
     return rows
+
+
+def outlier_seqs(tuples: Iterable[StreamTuple]) -> np.ndarray:
+    """Sorted int64 sequence numbers of the rows flagged as outliers in
+    a diagnostics sink's tuples — :func:`expand_diagnostics`' rows with
+    ``is_outlier`` set, read without building the per-row dicts."""
+    seqs = [np.zeros(0, dtype=np.int64)]
+    for tup in tuples:
+        payload = tup.payload
+        if "weights" in payload:
+            flagged = np.asarray(payload["outliers"], dtype=bool)
+            seqs.append(np.asarray(payload["seqs"])[flagged])
+        elif "weight" in payload and payload.get("is_outlier"):
+            seqs.append(np.array([payload["seq"]]))
+    return np.sort(np.concatenate(seqs).astype(np.int64))
 
 
 class StreamingPCAOperator(Operator):

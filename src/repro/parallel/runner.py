@@ -19,6 +19,7 @@ from ..core.robust import RobustIncrementalPCA
 from ..data.streams import VectorStream
 from ..streams.engine import RunStats
 from ..streams.supervision import Supervisor
+from ..streams.tuples import StreamTuple
 from .app import (
     ENGINE_CLASSES,
     FUSION_PLANS,
@@ -26,7 +27,7 @@ from .app import (
     _choice,
     build_parallel_pca_graph,
 )
-from .pca_operator import expand_diagnostics
+from .pca_operator import expand_diagnostics, outlier_seqs
 from .sync import SyncStats, SyncStrategy
 
 __all__ = ["ParallelRunResult", "ParallelStreamingPCA"]
@@ -48,23 +49,39 @@ class ParallelRunResult:
         Engine-level tuple counters and wall time.
     sync_stats:
         Controller counters (grants, routed states, merges, throttles).
-    diagnostics:
-        Per-observation diagnostic payloads (empty when disabled).
     engine_reports:
         Per-engine counter dicts from the operators.
     engine:
         The engine the run executed on; the remote runtimes' transport
         totals are read from it (``engine.cluster_stats`` on
         ``"process"`` and ``"cluster"``).
+    diagnostic_tuples:
+        What the diagnostics sink received (empty when disabled): one
+        :data:`~repro.parallel.DIAGNOSTICS_SCHEMA` tuple per block on a
+        batched run, one tuple per row otherwise.
     """
 
     global_state: Eigensystem
     engine_states: dict[int, Eigensystem]
     run_stats: RunStats
     sync_stats: SyncStats
-    diagnostics: list[dict[str, Any]] = field(default_factory=list)
     engine_reports: list[dict[str, Any]] = field(default_factory=list)
     engine: Any = None
+    diagnostic_tuples: list[StreamTuple] = field(
+        default_factory=list, repr=False
+    )
+    _diagnostics: list[dict[str, Any]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def diagnostics(self) -> list[dict[str, Any]]:
+        """Per-observation diagnostics dicts (see
+        :func:`~repro.parallel.expand_diagnostics`), built from
+        :attr:`diagnostic_tuples` on first read and then cached."""
+        if self._diagnostics is None:
+            self._diagnostics = expand_diagnostics(self.diagnostic_tuples)
+        return self._diagnostics
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -82,11 +99,9 @@ class ParallelRunResult:
         return self.global_state.mean
 
     def outlier_seqs(self) -> np.ndarray:
-        """Stream sequence numbers flagged as outliers (sorted)."""
-        seqs = [
-            d["seq"] for d in self.diagnostics if d.get("is_outlier")
-        ]
-        return np.asarray(sorted(seqs), dtype=np.int64)
+        """Stream sequence numbers flagged as outliers (sorted), read
+        from the diagnostics tuples without expanding them."""
+        return outlier_seqs(self.diagnostic_tuples)
 
 
 class ParallelStreamingPCA:
@@ -263,16 +278,14 @@ class ParallelStreamingPCA:
         )
 
         controller = app.controller
-        global_state = controller.global_state(self.n_components)
-        diagnostics = []
-        if app.diag_sink is not None:
-            diagnostics = expand_diagnostics(app.diag_sink.tuples)
         return ParallelRunResult(
-            global_state=global_state,
+            global_state=controller.global_state(self.n_components),
             engine_states=dict(controller.final_states),
             run_stats=stats,
             sync_stats=controller.stats,
-            diagnostics=diagnostics,
             engine_reports=[op.diagnostics() for op in app.engines],
             engine=engine,
+            diagnostic_tuples=(
+                app.diag_sink.tuples if app.diag_sink is not None else []
+            ),
         )

@@ -4,9 +4,9 @@ The engine's per-tuple dispatch costs a few microseconds of Python per
 hop, which dominates once the numerical kernel is vectorized, so every
 hop — queue transfer, dispatch, and above all the PCA update itself —
 runs once per ``(k, d)`` *block* instead of once per row.  Pull sources
-built with a ``batch_size`` emit such blocks themselves; the
-:class:`Batcher` is the operator face of the same
-:class:`BlockAssembler` for everything else: it coalesces per-row
+built with a ``batch_size`` emit such blocks themselves (see
+:func:`block_tuple`); the :class:`Batcher` and its
+:class:`BlockAssembler` handle everything else: it coalesces per-row
 tuples (live sources, whose rows may wait on a socket) and re-groups
 blocks of any other size.
 
@@ -66,14 +66,26 @@ BLOCK_SCHEMA = register_schema(
 FLUSH_REASONS = ("size", "timeout", "punctuation", "control")
 
 
+def block_tuple(
+    xs: np.ndarray, seqs: np.ndarray, event_ts: float | None = None
+) -> StreamTuple:
+    """A :data:`BLOCK_SCHEMA` tuple owning the ``(k, d)`` rows ``xs``
+    and their int64 ``seqs``."""
+    return StreamTuple(
+        {"xs": xs, "seqs": seqs, "count": xs.shape[0]},
+        schema=BLOCK_SCHEMA, event_ts=event_ts,
+    )
+
+
 class BlockAssembler:
-    """The one ``(k, d)`` row buffer behind every block tuple.
+    """The ``(k, d)`` row buffer that re-groups rows into full blocks.
 
     A preallocated ``(batch_size, d)`` array filled in place (allocated
     once the first row reveals ``d``), the rows' sequence numbers and
-    the oldest of their event times.  Its two callers are the pull
-    sources' emit loop (:mod:`repro.streams.sources`) and
-    :meth:`Batcher.process`.
+    the oldest of their event times.  Its callers are
+    :meth:`Batcher.process` and a guarded source whose ingress guards
+    dropped rows from a block (pull sources otherwise take whole blocks
+    from :meth:`~repro.data.streams.VectorStream.blocks`).
     """
 
     def __init__(self, batch_size: int, owner: str) -> None:
@@ -129,10 +141,8 @@ class BlockAssembler:
         """The buffered rows as one block tuple; empties the buffer."""
         k, min_ts = self.count, self._min_ts
         self.count, self._min_ts = 0, None
-        return StreamTuple(
-            {"xs": self._rows[:k].copy(), "seqs": self._seqs[:k].copy(),
-             "count": k},
-            schema=BLOCK_SCHEMA, event_ts=min_ts,
+        return block_tuple(
+            self._rows[:k].copy(), self._seqs[:k].copy(), min_ts
         )
 
 

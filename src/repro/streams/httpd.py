@@ -230,6 +230,11 @@ class HttpServer:
                 await self._send(writer, *reply, close=not keep_alive)
                 if not keep_alive:
                     break
+        except asyncio.CancelledError:
+            # stop() cancels the handlers of connections still open.  A
+            # handler that ends cancelled makes the stream protocol's
+            # done-callback print a traceback, so it returns normally.
+            pass
         finally:
             try:
                 writer.close()

@@ -19,20 +19,23 @@ All sources emit data tuples with fields ``x`` (the vector) and ``seq``
 sources (all but :class:`CallbackSource`, whose next row may wait on a
 socket) take a ``batch_size``: above 1 they emit one
 :data:`~repro.streams.batcher.BLOCK_SCHEMA` tuple per ``batch_size``
-rows, paying validation, event-time stamp and queue hop per block.
+rows, pulled as one array from
+:meth:`~repro.data.streams.VectorStream.blocks`, paying validation,
+event-time stamp and queue hop per block.
 """
 
 from __future__ import annotations
 
+import itertools
 import pathlib
 import time
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from ..data.streams import VectorStream
+from ..data.streams import VectorStream, stack_rows
 from ..io.csvio import read_vectors_csv
-from .batcher import BlockAssembler
+from .batcher import BlockAssembler, block_tuple
 from .operators import Source
 from .resilience import DeadLetterQueue, LoadShedValve, row_poison_reason
 from .tuples import FieldType, StreamSchema, StreamTuple, register_schema
@@ -60,22 +63,19 @@ def _observation(x: np.ndarray, seq: int) -> StreamTuple:
     )
 
 
-def _emit(
-    rows: Iterable[tuple[int, np.ndarray]], batch_size: int, owner: str
-) -> Iterator[StreamTuple]:
-    """Tuples for ``(arrival index, row)`` pairs: one observation each,
-    or — ``batch_size > 1`` — one block per ``batch_size`` rows (the
-    last one short)."""
+def _emit(stream: VectorStream, batch_size: int) -> Iterator[StreamTuple]:
+    """The tuples of ``stream``: one observation per row, or — with
+    ``batch_size > 1`` — one block per ``batch_size`` rows (the last
+    one short), pulled through :meth:`VectorStream.blocks`."""
     if batch_size <= 1:
-        for seq, x in rows:
+        for seq, x in enumerate(stream):
             yield _observation(x, seq)
         return
-    asm = BlockAssembler(batch_size, owner)
-    for seq, x in rows:
-        if asm.add(x, seq):
-            yield asm.take()
-    if asm.count:
-        yield asm.take()
+    seq = 0
+    for xs in stream.blocks(batch_size):
+        n = xs.shape[0]
+        yield block_tuple(xs, np.arange(seq, seq + n, dtype=np.int64))
+        seq += n
 
 
 class VectorSource(Source):
@@ -94,12 +94,8 @@ class VectorSource(Source):
         """Vector dimensionality of the stream."""
         return self._stream.dim
 
-    def _rows(self) -> Iterable[tuple[int, np.ndarray]]:
-        """``(arrival index, row)`` of every row to emit."""
-        return enumerate(self._stream)
-
     def generate(self) -> Iterator[StreamTuple]:
-        return _emit(self._rows(), self.batch_size, self.name)
+        return _emit(self._stream, self.batch_size)
 
 
 class GuardedVectorSource(VectorSource):
@@ -119,8 +115,9 @@ class GuardedVectorSource(VectorSource):
     The guards judge *rows*, whatever the emission unit: each row is
     validated and then spends one valve token as it is pulled, and each
     poison row gets its own dead-letter record.  With ``batch_size > 1``
-    a dropped row never enters the block buffer; survivors keep filling
-    it, so blocks stay full and their ``seqs`` skip the dropped indices.
+    ``batch_size`` rows are pulled at a time and judged before the
+    survivors are stacked: a dropped row never enters a block, blocks
+    stay full and their ``seqs`` skip the dropped indices.
 
     Counters — ``n_quarantined`` when quarantine is armed, ``n_shed`` /
     ``n_trips`` / ``state`` when the valve is — only exist when the
@@ -204,27 +201,103 @@ class GuardedVectorSource(VectorSource):
             raise AttributeError("no shed valve armed")
         return self._valve.state
 
-    def _rows(self) -> Iterator[tuple[int, np.ndarray]]:
-        dlq = self.dlq
-        validator = self.validator
-        dim = self.expected_dim
+    def generate(self) -> Iterator[StreamTuple]:
+        if self.batch_size > 1:
+            return self._judged_blocks()
+        return self._judged_rows()
+
+    def _judged_rows(self) -> Iterator[StreamTuple]:
         admit = self._valve.admit_n if self._valve is not None else None
-        for seq, x in super()._rows():
+        for seq, x in enumerate(self._stream):
             x = np.asarray(x, dtype=np.float64)
-            if dlq is not None:
-                if validator is None:
-                    reason = row_poison_reason(x, dim)
-                else:
-                    reason = validator(_observation(x, seq), dim)
-                if reason is not None:
-                    self._n_quarantined += 1
-                    dlq.quarantine(
-                        self.name, reason, {"x": x, "seq": seq}, seq
-                    )
-                    continue
+            if self.dlq is not None and not self._valid(x, seq):
+                continue
             if admit is not None and not admit():
                 continue
-            yield seq, x
+            yield _observation(x, seq)
+
+    def _pulls(self, k: int) -> Iterator[np.ndarray | list]:
+        """The stream's rows, ``k`` at a time, before any guard: a slice
+        copy of an array-backed stream, else a list of the raw rows (a
+        wrong-width row must reach the guards, not fail a stack)."""
+        if self._stream.array_backed:
+            yield from self._stream.blocks(k)
+            return
+        rows = iter(self._stream)
+        while pulled := list(itertools.islice(rows, k)):
+            yield pulled
+
+    def _judged_blocks(self) -> Iterator[StreamTuple]:
+        """Full blocks of the rows that pass both guards.
+
+        Each pull gets the per-row path's verdicts, in arrival order;
+        the survivors are stacked, and re-grouped when rows dropped out,
+        so blocks stay full.
+        """
+        k = self.batch_size
+        asm = BlockAssembler(k, self.name)
+        seq = 0
+        for xs in self._pulls(k):
+            n = len(xs)
+            seqs = np.arange(seq, seq + n, dtype=np.int64)
+            seq += n
+            keep = self._verdicts(xs, seqs)
+            if isinstance(xs, list):
+                xs = stack_rows(list(itertools.compress(xs, keep)), self.dim)
+            elif not keep.all():
+                xs = xs[keep]
+            seqs = seqs[keep]
+            if asm.count == 0 and xs.shape[0] == k:
+                yield block_tuple(xs, seqs)
+                continue
+            while xs.shape[0]:
+                n = asm.extend(xs, seqs)
+                xs, seqs = xs[n:], seqs[n:]
+                if asm.count == k:
+                    yield asm.take()
+        if asm.count:
+            yield asm.take()
+
+    def _verdicts(
+        self, xs: np.ndarray | list, seqs: np.ndarray
+    ) -> np.ndarray:
+        """Which pulled rows pass both guards.
+
+        The default validator clears an ``(n, d)`` array of the expected
+        width in one numpy call (only a row whose first cell is NaN can
+        be all-NaN); a custom validator, or a list of raw rows, is
+        judged row by row.
+        """
+        keep = np.ones(len(xs), dtype=bool)
+        if self.dlq is not None:
+            if (
+                isinstance(xs, np.ndarray) and self.validator is None
+                and xs.shape[1] and self.expected_dim in (None, xs.shape[1])
+            ):
+                suspects = np.flatnonzero(np.isnan(xs[:, 0]))
+            else:
+                suspects = range(len(xs))
+            for i in suspects:
+                keep[i] = self._valid(
+                    np.array(xs[i], dtype=np.float64), int(seqs[i])
+                )
+        if self._valve is not None:
+            admit = self._valve.admit_n
+            for i in np.flatnonzero(keep):
+                keep[i] = admit()
+        return keep
+
+    def _valid(self, x: np.ndarray, seq: int) -> bool:
+        """Judge one row; a poison row goes to the dead-letter queue."""
+        if self.validator is None:
+            reason = row_poison_reason(x, self.expected_dim)
+        else:
+            reason = self.validator(_observation(x, seq), self.expected_dim)
+        if reason is None:
+            return True
+        self._n_quarantined += 1
+        self.dlq.quarantine(self.name, reason, {"x": x, "seq": seq}, seq)
+        return False
 
 
 class CSVFileSource(Source):
@@ -249,7 +322,13 @@ class CSVFileSource(Source):
 
     def generate(self) -> Iterator[StreamTuple]:
         rows = (x for path in self.paths for x in read_vectors_csv(path))
-        return _emit(enumerate(rows), self.batch_size, self.name)
+        first = next(rows, None)
+        if first is None:
+            return iter(())
+        stream = VectorStream.from_iterable(
+            itertools.chain([first], rows), dim=first.size
+        )
+        return _emit(stream, self.batch_size)
 
 
 class DirectorySource(CSVFileSource):

@@ -68,3 +68,43 @@ class TestVectorStream:
     def test_from_array_validation(self):
         with pytest.raises(ValueError):
             VectorStream.from_array(np.zeros(5))
+
+
+class TestBlockFace:
+    def test_array_blocks_are_owned_float64_slices(self):
+        x = np.arange(20).reshape(10, 2)
+        blocks = list(VectorStream.from_array(x).blocks(4))
+        assert [b.shape for b in blocks] == [(4, 2), (4, 2), (2, 2)]
+        assert all(b.dtype == np.float64 for b in blocks)
+        np.testing.assert_array_equal(np.vstack(blocks), x)
+        blocks[0][0, 0] = -1.0
+        assert x[0, 0] == 0
+
+    def test_rows_and_blocks_share_one_cursor(self):
+        x = np.arange(20.0).reshape(10, 2)
+        for vs in (
+            VectorStream.from_array(x),
+            VectorStream.from_iterable(iter(x), dim=2),
+        ):
+            rows = iter(vs)
+            assert next(rows)[0] == 0.0
+            first = next(vs.blocks(3))
+            np.testing.assert_array_equal(first, x[1:4])
+            assert next(rows)[0] == 8.0
+            np.testing.assert_array_equal(vs.take(10), x[5:])
+
+    def test_iterator_rows_are_checked_before_stacking(self):
+        ok = VectorStream.from_iterable([[1.0, 2.0], np.ones(2)], dim=2)
+        np.testing.assert_array_equal(
+            next(ok.blocks(8)), [[1.0, 2.0], [1.0, 1.0]]
+        )
+        wide = VectorStream.from_iterable([np.ones(2), np.ones(3)], dim=2)
+        with pytest.raises(ValueError, match="dim changed from 2 to 3"):
+            next(wide.blocks(8))
+        nested = VectorStream.from_iterable([np.ones((1, 2))], dim=2)
+        with pytest.raises(ValueError, match="expected a vector"):
+            next(nested.blocks(8))
+
+    def test_block_size_must_be_positive(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            next(VectorStream.from_array(np.zeros((3, 2))).blocks(0))

@@ -15,9 +15,16 @@ import json
 import socket
 import time
 
+import numpy as np
 import pytest
 
-from repro.serving import PCAService, ServingConfig, ServingServer
+from repro.serving import (
+    PCAService,
+    ServingClient,
+    ServingConfig,
+    ServingServer,
+    TenantSpec,
+)
 from repro.streams import (
     OBSERVABILITY_ROUTES,
     ObservabilityServer,
@@ -182,6 +189,26 @@ class TestTransportContract:
             # server down.
             assert _get(sock, "/health")[0] == 200
         assert server.n_errors == 1
+
+    def test_stop_with_a_keep_alive_connection_open_is_quiet(
+        self, front_end, capfd, caplog
+    ):
+        """stop() cancels the handler of a connection still open; that
+        must not surface as asyncio's "Exception in callback" traceback
+        (printed to stderr, or logged where pytest captures logging)."""
+        server, _ = front_end
+        if isinstance(server, ServingServer):
+            server.service.add_tenant(TenantSpec("t", n_components=2))
+            client = ServingClient(server.host, server.port)
+            rows = np.random.default_rng(0).standard_normal((16, 8))
+            assert client.ingest("t", rows).code == 202
+        else:
+            client = _connect(server)
+            assert _get(client, "/metrics")[0] == 200
+        with client:
+            server.stop()
+        output = capfd.readouterr().err + caplog.text
+        assert "Exception in callback" not in output
 
 
 class TestFrontEndSurface:

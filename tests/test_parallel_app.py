@@ -95,6 +95,37 @@ class TestParallelRunner:
         tp = len(truth & flagged)
         assert tp / len(truth) > 0.85
 
+    def test_per_row_diagnostics_are_built_on_first_read(
+        self, block_diag_case, monkeypatch
+    ):
+        """A run keeps the sink's block tuples; the per-row dicts are
+        expanded once, when ``diagnostics`` is first read, and
+        ``outlier_seqs`` never needs them."""
+        import repro.parallel.runner as runner_mod
+
+        x, make_runner = block_diag_case
+        expand = runner_mod.expand_diagnostics
+        calls = []
+
+        def counting(tuples):
+            calls.append(1)
+            return expand(tuples)
+
+        monkeypatch.setattr(runner_mod, "expand_diagnostics", counting)
+        result = make_runner().run(VectorStream.from_array(x))
+        assert calls == []
+        flagged = result.outlier_seqs()
+        assert calls == []
+        assert set(flagged.tolist()) >= {90, 205, 333}
+
+        eager = expand(result.diagnostic_tuples)
+        assert result.diagnostics == eager
+        assert result.diagnostics is result.diagnostics
+        assert calls == [1]
+        assert flagged.tolist() == sorted(
+            d["seq"] for d in eager if d["is_outlier"]
+        )
+
     def test_engine_reports(self, model, data):
         runner = ParallelStreamingPCA(3, n_engines=3, alpha=0.995)
         result = runner.run(VectorStream.from_array(data))

@@ -238,6 +238,62 @@ class TestGuardedVectorSource:
         assert src.state == "open"
 
 
+class TestGuardsOnArrayBlocks:
+    """An array-backed stream's blocks are judged in bulk (the default
+    validator clears whole blocks in one call); every verdict, dead
+    letter and valve token must be the per-row path's."""
+
+    @staticmethod
+    def _rows():
+        x = np.random.default_rng(8).standard_normal((300, 6))
+        x[[5, 40, 99, 150]] = np.nan       # no information: poison
+        x[7, 0] = np.nan                   # a gap in the first cell
+        x[63, 2:] = np.nan                 # a gappy row
+        return x
+
+    def _run(self, x, batch_size, from_array, **kw):
+        ticks = iter(np.arange(0.0, 10.0, 0.001))
+        stream = (
+            VectorStream.from_array(x) if from_array
+            else VectorStream.from_iterable(list(x), dim=x.shape[1])
+        )
+        src = GuardedVectorSource(
+            "src", stream, batch_size=batch_size, clock=lambda: next(ticks),
+            **kw,
+        )
+        out = list(src.generate())
+        if batch_size > 1:
+            assert all(t["count"] == batch_size for t in out[:-1])
+            seqs = [s for t in out for s in t["seqs"].tolist()]
+            parts = [t["xs"] for t in out]
+        else:
+            seqs = [t["seq"] for t in out]
+            parts = [t["x"][None, :] for t in out]
+        rows = np.concatenate(parts + [np.zeros((0, x.shape[1]))])
+        records = [(r.seq, r.reason) for r in src.dlq.records] if src.dlq else []
+        shed = (src.n_shed, src.n_trips) if "max_rate_hz" in kw else None
+        return seqs, rows, records, shed
+
+    @pytest.mark.parametrize("kw", [
+        {"expected_dim": 6},
+        {"expected_dim": 6, "max_rate_hz": 400.0, "burst_s": 0.05,
+         "open_for_s": 0.03},
+        {"expected_dim": 5},
+        {"validator": lambda tup, dim: "odd" if tup["seq"] % 3 else None},
+        {"quarantine": False, "max_rate_hz": 300.0, "burst_s": 0.05},
+    ], ids=["default", "default+valve", "wrong-dim", "custom", "valve-only"])
+    def test_block_verdicts_equal_the_per_row_path(self, kw):
+        x = self._rows()
+        seqs, rows, records, shed = self._run(x, 0, False, **kw)
+        for from_array in (True, False):
+            got = self._run(x, 16, from_array, **kw)
+            assert got[0] == seqs
+            np.testing.assert_array_equal(got[1], rows)
+            assert got[2:] == (records, shed)
+        if kw.get("expected_dim") == 6 and "max_rate_hz" not in kw:
+            assert [s for s, _ in records] == [5, 40, 99, 150]
+
+
 class TestGraphWiring:
     """The resilience stages inside the full parallel application."""
 

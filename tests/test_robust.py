@@ -1,8 +1,12 @@
 """Tests for the robust incremental PCA — the paper's core algorithm."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     IncrementalPCA,
     RobustEigenvalueEstimator,
@@ -364,3 +368,39 @@ class TestRobustInit:
         # Keep updating without explosions.
         est.partial_fit(rng.standard_normal((200, 40)))
         assert np.all(est.eigenvalues_ < 100)
+
+
+class TestBlockStepBudget:
+    """The interpreter work of the block step.
+
+    Everything the block step does between its BLAS calls holds the GIL,
+    so engine threads overlap only as far as that glue is short.  A
+    clean 64-row chunk is budgeted in Python-level calls into ``repro``
+    (numpy's own wrappers are not counted, so the budget does not move
+    with the numpy version); the budget is the same at both widths
+    because the glue does not depend on ``d``.
+    """
+
+    BUDGET = 8
+
+    @pytest.mark.parametrize("d", [32, 1000])
+    def test_clean_chunk_stays_within_the_call_budget(self, d):
+        rng = np.random.default_rng(3)
+        est = RobustIncrementalPCA(4, alpha=0.999)
+        est.update_block(rng.standard_normal((64, d)))
+        assert est.is_initialized
+        block = rng.standard_normal((64, d))
+        root = os.path.dirname(repro.__file__) + os.sep
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                calls.append(frame.f_code.co_qualname)
+
+        sys.setprofile(profile)
+        try:
+            result = est.update_block(block)
+        finally:
+            sys.setprofile(None)
+        assert result.n_processed == 64
+        assert len(calls) <= self.BUDGET, calls
