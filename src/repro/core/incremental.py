@@ -116,6 +116,11 @@ class BlockUpdateResult:
         Rows skipped outright (e.g. too few observed entries).
     n_filled:
         Total missing entries gap-filled across the block.
+    n_gap_rows:
+        Rows of the block with any non-finite entry — gap-filled, skipped
+        as too gappy, or buffered by warm-up.  Counted from the mask the
+        gap handling computes anyway; an estimator without gap handling
+        (the classical one) reports 0.
     indices:
         For each processed row, its position within the block passed to
         ``update_block`` — maps diagnostics back to source rows even
@@ -130,6 +135,7 @@ class BlockUpdateResult:
     n_buffered: int = 0
     n_skipped: int = 0
     n_filled: int = 0
+    n_gap_rows: int = 0
     indices: np.ndarray | None = None
 
     @property
@@ -138,7 +144,9 @@ class BlockUpdateResult:
         return int(np.count_nonzero(self.is_outlier))
 
     @staticmethod
-    def empty(n_buffered: int = 0, n_skipped: int = 0) -> "BlockUpdateResult":
+    def empty(
+        n_buffered: int = 0, n_skipped: int = 0, n_gap_rows: int = 0
+    ) -> "BlockUpdateResult":
         """A result covering no processed rows (warm-up-only blocks)."""
         return BlockUpdateResult(
             weights=np.zeros(0),
@@ -148,6 +156,7 @@ class BlockUpdateResult:
             n_processed=0,
             n_buffered=n_buffered,
             n_skipped=n_skipped,
+            n_gap_rows=n_gap_rows,
             indices=np.zeros(0, dtype=np.int64),
         )
 
@@ -176,6 +185,7 @@ class BlockUpdateResult:
             n_buffered=sum(p.n_buffered for p in parts),
             n_skipped=sum(p.n_skipped for p in parts),
             n_filled=sum(p.n_filled for p in parts),
+            n_gap_rows=sum(p.n_gap_rows for p in parts),
             indices=indices,
         )
 

@@ -293,10 +293,14 @@ class RobustIncrementalPCA:
             if self.n_skipped == skipped_before:
                 n_buffered += 1
         warm_skipped = i - n_buffered
+        warm_gaps = (
+            int(np.count_nonzero(~np.isfinite(x[:i]).all(axis=1))) if i else 0
+        )
         n = x.shape[0]
         if n == i or self._state is None:
             return BlockUpdateResult.empty(
-                n_buffered=n_buffered, n_skipped=warm_skipped
+                n_buffered=n_buffered, n_skipped=warm_skipped,
+                n_gap_rows=warm_gaps,
             )
         limit = self._chunk_limit()
         if n - i <= limit:
@@ -306,11 +310,12 @@ class RobustIncrementalPCA:
                 self._update_block_initialized(x[lo : lo + limit], lo)
                 for lo in range(i, n, limit)
             ])
-        if n_buffered or warm_skipped:
+        if i:
             result = replace(
                 result,
                 n_buffered=result.n_buffered + n_buffered,
                 n_skipped=result.n_skipped + warm_skipped,
+                n_gap_rows=result.n_gap_rows + warm_gaps,
             )
         return result
 
@@ -579,6 +584,7 @@ class RobustIncrementalPCA:
         mask = np.isfinite(x)
         n_skipped = 0
         n_filled = 0
+        n_gap_rows = 0
         kept_idx = np.arange(offset, offset + x.shape[0], dtype=np.int64)
         if not mask.all():
             if not self.handle_gaps:
@@ -594,11 +600,16 @@ class RobustIncrementalPCA:
                 mask = mask[keep]
                 kept_idx = kept_idx[keep]
                 if x.shape[0] == 0:
-                    return BlockUpdateResult.empty(n_skipped=n_skipped)
+                    return BlockUpdateResult.empty(
+                        n_skipped=n_skipped, n_gap_rows=n_skipped
+                    )
             fill = fill_block_from_basis(x, st.mean, basis_p, mask=mask)
             x = fill.filled
             n_filled = fill.n_filled
             gappy_rows = fill.gappy_rows
+            # A skipped row is gappy by construction (a complete row
+            # always passes the observed-fraction floor).
+            n_gap_rows = n_skipped + int(gappy_rows.size)
         k = x.shape[0]
 
         # --- residuals and robust weights (against the block-start state)
@@ -662,6 +673,7 @@ class RobustIncrementalPCA:
             n_processed=k,
             n_skipped=n_skipped,
             n_filled=n_filled,
+            n_gap_rows=n_gap_rows,
             indices=kept_idx,
         )
 

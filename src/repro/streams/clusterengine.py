@@ -110,7 +110,7 @@ from .engine import (
     SynchronousEngine,
     ThreadedEngine,
     _final_report,
-    _RowQueue,
+    row_weight,
 )
 from .graph import Graph
 from .operators import Operator, Sink, Source
@@ -152,12 +152,6 @@ _WINDOW_ROWS = 8 * 64
 #: the end of every inbound frame), so the window refills while the
 #: host still has rows to work on.
 _ACK_ROWS = _WINDOW_ROWS // 4
-
-
-def _rows(tup: StreamTuple) -> int:
-    """What ``tup`` weighs against the window: a data tuple its rows (a
-    block its ``count``), control and punctuation nothing."""
-    return _RowQueue._weight(tup.payload) if tup.is_data else 0
 
 
 def _close(sock: socket.socket) -> None:
@@ -274,7 +268,7 @@ class _ChannelSource(Source):
                     out = self._portmap[(dst, int(port))]
                     counters["received"] += 1
                     yield StreamTuple.control(out=out, tup=tup)
-                    rows = _rows(tup)
+                    rows = row_weight(tup)
                     counters["consumed"] += rows
                     unacked += rows
                     if unacked >= _ACK_ROWS:
@@ -910,7 +904,7 @@ class ClusterEngine(ThreadedEngine):
         if tup.is_punctuation:
             self._sent_puncts.setdefault(loc, set()).add((dst_name, dst_port))
         self._links[loc].enqueue(
-            (dst_name, dst_port, to_wire(tup)), _rows(tup), self._stop
+            (dst_name, dst_port, to_wire(tup)), row_weight(tup), self._stop
         )
 
     def _remote_depth(self, loc: int) -> int:
@@ -1017,7 +1011,7 @@ class ClusterEngine(ThreadedEngine):
                     # Star relay for host→host edges (unused by the PCA
                     # app, but the protocol supports arbitrary cuts).
                     self._links[loc].enqueue(
-                        (dst, int(port), wire), _rows(tup)
+                        (dst, int(port), wire), row_weight(tup)
                     )
                 # Counted once it is on the local ledger, so the two
                 # never both read "nothing in flight" for this tuple.

@@ -53,7 +53,6 @@ thread promptly without draining.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
@@ -292,36 +291,88 @@ class SynchronousEngine:
         return stats
 
 
-class _RowQueue(queue.Queue):
-    """An inbox whose depth and bound count rows: a block tuple weighs
-    its ``count``, any other tuple 1.  A put is admitted whenever the
-    depth is below the bound, so a block larger than the whole bound
-    passes (alone) instead of wedging, and the depth overshoots the
-    bound by less than one block."""
+def row_weight(tup: StreamTuple) -> int:
+    """What ``tup`` weighs against a row bound — a PE inbox's or a
+    cluster link's window: a data block its ``count`` (at least 1), any
+    other data tuple 1, control and punctuation nothing.  A weightless
+    tuple never waits for room, so a control cycle (the sync loop)
+    cannot deadlock on a bound."""
+    if not tup.is_data:
+        return 0
+    payload = tup.payload
+    return max(int(payload["count"]), 1) if "xs" in payload else 1
 
-    def _init(self, maxsize: int) -> None:
-        super()._init(maxsize)
+
+class _Inbox:
+    """A PE's inbox: bounded in rows, handed over by the burst.
+
+    * The depth (:meth:`qsize`) counts a tuple's :func:`row_weight` from
+      its put until its dispatch has *finished* (:meth:`done`), so the
+      rows a PE holds — queued or in hand — are what the bound limits.
+    * A put is admitted whenever the depth is below the bound: a block
+      larger than the whole bound passes (alone) instead of wedging, and
+      the depth overshoots the bound by less than one block.  Control
+      and punctuation weigh nothing and are always admitted.
+    * :meth:`take` hands the consumer everything queued under one lock
+      acquisition — one wake-up per backlog, not one per tuple.
+    * A producer blocked on a full inbox is woken once the depth has
+      fallen to half the bound, so it refills in a burst too.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self._low = bound // 2
+        self._items: deque[tuple[Operator, int, StreamTuple, int]] = deque()
         self._rows = 0
+        self._blocked = 0
+        lock = threading.Lock()
+        self._ready = threading.Condition(lock)
+        self._room = threading.Condition(lock)
 
-    def _qsize(self) -> int:
+    def qsize(self) -> int:
         return self._rows
 
-    def _put(self, item) -> None:
-        super()._put(item)
-        self._rows += self._weight(item[2].payload)
+    def put(
+        self, dst: Operator, port: int, tup: StreamTuple, timeout: float
+    ) -> bool:
+        """Queue one tuple; ``False`` if the inbox stayed full for
+        ``timeout`` seconds."""
+        rows = row_weight(tup)
+        with self._room:
+            if rows and self._rows >= self.bound:
+                self._blocked += 1
+                self._room.wait(timeout)
+                self._blocked -= 1
+                if self._rows >= self.bound:
+                    return False
+            self._items.append((dst, port, tup, rows))
+            self._rows += rows
+            self._ready.notify()
+        return True
 
-    def _get(self):
-        item = super()._get()
-        self._rows -= self._weight(item[2].payload)
-        return item
+    def take(self, timeout: float = 0.0) -> deque:
+        """Everything queued, in order — empty if nothing arrived within
+        ``timeout``.  Each tuple stays on the depth until :meth:`done`."""
+        with self._ready:
+            if not self._items and timeout:
+                self._ready.wait(timeout)
+            items, self._items = self._items, deque()
+        return items
 
-    @staticmethod
-    def _weight(payload) -> int:
-        return max(int(payload["count"]), 1) if "xs" in payload else 1
+    def done(self, rows: int) -> None:
+        """A taken tuple of ``rows`` rows has been dispatched."""
+        with self._room:
+            self._rows -= rows
+            if self._blocked and self._rows <= self._low:
+                self._room.notify_all()
 
 
 class _PERunner(threading.Thread):
     """Thread executing one processing element's inbox loop.
+
+    Each wake-up takes the inbox's whole backlog and dispatches it in
+    order, popping each tuple as it goes (a dispatched block is not kept
+    alive to the end of the batch) and honouring ``stop`` between tuples.
 
     Completion follows the run protocol: when all of the PE's operators
     have closed the runner raises its ``quiesced`` flag but *keeps
@@ -332,7 +383,7 @@ class _PERunner(threading.Thread):
     def __init__(
         self,
         pe: ProcessingElement,
-        inbox: "queue.Queue[tuple[Operator, int, StreamTuple]]",
+        inbox: _Inbox,
         engine: "ThreadedEngine",
     ) -> None:
         super().__init__(name=f"pe-{pe.pe_id}", daemon=True)
@@ -340,6 +391,7 @@ class _PERunner(threading.Thread):
         self.inbox = inbox
         self.engine = engine
         self.quiesced = threading.Event()
+        self._batch: deque = deque()
 
     def _check_quiesced(self) -> None:
         if not self.quiesced.is_set() and all(
@@ -347,22 +399,32 @@ class _PERunner(threading.Thread):
         ):
             self.quiesced.set()
 
+    def _dispatch_batch(self, stop: threading.Event | None) -> None:
+        """Dispatch the taken batch in order; returns early, leaving the
+        rest in ``_batch``, once ``stop`` (if given) is set."""
+        eng, batch, done = self.engine, self._batch, self.inbox.done
+        while batch:
+            if stop is not None and stop.is_set():
+                return
+            dst, port, tup, rows = batch.popleft()
+            try:
+                eng._dispatch(dst, tup, port)
+            finally:
+                done(rows)
+                eng._tuple_done()
+
     def run(self) -> None:
         eng = self.engine
         stop, finish = eng._stop, eng._finish
         try:
             while not stop.is_set():
-                try:
-                    dst, port, tup = self.inbox.get(timeout=0.02)
-                except queue.Empty:
+                self._batch = self.inbox.take(timeout=0.02)
+                if not self._batch:
                     self._check_quiesced()
                     if finish.is_set():
                         break
                     continue
-                try:
-                    eng._dispatch(dst, tup, port)
-                finally:
-                    eng._tuple_done()
+                self._dispatch_batch(stop)
                 self._check_quiesced()
         except EngineAborted:
             pass
@@ -375,7 +437,8 @@ class _PERunner(threading.Thread):
             self.quiesced.set()
 
     def _drain_remaining(self) -> None:
-        """Process stragglers left in the inbox at exit time.
+        """Process stragglers left at exit time: the rest of the batch
+        in hand, then the inbox.
 
         On the normal path the coordinator guarantees the inbox is empty
         before ``finish``, so this is a no-op; it matters when the loop
@@ -388,14 +451,11 @@ class _PERunner(threading.Thread):
             return
         try:
             while True:
-                try:
-                    dst, port, tup = self.inbox.get_nowait()
-                except queue.Empty:
-                    return
-                try:
-                    eng._dispatch(dst, tup, port)
-                finally:
-                    eng._tuple_done()
+                if not self._batch:
+                    self._batch = self.inbox.take()
+                    if not self._batch:
+                        return
+                self._dispatch_batch(None)
         except EngineAborted:
             pass
         except BaseException as exc:
@@ -539,12 +599,12 @@ class ThreadedEngine:
     fusion:
         PE assignment; default :meth:`FusionPlan.per_operator`.
     queue_size:
-        Bound of each inter-PE queue (backpressure) in **rows** — a
-        block tuple counts its rows, any other tuple one — so what an
-        inbox can hold does not grow with the batch size; the
-        ``least_loaded`` probe, the backpressure sampler and the stall
-        report read the same unit.  Control loops stay well below it
-        by construction.
+        Bound of each inter-PE queue (backpressure) in **rows**
+        (:func:`row_weight`), counted until a tuple's dispatch has
+        finished, so what a PE can hold does not grow with the batch
+        size; the ``least_loaded`` probe, the backpressure sampler and
+        the stall report read the same unit.  Control tuples weigh
+        nothing and never wait, so control loops cannot deadlock on it.
     supervisor:
         Optional :class:`~repro.streams.supervision.Supervisor` applying
         per-operator failure policies (retry / skip / checkpoint-restart)
@@ -629,7 +689,7 @@ class ThreadedEngine:
         self._main_pes = list(self.fusion.pes)
         self._local_ops = list(graph.operators)
         self._remote_ops: dict[int, list[Operator]] = {}
-        self._inboxes: dict[int, queue.Queue] = {}
+        self._inboxes: dict[int, _Inbox] = {}
         self._pe_of: dict[int, ProcessingElement] = {}
         self._pe_of_id: dict[int, str] = {}
         self._stop = threading.Event()
@@ -725,44 +785,41 @@ class ThreadedEngine:
                 return
         self._deliver(dst, tup, port)
 
-    def _put(self, pe_id: int, item) -> None:
+    def _put(
+        self, pe_id: int, dst: Operator, port: int, tup: StreamTuple
+    ) -> None:
         """Blocking put that aborts promptly when the engine stops."""
         inbox = self._inboxes[pe_id]
-        if self._tracer is not None and self._tracer.ctx_of(item[2]) is not None:
+        if self._tracer is not None and self._tracer.ctx_of(tup) is not None:
             # Queue-wait clock starts now, so the span includes any time
             # this producer spends blocked on a full inbox.
-            self._tracer.note_enqueued(item[2], self._pe_of_id[pe_id])
+            self._tracer.note_enqueued(tup, self._pe_of_id[pe_id])
         with self._inflight_lock:
             self._inflight += 1
         started = time.perf_counter() if self._profile else 0.0
-        while True:
-            try:
-                inbox.put(item, timeout=0.05)
-            except queue.Full:
-                if self._stop.is_set():
-                    with self._inflight_lock:
-                        self._inflight -= 1
-                    raise EngineAborted from None
-                continue
-            if self._profile:
-                # Waiting on a full inbox is backpressure, not the
-                # emitting operator's work.
-                note_child_time(time.perf_counter() - started)
-            if self._watchdog is not None:
-                self._watchdog.poke()
-            return
+        while not inbox.put(dst, port, tup, timeout=0.05):
+            if self._stop.is_set():
+                with self._inflight_lock:
+                    self._inflight -= 1
+                raise EngineAborted
+        if self._profile:
+            # Waiting on a full inbox is backpressure, not the emitting
+            # operator's work.
+            note_child_time(time.perf_counter() - started)
+        if self._watchdog is not None:
+            self._watchdog.poke()
 
     def _inject(self, dst_name: str, tup: StreamTuple, port: int) -> None:
         """Hand a tuple that arrived from a remote end to a local operator."""
         dst = self._ops_by_name[dst_name]
-        self._put(self._pe_of[id(dst)].pe_id, (dst, port, tup))
+        self._put(self._pe_of[id(dst)].pe_id, dst, port, tup)
 
     # -- wiring ---------------------------------------------------------
 
     def _wire(self) -> None:
         tracer = self._tracer
         for pe in self._main_pes:
-            self._inboxes[pe.pe_id] = _RowQueue(maxsize=self.queue_size)
+            self._inboxes[pe.pe_id] = _Inbox(self.queue_size)
             self._pe_of_id[pe.pe_id] = pe.label()
             for op in pe.operators:
                 self._pe_of[id(op)] = pe
@@ -795,7 +852,7 @@ class ThreadedEngine:
                         # Fused edge: zero-copy, same-thread call.
                         self._dispatch(dst, tup, in_port)
                     else:
-                        self._put(dst_pe.pe_id, (dst, in_port, tup))
+                        self._put(dst_pe.pe_id, dst, in_port, tup)
 
             # Only operators with an off-process successor pay for the
             # transport seam; an all-local graph binds the plain emit.

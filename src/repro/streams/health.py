@@ -199,17 +199,19 @@ class HealthMonitor:
         """:meth:`note_rows` for one ``(k, d)`` block and the
         :class:`~repro.core.incremental.BlockUpdateResult` of folding it
         in (a warm-up block carries no weights or residuals).  A gap row
-        is one with any non-finite cell — what the estimator patches."""
-        n_gaps = int(np.count_nonzero(~np.isfinite(xs).all(axis=1)))
+        is one with any non-finite cell — what the estimator patches; an
+        updating block reports them (``result.n_gap_rows``, from the mask
+        the estimator already built), a warm-up block is scanned here."""
         if result.n_processed:
             self.note_rows(
                 xs.shape[0],
-                n_gap_rows=n_gaps,
+                n_gap_rows=result.n_gap_rows,
                 n_outliers=result.n_outliers,
                 weight_sum=float(np.sum(result.weights)),
                 r2_sum=float(np.sum(result.residual_norm2)),
             )
         else:
+            n_gaps = int(np.count_nonzero(~np.isfinite(xs).all(axis=1)))
             self.note_rows(xs.shape[0], n_gap_rows=n_gaps)
 
     def maybe_check(self, estimator) -> bool:

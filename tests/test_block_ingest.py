@@ -275,9 +275,10 @@ class TestInboxesBoundRows:
                 if src.tuples_out != emitted_blocks:
                     emitted_blocks, since = src.tuples_out, time.monotonic()
                 time.sleep(0.01)
-            # 64 rows queued (4 blocks), one block held by the stalled
-            # stage, one in the source's blocked put — not 64 *tuples*.
-            assert emitted_blocks == 64 // self.BLOCK + 2
+            # 64 rows at the stage (the block its stalled dispatch holds
+            # counts until dispatched, plus three queued), one block in
+            # the source's blocked put — not 64 *tuples*.
+            assert emitted_blocks == 64 // self.BLOCK + 1
         finally:
             gate.set()
             runner.join(timeout=30.0)

@@ -2,13 +2,18 @@
 contract the threaded coordinator hands down to process and cluster."""
 
 import multiprocessing as mp
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro.streams.engine as engine_mod
+from repro.core.robust import RobustIncrementalPCA
+from repro.data import PlantedSubspaceModel
 from repro.data.streams import VectorStream
+from repro.parallel import build_parallel_pca_graph
 from repro.streams import (
     CollectingSink,
     Functor,
@@ -22,7 +27,7 @@ from repro.streams import (
     Union,
     VectorSource,
 )
-from repro.streams.operators import Sink, Source
+from repro.streams.operators import Operator, Sink, Source
 from repro.streams.tuples import StreamTuple
 
 
@@ -189,6 +194,209 @@ class TestThreadedEngine:
         g, _ = _fan_graph(x)
         with pytest.raises(ValueError, match="queue_size"):
             ThreadedEngine(g, queue_size=0)
+
+
+class _Gate(Operator):
+    """Forwards tuples; the first data tuple waits for ``gate`` (and
+    sets ``entered`` while it does)."""
+
+    def __init__(self, name, gate):
+        super().__init__(name)
+        self.gate = gate
+        self.entered = threading.Event()
+
+    def process(self, tup, port):
+        self.entered.set()
+        assert self.gate.wait(30.0)
+        self.submit(tup)
+
+
+class _ThenBurst(Source):
+    """One tuple, then — once ``after`` is set — ``n - 1`` more."""
+
+    def __init__(self, name, n, after):
+        super().__init__(name)
+        self.n = n
+        self.after = after
+
+    def generate(self):
+        yield StreamTuple.data(x=np.zeros(1))
+        assert self.after.wait(10.0)
+        for _ in range(self.n - 1):
+            yield StreamTuple.data(x=np.zeros(1))
+
+
+def _gated_pipe(src, gate):
+    g = Graph("gated")
+    src = g.add(src)
+    stage = g.add(_Gate("stage", gate))
+    sink = g.add(CollectingSink("sink"))
+    g.connect(src, stage)
+    g.connect(stage, sink)
+    return g, stage, sink
+
+
+def _pe_id(engine, op):
+    return next(pe.pe_id for pe in engine.fusion.pes if op in pe.operators)
+
+
+def _wait_for(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.005)
+
+
+class TestInbox:
+    """A PE inbox hands work over by the burst: its consumer takes the
+    whole backlog per wake-up, a blocked producer is woken once the
+    depth has fallen to half the bound, and a tuple counts on the depth
+    until its dispatch has finished."""
+
+    def test_released_consumer_takes_the_backlog_in_one_wakeup(
+        self, monkeypatch
+    ):
+        handed = {}
+        take = engine_mod._Inbox.take
+
+        def counting_take(inbox, timeout=0.0):
+            items = take(inbox, timeout)
+            if items:
+                handed.setdefault(id(inbox), []).append(len(items))
+            return items
+
+        monkeypatch.setattr(engine_mod._Inbox, "take", counting_take)
+        gate, entered = threading.Event(), threading.Event()
+        src = _ThenBurst("src", 40, entered)
+        g, stage, sink = _gated_pipe(src, gate)
+        stage.entered = entered
+        engine = ThreadedEngine(g, queue_size=64)
+        runner = threading.Thread(target=engine.run, daemon=True)
+        runner.start()
+        try:
+            # The rest (39 rows + end-of-stream) queue behind the gate.
+            _wait_for(lambda: src.tuples_out == 41)
+        finally:
+            gate.set()
+            runner.join(timeout=30.0)
+        assert len(sink.tuples) == 40
+        stage_inbox = engine._inboxes[_pe_id(engine, stage)]
+        # The wake-up that met the gate, then one for the whole backlog.
+        assert handed[id(stage_inbox)] == [1, 40]
+
+    def test_blocked_producer_woken_once_per_half_bound(self, monkeypatch):
+        n, bound = 400, 16
+        waits = []
+        wait = threading.Condition.wait
+
+        def counting_wait(cond, timeout=None):
+            if threading.current_thread().name == "src-src":
+                waits.append(timeout)
+            return wait(cond, timeout)
+
+        monkeypatch.setattr(threading.Condition, "wait", counting_wait)
+
+        class SlowSink(Sink):
+            def __init__(self):
+                super().__init__("sink")
+                self.n = 0
+
+            def consume(self, tup, port):
+                time.sleep(0.0003)
+                self.n += 1
+
+        g = Graph("slow")
+        src = g.add(
+            VectorSource("src", VectorStream.from_array(np.zeros((n, 2))))
+        )
+        sink = g.add(SlowSink())
+        g.connect(src, sink)
+        ThreadedEngine(g, queue_size=bound).run(timeout_s=30)
+        assert sink.n == n
+        # ~(n - bound) / (bound / 2) = 48 wake-ups; one per tuple drained
+        # would be ~384.
+        assert 0 < len(waits) <= 1.5 * n / (bound // 2)
+
+    def test_tuple_in_hand_counts_on_the_depth(self):
+        gate = threading.Event()
+        g, stage, sink = _gated_pipe(VectorSource(
+            "src", VectorStream.from_array(np.zeros((16, 2))), batch_size=16
+        ), gate)
+        engine = ThreadedEngine(g, queue_size=64)
+        runner = threading.Thread(target=engine.run, daemon=True)
+        runner.start()
+        try:
+            assert stage.entered.wait(10.0)
+            # The one block is in the stage's hands, not in its queue.
+            assert engine._inboxes[_pe_id(engine, stage)].qsize() == 16
+        finally:
+            gate.set()
+            runner.join(timeout=30.0)
+        assert sum(t["count"] for t in sink.tuples) == 16
+
+    #: Wall budget of 50 runs (~2–4 s on 2 vCPUs).  The put and take
+    #: polls would paper over a lost wake-up at 50 ms a time, so one
+    #: shows up as a blown budget, not as a hang.
+    BUDGET_S = 20.0
+
+    @pytest.fixture
+    def busy_switching(self):
+        """More threads than cores, and the interpreter switching
+        between them far more often than its 5 ms default."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.usefixtures("busy_switching")
+    @pytest.mark.parametrize("queue_size", [1, 16])
+    def test_no_lost_wakeup_through_a_per_operator_chain(self, queue_size):
+        deadline = time.monotonic() + self.BUDGET_S
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(20, 200))
+            g = Graph("chain")
+            prev = g.add(VectorSource(
+                "src", VectorStream.from_array(np.zeros((n, 2))),
+                batch_size=int(rng.choice([0, 3, 16])),
+            ))
+            for i in range(4):
+                stage = g.add(Functor(f"f{i}", _identity))
+                g.connect(prev, stage)
+                prev = stage
+            sink = g.add(CollectingSink("sink"))
+            g.connect(prev, sink)
+            ThreadedEngine(g, queue_size=queue_size).run(
+                timeout_s=max(deadline - time.monotonic(), 0.0)
+            )
+            got = sum(
+                t["count"] if "xs" in t.payload else 1 for t in sink.tuples
+            )
+            assert got == n, f"seed {seed}: {got} of {n} rows"
+
+    @pytest.mark.usefixtures("busy_switching")
+    @pytest.mark.parametrize("queue_size", [1, 16])
+    def test_no_lost_wakeup_through_the_fig2_graph(self, queue_size):
+        model = PlantedSubspaceModel(
+            dim=8, signal_variances=(9.0, 4.0), noise_std=0.3, seed=1
+        )
+        deadline = time.monotonic() + self.BUDGET_S
+        for seed in range(50):
+            x = model.sample(480, np.random.default_rng(seed))
+            app = build_parallel_pca_graph(
+                VectorStream.from_array(x), 2,
+                lambda i: RobustIncrementalPCA(2, alpha=0.98, init_size=20),
+                batch_size=16, split_seed=seed,
+            )
+            app.engine("threaded", queue_size=queue_size).run(
+                timeout_s=max(deadline - time.monotonic(), 0.0)
+            )
+            applied = sum(op.diagnostics()["n_local_rows"] for op in app.engines)
+            assert applied == 480, f"seed {seed}: {applied} of 480 rows"
+            assert sorted(app.controller.final_states) == [0, 1]
+            assert app.controller.stats.n_states_routed > 0
 
 
 class _FinalOnClose(Functor):

@@ -541,6 +541,86 @@ class TestHealthMonitor:
         assert 0.0 <= snap["affinity"] <= 1.0
 
 
+def _scanning_note_block(self, xs, result):
+    """``HealthMonitor.note_block`` as it was: an ``isfinite`` scan of
+    every block, whatever the estimator already knew."""
+    n_gaps = int(np.count_nonzero(~np.isfinite(xs).all(axis=1)))
+    if result.n_processed:
+        self.note_rows(
+            xs.shape[0], n_gap_rows=n_gaps, n_outliers=result.n_outliers,
+            weight_sum=float(np.sum(result.weights)),
+            r2_sum=float(np.sum(result.residual_norm2)),
+        )
+    else:
+        self.note_rows(xs.shape[0], n_gap_rows=n_gaps)
+
+
+class TestGapRowsFromTheEstimator:
+    """An updating block's gap rows come from the mask the estimator
+    builds anyway (``BlockUpdateResult.n_gap_rows``); the monitor's
+    ``gap_rate`` must read exactly what the per-block scan read."""
+
+    @staticmethod
+    def _gappy(n=1600, d=12):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((n, d)) * np.linspace(3.0, 0.5, d)
+        for i in rng.choice(np.arange(n), size=n // 5, replace=False):
+            x[i, rng.random(d) < 0.3] = np.nan
+        x[[2, 7, 11]] = np.nan              # gappy warm-up rows
+        x[[25, 400, 401, 900]] = np.nan     # too gappy: skipped
+        return x
+
+    @staticmethod
+    def _gap_rates(tel):
+        return [
+            e["gap_rate"] for e in tel.events.events()
+            if e.get("event") == "check"
+        ]
+
+    def _operator_rates(self, x):
+        app = build_parallel_pca_graph(
+            VectorStream.from_array(x), 2,
+            lambda i: RobustIncrementalPCA(3, init_size=20),
+            batch_size=32, split_strategy="round_robin",
+            health=True, health_check_every=64,
+        )
+        tel = Telemetry(TelemetryConfig())
+        SynchronousEngine(app.graph, telemetry=tel).run()
+        return self._gap_rates(tel)
+
+    def _tenant_rates(self, x):
+        from repro.serving.tenancy import TenantModel, TenantSpec
+
+        model = TenantModel(
+            TenantSpec("gappy", n_components=3, health_check_every=64)
+        )
+        tel = Telemetry(TelemetryConfig())
+        model.monitor.bind_telemetry(tel)
+        for lo in range(0, x.shape[0], 48):
+            model.apply_block(x[lo:lo + 48])
+        return self._gap_rates(tel)
+
+    @pytest.mark.parametrize("path", ["_operator_rates", "_tenant_rates"])
+    def test_gap_rate_matches_the_block_scan(self, path, monkeypatch):
+        x = self._gappy()
+        rates = getattr(self, path)(x)
+        monkeypatch.setattr(HealthMonitor, "note_block", _scanning_note_block)
+        scanned = getattr(self, path)(x)
+        assert len(rates) > 5
+        assert rates == scanned
+        assert any(0.0 < rate < 1.0 for rate in rates)
+
+    def test_result_counts_filled_skipped_and_warmup_gap_rows(self):
+        x = self._gappy()
+        est = RobustIncrementalPCA(3, init_size=20)
+        for lo in range(0, x.shape[0], 32):
+            block = x[lo:lo + 32]
+            result = est.update_block(block)
+            assert result.n_gap_rows == np.count_nonzero(
+                ~np.isfinite(block).all(axis=1)
+            )
+
+
 # ---------------------------------------------------------------------------
 # Rules + rule engine
 # ---------------------------------------------------------------------------
