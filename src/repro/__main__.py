@@ -201,7 +201,7 @@ def cluster_main(argv: list[str]) -> int:
     subspace through the parallel PCA graph, and gates on the subspace
     affinity of the merged global basis against a fault-free synchronous
     reference.  ``--kill-host`` / ``--flap`` run the cluster chaos
-    scenarios instead of the clean baseline — the CI ``cluster-smoke``
+    scenarios instead of the clean baseline — the CI ``remote-runtimes``
     job runs the kill variant with ``--affinity-min 0.98``.
     """
     parser = argparse.ArgumentParser(

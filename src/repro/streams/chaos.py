@@ -10,11 +10,10 @@ runtimes:
 
 * :class:`FaultSpec` — one declarative fault: an injector plan
   (``crash`` / ``delay`` / ``drop``), an engine blackout with state loss
-  (``kill_engine``, threaded/synchronous), a real ``SIGKILL`` of a
-  worker process (``worker_kill``, process runtime) or of a TCP engine
-  host (``host_kill``, cluster runtime), a severed-and-redialled host
-  channel (``netsplit``, cluster runtime), or input corruption
-  (``poison``).
+  (``kill_engine``, threaded/synchronous), a real ``SIGKILL`` of an
+  engine host (``host_kill``) or a severed-and-redialled host channel
+  (``netsplit``) on the runtimes that place operators on hosts
+  (process, cluster), or input corruption (``poison``).
 * :class:`ChaosScenario` — the full experiment: data model, graph
   configuration (membership, quarantine, shedding), runtime, and the
   fault list.  Everything is derived from ``seed`` so a report can be
@@ -78,14 +77,12 @@ FAULT_KINDS = (
     "drop",         # silently swallow tuples on `op`
     "kill_engine",  # blackout window + state loss on a PCA engine
                     # (threaded / synchronous runtimes)
-    "worker_kill",  # SIGKILL the worker process hosting `op` once the
-                    # controller has seen `at_tuple` messages (process)
     "host_kill",    # SIGKILL the engine-host process holding `op` once
                     # the controller has seen `at_tuple` messages
-                    # (cluster runtime: a full engine blackout over TCP)
+                    # (process / cluster: an engine blackout over TCP)
     "netsplit",     # sever the TCP channel of the host holding `op`
                     # once after it has received `at_tuple` frames; the
-                    # channel must redial with backoff (cluster runtime)
+                    # channel must redial with backoff (process / cluster)
     "poison",       # corrupt `duration` input rows (wrong dim / all-NaN)
 )
 
@@ -103,7 +100,7 @@ class FaultSpec:
     at_tuple:
         1-based trigger: the N-th ``process`` call on the target
         operator (injector kinds, ``kill_engine``) or the N-th message
-        seen by the sync controller (``worker_kill`` — worker-side tuple
+        seen by the sync controller (``host_kill`` — host-side tuple
         counts are invisible to the coordinator).
     duration:
         Window length in tuples (``kill_engine``, ``crash``/``delay``/
@@ -133,6 +130,18 @@ class FaultSpec:
             raise ValueError("at_tuple is 1-based and must be >= 1")
         if self.duration < 1:
             raise ValueError("duration must be >= 1")
+
+
+def _places_on_hosts(runtime: str) -> bool:
+    """Whether ``runtime`` places operators on engine hosts — the one
+    branch between in-process and host faults, read off the engine
+    class behind the runtime name."""
+    from ..parallel.app import ENGINE_CLASSES
+    from .clusterengine import ClusterEngine
+
+    if runtime not in ENGINE_CLASSES:
+        raise ValueError(f"unknown runtime {runtime!r}")
+    return issubclass(ENGINE_CLASSES[runtime], ClusterEngine)
 
 
 @dataclass
@@ -170,50 +179,38 @@ class ChaosScenario:
     #: Rows per block (``build_parallel_pca_graph(batch_size=)``); the
     #: loss accounting counts rows either way.
     batch_size: int = 0
-    #: Wall-clock ceiling for the run.  Generous: worker-restart
+    #: Wall-clock ceiling for the run.  Generous: host-restart
     #: scenarios on a loaded single-CPU CI box have been observed to
     #: need well over 120 s while still recovering correctly.
     timeout_s: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.runtime not in (
-            "synchronous", "threaded", "process", "cluster"
-        ):
-            raise ValueError(f"unknown runtime {self.runtime!r}")
+        remote = _places_on_hosts(self.runtime)
         self.faults = tuple(self.faults)
         for f in self.faults:
-            if f.kind == "worker_kill" and self.runtime != "process":
+            if f.kind in ("host_kill", "netsplit") and not remote:
                 raise ValueError(
-                    "worker_kill needs the process runtime; use "
-                    "kill_engine on threaded/synchronous or host_kill "
-                    "on cluster"
+                    f"{f.kind} needs a runtime that places operators on "
+                    f"hosts (process, cluster); use kill_engine on "
+                    f"{self.runtime}"
                 )
-            if (
-                f.kind in ("host_kill", "netsplit")
-                and self.runtime != "cluster"
-            ):
-                raise ValueError(
-                    f"{f.kind} needs the cluster runtime"
-                )
-            if f.kind == "kill_engine" and self.runtime in (
-                "process", "cluster"
-            ):
+            if f.kind == "kill_engine" and remote:
                 raise ValueError(
                     "kill_engine wraps the operator in-process; use "
-                    "worker_kill (process) or host_kill (cluster)"
+                    "host_kill on a runtime that places operators on hosts"
                 )
             if (
-                self.runtime in ("process", "cluster")
+                remote
                 and f.kind in ("crash", "delay", "drop")
                 and f.op is not None
                 and f.op.startswith("pca-")
             ):
                 # Injector wrappers are closures and cannot cross the
-                # pickle boundary into a worker/host process.
+                # pickle boundary into a host process.
                 raise ValueError(
-                    f"{f.kind} on {f.op!r} cannot be injected into a "
-                    "worker process; target a coordinator-side operator "
-                    "or use worker_kill/host_kill"
+                    f"{f.kind} on {f.op!r} cannot cross the pickle "
+                    "boundary into a host process; target a "
+                    "coordinator-side operator or use host_kill"
                 )
 
 
@@ -311,18 +308,18 @@ def _install_kill_engine(
 def _start_remote_killer(
     engine, app, spec: FaultSpec, tel: Telemetry
 ) -> None:
-    """SIGKILL the remote end holding ``spec.op`` mid-protocol.
+    """SIGKILL the engine host holding ``spec.op`` mid-protocol
+    (``host_kill``).
 
-    Serves ``worker_kill`` (process runtime) and ``host_kill`` (cluster
-    runtime) alike.  Tuple counts on the far side of a queue or socket
-    are invisible from the coordinator, so the trigger is the sync
-    controller's own message counter reaching ``spec.at_tuple`` — by
-    then the target engine is provably mid-stream.  What follows is the
-    runtime's normal death path: a worker is respawned from its
-    checkpoint under the supervisor's RestartFromCheckpoint policy; a
-    host lost under ``tolerate_host_loss=True`` has punctuation injected
-    on its routes and the controller's eviction + quorum machinery owns
-    correctness.
+    Tuple counts on the far side of a socket are invisible from the
+    coordinator, so the trigger is the sync controller's own message
+    counter reaching ``spec.at_tuple`` — by then the target engine is
+    provably mid-stream.  What follows is the engine's normal death
+    path: a host is respawned from its checkpoint under the
+    supervisor's RestartFromCheckpoint policy (the process scenarios);
+    one lost under ``tolerate_host_loss=True`` (the cluster scenarios)
+    has punctuation injected on its routes and the controller's
+    eviction + quorum machinery owns correctness.
     """
     controller = app.controller
     loc = engine._loc_of[spec.op]
@@ -503,7 +500,7 @@ def run_scenario(
                     # host's channel severs itself after at_tuple
                     # received frames and must redial.
                     engine.flap_hosts[engine._loc_of[f.op]] = f.at_tuple
-                elif f.kind in ("worker_kill", "host_kill"):
+                elif f.kind == "host_kill":
                     _start_remote_killer(engine, app, f, tel)
             if scenario.runtime == "synchronous":
                 engine.run()
@@ -594,15 +591,15 @@ def kill_engine_scenario(
 ) -> ChaosScenario:
     """Kill 1 of ``n_engines`` engines mid-stream; it must rejoin.
 
-    On the process runtime the kill is a real ``SIGKILL`` of the worker
-    process (restart via checkpoint); on threaded/synchronous it is a
-    blackout window with state loss.  Either way the controller must
-    evict the silent peer, reroute its ring traffic, and reseed it on
-    rejoin — and the merged global basis must stay within affinity
-    0.98 of the fault-free run.
+    Where operators run on engine hosts the kill is a real ``SIGKILL``
+    of the host (restart via checkpoint on the process runtime); on
+    threaded/synchronous it is a blackout window with state loss.
+    Either way the controller must evict the silent peer, reroute its
+    ring traffic, and reseed it on rejoin — and the merged global basis
+    must stay within affinity 0.98 of the fault-free run.
     """
-    if runtime == "process":
-        fault = FaultSpec(kind="worker_kill", op="pca-1", at_tuple=40)
+    if _places_on_hosts(runtime):
+        fault = FaultSpec(kind="host_kill", op="pca-1", at_tuple=40)
     else:
         fault = FaultSpec(
             kind="kill_engine", op="pca-1", at_tuple=120, duration=220,
@@ -635,7 +632,7 @@ def slow_operator_scenario(
     runtime: str = "threaded", *, seed: int = 0
 ) -> ChaosScenario:
     """One engine runs slow for a stretch; nothing may be lost."""
-    op = "split" if runtime == "process" else "pca-0"
+    op = "split" if _places_on_hosts(runtime) else "pca-0"
     return ChaosScenario(
         name="slow-operator",
         faults=(

@@ -28,7 +28,8 @@ ReconnectingChannel` to the coordinator:
 * outbound traffic on both sides goes through a deque drained by a
   dedicated sender thread, so neither end ever blocks on a socket write
   while the peer is itself mid-write (the classic TCP backpressure
-  deadlock cycle);
+  deadlock cycle).  A host runs two threads, its engine and its sender;
+  every frame the sender writes carries the host's state with it;
 * each link has a **data window** of :data:`_WINDOW_ROWS` rows: a data
   tuple for a host waits until the host has acked enough of the rows it
   was sent (hosts ack as they consume), which bounds the coordinator's
@@ -51,14 +52,22 @@ The SyncController's ring merges, membership/eviction/quorum and
 late-rejoin reseeding run unchanged over the wire: the controller only
 ever sees tuples on ports.
 
-Run-protocol delta
-------------------
-The transport's in-flight ledger is a pair of wire counters per link: a
-host is quiet once its heartbeat says *quiesced* and the sent/received
-tuple counts match in both directions (nothing in flight on the
-sockets).  The final report additionally carries the host's channel
-counters (see :attr:`ClusterEngine.cluster_stats`), and its operator
-state arrives wire-encoded, merged under an ``h<id>`` process label.
+Run steps
+---------
+:class:`ClusterEngine` extends each step of the
+:class:`~repro.streams.engine.ThreadedEngine` run loop through
+``super()``: ``_wire`` adds the link emit to the operators with a
+successor on a host; ``_start`` starts the hosts first; ``_tick`` adds
+host liveness; ``_quiescent`` adds the link ledgers and the loss step;
+``_complete`` sends ``finish`` and folds the hosts' final reports;
+``_teardown`` stops the hosts.
+
+A link's in-flight ledger is a pair of wire counters: a host is quiet
+once its latest frame says *quiesced* and the sent/received tuple counts
+match in both directions (nothing in flight on the sockets).  The final
+report additionally carries the host's channel counters (see
+:attr:`ClusterEngine.cluster_stats`), and its operator state arrives
+wire-encoded, merged under an ``h<id>`` process label.
 
 A host that dies — or that stops making progress for ``stall_timeout_s``
 and is terminated — is detected by the per-tick liveness check.  When
@@ -79,11 +88,11 @@ Without either a host death fails fast, matching the other engines.
 
 After a death or a flap, frames that were in the kernel's socket
 buffers may be lost (delivery is at-least-once across reconnects, see
-:class:`~repro.streams.wireproto.ReconnectingChannel`); the
-frozen-progress grace window then first nudges the hosts with an early
-``finish`` (the loss may have swallowed end-of-stream punctuation) and,
-if the counters stay frozen, accepts completion and records the residue
-in ``cluster_stats["tuples_lost"]``.
+:class:`~repro.streams.wireproto.ReconnectingChannel`); the loss step
+of quiescence then first nudges the hosts with an early ``finish`` (the
+loss may have swallowed end-of-stream punctuation) and, if the progress
+picture stays frozen, ends the run and records the residue in
+``cluster_stats["tuples_lost"]``.
 """
 
 from __future__ import annotations
@@ -100,18 +109,14 @@ import traceback
 import uuid
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from copy import copy as _shallow_copy
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable
 
 import numpy as np
 
-from .engine import (
-    _MAIN,
-    SynchronousEngine,
-    ThreadedEngine,
-    _final_report,
-    row_weight,
-)
+from .engine import SynchronousEngine, ThreadedEngine, row_weight
+from .fusion import ProcessingElement
 from .graph import Graph
 from .operators import Operator, Sink, Source
 from .supervision import (
@@ -121,7 +126,7 @@ from .supervision import (
     StallDetected,
     Supervisor,
 )
-from .telemetry import Telemetry
+from .telemetry import Telemetry, operator_metric_samples
 from .tuples import (
     StreamTuple,
     _decode_value,
@@ -152,6 +157,60 @@ _WINDOW_ROWS = 8 * 64
 #: the end of every inbound frame), so the window refills while the
 #: host still has rows to work on.
 _ACK_ROWS = _WINDOW_ROWS // 4
+
+#: How long the progress picture must stay unchanged, after a host death
+#: or a link flap, before the loss step acts (see
+#: :meth:`ClusterEngine._loss_step`).
+_LOSS_GRACE_S = 2.0
+
+#: Location of the coordinator in route tables (hosts are ints).
+_MAIN = "main"
+
+#: Attributes never shipped to a host: runtime wiring (closures),
+#: telemetry objects (hold locks), and probe callables.
+_UNPICKLABLE_ATTRS = (
+    "_emit", "_load_probe", "_latency_hist", "_telemetry",
+    "_e2e_hist", "_watermark", "_health_monitor",
+    "_state_lock",
+)
+
+
+def _sanitize(op: Operator) -> Operator:
+    """A shallow copy of ``op`` safe to pickle into a host."""
+    clone = _shallow_copy(op)
+    for attr in _UNPICKLABLE_ATTRS:
+        if hasattr(clone, attr):
+            setattr(clone, attr, None)
+    return clone
+
+
+def _strip_payload(state: dict[str, Any]) -> dict[str, Any]:
+    for attr in _UNPICKLABLE_ATTRS:
+        state.pop(attr, None)
+    return state
+
+
+def _final_report(
+    ops: Iterable[Operator], supervisor: Supervisor | None, metrics: bool
+) -> dict[str, Any]:
+    """What a host ships home at ``finish``: the wire-encoded state of
+    its operators, its metrics shard and its supervision counters;
+    :meth:`ClusterEngine._fold_report` is the receiving half."""
+    ops = list(ops)
+    return {
+        "ops": {
+            op.name: {
+                k: _encode_value(v)
+                for k, v in _strip_payload(dict(op.__dict__)).items()
+            }
+            for op in ops
+        },
+        "metrics": [
+            (name, kind, dict(labels), float(value))
+            for name, kind, labels, value in operator_metric_samples(ops)
+        ] if metrics else [],
+        "sup": asdict(supervisor.stats) if supervisor is not None else None,
+    }
 
 
 def _close(sock: socket.socket) -> None:
@@ -241,14 +300,12 @@ class _ChannelSource(Source):
         portmap: dict[tuple[str, int], int],
         counters: dict[str, int],
         out_cv: threading.Condition,
-        stop: threading.Event,
     ) -> None:
         super().__init__(name, n_outputs=1)
         self._channel = channel
         self._portmap = portmap
         self._counters = counters
         self._out_cv = out_cv
-        self._stop = stop
 
     def _ack(self) -> None:
         with self._out_cv:
@@ -256,7 +313,7 @@ class _ChannelSource(Source):
 
     def generate(self):
         counters = self._counters
-        while not self._stop.is_set():
+        while True:
             msg = self._channel.recv(timeout_s=0.05)
             if msg is None:
                 continue
@@ -350,7 +407,6 @@ class _HostSpec:
     policies: dict[str, Any] = field(default_factory=dict)
     metrics: bool = True
     flap_after: int | None = None
-    reconnect: dict[str, Any] = field(default_factory=dict)
     #: A respawned host restores its operators from checkpoint first.
     resume: bool = False
     #: This host's share of the machine's cores, for its BLAS pool.
@@ -384,7 +440,7 @@ def _host_main(spec: _HostSpec) -> None:
         {"t": "hello", "host": spec.host_id, "run": spec.run_id},
         flap_after=spec.flap_after,
         seed=spec.host_id,
-        **{**_DEFAULT_RECONNECT, **spec.reconnect},
+        **_DEFAULT_RECONNECT,
     )
     try:
         channel.connect()
@@ -410,7 +466,6 @@ def _build_host_graph(
     outq: deque,
     out_cv: threading.Condition,
     counters: dict[str, int],
-    stop: threading.Event,
 ) -> Graph:
     hid = spec.host_id
     ops_by_name = {op.name: op for op in spec.ops}
@@ -431,9 +486,7 @@ def _build_host_graph(
                     relay_targets.append((dst_name, dst_port))
 
     g = Graph(f"host{hid}")
-    src = _ChannelSource(
-        f"__chan_h{hid}", channel, portmap, counters, out_cv, stop
-    )
+    src = _ChannelSource(f"__chan_h{hid}", channel, portmap, counters, out_cv)
     demux = _Demux(f"__demux_h{hid}", len(spec.inbound))
     g.add(src)
     g.add(demux)
@@ -454,11 +507,27 @@ def _build_host_graph(
     return g
 
 
-def _host_thread_failed(host_id: int, where: str) -> None:
-    """Kill the host process after a daemon-thread failure.
+def _host_sender_loop(
+    channel: ReconnectingChannel,
+    outq: deque,
+    out_cv: threading.Condition,
+    counters: dict[str, int],
+    ops: list[Operator],
+    stop: threading.Event,
+    host_id: int,
+) -> None:
+    """The host's one voice: relay, ack and report state in one frame.
 
-    The sender/status threads are the host's only voice to the
-    coordinator.  If one dies (typically ``channel.send`` exhausting its
+    Every ``"tuples"`` frame carries up to :data:`_BATCH_MAX` relayed
+    tuples, the cumulative ack of consumed rows, and the host's state:
+    ``quiesced`` (every operator closed and everything it emitted in
+    this frame or an earlier one), and the ``received``/``sent`` tuple
+    counts the coordinator balances against its own.  A frame goes out
+    when there is something to relay or the state changed (woken by the
+    relay, by an ack, or within 30 ms); with nothing to relay it is a
+    state frame alone.
+
+    If this thread dies (typically ``channel.send`` exhausting its
     redial budget) while the engine thread keeps running, the host turns
     into a zombie: it keeps computing, its output silently never leaves
     the process, and the coordinator sees a live, never-quiescing host
@@ -466,42 +535,42 @@ def _host_thread_failed(host_id: int, where: str) -> None:
     failure to the coordinator's death detection, which either fails the
     run fast or (``tolerate_host_loss=True``) degrades it cleanly.
     """
-    traceback.print_exc()
-    print(
-        f"host{host_id}: {where} thread failed; exiting so the "
-        f"coordinator's death detection takes over",
-        flush=True,
-    )
-    os._exit(1)
-
-
-def _host_sender_loop(
-    channel: ReconnectingChannel,
-    outq: deque,
-    out_cv: threading.Condition,
-    counters: dict[str, int],
-    stop: threading.Event,
-    host_id: int,
-) -> None:
     try:
-        acked = 0
+        last = None
         while True:
-            batch: list = []
             with out_cv:
-                while outq and len(batch) < _BATCH_MAX:
-                    batch.append(outq.popleft())
-                if not batch and counters["consumed"] == acked:
+                # Closure first: whatever a closed operator emitted is
+                # already queued, so an empty queue after this batch
+                # means the frame's ``sent`` covers all of it.
+                closed = all(op.is_closed for op in ops)
+                n = min(len(outq), _BATCH_MAX)
+                batch = [outq.popleft() for _ in range(n)]
+                state = (
+                    closed and not outq,
+                    counters["received"],
+                    counters["sent"] + n,
+                    counters["consumed"],
+                )
+                if not batch and state == last:
                     if stop.is_set():
                         return
-                    out_cv.wait(timeout=0.05)
+                    out_cv.wait(timeout=0.03)
                     continue
-                acked = counters["consumed"]
-            # Every frame carries the cumulative ack; with nothing to
-            # relay the frame is an ack alone.
-            channel.send({"t": "tuples", "items": batch, "acked": acked})
-            counters["sent"] += len(batch)
+            last = state
+            quiesced, received, sent, acked = state
+            channel.send({
+                "t": "tuples", "items": batch, "acked": acked,
+                "quiesced": quiesced, "received": received, "sent": sent,
+            })
+            counters["sent"] = sent
     except BaseException:
-        _host_thread_failed(host_id, "sender")
+        traceback.print_exc()
+        print(
+            f"host{host_id}: sender thread failed; exiting so the "
+            f"coordinator's death detection takes over",
+            flush=True,
+        )
+        os._exit(1)
 
 
 def _restore_checkpoints(spec: _HostSpec) -> None:
@@ -524,9 +593,8 @@ def _host_loop(spec: _HostSpec, channel: ReconnectingChannel) -> None:
     out_cv = threading.Condition()
     counters = {"received": 0, "sent": 0, "consumed": 0}
     stop = threading.Event()
-    sender_stop = threading.Event()
 
-    graph = _build_host_graph(spec, channel, outq, out_cv, counters, stop)
+    graph = _build_host_graph(spec, channel, outq, out_cv, counters)
     if spec.resume:
         _restore_checkpoints(spec)
     supervisor = (
@@ -536,53 +604,19 @@ def _host_loop(spec: _HostSpec, channel: ReconnectingChannel) -> None:
 
     sender = threading.Thread(
         target=_host_sender_loop,
-        args=(channel, outq, out_cv, counters, sender_stop, spec.host_id),
+        args=(channel, outq, out_cv, counters, spec.ops, stop, spec.host_id),
         name=f"host{spec.host_id}-sender",
         daemon=True,
     )
     sender.start()
-
-    def _status_loop() -> None:
-        # Heartbeat: quiesce state + cumulative counters.  The counters
-        # lag the sockets by design; the coordinator waits for equality.
-        try:
-            last = None
-            while not stop.wait(0.03):
-                state = (
-                    all(op.is_closed for op in spec.ops),
-                    counters["received"],
-                    counters["sent"],
-                )
-                if state == last:
-                    continue
-                last = state
-                channel.send({
-                    "t": "status",
-                    "host": spec.host_id,
-                    "quiesced": state[0],
-                    "received": state[1],
-                    "sent": state[2],
-                })
-        except BaseException:
-            _host_thread_failed(spec.host_id, "status")
-
-    status = threading.Thread(
-        target=_status_loop, name=f"host{spec.host_id}-status", daemon=True
-    )
-    status.start()
-
-    try:
-        engine.run()
-    finally:
-        stop.set()
-        status.join(timeout=2.0)
+    engine.run()
 
     # Drain the outbound queue, then retire the sender before touching
     # the channel from this thread.
     deadline = time.perf_counter() + 30.0
     while outq and time.perf_counter() < deadline:
         time.sleep(0.005)
-    sender_stop.set()
+    stop.set()
     with out_cv:
         out_cv.notify_all()
     sender.join(timeout=5.0)
@@ -590,9 +624,7 @@ def _host_loop(spec: _HostSpec, channel: ReconnectingChannel) -> None:
     channel.send({
         "t": "done",
         "host": spec.host_id,
-        **_final_report(
-            spec.ops, supervisor, spec.metrics, encode=_encode_value
-        ),
+        **_final_report(spec.ops, supervisor, spec.metrics),
         "counters": dict(counters),
         "transport": channel.counters(),
     })
@@ -760,9 +792,6 @@ class ClusterEngine(ThreadedEngine):
         Chaos hook: ``{host_id: n_frames}`` makes that host's channel
         sever itself once after receiving ``n_frames`` frames,
         exercising the reconnect path.
-    reconnect:
-        Overrides for the hosts' redial budget
-        (``max_retries``/``base_s``/``cap_s``/``jitter``).
     supervisor:
         Coordinator-side supervisor.  Its *policies* (not the object —
         it holds locks) are shipped to the hosts, which run their own
@@ -798,7 +827,6 @@ class ClusterEngine(ThreadedEngine):
         port: int = 0,
         tolerate_host_loss: bool = False,
         flap_hosts: dict[int, int] | None = None,
-        reconnect: dict[str, Any] | None = None,
         supervisor: Supervisor | None = None,
         telemetry: Telemetry | None = None,
         mp_context: str | None = None,
@@ -834,7 +862,6 @@ class ClusterEngine(ThreadedEngine):
         self.port = port
         self.tolerate_host_loss = tolerate_host_loss
         self.flap_hosts = dict(flap_hosts or {})
-        self.reconnect = dict(reconnect or {})
         if (
             mp_context is None
             and supervisor is not None
@@ -847,6 +874,7 @@ class ClusterEngine(ThreadedEngine):
             mp_context = "forkserver"
         self._ctx = safe_mp_context(mp_context)
 
+        self._ops_by_name = {op.name: op for op in graph}
         if not self._place(main_ops, n_hosts):
             raise ValueError(
                 "cluster runtime has no operators to place on hosts; "
@@ -856,6 +884,10 @@ class ClusterEngine(ThreadedEngine):
             hid: _HostLink(hid) for hid in self._remote_ops
         }
         self._specs: dict[int, _HostSpec] = {}
+        #: host → its OS process: what :meth:`kill_remote` and
+        #: :meth:`_died` act on.
+        self._procs: dict[int, Any] = {}
+        self._exit_seen: dict[int, float] = {}
         #: host → (operator, port) pairs it has been sent punctuation
         #: on, sent again to a respawned host.
         self._sent_puncts: dict[int, set[tuple[str, int]]] = {}
@@ -863,16 +895,68 @@ class ClusterEngine(ThreadedEngine):
         self._listener: socket.socket | None = None
         self._run_id = ""
         self._host_deaths = 0
+        #: ``(since, picture)`` while the loss step watches a picture.
+        self._frozen: tuple[float, Any] | None = None
         self._nudged = False
         self._lost = 0
         #: Wire/transport totals, populated at shutdown.
         self.cluster_stats: dict[str, int] = {}
 
-    # -- placement views --------------------------------------------------
+    # -- placement ----------------------------------------------------------
 
     @property
     def n_hosts(self) -> int:
         return len(self._remote_ops)
+
+    def _place(
+        self, main_ops: Iterable[str], n_hosts: int | None
+    ) -> list[ProcessingElement]:
+        """Cut the graph between the coordinator and its hosts.
+
+        PEs holding a source, a sink or an operator named in ``main_ops``
+        stay here; the others are dealt round-robin over ``n_hosts``
+        hosts (default: one each) and returned.
+        """
+        self.main_ops = set(main_ops)
+        self._loc_of: dict[str, Any] = {op.name: _MAIN for op in self.graph}
+        unknown = self.main_ops - set(self._loc_of)
+        if unknown:
+            raise ValueError(
+                f"main_ops name unknown operators: {sorted(unknown)}"
+            )
+        self._main_pes, placed = [], []
+        for pe in self.fusion.pes:
+            pinned = any(
+                isinstance(op, (Source, Sink)) or op.name in self.main_ops
+                for op in pe.operators
+            )
+            (self._main_pes if pinned else placed).append(pe)
+        n_hosts = len(placed) if n_hosts is None else min(n_hosts, len(placed))
+        self._remote_ops: dict[int, list[Operator]] = {
+            loc: [] for loc in range(n_hosts)
+        }
+        for i, pe in enumerate(placed):
+            self._remote_ops[i % n_hosts].extend(pe.operators)
+            for op in pe.operators:
+                self._loc_of[op.name] = i % n_hosts
+        self._local_ops = [
+            op for op in self.graph if self._loc_of[op.name] == _MAIN
+        ]
+        return placed
+
+    def _routes_for(
+        self, op: Operator
+    ) -> dict[int, list[tuple[Any, str, int]]]:
+        """out port → ``[(location, operator name, in port)]``."""
+        routes: dict[int, list[tuple[Any, str, int]]] = {}
+        for port in range(op.n_outputs):
+            entries = [
+                (self._loc_of[dst.name], dst.name, in_port)
+                for dst, in_port in self.graph.successors(op, port)
+            ]
+            if entries:
+                routes[port] = entries
+        return routes
 
     def _inbound_for(self, hid: int) -> list[tuple[str, int]]:
         pairs: set[tuple[str, int]] = set()
@@ -885,37 +969,82 @@ class ClusterEngine(ThreadedEngine):
         return sorted(pairs)
 
     def _build_spec(self, hid: int, addr: tuple[str, int]) -> _HostSpec:
+        """Host ``hid``'s start-up spec: its operators, their routes and
+        failure policies.  Only the *policies* cross — a supervisor
+        holds locks — and the host runs its own in-process supervisor
+        over them."""
+        ops = self._remote_ops[hid]
+        policies = self.supervisor.policies if self.supervisor else {}
         return _HostSpec(
             host_id=hid,
             addr=addr,
             run_id=self._run_id,
+            ops=[_sanitize(op) for op in ops],
+            routes={op.name: self._routes_for(op) for op in ops},
             inbound=self._inbound_for(hid),
+            policies={
+                op.name: policies[op.name] for op in ops if op.name in policies
+            },
+            metrics=(
+                self.telemetry is not None and self.telemetry.config.metrics
+            ),
             flap_after=self.flap_hosts.get(hid),
-            reconnect=self.reconnect,
             blas_threads=max(1, (os.cpu_count() or 1) // self.n_hosts),
-            **self._spec_fields(hid),
         )
 
-    # -- seams: sending, probing ------------------------------------------
+    # -- sending, receiving, probing ----------------------------------------
 
-    def _send_remote(
+    def _wire(self) -> None:
+        """The local wiring, then the link emit on each local operator
+        with a successor on a host; the others keep the plain emit."""
+        super()._wire()
+        for op in self._local_ops:
+            remote = {
+                port: hops
+                for port, entries in self._routes_for(op).items()
+                if (hops := [e for e in entries if e[0] != _MAIN])
+            }
+            if not remote:
+                continue
+
+            def emit(
+                tup: StreamTuple, port: int, _local=op._emit, _remote=remote
+            ) -> None:
+                _local(tup, port)
+                for loc, name, in_port in _remote.get(port, ()):
+                    self._send(loc, name, in_port, tup)
+
+            op.bind(emit)
+
+    def _send(
         self, loc: int, dst_name: str, dst_port: int, tup: StreamTuple
     ) -> None:
+        """Ship one tuple to an operator on host ``loc``; a data tuple
+        first waits for window credit."""
         if tup.is_punctuation:
             self._sent_puncts.setdefault(loc, set()).add((dst_name, dst_port))
         self._links[loc].enqueue(
             (dst_name, dst_port, to_wire(tup)), row_weight(tup), self._stop
         )
 
-    def _remote_depth(self, loc: int) -> int:
+    def _inject(self, dst_name: str, tup: StreamTuple, port: int) -> None:
+        """Hand a tuple that arrived from a host to a local operator."""
+        dst = self._ops_by_name[dst_name]
+        self._put(self._pe_of[id(dst)].pe_id, dst, port, tup)
+
+    def _depth(self, src: Operator, dst: Operator) -> int:
+        loc = self._loc_of[dst.name]
+        if loc == _MAIN:
+            return super()._depth(src, dst)
         return self._links[loc].outstanding
 
-    def _remote_gauges(self) -> tuple[list[tuple[str, int, int]], int]:
-        gauges = [
+    def _gauges(self) -> tuple[list[tuple[str, int, int]], int]:
+        gauges, inflight = super()._gauges()
+        links = [
             (f"h{hid}", link.outstanding, _WINDOW_ROWS)
             for hid, link in self._links.items()
         ]
-        return gauges, sum(depth for _, depth, _ in gauges)
+        return gauges + links, inflight + sum(d for _, d, _ in links)
 
     # -- sockets ----------------------------------------------------------
 
@@ -954,14 +1083,10 @@ class ClusterEngine(ThreadedEngine):
             conn.settimeout(None)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             link = self._links[hello["host"]]
-            t = threading.Thread(
-                target=self._receiver_loop,
-                args=(link, conn, link.attach(conn)),
-                name=f"cluster-recv-h{link.host_id}",
-                daemon=True,
+            self._spawn(
+                f"cluster-recv-h{link.host_id}", self._receiver_loop,
+                link, conn, link.attach(conn),
             )
-            t.start()
-            self._threads.append(t)
             if self.telemetry is not None:
                 self.telemetry.events.append({
                     "ts": self.telemetry.now(),
@@ -1002,6 +1127,11 @@ class ClusterEngine(ThreadedEngine):
         if t == "tuples":
             if current:
                 link.ack(msg["acked"])
+                # Counters first, items after: until every item is on
+                # the local ledger the link reads as not yet balanced.
+                link.report = {
+                    k: msg[k] for k in ("quiesced", "received", "sent")
+                }
             for dst, port, wire in msg["items"]:
                 tup = from_wire(wire)
                 loc = self._loc_of[dst]
@@ -1026,11 +1156,7 @@ class ClusterEngine(ThreadedEngine):
                 )
             )
             self._stop.set()
-        elif not current:
-            return
-        elif t == "status":
-            link.report = msg
-        elif t == "done":
+        elif t == "done" and current:
             link.report = {
                 "quiesced": True,
                 "received": msg["counters"]["received"],
@@ -1096,7 +1222,13 @@ class ClusterEngine(ThreadedEngine):
 
     # -- host lifecycle ---------------------------------------------------
 
-    def _start_remote(self) -> None:
+    def _start(self) -> None:
+        """Start the hosts, then the local threads.
+
+        Hosts start before any coordinator thread: they dial into the
+        listen backlog, and a fork-context child never inherits a
+        thread's locks.
+        """
         self._run_id = uuid.uuid4().hex
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -1105,26 +1237,21 @@ class ClusterEngine(ThreadedEngine):
         listener.settimeout(0.2)
         self._listener = listener
         addr = (self.bind_host, listener.getsockname()[1])
-
-        # Hosts start before any coordinator thread: they dial into the
-        # listen backlog, and a fork-context child never inherits a
-        # thread's locks.
         self._specs = {hid: self._build_spec(hid, addr) for hid in self._links}
         for hid in self._links:
             self._start_host(hid)
-        self._accept = threading.Thread(
-            target=self._accept_loop, name="cluster-accept", daemon=True
-        )
-        self._accept.start()
+        self._accept = self._spawn("cluster-accept", self._accept_loop)
         for link in self._links.values():
-            t = threading.Thread(
-                target=self._sender_loop,
-                args=(link,),
-                name=f"cluster-send-h{link.host_id}",
-                daemon=True,
+            self._spawn(
+                f"cluster-send-h{link.host_id}", self._sender_loop, link
             )
-            t.start()
-            self._threads.append(t)
+        super()._start()
+
+    def _spawn(self, name: str, target, *args) -> threading.Thread:
+        t = threading.Thread(target=target, args=args, name=name, daemon=True)
+        t.start()
+        self._threads.append(t)
+        return t
 
     def _start_host(self, hid: int) -> None:
         self._procs[hid] = self._ctx.Process(
@@ -1134,6 +1261,32 @@ class ClusterEngine(ThreadedEngine):
             daemon=True,
         )
         self._procs[hid].start()
+
+    def kill_remote(self, loc: int) -> bool:
+        """SIGKILL host ``loc`` (the chaos hook); whether a live process
+        was there to kill."""
+        proc = self._procs.get(loc)
+        if proc is None or not proc.is_alive():
+            return False
+        proc.kill()
+        return True
+
+    def _died(self, loc: int) -> bool:
+        """Whether host ``loc``'s process is gone for good.
+
+        A clean exit (code 0) gets a 5 s grace first: its final report
+        may still be in transit to the receiver.
+        """
+        proc = self._procs[loc]
+        if proc.is_alive():
+            self._exit_seen.pop(loc, None)
+            return False
+        if proc.exitcode == 0:
+            first_seen = self._exit_seen.setdefault(loc, time.perf_counter())
+            if time.perf_counter() - first_seen < 5.0:
+                return False
+        self._exit_seen.pop(loc, None)
+        return True
 
     def _restart_policies(self, hid: int) -> list[tuple[str, Any]]:
         """(operator name, policy) for the host's restartable operators."""
@@ -1164,9 +1317,7 @@ class ClusterEngine(ThreadedEngine):
         self._start_host(hid)
         # Punctuation the predecessor consumed is gone with it.
         for dst_name, dst_port in sorted(self._sent_puncts.get(hid, ())):
-            self._send_remote(
-                hid, dst_name, dst_port, StreamTuple.punctuation()
-            )
+            self._send(hid, dst_name, dst_port, StreamTuple.punctuation())
 
     def _on_stall(self, idle: float) -> None:
         """Recover from a wedged (alive but progress-free) host.
@@ -1200,7 +1351,11 @@ class ClusterEngine(ThreadedEngine):
                 proc.join(timeout=5.0)
         self._watchdog.poke()  # the kill is progress; the next tick respawns
 
-    def _supervise_remote(self) -> None:
+    def _tick(self) -> None:
+        """The local step, then host liveness: a dead host is respawned
+        from its checkpoint, fails the run, or (``tolerate_host_loss``)
+        is dropped with punctuation injected on its routes."""
+        super()._tick()
         for hid, proc in list(self._procs.items()):
             link = self._links[hid]
             if link.done is not None or link.dead or not self._died(hid):
@@ -1237,39 +1392,53 @@ class ClusterEngine(ThreadedEngine):
                         if dst_loc == _MAIN:
                             self._inject(dst_name, punct, dst_port)
                         elif not self._links[dst_loc].dead:
-                            self._send_remote(
-                                dst_loc, dst_name, dst_port, punct
-                            )
+                            self._send(dst_loc, dst_name, dst_port, punct)
 
     def _live_links(self) -> list[_HostLink]:
         return [l for l in self._links.values() if not l.dead]
 
-    # -- seams: quiescence, finish, stop ------------------------------------
+    # -- quiescence, completion, teardown -----------------------------------
 
-    def _remote_quiet(self) -> bool:
-        """Every live host quiesced and both wire counters balanced.
+    def _quiescent(self) -> bool:
+        """Every live host quiesced, both wire counters of its link
+        balanced, and the local step quiet — or the loss step ends the
+        run.
 
-        Comparisons are ``>=`` on purpose: reconnect retries can
-        duplicate a frame (at-least-once), so a receiver may count more
-        tuples than the sender believes it sent.
+        Link ledgers first: a tuple a host has signed off is already on
+        the local one.  Comparisons are ``>=`` on purpose: reconnect
+        retries can duplicate a frame (at-least-once), so a receiver may
+        count more tuples than the sender believes it sent.
         """
-        return all(
+        links_quiet = all(
             bool(link.report.get("quiesced"))
             and link.report.get("received", -1) >= link.sent_to
             and link.received_from >= link.report.get("sent", float("inf"))
             and not link.outq
             for link in self._live_links()
         )
+        if super()._quiescent() and links_quiet:
+            return True
+        return self._loss_step()
 
-    def _loss_signature(self, sources_done: bool, local_quiet: bool) -> Any:
-        # Frames can be lost across a death or flap, so once either has
-        # happened watch the *full* progress picture: wire counters plus
-        # local-operator closure and tuple counts.
-        if not sources_done or not (
+    def _loss_step(self) -> bool:
+        """Whether to end the run on counted loss.
+
+        After a host death or a link flap, frames that were inside a
+        dead socket are gone and the ledgers never balance again.  Once
+        the sources are done, this step watches the whole progress
+        picture — wire counters, local operator closure and tuple
+        counts.  When it has stayed unchanged for :data:`_LOSS_GRACE_S`,
+        the first freeze sends every live host an early ``finish`` (the
+        loss may have swallowed an end-of-stream punctuation, which no
+        window sees: it weighs nothing); a second freeze ends the run
+        and counts the residue in ``cluster_stats["tuples_lost"]``.
+        """
+        if any(t.is_alive() for t in self._src_threads) or not (
             self._host_deaths or any(l.reconnects for l in self._links.values())
         ):
-            return None
-        return (
+            self._frozen = None
+            return False
+        picture = (
             tuple(
                 (
                     link.host_id,
@@ -1286,26 +1455,26 @@ class ClusterEngine(ThreadedEngine):
             sum(op.tuples_in for op in self._local_ops),
             self._inflight,
         )
-
-    def _accept_loss(self) -> bool:
-        if not self._nudged:
-            # The loss may have swallowed end-of-stream punctuation, in
-            # which case no amount of waiting completes the run.  An
-            # early "finish" makes every host's channel source return,
-            # punctuating the host graph and, via the relays, the
-            # coordinator's operators.
-            self._nudged = True
-            self._finish_remote()
+        now = time.perf_counter()
+        if self._frozen is None or self._frozen[1] != picture:
+            self._frozen = (now, picture)
             return False
-        # Frozen again after the nudge: the residue is truly gone.
+        if now - self._frozen[0] <= _LOSS_GRACE_S:
+            return False
+        self._frozen = None
+        if not self._nudged:
+            self._nudged = True
+            for link in self._live_links():
+                link.enqueue({"t": "finish"})
+            return False
         for link in self._live_links():
             rep = link.report
             self._lost += max(0, link.sent_to - rep.get("received", 0))
             self._lost += max(0, rep.get("sent", 0) - link.received_from)
         return True
 
-    def _remote_running(self) -> list[str]:
-        return [
+    def _running(self) -> list[str]:
+        return super()._running() + [
             f"h{hid} (to host {link.sent_to}/{link.report.get('received')}"
             f" received, from host {link.received_from}/"
             f"{link.report.get('sent')} sent)"
@@ -1313,14 +1482,28 @@ class ClusterEngine(ThreadedEngine):
             if hid in self._procs and self._procs[hid].is_alive()
         ]
 
-    def _finish_remote(self) -> None:
+    def _complete(self) -> None:
+        """Raise ``finish`` here and on every live host, wait for the
+        hosts' final reports, let the local runners drain, then fold the
+        reports into the coordinator's objects."""
+        self._finish.set()
         for link in self._live_links():
             link.enqueue({"t": "finish"})
+        deadline = time.perf_counter() + 60.0
+        while pending := [
+            l.host_id for l in self._live_links() if l.done is None
+        ]:
+            self._tick()
+            if time.perf_counter() > deadline:
+                raise RuntimeError(
+                    f"hosts {pending} did not report final state"
+                )
+            time.sleep(0.002)
+        super()._complete()
+        self._fold_reports()
 
-    def _reports_pending(self) -> list:
-        return [l.host_id for l in self._live_links() if l.done is None]
-
-    def _stop_remote(self) -> None:
+    def _teardown(self) -> None:
+        super()._teardown()
         for hid, link in self._links.items():
             with link.cv:
                 link.cv.notify_all()
@@ -1337,7 +1520,7 @@ class ClusterEngine(ThreadedEngine):
                     _close(link.sock)
                     link.sock = None
         _close(self._listener)
-        for t in [self._accept] + self._threads:
+        for t in self._threads:
             t.join(timeout=2.0)
 
     def _fold_reports(self) -> None:
@@ -1373,13 +1556,27 @@ class ClusterEngine(ThreadedEngine):
         for link in links:
             if link.done is None:
                 continue
-            self._fold_report(
-                f"h{link.host_id}",
-                link.done,
-                decode=lambda v: _decode_value(
-                    v, allow_pickle=self._pickle_ok
-                ),
-            )
+            self._fold_report(f"h{link.host_id}", link.done)
             for key in ("frames_in", "frames_out", "bytes_in", "bytes_out"):
                 totals[key] += link.done.get("transport", {}).get(key, 0)
         self.cluster_stats = totals
+
+    def _fold_report(self, label: str, report: dict[str, Any]) -> None:
+        """Fold one host's :func:`_final_report` into the coordinator's
+        operators, telemetry and supervisor, so results and ``RunStats``
+        read the same wherever an operator ran."""
+        for name, state in report["ops"].items():
+            op = self._ops_by_name.get(name)
+            if op is None:
+                continue
+            op.__dict__.update(_strip_payload({
+                k: _decode_value(v, allow_pickle=self._pickle_ok)
+                for k, v in state.items()
+            }))
+        if self.telemetry is not None and report.get("metrics"):
+            self.telemetry.merge_shard(label, report["metrics"])
+        if self.supervisor is not None:
+            for table, counts in (report.get("sup") or {}).items():
+                mine = getattr(self.supervisor.stats, table)
+                for name, n in counts.items():
+                    mine[name] = mine.get(name, 0) + n

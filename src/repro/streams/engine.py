@@ -14,14 +14,6 @@ operators:
   memory", unfused ones pay a queue hop, sources run free and the split
   operator can observe downstream queue depths for load balancing.
 
-:class:`ThreadedEngine` is also the coordinator of the runtimes that
-place operators outside this process:
-:class:`~repro.streams.clusterengine.ClusterEngine` (engine hosts behind
-TCP — local processes for ``"process"``, the multi-node cluster for
-``"cluster"``) subclasses it and overrides only the *transport seams*
-listed on the class — what crosses the boundary changes with the
-deployment, the run protocol does not.
-
 Every engine returns a :class:`RunStats` with per-operator tuple counters
 (the profiling statistics the paper uses for placement tuning) plus the
 failure/recovery counters of an attached
@@ -32,23 +24,24 @@ Run protocol (every concurrent runtime)
 ---------------------------------------
 Completion is two-phase so no data or control tuple is ever lost:
 
-1. **Quiesce** — every source thread has finished, every local PE has
-   all of its operators closed, and every remote end reports the same.
-   A PE whose operators closed keeps servicing its inbox (tuples may
-   still race in from peers mid-close, e.g. a ``final`` state crossing a
-   punctuation).
+1. **Quiesce** — every source thread has finished and every PE has all
+   of its operators closed.  A PE whose operators closed keeps
+   servicing its inbox (tuples may still race in from peers mid-close,
+   e.g. a ``final`` state crossing a punctuation).
 2. **Drain** — the coordinator additionally waits until nothing is in
-   flight: the local count of tuples enqueued but not yet fully
-   dispatched is zero and the transport says the same of its own
-   ledger.  Only then does it raise ``finish``.  PE runners observe
-   ``finish`` with an empty inbox, drain any stragglers, and exit;
-   remote ends answer with a final report (operator state, metrics
-   shard, supervision counters) that is folded into the coordinator's
-   own objects, so results read the same under every runtime.
+   flight: the count of tuples enqueued but not yet fully dispatched is
+   zero.  Only then does it raise ``finish``.  PE runners observe
+   ``finish`` with an empty inbox, drain any stragglers, and exit.
 
-Abort paths (operator error, remote-end death without a recovery policy,
-timeout, stall) set the ``stop`` flag instead, which unwinds every
-thread promptly without draining.
+Abort paths (operator error, timeout, stall) set the ``stop`` flag
+instead, which unwinds every thread promptly without draining.
+
+The loop is :meth:`ThreadedEngine.run` over five steps — start, tick,
+quiescence, complete, teardown.  The runtimes that place operators on
+engine hosts (``"process"``, ``"cluster"``) are
+:class:`~repro.streams.clusterengine.ClusterEngine`, which extends each
+step through ``super()``; placement alone decides whether an edge is a
+queue hop or a network hop.
 """
 
 from __future__ import annotations
@@ -56,13 +49,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from copy import copy as _shallow_copy
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .fusion import FusionPlan, ProcessingElement
 from .graph import Graph
-from .operators import Operator, Sink, Source
+from .operators import Operator, Source
 from .profiling import enable_profiling, note_child_time
 from .split import Split
 from .supervision import EngineAborted, StallDetected, Supervisor, Watchdog
@@ -70,7 +62,6 @@ from .telemetry import (
     BackpressureSampler,
     Telemetry,
     operator_counter_snapshot,
-    operator_metric_samples,
 )
 from .tuples import StreamTuple
 
@@ -503,91 +494,6 @@ class _SourceRunner(threading.Thread):
             self.stop.set()
 
 
-# ---------------------------------------------------------------------------
-# What crosses to a remote end and back, whatever the transport
-# ---------------------------------------------------------------------------
-
-#: Location of the coordinator in route tables (remote ends are ints).
-_MAIN = "main"
-
-#: Attributes never shipped across the process boundary: runtime wiring
-#: (closures), telemetry objects (hold locks), and probe callables.
-_UNPICKLABLE_ATTRS = (
-    "_emit", "_load_probe", "_latency_hist", "_telemetry",
-    "_e2e_hist", "_watermark", "_health_monitor",
-    "_state_lock",
-)
-
-
-def _sanitize(op: Operator) -> Operator:
-    """A shallow copy of ``op`` safe to pickle into a remote end."""
-    clone = _shallow_copy(op)
-    for attr in _UNPICKLABLE_ATTRS:
-        if hasattr(clone, attr):
-            setattr(clone, attr, None)
-    return clone
-
-
-def _strip_payload(state: dict[str, Any]) -> dict[str, Any]:
-    for attr in _UNPICKLABLE_ATTRS:
-        state.pop(attr, None)
-    return state
-
-
-def _final_report(
-    ops: Iterable[Operator],
-    supervisor: Supervisor | None,
-    metrics: bool,
-    encode: Callable[[Any], Any] | None = None,
-) -> dict[str, Any]:
-    """What a remote end ships home at ``finish``: the state of its
-    operators, its metrics shard and its supervision counters.
-    ``encode`` makes attribute values fit the transport (TCP frames);
-    :meth:`ThreadedEngine._fold_report` is the receiving half."""
-    ops = list(ops)
-    states = {op.name: _strip_payload(dict(op.__dict__)) for op in ops}
-    if encode is not None:
-        states = {
-            name: {k: encode(v) for k, v in state.items()}
-            for name, state in states.items()
-        }
-    return {
-        "ops": states,
-        "metrics": [
-            (name, kind, dict(labels), float(value))
-            for name, kind, labels, value in operator_metric_samples(ops)
-        ] if metrics else [],
-        "sup": asdict(supervisor.stats) if supervisor is not None else None,
-    }
-
-
-class _FrozenProgress:
-    """Grace window for counters that may never balance again.
-
-    After a remote end dies or a link flaps, messages that were inside
-    it are gone and the in-flight ledger keeps their count forever.
-    :meth:`frozen` answers whether the progress signature the transport
-    reports has stayed the same for :attr:`GRACE_S`; ``None`` (nothing
-    lost, keep waiting for exact quiescence) and every change restart
-    the clock, as does a positive answer.
-    """
-
-    GRACE_S = 2.0
-
-    def __init__(self) -> None:
-        self._since: tuple[float, Any] | None = None
-
-    def frozen(self, signature: Any) -> bool:
-        now = time.perf_counter()
-        if signature is None:
-            self._since = None
-        elif self._since is None or self._since[1] != signature:
-            self._since = (now, signature)
-        elif now - self._since[0] > self.GRACE_S:
-            self._since = None
-            return True
-        return False
-
 
 class ThreadedEngine:
     """Multi-threaded runtime with operator fusion and backpressure.
@@ -620,36 +526,6 @@ class ThreadedEngine:
         metrics views, sampled traces across queue hops, and (when
         ``sampler_interval_s`` is set) a background backpressure sampler
         recording queue depth / in-flight / throughput over time.
-
-    Transport seams
-    ---------------
-    A subclass that places operators on remote ends (:meth:`_place`)
-    overrides these and nothing else of the run protocol; here, with
-    every operator local, they do nothing (``_on_stall`` raises
-    :class:`StallDetected` with the per-PE queue report):
-
-    ``_start_remote`` / ``_stop_remote``
-        create the transport and start the remote ends / tear both down;
-    ``_send_remote`` / ``_remote_depth``
-        ship one tuple to a remote operator / backlog towards a remote
-        end (load-balancing probe);
-    ``_supervise_remote`` / ``_on_stall``
-        per-tick liveness check (:meth:`_died` is the common part), and
-        what to do when the watchdog sees no progress — each repairs
-        what a policy covers, raises otherwise;
-    ``_procs``
-        remote end → its OS process, filled by ``_start_remote``: what
-        :meth:`kill_remote` (the chaos hook) and :meth:`_died` act on;
-    ``_remote_quiet`` / ``_loss_signature`` / ``_accept_loss``
-        the remote half of the quiescence predicate, and what to watch
-        and do when loss makes exact quiescence unreachable;
-    ``_finish_remote`` / ``_reports_pending`` / ``_fold_reports``
-        raise ``finish`` remotely, name the ends whose final report is
-        outstanding, fold the reports (:meth:`_fold_report` is the
-        common part);
-    ``_remote_running`` / ``_remote_gauges``
-        names for the timeout message / rows for the backpressure
-        sampler.
     """
 
     #: Name in the ``run_start`` telemetry event.
@@ -683,12 +559,10 @@ class ThreadedEngine:
         self._watchdog = (
             Watchdog(stall_timeout_s) if stall_timeout_s is not None else None
         )
-        self._ops_by_name = {op.name: op for op in graph}
-        # Placement: everything is local until _place() says otherwise.
-        self._loc_of: dict[str, Any] = {op.name: _MAIN for op in graph}
+        # What runs in this process: every PE and operator, unless a
+        # subclass places some of them elsewhere.
         self._main_pes = list(self.fusion.pes)
         self._local_ops = list(graph.operators)
-        self._remote_ops: dict[int, list[Operator]] = {}
         self._inboxes: dict[int, _Inbox] = {}
         self._pe_of: dict[int, ProcessingElement] = {}
         self._pe_of_id: dict[int, str] = {}
@@ -697,75 +571,9 @@ class ThreadedEngine:
         self._errors: list[BaseException] = []
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-        self._procs: dict[int, Any] = {}
-        self._exit_seen: dict[int, float] = {}
-
-    # -- placement --------------------------------------------------------
-
-    def _place(
-        self, main_ops: Iterable[str], n_ends: int | None = None
-    ) -> list[ProcessingElement]:
-        """Cut the graph between the coordinator and its remote ends.
-
-        PEs holding a source, a sink or an operator named in ``main_ops``
-        stay here; the others are dealt round-robin over ``n_ends``
-        remote ends (default: one each) and returned.
-        """
-        self.main_ops = set(main_ops)
-        unknown = self.main_ops - set(self._loc_of)
-        if unknown:
-            raise ValueError(
-                f"main_ops name unknown operators: {sorted(unknown)}"
-            )
-        self._main_pes, placed = [], []
-        for pe in self.fusion.pes:
-            pinned = any(
-                isinstance(op, (Source, Sink)) or op.name in self.main_ops
-                for op in pe.operators
-            )
-            (self._main_pes if pinned else placed).append(pe)
-        n_ends = len(placed) if n_ends is None else min(n_ends, len(placed))
-        self._remote_ops = {loc: [] for loc in range(n_ends)}
-        for i, pe in enumerate(placed):
-            self._remote_ops[i % n_ends].extend(pe.operators)
-            for op in pe.operators:
-                self._loc_of[op.name] = i % n_ends
-        self._local_ops = [
-            op for op in self.graph if self._loc_of[op.name] == _MAIN
-        ]
-        return placed
-
-    def _routes_for(
-        self, op: Operator
-    ) -> dict[int, list[tuple[Any, str, int]]]:
-        """out port → ``[(location, operator name, in port)]``."""
-        routes: dict[int, list[tuple[Any, str, int]]] = {}
-        for port in range(op.n_outputs):
-            entries = [
-                (self._loc_of[dst.name], dst.name, in_port)
-                for dst, in_port in self.graph.successors(op, port)
-            ]
-            if entries:
-                routes[port] = entries
-        return routes
-
-    def _spec_fields(self, loc: int) -> dict[str, Any]:
-        """The transport-independent part of a remote end's start-up
-        spec: its operators, their routes and failure policies.  Only
-        the *policies* cross — a supervisor holds locks — and the remote
-        end runs its own in-process supervisor over them."""
-        ops = self._remote_ops[loc]
-        policies = self.supervisor.policies if self.supervisor else {}
-        return {
-            "ops": [_sanitize(op) for op in ops],
-            "routes": {op.name: self._routes_for(op) for op in ops},
-            "policies": {
-                op.name: policies[op.name] for op in ops if op.name in policies
-            },
-            "metrics": (
-                self.telemetry is not None and self.telemetry.config.metrics
-            ),
-        }
+        self._src_threads: list[_SourceRunner] = []
+        self._runners: list[_PERunner] = []
+        self._sampler: BackpressureSampler | None = None
 
     # -- in-flight accounting -------------------------------------------
 
@@ -809,14 +617,11 @@ class ThreadedEngine:
         if self._watchdog is not None:
             self._watchdog.poke()
 
-    def _inject(self, dst_name: str, tup: StreamTuple, port: int) -> None:
-        """Hand a tuple that arrived from a remote end to a local operator."""
-        dst = self._ops_by_name[dst_name]
-        self._put(self._pe_of[id(dst)].pe_id, dst, port, tup)
-
     # -- wiring ---------------------------------------------------------
 
     def _wire(self) -> None:
+        """Give every PE here an inbox and bind every local operator's
+        emit over its successors in this process."""
         tracer = self._tracer
         for pe in self._main_pes:
             self._inboxes[pe.pe_id] = _Inbox(self.queue_size)
@@ -826,17 +631,11 @@ class ThreadedEngine:
 
         for op in self._local_ops:
             local: dict[int, list[tuple[Operator, int]]] = {}
-            remote: dict[int, list[tuple[Any, str, int]]] = {}
-            for port, entries in self._routes_for(op).items():
-                for loc, name, in_port in entries:
-                    if loc == _MAIN:
-                        local.setdefault(port, []).append(
-                            (self._ops_by_name[name], in_port)
-                        )
-                    else:
-                        remote.setdefault(port, []).append(
-                            (loc, name, in_port)
-                        )
+            for port in range(op.n_outputs):
+                for dst, in_port in self.graph.successors(op, port):
+                    # A successor placed off this process is not ours.
+                    if id(dst) in self._pe_of:
+                        local.setdefault(port, []).append((dst, in_port))
 
             def emit(
                 tup: StreamTuple,
@@ -854,36 +653,25 @@ class ThreadedEngine:
                     else:
                         self._put(dst_pe.pe_id, dst, in_port, tup)
 
-            # Only operators with an off-process successor pay for the
-            # transport seam; an all-local graph binds the plain emit.
-            op.bind(self._remote_emit(emit, remote) if remote else emit)
+            op.bind(emit)
 
             if isinstance(op, Split):
                 op.set_load_probe(self._make_probe(op))
 
-    def _remote_emit(self, local_emit, remote):
-        def emit(tup: StreamTuple, port: int) -> None:
-            local_emit(tup, port)
-            for loc, name, in_port in remote.get(port, ()):
-                self._send_remote(loc, name, in_port, tup)
-
-        return emit
-
     def _make_probe(self, split: Split):
         def probe(port: int) -> int:
             succ = self.graph.successors(split, port)
-            if not succ:
-                return 0
-            dst = succ[0][0]
-            loc = self._loc_of[dst.name]
-            if loc != _MAIN:
-                return self._remote_depth(loc)
-            dst_pe = self._pe_of[id(dst)]
-            if dst_pe is self._pe_of[id(split)]:
-                return 0
-            return self._inboxes[dst_pe.pe_id].qsize()
+            return self._depth(split, succ[0][0]) if succ else 0
 
         return probe
+
+    def _depth(self, src: Operator, dst: Operator) -> int:
+        """Rows queued from ``src`` towards ``dst`` — what the
+        ``least_loaded`` probe reads; a fused edge queues nothing."""
+        dst_pe = self._pe_of[id(dst)]
+        if dst_pe is self._pe_of[id(src)]:
+            return 0
+        return self._inboxes[dst_pe.pe_id].qsize()
 
     def _on_stall(self, stalled_s: float) -> None:
         lines = [
@@ -896,146 +684,39 @@ class ThreadedEngine:
             lines.append(f"  {pe.label()}: {depth}/{self.queue_size}")
         raise StallDetected("\n".join(lines))
 
-    # -- transport seams: a thread-only run has no remote ends ----------
-
-    def _start_remote(self) -> None:
-        pass
-
-    def _stop_remote(self) -> None:
-        pass
-
-    def _send_remote(
-        self, loc: int, dst_name: str, dst_port: int, tup: StreamTuple
-    ) -> None:
-        raise NotImplementedError
-
-    def _remote_depth(self, loc: int) -> int:
-        raise NotImplementedError
-
-    def _supervise_remote(self) -> None:
-        pass
-
-    def _remote_quiet(self) -> bool:
-        return True
-
-    def _loss_signature(self, sources_done: bool, local_quiet: bool) -> Any:
-        return None
-
-    def _accept_loss(self) -> bool:
-        return True
-
-    def _finish_remote(self) -> None:
-        pass
-
-    def _reports_pending(self) -> list:
-        return []
-
-    def _fold_reports(self) -> None:
-        pass
-
-    def _remote_running(self) -> list[str]:
-        return []
-
-    def _remote_gauges(self) -> tuple[list[tuple[str, int, int]], int]:
-        return [], 0
-
     # -- the run protocol -----------------------------------------------
 
     def run(self, *, timeout_s: float = 300.0) -> RunStats:
         """Execute to completion; raises on errors, stall, or timeout.
 
         Fail-fast on errors: the first unhandled operator exception (after
-        any supervisor policy) or unrecoverable remote-end failure stops
-        every thread and is re-raised immediately instead of waiting for
-        the timeout.  Normal completion follows the two-phase quiesce →
-        drain → finish protocol described in the module docstring.
+        any supervisor policy) stops every thread and is re-raised
+        immediately instead of waiting for the timeout.  Normal
+        completion follows the two-phase quiesce → drain → finish
+        protocol described in the module docstring.
         """
-        errors = self._errors
         if self.telemetry is not None:
             self.telemetry.run_started(
                 engine=self._runtime, graph=self.graph.name
             )
         start = time.perf_counter()
         self._wire()
-        # Remote ends start before any local thread does: forking a
-        # multi-threaded coordinator is unsafe.
-        self._start_remote()
-        for op in self._local_ops:
-            op.open()
-
-        runners = [
-            _PERunner(pe, self._inboxes[pe.pe_id], self)
-            for pe in self._main_pes
-            # pure-source PEs are driven by source runners
-            if not all(isinstance(op, Source) for op in pe.operators)
-        ]
-        src_threads = [
-            _SourceRunner(src, errors, self._stop, self._tracer)
-            for src in self.graph.sources
-        ]
-        threads = src_threads + runners
-        sampler = self._start_sampler()
-        if self._watchdog is not None:
-            self._watchdog.poke()
-        for t in threads:
-            t.start()
-
+        self._start()
         deadline = start + timeout_s
-        grace = _FrozenProgress()
         try:
             while True:
                 self._tick()
-                # Remote ledger first: a tuple it has signed off is
-                # already on the local one.
-                remote_quiet = self._remote_quiet()
-                sources_done = not any(t.is_alive() for t in src_threads)
-                local_quiet = (
-                    sources_done
-                    and all(r.quiesced.is_set() for r in runners)
-                    and self._inflight == 0
-                )
-                if local_quiet and remote_quiet:
-                    break
-                if grace.frozen(
-                    self._loss_signature(sources_done, local_quiet)
-                ) and self._accept_loss():
+                if self._quiescent():
                     break
                 if time.perf_counter() > deadline:
-                    running = [
-                        t.name for t in threads if t.is_alive()
-                    ] + self._remote_running()
                     raise RuntimeError(
                         f"graph {self.graph.name!r} did not finish within "
-                        f"{timeout_s}s (still running: {running})"
+                        f"{timeout_s}s (still running: {self._running()})"
                     )
                 time.sleep(0.002)
-
-            # Global quiescence: raise finish everywhere, collect the
-            # remote ends' final reports.
-            self._finish.set()
-            self._finish_remote()
-            report_deadline = time.perf_counter() + 60.0
-            while self._reports_pending():
-                self._tick()
-                if time.perf_counter() > report_deadline:
-                    raise RuntimeError(
-                        f"remote ends {self._reports_pending()} did not "
-                        f"report final state"
-                    )
-                time.sleep(0.002)
-            for t in runners:
-                t.join(timeout=5.0)
-            if errors:
-                raise errors[0]
+            self._complete()
         finally:
-            self._finish.set()
-            self._stop.set()
-            for t in threads:
-                t.join(timeout=1.0)
-            self._stop_remote()
-            if sampler is not None:
-                sampler.stop()
-        self._fold_reports()
+            self._teardown()
         stats = RunStats.collect(
             self.graph, time.perf_counter() - start, self.supervisor
         )
@@ -1043,65 +724,74 @@ class ThreadedEngine:
             self.telemetry.run_finished(stats)
         return stats
 
+    def _start(self) -> None:
+        """Open the local operators, then start one thread per source
+        and one per PE (a pure-source PE is its source's thread)."""
+        for op in self._local_ops:
+            op.open()
+        self._runners = [
+            _PERunner(pe, self._inboxes[pe.pe_id], self)
+            for pe in self._main_pes
+            if not all(isinstance(op, Source) for op in pe.operators)
+        ]
+        self._src_threads = [
+            _SourceRunner(src, self._errors, self._stop, self._tracer)
+            for src in self.graph.sources
+        ]
+        self._sampler = self._start_sampler()
+        if self._watchdog is not None:
+            self._watchdog.poke()
+        for t in self._src_threads + self._runners:
+            t.start()
+
     def _tick(self) -> None:
-        """One supervision step: first error, remote liveness, stall."""
+        """One supervision step: first error, then the stall watchdog."""
         if self._errors:
             raise self._errors[0]
-        self._supervise_remote()
         if self._watchdog is not None:
             stalled = self._watchdog.stalled_for()
             if stalled is not None:
                 self._on_stall(stalled)
 
-    def kill_remote(self, loc: int) -> bool:
-        """SIGKILL remote end ``loc`` (the chaos hook); whether a live
-        process was there to kill."""
-        proc = self._procs.get(loc)
-        if proc is None or not proc.is_alive():
-            return False
-        proc.kill()
-        return True
+    def _quiescent(self) -> bool:
+        """Every source done, every PE quiesced, nothing in flight."""
+        return (
+            not any(t.is_alive() for t in self._src_threads)
+            and all(r.quiesced.is_set() for r in self._runners)
+            and self._inflight == 0
+        )
 
-    def _died(self, loc: int) -> bool:
-        """Whether remote end ``loc``'s process is gone for good.
+    def _running(self) -> list[str]:
+        """What the timeout message names as still running."""
+        return [
+            t.name for t in self._src_threads + self._runners if t.is_alive()
+        ]
 
-        A clean exit (code 0) gets a 5 s grace first: its final report
-        may still be in transit to the receiver.
-        """
-        proc = self._procs[loc]
-        if proc.is_alive():
-            self._exit_seen.pop(loc, None)
-            return False
-        if proc.exitcode == 0:
-            first_seen = self._exit_seen.setdefault(loc, time.perf_counter())
-            if time.perf_counter() - first_seen < 5.0:
-                return False
-        self._exit_seen.pop(loc, None)
-        return True
+    def _complete(self) -> None:
+        """Raise ``finish``: every PE runner drains its inbox and exits."""
+        self._finish.set()
+        for t in self._runners:
+            t.join(timeout=5.0)
+        if self._errors:
+            raise self._errors[0]
 
-    def _fold_report(
-        self,
-        label: str,
-        report: dict[str, Any],
-        decode: Callable[[Any], Any] | None = None,
-    ) -> None:
-        """Fold one remote end's :func:`_final_report` into the
-        coordinator-side operators, telemetry and supervisor, so results
-        and ``RunStats`` read the same wherever an operator ran."""
-        for name, state in report["ops"].items():
-            op = self._ops_by_name.get(name)
-            if op is None:
-                continue
-            if decode is not None:
-                state = {k: decode(v) for k, v in state.items()}
-            op.__dict__.update(_strip_payload(dict(state)))
-        if self.telemetry is not None and report.get("metrics"):
-            self.telemetry.merge_shard(label, report["metrics"])
-        if self.supervisor is not None:
-            for table, counts in (report.get("sup") or {}).items():
-                mine = getattr(self.supervisor.stats, table)
-                for name, n in counts.items():
-                    mine[name] = mine.get(name, 0) + n
+    def _teardown(self) -> None:
+        """Unwind every thread; after an abort, without draining."""
+        self._finish.set()
+        self._stop.set()
+        for t in self._src_threads + self._runners:
+            t.join(timeout=1.0)
+        if self._sampler is not None:
+            self._sampler.stop()
+
+    def _gauges(self) -> tuple[list[tuple[str, int, int]], int]:
+        """``(label, depth, bound)`` per queue the backpressure sampler
+        watches, and the tuples in flight."""
+        per_pe = [
+            (pe.label(), self._inboxes[pe.pe_id].qsize(), self.queue_size)
+            for pe in self._main_pes
+        ]
+        return per_pe, self._inflight
 
     def _start_sampler(self) -> BackpressureSampler | None:
         tel = self.telemetry
@@ -1109,17 +799,9 @@ class ThreadedEngine:
             return None
 
         def probe():
-            per_pe = [
-                (
-                    pe.label(),
-                    self._inboxes[pe.pe_id].qsize(),
-                    self.queue_size,
-                )
-                for pe in self._main_pes
-            ]
-            remote, remote_inflight = self._remote_gauges()
+            gauges, inflight = self._gauges()
             dispatched = sum(op.tuples_in for op in self._local_ops)
-            return per_pe + remote, self._inflight + remote_inflight, dispatched
+            return gauges, inflight, dispatched
 
         sampler = BackpressureSampler(
             tel, probe, interval_s=tel.config.sampler_interval_s

@@ -41,16 +41,8 @@ class TestSpecs:
         with pytest.raises(ValueError, match="duration"):
             FaultSpec(kind="poison", duration=0)
 
-    def test_worker_kill_needs_process_runtime(self):
-        with pytest.raises(ValueError, match="process runtime"):
-            ChaosScenario(
-                name="x",
-                faults=(FaultSpec(kind="worker_kill", op="pca-0"),),
-                runtime="threaded",
-            )
-
     def test_kill_engine_rejected_on_process_runtime(self):
-        with pytest.raises(ValueError, match="worker_kill"):
+        with pytest.raises(ValueError, match="host_kill"):
             ChaosScenario(
                 name="x",
                 faults=(FaultSpec(kind="kill_engine", op="pca-0"),),
@@ -119,7 +111,7 @@ class TestKillEngine:
             (e.get("kind"), e.get("event") or e.get("fault"))
             for e in report.events
         }
-        assert ("chaos", "worker_kill") in kinds
+        assert ("chaos", "host_kill") in kinds
         assert ("membership", "evictions") in kinds
         assert ("membership", "rejoins") in kinds
         # A SIGKILL loses at most the in-flight transport window plus
@@ -235,7 +227,7 @@ class TestReports:
         assert all(s.runtime == "threaded" for s in suite)
         suite = smoke_suite("process")
         assert {f.kind for s in suite for f in s.faults} == {
-            "worker_kill", "poison", "delay"
+            "host_kill", "poison", "delay"
         }
 
 

@@ -194,7 +194,7 @@ class TestDataWindow:
 
         def sample():
             while not done.is_set():
-                depths.append(engine._remote_depth(loc))
+                depths.append(engine._links[loc].outstanding)
                 time.sleep(0.002)
 
         sampler = threading.Thread(target=sample, daemon=True)
@@ -207,6 +207,81 @@ class TestDataWindow:
         assert not sampler.is_alive()
         assert len(sink.tuples) == n
         assert _WINDOW_ROWS // 2 < max(depths) <= _WINDOW_ROWS
+
+
+class TestLossStep:
+    """The loss step of quiescence, driven by hand on an engine that is
+    built but never run: no hosts, no sockets, no local threads (so
+    ``_quiescent()`` reads the links alone), link counters set here.
+    After a death or a flap, frames inside the dead socket are gone and
+    the counters can never balance; a frozen imbalance first nudges
+    every live host with ``finish`` (the loss may have swallowed an
+    end-of-stream punctuation, which weighs nothing against the
+    window), and a second freeze ends the run, counting the residue."""
+
+    @pytest.fixture
+    def engine(self, monkeypatch):
+        from repro.streams import clusterengine as ce
+
+        monkeypatch.setattr(ce, "_LOSS_GRACE_S", -1.0)
+        g = Graph("loss")
+        src = g.add(
+            VectorSource("src", VectorStream.from_array(np.zeros((4, 2))))
+        )
+        a = g.add(Functor("a", _slow_identity))
+        b = g.add(Functor("b", _slow_identity))
+        sink = g.add(CollectingSink("sink"))
+        g.connect(src, a)
+        g.connect(a, b)
+        g.connect(b, sink)
+        engine = ClusterEngine(g, mp_context="fork")
+        assert engine.n_hosts == 2
+        for link in engine._links.values():
+            link.sent_to = link.received_from = 5
+            link.report = {"quiesced": True, "received": 5, "sent": 5}
+        return engine
+
+    @staticmethod
+    def _finishes(link):
+        return [item for item, _ in link.outq if item == {"t": "finish"}]
+
+    def test_quiesced_balanced_links_read_as_quiet(self, engine):
+        assert engine._quiescent()
+        engine._links[1].report["quiesced"] = False
+        assert not engine._quiescent()
+
+    def test_imbalance_without_death_or_reconnect_is_never_loss(
+        self, engine
+    ):
+        link = engine._links[0]
+        link.sent_to = 9
+        assert not any(engine._quiescent() for _ in range(6))
+        assert not any(l.outq for l in engine._links.values())
+        engine._fold_reports()
+        assert engine.cluster_stats["tuples_lost"] == 0
+
+    def test_frozen_imbalance_after_reconnect_nudges_once_then_counts(
+        self, engine
+    ):
+        l0, l1 = engine._links.values()
+        l1.reconnects = 1
+        l0.sent_to = 10  # the host received 5: 5 lost towards it
+        l1.report["sent"] = 8  # the coordinator received 5: 3 lost back
+        nudged_at = ended_at = None
+        for i in range(10):
+            ended = engine._quiescent()
+            if nudged_at is None and l0.outq:
+                nudged_at = i
+            if ended:
+                ended_at = i
+                break
+        assert nudged_at is not None and ended_at is not None
+        assert nudged_at < ended_at
+        assert [self._finishes(l) for l in (l0, l1)] == [
+            [{"t": "finish"}], [{"t": "finish"}]
+        ]
+        engine._fold_reports()
+        assert engine.cluster_stats["tuples_lost"] == 5 + 3
 
 
 class TestHostBlasPool:
@@ -446,21 +521,14 @@ class TestClusterBookkeeping:
 
 
 class TestClusterChaos:
-    def test_host_kill_needs_cluster_runtime(self):
-        with pytest.raises(ValueError, match="cluster runtime"):
-            ChaosScenario(
-                name="bad",
-                faults=(FaultSpec(kind="host_kill", op="pca-0"),),
-                runtime="process",
-            )
-
-    def test_netsplit_needs_cluster_runtime(self):
-        with pytest.raises(ValueError, match="cluster runtime"):
-            ChaosScenario(
-                name="bad",
-                faults=(FaultSpec(kind="netsplit", op="pca-0"),),
-                runtime="threaded",
-            )
+    @pytest.mark.parametrize("kind", ["host_kill", "netsplit"])
+    def test_rejected_on_threaded_and_synchronous(self, kind):
+        fault = FaultSpec(kind=kind, op="pca-0")
+        for runtime in ("threaded", "synchronous"):
+            with pytest.raises(ValueError, match="places operators on hosts"):
+                ChaosScenario(name="bad", faults=(fault,), runtime=runtime)
+        for runtime in ("process", "cluster"):
+            ChaosScenario(name="ok", faults=(fault,), runtime=runtime)
 
     def test_kill_engine_rejected_on_cluster(self):
         with pytest.raises(ValueError, match="host_kill"):
@@ -544,6 +612,39 @@ class TestAcceptLoopResilience:
         assert stats["tuples_from_hosts"] > 0
 
 
+class _ThreadCensus(Functor):
+    """Records the threads of the process it runs in.  (Module-level so
+    host processes can unpickle it.)"""
+
+    def __init__(self, name):
+        super().__init__(name, None)
+        self.threads = []
+
+    def process(self, tup, port):
+        self.threads = sorted(t.name for t in threading.enumerate())
+        self.submit(tup)
+
+
+class TestHostThreads:
+    def test_a_host_runs_its_engine_and_one_sender(self):
+        """Relaying, acking and reporting state share one sender thread:
+        every ``"tuples"`` frame carries the host's state."""
+        g = Graph("census")
+        src = g.add(
+            VectorSource("src", VectorStream.from_array(np.zeros((50, 2))))
+        )
+        census = g.add(_ThreadCensus("census"))
+        sink = g.add(CollectingSink("sink"))
+        g.connect(src, census)
+        g.connect(census, sink)
+        engine = ClusterEngine(g, mp_context="fork")
+        engine.run(timeout_s=120)
+        assert len(sink.tuples) == 50
+        assert len(census.threads) == 2
+        assert "host0-sender" in census.threads
+        assert engine.cluster_stats["frames_out"] > 0
+
+
 class TestHostThreadFailure:
     def test_sender_budget_exhaustion_exits_host_process(
         self, monkeypatch, capsys
@@ -568,7 +669,8 @@ class TestHostThreadFailure:
         outq = deque([("dst", 0, {"kind": "control"})])
         ce._host_sender_loop(
             _DeadChannel(), outq, threading.Condition(),
-            {"received": 0, "sent": 0, "consumed": 0}, threading.Event(), 7,
+            {"received": 0, "sent": 0, "consumed": 0}, [], threading.Event(),
+            7,
         )
         assert exits == [1]
         assert "death detection" in capsys.readouterr().out
