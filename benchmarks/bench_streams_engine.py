@@ -27,7 +27,6 @@ from repro.data import PlantedSubspaceModel, VectorStream
 from repro.parallel import ParallelStreamingPCA
 from repro.streams import (
     CollectingSink,
-    FusionPlan,
     Graph,
     Split,
     SynchronousEngine,
@@ -69,7 +68,7 @@ def test_threaded_engine_dispatch(benchmark):
 
     def run():
         g, sink = _pipeline_graph(x)
-        ThreadedEngine(g, fusion=FusionPlan.fuse_chains(g)).run(timeout_s=60)
+        ThreadedEngine(g).run(timeout_s=60)
         return len(sink.tuples)
 
     n = benchmark.pedantic(run, rounds=3, iterations=1)

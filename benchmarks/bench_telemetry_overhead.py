@@ -44,7 +44,6 @@ except ModuleNotFoundError:
 from repro.data import VectorStream
 from repro.streams import (
     CollectingSink,
-    FusionPlan,
     Graph,
     Split,
     SynchronousEngine,
@@ -103,9 +102,7 @@ def _bench_threaded(benchmark, config):
     def run():
         g, sink = _pipeline_graph(x)
         tel = Telemetry(config) if config is not None else None
-        ThreadedEngine(
-            g, fusion=FusionPlan.fuse_chains(g), telemetry=tel
-        ).run(timeout_s=120)
+        ThreadedEngine(g, telemetry=tel).run(timeout_s=120)
         return len(sink.tuples)
 
     n = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -183,7 +180,7 @@ TIERS = ("off", "metrics", "monitors")
 def _run_pca_once(x, runtime: str, n_engines: int, tier: str) -> float:
     from repro.core.robust import RobustIncrementalPCA
     from repro.parallel.app import build_parallel_pca_graph
-    from repro.streams import FusionPlan, ThreadedEngine
+    from repro.streams import ThreadedEngine
 
     app = build_parallel_pca_graph(
         VectorStream.from_array(x),
@@ -197,10 +194,7 @@ def _run_pca_once(x, runtime: str, n_engines: int, tier: str) -> float:
     tel = Telemetry(TelemetryConfig()) if tier != "off" else None
     t0 = time.perf_counter()
     if runtime == "threaded":
-        ThreadedEngine(
-            app.graph, fusion=FusionPlan.fuse_chains(app.graph),
-            telemetry=tel,
-        ).run(timeout_s=600)
+        ThreadedEngine(app.graph, telemetry=tel).run(timeout_s=600)
     else:
         SynchronousEngine(app.graph, telemetry=tel).run()
     wall = time.perf_counter() - t0

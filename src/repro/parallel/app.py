@@ -14,8 +14,12 @@ The topology::
                                                      │ ctl (share/merge)
                                               back to every engine
 
-Fused or distributed is a placement taken at launch, not a different
-application: :meth:`ParallelPCAApp.engine` is the one runtime switch.
+The graph declares its coordination plane (batcher, split, controller)
+once; every runtime places from it — the threaded engine fuses the plane
+into one PE beside one PE per engine, the remote runtimes keep it on
+the coordinator and put each engine on a host — and the diagnostics sink
+runs on the engines' own threads.  :meth:`ParallelPCAApp.engine` is the
+one runtime switch.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from ..io.checkpoint import CheckpointStore
 from ..streams.batcher import Batcher
 from ..streams.clusterengine import ClusterEngine
 from ..streams.engine import SynchronousEngine, ThreadedEngine
-from ..streams.fusion import FusionPlan
 from ..streams.graph import Graph
 from ..streams.health import HealthMonitor, HealthRuleEngine, default_rules
 from ..streams.resilience import DeadLetterQueue
@@ -42,7 +45,6 @@ from .sync import SyncController, SyncStrategy
 
 __all__ = [
     "ENGINE_CLASSES",
-    "FUSION_PLANS",
     "ParallelPCAApp",
     "build_parallel_pca_graph",
     "engine_restart_supervisor",
@@ -57,21 +59,16 @@ ENGINE_CLASSES = {
     "cluster": ClusterEngine,
 }
 
-#: Fusion name → plan constructor (threaded runtime).
-FUSION_PLANS = {
-    "per-operator": FusionPlan.per_operator,
-    "fused": FusionPlan.fused,
-    "chains": FusionPlan.fuse_chains,
-}
 
-
-def _choice(table: dict, what: str, name: str):
-    """``table[name]``, or a ``ValueError`` listing the valid names."""
-    if name not in table:
+def _engine_class(runtime: str):
+    """The engine class behind ``runtime``, or a ``ValueError`` listing
+    the valid names."""
+    if runtime not in ENGINE_CLASSES:
         raise ValueError(
-            f"{what} must be one of {sorted(table)}, got {name!r}"
+            f"runtime must be one of {sorted(ENGINE_CLASSES)}, "
+            f"got {runtime!r}"
         )
-    return table[name]
+    return ENGINE_CLASSES[runtime]
 
 
 @dataclass
@@ -107,19 +104,15 @@ class ParallelPCAApp:
 
     @property
     def main_ops(self) -> set[str]:
-        """The coordination plane: what stays on the coordinator, beside
-        the source and the sinks the engines pin there themselves, when
-        the PCA engines are placed remotely — a block makes one hop."""
-        names = {self.split.name, self.controller.name}
-        if self.batcher is not None:
-            names.add(self.batcher.name)
-        return names
+        """Names of the coordination plane the graph declares (batcher,
+        split, controller): one PE on the threaded runtime, the
+        coordinator's share on the remote ones — a block makes one hop."""
+        return {op.name for op in self.graph.main_ops}
 
     def engine(
         self,
         runtime: str,
         *,
-        fusion: str = "per-operator",
         supervisor: Supervisor | None = None,
         telemetry=None,
         stall_timeout_s: float | None = None,
@@ -127,25 +120,20 @@ class ParallelPCAApp:
     ):
         """The engine that runs this graph under ``runtime``.
 
-        What the application already says is worked out here: the
-        coordinator cut (:attr:`main_ops`), one engine host per PCA
-        engine, the plan behind the ``fusion`` name (threaded runtime).
+        Placement comes from the graph's declared coordination plane;
+        the remote runtimes get one engine host per PCA engine.
         ``stall_timeout_s`` arms the watchdog where there is one (every
         runtime but the synchronous); ``engine_options`` go to the
-        engine class verbatim (``mp_context=``, ``tolerate_host_loss=``,
-        ...).
+        engine class verbatim (``queue_size=``, ``mp_context=``,
+        ``tolerate_host_loss=``, ...).
         """
-        engine_class = _choice(ENGINE_CLASSES, "runtime", runtime)
-        plan = _choice(FUSION_PLANS, "fusion", fusion)
+        engine_class = _engine_class(runtime)
         options = dict(
             supervisor=supervisor, telemetry=telemetry, **engine_options
         )
-        if runtime == "threaded":
-            options["fusion"] = plan(self.graph)
         if runtime != "synchronous":
             options["stall_timeout_s"] = stall_timeout_s
         if engine_class is ClusterEngine:
-            options["main_ops"] = self.main_ops
             options.setdefault("n_hosts", len(self.engines))
         return engine_class(self.graph, **options)
 
@@ -185,11 +173,9 @@ def build_parallel_pca_graph(
     split_strategy: str = "random",
     split_seed: int = 0,
     sync_gate_factor: float = 1.5,
-    min_sync_interval: int = 0,
     collect_diagnostics: bool = True,
     snapshot_every: int = 0,
     batch_size: int = 0,
-    batch_timeout_s: float | None = None,
     quarantine: bool = False,
     dlq: DeadLetterQueue | None = None,
     shed_max_rate_hz: float | None = None,
@@ -216,9 +202,6 @@ def build_parallel_pca_graph(
         Load-balancer behaviour (``random`` is the paper's default).
     sync_gate_factor:
         The 1.5·N data-driven gate multiplier.
-    min_sync_interval:
-        Logical throttle at the controller (see
-        :class:`~repro.parallel.sync.SyncController`).
     collect_diagnostics:
         Attach a sink collecting per-observation diagnostics.
     snapshot_every:
@@ -233,9 +216,6 @@ def build_parallel_pca_graph(
         of the load balancer — each block lands on one engine (see
         docs/performance.md for the trade-off).  0 or 1 keeps the
         paper-faithful per-tuple graph.
-    batch_timeout_s:
-        Optional timeout flush for the batcher (lazily checked; see
-        :class:`~repro.streams.batcher.Batcher`).
     quarantine / dlq:
         ``quarantine=True`` arms poison-tuple validation in the source
         (:class:`~repro.streams.sources.GuardedVectorSource`): poison
@@ -298,7 +278,6 @@ def build_parallel_pca_graph(
             "sync-controller",
             n_engines,
             strategy=strategy,
-            min_interval=min_sync_interval,
             stale_after=stale_after,
             quorum=quorum,
         )
@@ -306,17 +285,14 @@ def build_parallel_pca_graph(
     head = source
     batcher: Batcher | None = None
     if batch_size and batch_size > 1:
-        batcher = graph.add(
-            Batcher(
-                "batcher",
-                batch_size=batch_size,
-                timeout_s=batch_timeout_s,
-            )
-        )
+        batcher = graph.add(Batcher("batcher", batch_size=batch_size))
         graph.connect(head, batcher)
         graph.connect(batcher, split)
     else:
         graph.connect(head, split)
+    graph.declare_main(
+        op for op in (batcher, split, controller) if op is not None
+    )
 
     engines: list[StreamingPCAOperator] = []
     health_monitors: list[HealthMonitor] = []

@@ -20,13 +20,7 @@ from ..data.streams import VectorStream
 from ..streams.engine import RunStats
 from ..streams.supervision import Supervisor
 from ..streams.tuples import StreamTuple
-from .app import (
-    ENGINE_CLASSES,
-    FUSION_PLANS,
-    ParallelPCAApp,
-    _choice,
-    build_parallel_pca_graph,
-)
+from .app import ParallelPCAApp, _engine_class, build_parallel_pca_graph
 from .pca_operator import expand_diagnostics, outlier_seqs
 from .sync import SyncStats, SyncStrategy
 
@@ -120,18 +114,13 @@ class ParallelStreamingPCA:
         ``"p2p"`` or a :class:`SyncStrategy`.
     runtime:
         ``"synchronous"`` (deterministic), ``"threaded"`` (one thread
-        per PE, shared GIL), ``"process"`` (each PCA engine in its own
-        local process reached over loopback TCP), or ``"cluster"``
-        (the same engine hosts as the paper's multi-node scale-out);
-        both remote runtimes are
+        for the coordination plane and one per PCA engine, shared GIL),
+        ``"process"`` (each PCA engine in its own local process reached
+        over loopback TCP), or ``"cluster"`` (the same engine hosts as
+        the paper's multi-node scale-out); both remote runtimes are
         :class:`~repro.streams.clusterengine.ClusterEngine`.
-    fusion:
-        For the threaded runtime: ``"per-operator"`` (default, every
-        operator its own thread — the distributed analog), ``"fused"``
-        (all PCA work on one thread — the single-node analog) or
-        ``"chains"`` (linear operator chains fused, branches apart).
-    sync_gate_factor / min_sync_interval / split_strategy / split_seed /
-    collect_diagnostics / snapshot_every / batch_size / batch_timeout_s:
+    sync_gate_factor / split_strategy / split_seed /
+    collect_diagnostics / snapshot_every / batch_size:
         See :func:`repro.parallel.app.build_parallel_pca_graph`;
         ``batch_size > 1`` switches the engines to the vectorized
         micro-batch hot path.
@@ -178,15 +167,12 @@ class ParallelStreamingPCA:
         estimator_kwargs: dict[str, Any] | None = None,
         strategy: SyncStrategy | str = "ring",
         runtime: str = "synchronous",
-        fusion: str = "per-operator",
         sync_gate_factor: float = 1.5,
-        min_sync_interval: int = 0,
         split_strategy: str = "random",
         split_seed: int = 0,
         collect_diagnostics: bool = True,
         snapshot_every: int = 0,
         batch_size: int = 0,
-        batch_timeout_s: float | None = None,
         quarantine: bool = False,
         shed_max_rate_hz: float | None = None,
         stale_after: int | None = None,
@@ -197,8 +183,7 @@ class ParallelStreamingPCA:
         stall_timeout_s: float | None = None,
         mp_context: str | None = None,
     ) -> None:
-        _choice(ENGINE_CLASSES, "runtime", runtime)
-        _choice(FUSION_PLANS, "fusion", fusion)
+        _engine_class(runtime)
         self.n_components = n_components
         self.n_engines = n_engines
         self.alpha = alpha
@@ -206,15 +191,12 @@ class ParallelStreamingPCA:
         self.estimator_kwargs = dict(estimator_kwargs or {})
         self.strategy = strategy
         self.runtime = runtime
-        self.fusion = fusion
         self.sync_gate_factor = sync_gate_factor
-        self.min_sync_interval = min_sync_interval
         self.split_strategy = split_strategy
         self.split_seed = split_seed
         self.collect_diagnostics = collect_diagnostics
         self.snapshot_every = snapshot_every
         self.batch_size = batch_size
-        self.batch_timeout_s = batch_timeout_s
         self.quarantine = quarantine
         self.shed_max_rate_hz = shed_max_rate_hz
         self.stale_after = stale_after
@@ -243,11 +225,9 @@ class ParallelStreamingPCA:
             split_strategy=self.split_strategy,
             split_seed=self.split_seed,
             sync_gate_factor=self.sync_gate_factor,
-            min_sync_interval=self.min_sync_interval,
             collect_diagnostics=self.collect_diagnostics,
             snapshot_every=self.snapshot_every,
             batch_size=self.batch_size,
-            batch_timeout_s=self.batch_timeout_s,
             quarantine=self.quarantine,
             shed_max_rate_hz=self.shed_max_rate_hz,
             stale_after=self.stale_after,
@@ -266,7 +246,6 @@ class ParallelStreamingPCA:
         )
         engine = app.engine(
             self.runtime,
-            fusion=self.fusion,
             supervisor=self.supervisor,
             stall_timeout_s=self.stall_timeout_s,
             **options,

@@ -4,7 +4,8 @@ The paper treats fused vs distributed as a placement with two costs: a
 local handoff or a network hop.  :class:`ClusterEngine` is the
 :class:`~repro.streams.engine.ThreadedEngine` coordinator (a subclass:
 the run protocol is inherited unchanged) that keeps the sources, sinks
-and control operators (split, sync controller) and places every other
+and the graph's declared coordination plane (split, sync controller;
+:attr:`~repro.streams.graph.Graph.main_ops`) and places every other
 operator on **engine hosts** — separate OS processes reached over real
 TCP sockets speaking the length-prefixed framed protocol of
 :mod:`repro.streams.wireproto`.  It runs both remote runtimes:
@@ -350,8 +351,10 @@ class _Demux(Operator):
 class _RelaySink(Sink):
     """Forward every off-host emission (and its punctuation) upstream.
 
-    One input port per outgoing cross-host edge; tuples are wire-encoded
-    here and drained to the socket by the host's sender thread.
+    One input port per outgoing cross-host edge.  Being a sink, it runs
+    inside the emitting operator's dispatch: tuples are wire-encoded and
+    queued as they are emitted, and drained to the socket by the host's
+    sender thread.
     """
 
     def __init__(
@@ -771,11 +774,10 @@ class ClusterEngine(ThreadedEngine):
     ----------
     graph:
         The application graph — unchanged operator code runs under
-        every engine.
-    main_ops:
-        Operator names pinned to the coordinator (sources and sinks are
-        always pinned).  Every unpinned operator is placed on an engine
-        host, round-robin over ``n_hosts``.
+        every engine.  Its sources, sinks and declared coordination
+        plane (:attr:`~repro.streams.graph.Graph.main_ops`) stay on the
+        coordinator; every other operator is placed on an engine host,
+        round-robin over ``n_hosts``.
     n_hosts:
         Engine-host process count; default one host per unpinned
         operator (the parallel-PCA runner passes ``n_hosts`` = engine
@@ -821,7 +823,6 @@ class ClusterEngine(ThreadedEngine):
         self,
         graph: Graph,
         *,
-        main_ops: Iterable[str] = (),
         n_hosts: int | None = None,
         bind_host: str = "127.0.0.1",
         port: int = 0,
@@ -875,7 +876,7 @@ class ClusterEngine(ThreadedEngine):
         self._ctx = safe_mp_context(mp_context)
 
         self._ops_by_name = {op.name: op for op in graph}
-        if not self._place(main_ops, n_hosts):
+        if not self._place(n_hosts):
             raise ValueError(
                 "cluster runtime has no operators to place on hosts; "
                 "use the synchronous/threaded runtime instead"
@@ -908,26 +909,18 @@ class ClusterEngine(ThreadedEngine):
     def n_hosts(self) -> int:
         return len(self._remote_ops)
 
-    def _place(
-        self, main_ops: Iterable[str], n_hosts: int | None
-    ) -> list[ProcessingElement]:
+    def _place(self, n_hosts: int | None) -> list[ProcessingElement]:
         """Cut the graph between the coordinator and its hosts.
 
-        PEs holding a source, a sink or an operator named in ``main_ops``
-        stay here; the others are dealt round-robin over ``n_hosts``
-        hosts (default: one each) and returned.
+        The sinks (which have no PE) and the PEs holding a source or the
+        coordination plane stay here; the others are dealt round-robin
+        over ``n_hosts`` hosts (default: one each) and returned.
         """
-        self.main_ops = set(main_ops)
         self._loc_of: dict[str, Any] = {op.name: _MAIN for op in self.graph}
-        unknown = self.main_ops - set(self._loc_of)
-        if unknown:
-            raise ValueError(
-                f"main_ops name unknown operators: {sorted(unknown)}"
-            )
         self._main_pes, placed = [], []
         for pe in self.fusion.pes:
             pinned = any(
-                isinstance(op, (Source, Sink)) or op.name in self.main_ops
+                isinstance(op, Source) or op in self.graph.main_ops
                 for op in pe.operators
             )
             (self._main_pes if pinned else placed).append(pe)
@@ -1028,9 +1021,14 @@ class ClusterEngine(ThreadedEngine):
         )
 
     def _inject(self, dst_name: str, tup: StreamTuple, port: int) -> None:
-        """Hand a tuple that arrived from a host to a local operator."""
+        """Hand a tuple that arrived from a host to a local operator: a
+        sink runs it on this thread, any other operator's PE queues it."""
         dst = self._ops_by_name[dst_name]
-        self._put(self._pe_of[id(dst)].pe_id, dst, port, tup)
+        pe = self._pe_of.get(id(dst))
+        if pe is None:
+            self._to_sink(dst, tup, port)
+        else:
+            self._put(pe.pe_id, dst, port, tup)
 
     def _depth(self, src: Operator, dst: Operator) -> int:
         loc = self._loc_of[dst.name]

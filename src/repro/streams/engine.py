@@ -14,6 +14,11 @@ operators:
   memory", unfused ones pay a queue hop, sources run free and the split
   operator can observe downstream queue depths for load balancing.
 
+On every engine a sink (an operator with no outputs) runs on the thread
+of whichever operator emits to it, one emitter at a time: it has no PE,
+no inbox and no thread, so it never holds rows back and never closes a
+backpressure cycle.
+
 Every engine returns a :class:`RunStats` with per-operator tuple counters
 (the profiling statistics the paper uses for placement tuning) plus the
 failure/recovery counters of an attached
@@ -52,7 +57,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .fusion import FusionPlan, ProcessingElement
+from .fusion import FusionPlan, ProcessingElement, is_sink
 from .graph import Graph
 from .operators import Operator, Source
 from .profiling import enable_profiling, note_child_time
@@ -206,20 +211,26 @@ class SynchronousEngine:
     def _wire(self) -> None:
         tracer = self._tracer
         for op in self.graph:
-            successors = {
-                port: self.graph.successors(op, port)
+            succ = {
+                port: [
+                    (dst, in_port, is_sink(dst))
+                    for dst, in_port in self.graph.successors(op, port)
+                ]
                 for port in range(op.n_outputs)
             }
 
             def emit(
                 tup: StreamTuple,
                 port: int,
-                _succ: dict[int, list[tuple[Operator, int]]] = successors,
+                _succ: dict[int, list[tuple[Operator, int, bool]]] = succ,
             ) -> None:
                 if tracer is not None:
                     tracer.propagate(tup)
-                for dst, in_port in _succ.get(port, ()):
-                    self._work.append((dst, in_port, tup))
+                for dst, in_port, inline in _succ.get(port, ()):
+                    if inline:
+                        self._dispatch(dst, tup, in_port)
+                    else:
+                        self._work.append((dst, in_port, tup))
 
             op.bind(emit)
 
@@ -503,7 +514,9 @@ class ThreadedEngine:
     graph:
         The application graph.
     fusion:
-        PE assignment; default :meth:`FusionPlan.per_operator`.
+        PE assignment; default the graph's own — its declared
+        coordination plane (:attr:`Graph.main_ops`) in one PE, every
+        other operator but the sinks in a PE of its own.
     queue_size:
         Bound of each inter-PE queue (backpressure) in **rows**
         (:func:`row_weight`), counted until a tuple's dispatch has
@@ -547,7 +560,9 @@ class ThreadedEngine:
         self._profile = profile
         if profile:
             enable_profiling(graph.operators)
-        self.fusion = fusion or FusionPlan.per_operator(graph)
+        self.fusion = fusion or FusionPlan.from_groups(
+            graph, [graph.main_ops]
+        )
         self.fusion.validate(graph)
         if queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, got {queue_size}")
@@ -565,6 +580,7 @@ class ThreadedEngine:
         self._local_ops = list(graph.operators)
         self._inboxes: dict[int, _Inbox] = {}
         self._pe_of: dict[int, ProcessingElement] = {}
+        self._sink_locks: dict[int, threading.Lock] = {}
         self._pe_of_id: dict[int, str] = {}
         self._stop = threading.Event()
         self._finish = threading.Event()
@@ -593,6 +609,15 @@ class ThreadedEngine:
                 return
         self._deliver(dst, tup, port)
 
+    def _to_sink(self, sink: Operator, tup: StreamTuple, port: int) -> None:
+        """Dispatch to ``sink`` on the calling thread, one emitter at a
+        time; waiting for another emitter is not the caller's work."""
+        started = time.perf_counter() if self._profile else 0.0
+        with self._sink_locks[id(sink)]:
+            if self._profile:
+                note_child_time(time.perf_counter() - started)
+            self._dispatch(sink, tup, port)
+
     def _put(
         self, pe_id: int, dst: Operator, port: int, tup: StreamTuple
     ) -> None:
@@ -620,34 +645,40 @@ class ThreadedEngine:
     # -- wiring ---------------------------------------------------------
 
     def _wire(self) -> None:
-        """Give every PE here an inbox and bind every local operator's
-        emit over its successors in this process."""
+        """Give every PE here an inbox and every sink here a lock, and
+        bind every local operator's emit over its successors in this
+        process."""
         tracer = self._tracer
         for pe in self._main_pes:
             self._inboxes[pe.pe_id] = _Inbox(self.queue_size)
             self._pe_of_id[pe.pe_id] = pe.label()
             for op in pe.operators:
                 self._pe_of[id(op)] = pe
+        self._sink_locks = {
+            id(op): threading.Lock() for op in self._local_ops if is_sink(op)
+        }
 
         for op in self._local_ops:
             local: dict[int, list[tuple[Operator, int]]] = {}
             for port in range(op.n_outputs):
                 for dst, in_port in self.graph.successors(op, port):
                     # A successor placed off this process is not ours.
-                    if id(dst) in self._pe_of:
+                    if id(dst) in self._pe_of or id(dst) in self._sink_locks:
                         local.setdefault(port, []).append((dst, in_port))
 
             def emit(
                 tup: StreamTuple,
                 port: int,
                 _succ: dict[int, list[tuple[Operator, int]]] = local,
-                _my_pe: ProcessingElement = self._pe_of[id(op)],
+                _my_pe: ProcessingElement | None = self._pe_of.get(id(op)),
             ) -> None:
                 if tracer is not None:
                     tracer.propagate(tup)
                 for dst, in_port in _succ.get(port, ()):
-                    dst_pe = self._pe_of[id(dst)]
-                    if dst_pe is _my_pe:
+                    dst_pe = self._pe_of.get(id(dst))
+                    if dst_pe is None:
+                        self._to_sink(dst, tup, in_port)
+                    elif dst_pe is _my_pe:
                         # Fused edge: zero-copy, same-thread call.
                         self._dispatch(dst, tup, in_port)
                     else:
@@ -667,9 +698,10 @@ class ThreadedEngine:
 
     def _depth(self, src: Operator, dst: Operator) -> int:
         """Rows queued from ``src`` towards ``dst`` — what the
-        ``least_loaded`` probe reads; a fused edge queues nothing."""
-        dst_pe = self._pe_of[id(dst)]
-        if dst_pe is self._pe_of[id(src)]:
+        ``least_loaded`` probe reads; a fused edge or a sink queues
+        nothing."""
+        dst_pe = self._pe_of.get(id(dst))
+        if dst_pe is None or dst_pe is self._pe_of[id(src)]:
             return 0
         return self._inboxes[dst_pe.pe_id].qsize()
 

@@ -8,18 +8,29 @@ one processing element (PE).  Under the threaded runtime, intra-PE edges
 are direct function calls (zero copy, same thread) and inter-PE edges are
 bounded queues — the same cost asymmetry the paper measures in Fig. 6.
 
-Sources always get their own PE: a source drives itself and cannot share
-a thread with operators that must stay responsive to their inboxes.
+The default plan is the graph's own: its declared coordination plane
+(:attr:`~repro.streams.graph.Graph.main_ops`) in one PE and every other
+operator apart, which is also the cut the remote runtimes make.  Sources
+always get their own PE: a source drives itself and cannot share a
+thread with operators that must stay responsive to their inboxes.
+Sinks get none: a sink runs on the thread of whichever operator emits
+to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .graph import Graph, GraphError
 from .operators import Operator, Source
 
-__all__ = ["ProcessingElement", "FusionPlan", "optimize_fusion"]
+__all__ = ["ProcessingElement", "FusionPlan"]
+
+
+def is_sink(op: Operator) -> bool:
+    """Whether ``op`` is a sink — no outputs — and so runs inline."""
+    return op.n_outputs == 0 and not isinstance(op, Source)
 
 
 @dataclass(frozen=True)
@@ -52,7 +63,8 @@ class FusionPlan:
         raise KeyError(f"operator {op.name!r} is not in the plan")
 
     def validate(self, graph: Graph) -> None:
-        """Every graph operator in exactly one PE; sources isolated."""
+        """Every graph operator but the sinks in exactly one PE, sinks in
+        none; sources isolated."""
         seen: set[int] = set()
         for pe in self.pes:
             for op in pe.operators:
@@ -61,12 +73,15 @@ class FusionPlan:
                         f"operator {op.name!r} appears in multiple PEs"
                     )
                 seen.add(id(op))
-        missing = [op.name for op in graph if id(op) not in seen]
+        placed = [op for op in graph if not is_sink(op)]
+        missing = [op.name for op in placed if id(op) not in seen]
         if missing:
             raise GraphError(f"operators missing from fusion plan: {missing}")
-        extra = len(seen) - len(graph)
+        extra = len(seen) - len(placed)
         if extra:
-            raise GraphError(f"fusion plan contains {extra} unknown operators")
+            raise GraphError(
+                f"fusion plan contains {extra} sinks or unknown operators"
+            )
         for pe in self.pes:
             if len(pe.operators) > 1 and any(
                 isinstance(op, Source) for op in pe.operators
@@ -82,184 +97,27 @@ class FusionPlan:
 
     @classmethod
     def per_operator(cls, graph: Graph) -> "FusionPlan":
-        """One PE per operator — maximum parallelism, maximum queueing."""
-        return cls(
-            pes=[
-                ProcessingElement(i, (op,))
-                for i, op in enumerate(graph.operators)
-            ]
-        )
-
-    @classmethod
-    def fused(cls, graph: Graph) -> "FusionPlan":
-        """Everything (except sources) in one PE — the "single node with
-        default fusion" configuration of Fig. 6's single-placement runs."""
-        sources = [op for op in graph.operators if isinstance(op, Source)]
-        rest = tuple(
-            op for op in graph.operators if not isinstance(op, Source)
-        )
-        pes = [ProcessingElement(i, (s,)) for i, s in enumerate(sources)]
-        if rest:
-            pes.append(ProcessingElement(len(pes), rest))
-        return cls(pes=pes)
+        """One PE per operator (sinks have none) — maximum parallelism,
+        maximum queueing; ignores a declared coordination plane."""
+        return cls.from_groups(graph, [])
 
     @classmethod
     def from_groups(
-        cls, graph: Graph, groups: list[list[Operator]]
+        cls, graph: Graph, groups: Iterable[Iterable[Operator]]
     ) -> "FusionPlan":
-        """Explicit grouping; ungrouped operators get singleton PEs."""
+        """Explicit grouping; ungrouped operators get singleton PEs.
+
+        Sinks are dropped from the groups: a sink has no PE.
+        """
         plan = cls()
         grouped: set[int] = set()
-        next_id = 0
         for group in groups:
-            plan.pes.append(ProcessingElement(next_id, tuple(group)))
-            next_id += 1
-            grouped.update(id(op) for op in group)
+            ops = tuple(op for op in group if not is_sink(op))
+            if ops:
+                plan.pes.append(ProcessingElement(len(plan.pes), ops))
+                grouped.update(id(op) for op in ops)
         for op in graph.operators:
-            if id(op) not in grouped:
-                plan.pes.append(ProcessingElement(next_id, (op,)))
-                next_id += 1
+            if id(op) not in grouped and not is_sink(op):
+                plan.pes.append(ProcessingElement(len(plan.pes), (op,)))
         plan.validate(graph)
         return plan
-
-    @classmethod
-    def fuse_chains(cls, graph: Graph) -> "FusionPlan":
-        """Fuse maximal linear chains (the profiler-driven optimization of
-        Section III-D in its simplest form).
-
-        Two adjacent operators are fused when the edge between them is the
-        *only* edge on both its output and input ports and neither side is
-        a source — i.e. pure pipeline segments collapse into one PE while
-        fan-out/fan-in points (split, controller) stay on PE boundaries.
-        """
-        parent: dict[int, Operator] = {}
-
-        def find(op: Operator) -> Operator:
-            while id(op) in parent:
-                op = parent[id(op)]
-            return op
-
-        for e in graph.edges:
-            if isinstance(e.src, Source) or isinstance(e.dst, Source):
-                continue
-            src_fan_out = len(graph.out_edges(e.src))
-            dst_fan_in = len(graph.in_edges(e.dst))
-            if (
-                src_fan_out == 1
-                and dst_fan_in == 1
-                and e.src.n_outputs == 1
-                and e.dst.n_inputs == 1
-            ):
-                a, b = find(e.src), find(e.dst)
-                if a is not b:
-                    parent[id(b)] = a
-
-        clusters: dict[int, list[Operator]] = {}
-        for op in graph.operators:
-            root = find(op)
-            clusters.setdefault(id(root), []).append(op)
-        plan = cls(
-            pes=[
-                ProcessingElement(i, tuple(ops))
-                for i, ops in enumerate(clusters.values())
-            ]
-        )
-        plan.validate(graph)
-        return plan
-
-
-def optimize_fusion(
-    graph: Graph,
-    stats,
-    *,
-    target_pes: int | None = None,
-    balance_slack: float = 1.25,
-) -> FusionPlan:
-    """Profile-driven fusion — the paper's optimization loop (§III-D).
-
-    "The optimisation component analyses the logs of profiler and fuses
-    the operators together for optimized data throughput."  Given a
-    profiled :class:`~repro.streams.engine.RunStats` (run an engine with
-    ``profile=True``), greedily fuse the hottest edges — the channels
-    carrying the most tuples, where queue hops cost the most — while
-    keeping every processing element's total compute below
-    ``balance_slack × (total_time / target_pes)`` so one PE cannot become
-    the bottleneck.
-
-    Parameters
-    ----------
-    graph:
-        The application graph (same operator names as the profiled run).
-    stats:
-        ``RunStats`` with ``processing_time_s`` populated.
-    target_pes:
-        Desired parallelism; defaults to the number of non-source
-        operators (i.e. only clearly-free fusions are taken).
-    balance_slack:
-        How far above the perfectly balanced per-PE load a fused PE may
-        go.  Larger values fuse more aggressively (less queueing, less
-        parallelism).
-
-    Returns
-    -------
-    FusionPlan
-        A valid plan; sources always isolated.
-    """
-    if not stats.processing_time_s:
-        raise ValueError(
-            "stats carry no processing_time_s — run the engine with "
-            "profile=True first"
-        )
-    times = {
-        op.name: stats.processing_time_s.get(op.name, 0.0)
-        for op in graph.operators
-    }
-    non_sources = [
-        op for op in graph.operators if not isinstance(op, Source)
-    ]
-    if target_pes is None:
-        target_pes = max(len(non_sources), 1)
-    total_time = sum(times[op.name] for op in non_sources)
-    budget = balance_slack * total_time / max(target_pes, 1)
-
-    # Union-find over non-source operators.
-    parent: dict[int, Operator] = {}
-
-    def find(op: Operator) -> Operator:
-        while id(op) in parent:
-            op = parent[id(op)]
-        return op
-
-    load: dict[int, float] = {id(op): times[op.name] for op in non_sources}
-
-    # Hottest edges first: traffic measured at the destination port
-    # (tuples delivered over that channel during the profiled run).
-    def edge_traffic(e) -> int:
-        return stats.tuples_out.get(e.src.name, 0)
-
-    for e in sorted(graph.edges, key=edge_traffic, reverse=True):
-        if isinstance(e.src, Source) or isinstance(e.dst, Source):
-            continue
-        a, b = find(e.src), find(e.dst)
-        if a is b:
-            continue
-        merged_load = load[id(a)] + load[id(b)]
-        if merged_load > budget:
-            continue
-        parent[id(b)] = a
-        load[id(a)] = merged_load
-
-    clusters: dict[int, list[Operator]] = {}
-    for op in graph.operators:
-        if isinstance(op, Source):
-            clusters[id(op)] = [op]
-        else:
-            clusters.setdefault(id(find(op)), []).append(op)
-    plan = FusionPlan(
-        pes=[
-            ProcessingElement(i, tuple(ops))
-            for i, ops in enumerate(clusters.values())
-        ]
-    )
-    plan.validate(graph)
-    return plan

@@ -9,7 +9,7 @@ inherently cyclic — so validation checks port wiring, not acyclicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .operators import Operator, Source
 
@@ -42,6 +42,10 @@ class Graph:
     Multiple edges *from* one output port mean broadcast; multiple edges
     *into* one input port mean merged delivery.  Both are legal, matching
     SPL stream semantics.
+
+    A graph may declare its *coordination plane* (:meth:`declare_main`):
+    the operators that share one processing element by default and stay
+    on the coordinator when a runtime places the rest on engine hosts.
     """
 
     def __init__(self, name: str = "app") -> None:
@@ -49,6 +53,7 @@ class Graph:
         self._operators: list[Operator] = []
         self._edges: list[Edge] = []
         self._names: set[str] = set()
+        self._main_ops: tuple[Operator, ...] = ()
 
     # ------------------------------------------------------------------
     # Construction
@@ -95,9 +100,28 @@ class Graph:
             raise GraphError(f"duplicate edge {edge!r}")
         self._edges.append(edge)
 
+    def declare_main(self, ops: Iterable[Operator]) -> None:
+        """Declare the coordination plane (replacing any earlier one).
+
+        Every runtime reads it: the threaded engine fuses these
+        operators into one PE and gives every other operator its own,
+        and the remote runtimes keep them (with the sources and sinks)
+        on the coordinator.
+        """
+        ops = tuple(ops)
+        for op in ops:
+            if op not in self._operators:
+                raise GraphError(f"operator {op.name!r} is not in the graph")
+        self._main_ops = ops
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    @property
+    def main_ops(self) -> tuple[Operator, ...]:
+        """The declared coordination plane (empty: none declared)."""
+        return self._main_ops
 
     @property
     def operators(self) -> tuple[Operator, ...]:

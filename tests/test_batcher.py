@@ -356,11 +356,12 @@ class TestThrottleBlockDrainShutdown:
         assert stats.wall_time_s < 30.0
 
     def test_blocked_throttle_fused_with_sink(self):
-        """Same guarantee when the throttle is fused into one PE with
-        its consumer (sleep happens inside the fused dispatch)."""
+        """Same guarantee when the throttle's consumer runs inside its
+        dispatch: a sink grouped with it has no PE of its own and runs
+        on the throttle's thread (sleep happens before that call)."""
         g, thr, sink = self._graph(20, rate_hz=100.0)
         stats = ThreadedEngine(
-            g, fusion=FusionPlan.fuse_chains(g)
+            g, fusion=FusionPlan.from_groups(g, [[thr, sink]])
         ).run(timeout_s=30.0)
         assert len([t for t in sink.tuples if t.is_data]) == 20
         assert len([t for t in sink.tuples if t.is_control]) == 1

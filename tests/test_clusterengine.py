@@ -98,6 +98,15 @@ class TestClusterParity:
         _assert_sync_parity("cluster")
 
 
+class TestThreadedParity:
+    """The in-process coordinator on its default placement: one PE for
+    the coordination plane, one per engine, the diagnostics sink on the
+    engines' threads."""
+
+    def test_matches_synchronous_engine(self):
+        _assert_sync_parity("threaded")
+
+
 class TestProcessParity:
     """``runtime="process"``: the same engine, its hosts local."""
 
@@ -469,7 +478,7 @@ class TestClusterBookkeeping:
         app = runner.build(VectorStream.from_array(X))
         tel = Telemetry(TelemetryConfig(metrics=True, tracing=False))
         engine = ClusterEngine(
-            app.graph, main_ops=app.main_ops, n_hosts=3, telemetry=tel
+            app.graph, n_hosts=3, telemetry=tel
         )
         engine.run(timeout_s=120)
 
@@ -502,7 +511,7 @@ class TestClusterBookkeeping:
         runner = _pca_runner("cluster")
         app = runner.build(VectorStream.from_array(X))
         engine = ClusterEngine(
-            app.graph, main_ops=app.main_ops, n_hosts=3,
+            app.graph, n_hosts=3,
             tolerate_host_loss=False,
         )
 
@@ -568,7 +577,7 @@ class TestAcceptLoopResilience:
         runner = _pca_runner("cluster")
         app = runner.build(VectorStream.from_array(X))
         engine = ClusterEngine(
-            app.graph, main_ops=app.main_ops, n_hosts=3
+            app.graph, n_hosts=3
         )
 
         def _attack():
@@ -703,7 +712,7 @@ class TestPickleGate:
         app = _pca_runner("cluster").build(VectorStream.from_array(X))
         with pytest.warns(RuntimeWarning, match="non-loopback"):
             engine = ClusterEngine(
-                app.graph, main_ops=app.main_ops, n_hosts=3,
+                app.graph, n_hosts=3,
                 bind_host="0.0.0.0",
             )
         assert engine._pickle_ok is False
@@ -730,7 +739,7 @@ class TestPickleGate:
         X = _spectra(n=60)
         app = _pca_runner("cluster").build(VectorStream.from_array(X))
         engine = ClusterEngine(
-            app.graph, main_ops=app.main_ops, n_hosts=3
+            app.graph, n_hosts=3
         )
         assert engine._pickle_ok is True
         op = engine._remote_ops[0][0]

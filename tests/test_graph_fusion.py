@@ -10,7 +10,8 @@ from repro.streams import (
     FusionPlan,
     Graph,
     GraphError,
-    Split,
+    ProcessingElement,
+    ThreadedEngine,
     Union,
     VectorSource,
 )
@@ -126,46 +127,31 @@ class TestFusionPlan:
     def test_per_operator(self):
         g, *_ = _linear_graph()
         plan = FusionPlan.per_operator(g)
-        assert len(plan.pes) == len(g)
+        # Every operator but the one sink, which has no PE.
+        assert len(plan.pes) == len(g) - 1
         plan.validate(g)
-
-    def test_fused_isolates_sources(self):
-        g, src, fs, sink = _linear_graph()
-        plan = FusionPlan.fused(g)
-        plan.validate(g)
-        src_pe = plan.pe_of(src)
-        assert len(src_pe.operators) == 1
-        rest_pe = plan.pe_of(fs[0])
-        assert len(rest_pe.operators) == 3
-
-    def test_fuse_chains_collapses_pipeline(self):
-        g, src, fs, sink = _linear_graph(3)
-        plan = FusionPlan.fuse_chains(g)
-        plan.validate(g)
-        pe = plan.pe_of(fs[0])
-        names = {op.name for op in pe.operators}
-        assert names == {"f0", "f1", "f2", "sink"}
-
-    def test_fuse_chains_keeps_fanout_boundaries(self):
-        g = Graph()
-        src = g.add(
-            VectorSource("src", VectorStream.from_array(np.zeros((1, 2))))
-        )
-        split = g.add(Split("split", 2))
-        s1 = g.add(CollectingSink("s1"))
-        s2 = g.add(CollectingSink("s2"))
-        g.connect(src, split)
-        g.connect(split, s1, out_port=0)
-        g.connect(split, s2, out_port=1)
-        plan = FusionPlan.fuse_chains(g)
-        # Split's fan-out prevents fusing it with the sinks.
-        assert len(plan.pe_of(split).operators) == 1
 
     def test_from_groups(self):
         g, src, fs, sink = _linear_graph()
-        plan = FusionPlan.from_groups(g, [[fs[0], fs[1]]])
+        plan = FusionPlan.from_groups(g, [[fs[0], fs[1], sink]])
         assert len(plan.pe_of(fs[0]).operators) == 2
-        assert len(plan.pe_of(sink).operators) == 1
+        with pytest.raises(KeyError):
+            plan.pe_of(sink)
+
+    def test_declared_plane_is_the_default_plan(self):
+        g, src, fs, sink = _linear_graph()
+        g.declare_main([fs[0], fs[1]])
+        engine = ThreadedEngine(g)
+        assert engine.fusion.pe_of(fs[0]).operators == (fs[0], fs[1])
+        with pytest.raises(GraphError, match="not in the graph"):
+            g.declare_main([Functor("ghost", lambda t: t)])
+
+    def test_validate_rejects_a_sink_in_a_pe(self):
+        g, src, fs, sink = _linear_graph()
+        plan = FusionPlan.per_operator(g)
+        plan.pes.append(ProcessingElement(len(plan.pes), (sink,)))
+        with pytest.raises(GraphError, match="sinks"):
+            plan.validate(g)
 
     def test_validate_missing_operator(self):
         g, src, fs, sink = _linear_graph()

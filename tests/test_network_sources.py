@@ -1,4 +1,4 @@
-"""Tests for live sources (TCP, tailing file) and the fusion optimizer."""
+"""Tests for live sources (TCP, tailing file) and operator profiling."""
 
 import threading
 import time
@@ -16,7 +16,6 @@ from repro.streams import (
     TCPVectorSource,
     ThreadedEngine,
     VectorSource,
-    optimize_fusion,
     serve_vectors,
 )
 
@@ -135,31 +134,6 @@ class TestProfilingAndOptimizer:
         g, _ = self._graph(n=10)
         stats = SynchronousEngine(g).run()
         assert stats.processing_time_s == {}
-
-    def test_optimizer_isolates_the_bottleneck(self):
-        g, f_heavy = self._graph()
-        stats = SynchronousEngine(g, profile=True).run()
-        plan = optimize_fusion(g, stats, target_pes=2)
-        heavy_pe = plan.pe_of(f_heavy)
-        assert len(heavy_pe.operators) == 1  # the hot op stays alone
-        # Light operators got fused somewhere (fewer PEs than operators).
-        assert len(plan.pes) < len(g)
-
-    def test_optimized_plan_runs(self):
-        g, _ = self._graph(n=100)
-        stats = SynchronousEngine(g, profile=True).run()
-        # Fresh graph (the profiled one is consumed) with same names.
-        g2, _ = self._graph(n=100)
-        plan = optimize_fusion(g2, stats, target_pes=2)
-        sink = next(op for op in g2 if op.name == "sink")
-        ThreadedEngine(g2, fusion=plan).run(timeout_s=30)
-        assert len(sink.tuples) == 100
-
-    def test_requires_profiled_stats(self):
-        g, _ = self._graph(n=10)
-        stats = SynchronousEngine(g).run()
-        with pytest.raises(ValueError, match="profile=True"):
-            optimize_fusion(g, stats)
 
     def test_threaded_profiling(self):
         g, f_heavy = self._graph(n=100)

@@ -20,7 +20,6 @@ from repro.parallel.sync import SyncController
 from repro.streams import (
     CollectingSink,
     Functor,
-    FusionPlan,
     Graph,
     HealthMonitor,
     HealthRule,
@@ -177,9 +176,7 @@ class TestWatermarksAcrossRuntimes:
     def test_threaded(self):
         g, sink = pipeline_graph(self._data())
         tel = Telemetry(TelemetryConfig())
-        ThreadedEngine(
-            g, fusion=FusionPlan.fuse_chains(g), telemetry=tel
-        ).run(timeout_s=120)
+        ThreadedEngine(g, telemetry=tel).run(timeout_s=120)
         assert len(sink.tuples) == self.N
         self._check(tel, self.N)
 

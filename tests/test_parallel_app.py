@@ -17,6 +17,7 @@ from repro.parallel import (
     partition_random,
     partition_round_robin,
 )
+from repro.streams import FusionPlan, ThreadedEngine
 
 
 @pytest.fixture(scope="module")
@@ -140,14 +141,24 @@ class TestParallelRunner:
         assert result.run_stats.tuples_in["split"] == 6000
 
     def test_threaded_fusion_modes(self, model, data):
-        for fusion in ("per-operator", "fused", "chains"):
+        """The default placement, every operator apart, and all but the
+        source in one PE all converge."""
+        for plan in (
+            None,
+            FusionPlan.per_operator,
+            lambda g: FusionPlan.from_groups(
+                g, [[op for op in g if op not in g.sources]]
+            ),
+        ):
             runner = ParallelStreamingPCA(
                 3, n_engines=2, alpha=0.995, runtime="threaded",
-                fusion=fusion, collect_diagnostics=False,
+                collect_diagnostics=False,
             )
-            result = runner.run(VectorStream.from_array(data[:2000]))
+            app = runner.build(VectorStream.from_array(data[:2000]))
+            fusion = plan(app.graph) if plan is not None else None
+            ThreadedEngine(app.graph, fusion=fusion).run(timeout_s=60)
             assert largest_principal_angle(
-                result.global_state.basis, model.basis
+                app.controller.global_state(3).basis, model.basis
             ) < 0.35
 
     @pytest.mark.parametrize(
@@ -202,8 +213,9 @@ class TestParallelRunner:
     def test_validation(self):
         with pytest.raises(ValueError, match="runtime"):
             ParallelStreamingPCA(3, runtime="mpi")
-        with pytest.raises(ValueError, match="fusion"):
-            ParallelStreamingPCA(3, fusion="magic")
+        for removed in ("fusion", "min_sync_interval", "batch_timeout_s"):
+            with pytest.raises(TypeError, match=removed):
+                ParallelStreamingPCA(3, **{removed: None})
         with pytest.raises(ValueError, match="n_engines"):
             build_parallel_pca_graph(
                 VectorStream.from_array(np.zeros((5, 2))), 0, lambda i: None

@@ -75,7 +75,6 @@ def test_threaded_engine_soak_with_telemetry(tmp_path):
     from repro.data import VectorStream
     from repro.streams import (
         CollectingSink,
-        FusionPlan,
         Graph,
         Split,
         Telemetry,
@@ -104,9 +103,7 @@ def test_threaded_engine_soak_with_telemetry(tmp_path):
         timing=True, tracing=True, trace_sample_every=500,
         sampler_interval_s=0.05,
     ))
-    stats = ThreadedEngine(
-        g, fusion=FusionPlan.fuse_chains(g), telemetry=tel
-    ).run(timeout_s=120)
+    stats = ThreadedEngine(g, telemetry=tel).run(timeout_s=120)
 
     assert len(sink.tuples) == n  # lossless under telemetry
     assert stats.tuples_in["sink"] == n

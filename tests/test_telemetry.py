@@ -18,7 +18,6 @@ from repro.streams import (
     CollectingSink,
     FaultInjector,
     Functor,
-    FusionPlan,
     Graph,
     Retry,
     Split,
@@ -210,9 +209,7 @@ class TestThreadedEngineTelemetry:
             timing=True, tracing=True, trace_sample_every=10,
             sampler_interval_s=0.005,
         ))
-        eng = ThreadedEngine(
-            g, fusion=FusionPlan.fuse_chains(g), telemetry=tel
-        )
+        eng = ThreadedEngine(g, telemetry=tel)
         stats = eng.run(timeout_s=60)
         assert len(sink.tuples) == n
         path = tmp_path / "events.jsonl"
@@ -234,10 +231,14 @@ class TestThreadedEngineTelemetry:
         assert 'repro_dispatch_seconds_count{operator="union"}' in text
         # Split per-target counters.
         assert 'repro_split_sent_total{operator="split",' in text
-        # Counters agree with RunStats (one source of truth).
-        want = float(stats.tuples_in["sink"])
-        assert tel.metrics.value("repro_tuples_in_total", operator="sink",
-                                 pe=tel_pe_of(tel, "sink")) == want
+        # Counters agree with RunStats (one source of truth); a sink has
+        # no PE, so its series carries no PE label.
+        for op in ("union", "sink"):
+            want = float(stats.tuples_in[op])
+            labels = {"pe": tel_pe_of(tel, op)} if op == "union" else {}
+            assert tel.metrics.value(
+                "repro_tuples_in_total", operator=op, **labels
+            ) == want
 
     def test_jsonl_has_complete_trace_across_queue_hop(self, tmp_path):
         _, _, path = self._run(tmp_path)
@@ -350,8 +351,11 @@ class TestTracePropagation:
         x = np.arange(30, dtype=float).reshape(30, 1)
         g = Graph("hop")
         src = g.add(VectorSource("src", VectorStream.from_array(x)))
+        # A stage to hop to: a sink would run on the source's thread.
+        stage = g.add(Functor("stage", lambda t: t))
         sink = g.add(CollectingSink("sink"))
-        g.connect(src, sink)
+        g.connect(src, stage)
+        g.connect(stage, sink)
         tel = Telemetry(TelemetryConfig(tracing=True, trace_sample_every=5))
         ThreadedEngine(g, telemetry=tel).run(timeout_s=30)
 
@@ -362,10 +366,13 @@ class TestTracePropagation:
             assert {"root", "queue", "dispatch"} <= kinds
             root = next(s for s in spans if s["span_kind"] == "root")
             queue = next(s for s in spans if s["span_kind"] == "queue")
-            disp = next(s for s in spans if s["span_kind"] == "dispatch")
+            disp = {
+                s["name"]: s for s in spans if s["span_kind"] == "dispatch"
+            }
             assert queue["parent_id"] == root["span_id"]
-            assert disp["parent_id"] == queue["span_id"]
-            assert disp["name"] == "sink"
+            assert disp["stage"]["parent_id"] == queue["span_id"]
+            # The sink runs inside the stage's dispatch, on its thread.
+            assert disp["sink"]["parent_id"] == disp["stage"]["span_id"]
 
     def test_no_state_leaks_between_runs(self):
         """run_finished resets the tracer: live contexts and thread-local
@@ -374,9 +381,7 @@ class TestTracePropagation:
         for _ in range(2):
             x = np.arange(10, dtype=float).reshape(10, 1)
             g, sink = pipeline_graph(x)
-            ThreadedEngine(
-                g, fusion=FusionPlan.fuse_chains(g), telemetry=tel
-            ).run(timeout_s=30)
+            ThreadedEngine(g, telemetry=tel).run(timeout_s=30)
             assert len(sink.tuples) == 10
             assert tel.tracer._live == {}
             assert tel.tracer._enqueued == {}
