@@ -25,18 +25,25 @@ Quickstart::
     print(pca.eigenvalues_)
 """
 
+import importlib
+
 __version__ = "1.0.0"
 
-from . import cluster, core, data, experiments, io, parallel, serving, streams
-
-__all__ = [
-    "cluster",
-    "core",
-    "data",
-    "experiments",
-    "io",
-    "parallel",
-    "serving",
+_SUBPACKAGES = (
+    "cluster", "core", "data", "experiments", "io", "parallel", "serving",
     "streams",
-    "__version__",
-]
+)
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str):
+    # Subpackages load on first access (PEP 562): ``python -m repro
+    # serve`` never pays for the simulator or the experiments.
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBPACKAGES})

@@ -408,7 +408,8 @@ def serve_main(argv: list[str]) -> int:
             "crash-restart smoke OK: "
             f"acked_rows={report['total_acked_rows']} "
             f"recovered_rows={report['total_recovered_rows']} "
-            f"min_affinity={report['min_affinity']:.4f}"
+            f"min_affinity={report['min_affinity']:.4f} "
+            f"restart_to_ready_s={report['restart_to_ready_s']:.2f}"
         )
         return 0
 

@@ -198,13 +198,15 @@ def run_crash_restart(
         f"acked={acked_rows}")
 
     # ---- phase 2: restart from the same data dir -------------------------
+    restarted = time.monotonic()
     proc2, port2 = _spawn_server(
         root, durability, tenants, n_components, out / "server-run2.log"
     )
     try:
         client2 = ServingClient("127.0.0.1", port2, timeout_s=10.0)
         recovery_trace = _await_ready(client2, events)
-        log(f"phase 2 up on :{port2}; "
+        restart_to_ready_s = time.monotonic() - restarted
+        log(f"phase 2 up on :{port2} after {restart_to_ready_s:.2f} s; "
             f"{len(recovery_trace)} recovery probes observed")
 
         report: dict[str, Any] = {
@@ -212,6 +214,7 @@ def run_crash_restart(
             "seed": seed,
             "pre_kill_blocks": sent_blocks,
             "recovery_probes_503": len(recovery_trace),
+            "restart_to_ready_s": restart_to_ready_s,
             "tenants": {},
         }
         failures: list[str] = []

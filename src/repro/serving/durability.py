@@ -251,10 +251,7 @@ class WriteAheadLog:
             if self.durability == "async":
                 self._fh.flush()
             elif self.durability == "fsync":
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self.n_fsyncs += 1
-                self._metric("fsyncs")
+                self._fsync_locked(self._fh)
             self.next_seq = seq + 1
             self.n_appends += 1
             self.n_bytes += len(data)
@@ -268,9 +265,8 @@ class WriteAheadLog:
     def _rotate_locked(self) -> None:
         fh, self._fh = self._fh, None
         if fh is not None:
-            fh.flush()
             if self.durability == "fsync":
-                os.fsync(fh.fileno())
+                self._fsync_locked(fh)
             fh.close()
         if self.durability == "fsync":
             # The new segment's directory entry must be durable before
@@ -285,9 +281,15 @@ class WriteAheadLog:
         """Force everything buffered so far to stable storage."""
         with self._lock:
             if self._fh is not None:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self.n_fsyncs += 1
+                self._fsync_locked(self._fh)
+
+    def _fsync_locked(self, fh) -> None:
+        # Every segment fsync goes through here, so ``n_fsyncs`` and
+        # the ``repro_wal_fsyncs_total`` counter cannot drift apart.
+        fh.flush()
+        os.fsync(fh.fileno())
+        self.n_fsyncs += 1
+        self._metric("fsyncs")
 
     def close(self) -> None:
         with self._lock:

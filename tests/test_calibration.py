@@ -12,6 +12,47 @@ from repro.core.calibration import (
 )
 from repro.core.rho import BisquareRho, make_rho
 
+# calibrate_c2 roots as scipy's brentq (xtol = rtol = 1e-12) found them
+# over 256 chi2 quadrature nodes, before the in-repo solver replaced it.
+_PINNED_C2 = {
+    ("bisquare", 0.2, 1): 11.701208090104648,
+    ("bisquare", 0.2, 4): 13.400298421590595,
+    ("bisquare", 0.2, 28): 13.872189660955716,
+    ("bisquare", 0.2, 996): 13.948259096456175,
+    ("bisquare", 0.5, 1): 2.395204989009805,
+    ("bisquare", 0.5, 4): 4.195551188372992,
+    ("bisquare", 0.5, 28): 4.756706484943048,
+    ("bisquare", 0.5, 996): 4.844788162428913,
+    ("bisquare", 0.8, 1): 0.3111012706668496,
+    ("bisquare", 0.8, 4): 1.5734684161185015,
+    ("bisquare", 0.8, 28): 2.284827985453587,
+    ("bisquare", 0.8, 996): 2.4050722291498716,
+    ("cauchy", 0.2, 1): 2.7615742791019495,
+    ("cauchy", 0.2, 4): 3.627912721210741,
+    ("cauchy", 0.2, 28): 3.9433158780723767,
+    ("cauchy", 0.2, 996): 3.998388721893961,
+    ("cauchy", 0.5, 1): 0.37453360472586084,
+    ("cauchy", 0.5, 4): 0.7797917782164987,
+    ("cauchy", 0.5, 28): 0.9649634702660743,
+    ("cauchy", 0.5, 996): 0.9989981508144542,
+    ("cauchy", 0.8, 1): 0.03373626023345658,
+    ("cauchy", 0.8, 4): 0.1612357730534369,
+    ("cauchy", 0.8, 28): 0.23592895542794723,
+    ("cauchy", 0.8, 996): 0.24959969802095644,
+    ("skipped", 0.2, 1): 4.73930738593832,
+    ("skipped", 0.2, 4): 4.996333461126933,
+    ("skipped", 0.2, 28): 4.99941437357753,
+    ("skipped", 0.2, 996): 4.999983218142379,
+    ("skipped", 0.5, 1): 1.0834152144158098,
+    ("skipped", 0.5, 4): 1.86181373473541,
+    ("skipped", 0.5, 28): 1.9997657494310106,
+    ("skipped", 0.5, 996): 1.999993287256951,
+    ("skipped", 0.8, 1): 0.1455049943212296,
+    ("skipped", 0.8, 4): 0.7874487257455153,
+    ("skipped", 0.8, 28): 1.2002854790433042,
+    ("skipped", 0.8, 996): 1.249995804535639,
+}
+
 
 class TestExpectedRho:
     def test_monotone_decreasing_in_c2(self):
@@ -67,6 +108,27 @@ class TestCalibrateC2:
         for delta in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="delta"):
                 calibrate_c2(delta, 10)
+
+    @pytest.mark.parametrize(
+        "family, delta, dof", sorted(_PINNED_C2), ids=lambda v: str(v)
+    )
+    def test_pinned_roots(self, family, delta, dof):
+        assert calibrate_c2(delta, dof, family) == pytest.approx(
+            _PINNED_C2[family, delta, dof], rel=1e-12, abs=0.0
+        )
+
+    def test_bracket_must_straddle_delta(self):
+        with pytest.raises(ValueError, match="does not straddle"):
+            calibrate_c2(0.5, 28, bracket=(10.0, 100.0))
+
+    def test_quadrature_nodes_are_the_chi2_quantiles(self):
+        from scipy import stats
+
+        from repro.core.calibration import _PROB_NODES, _scaled_nodes
+
+        for dof in (1, 2, 7, 28, 996):
+            x = stats.chi2.ppf(_PROB_NODES, df=dof)
+            np.testing.assert_array_equal(_scaled_nodes(dof), x / dof)
 
     def test_roundtrip_with_calibrate_delta(self):
         c2 = calibrate_c2(0.37, 12)

@@ -119,10 +119,27 @@ class TestWriteAheadLog:
             WriteAheadLog(tmp_path, durability="sync")
 
     def test_fsync_mode_counts_fsyncs(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, durability="fsync")
+        wal = WriteAheadLog(tmp_path / "flat", durability="fsync")
         for b in _blocks(3):
             wal.append(b)
         assert wal.n_fsyncs == 3
+
+        # Append, rotation and sync() all feed one count, and the
+        # metric callback sees exactly what n_fsyncs says.
+        counted = []
+        wal = WriteAheadLog(
+            tmp_path / "rotating", durability="fsync",
+            segment_max_bytes=1024,
+            on_metric=lambda name, n: counted.append(n)
+            if name == "fsyncs" else None,
+        )
+        for b in _blocks(13):  # four records fill a segment
+            wal.append(b)
+        wal.sync()
+        assert wal.n_rotations == 3
+        assert wal.n_fsyncs == 13 + 3 + 1
+        assert sum(counted) == wal.n_fsyncs
+        assert wal.stats()["n_fsyncs"] == wal.n_fsyncs
 
     def test_rotation_creates_segments(self, tmp_path):
         wal = WriteAheadLog(tmp_path, segment_max_bytes=1024)
@@ -926,5 +943,6 @@ class TestCrashRestartAcceptance:
             assert entry["recovered_rows"] >= entry["acked_rows"], t
             assert entry["recovered_version"] >= entry["pre_kill_version"]
             assert entry["affinity"] >= 0.98
+        assert 0.0 < report["restart_to_ready_s"] < 60.0
         assert (tmp_path / "out" / "crash_report.json").is_file()
         assert (tmp_path / "out" / "crash-events.jsonl").is_file()

@@ -1,0 +1,71 @@
+"""Start-up import graph: what a fresh interpreter loads, and what it must not.
+
+``scipy.stats`` and ``scipy.optimize`` cost about a second and 45 MiB
+per process and the estimators need neither (one chi-square quantile,
+one monotone root), and the ``repro`` package loads its subpackages on
+first access.  Both are properties of a fresh process, so the probe
+runs in a subprocess.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import repro
+
+_PROBE = r"""
+import json, sys
+
+import numpy as np
+
+import repro
+
+out = {"bare": sorted(
+    m for m in ("repro.experiments", "repro.cluster") if m in sys.modules
+)}
+out["core"] = repro.core.__name__
+from repro import serving
+
+out["serving"] = serving.__name__
+import repro.parallel
+from repro.core import BatchRobustPCA, RobustIncrementalPCA
+
+x = np.random.default_rng(0).normal(size=(64, 12))
+RobustIncrementalPCA(3).update_block(x)
+BatchRobustPCA(3).fit(x)
+out["scipy"] = sorted(
+    m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules
+)
+out["dir"] = sorted(set(dir(repro)) & set(repro.__all__))
+try:
+    repro.no_such_subpackage
+except AttributeError as exc:
+    out["missing"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def _probe() -> dict:
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_fresh_process_import_graph():
+    out = _probe()
+    assert out["bare"] == []
+    assert out["scipy"] == []
+    assert out["core"] == "repro.core"
+    assert out["serving"] == "repro.serving"
+    assert out["dir"] == sorted(repro.__all__)
+    assert "no_such_subpackage" in out["missing"]
