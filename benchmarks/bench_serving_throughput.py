@@ -140,7 +140,7 @@ def run_bench(quick: bool) -> dict:
     duration_s = 2.0 if quick else 6.0
     n_queries = 150 if quick else 600
 
-    svc = PCAService(ServingConfig(n_lanes=2, elastic=False))
+    svc = PCAService(ServingConfig(n_lanes=2))
     svc.add_tenant(TenantSpec(
         "bench", n_components=4, init_size=20,
         publish_every_blocks=4, queue_capacity_rows=200_000,

@@ -101,7 +101,6 @@ def _ingest_tput(
     """Best-of-``repeats`` rows/s for direct service ingest."""
     cfg = ServingConfig(
         n_lanes=1,
-        elastic=False,
         data_dir=data_dir,
         durability=durability,
         # Keep the checkpointer out of the measurement window: the WAL

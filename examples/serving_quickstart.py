@@ -39,7 +39,7 @@ def make_spectra(n: int, dim: int = 24, seed: int = 0) -> np.ndarray:
 
 
 def main() -> None:
-    service = PCAService(ServingConfig(n_lanes=2, elastic=False))
+    service = PCAService(ServingConfig(n_lanes=2))
     # Two tenants sharing the engine pool: "survey" unthrottled,
     # "guest" rate-limited so a bursty client is shed, not crashed.
     service.add_tenant(TenantSpec("survey", n_components=4, init_size=20))

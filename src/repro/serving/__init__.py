@@ -34,7 +34,7 @@ from .durability import (
     WriteAheadLog,
 )
 from .http import ServingServer
-from .pool import ElasticController, EngineLane, EnginePool
+from .pool import EngineLane, EnginePool
 from .service import EventBus, PCAService, ServingConfig
 from .smoke import run_smoke
 from .snapshots import BasisSnapshot, EigenbasisCache
@@ -42,7 +42,6 @@ from .tenancy import (
     IngestQueue,
     QueueFull,
     TenantModel,
-    TenantRouter,
     TenantSpec,
     TenantState,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "BasisSnapshot",
     "DurabilityPlane",
     "EigenbasisCache",
-    "ElasticController",
     "EngineLane",
     "EnginePool",
     "EventBus",
@@ -66,7 +64,6 @@ __all__ = [
     "ServingServer",
     "TenantCheckpointer",
     "TenantModel",
-    "TenantRouter",
     "TenantSpec",
     "TenantState",
     "WalError",

@@ -34,7 +34,7 @@ from ..streams.telemetry import (
     Telemetry,
     TelemetryConfig,
 )
-from .pool import ElasticController, EnginePool
+from .pool import EnginePool
 from .snapshots import EigenbasisCache
 from .tenancy import QueueFull, TenantSpec, TenantState
 
@@ -69,14 +69,9 @@ class _ServingRuleEngine(HealthRuleEngine):
 class ServingConfig:
     """Knobs of one serving deployment."""
 
+    #: Engine lanes, fixed for the service's lifetime; a dead lane is
+    #: replaced in its own slot.
     n_lanes: int = 2
-    min_lanes: int = 1
-    max_lanes: int = 8
-    elastic: bool = True
-    elastic_interval_s: float = 0.25
-    high_watermark_rows: int = 4096
-    low_watermark_rows: int = 256
-    hysteresis_ticks: int = 3
     sampler_interval_s: float = 0.1
     #: Tenants unknown at ingest time are auto-created from this
     #: template when set (name is filled in); ``None`` → 404.
@@ -177,7 +172,6 @@ class PCAService:
             on_event=self._pool_event,
         )
         self.sampler: BackpressureSampler | None = None
-        self.elastic: ElasticController | None = None
         self.rule_engine = _ServingRuleEngine(self)
         self._started = False
         self.durability = None
@@ -210,32 +204,17 @@ class PCAService:
             # replay progress while checkpoints load and WAL tails
             # replay; ingest is refused until recovery completes.
             self.durability.attach(self)
-        cfg = self.config
         self.sampler = BackpressureSampler(
             self.telemetry,
             self.pool.backpressure_probe,
-            interval_s=cfg.sampler_interval_s,
+            interval_s=self.config.sampler_interval_s,
         )
         self.sampler.start()
-        if cfg.elastic:
-            self.elastic = ElasticController(
-                self.pool,
-                telemetry=self.telemetry,
-                min_lanes=cfg.min_lanes,
-                max_lanes=cfg.max_lanes,
-                high_watermark_rows=cfg.high_watermark_rows,
-                low_watermark_rows=cfg.low_watermark_rows,
-                hysteresis_ticks=cfg.hysteresis_ticks,
-                interval_s=cfg.elastic_interval_s,
-            )
-            self.elastic.start()
 
     def stop(self) -> None:
         if not self._started:
             return
         self._started = False
-        if self.elastic is not None:
-            self.elastic.stop()
         if self.sampler is not None:
             self.sampler.stop()
         self.pool.stop()
@@ -380,7 +359,7 @@ class PCAService:
                     "retry_after_s": 0.05,
                 }
         st.note_accepted(n)
-        self.pool.work_event.set()
+        self.pool.wake(tenant)
         ack: dict[str, Any] = {
             "accepted_rows": n,
             "tenant": tenant,
@@ -458,7 +437,7 @@ class PCAService:
         )
 
     def ready(self) -> tuple[int, dict[str, Any]]:
-        """Readiness: every desired lane live, health not CRITICAL, and
+        """Readiness: every lane live, health not CRITICAL, and
         — when a durability plane is attached — startup recovery done.
 
         During recovery the 503 body carries the per-tenant replay
@@ -466,7 +445,7 @@ class PCAService:
         total), so an orchestrator's probe log *is* the recovery trace.
         """
         live = len(self.pool.live_lane_ids())
-        desired = self.pool.desired_lanes
+        desired = self.pool.n_lanes
         verdict = self.rule_engine.evaluate()
         recovering = self._recovering()
         ok = (
@@ -509,9 +488,6 @@ class PCAService:
                 "published": self.bus.n_published,
                 "dropped": self.bus.n_dropped,
             },
-            "elastic": (
-                self.elastic.snapshot() if self.elastic is not None else None
-            ),
             "health": self.rule_engine.snapshot(),
             "durability": (
                 self.durability.status()

@@ -97,9 +97,7 @@ def run_smoke(
 ) -> dict[str, Any]:
     """Run the smoke workload; returns the report dict (raises on FAIL)."""
     svc = PCAService(ServingConfig(
-        n_lanes=n_lanes, min_lanes=1, max_lanes=max(4, n_lanes),
-        elastic_interval_s=0.25,
-        data_dir=data_dir, durability=durability,
+        n_lanes=n_lanes, data_dir=data_dir, durability=durability,
     ))
     svc.add_tenant(TenantSpec(
         "bulk", n_components=4, publish_every_blocks=4,

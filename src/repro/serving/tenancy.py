@@ -1,18 +1,15 @@
-"""Tenants: specs, ingest lanes, per-tenant models, and the router.
+"""Tenants: specs, ingest queues and per-tenant models.
 
 Each tenant is an isolated streaming-PCA customer: its own model, its
 own bounded ingest queue, and its own admission valve
 (:class:`~repro.streams.resilience.LoadShedValve`), so one tenant's
 overload sheds *that tenant's* traffic and never starves a neighbour.
 Compute is shared: a :class:`~repro.serving.pool.EnginePool` of lanes
-drains every tenant's queue, with the :class:`TenantRouter` deciding
-which lane owns which tenant (rendezvous hashing, so scaling the pool
-up or down moves as few tenants as possible).
+drains every tenant's queue, each tenant owned by one lane slot.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import re
 import threading
@@ -32,7 +29,6 @@ __all__ = [
     "IngestQueue",
     "QueueFull",
     "TenantModel",
-    "TenantRouter",
     "TenantSpec",
     "TenantState",
 ]
@@ -155,16 +151,11 @@ class IngestQueue:
             self.rows_pushed += n
             return self._rows
 
-    def pop(self, max_rows: int) -> np.ndarray | None:
-        """Dequeue up to ``max_rows`` rows (coalescing whole blocks)."""
-        popped = self.pop_block(max_rows)
-        return None if popped is None else popped[0]
-
     def pop_block(self, max_rows: int) -> tuple[np.ndarray, int] | None:
-        """Like :meth:`pop`, plus the highest WAL seq of the coalesced
-        blocks.  FIFO ordering makes the last block's seq cover every
-        earlier one, so a checkpoint at that seq accounts for the whole
-        coalesced batch."""
+        """Dequeue up to ``max_rows`` rows (coalescing whole blocks), with
+        the highest WAL seq of the coalesced blocks.  FIFO ordering makes
+        the last block's seq cover every earlier one, so a checkpoint at
+        that seq accounts for the whole coalesced batch."""
         out: list[np.ndarray] = []
         seq = -1
         got = 0
@@ -437,36 +428,3 @@ class TenantState:
             "ack_hold_s": self.ack_hold_s,
             **self.model.stats(),
         }
-
-
-class TenantRouter:
-    """Rendezvous (highest-random-weight) tenant → lane placement.
-
-    Every tenant scores every live lane with a stable hash; the lane
-    with the highest score owns the tenant.  Adding or removing one lane
-    moves only the tenants whose top choice changed (~1/n of them) —
-    the property that makes elastic scale-up/down cheap.
-    """
-
-    @staticmethod
-    def _score(tenant: str, lane_id: int) -> int:
-        digest = hashlib.blake2b(
-            f"{tenant}\x00{lane_id}".encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big")
-
-    def lane_of(self, tenant: str, lane_ids) -> int:
-        """The owning lane for ``tenant`` among ``lane_ids``."""
-        ids = list(lane_ids)
-        if not ids:
-            raise ValueError("no live lanes to route to")
-        return max(ids, key=lambda lid: self._score(tenant, lid))
-
-    def assignment(
-        self, tenants, lane_ids
-    ) -> dict[int, list[str]]:
-        """Full lane → tenants map for a given lane set."""
-        out: dict[int, list[str]] = {int(lid): [] for lid in lane_ids}
-        for t in tenants:
-            out[self.lane_of(t, lane_ids)].append(t)
-        return out

@@ -560,7 +560,6 @@ class TestClientRetry:
 
 def _cfg(tmp_path, **kw):
     kw.setdefault("n_lanes", 1)
-    kw.setdefault("elastic", False)
     kw.setdefault("data_dir", str(tmp_path / "data"))
     kw.setdefault("durability", "fsync")
     kw.setdefault("checkpoint_every_publishes", 2)
@@ -703,7 +702,7 @@ class TestServiceDurability:
 
         # Second service: drive recovery by hand with a throttle so the
         # 503 window is observable.
-        cfg2 = ServingConfig(n_lanes=1, elastic=False)
+        cfg2 = ServingConfig(n_lanes=1)
         svc2 = PCAService(cfg2)
         svc2.start()
         plane = DurabilityPlane(
@@ -821,7 +820,7 @@ class TestServiceDurability:
             svc.stop()
 
     def test_no_data_dir_means_no_plane(self, tmp_path):
-        svc = PCAService(ServingConfig(n_lanes=1, elastic=False))
+        svc = PCAService(ServingConfig(n_lanes=1))
         svc.add_tenant(_spec())
         svc.start()
         try:

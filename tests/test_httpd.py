@@ -44,7 +44,7 @@ def front_end(request):
             telemetry, conn_timeout_s=CONN_TIMEOUT_S
         )
     else:
-        service = PCAService(ServingConfig(n_lanes=1, elastic=False))
+        service = PCAService(ServingConfig(n_lanes=1))
         telemetry = service.telemetry
         server = ServingServer(
             service, conn_timeout_s=CONN_TIMEOUT_S, max_body_bytes=4096
@@ -226,7 +226,7 @@ class TestFrontEndSurface:
         )
 
     def test_conn_timeout_must_be_positive(self):
-        service = PCAService(ServingConfig(n_lanes=1, elastic=False))
+        service = PCAService(ServingConfig(n_lanes=1))
         with pytest.raises(ValueError):
             ServingServer(service, conn_timeout_s=0.0)
 

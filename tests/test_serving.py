@@ -1,8 +1,8 @@
 """Tests for the serving layer (``repro.serving``).
 
 Covers the full stack bottom-up — immutable basis snapshots and the
-copy-on-publish cache, tenant specs/queues/models, the rendezvous
-router, the engine-lane pool with chaos kill/respawn, the
+copy-on-publish cache, tenant specs/queues/models, the fixed-slot
+engine-lane pool with chaos kill and automatic respawn, the
 transport-independent service core, the asyncio HTTP/WS front end —
 and finishes with the end-to-end acceptance test: ≥16 concurrent
 clients over ≥2 tenants ingesting while querying, overload shedding
@@ -18,6 +18,7 @@ import socket
 import struct
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.core.robust import RobustIncrementalPCA
 from repro.serving import (
     BasisSnapshot,
     EigenbasisCache,
+    EngineLane,
     EnginePool,
     EventBus,
     IngestQueue,
@@ -35,12 +37,12 @@ from repro.serving import (
     ServingConfig,
     ServingServer,
     TenantModel,
-    TenantRouter,
     TenantSpec,
     TenantState,
     WebSocketClient,
 )
 from repro.serving import http as serving_http
+from repro.serving import pool as serving_pool
 from repro.serving.codec import BlockCodecError, decode_block, encode_block
 
 SEED = 20120513
@@ -70,7 +72,6 @@ def _spec(name="t0", **kw):
 
 def _service(*specs, **cfg_kw):
     cfg_kw.setdefault("n_lanes", 2)
-    cfg_kw.setdefault("elastic", False)
     svc = PCAService(ServingConfig(**cfg_kw))
     for spec in specs:
         svc.add_tenant(spec)
@@ -374,7 +375,7 @@ class TestIngestQueue:
         q = IngestQueue(capacity_rows=1000)
         q.push(_rows(10))
         q.push(_rows(20, seed=1))
-        got = q.pop(max_rows=256)
+        got, _ = q.pop_block(max_rows=256)
         assert got.shape[0] == 30
         assert q.depth_rows == 0
 
@@ -382,13 +383,13 @@ class TestIngestQueue:
         q = IngestQueue(capacity_rows=1000)
         for i in range(5):
             q.push(_rows(10, seed=i))
-        first = q.pop(max_rows=25)
-        second = q.pop(max_rows=25)
-        third = q.pop(max_rows=25)
+        first, _ = q.pop_block(max_rows=25)
+        second, _ = q.pop_block(max_rows=25)
+        third, _ = q.pop_block(max_rows=25)
         assert first.shape[0] == 20  # whole blocks only, under the cap
         assert second.shape[0] == 20
         assert third.shape[0] == 10
-        assert q.pop(max_rows=25) is None
+        assert q.pop_block(max_rows=25) is None
 
     def test_push_raises_when_full(self):
         q = IngestQueue(capacity_rows=25)
@@ -400,7 +401,7 @@ class TestIngestQueue:
     def test_requeue_front_preserves_rows(self):
         q = IngestQueue(capacity_rows=100)
         q.push(_rows(40))
-        block = q.pop(max_rows=40)
+        block, _ = q.pop_block(max_rows=40)
         q.requeue_front(block)
         assert q.depth_rows == 40
         assert q.rows_requeued == 40
@@ -442,29 +443,8 @@ class TestTenantModel:
         np.testing.assert_allclose(state.basis, snap.state.basis)
 
 
-class TestTenantRouter:
-    def test_assignment_is_deterministic(self):
-        r = TenantRouter()
-        lanes = [0, 1, 2]
-        names = [f"tenant-{i}" for i in range(20)]
-        a = {n: r.lane_of(n, lanes) for n in names}
-        b = {n: r.lane_of(n, lanes) for n in names}
-        assert a == b
-        assert set(a.values()) == {0, 1, 2}  # spreads across lanes
-
-    def test_rendezvous_minimal_movement(self):
-        r = TenantRouter()
-        names = [f"tenant-{i}" for i in range(50)]
-        before = {n: r.lane_of(n, [0, 1, 2]) for n in names}
-        after = {n: r.lane_of(n, [0, 1, 2, 3]) for n in names}
-        # Adding a lane must never move a tenant between *surviving* lanes.
-        moved = [n for n in names if after[n] != before[n]]
-        assert all(after[n] == 3 for n in moved)
-        assert 0 < len(moved) < len(names)
-
-
 # ---------------------------------------------------------------------------
-# pool: lanes drain queues, chaos kill → evict → reseed → respawn
+# pool: lanes drain queues, chaos kill → evict → respawn → reseed
 # ---------------------------------------------------------------------------
 
 
@@ -472,7 +452,6 @@ class TestEnginePool:
     def _pool(self, tenants, **kw):
         cache = EigenbasisCache()
         kw.setdefault("n_lanes", 2)
-        kw.setdefault("idle_wait_s", 0.005)
         pool = EnginePool(cache, lambda: tenants, **kw)
         return cache, pool
 
@@ -482,12 +461,29 @@ class TestEnginePool:
         pool.start()
         try:
             t.queue.push(_rows(64))
-            pool.work_event.set()
+            pool.wake("a")
             assert _wait(lambda: cache.get("a") is not None)
             assert pool.drain(10.0)
             assert t.model.rows_applied == 64
         finally:
             pool.stop()
+
+    def test_wake_sets_only_the_owning_lane(self):
+        names = [f"tenant-{i}" for i in range(8)]
+        tenants = {n: TenantState(_spec(n)) for n in names}
+        cache, pool = self._pool(tenants)
+        # Lanes built but never started, so no loop clears an event.
+        lanes = {slot: EngineLane(slot, pool) for slot in range(2)}
+        pool._lanes = lanes
+        owners = {n: zlib.crc32(n.encode()) % 2 for n in names}
+        assert set(owners.values()) == {0, 1}
+        for name, owner in owners.items():
+            pool.wake(name)
+            assert [lane.wake.is_set() for lane in lanes.values()] == [
+                slot == owner for slot in lanes
+            ]
+            lanes[owner].wake.clear()
+            assert tenants[name] in pool.tenants_for(owner)
 
     def test_kill_lane_evicts_reseeds_respawns(self):
         tenants = {
@@ -499,47 +495,67 @@ class TestEnginePool:
         )
         pool.start()
         try:
-            for t in tenants.values():
-                t.queue.push(_rows(64, seed=hash(t.name) % 1000))
-            pool.work_event.set()
+            for i, t in enumerate(tenants.values()):
+                t.queue.push(_rows(64, seed=i))
+                pool.wake(t.name)
             assert pool.drain(10.0)
+            assert _wait(lambda: all(
+                cache.get(n) is not None for n in tenants
+            ))
 
-            victim_id = pool.live_lane_ids()[0]
-            victims = {t.name for t in pool.tenants_for(victim_id)}
+            victim = max(range(2), key=lambda s: len(pool.tenants_for(s)))
+            victims = {t.name for t in pool.tenants_for(victim)}
+            assert victims
             with pool._lock:
-                pool._lanes[victim_id].kill()
-            pool.work_event.set()
-            assert _wait(lambda: victim_id not in pool.live_lane_ids())
-            assert pool.stats.n_evictions >= 1
+                pool._lanes[victim].kill()
+            assert _wait(lambda: victim not in pool.live_lane_ids())
+            assert pool.stats.n_evictions == 1
             assert "lane_dead" in events
-            # Tenants stranded on the dead lane are flagged for reseed.
-            assert any(tenants[n].needs_reseed for n in victims) or not victims
 
-            n = pool.respawn_dead()
-            assert n == 1
-            assert pool.stats.n_rejoins >= 1
-            assert len(pool.live_lane_ids()) == pool.desired_lanes
+            # No caller action: the pool refills the slot by itself, and
+            # the replacement reseeds exactly the dead slot's tenants.
+            assert _wait(lambda: pool.stats.n_rejoins == 1)
+            assert _wait(lambda: len(pool.live_lane_ids()) == 2)
+            assert "lane_respawned" in events
+            assert _wait(lambda: all(
+                tenants[n].model.n_reseeds == 1 for n in victims
+            ))
+            assert all(
+                t.model.n_reseeds == 0
+                for n, t in tenants.items() if n not in victims
+            )
 
-            # The pool keeps serving after the rejoin.
+            # The pool keeps serving after the rejoin, losing nothing.
             for t in tenants.values():
                 t.queue.push(_rows(32, seed=7))
-            pool.work_event.set()
+                pool.wake(t.name)
             assert pool.drain(10.0)
+            assert _wait(lambda: all(
+                t.model.rows_applied == 96 for t in tenants.values()
+            ))
         finally:
             pool.stop()
 
-    def test_scale_to_and_membership_quorum(self):
+    def test_no_respawn_after_stop(self, monkeypatch):
+        monkeypatch.setattr(serving_pool, "RESPAWN_DELAY_S", 0.5)
         t = TenantState(_spec("a"))
-        cache, pool = self._pool({"a": t}, n_lanes=2)
+        cache, pool = self._pool({"a": t})
+        pool.start()
+        with pool._lock:
+            pool._lanes[0].kill()
+        assert _wait(lambda: pool.stats.n_evictions == 1)
+        pool.stop()
+        time.sleep(0.7)
+        assert pool.stats.n_rejoins == 0
+        assert pool.live_lane_ids() == []
+
+    def test_membership_quorum(self):
+        cache, pool = self._pool({}, n_lanes=4)
         pool.start()
         try:
-            assert pool.scale_to(4) == 2
-            assert _wait(lambda: len(pool.live_lane_ids()) == 4)
             m = pool.membership
             assert m.quorum == 4 // 2 + 1
             assert len(m.peers) == 4
-            assert pool.scale_to(2) == -2
-            assert _wait(lambda: len(pool.live_lane_ids()) == 2)
         finally:
             pool.stop()
 
@@ -645,21 +661,33 @@ class TestPCAService:
             code, _ = svc.ingest("a", _rows(64).tolist())
             assert code == 202
             assert _wait(lambda: svc.ready()[0] == 200)
+            assert _wait(lambda: svc.cache.get("a") is not None)
 
-            victim = svc.pool.live_lane_ids()[0]
+            # Kill the lane that owns "a"; nothing calls the pool after.
+            victim = zlib.crc32(b"a") % 2
+            t_kill = time.perf_counter()
             with svc.pool._lock:
                 svc.pool._lanes[victim].kill()
-            svc.pool.work_event.set()
             assert _wait(lambda: svc.ready()[0] == 503)
             code, body = svc.ready()
             assert body["health_status"] == "CRITICAL"
-
-            svc.pool.respawn_dead()
-            assert _wait(lambda: svc.ready()[0] == 200)
-            # ingest still works end to end after the rejoin
+            assert body["desired_lanes"] == 2
+            # ingest during the outage is admitted and queued
             code, _ = svc.ingest("a", _rows(32).tolist())
             assert code == 202
+
+            assert _wait(lambda: svc.ready()[0] == 200)
+            assert time.perf_counter() - t_kill < 1.0
+            # the replacement took the dead lane's slot
+            assert sorted(svc.pool.live_lane_ids()) == [0, 1]
+            assert svc.pool.stats.n_rejoins == 1
+            st = svc.tenant("a")
+            assert _wait(lambda: st.model.n_reseeds == 1)
+            # drain() returns once the queue is empty, which can be just
+            # before the lane has applied the block it popped.
             assert svc.pool.drain(10.0)
+            assert _wait(lambda: st.model.rows_applied == 96)
+            assert st.rows_accepted == 96 and st.queue.depth_rows == 0
         finally:
             svc.stop()
 
@@ -680,7 +708,7 @@ class TestPCAService:
 
     def test_auto_tenant_template(self):
         svc = PCAService(ServingConfig(
-            n_lanes=1, elastic=False,
+            n_lanes=1,
             auto_tenant_template=_spec("template"),
         ))
         svc.start()
@@ -858,7 +886,6 @@ class TestServingHTTP:
             victim = svc.pool.live_lane_ids()[0]
             with svc.pool._lock:
                 svc.pool._lanes[victim].kill()
-            svc.pool.work_event.set()
             seen = []
             assert _wait(lambda: (
                 seen.append(c.request("GET", "/health"))
@@ -975,16 +1002,14 @@ class TestServingEndToEnd:
                 t.start()
             time.sleep(1.5)
 
-            # chaos: kill one lane mid-traffic, watch /ready flip, recover
+            # chaos: kill one lane mid-traffic, watch /ready flip and
+            # recover with no caller action
+            victim = int(rng.integers(0, 2))
+            victims = svc.pool.tenants_for(victim)
             with ServingClient(srv.host, srv.port) as probe:
-                victim = svc.pool.live_lane_ids()[
-                    int(rng.integers(0, 2))
-                ]
                 with svc.pool._lock:
                     svc.pool._lanes[victim].kill()
-                svc.pool.work_event.set()
                 assert _wait(lambda: probe.ready().code == 503, 10.0)
-                svc.pool.respawn_dead()
                 assert _wait(lambda: probe.ready().code == 200, 10.0)
 
             time.sleep(1.0)
@@ -999,6 +1024,7 @@ class TestServingEndToEnd:
             # zero loss on admitted traffic, per tenant
             for name in ("bulk", "throttled"):
                 st = svc.tenant(name)
+                _wait(lambda: st.model.rows_applied == sent[name], 2.0)
                 assert st.model.rows_applied == sent[name], (
                     name, st.model.rows_applied, sent[name]
                 )
@@ -1013,6 +1039,7 @@ class TestServingEndToEnd:
             assert svc.cache.stats()["n_hits"] > 0
             assert svc.pool.stats.n_evictions >= 1
             assert svc.pool.stats.n_rejoins >= 1
+            assert all(st.model.n_reseeds >= 1 for st in victims)
         finally:
             srv.stop()
 
