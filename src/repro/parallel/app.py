@@ -177,7 +177,6 @@ def build_parallel_pca_graph(
     snapshot_every: int = 0,
     batch_size: int = 0,
     quarantine: bool = False,
-    dlq: DeadLetterQueue | None = None,
     shed_max_rate_hz: float | None = None,
     stale_after: int | None = None,
     quorum: int | None = None,
@@ -216,11 +215,11 @@ def build_parallel_pca_graph(
         of the load balancer — each block lands on one engine (see
         docs/performance.md for the trade-off).  0 or 1 keeps the
         paper-faithful per-tuple graph.
-    quarantine / dlq:
+    quarantine:
         ``quarantine=True`` arms poison-tuple validation in the source
         (:class:`~repro.streams.sources.GuardedVectorSource`): poison
         tuples (wrong dimensionality, non-numeric, all-NaN) are
-        captured into the dead-letter queue (``dlq`` or a fresh one)
+        captured into the source's dead-letter queue (``app.dlq``)
         instead of crashing an engine.
         Every row is judged *before* it enters a block, so a poison
         row can never contaminate one.
@@ -254,14 +253,13 @@ def build_parallel_pca_graph(
     # dispatch hop per tuple — a PE thread plus a queue transfer on the
     # threaded runtime — while the guard work itself is sub-microsecond
     # per row (see benchmarks/bench_chaos_overhead.py).
-    if quarantine or dlq is not None or shed_max_rate_hz is not None:
+    if quarantine or shed_max_rate_hz is not None:
         source = graph.add(
             GuardedVectorSource(
                 "source",
                 stream,
                 batch_size=batch_size,
                 quarantine=quarantine,
-                dlq=dlq,
                 expected_dim=getattr(stream, "dim", None),
                 max_rate_hz=shed_max_rate_hz,
             )

@@ -107,8 +107,10 @@ class ParallelStreamingPCA:
         Eigenpairs to estimate.
     n_engines:
         Parallel PCA engines (the paper's "threads").
-    alpha / delta / estimator_kwargs:
-        Forwarded to each engine's :class:`RobustIncrementalPCA`.
+    alpha / estimator_kwargs:
+        Forwarded to each engine's :class:`RobustIncrementalPCA` (set
+        its other parameters, ``delta`` among them, through
+        ``estimator_kwargs``).
     strategy:
         Sync topology: ``"ring"`` (default), ``"broadcast"``, ``"group"``,
         ``"p2p"`` or a :class:`SyncStrategy`.
@@ -120,16 +122,13 @@ class ParallelStreamingPCA:
         the paper's multi-node scale-out); both remote runtimes are
         :class:`~repro.streams.clusterengine.ClusterEngine`.
     sync_gate_factor / split_strategy / split_seed /
-    collect_diagnostics / snapshot_every / batch_size:
+    collect_diagnostics / batch_size:
         See :func:`repro.parallel.app.build_parallel_pca_graph`;
         ``batch_size > 1`` switches the engines to the vectorized
-        micro-batch hot path.
-    quarantine / shed_max_rate_hz / stale_after / quorum /
-    heartbeat_every:
-        Robustness hooks (poison-tuple quarantine, load shedding,
-        controller peer membership); see
-        :func:`repro.parallel.app.build_parallel_pca_graph` and
-        ``docs/robustness.md``.
+        micro-batch hot path.  The graph's robustness hooks (poison
+        quarantine, load shedding, peer membership, snapshots) are
+        set on :func:`~repro.parallel.app.build_parallel_pca_graph`
+        itself; see ``docs/robustness.md``.
     supervisor:
         Optional :class:`~repro.streams.supervision.Supervisor` applying
         per-operator failure policies (see
@@ -163,7 +162,6 @@ class ParallelStreamingPCA:
         n_engines: int = 4,
         *,
         alpha: float = 0.999,
-        delta: float = 0.5,
         estimator_kwargs: dict[str, Any] | None = None,
         strategy: SyncStrategy | str = "ring",
         runtime: str = "synchronous",
@@ -171,13 +169,7 @@ class ParallelStreamingPCA:
         split_strategy: str = "random",
         split_seed: int = 0,
         collect_diagnostics: bool = True,
-        snapshot_every: int = 0,
         batch_size: int = 0,
-        quarantine: bool = False,
-        shed_max_rate_hz: float | None = None,
-        stale_after: int | None = None,
-        quorum: int | None = None,
-        heartbeat_every: int = 0,
         timeout_s: float = 300.0,
         supervisor: Supervisor | None = None,
         stall_timeout_s: float | None = None,
@@ -187,7 +179,6 @@ class ParallelStreamingPCA:
         self.n_components = n_components
         self.n_engines = n_engines
         self.alpha = alpha
-        self.delta = delta
         self.estimator_kwargs = dict(estimator_kwargs or {})
         self.strategy = strategy
         self.runtime = runtime
@@ -195,13 +186,7 @@ class ParallelStreamingPCA:
         self.split_strategy = split_strategy
         self.split_seed = split_seed
         self.collect_diagnostics = collect_diagnostics
-        self.snapshot_every = snapshot_every
         self.batch_size = batch_size
-        self.quarantine = quarantine
-        self.shed_max_rate_hz = shed_max_rate_hz
-        self.stale_after = stale_after
-        self.quorum = quorum
-        self.heartbeat_every = heartbeat_every
         self.timeout_s = timeout_s
         self.supervisor = supervisor
         self.stall_timeout_s = stall_timeout_s
@@ -211,7 +196,6 @@ class ParallelStreamingPCA:
         return RobustIncrementalPCA(
             self.n_components,
             alpha=self.alpha,
-            delta=self.delta,
             **self.estimator_kwargs,
         )
 
@@ -226,13 +210,7 @@ class ParallelStreamingPCA:
             split_seed=self.split_seed,
             sync_gate_factor=self.sync_gate_factor,
             collect_diagnostics=self.collect_diagnostics,
-            snapshot_every=self.snapshot_every,
             batch_size=self.batch_size,
-            quarantine=self.quarantine,
-            shed_max_rate_hz=self.shed_max_rate_hz,
-            stale_after=self.stale_after,
-            quorum=self.quorum,
-            heartbeat_every=self.heartbeat_every,
         )
 
     def run(self, stream: VectorStream) -> ParallelRunResult:

@@ -4,8 +4,8 @@
 use one instance per thread.  Row blocks passed as ndarrays go out as
 one binary block of :mod:`.codec` (``application/octet-stream``: no
 float is printed or parsed on either end); Python lists go out as JSON.
-Requests retry under a bounded exponential-backoff budget
-(:class:`~repro.streams.retry.RetryBudget`): connection resets are
+Requests retry under a bounded budget (``max_retries``) on the one
+backoff schedule of :mod:`repro.streams.retry`: connection resets are
 retried only for idempotent requests (GETs and
 the read-only query POSTs — an ingest that died mid-exchange may have
 been applied, so it is never silently re-sent), and 429 shed replies
@@ -64,38 +64,21 @@ class ServingClient:
         *,
         timeout_s: float = 10.0,
         max_retries: int = 3,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        jitter: float = 0.25,
         retry_429: bool = False,
-        seed: int = 0,
         telemetry=None,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.timeout_s = float(timeout_s)
         self.max_retries = int(max_retries)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.jitter = float(jitter)
         #: Opt-in: transparently wait out 429 sheds (honoring the
         #: server's ``Retry-After``) instead of returning them.  Off by
         #: default — load generators and admission tests must *see*
         #: their 429s.
         self.retry_429 = bool(retry_429)
-        self.seed = int(seed)
         self.telemetry = telemetry
         self.n_retries = 0
         self._conn: http.client.HTTPConnection | None = None
-
-    def _budget(self) -> RetryBudget:
-        return RetryBudget(
-            self.max_retries,
-            base_s=self.backoff_base_s,
-            cap_s=self.backoff_cap_s,
-            jitter=self.jitter,
-            seed=self.seed,
-        )
 
     def _note_retry(self, kind: str) -> None:
         self.n_retries += 1
@@ -155,7 +138,7 @@ class ServingClient:
         elif payload is not None:
             body = json.dumps(payload).encode()
             headers["Content-Type"] = "application/json"
-        budget = self._budget()
+        budget = RetryBudget(self.max_retries, seed=0)
         while True:
             conn = self._connection()
             sent = False

@@ -68,6 +68,8 @@ __all__ = ["ServingServer"]
 ACK_HOLD_MAX_S = 1.0
 #: How often a held ingest looks at the queue depth again.
 ACK_HOLD_POLL_S = 0.001
+#: Idle seconds after which an event-stream WebSocket is pinged.
+WS_PING_INTERVAL_S = 15.0
 
 _WS_MAGIC = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
@@ -92,14 +94,12 @@ class ServingServer(HttpServer):
         port: int = 0,
         conn_timeout_s: float = 30.0,
         max_body_bytes: int = 16 * 1024 * 1024,
-        ws_ping_interval_s: float = 15.0,
     ) -> None:
         super().__init__(
             host=host, port=port, conn_timeout_s=conn_timeout_s,
             max_body_bytes=max_body_bytes,
         )
         self.service = service
-        self.ws_ping_interval_s = float(ws_ping_interval_s)
         self.n_ws_connections = 0
 
     # -- lifecycle --------------------------------------------------------
@@ -332,7 +332,7 @@ class ServingServer(HttpServer):
                 wake_task = asyncio.ensure_future(wake.wait())
                 done, _pending = await asyncio.wait(
                     {reader_task, wake_task},
-                    timeout=self.ws_ping_interval_s,
+                    timeout=WS_PING_INTERVAL_S,
                     return_when=asyncio.FIRST_COMPLETED,
                 )
                 if not done:  # idle: keep the connection warm

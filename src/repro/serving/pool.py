@@ -149,6 +149,7 @@ class EngineLane(threading.Thread):
         except BaseException:
             tenant.queue.requeue_front(block, wal_seq)
             raise
+        tenant.queue.applied(block.shape[0])
         self.rows_processed += int(block.shape[0])
         self.blocks_processed += 1
         if tenant.model.should_publish():
@@ -319,25 +320,26 @@ class EnginePool:
             for lane in lanes
         ]
 
-    def queue_depth_rows(self) -> int:
+    def _unapplied_rows(self) -> int:
         return sum(
-            st.queue.depth_rows for st in self.get_tenants().values()
+            st.queue.unapplied_rows for st in self.get_tenants().values()
         )
 
     def drain(self, timeout_s: float = 10.0) -> bool:
-        """Block until every queue is empty (tests/shutdown); True if so."""
+        """Block until every admitted row is applied (tests/shutdown):
+        queues empty and no lane holding a popped block; True if so."""
         import time as _time
 
         deadline = _time.monotonic() + timeout_s
         while _time.monotonic() < deadline:
-            if self.queue_depth_rows() == 0:
+            if self._unapplied_rows() == 0:
                 return True
             with self._lock:
                 lanes = list(self._lanes.values())
             for lane in lanes:
                 lane.wake.set()
             _time.sleep(0.01)
-        return self.queue_depth_rows() == 0
+        return self._unapplied_rows() == 0
 
 
 @dataclass

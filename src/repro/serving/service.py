@@ -40,6 +40,9 @@ from .tenancy import QueueFull, TenantSpec, TenantState
 
 __all__ = ["EventBus", "PCAService", "ServingConfig"]
 
+#: Seconds between the backpressure sampler's reads of the lane queues.
+SAMPLER_INTERVAL_S = 0.1
+
 
 class _ServingRuleEngine(HealthRuleEngine):
     """Rule engine whose monitor/membership views track the live pool.
@@ -72,11 +75,9 @@ class ServingConfig:
     #: Engine lanes, fixed for the service's lifetime; a dead lane is
     #: replaced in its own slot.
     n_lanes: int = 2
-    sampler_interval_s: float = 0.1
     #: Tenants unknown at ingest time are auto-created from this
     #: template when set (name is filled in); ``None`` → 404.
     auto_tenant_template: TenantSpec | None = None
-    telemetry: Telemetry | None = None
     #: Root of the durability plane (WAL + checkpoints + tenant specs);
     #: ``None`` keeps the pre-durability behaviour: memory only, state
     #: lost on restart.
@@ -87,12 +88,6 @@ class ServingConfig:
     wal_segment_bytes: int = 4 << 20
     checkpoint_every_publishes: int = 8
     checkpoint_interval_s: float = 0.5
-    keep_checkpoints: int = 3
-
-    def make_telemetry(self) -> Telemetry:
-        return self.telemetry or Telemetry(
-            TelemetryConfig(metrics=True, timing=False, tracing=False)
-        )
 
 
 class EventBus:
@@ -160,7 +155,9 @@ class PCAService:
 
     def __init__(self, config: ServingConfig | None = None) -> None:
         self.config = config or ServingConfig()
-        self.telemetry = self.config.make_telemetry()
+        self.telemetry = Telemetry(
+            TelemetryConfig(metrics=True, timing=False, tracing=False)
+        )
         self.cache = EigenbasisCache()
         self.bus = EventBus()
         self._tenants: dict[str, TenantState] = {}
@@ -186,7 +183,6 @@ class PCAService:
                     self.config.checkpoint_every_publishes
                 ),
                 checkpoint_interval_s=self.config.checkpoint_interval_s,
-                keep_checkpoints=self.config.keep_checkpoints,
                 telemetry=self.telemetry,
             )
         self._register_metrics()
@@ -207,7 +203,7 @@ class PCAService:
         self.sampler = BackpressureSampler(
             self.telemetry,
             self.pool.backpressure_probe,
-            interval_s=self.config.sampler_interval_s,
+            interval_s=SAMPLER_INTERVAL_S,
         )
         self.sampler.start()
 

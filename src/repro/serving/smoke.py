@@ -140,7 +140,6 @@ def run_smoke(
 
     # Let the lanes drain what was admitted, then do the accounting.
     svc.pool.drain(timeout_s=30.0)
-    time.sleep(0.2)
 
     failures: list[str] = []
     all_codes: dict[int, int] = {}

@@ -113,7 +113,9 @@ class IngestQueue:
     not backpressure-by-blocking); the single consumer is the owning
     engine lane.  ``requeue_front`` re-admits an in-flight block after a
     lane death and is allowed to overshoot capacity: those rows were
-    already admitted and must not be lost.
+    already admitted and must not be lost.  A popped block stays in
+    ``unapplied_rows`` until the lane calls :meth:`applied` or
+    :meth:`requeue_front`.
     """
 
     def __init__(self, capacity_rows: int) -> None:
@@ -122,6 +124,8 @@ class IngestQueue:
         #: no durability plane (nothing to account against the WAL).
         self._blocks: deque[tuple[np.ndarray, int]] = deque()
         self._rows = 0
+        #: Rows popped and not yet applied or requeued.
+        self._inflight = 0
         self._lock = threading.Lock()
         self.rows_pushed = 0
         self.rows_popped = 0
@@ -130,6 +134,12 @@ class IngestQueue:
     @property
     def depth_rows(self) -> int:
         return self._rows
+
+    @property
+    def unapplied_rows(self) -> int:
+        """Rows queued or held by the lane: 0 only once all are applied."""
+        with self._lock:
+            return self._rows + self._inflight
 
     def push(
         self, block: np.ndarray, seq: int = -1, *, force: bool = False
@@ -168,6 +178,7 @@ class IngestQueue:
                 got += blk.shape[0]
                 seq = max(seq, blk_seq)
                 out.append(blk)
+            self._inflight += got
         if not out:
             return None
         self.rows_popped += got
@@ -178,7 +189,13 @@ class IngestQueue:
         with self._lock:
             self._blocks.appendleft((block, int(seq)))
             self._rows += block.shape[0]
+            self._inflight -= block.shape[0]
             self.rows_requeued += block.shape[0]
+
+    def applied(self, n_rows: int) -> None:
+        """The lane folded ``n_rows`` popped rows into the model."""
+        with self._lock:
+            self._inflight -= n_rows
 
 
 class TenantModel:

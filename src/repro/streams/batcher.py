@@ -159,11 +159,6 @@ class Batcher(Operator):
         Maximum age of the oldest buffered row before a flush is forced
         (``None`` disables the timeout).  Checked lazily at the next
         arrival — see the module docstring.
-    field:
-        Payload field carrying the per-row vector (default ``"x"``).
-    seq_field:
-        Payload field carrying the per-row sequence number (default
-        ``"seq"``; rows without it get ``-1``).
     clock:
         Time source for the timeout (injectable for tests).
 
@@ -173,8 +168,10 @@ class Batcher(Operator):
     :data:`BLOCK_SCHEMA` tuple of exactly ``batch_size`` rows arriving
     on an empty buffer — what a block-emitting source sends — is
     forwarded as is, without a copy; any other block is slice-copied
-    into the buffer and leaves re-grouped.  Tuples with neither the
-    ``field`` nor a block (and all control tuples) flush the buffer and
+    into the buffer and leaves re-grouped.  A row is a tuple of the
+    observation schema: its vector in ``"x"`` and its sequence number in
+    ``"seq"`` (rows without one get ``-1``).  Tuples with neither an
+    ``"x"`` nor a block (and all control tuples) flush the buffer and
     are forwarded unchanged, so heterogeneous streams keep their
     relative order.
     """
@@ -185,8 +182,6 @@ class Batcher(Operator):
         *,
         batch_size: int = 64,
         timeout_s: float | None = None,
-        field: str = "x",
-        seq_field: str = "seq",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if batch_size < 1:
@@ -196,8 +191,6 @@ class Batcher(Operator):
         super().__init__(name, n_inputs=1, n_outputs=1)
         self.batch_size = int(batch_size)
         self.timeout_s = timeout_s
-        self.field = field
-        self.seq_field = seq_field
         self._clock = clock
         self._asm = BlockAssembler(self.batch_size, f"Batcher {name!r}")
         #: Monotonic arrival time of the oldest buffered row (the
@@ -223,7 +216,7 @@ class Batcher(Operator):
     def process(self, tup: StreamTuple, port: int) -> None:
         payload = tup.payload
         is_block = "xs" in payload
-        if tup.is_control or not (is_block or self.field in payload):
+        if tup.is_control or not (is_block or "x" in payload):
             # Flush-then-forward keeps control/sync ordering intact.
             self._flush("control")
             self.submit(tup)
@@ -240,10 +233,7 @@ class Batcher(Operator):
             self._oldest_at = now
         if not is_block:
             self.rows_in += 1
-            if asm.add(
-                tup[self.field], int(tup.get(self.seq_field, -1)),
-                tup.event_ts,
-            ):
+            if asm.add(tup["x"], int(tup.get("seq", -1)), tup.event_ts):
                 self._flush("size")
             return
         n = int(payload["count"])

@@ -899,7 +899,7 @@ def network_flap_scenario(
     src = TCPVectorSource(
         "tcp-source", "127.0.0.1", server.port,
         connect_timeout_s=5.0, max_retries=2 * max_flaps + 2,
-        backoff_base_s=0.01, retry_seed=seed,
+        retry_seed=seed,
     )
     report = ChaosReport(
         scenario="network-flap", runtime="source", seed=seed,

@@ -264,14 +264,9 @@ def _is_loopback_bind(host: str) -> bool:
         return False
 
 
-#: Default redial budget for host channels (≈ 4 s worst case), matching
-#: the reconnecting network sources' shape.
-_DEFAULT_RECONNECT = {
-    "max_retries": 10,
-    "base_s": 0.05,
-    "cap_s": 1.0,
-    "jitter": 0.3,
-}
+#: Redials a host channel tries per outage on the shared backoff
+#: schedule: 6.55 s of sleep before jitter, at most 8.5 s with it.
+_HOST_RETRIES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +436,9 @@ def _host_main(spec: _HostSpec) -> None:
     channel = ReconnectingChannel(
         spec.addr,
         {"t": "hello", "host": spec.host_id, "run": spec.run_id},
-        flap_after=spec.flap_after,
+        max_retries=_HOST_RETRIES,
         seed=spec.host_id,
-        **_DEFAULT_RECONNECT,
+        flap_after=spec.flap_after,
     )
     try:
         channel.connect()

@@ -18,15 +18,17 @@ Both emit the standard observation tuples (``x``, ``seq``).
 Robustness (heavy-traffic reality):
 
 * **Reconnect with backoff** — the network sources survive a peer reset
-  mid-stream: they reconnect with exponential backoff plus jitter, up to
-  a ``max_retries`` budget, counting every successful re-establishment
-  in ``n_reconnects`` (``repro_source_reconnects_total``).  A *clean*
+  mid-stream: they reconnect on the backoff schedule every reconnecting
+  client shares (:mod:`repro.streams.retry`), up to a ``max_retries``
+  budget, counting every successful re-establishment in
+  ``n_reconnects`` (``repro_source_reconnects_total``).  A *clean*
   close (EOF or the ``__END__`` terminator) still ends the stream.
 * **Dead-letter routing** — an unparsable CSV line no longer raises out
   of the source thread and kills the pipeline; it is quarantined to the
-  source's :class:`~repro.streams.resilience.DeadLetterQueue` (payload
-  captured, ``repro_dlq_total`` counter) and the stream continues.
-  ``strict=True`` restores the raising behaviour.
+  source's own :class:`~repro.streams.resilience.DeadLetterQueue`
+  (``source.dlq``: payload captured, ``repro_dlq_total`` counter) and
+  the stream continues.  ``strict=True`` restores the raising
+  behaviour.
 """
 
 from __future__ import annotations
@@ -75,16 +77,10 @@ def _parse_csv_line(line: str, lineno: int, origin: str) -> np.ndarray | None:
 class _ResilientCSVSource(Source):
     """Shared malformed-line handling for the CSV-over-anything sources."""
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        dlq: DeadLetterQueue | None = None,
-        strict: bool = False,
-    ) -> None:
+    def __init__(self, name: str, *, strict: bool = False) -> None:
         super().__init__(name)
-        #: Destination for unparsable lines (private queue by default).
-        self.dlq = dlq if dlq is not None else DeadLetterQueue()
+        #: Destination for unparsable lines.
+        self.dlq = DeadLetterQueue()
         self.strict = bool(strict)
         self.n_quarantined = 0
         self.n_reconnects = 0
@@ -127,10 +123,9 @@ class TCPVectorSource(_ResilientCSVSource):
     max_retries:
         Total reconnect budget (connect failures and mid-stream drops
         share it).  0 restores the seed single-attempt behaviour.
-    backoff_base_s / backoff_cap_s / backoff_jitter / retry_seed:
-        Backoff schedule: ``base * 2**attempt`` capped at ``cap``, each
-        stretched by up to ``jitter`` (seeded, reproducible).
-    dlq / strict:
+    retry_seed:
+        Seeds the backoff jitter (:mod:`repro.streams.retry`).
+    strict:
         Unparsable-line routing (see module docstring).
     """
 
@@ -142,30 +137,20 @@ class TCPVectorSource(_ResilientCSVSource):
         *,
         connect_timeout_s: float = 10.0,
         max_retries: int = 5,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        backoff_jitter: float = 0.5,
         retry_seed: int = 0,
-        dlq: DeadLetterQueue | None = None,
         strict: bool = False,
     ) -> None:
-        super().__init__(name, dlq=dlq, strict=strict)
+        super().__init__(name, strict=strict)
         self.host = host
         self.port = int(port)
         self.connect_timeout_s = float(connect_timeout_s)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.max_retries = int(max_retries)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.backoff_jitter = float(backoff_jitter)
         self.retry_seed = int(retry_seed)
 
     def generate(self) -> Iterator[StreamTuple]:
-        budget = RetryBudget(
-            self.max_retries, self.backoff_base_s, self.backoff_cap_s,
-            self.backoff_jitter, self.retry_seed,
-        )
+        budget = RetryBudget(self.max_retries, self.retry_seed)
         origin = f"tcp://{self.host}:{self.port}"
         seq = 0
         lineno = 0
@@ -278,10 +263,9 @@ class TailingFileSource(_ResilientCSVSource):
         *,
         poll_interval_s: float = 0.05,
         idle_timeout_s: float | None = 10.0,
-        dlq: DeadLetterQueue | None = None,
         strict: bool = False,
     ) -> None:
-        super().__init__(name, dlq=dlq, strict=strict)
+        super().__init__(name, strict=strict)
         self.path = pathlib.Path(path)
         if not self.path.exists():
             raise FileNotFoundError(self.path)

@@ -131,9 +131,10 @@ class GuardedVectorSource(VectorSource):
         a row the validator rejects — ``(tup, expected_dim) -> reason |
         None``, default :func:`~repro.streams.resilience.row_poison_reason`
         on the row itself — goes to the dead-letter queue, not the graph.
-    max_rate_hz / burst_s / open_for_s / clock:
-        ``max_rate_hz`` arms the valve; the rest are
-        :class:`~repro.streams.resilience.LoadShedValve`'s.
+    max_rate_hz / clock:
+        ``max_rate_hz`` arms a
+        :class:`~repro.streams.resilience.LoadShedValve` with its
+        default burst and open time, reading time from ``clock``.
     """
 
     def __init__(
@@ -148,8 +149,6 @@ class GuardedVectorSource(VectorSource):
         validator: Callable[[StreamTuple, int | None], str | None]
         | None = None,
         max_rate_hz: float | None = None,
-        burst_s: float = 1.0,
-        open_for_s: float = 0.5,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         super().__init__(name, stream, batch_size=batch_size)
@@ -161,10 +160,7 @@ class GuardedVectorSource(VectorSource):
             self.dlq = dlq if dlq is not None else DeadLetterQueue()
         self._valve: LoadShedValve | None = None
         if max_rate_hz is not None:
-            self._valve = LoadShedValve(
-                max_rate_hz, burst_s=burst_s, open_for_s=open_for_s,
-                clock=clock,
-            )
+            self._valve = LoadShedValve(max_rate_hz, clock=clock)
             self._valve._origin = name
 
     def bind_telemetry(self, telemetry) -> None:

@@ -28,10 +28,9 @@ refuses pickles, and the ``register_wire_type`` allowlist (see
 ``docs/robustness.md``).
 
 :class:`ReconnectingChannel` is the host-side client: a framed socket
-that transparently redials the coordinator with the same exponential
-backoff budget the network sources use
-(:class:`repro.streams.retry.RetryBudget`), re-sending its hello on every
-reconnect so the coordinator can re-associate the stream.
+that transparently redials the coordinator on the backoff schedule every
+reconnecting client shares (:mod:`repro.streams.retry`), re-sending its
+hello on every reconnect so the coordinator can re-associate the stream.
 """
 
 from __future__ import annotations
@@ -67,6 +66,9 @@ MAGIC = b"RPW1"
 #: Upper bound on one frame's body.  A length prefix from an untrusted
 #: peer must never size an allocation unchecked.
 MAX_FRAME_BYTES = 1 << 28  # 256 MiB
+
+#: Time allowed for one TCP connect of a :class:`ReconnectingChannel`.
+CONNECT_TIMEOUT_S = 10.0
 
 _HEAD = struct.Struct("!QII")
 _U64 = struct.Struct("!Q")
@@ -357,10 +359,11 @@ class ReconnectingChannel:
 
     One engine host holds exactly one channel to the coordinator.  Both
     :meth:`send` and :meth:`recv` transparently reconnect on socket
-    failure, consuming a fresh ``RetryBudget`` (the same exponential
-    backoff machinery as the reconnecting network sources) per outage
-    and re-sending ``hello`` so the coordinator re-associates the host.
-    An exhausted budget raises :class:`ConnectionError` — the host then
+    failure, consuming a fresh ``RetryBudget`` of ``max_retries`` per
+    outage (the schedule of :mod:`repro.streams.retry`, jitter seeded by
+    ``seed``; each dial may take :data:`CONNECT_TIMEOUT_S`) and
+    re-sending ``hello`` so the coordinator re-associates the host.  An
+    exhausted budget raises :class:`ConnectionError` — the host then
     dies and the coordinator's membership layer takes over.
 
     Delivery semantics across a reconnect are *at-least-once*: a frame
@@ -381,17 +384,13 @@ class ReconnectingChannel:
         hello: dict[str, Any],
         *,
         max_retries: int = 8,
-        base_s: float = 0.05,
-        cap_s: float = 2.0,
-        jitter: float = 0.3,
         seed: int = 0,
-        connect_timeout_s: float = 10.0,
         flap_after: int | None = None,
     ) -> None:
         self.addr = tuple(addr)
         self.hello = dict(hello)
-        self._budget_args = (max_retries, base_s, cap_s, jitter, seed)
-        self.connect_timeout_s = connect_timeout_s
+        self.max_retries = max_retries
+        self.seed = seed
         self.flap_after = flap_after
         self._sock: socket.socket | None = None
         self._send_lock = threading.Lock()
@@ -409,7 +408,7 @@ class ReconnectingChannel:
 
     def _dial(self) -> socket.socket:
         sock = socket.create_connection(
-            self.addr, timeout=self.connect_timeout_s
+            self.addr, timeout=CONNECT_TIMEOUT_S
         )
         # Back to blocking: per-operation timeouts would also govern the
         # sender thread's sendall (see wait_readable).
@@ -426,7 +425,7 @@ class ReconnectingChannel:
                 self._sock = self._dial_with_budget()
 
     def _dial_with_budget(self) -> socket.socket:
-        budget = RetryBudget(*self._budget_args)
+        budget = RetryBudget(self.max_retries, self.seed)
         while True:
             try:
                 sock = self._dial()

@@ -36,6 +36,16 @@ def small_data(small_model, rng) -> np.ndarray:
 
 
 @pytest.fixture
+def fast_backoff(monkeypatch):
+    """Shrink the one backoff schedule (:mod:`repro.streams.retry`) so
+    retry tests sleep milliseconds; budgets and counts are unchanged."""
+    from repro.streams import retry
+
+    monkeypatch.setattr(retry, "BASE_S", 0.01)
+    monkeypatch.setattr(retry, "CAP_S", 0.05)
+
+
+@pytest.fixture
 def concurrent_engine():
     """Factory ``(runtime, graph, **kw) -> engine`` over the runtimes
     that share one coordinator (``"threaded"``, ``"process"``,

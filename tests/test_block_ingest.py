@@ -215,10 +215,12 @@ class TestGuardsJudgeEveryRow:
         rows, _ = poisoned_rows(n=400)
 
         def run(batch_size):
-            ticks = iter(np.arange(0.0, 10.0, 0.001))
+            # 20 ms per attempt: the default valve (1 s of burst, open
+            # for 0.5 s) trips and recovers several times in 400 rows.
+            ticks = iter(np.arange(0.0, 200.0, 0.02))
             src = self._source(
-                rows, batch_size, max_rate_hz=400.0, burst_s=0.05,
-                open_for_s=0.03, clock=lambda: next(ticks),
+                rows, batch_size, max_rate_hz=20.0,
+                clock=lambda: next(ticks),
             )
             out = emitted(src)
             if batch_size:

@@ -345,6 +345,7 @@ class _MiniCoordinator:
         self.server.close()
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestReconnectingChannel:
     def test_mid_stream_disconnect_recovers(self):
         coord = _MiniCoordinator()
@@ -355,7 +356,7 @@ class TestReconnectingChannel:
         server.start()
         chan = ReconnectingChannel(
             coord.addr, {"t": "hello", "host": 9},
-            max_retries=8, base_s=0.01, cap_s=0.1,
+            max_retries=8,
         )
         try:
             chan.connect()
@@ -384,7 +385,7 @@ class TestReconnectingChannel:
         server.start()
         chan = ReconnectingChannel(
             coord.addr, {"t": "hello", "host": 4},
-            max_retries=8, base_s=0.01, cap_s=0.1, flap_after=1,
+            max_retries=8, flap_after=1,
         )
         try:
             chan.connect()
@@ -418,7 +419,7 @@ class TestReconnectingChannel:
         server.start()
         chan = ReconnectingChannel(
             coord.addr, {"t": "hello"},
-            max_retries=8, base_s=0.01, cap_s=0.1,
+            max_retries=8,
         )
         try:
             chan.connect()
@@ -448,7 +449,7 @@ class TestReconnectingChannel:
         probe.close()  # nothing listens here any more
         chan = ReconnectingChannel(
             dead_addr, {"t": "hello"},
-            max_retries=1, base_s=0.005, cap_s=0.01,
+            max_retries=1,
         )
         with pytest.raises(ConnectionError, match="budget exhausted"):
             chan.connect()

@@ -476,11 +476,10 @@ class _StubHTTP(threading.Thread):
         self.sock.close()
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestClientRetry:
     def _client(self, port, **kw):
         kw.setdefault("timeout_s", 5.0)
-        kw.setdefault("backoff_base_s", 0.01)
-        kw.setdefault("backoff_cap_s", 0.05)
         return ServingClient("127.0.0.1", port, **kw)
 
     def test_idempotent_get_retried_on_reset(self):

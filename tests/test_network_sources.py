@@ -141,6 +141,7 @@ class TestProfilingAndOptimizer:
         assert stats.processing_time_s["heavy"] > 0
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestReconnect:
     """Sources survive connection flaps within the retry budget."""
 
@@ -153,7 +154,7 @@ class TestReconnect:
         ).start()
         src = TCPVectorSource(
             "tcp-src", "127.0.0.1", server.port,
-            max_retries=10, backoff_base_s=0.01,
+            max_retries=10,
         )
         tuples = list(src.generate())
         server.join(timeout=5)
@@ -172,7 +173,7 @@ class TestReconnect:
         ).start()
         src = TCPVectorSource(
             "tcp-src", "127.0.0.1", server.port,
-            max_retries=0, backoff_base_s=0.01,
+            max_retries=0,
         )
         got = []
         with pytest.raises(OSError):
@@ -209,7 +210,7 @@ class TestReconnect:
         t.start()
         src = TCPVectorSource(
             "tcp-src", "127.0.0.1", port,
-            connect_timeout_s=1.0, max_retries=20, backoff_base_s=0.02,
+            connect_timeout_s=1.0, max_retries=20,
         )
         got = np.vstack([tup["x"] for tup in src.generate()])
         t.join(timeout=5)

@@ -213,13 +213,18 @@ class TestParallelRunner:
     def test_validation(self):
         with pytest.raises(ValueError, match="runtime"):
             ParallelStreamingPCA(3, runtime="mpi")
-        for removed in ("fusion", "min_sync_interval", "batch_timeout_s"):
+        for removed in (
+            "fusion", "min_sync_interval", "batch_timeout_s", "delta",
+            "snapshot_every", "quarantine", "shed_max_rate_hz",
+            "stale_after", "quorum", "heartbeat_every",
+        ):
             with pytest.raises(TypeError, match=removed):
                 ParallelStreamingPCA(3, **{removed: None})
+        stream = VectorStream.from_array(np.zeros((5, 2)))
+        with pytest.raises(TypeError, match="dlq"):
+            build_parallel_pca_graph(stream, 1, lambda i: None, dlq=None)
         with pytest.raises(ValueError, match="n_engines"):
-            build_parallel_pca_graph(
-                VectorStream.from_array(np.zeros((5, 2))), 0, lambda i: None
-            )
+            build_parallel_pca_graph(stream, 0, lambda i: None)
 
     def test_estimator_factory_api_check(self):
         class NotAnEstimator:

@@ -223,8 +223,8 @@ class TestGuardedVectorSource:
         clock = [0.0]
         rows = [np.zeros(4)] * 4
         src = self._source(
-            rows, quarantine=False, max_rate_hz=1.0, burst_s=1.0,
-            open_for_s=0.5, clock=lambda: clock[0],
+            rows, quarantine=False, max_rate_hz=1.0,
+            clock=lambda: clock[0],
         )
         gen = src.generate()
         assert next(gen)["seq"] == 0  # spends the single token
@@ -252,7 +252,9 @@ class TestGuardsOnArrayBlocks:
         return x
 
     def _run(self, x, batch_size, from_array, **kw):
-        ticks = iter(np.arange(0.0, 10.0, 0.001))
+        # One 20 ms tick per admission: the default valve (1 s of burst,
+        # open for 0.5 s) trips, sheds and recovers within 300 rows.
+        ticks = iter(np.arange(0.0, 200.0, 0.02))
         stream = (
             VectorStream.from_array(x) if from_array
             else VectorStream.from_iterable(list(x), dim=x.shape[1])
@@ -276,11 +278,10 @@ class TestGuardsOnArrayBlocks:
 
     @pytest.mark.parametrize("kw", [
         {"expected_dim": 6},
-        {"expected_dim": 6, "max_rate_hz": 400.0, "burst_s": 0.05,
-         "open_for_s": 0.03},
+        {"expected_dim": 6, "max_rate_hz": 20.0},
         {"expected_dim": 5},
         {"validator": lambda tup, dim: "odd" if tup["seq"] % 3 else None},
-        {"quarantine": False, "max_rate_hz": 300.0, "burst_s": 0.05},
+        {"quarantine": False, "max_rate_hz": 15.0},
     ], ids=["default", "default+valve", "wrong-dim", "custom", "valve-only"])
     def test_block_verdicts_equal_the_per_row_path(self, kw):
         x = self._rows()

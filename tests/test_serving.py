@@ -468,6 +468,27 @@ class TestEnginePool:
         finally:
             pool.stop()
 
+    def test_drain_waits_for_the_block_in_flight(self, monkeypatch):
+        # The lane pops the only block at once and then spends 0.2 s
+        # applying it: the queue is empty long before the rows count.
+        t = TenantState(_spec("a"))
+        apply_block = t.model.apply_block
+
+        def slow_apply(*args, **kwargs):
+            time.sleep(0.2)
+            apply_block(*args, **kwargs)
+
+        monkeypatch.setattr(t.model, "apply_block", slow_apply)
+        cache, pool = self._pool({"a": t})
+        pool.start()
+        try:
+            t.queue.push(_rows(64))
+            pool.wake("a")
+            assert pool.drain(10.0)
+            assert t.model.rows_applied == 64
+        finally:
+            pool.stop()
+
     def test_wake_sets_only_the_owning_lane(self):
         names = [f"tenant-{i}" for i in range(8)]
         tenants = {n: TenantState(_spec(n)) for n in names}
@@ -530,9 +551,9 @@ class TestEnginePool:
                 t.queue.push(_rows(32, seed=7))
                 pool.wake(t.name)
             assert pool.drain(10.0)
-            assert _wait(lambda: all(
+            assert all(
                 t.model.rows_applied == 96 for t in tenants.values()
-            ))
+            )
         finally:
             pool.stop()
 
@@ -683,10 +704,8 @@ class TestPCAService:
             assert svc.pool.stats.n_rejoins == 1
             st = svc.tenant("a")
             assert _wait(lambda: st.model.n_reseeds == 1)
-            # drain() returns once the queue is empty, which can be just
-            # before the lane has applied the block it popped.
             assert svc.pool.drain(10.0)
-            assert _wait(lambda: st.model.rows_applied == 96)
+            assert st.model.rows_applied == 96
             assert st.rows_accepted == 96 and st.queue.depth_rows == 0
         finally:
             svc.stop()
@@ -1024,7 +1043,6 @@ class TestServingEndToEnd:
             # zero loss on admitted traffic, per tenant
             for name in ("bulk", "throttled"):
                 st = svc.tenant(name)
-                _wait(lambda: st.model.rows_applied == sent[name], 2.0)
                 assert st.model.rows_applied == sent[name], (
                     name, st.model.rows_applied, sent[name]
                 )
@@ -1172,7 +1190,7 @@ class TestServingEndToEnd:
             acked += 16
             assert st.ack_holds == 1 and 0.3 <= st.ack_hold_s < 10.0
             assert svc.pool.drain(10)
-            assert _wait(lambda: st.model.rows_applied == acked)
+            assert st.model.rows_applied == acked
 
             # An expired hold is not a refusal: the request goes through
             # the usual admission, which still says 429 at capacity.
@@ -1198,7 +1216,7 @@ class TestServingEndToEnd:
             finally:
                 st.model.lock.release()
             assert svc.pool.drain(10)
-            assert _wait(lambda: st.model.rows_applied == acked)
+            assert st.model.rows_applied == acked
             stats = st.stats()
             assert stats["rows_accepted"] == acked == (
                 stats["rows_applied"] + stats["queue_depth_rows"]
