@@ -122,13 +122,17 @@ class TestCalibrateC2:
             calibrate_c2(0.5, 28, bracket=(10.0, 100.0))
 
     def test_quadrature_nodes_are_the_chi2_quantiles(self):
-        from scipy import stats
+        # The nodes are solved in-repo; scipy is only the reference here.
+        from scipy.special import gammaincinv
 
         from repro.core.calibration import _PROB_NODES, _scaled_nodes
 
-        for dof in (1, 2, 7, 28, 996):
-            x = stats.chi2.ppf(_PROB_NODES, df=dof)
-            np.testing.assert_array_equal(_scaled_nodes(dof), x / dof)
+        for dof in (*range(1, 65), 100, 996, 1000, 4096):
+            x = 2.0 * gammaincinv(dof / 2, _PROB_NODES)
+            np.testing.assert_allclose(
+                _scaled_nodes(dof), x / dof, rtol=1e-13, atol=0.0,
+                err_msg=f"dof={dof}",
+            )
 
     def test_roundtrip_with_calibrate_delta(self):
         c2 = calibrate_c2(0.37, 12)

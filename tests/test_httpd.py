@@ -6,13 +6,22 @@ connection-level behaviour is therefore checked once, here, against
 each of them over raw sockets: keep-alive reuse, ``Connection: close``,
 the idle timeout, the 400s and 413s of the request parser, the JSON 404
 that lists the routes, and the JSON 500 of a route that raises.
+:class:`TestReceivePath` drives the reused per-connection receive buffer
+with requests split, pipelined and larger than the buffer.
 """
 
 from __future__ import annotations
 
+import asyncio
+import base64
 import inspect
 import json
+import os
+import pathlib
 import socket
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
@@ -38,6 +47,8 @@ from repro.streams import (
     Telemetry,
     TelemetryConfig,
 )
+from repro.serving.codec import encode_block
+from repro.streams import httpd
 from repro.streams.retry import RetryBudget
 
 CONN_TIMEOUT_S = 0.3
@@ -85,6 +96,23 @@ def _read_response(sock):
     if headers["content-type"] == "application/json":
         return status, headers, json.loads(body)
     return status, headers, body.decode()
+
+
+def _parse_responses(buf: bytes) -> list[tuple[int, bytes]]:
+    """``(status, body)`` of each complete response in ``buf``."""
+    out = []
+    while b"\r\n\r\n" in buf:
+        head, _, rest = buf.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        length = next(
+            int(line.split(":", 1)[1]) for line in lines[1:]
+            if line.lower().startswith("content-length:")
+        )
+        if len(rest) < length:
+            break
+        out.append((int(lines[0].split(" ")[1]), rest[:length]))
+        buf = rest[length:]
+    return out
 
 
 def _get(sock, path, *extra_headers):
@@ -217,6 +245,204 @@ class TestTransportContract:
             server.stop()
         output = capfd.readouterr().err + caplog.text
         assert "Exception in callback" not in output
+
+    def test_stop_cancelling_a_handler_that_is_closing_is_quiet(
+        self, front_end, monkeypatch
+    ):
+        """A handler parked in ``wait_closed`` when stop() cancels it
+        ends quietly: the loop's exception handler records nothing."""
+        server, _ = front_end
+        parked = threading.Event()
+
+        async def never_closed(writer):
+            parked.set()
+            await asyncio.Event().wait()
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", never_closed)
+        recorded = []
+        server._loop.set_exception_handler(
+            lambda loop, context: recorded.append(context)
+        )
+        with _connect(server) as sock:
+            assert _get(sock, "/health", "Connection: close")[0] == 200
+            assert parked.wait(5.0)
+            server.stop()
+        assert recorded == []
+
+
+@pytest.fixture
+def serving_server():
+    """A started ``ServingServer`` with tenant ``t`` and the default
+    body bound (16 MiB)."""
+    service = PCAService(ServingConfig(n_lanes=1))
+    server = ServingServer(service, conn_timeout_s=5.0).start()
+    service.add_tenant(TenantSpec("t", n_components=2))
+    yield server
+    server.stop()
+
+
+class TestReceivePath:
+    """Every connection reads through one reused buffer of
+    ``httpd.RECV_BUFFER_BYTES``; a request may straddle reads any way."""
+
+    def test_request_split_into_one_byte_sends(self, front_end):
+        server, _ = front_end
+        request = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+        with _connect(server) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(request)):
+                sock.sendall(request[i:i + 1])
+            assert _read_response(sock)[0] == 200
+            # The connection is intact for the next request.
+            assert _get(sock, "/metrics")[0] == 200
+        assert server.n_requests == 2
+
+    def test_two_pipelined_requests_in_one_send(self, front_end):
+        server, _ = front_end
+        with _connect(server) as sock:
+            sock.sendall(
+                b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+                b"GET /metrics HTTP/1.1\r\nHost: test\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            buf = b""
+            while chunk := sock.recv(65536):
+                buf += chunk
+        responses = _parse_responses(buf)
+        assert [code for code, _ in responses] == [200, 200]
+        assert json.loads(responses[0][1])["status"]
+        assert b"# TYPE" in responses[1][1]  # Prometheus text
+
+    def test_oversized_headers_in_small_writes_get_413(self, front_end):
+        server, _ = front_end
+        with _connect(server) as sock:
+            sock.sendall(b"GET /metrics HTTP/1.1\r\nX-Pad: ")
+            for _ in range(65):  # many reads, each well under the buffer
+                sock.sendall(b"a" * 1000)
+            time.sleep(0.1)
+            sock.sendall(b"a" * 1000)
+            status, _, body = _read_response(sock)
+            assert status == 413 and "headers" in body["error"]
+            assert _closed_by_server(sock)
+
+    def test_body_larger_than_the_receive_buffer(
+        self, serving_server, monkeypatch
+    ):
+        service = serving_server.service
+        seen = []
+        ingest = service.ingest
+
+        def recording_ingest(tenant, rows):
+            seen.append(rows)
+            return ingest(tenant, rows)
+
+        monkeypatch.setattr(service, "ingest", recording_ingest)
+        rows = np.random.default_rng(1).standard_normal((2048, 64))
+        body = encode_block(rows)
+        assert len(body) > 1 << 20 >= 4 * httpd.RECV_BUFFER_BYTES
+        with ServingClient(serving_server.host, serving_server.port) as c:
+            assert c.ingest("t", rows).code == 202
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], rows)
+        assert service.pool.drain()
+        assert service.tenant("t").model.rows_applied == 2048
+
+    def test_websocket_upgrade_after_a_keep_alive_request(
+        self, serving_server
+    ):
+        key = base64.b64encode(os.urandom(16)).decode()
+        with _connect(serving_server) as sock:
+            status, headers, _ = _get(sock, "/live")
+            assert status == 200 and headers["connection"] == "keep-alive"
+            sock.sendall((
+                "GET /v1/t/events HTTP/1.1\r\nHost: test\r\n"
+                "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+                f"Sec-WebSocket-Key: {key}\r\n"
+                "Sec-WebSocket-Version: 13\r\n\r\n"
+            ).encode())
+            buf = b""
+            while b"\r\n\r\n" not in buf:
+                buf += sock.recv(4096)
+            head, _, frames = buf.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 101 ")
+            while len(frames) < 2 or len(frames) < 2 + frames[1]:
+                frames += sock.recv(4096)
+            assert frames[0] == 0x81  # FIN + text, unmasked, < 126 bytes
+            event = json.loads(frames[2:2 + frames[1]])
+            assert event["event"] == "subscribed" and event["tenant"] == "t"
+        assert serving_server.n_ws_connections == 1
+
+
+_FAULT_PROBE = r"""
+import json, socket, threading
+
+import numpy as np
+
+from repro.serving import PCAService, ServingConfig, ServingServer
+from repro.serving.codec import encode_block
+
+
+def minor_faults(tid):
+    with open(f"/proc/self/task/{tid}/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[7])
+
+
+server = ServingServer(PCAService(ServingConfig(n_lanes=1))).start()
+tid = next(
+    t.native_id for t in threading.enumerate() if t.name == "serving-http"
+)
+body = encode_block(np.zeros((64, 32)))  # 16 KiB
+request = (
+    "POST /v1/t/transform HTTP/1.1\r\nHost: probe\r\n"
+    "Content-Type: application/octet-stream\r\n"
+    f"Content-Length: {len(body)}\r\n\r\n"
+).encode() + body
+statuses = set()
+with socket.create_connection((server.host, server.port)) as sock:
+    replies = sock.makefile("rb")
+
+    def post():
+        sock.sendall(request)
+        statuses.add(replies.readline().split()[1].decode())
+        length = 0
+        while (line := replies.readline()) != b"\r\n":
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        replies.read(length)
+
+    for _ in range(50):
+        post()
+    before = minor_faults(tid)
+    for _ in range(2000):
+        post()
+    after = minor_faults(tid)
+server.stop()
+print(json.dumps({
+    "faults_per_request": (after - before) / 2000,
+    "statuses": sorted(statuses),
+}))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self/task"
+)
+def test_receive_path_takes_no_page_faults_per_request():
+    """A fresh server that never calibrates (the tenant is unknown, so
+    every POST is a 404) answers 2 000 16 KiB POSTs; its event-loop
+    thread must not fault a fresh receive buffer in for each read."""
+    src = str(pathlib.Path(httpd.__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], capture_output=True,
+        text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["statuses"] == ["404"]
+    assert out["faults_per_request"] < 1.0, out
 
 
 _MONOTONIC = "<built-in function monotonic>"

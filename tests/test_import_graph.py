@@ -1,10 +1,10 @@
 """Start-up import graph: what a fresh interpreter loads, and what it must not.
 
-``scipy.stats`` and ``scipy.optimize`` cost about a second and 45 MiB
-per process and the estimators need neither (one chi-square quantile,
-one monotone root), and the ``repro`` package loads its subpackages on
-first access.  Both are properties of a fresh process, so the probe
-runs in a subprocess.
+No ``scipy`` module loads in a process that calibrates an estimator or
+serves an ingest (the chi-square quantiles and the calibration root are
+computed in-repo; ``scipy.special`` alone costs about 0.3 s and 26 MiB),
+and the ``repro`` package loads its subpackages on first access.  Both
+are properties of a fresh process, so the probe runs in a subprocess.
 """
 
 from __future__ import annotations
@@ -34,12 +34,25 @@ out["serving"] = serving.__name__
 import repro.parallel
 from repro.core import BatchRobustPCA, RobustIncrementalPCA
 
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
 x = np.random.default_rng(0).normal(size=(64, 12))
 RobustIncrementalPCA(3).update_block(x)
 BatchRobustPCA(3).fit(x)
-out["scipy"] = sorted(
-    m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules
-)
+out["scipy_estimators"] = scipy_modules()
+
+service = serving.PCAService(serving.ServingConfig(n_lanes=1))
+server = serving.ServingServer(service).start()
+service.add_tenant(serving.TenantSpec("t", n_components=2))
+with serving.ServingClient(server.host, server.port) as client:
+    out["ingest"] = client.ingest("t", x).code
+service.pool.drain()
+out["applied"] = service.tenant("t").model.rows_applied
+server.stop()
+out["scipy_serving"] = scipy_modules()
 out["dir"] = sorted(set(dir(repro)) & set(repro.__all__))
 try:
     repro.no_such_subpackage
@@ -64,7 +77,9 @@ def _probe() -> dict:
 def test_fresh_process_import_graph():
     out = _probe()
     assert out["bare"] == []
-    assert out["scipy"] == []
+    assert out["scipy_estimators"] == []
+    assert (out["ingest"], out["applied"]) == (202, 64)
+    assert out["scipy_serving"] == []
     assert out["core"] == "repro.core"
     assert out["serving"] == "repro.serving"
     assert out["dir"] == sorted(repro.__all__)
