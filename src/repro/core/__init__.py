@@ -14,13 +14,12 @@ Public surface of the paper's primary contribution (Section II):
   between engines and to checkpoints.
 """
 
-from .basis_comparison import (
-    BasisComparison,
-    BasisScore,
-    compare_bases,
-    robust_eigenvalues_along,
+from .batch import (
+    BatchPCA,
+    BatchRobustPCA,
+    mscale_fixed_point,
+    robust_eigenvalues,
 )
-from .batch import BatchPCA, BatchRobustPCA, mscale_fixed_point
 from .calibration import (
     breakdown_point,
     calibrate_c2,
@@ -74,12 +73,10 @@ from .metrics import (
 from .normalize import NormalizationError, normalize_block, unit_mean_flux, unit_norm
 from .outliers import OutlierEvent, OutlierLog, flag_outliers
 from .rho import BisquareRho, CauchyRho, RhoFunction, SkippedMeanRho, make_rho
-from .robust import RobustEigenvalueEstimator, RobustIncrementalPCA
+from .robust import RobustIncrementalPCA
 from .windows import SlidingWindowPCA
 
 __all__ = [
-    "BasisComparison",
-    "BasisScore",
     "BatchPCA",
     "GAP_RESIDUAL_MODES",
     "BatchRobustPCA",
@@ -98,7 +95,6 @@ __all__ = [
     "OutlierEvent",
     "OutlierLog",
     "RhoFunction",
-    "RobustEigenvalueEstimator",
     "RobustIncrementalPCA",
     "SlidingWindowPCA",
     "SubspaceDriftDetector",
@@ -111,7 +107,6 @@ __all__ = [
     "build_update_factor",
     "calibrate_c2",
     "calibrate_delta",
-    "compare_bases",
     "consistent_rho",
     "corrected_residual_norm2",
     "eigensystem_of_factor",
@@ -137,7 +132,7 @@ __all__ = [
     "principal_angles",
     "rank_k_update",
     "rank_one_update",
-    "robust_eigenvalues_along",
+    "robust_eigenvalues",
     "roughness",
     "subspace_affinity",
     "subspace_distance",

@@ -23,7 +23,12 @@ from .calibration import calibrate_c2
 from .eigensystem import Eigensystem
 from .rho import RhoFunction, make_rho
 
-__all__ = ["BatchPCA", "BatchRobustPCA", "mscale_fixed_point"]
+__all__ = [
+    "BatchPCA",
+    "BatchRobustPCA",
+    "mscale_fixed_point",
+    "robust_eigenvalues",
+]
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -116,6 +121,37 @@ def mscale_fixed_point(
             return new
         sigma2 = new
     return sigma2
+
+
+def robust_eigenvalues(
+    x: np.ndarray, basis: np.ndarray, mean: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Robust eigenvalue of the rows ``x`` along each column of ``basis``.
+
+    Section II-B: "robust eigenvalues can be computed for any basis
+    vectors in a consistent way" — the M-scale equation with the residual
+    replaced by the projection ``eᵀ(x - mean)``, calibrated for
+    ``dof = 1`` so it reads the variance along ``e`` at the Gaussian
+    model.  Each column's projections are re-centred at their median
+    first, so a gross outlier along ``e`` moves neither the location nor
+    the scale there.
+
+    Returns ``(lam, med)``: the ``(k,)`` robust eigenvalues and the
+    ``(k,)`` projection medians.  ``basis`` is ``(d, k)`` with unit
+    columns; a direction supported only by a few outliers reads the inlier
+    variance along it, far below its classical eigenvalue.
+    """
+    proj = (x - mean) @ basis
+    med = np.median(proj, axis=0)
+    centered2 = (proj - med) ** 2
+    rho1 = make_rho("bisquare", c2=calibrate_c2(delta, 1))
+    lam = np.array(
+        [
+            mscale_fixed_point(centered2[:, j], rho1, delta)
+            for j in range(basis.shape[1])
+        ]
+    )
+    return lam, med
 
 
 @dataclass

@@ -34,6 +34,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import kernels as _kernels
+from .batch import BatchRobustPCA, robust_eigenvalues
 from .calibration import calibrate_c2
 from .eigensystem import Eigensystem
 from .exceptions import NotFittedError
@@ -54,7 +55,13 @@ from .incremental import (
 from .lowrank import _rank_k_update, rank_one_update
 from .rho import RhoFunction, make_rho
 
-__all__ = ["RobustIncrementalPCA", "RobustEigenvalueEstimator"]
+__all__ = ["RobustIncrementalPCA"]
+
+# The warm-up gate: a plain eigen-direction whose §II-B robust eigenvalue
+# is below this fraction of its classical one is carried by a few gross
+# outliers, and the warm start falls to the Maronna fit.  Clean warm-ups
+# read 0.24 and up, a 60σ row in the warm-up 0.002 and below.
+_CAPTURE_RATIO = 0.05
 
 
 class RobustIncrementalPCA:
@@ -84,12 +91,14 @@ class RobustIncrementalPCA:
     init_size:
         Warm-up buffer size for the batch initialization.
     robust_init:
-        Initialize from a Maronna batch-robust fit of the warm-up buffer
-        instead of the paper's plain SVD ("our iteration starts from a
-        non-robust set of eigenspectra").  Costs a few extra SVDs once,
-        and removes the initial transient that otherwise lets early
-        outliers into the eigensystem — valuable when the effective
-        window is short (e.g. per-block summaries).
+        Always initialize from a Maronna batch-robust fit of the warm-up
+        buffer.  By default the warm start is the paper's plain SVD ("our
+        iteration starts from a non-robust set of eigenspectra"), gated:
+        when the §II-B robust eigenvalue along some plain eigenvector is
+        below ``_CAPTURE_RATIO`` (0.05) of its plain eigenvalue, a few
+        gross warm-up outliers carry that direction and the Maronna fit is
+        used instead.  Forcing it costs a few extra SVDs once on every
+        warm-up.
     handle_gaps:
         Patch NaN entries with the running eigenbasis before updating.
     gap_residual_mode:
@@ -264,17 +273,17 @@ class RobustIncrementalPCA:
         if x.ndim != 1:
             raise ValueError(f"update expects a single vector, got {x.shape}")
         if self._state is None:
-            self._buffer_warmup(x)
+            self._buffer_warmup(x[None, :])
             return None
         return self._update_initialized(x)
 
     def update_block(self, x: np.ndarray) -> BlockUpdateResult:
         """Consume a ``(k, d)`` block through the vectorized block kernel.
 
-        Warm-up rows are buffered per row (gap patching needs the running
-        column medians); every post-initialization row is processed by
-        rank-``k`` block updates — vectorized gap filling, residuals,
-        robust weighting, and a single eigensolve per block.  For
+        Warm-up rows are buffered as they come (their gaps are patched
+        once, when the buffer fills); every post-initialization row is
+        processed by rank-``k`` block updates — vectorized gap filling,
+        residuals, robust weighting, and a single eigensolve per block.  For
         ``α < 1`` very large blocks are chunked so the per-block
         forgetting approximation stays within the documented contract
         (see docs/performance.md).
@@ -284,14 +293,9 @@ class RobustIncrementalPCA:
             x = x[None, :]
         if x.ndim != 2:
             raise ValueError(f"update_block expects (k, d), got {x.shape}")
-        n_buffered = 0
-        i = 0
-        while self._state is None and i < x.shape[0]:
-            skipped_before = self.n_skipped
-            self._buffer_warmup(x[i])
-            i += 1
-            if self.n_skipped == skipped_before:
-                n_buffered += 1
+        i = n_buffered = 0
+        if self._state is None:
+            i, n_buffered = self._buffer_warmup(x)
         warm_skipped = i - n_buffered
         warm_gaps = (
             int(np.count_nonzero(~np.isfinite(x[:i]).all(axis=1))) if i else 0
@@ -346,35 +350,46 @@ class RobustIncrementalPCA:
         window_cap = max(1, int(0.25 / (1.0 - self.alpha)))
         return min(_MAX_BLOCK_ROWS, window_cap)
 
-    def _buffer_warmup(self, x: np.ndarray) -> None:
-        mask = np.isfinite(x)
-        frac = float(np.count_nonzero(mask)) / max(x.size, 1)
-        if frac < max(self.min_observed_fraction, 1e-12):
-            self.n_skipped += 1
-            return
-        if not np.all(mask):
-            # No basis yet: patch warm-up gaps with the column median of
-            # the buffered observed values (falls back to 0).  Buffered
-            # rows are themselves already patched, hence finite.
-            x = x.copy()
-            if self._buffer.count:
-                col_med = np.median(self._buffer.view(), axis=0)
-            else:
-                col_med = np.zeros_like(x)
-            x[~mask] = col_med[~mask]
-        self._buffer.append(np.asarray(x, dtype=np.float64))
-        if self._buffer.is_full:
+    def _buffer_warmup(self, x: np.ndarray) -> tuple[int, int]:
+        """Buffer the rows of ``x`` that pass the observed-fraction floor,
+        gaps and all, until the warm-up is full; return how many rows of
+        ``x`` were consumed and how many of those were buffered."""
+        frac = np.isfinite(x).sum(axis=1) / x.shape[1]
+        kept = np.flatnonzero(frac >= max(self.min_observed_fraction, 1e-12))
+        kept = kept[: self._buffer.capacity - self._buffer.count]
+        full = self._buffer.count + kept.size == self._buffer.capacity
+        consumed = int(kept[-1]) + 1 if full else x.shape[0]
+        self.n_skipped += consumed - kept.size
+        self._buffer.extend(x[kept])
+        if full:
             self._initialize()
+        return consumed, int(kept.size)
 
     def _initialize(self) -> None:
         batch = self._buffer.view()
+        gaps = ~np.isfinite(batch)
+        if gaps.any():
+            # No basis yet: patch each gap with its column's median over
+            # the whole buffer, so no row's patch depends on the order the
+            # rows came in (0 for a column with nothing observed).
+            med = np.zeros(batch.shape[1])
+            seen = ~gaps.all(axis=0)
+            med[seen] = np.nanmedian(batch[:, seen], axis=0)
+            batch = np.where(gaps, med, batch)
         k = self.n_components + self.extra_components
-        if self.robust_init:
-            self._state = self._robust_batch_state(batch, k)
-        else:
-            self._state = Eigensystem.from_batch(batch, k)
+        state = Eigensystem.from_batch(batch, k)
+        if self.robust_init or self._captured(batch, state):
+            state = self._robust_batch_state(batch, k, state)
+        self._state = state
         self._buffer.clear()
         self._calibrate_rho(self._state.dim)
+
+    def _captured(self, batch: np.ndarray, plain: Eigensystem) -> bool:
+        """Whether a few gross warm-up rows carry a plain eigen-direction:
+        its robust eigenvalue is below ``_CAPTURE_RATIO`` of the plain
+        one."""
+        lam, _ = robust_eigenvalues(batch, plain.basis, plain.mean, self.delta)
+        return bool(np.any(lam < _CAPTURE_RATIO * plain.eigenvalues))
 
     def _calibrate_rho(self, dim: int) -> None:
         """Fix the rho-function for dimensionality ``dim`` (idempotent)
@@ -411,42 +426,30 @@ class RobustIncrementalPCA:
         self._buffer.clear()
         self._calibrate_rho(self._state.dim)
 
-    def _robust_batch_state(self, batch: np.ndarray, k: int) -> Eigensystem:
-        """Maronna batch-robust warm start (see ``robust_init``)."""
-        from .batch import BatchRobustPCA  # local: avoid import cycle
-
+    def _robust_batch_state(
+        self, batch: np.ndarray, k: int, plain: Eigensystem
+    ) -> Eigensystem:
+        """Maronna batch-robust warm start (see ``robust_init``); ``plain``
+        is the plain SVD fit of the same ``batch``."""
         n = batch.shape[0]
         fit = BatchRobustPCA(k, delta=self.delta).fit(batch)
         # Exact-fit degeneracy guard: with n ≲ 2k a k-plane can
         # interpolate ≥ (1-δ) of the points, collapsing the M-scale to 0
         # (no positive solution of eq. 5).  The plain SVD init is the
         # safe fallback there.
-        plain = Eigensystem.from_batch(batch, k)
         if fit.scale_ <= 1e-9 * max(plain.scale, 1e-300):
             return plain
         state = fit.to_eigensystem()
         # A warm-up outlier can hide *inside* the k-plane (zero residual,
         # full weight) when k exceeds the true rank, poisoning one
         # component with a huge eigenvalue.  Re-estimate each eigenvalue
-        # as the paper's §II-B robust scatter — the M-scale of the data's
-        # projections onto that eigenvector — which collapses a direction
-        # supported by a lone outlier down to the inlier variance there.
-        from .batch import mscale_fixed_point
-
-        rho1 = make_rho("bisquare", c2=calibrate_c2(self.delta, 1))
-        proj = (batch - state.mean) @ state.basis
-        # The hidden outlier also drags the weighted mean along its
-        # direction; re-center each direction at the projection median
-        # (and fold the correction back into the location estimate).
-        med = np.median(proj, axis=0)
+        # as the paper's §II-B robust eigenvalue, which collapses a
+        # direction supported by a lone outlier down to the inlier
+        # variance there.  The hidden outlier also drags the weighted mean
+        # along its direction; fold the projection medians back into the
+        # location estimate.
+        lam, med = robust_eigenvalues(batch, state.basis, state.mean, self.delta)
         state.mean = state.mean + state.basis @ med
-        centered2 = (proj - med) ** 2
-        lam = np.array(
-            [
-                mscale_fixed_point(centered2[:, j], rho1, self.delta)
-                for j in range(state.n_components)
-            ]
-        )
         order = np.argsort(lam)[::-1]
         state.basis = state.basis[:, order]
         state.eigenvalues = np.clip(lam[order], 1e-12, None)
@@ -733,69 +736,3 @@ class RobustIncrementalPCA:
         r = y - basis_p @ (basis_p.T @ y)
         t = float(r @ r) / (st.scale if st.scale > 0 else 1.0)
         return float(self.rho.weight(t))
-
-
-class RobustEigenvalueEstimator:
-    """Streaming robust eigenvalue along a *fixed* basis vector.
-
-    Section II-B: "robust eigenvalues can be computed for any basis
-    vectors in a consistent way" by solving the M-scale equation with the
-    residual replaced by the projection ``r_n = eᵀ y_n``.  The resulting
-    ``σ²`` is a robust estimate of the variance ``λ`` along ``e``, which
-    makes scatter comparable across *different* bases (e.g. robust vs
-    classical eigenspectra).
-
-    The recursion mirrors eqs. 11 & 14 with ``dof = 1`` calibration.
-    """
-
-    def __init__(
-        self,
-        direction: np.ndarray,
-        mean: np.ndarray,
-        *,
-        alpha: float = 0.999,
-        delta: float = 0.5,
-        rho: RhoFunction | None = None,
-    ) -> None:
-        self.direction = np.asarray(direction, dtype=np.float64)
-        norm = float(np.linalg.norm(self.direction))
-        if norm <= 0:
-            raise ValueError("direction must be a nonzero vector")
-        self.direction = self.direction / norm
-        self.mean = np.asarray(mean, dtype=np.float64)
-        if self.mean.shape != self.direction.shape:
-            raise ValueError("mean and direction must have the same shape")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        self.alpha = float(alpha)
-        self.delta = float(delta)
-        self.rho = rho if rho is not None else make_rho(
-            "bisquare", c2=calibrate_c2(delta, dof=1)
-        )
-        self.scale = 0.0
-        self.sum_count = 0.0
-        self.n_seen = 0
-
-    @property
-    def eigenvalue(self) -> float:
-        """The current robust λ estimate along the direction."""
-        return self.scale
-
-    def update(self, x: np.ndarray) -> float:
-        """Consume one observation, return the projection used."""
-        proj = float(self.direction @ (np.asarray(x, np.float64) - self.mean))
-        r2 = proj * proj
-        if self.n_seen == 0:
-            # Seed the scale with the first squared projection (any
-            # positive seed works; the fixed point forgets it).
-            self.scale = max(r2, 1e-12)
-        t = r2 / self.scale if self.scale > 0 else 0.0
-        wstar = float(self.rho.wstar(t))
-        u_new = self.alpha * self.sum_count + 1.0
-        gamma3 = self.alpha * self.sum_count / u_new
-        self.scale = gamma3 * self.scale + (1 - gamma3) * wstar * r2 / self.delta
-        self.sum_count = u_new
-        self.n_seen += 1
-        return proj

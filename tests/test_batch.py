@@ -1,4 +1,5 @@
-"""Tests for the offline batch baselines (BatchPCA, BatchRobustPCA)."""
+"""Tests for the offline batch baselines (BatchPCA, BatchRobustPCA) and
+the §II-B robust eigenvalue."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.core import (
     largest_principal_angle,
     make_rho,
     mscale_fixed_point,
+    robust_eigenvalues,
 )
 from repro.data import contaminate_block
 
@@ -96,6 +98,34 @@ class TestMScaleFixedPoint:
         if sigma2 > 0:
             lhs = float(np.mean(rho.rho(r2 / sigma2)))
             assert lhs == pytest.approx(delta, abs=1e-5)
+
+
+class TestRobustEigenvalues:
+    def test_matches_variance_on_clean_gaussian(self, rng):
+        x = rng.standard_normal((5000, 6)) * np.array([3.0, 2.0, 1.0, 1, 1, 1])
+        lam, _ = robust_eigenvalues(
+            x, np.eye(6)[:, :3], np.median(x, axis=0), 0.5
+        )
+        assert np.allclose(lam, [9.0, 4.0, 1.0], rtol=0.1)
+
+    def test_ignores_outliers_along_direction(self, rng):
+        x = rng.standard_normal((3000, 5))
+        x[::50, 0] = 200.0  # gross outliers on axis 0
+        lam, _ = robust_eigenvalues(x, np.eye(5)[:, :1], np.zeros(5), 0.5)
+        classical = float(np.var(x[:, 0]))
+        assert lam[0] == pytest.approx(1.0, rel=0.15)
+        assert classical > 100  # what a naive estimate would report
+
+    def test_recentres_each_direction_at_its_median(self, rng):
+        x = rng.standard_normal((2000, 4))
+        basis = np.eye(4)[:, :2]
+        lam, med = robust_eigenvalues(x, basis, np.zeros(4), 0.5)
+        shifted, med_shifted = robust_eigenvalues(
+            x, basis, np.array([5.0, -3.0, 7.0, 0.0]), 0.5
+        )
+        assert np.allclose(shifted, lam)
+        assert np.allclose(med_shifted, med + [-5.0, 3.0])
+        assert np.allclose(med, np.median(x[:, :2], axis=0))
 
 
 class TestBatchRobustPCA:

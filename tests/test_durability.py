@@ -885,8 +885,12 @@ class TestOlderDataDirLayout:
             assert model.rows_applied == self.N_BLOCKS * self.ROWS
             assert model.last_wal_seq == self.N_BLOCKS - 1
             assert svc.cache.version("t0") == self.N_BLOCKS
-            total = self.N_BLOCKS * self.ROWS + _ingest_n(svc, "t0", 4)
-            assert svc.pool.drain(10)
+            # One block at a time: a lane that finds several blocks queued
+            # coalesces them into one apply and one publish.
+            total = self.N_BLOCKS * self.ROWS
+            for seed in range(4):
+                total += _ingest_n(svc, "t0", 1, seed=seed)
+                assert svc.pool.drain(10)
         finally:
             svc.stop()
         # New checkpoints land beside the old file, under the one

@@ -42,6 +42,15 @@ def scipy_modules():
 x = np.random.default_rng(0).normal(size=(64, 12))
 RobustIncrementalPCA(3).update_block(x)
 BatchRobustPCA(3).fit(x)
+# A 60-sigma row in the warm-up trips the warm-up gate into the Maronna
+# start, the same one robust_init=True forces.
+poisoned = x.copy()
+poisoned[5] += 60.0 * np.random.default_rng(1).normal(size=12)
+gated = RobustIncrementalPCA(3)
+forced = RobustIncrementalPCA(3, robust_init=True)
+for est in (gated, forced):
+    est.update_block(poisoned)
+out["gated"] = bool(np.array_equal(gated.state.basis, forced.state.basis))
 out["scipy_estimators"] = scipy_modules()
 
 service = serving.PCAService(serving.ServingConfig(n_lanes=1))
@@ -77,6 +86,7 @@ def _probe() -> dict:
 def test_fresh_process_import_graph():
     out = _probe()
     assert out["bare"] == []
+    assert out["gated"]
     assert out["scipy_estimators"] == []
     assert (out["ingest"], out["applied"]) == (202, 64)
     assert out["scipy_serving"] == []
