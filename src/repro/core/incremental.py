@@ -49,16 +49,17 @@ __all__ = ["UpdateResult", "BlockUpdateResult", "IncrementalPCA"]
 #: sums stay far from float64 overflow.
 _MAX_SCAN_EXPONENT = 60.0
 
-#: Hard cap on rows per rank-``k`` eigensolve.  On the Gram route
-#: (``d > m + k``) two forces pick this: per-chunk fixed costs amortize
-#: as ``1/k``, but the block Gram ``Ywᵀ Yw`` and the rotation back grow
-#: as ``O(d·k)`` *per row*, so throughput peaks at a moderate ``k`` —
-#: measured flat-optimal near 64 for d in [250, 4000].  On the
-#: covariance route (``d <= m + k``) the eigensolve is ``d³`` whatever
-#: ``k`` is, so rows/s keeps rising past 64 (d = 32: 2.4× at 256); the
-#: cap holds there because bounding the block keeps the block-start
-#: basis (used for residual diagnostics and the scale recursion) fresh
-#: when a caller hands ``partial_fit`` an entire dataset at once.
+#: Hard cap on rows per chunk.  On the Gram route (``d > m + k``) two
+#: forces pick this: per-chunk fixed costs amortize as ``1/k``, but the
+#: block Gram ``Ywᵀ Yw`` and the rotation back grow as ``O(d·k)`` *per
+#: row*, so throughput peaks at a moderate ``k`` — measured flat-optimal
+#: near 64 for d in [250, 4000].  On the covariance route
+#: (``d <= m + k``) the robust estimator does not solve per chunk: it
+#: adds each chunk to the ``d × d`` covariance and solves once per
+#: ``⌊0.25/(1-α)⌋`` rows (docs/performance.md §4), so the chunk size
+#: no longer prices the ``d³`` eigensolve there; it stays 64 so that
+#: the mean, scale and weights are refreshed every 64 rows and a block
+#: of any size takes the same path.
 _MAX_BLOCK_ROWS = 64
 
 
@@ -105,7 +106,9 @@ class BlockUpdateResult:
     scaled_residuals:
         ``t_i = r_i²/σ²`` against the block-start scale.
     residual_norm2:
-        Raw squared residuals ``r_i²`` against the block-start basis.
+        Raw squared residuals ``r_i²`` against the last solved basis
+        (the block-start one, except between the robust estimator's
+        once-per-window solves on the covariance route).
     is_outlier:
         Per-row outlier flags (all ``False`` classically).
     n_processed:

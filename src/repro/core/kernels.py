@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "jit_status",
     "rank_k_core",
+    "top_eigenpairs",
     "residual_norm2_block",
     "fill_gappy_rows",
 ]
@@ -46,6 +47,24 @@ def jit_status() -> dict:
     }
 
 
+def top_eigenpairs(a, p):
+    """Top-``p`` eigenpairs of the symmetric matrix ``a``, descending.
+
+    One ``eigh``; eigenpairs under the ``RELATIVE_RANK_TOL`` cut are
+    dropped.  Returns ``(vectors, values)``, the vectors as ``eigh``
+    gives them — orthonormal already.  Both routes of
+    :func:`rank_k_core` end here, and so does the robust estimator's
+    once-per-window solve of its pending ``d × d`` covariance.
+    """
+    w_asc, v_asc = np.linalg.eigh(a)
+    w = np.maximum(w_asc[::-1], 0.0)
+    keep = 0
+    if w[0] > 0.0:
+        keep = int(np.count_nonzero(w > w[0] * RELATIVE_RANK_TOL))
+    k_out = min(p, keep)
+    return np.ascontiguousarray(v_asc[:, : -k_out - 1 : -1]), w[:k_out].copy()
+
+
 def rank_k_core(basis, lam, yw, gamma, p):
     """Top-``p`` eigensystem of ``gamma·E Λ Eᵀ + Yw Ywᵀ`` (main path).
 
@@ -58,11 +77,10 @@ def rank_k_core(basis, lam, yw, gamma, p):
     The update is ``A Aᵀ`` with ``A = [E·sqrt(γΛ), Yw]`` (``d × (m+k)``).
     ``A Aᵀ`` (``d × d``) and the Gram ``AᵀA`` (``(m+k) × (m+k)``) share
     their non-zero spectrum, so one ``eigh`` of whichever is smaller —
-    order ``min(d, m+k)`` — gives the update:
+    order ``min(d, m+k)`` — gives the update, by :func:`top_eigenpairs`:
 
     * ``d <= m+k`` (narrow rows): ``C = (E·γΛ)·Eᵀ + Yw Ywᵀ`` is formed
-      and its top eigenvectors are returned as ``eigh`` gives them —
-      orthonormal already, so no QR follows.
+      and its top eigenvectors are the answer — no QR follows.
     * ``d > m+k``: because ``EᵀE = I`` the Gram needs only
       ``Z = Eᵀ Yw`` and ``Ywᵀ Yw``::
 
@@ -71,42 +89,28 @@ def rank_k_core(basis, lam, yw, gamma, p):
       and ``G = V W Vᵀ`` gives ``U = A V W^{-1/2}`` — the route
       :func:`repro.core.lowrank.eigensystem_of_factor` takes, without
       concatenating ``A`` — followed by the same defensive QR.
-
-    Both routes apply the same ``RELATIVE_RANK_TOL`` cut.
     """
     d, m = basis.shape
     n = m + yw.shape[1]
-    covariance_route = d <= n
     glam = gamma * lam
-    if covariance_route:
-        w_asc, v_asc = np.linalg.eigh((basis * glam) @ basis.T + yw @ yw.T)
-    else:
-        s = np.sqrt(glam)
-        cross = (basis.T @ yw) * s[:, None]    # (m, k)
-        gram = np.zeros((n, n))
-        np.fill_diagonal(gram[:m, :m], glam)
-        gram[:m, m:] = cross
-        gram[m:, :m] = cross.T
-        gram[m:, m:] = yw.T @ yw
-        w_asc, v_asc = np.linalg.eigh(gram)
-
-    w = np.maximum(w_asc[::-1], 0.0)
-    keep = 0
-    if w[0] > 0.0:
-        keep = int(np.count_nonzero(w > w[0] * RELATIVE_RANK_TOL))
-    k_out = min(p, keep)
-    if k_out == 0:
-        return np.zeros((d, 0)), np.zeros(0)
-    w_top = w[:k_out]
-    v_top = v_asc[:, : -k_out - 1 : -1]
-    if covariance_route:
-        return np.ascontiguousarray(v_top), w_top.copy()
-    v_top = v_top / np.sqrt(w_top)
+    if d <= n:
+        return top_eigenpairs((basis * glam) @ basis.T + yw @ yw.T, p)
+    s = np.sqrt(glam)
+    cross = (basis.T @ yw) * s[:, None]    # (m, k)
+    gram = np.zeros((n, n))
+    np.fill_diagonal(gram[:m, :m], glam)
+    gram[:m, m:] = cross
+    gram[m:, :m] = cross.T
+    gram[m:, m:] = yw.T @ yw
+    v_top, w_top = top_eigenpairs(gram, p)
+    if w_top.size == 0:
+        return np.zeros((d, 0)), w_top
+    v_top /= np.sqrt(w_top)
     # U = A V W^{-1/2}, split by the two column groups of A.
     e_new = basis @ (v_top[:m] * s[:, None]) + yw @ v_top[m:]
     # Defensive re-orthonormalization, mirroring eigensystem_of_factor.
     q_mat, _ = np.linalg.qr(e_new)
-    return q_mat, w_top.copy()
+    return q_mat, w_top
 
 
 def residual_norm2_block(y, basis):

@@ -34,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import kernels as _kernels
-from .batch import BatchRobustPCA, robust_eigenvalues
+from .batch import BatchRobustPCA, median, robust_eigenvalues
 from .calibration import calibrate_c2
 from .eigensystem import Eigensystem
 from .exceptions import NotFittedError
@@ -171,6 +171,12 @@ class RobustIncrementalPCA:
 
         self._buffer = _WarmupBuffer(self.init_size)
         self._state: Eigensystem | None = None
+        # Covariance route only: the untruncated d × d covariance since
+        # the last scheduled solve (None when ``_state`` is solved), the
+        # rows folded into it, and the solved copy reads see meanwhile.
+        self._cov: np.ndarray | None = None
+        self._rows_since_solve = 0
+        self._solved: Eigensystem | None = None
         self.n_outliers = 0
         self.n_skipped = 0
 
@@ -180,14 +186,29 @@ class RobustIncrementalPCA:
 
     @property
     def state(self) -> Eigensystem:
-        """Full internal eigensystem (``p + q`` components)."""
+        """Full internal eigensystem (``p + q`` components).
+
+        Between two scheduled solves of the covariance route this is a
+        solved copy of the pending covariance: reading never moves the
+        solve schedule, so the fit depends only on the rows fed.
+        """
         if self._state is None:
             raise NotFittedError(
                 "eigensystem not initialized yet: "
                 f"{self._buffer.count}/{self.init_size} warm-up vectors "
                 "seen — feed more observations before querying the fit"
             )
-        return self._state
+        if self._cov is None:
+            return self._state
+        if self._solved is None:
+            basis, eigenvalues = _kernels.top_eigenpairs(
+                self._cov, self.n_components + self.extra_components
+            )
+            self._solved = replace(
+                self._state, mean=self._state.mean.copy(), basis=basis,
+                eigenvalues=eigenvalues,
+            )
+        return self._solved
 
     @property
     def is_initialized(self) -> bool:
@@ -253,7 +274,8 @@ class RobustIncrementalPCA:
 
         The incoming state may carry fewer components than the internal
         ``p + q``; missing higher-order directions regrow from subsequent
-        updates.
+        updates.  A pending covariance (see :meth:`_chunk_limits`) is
+        dropped: the incoming state supersedes it.
         """
         if self._state is None:
             raise RuntimeError("cannot replace state before initialization")
@@ -262,6 +284,8 @@ class RobustIncrementalPCA:
                 f"dimension mismatch: {new_state.dim} != {self._state.dim}"
             )
         self._state = new_state.copy()
+        self._cov = self._solved = None
+        self._rows_since_solve = 0
 
     # ------------------------------------------------------------------
     # Fitting
@@ -275,6 +299,8 @@ class RobustIncrementalPCA:
         if self._state is None:
             self._buffer_warmup(x[None, :])
             return None
+        if self._cov is not None:
+            self._settle()
         return self._update_initialized(x)
 
     def update_block(self, x: np.ndarray) -> BlockUpdateResult:
@@ -283,10 +309,11 @@ class RobustIncrementalPCA:
         Warm-up rows are buffered as they come (their gaps are patched
         once, when the buffer fills); every post-initialization row is
         processed by rank-``k`` block updates — vectorized gap filling,
-        residuals, robust weighting, and a single eigensolve per block.  For
-        ``α < 1`` very large blocks are chunked so the per-block
-        forgetting approximation stays within the documented contract
-        (see docs/performance.md).
+        residuals, robust weighting, and a single eigensolve per chunk,
+        or on the covariance route one per ``⌊0.25/(1-α)⌋`` rows (see
+        :meth:`_chunk_limits`).  For ``α < 1`` very large blocks are
+        chunked so the per-chunk forgetting approximation stays within
+        the documented contract (see docs/performance.md).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
@@ -306,12 +333,12 @@ class RobustIncrementalPCA:
                 n_buffered=n_buffered, n_skipped=warm_skipped,
                 n_gap_rows=warm_gaps,
             )
-        limit = self._chunk_limit()
+        limit, window = self._chunk_limits(x.shape[1])
         if n - i <= limit:
-            result = self._update_block_initialized(x[i:], i)
+            result = self._update_block_initialized(x[i:], i, window)
         else:
             result = BlockUpdateResult.concat([
-                self._update_block_initialized(x[lo : lo + limit], lo)
+                self._update_block_initialized(x[lo : lo + limit], lo, window)
                 for lo in range(i, n, limit)
             ])
         if i:
@@ -326,29 +353,46 @@ class RobustIncrementalPCA:
     def partial_fit(self, x: np.ndarray) -> "RobustIncrementalPCA":
         """Consume a block of observations of shape ``(n, d)``.
 
-        Routes through :meth:`update_block` — one vectorized rank-``k``
-        eigensolve per block instead of a Python loop of rank-one
-        updates per row.
+        Routes through :meth:`update_block` — vectorized rank-``k``
+        chunks instead of a Python loop of rank-one updates per row.
         """
         self.update_block(x)
         return self
 
     fit = partial_fit
 
-    def _chunk_limit(self) -> int:
-        """Cap on rows per rank-``k`` eigensolve.
+    def _chunk_limits(self, d: int) -> tuple[int, int]:
+        """Rows per chunk, and rows per scheduled solve (0: every chunk).
 
         The block path evaluates residuals/weights against the
-        block-start state and applies forgetting per block rather than
+        chunk-start state and applies forgetting per chunk rather than
         per row; chunking to a fraction of the effective window
-        ``N = 1/(1-α)`` (and to an absolute cap that keeps the basis
-        fresh) keeps that approximation mild regardless of upstream
-        batch size.
+        ``N = 1/(1-α)`` (and to an absolute cap) keeps that approximation
+        mild regardless of upstream batch size.
+
+        On the covariance route (``d <= p+q + chunk``) a chunk only folds
+        its rows into the ``d × d`` covariance; the ``eigh`` that
+        truncates it to ``p+q`` runs once per ``W = ⌊0.25/(1-α)⌋`` rows,
+        so the basis the residuals see is at most ``W`` rows old.  The
+        Gram route and ``α = 1`` solve every chunk.
         """
         if self.alpha >= 1.0:
-            return _MAX_BLOCK_ROWS
-        window_cap = max(1, int(0.25 / (1.0 - self.alpha)))
-        return min(_MAX_BLOCK_ROWS, window_cap)
+            return _MAX_BLOCK_ROWS, 0
+        window = max(1, int(0.25 / (1.0 - self.alpha)))
+        limit = min(_MAX_BLOCK_ROWS, window)
+        if d <= self.n_components + self.extra_components + limit:
+            return limit, window
+        return limit, 0
+
+    def _settle(self) -> None:
+        """The scheduled solve: truncate the pending covariance to
+        ``p+q`` eigenpairs in the state."""
+        st = self._state
+        st.basis, st.eigenvalues = _kernels.top_eigenpairs(
+            self._cov, self.n_components + self.extra_components
+        )
+        self._cov = self._solved = None
+        self._rows_since_solve = 0
 
     def _buffer_warmup(self, x: np.ndarray) -> tuple[int, int]:
         """Buffer the rows of ``x`` that pass the observed-fraction floor,
@@ -372,10 +416,8 @@ class RobustIncrementalPCA:
             # No basis yet: patch each gap with its column's median over
             # the whole buffer, so no row's patch depends on the order the
             # rows came in (0 for a column with nothing observed).
-            med = np.zeros(batch.shape[1])
-            seen = ~gaps.all(axis=0)
-            med[seen] = np.nanmedian(batch[:, seen], axis=0)
-            batch = np.where(gaps, med, batch)
+            med = median(np.where(gaps, np.nan, batch), skip_nan=True)
+            batch = np.where(gaps, np.nan_to_num(med), batch)
         k = self.n_components + self.extra_components
         state = Eigensystem.from_batch(batch, k)
         if self.robust_init or self._captured(batch, state):
@@ -547,7 +589,7 @@ class RobustIncrementalPCA:
         )
 
     def _update_block_initialized(
-        self, x: np.ndarray, offset: int
+        self, x: np.ndarray, offset: int, window: int
     ) -> BlockUpdateResult:
         """One rank-``k`` robust update over a block whose first row is
         row ``offset`` of the block passed to :meth:`update_block`.
@@ -555,9 +597,12 @@ class RobustIncrementalPCA:
         Unrolls the running sums of eqs. 12–14 in closed form (per-row
         decay weights ``α^{k-j}``), vectorizes gap filling, residual
         computation, and the ρ-weighting, and performs a single
-        rank-``k`` eigensolve.  Residuals/weights are evaluated against
-        the block-*start* state and the mean/covariance are blended once
-        per block — the per-block forgetting approximation documented in
+        rank-``k`` eigensolve — or, with ``window > 0`` (the covariance
+        route, see :meth:`_chunk_limits`), folds the block into the
+        pending covariance and solves once ``window`` rows have gone in.
+        Residuals/weights are evaluated against the last solved basis
+        and the mean/covariance are blended once per block — the
+        per-block forgetting approximation documented in
         docs/performance.md (exact in the α=1, no-truncation-loss limit).
 
         The interpreter work between the BLAS calls holds the GIL, so it
@@ -571,6 +616,7 @@ class RobustIncrementalPCA:
         st = self._state
         rho = self._rho
         assert st is not None and rho is not None
+        self._solved = None
         d = st.mean.shape[0]
         if x.shape[1] != d:
             raise ValueError(
@@ -615,7 +661,7 @@ class RobustIncrementalPCA:
             n_gap_rows = n_skipped + int(gappy_rows.size)
         k = x.shape[0]
 
-        # --- residuals and robust weights (against the block-start state)
+        # --- residuals and robust weights (against the last solved basis)
         y = x - st.mean
         r2 = _kernels.residual_norm2_block(y, basis_p)
         if n_filled:
@@ -649,14 +695,30 @@ class RobustIncrementalPCA:
             st.mean = st.mean + shift
             y -= shift          # re-centre on the new mean, in place
 
-        # --- covariance (eq. 10, one rank-k eigensolve) --------------------
+        # --- covariance (eq. 10) --------------------------------------------
         if q_new > 0.0 and np.any(w * r2 > 0.0):
             gamma2 = decay_k * st.sum_weighted_r2 / q_new
             coeff = pww * (scale_prev / q_new)
-            k_tot = p + self.extra_components
-            st.basis, st.eigenvalues = _rank_k_update(
-                st.basis, st.eigenvalues, y, gamma2, coeff, k_tot
-            )
+            if window:
+                # C = γ2·C + Ysᵀ·Ys on the untruncated covariance; the
+                # eigensolve waits for the window to fill.
+                cov = self._cov
+                if cov is None:
+                    lam = np.clip(st.eigenvalues, 0.0, None)
+                    cov = (st.basis * (gamma2 * lam)) @ st.basis.T
+                else:
+                    cov *= gamma2
+                ys = y * np.sqrt(coeff)[:, None]
+                cov += ys.T @ ys
+                self._cov = cov
+                self._rows_since_solve += k
+                if self._rows_since_solve >= window:
+                    self._settle()
+            else:
+                st.basis, st.eigenvalues = _rank_k_update(
+                    st.basis, st.eigenvalues, y, gamma2, coeff,
+                    p + self.extra_components,
+                )
 
         # --- scale (eq. 11, unrolled) --------------------------------------
         st.scale = gamma3 * st.scale + float(pw @ (wstar * r2)) / (

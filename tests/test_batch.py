@@ -14,6 +14,7 @@ from repro.core import (
     mscale_fixed_point,
     robust_eigenvalues,
 )
+from repro.core.batch import median
 from repro.data import contaminate_block
 
 
@@ -98,6 +99,53 @@ class TestMScaleFixedPoint:
         if sigma2 > 0:
             lhs = float(np.mean(rho.rho(r2 / sigma2)))
             assert lhs == pytest.approx(delta, abs=1e-5)
+
+
+class TestMedian:
+    """``core.batch.median`` is numpy's median to the last bit, without
+    the ``numpy.ma`` import numpy's own medians pay on first call."""
+
+    @staticmethod
+    def _bits(a):
+        return np.asarray(a, dtype=np.float64).view(np.int64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 41),
+        d=st.integers(1, 6),
+        ties=st.booleans(),
+    )
+    def test_equals_numpy_on_finite_columns(self, seed, n, d, ties):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d)
+        if ties:
+            x = np.round(x, 1)
+        np.testing.assert_array_equal(
+            self._bits(median(x)), self._bits(np.median(x, axis=0))
+        )
+        np.testing.assert_array_equal(
+            self._bits(median(x[:, 0])), self._bits(np.median(x[:, 0]))
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 41),
+        d=st.integers(1, 6),
+        gap_rate=st.floats(0.0, 0.9),
+    )
+    def test_equals_nanmedian_on_gappy_columns(self, seed, n, d, gap_rate):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        x[rng.random((n, d)) < gap_rate] = np.nan
+        seen = ~np.isnan(x).all(axis=0)
+        got = median(x, skip_nan=True)
+        assert np.isnan(got[~seen]).all()
+        np.testing.assert_array_equal(
+            self._bits(got[seen]),
+            self._bits(np.nanmedian(x[:, seen], axis=0)),
+        )
 
 
 class TestRobustEigenvalues:

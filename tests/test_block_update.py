@@ -245,6 +245,40 @@ class TestRobustEquivalence:
         # And both reject the contamination (vs the planted truth).
         assert subspace_affinity(blk.components_.T, truth) >= 0.99
 
+    def test_narrow_blocks_hold_the_contract(self):
+        """64-row blocks at d = 32 take the covariance route, where the
+        eigensolve runs once per W = ⌊0.25/(1-α)⌋ rows and residuals
+        between solves see a basis up to W rows old.  The block ≡
+        sequential contract still holds, with outliers planted from
+        row 21 on, just past the warm-up."""
+        rng = np.random.default_rng(23)
+        n, d, p = 1500, 32, 5
+        x, truth = planted(
+            rng, n, d, p, variances=[100, 64, 36, 16, 9], noise=0.1
+        )
+        out_rows = rng.random(n) < 0.05
+        out_rows[:21] = False
+        x[out_rows] += 50.0 * rng.standard_normal((int(out_rows.sum()), d))
+
+        seq = RobustIncrementalPCA(p, alpha=0.999, init_size=20)
+        blk = RobustIncrementalPCA(p, alpha=0.999, init_size=20)
+        seq_flags = np.zeros(n, dtype=bool)
+        for i, row in enumerate(x):
+            r = seq.update(row)
+            if r is not None:
+                seq_flags[i] = r.is_outlier
+        blk_flags = np.zeros(n, dtype=bool)
+        for lo in range(0, n, 64):
+            res = blk.update_block(x[lo : lo + 64])
+            blk_flags[lo + res.indices] = res.is_outlier
+        assert np.all(seq_flags[out_rows])
+        assert np.all(blk_flags[out_rows])
+        assert np.mean(seq_flags == blk_flags) >= 0.97
+        assert subspace_affinity(
+            seq.components_.T, blk.components_.T
+        ) >= 0.99
+        assert subspace_affinity(blk.components_.T, truth) >= 0.99
+
     def test_gappy_block(self):
         rng = np.random.default_rng(21)
         d, p = 40, 4

@@ -128,9 +128,12 @@ class TestInterpretedSourceParity:
 
     @pytest.mark.parametrize("d", [32, 1000])
     def test_block_update_solves_the_smaller_side(self, monkeypatch, d):
-        # One 64-row block on a 4-component state: the eigenproblem is
-        # the d × d covariance when d <= m + k = 68, the Gram otherwise.
-        # Cauchy weights are never zero, so all 64 rows stay live.
+        # A 4-component state at α = 0.999, so W = ⌊0.25/(1-α)⌋ rows
+        # (249 in floating point).  At d = 1000 > m + k = 68 every 64-row
+        # block solves the Gram.  At d = 32 the blocks only fold into the
+        # d × d covariance: no eigh before W rows, one of order d at the
+        # W-th row.
+        # Cauchy weights are never zero, so every row stays live.
         rng = np.random.default_rng(12)
         est = RobustIncrementalPCA(4, rho="cauchy", init_size=20)
         est.update_block(rng.standard_normal((20, d)))
@@ -142,8 +145,17 @@ class TestInterpretedSourceParity:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        est.update_block(rng.standard_normal((64, d)))
-        assert orders == [min(d, 4 + 64)]
+        if d == 1000:
+            est.update_block(rng.standard_normal((64, d)))
+            assert orders == [4 + 64]
+            return
+        window = int(0.25 / (1.0 - est.alpha))
+        for lo in range(0, window - 1, 64):
+            k = min(64, window - 1 - lo)
+            est.update_block(rng.standard_normal((k, d)))
+        assert orders == []
+        est.update_block(rng.standard_normal((1, d)))
+        assert orders == [d]
 
     def test_fill_gappy_rows_matches_fill_from_basis(self):
         rng = np.random.default_rng(5)

@@ -125,7 +125,9 @@ class TestBlockDiagnostics:
     def test_run_result_matches_parent_commit_golden(self, block_diag_case):
         """``ParallelRunResult.diagnostics`` at batch_size=64 is the
         list the per-row emission produced before the block tuple
-        existed (values captured at that commit)."""
+        existed: seqs, engines and flags as captured then; weights and
+        r2 as re-captured when the covariance route began solving once
+        per forgetting window instead of once per chunk."""
         x, make_runner = block_diag_case
         golden = json.loads(
             (

@@ -418,22 +418,93 @@ class TestBlockStepBudget:
 
     @pytest.mark.parametrize("d", [32, 1000])
     def test_clean_chunk_stays_within_the_call_budget(self, d):
+        # Four chunks: at d = 32 the last one brings the rows since the
+        # warm-up past W = 249 and carries the scheduled solve.
         rng = np.random.default_rng(3)
         est = RobustIncrementalPCA(4, alpha=0.999)
         est.update_block(rng.standard_normal((64, d)))
         assert est.is_initialized
-        block = rng.standard_normal((64, d))
         root = os.path.dirname(repro.__file__) + os.sep
-        calls = []
+        for _ in range(4):
+            block = rng.standard_normal((64, d))
+            calls = []
 
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_filename.startswith(root):
-                calls.append(frame.f_code.co_qualname)
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code.co_filename.startswith(
+                    root
+                ):
+                    calls.append(frame.f_code.co_qualname)
 
-        sys.setprofile(profile)
-        try:
-            result = est.update_block(block)
-        finally:
-            sys.setprofile(None)
-        assert result.n_processed == 64
-        assert len(calls) <= self.BUDGET, calls
+            sys.setprofile(profile)
+            try:
+                result = est.update_block(block)
+            finally:
+                sys.setprofile(None)
+            assert result.n_processed == 64
+            assert len(calls) <= self.BUDGET, calls
+        # At d = 32 the last chunk carried the scheduled solve.
+        assert est._cov is None
+
+
+class TestSolveSchedule:
+    """On the covariance route the eigensolve runs once per
+    ``W = ⌊0.25/(1-α)⌋`` rows; reads see a solved copy and never move
+    that schedule, so the fit depends only on the rows fed."""
+
+    @staticmethod
+    def _stream(seed=7, n=1600, d=32):
+        rng = np.random.default_rng(seed)
+        model = PlantedSubspaceModel(
+            dim=d, signal_variances=(16.0, 9.0, 4.0, 2.0), noise_std=0.3,
+            seed=seed,
+        )
+        x = model.sample(n, rng)
+        out = rng.choice(np.arange(30, n), size=40, replace=False)
+        x[out] += 40.0 * rng.standard_normal((out.size, d))
+        gappy = rng.choice(np.arange(30, n), size=80, replace=False)
+        for i in gappy:
+            x[i, rng.random(d) < 0.2] = np.nan
+        return x
+
+    def _run(self, x, read):
+        est = RobustIncrementalPCA(4, extra_components=2, alpha=0.999)
+        diags = []
+        for lo in range(0, x.shape[0], 64):
+            res = est.update_block(x[lo : lo + 64])
+            diags.append(
+                (res.weights, res.residual_norm2, res.is_outlier, res.indices)
+            )
+            if read and est.is_initialized:
+                est.public_state()
+                est.transform(np.nan_to_num(x[lo : lo + 4]))
+        return est, diags
+
+    def test_reads_do_not_move_the_schedule(self):
+        x = self._stream()
+        quiet, quiet_diags = self._run(x, read=False)
+        read, read_diags = self._run(x, read=True)
+        assert len(quiet_diags) == len(read_diags)
+        for a, b in zip(quiet_diags, read_diags):
+            for u, v in zip(a, b):
+                np.testing.assert_array_equal(u, v)
+        sa, sb = quiet.state, read.state
+        for field in (
+            "mean", "basis", "eigenvalues", "scale", "sum_count",
+            "sum_weight", "sum_weighted_r2", "n_seen", "n_since_sync",
+        ):
+            np.testing.assert_array_equal(
+                getattr(sa, field), getattr(sb, field)
+            )
+
+    def test_reads_see_what_a_solve_would_give(self):
+        x = self._stream(n=20 + 3 * 64)
+        est, _ = self._run(x, read=False)
+        assert est._cov is not None            # a solve is pending
+        seen = est.public_state()
+        est.update(x[-1])                      # per-row: settles first
+        assert est._cov is None
+        ref, _ = self._run(x, read=False)
+        ref._settle()
+        np.testing.assert_array_equal(
+            ref.state.basis[:, :4], seen.basis
+        )
