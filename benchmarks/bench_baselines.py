@@ -4,7 +4,9 @@ The paper's introduction positions streaming PCA against (a) offline
 batch solves and (b) MapReduce-style partition-parallel batch jobs.
 This bench fits all of them on the same contaminated dataset and
 compares accuracy and wall time, plus the sliding-window variant's
-hard-expiry behaviour under a regime change.
+hard-expiry behaviour under a regime change.  The window and MapReduce
+baselines are comparison points, not product code: they live with the
+test oracles in ``tests/oracles``.
 """
 
 import time
@@ -14,12 +16,11 @@ import numpy as np
 from repro.core import (
     BatchRobustPCA,
     RobustIncrementalPCA,
-    SlidingWindowPCA,
     largest_principal_angle,
 )
 from repro.data import PlantedSubspaceModel, contaminate_block
 from repro.experiments.common import Table
-from repro.parallel import mapreduce_pca
+from tests.oracles import SlidingWindowPCA, mapreduce_pca
 
 
 def test_streaming_vs_offline_baselines(benchmark):

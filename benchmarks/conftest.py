@@ -9,6 +9,12 @@ The printed tables are the artifacts recorded in EXPERIMENTS.md.
 """
 
 import os
+import pathlib
+import sys
+
+# BASELINES compares against the reference algorithms in tests/oracles;
+# a plain `pytest benchmarks/` puts only benchmarks/ on the path.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
 collect_ignore_glob: list[str] = []
 

@@ -1,28 +1,32 @@
 #!/usr/bin/env python
-"""Live ingestion: TCP feed → streaming robust PCA → drift alarms.
+"""Live ingestion: TCP feed → streaming robust PCA → health alarms.
 
 Demonstrates the paper's "network TCP sockets ... supported out of the
 box as a source of data" path end to end: a feeder thread serves
 telemetry vectors over a local socket; the application graph ingests
 them with :class:`TCPVectorSource`, updates the robust PCA per tuple,
-and a :class:`SubspaceDriftDetector` watches periodic eigensystem
-snapshots for the "significant eigensystem deviation [that] could
+and the same :class:`HealthMonitor` the parallel application attaches
+to each engine checks the model every 250 rows.  A
+:class:`HealthRuleEngine` turns each check into an OK / DEGRADED /
+CRITICAL verdict — the "significant eigensystem deviation [that] could
 indicate a hardware failure".
 
 Halfway through the feed, the telemetry's correlation structure is
 deliberately broken (a simulated controller firmware bug flips the
-load/fan correlation) — the drift detector should alarm shortly after.
+load/fan correlation) — the verdict should leave OK shortly after.
 
 Run:  python examples/live_stream_monitoring.py
 """
 
 import numpy as np
 
-from repro.core import RobustIncrementalPCA, SubspaceDriftDetector
+from repro.core import RobustIncrementalPCA
 from repro.data import ClusterTelemetryModel
 from repro.streams import (
     CallbackSink,
     Graph,
+    HealthMonitor,
+    HealthRuleEngine,
     SynchronousEngine,
     TCPVectorSource,
     serve_vectors,
@@ -54,21 +58,26 @@ def main() -> None:
     port, feeder = serve_vectors(feed)
 
     est = RobustIncrementalPCA(n_components=3, alpha=0.999, init_size=50)
-    # The telemetry's trailing factors are weak, so the basis wanders a
-    # little between snapshots even when healthy — rely on the
-    # eigenvalue/scale axes (with a loose angle gate) for alarming.
-    detector = SubspaceDriftDetector(
-        warmup_snapshots=4, angle_threshold=0.8,
-        eigenvalue_rtol=0.6, scale_rtol=0.6,
-    )
-    alarms: list[tuple[int, str]] = []
+    monitor = HealthMonitor(0, check_every=250)
+    rules = HealthRuleEngine(monitors=[monitor])
+    alarms: list[tuple[int, str, list[str]]] = []
 
     def on_tuple(tup, port_idx):
-        est.update(tup["x"])
-        if est.is_initialized and est.n_seen % 250 == 0:
-            report = detector.observe(est.public_state())
-            if report and report.alarmed:
-                alarms.append((est.n_seen, report.worst_axis()))
+        result = est.update(tup["x"])
+        if result is None:  # still warming up
+            monitor.note_rows(1)
+        else:
+            monitor.note_rows(
+                1,
+                n_outliers=int(result.is_outlier),
+                weight_sum=result.weight,
+                r2_sum=result.residual_norm2,
+            )
+        if monitor.maybe_check(est):
+            verdict = rules.evaluate()
+            if not verdict.ok:
+                firing = [f["rule"] for f in verdict.firing]
+                alarms.append((est.n_seen, verdict.status, firing))
 
     g = Graph("live-monitoring")
     src = g.add(TCPVectorSource("tcp-feed", "127.0.0.1", port))
@@ -80,13 +89,14 @@ def main() -> None:
     print(f"processed {est.n_seen} observations; structural break "
           f"injected at t={break_at}")
     if alarms:
-        for n_seen, axis in alarms:
-            print(f"  DRIFT ALARM at t={n_seen} (dominant axis: {axis})")
+        for n_seen, status, firing in alarms:
+            print(f"  DRIFT ALARM at t={n_seen} ({status}: "
+                  f"{', '.join(firing)})")
         first = alarms[0][0]
         print(f"\ndetection delay: {first - break_at} observations "
               f"after the break")
     else:
-        print("no drift alarms raised — try a larger structural break")
+        print("no health alarms raised — try a larger structural break")
 
 
 if __name__ == "__main__":

@@ -27,21 +27,17 @@ from .calibration import (
     consistent_rho,
     expected_rho,
 )
-from .drift import DriftReport, SubspaceDriftDetector
 from .eigensystem import Eigensystem
 from .exceptions import NotFittedError
 from .gaps import (
     GAP_RESIDUAL_MODES,
     BlockGapFillResult,
-    GapFiller,
     GapFillResult,
-    corrected_residual_norm2,
     estimate_residual_norm2,
     estimate_residual_norm2_block,
     fill_block_from_basis,
     fill_from_basis,
     has_gaps,
-    iterative_gap_fill,
     observed_mask,
 )
 from .incremental import BlockUpdateResult, IncrementalPCA, UpdateResult
@@ -74,7 +70,6 @@ from .normalize import NormalizationError, normalize_block, unit_mean_flux, unit
 from .outliers import OutlierEvent, OutlierLog, flag_outliers
 from .rho import BisquareRho, CauchyRho, RhoFunction, SkippedMeanRho, make_rho
 from .robust import RobustIncrementalPCA
-from .windows import SlidingWindowPCA
 
 __all__ = [
     "BatchPCA",
@@ -85,10 +80,8 @@ __all__ = [
     "BlockUpdateResult",
     "CauchyRho",
     "ConvergenceReport",
-    "DriftReport",
     "Eigensystem",
     "GapFillResult",
-    "GapFiller",
     "IncrementalPCA",
     "NormalizationError",
     "NotFittedError",
@@ -96,8 +89,6 @@ __all__ = [
     "OutlierLog",
     "RhoFunction",
     "RobustIncrementalPCA",
-    "SlidingWindowPCA",
-    "SubspaceDriftDetector",
     "SkippedMeanRho",
     "TraceRecorder",
     "UpdateResult",
@@ -108,7 +99,6 @@ __all__ = [
     "calibrate_c2",
     "calibrate_delta",
     "consistent_rho",
-    "corrected_residual_norm2",
     "eigensystem_of_factor",
     "estimate_residual_norm2",
     "estimate_residual_norm2_block",
@@ -119,7 +109,6 @@ __all__ = [
     "fill_from_basis",
     "flag_outliers",
     "has_gaps",
-    "iterative_gap_fill",
     "jit_status",
     "largest_principal_angle",
     "make_rho",

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as _kernels
-from .eigensystem import Eigensystem
 
 __all__ = [
     "observed_mask",
@@ -35,11 +34,8 @@ __all__ = [
     "fill_block_from_basis",
     "GapFillResult",
     "BlockGapFillResult",
-    "GapFiller",
-    "corrected_residual_norm2",
     "estimate_residual_norm2",
     "estimate_residual_norm2_block",
-    "iterative_gap_fill",
     "GAP_RESIDUAL_MODES",
 ]
 
@@ -202,84 +198,6 @@ def fill_block_from_basis(
     )
 
 
-class GapFiller:
-    """Stateful patcher bound to a live (mutating) :class:`Eigensystem`.
-
-    The streaming algorithm fills each gappy vector with the *current*
-    eigenbasis as it arrives ("avoiding the need for multiple iterations
-    through the entire dataset", Section II-D), so the filler holds a
-    reference — not a copy — of the engine's state.
-    """
-
-    def __init__(self, state: Eigensystem, *, ridge: float = 1e-8) -> None:
-        self._state = state
-        self.ridge = float(ridge)
-        self.n_vectors_filled = 0
-        self.n_entries_filled = 0
-
-    def rebind(self, state: Eigensystem) -> None:
-        """Point the filler at a new state object (e.g. after a sync)."""
-        self._state = state
-
-    def fill(self, x: np.ndarray) -> GapFillResult:
-        """Patch one observation with the bound eigensystem."""
-        result = fill_from_basis(
-            x, self._state.mean, self._state.basis, ridge=self.ridge
-        )
-        if result.n_filled:
-            self.n_vectors_filled += 1
-            self.n_entries_filled += result.n_filled
-        return result
-
-
-def corrected_residual_norm2(
-    y: np.ndarray,
-    mask: np.ndarray,
-    basis_p: np.ndarray,
-    basis_extra: np.ndarray,
-) -> float:
-    """Residual ``r²`` of a patched vector, corrected for zeroed gap bins.
-
-    ``y`` is the *centered, patched* observation.  The residual over the
-    observed bins is computed directly against the ``p``-term basis; the
-    residual in the missing bins — which patching forced to ~0 — is
-    estimated as the difference between the ``(p+q)``- and ``p``-term
-    reconstructions there (Section II-D, last paragraph):
-
-    .. math::
-
-        r^2 \\approx \\lVert (I - E_p E_p^T) y \\rVert^2_{obs}
-        + \\lVert E_{+q} E_{+q}^T y - E_p E_p^T y \\rVert^2_{miss} .
-
-    Parameters
-    ----------
-    y:
-        Centered patched vector, shape ``(d,)``.
-    mask:
-        Boolean mask of originally observed entries.
-    basis_p:
-        The retained basis ``E_p``, shape ``(d, p)``.
-    basis_extra:
-        The extra higher-order vectors (columns ``p+1 … p+q``), shape
-        ``(d, q)``; may be empty, in which case only the observed-bin
-        residual is returned.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if y.shape != mask.shape:
-        raise ValueError(f"y shape {y.shape} != mask shape {mask.shape}")
-    recon_p = basis_p @ (basis_p.T @ y)
-    resid_obs = y[mask] - recon_p[mask]
-    r2 = float(resid_obs @ resid_obs)
-    if basis_extra.size and np.any(~mask):
-        # Higher-order reconstruction differs from the p-term one exactly by
-        # the extra components' contribution.
-        extra = basis_extra @ (basis_extra.T @ y)
-        diff_miss = extra[~mask]
-        r2 += float(diff_miss @ diff_miss)
-    return r2
-
-
 #: Residual-estimation modes for gap-filled observations.
 #:
 #: * ``"observed"`` — no correction: residual over observed bins only
@@ -376,80 +294,3 @@ def estimate_residual_norm2_block(
         r2 += np.einsum("ij,ij->i", diff_miss, diff_miss)
     r2[n_obs == 0] = 0.0
     return r2
-
-
-def iterative_gap_fill(
-    x: np.ndarray,
-    n_components: int,
-    *,
-    max_iter: int = 50,
-    tol: float = 1e-8,
-    ridge: float = 1e-8,
-) -> tuple[np.ndarray, Eigensystem, int]:
-    """Offline iterative gap filling (Connolly & Szalay 1999; Yip 2004).
-
-    The pre-streaming state of the art §II-D cites: "a final eigenbasis
-    may be calculated iteratively by continuously filling the gaps with
-    the previous eigenbasis until convergence is reached".  Alternate
-
-    1. fill every gap from the current mean/eigenbasis
-       (:func:`fill_from_basis` per row);
-    2. batch PCA on the completed matrix;
-
-    until the filled values stop moving.  This needs *multiple passes
-    over the entire dataset* — exactly the cost the paper's streaming
-    algorithm avoids by filling each vector once, on arrival, with the
-    running basis.  Provided as the offline reference for the gap
-    experiments.
-
-    Parameters
-    ----------
-    x:
-        ``(n, d)`` data with NaN gaps.
-    n_components:
-        Rank of the iterated eigenbasis.
-
-    Returns
-    -------
-    (filled, eigensystem, n_iter):
-        The completed matrix, the converged batch eigensystem, and the
-        number of passes performed.
-    """
-    from .batch import BatchPCA  # local: avoid import cycle
-
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected (n, d) data, got shape {x.shape}")
-    mask = np.isfinite(x)
-    if not mask.any(axis=1).all():
-        raise ValueError("every row needs at least one observed entry")
-
-    # Pass 0: fill with column means of the observed entries.
-    col_mean = np.where(
-        mask.any(axis=0),
-        np.nansum(np.where(mask, x, 0.0), axis=0)
-        / np.maximum(mask.sum(axis=0), 1),
-        0.0,
-    )
-    filled = np.where(mask, x, col_mean)
-
-    pca = BatchPCA(n_components).fit(filled)
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        previous = filled[~mask].copy() if (~mask).any() else None
-        basis = pca.components_.T
-        new_filled = filled.copy()
-        for i in np.nonzero(~mask.all(axis=1))[0]:
-            row = np.where(mask[i], x[i], np.nan)
-            new_filled[i] = fill_from_basis(
-                row, pca.mean_, basis, ridge=ridge
-            ).filled
-        filled = new_filled
-        pca = BatchPCA(n_components).fit(filled)
-        if previous is None:
-            break
-        drift = float(np.max(np.abs(filled[~mask] - previous)))
-        scale = float(np.max(np.abs(filled))) or 1.0
-        if drift <= tol * scale:
-            break
-    return filled, pca.to_eigensystem(), n_iter

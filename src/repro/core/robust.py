@@ -378,7 +378,9 @@ class RobustIncrementalPCA:
         """
         if self.alpha >= 1.0:
             return _MAX_BLOCK_ROWS, 0
-        window = max(1, int(0.25 / (1.0 - self.alpha)))
+        # 1 - α is inexact in binary (0.25 / (1 - 0.999) reads
+        # 249.99999999999977), so round off that error before the floor.
+        window = max(1, int(round(0.25 / (1.0 - self.alpha), 6)))
         limit = min(_MAX_BLOCK_ROWS, window)
         if d <= self.n_components + self.extra_components + limit:
             return limit, window

@@ -6,7 +6,6 @@ from .app import (
     build_parallel_pca_graph,
     engine_restart_supervisor,
 )
-from .mapreduce import MapReducePCAResult, mapreduce_pca
 from .partition import (
     partition_contiguous,
     partition_random,
@@ -36,7 +35,6 @@ __all__ = [
     "DIAGNOSTICS_SCHEMA",
     "ENGINE_CLASSES",
     "GroupStrategy",
-    "MapReducePCAResult",
     "ParallelPCAApp",
     "ParallelRunResult",
     "ParallelStreamingPCA",
@@ -52,7 +50,6 @@ __all__ = [
     "engine_restart_supervisor",
     "expand_diagnostics",
     "make_strategy",
-    "mapreduce_pca",
     "partition_contiguous",
     "partition_random",
     "partition_round_robin",

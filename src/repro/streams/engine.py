@@ -87,7 +87,7 @@ class RunStats:
     source_tuples:
         Tuples produced per source, with punctuation counted explicitly
         on the operator and excluded (see :attr:`Operator.punct_out`).
-    failures / retries / skipped_tuples / restarts / recovery_time_s:
+    failures / skipped_tuples / restarts / recovery_time_s:
         Supervision counters (name → count/seconds), populated when the
         engine ran with a :class:`~repro.streams.supervision.Supervisor`.
     """
@@ -99,7 +99,6 @@ class RunStats:
     #: Per-operator exclusive processing seconds (profiled runs only).
     processing_time_s: dict[str, float] = field(default_factory=dict)
     failures: dict[str, int] = field(default_factory=dict)
-    retries: dict[str, int] = field(default_factory=dict)
     skipped_tuples: dict[str, int] = field(default_factory=dict)
     restarts: dict[str, int] = field(default_factory=dict)
     recovery_time_s: dict[str, float] = field(default_factory=dict)
@@ -112,12 +111,9 @@ class RunStats:
         return total / self.wall_time_s
 
     def total_recoveries(self) -> int:
-        """Failures repaired in-flight (retries + skips + restarts)."""
-        return (
-            sum(self.retries.values())
-            + sum(self.skipped_tuples.values())
-            + sum(self.restarts.values())
-        )
+        """Failures repaired in-flight: one rollback each (a ``"skip"``
+        resume's dropped tuple is in ``skipped_tuples`` as well)."""
+        return sum(self.restarts.values())
 
     @classmethod
     def collect(
@@ -138,7 +134,6 @@ class RunStats:
         if supervisor is not None:
             sup = supervisor.stats
             stats.failures = dict(sup.failures)
-            stats.retries = dict(sup.retries)
             stats.skipped_tuples = dict(sup.skipped_tuples)
             stats.restarts = dict(sup.restarts)
             stats.recovery_time_s = dict(sup.recovery_time_s)

@@ -85,7 +85,6 @@ def supervision_report(stats) -> str:
     """
     names = sorted(
         set(stats.failures)
-        | set(stats.retries)
         | set(stats.skipped_tuples)
         | set(stats.restarts)
         | set(stats.recovery_time_s)
@@ -93,14 +92,13 @@ def supervision_report(stats) -> str:
     if not names:
         return "supervision: no failures recorded"
     header = (
-        f"{'operator':<20} {'failures':>8} {'retries':>8} "
-        f"{'skipped':>8} {'restarts':>8} {'recovery_s':>10}"
+        f"{'operator':<20} {'failures':>8} {'skipped':>8} "
+        f"{'restarts':>8} {'recovery_s':>10}"
     )
     lines = [header, "-" * len(header)]
     for name in names:
         lines.append(
             f"{name:<20} {stats.failures.get(name, 0):>8} "
-            f"{stats.retries.get(name, 0):>8} "
             f"{stats.skipped_tuples.get(name, 0):>8} "
             f"{stats.restarts.get(name, 0):>8} "
             f"{stats.recovery_time_s.get(name, 0.0):>10.4f}"

@@ -11,13 +11,10 @@ sockets.  We mirror the useful subset for an offline reproduction:
   loop so readiness-for-chaos costs no extra dispatch stages.
 * :class:`CSVFileSource` — a CSV file (or list of files) of flux vectors.
 * :class:`DirectorySource` — every ``*.csv`` in a folder, sorted.
-* :class:`CallbackSource` — pull tuples from a user callable (the
-  "side service" / custom-operator escape hatch).
 
 All sources emit data tuples with fields ``x`` (the vector) and ``seq``
-(the arrival index), the schema the PCA application expects.  The pull
-sources (all but :class:`CallbackSource`, whose next row may wait on a
-socket) take a ``batch_size``: above 1 they emit one
+(the arrival index), the schema the PCA application expects.  Each takes a
+``batch_size``: above 1 they emit one
 :data:`~repro.streams.batcher.BLOCK_SCHEMA` tuple per ``batch_size``
 rows, pulled as one array from
 :meth:`~repro.data.streams.VectorStream.blocks`, paying validation,
@@ -46,7 +43,6 @@ __all__ = [
     "GuardedVectorSource",
     "CSVFileSource",
     "DirectorySource",
-    "CallbackSource",
 ]
 
 #: The observation stream schema: a flux/feature vector plus arrival index.
@@ -341,34 +337,3 @@ class DirectorySource(CSVFileSource):
         if not files:
             raise FileNotFoundError(f"no *.csv files in {directory}")
         super().__init__(name, files, batch_size=batch_size)
-
-
-class CallbackSource(Source):
-    """Pull vectors from ``next_vector()`` until it returns ``None``.
-
-    The adapter for live feeds (piped streams, sockets, database cursors):
-    anything that can be phrased as a blocking "give me the next vector"
-    callable.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        next_vector: Callable[[], np.ndarray | None],
-        *,
-        max_tuples: int | None = None,
-    ) -> None:
-        super().__init__(name)
-        self._next = next_vector
-        if max_tuples is not None and max_tuples < 0:
-            raise ValueError("max_tuples must be >= 0")
-        self._max = max_tuples
-
-    def generate(self) -> Iterator[StreamTuple]:
-        seq = 0
-        while self._max is None or seq < self._max:
-            x = self._next()
-            if x is None:
-                return
-            yield _observation(np.asarray(x, dtype=np.float64), seq)
-            seq += 1

@@ -9,12 +9,11 @@ Tracking: The Missing Data Case*), so this module supplies the missing
 layer:
 
 * **Failure policies** — per-operator reactions to a raised exception:
-  :class:`FailFast` (abort the run, the old behaviour),
-  :class:`Retry` (re-dispatch with linear backoff),
-  :class:`SkipTuple` (drop the offending tuple and continue), and
+  :class:`FailFast` (abort the run, the old behaviour) and
   :class:`RestartFromCheckpoint` (roll the operator's state back to the
   last snapshot — optionally persisted through
-  :class:`repro.io.checkpoint.CheckpointStore` — then resume).
+  :class:`repro.io.checkpoint.CheckpointStore` — then retry or drop the
+  failing tuple).
 * **Supervisor** — routes every dispatch through the configured policy
   and accumulates structured failure/recovery counters
   (:class:`SupervisionStats`), which the engines copy into
@@ -49,8 +48,6 @@ __all__ = [
     "StallDetected",
     "FailurePolicy",
     "FailFast",
-    "Retry",
-    "SkipTuple",
     "RestartFromCheckpoint",
     "SupervisionStats",
     "Supervisor",
@@ -107,41 +104,6 @@ class FailFast(FailurePolicy):
 
 
 @dataclass
-class Retry(FailurePolicy):
-    """Re-dispatch the failing tuple up to ``max_attempts`` extra times.
-
-    ``backoff_s`` sleeps ``attempt * backoff_s`` before each retry (linear
-    backoff).  Exhausting all attempts escalates to
-    :class:`OperatorFailure`.
-    """
-
-    max_attempts: int = 3
-    backoff_s: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
-
-
-@dataclass
-class SkipTuple(FailurePolicy):
-    """Drop the offending tuple and keep going.
-
-    ``max_skips`` bounds the damage: exceeding it escalates.  Punctuation
-    is never skipped (dropping an end-of-stream marker would deadlock
-    shutdown); a punctuation failure gets one retry, then escalates.
-    """
-
-    max_skips: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_skips is not None and self.max_skips < 1:
-            raise ValueError("max_skips must be >= 1 or None")
-
-
-@dataclass
 class RestartFromCheckpoint(FailurePolicy):
     """Roll the operator back to its last state snapshot, then resume.
 
@@ -156,7 +118,9 @@ class RestartFromCheckpoint(FailurePolicy):
         the first restore source, the store covers cross-process resume.
     resume:
         ``"retry"`` re-dispatches the failing tuple once after the
-        rollback; ``"skip"`` drops it.  Punctuation is always retried.
+        rollback; ``"skip"`` drops it and counts it in
+        :attr:`SupervisionStats.skipped_tuples`.  Punctuation is always
+        retried: dropping an end-of-stream marker would wedge shutdown.
     max_restarts:
         Escalate after this many rollbacks (``None`` = unlimited).
     """
@@ -187,7 +151,6 @@ class SupervisionStats:
     """Structured failure/recovery counters (per operator name)."""
 
     failures: dict[str, int] = field(default_factory=dict)
-    retries: dict[str, int] = field(default_factory=dict)
     skipped_tuples: dict[str, int] = field(default_factory=dict)
     restarts: dict[str, int] = field(default_factory=dict)
     recovery_time_s: dict[str, float] = field(default_factory=dict)
@@ -196,12 +159,10 @@ class SupervisionStats:
         return sum(self.failures.values())
 
     def total_recoveries(self) -> int:
-        """Failures that did *not* abort the run."""
-        return (
-            sum(self.retries.values())
-            + sum(self.skipped_tuples.values())
-            + sum(self.restarts.values())
-        )
+        """Failures that did *not* abort the run: one rollback each (a
+        ``"skip"`` resume also counts its dropped tuple in
+        ``skipped_tuples``, but it is one repaired failure)."""
+        return sum(self.restarts.values())
 
 
 class Supervisor:
@@ -288,11 +249,7 @@ class Supervisor:
             error=repr(exc), policy=type(policy).__name__,
         )
         try:
-            if isinstance(policy, Retry):
-                self._retry(op, tup, port, policy, exc)
-            elif isinstance(policy, SkipTuple):
-                self._skip(op, tup, port, policy, exc)
-            elif isinstance(policy, RestartFromCheckpoint):
+            if isinstance(policy, RestartFromCheckpoint):
                 self._restart(op, tup, port, policy, exc)
             else:  # pragma: no cover - unknown policy subclass
                 raise OperatorFailure(name, exc, "unknown policy") from exc
@@ -302,51 +259,6 @@ class Supervisor:
                     self.stats.recovery_time_s.get(name, 0.0)
                     + (time.perf_counter() - started)
                 )
-
-    def _retry(self, op, tup, port, policy: Retry, exc: Exception) -> None:
-        last = exc
-        for attempt in range(1, policy.max_attempts + 1):
-            if policy.backoff_s:
-                time.sleep(policy.backoff_s * attempt)
-            with self._lock:
-                self.stats.retries[op.name] = (
-                    self.stats.retries.get(op.name, 0) + 1
-                )
-            self._emit_event("retry", op.name, attempt=attempt)
-            try:
-                op._dispatch(tup, port)
-            except (EngineAborted, OperatorFailure):
-                raise
-            except Exception as again:
-                last = again
-                continue
-            self._note_success(op, policy)
-            return
-        raise OperatorFailure(
-            op.name, last, f"retries exhausted ({policy.max_attempts})"
-        ) from last
-
-    def _skip(self, op, tup, port, policy: SkipTuple, exc: Exception) -> None:
-        if tup.is_punctuation:
-            # Dropping an end-of-stream marker would wedge shutdown:
-            # give close() one more chance, then abort.
-            try:
-                op._dispatch(tup, port)
-                return
-            except (EngineAborted, OperatorFailure):
-                raise
-            except Exception as again:
-                raise OperatorFailure(
-                    op.name, again, "punctuation cannot be skipped"
-                ) from again
-        with self._lock:
-            n = self.stats.skipped_tuples.get(op.name, 0) + 1
-            self.stats.skipped_tuples[op.name] = n
-        self._emit_event("skip", op.name, seq=tup.seq)
-        if policy.max_skips is not None and n > policy.max_skips:
-            raise OperatorFailure(
-                op.name, exc, f"skip budget exhausted ({policy.max_skips})"
-            ) from exc
 
     def _restart(
         self, op, tup, port, policy: RestartFromCheckpoint, exc: Exception
@@ -360,12 +272,16 @@ class Supervisor:
             ) from exc
         with self._lock:
             n = self.stats.restarts.get(name, 0) + 1
-            self.stats.restarts[name] = n
-        self._emit_event("restart", name, restart_n=n)
-        if policy.max_restarts is not None and n > policy.max_restarts:
+            exhausted = (
+                policy.max_restarts is not None and n > policy.max_restarts
+            )
+            if not exhausted:  # only a repaired failure counts
+                self.stats.restarts[name] = n
+        if exhausted:
             raise OperatorFailure(
                 name, exc, f"restart budget exhausted ({policy.max_restarts})"
             ) from exc
+        self._emit_event("restart", name, restart_n=n)
         snap = self._snapshots.get(name)
         if snap is None and policy.store is not None:
             snap = policy.store.load_latest()
@@ -377,11 +293,18 @@ class Supervisor:
             except (EngineAborted, OperatorFailure):
                 raise
             except Exception as again:
+                what = "punctuation" if tup.is_punctuation else "tuple"
                 raise OperatorFailure(
-                    name, again, "failed again after checkpoint restart"
+                    name, again,
+                    f"{what} failed again after checkpoint restart",
                 ) from again
             self._note_success(op, policy)
-        # resume == "skip": the offending tuple is dropped.
+            return
+        with self._lock:
+            self.stats.skipped_tuples[name] = (
+                self.stats.skipped_tuples.get(name, 0) + 1
+            )
+        self._emit_event("skip", name, seq=tup.seq)
 
     def _note_success(
         self, op: "Operator", policy: FailurePolicy

@@ -936,7 +936,6 @@ class Telemetry:
         def collect() -> Iterator[tuple]:
             for metric, table in (
                 ("repro_failures_total", stats.failures),
-                ("repro_retries_total", stats.retries),
                 ("repro_skipped_tuples_total", stats.skipped_tuples),
                 ("repro_restarts_total", stats.restarts),
                 ("repro_recovery_seconds_total", stats.recovery_time_s),

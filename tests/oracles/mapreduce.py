@@ -4,7 +4,8 @@ The paper's introduction motivates streaming against the established
 offline route: "batch parallel processing frameworks such as MapReduce,
 DryadLINQ and Spark have been successfully used for these algorithms
 given their heavy use of partial sums".  This module implements that
-baseline so the experiments can compare against it:
+baseline as a comparison point for the BASELINES experiment
+(``benchmarks/bench_baselines.py``); it is not part of the product:
 
 * **map**: fit an independent (robust) batch PCA on each partition;
 * **reduce**: merge the per-partition eigensystems with the same
@@ -22,10 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.batch import BatchPCA, BatchRobustPCA
-from ..core.eigensystem import Eigensystem
-from ..core.merge import merge_eigensystems
-from .partition import partition_round_robin
+from repro.core import (
+    BatchPCA,
+    BatchRobustPCA,
+    Eigensystem,
+    merge_eigensystems,
+)
+from repro.parallel.partition import partition_round_robin
 
 __all__ = ["MapReducePCAResult", "mapreduce_pca"]
 

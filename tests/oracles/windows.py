@@ -5,13 +5,15 @@ to maintain the eigensystem over varying temporal extents, including a
 damping factor or time-based windows ... Both approaches can be
 implemented, exploiting sharing strategies for sliding window scenarios."
 
-:class:`RobustIncrementalPCA` implements the damping (α) option; this
-module implements the *window* option with the classic block-sharing
-strategy: the stream is cut into fixed-size blocks, each block is
-summarized by its own truncated eigensystem (cheap, low-rank), and the
-window estimate is the merge of the last ``window_blocks`` summaries —
-the same merge algebra the parallel synchronization uses (eqs. 15–16),
-reused across time instead of across engines.
+The product's :class:`~repro.core.RobustIncrementalPCA` implements the
+damping (α) option; this comparison point for the BASELINES experiment
+(``benchmarks/bench_baselines.py``) implements the *window* option with
+the classic block-sharing strategy: the stream is cut into fixed-size
+blocks, each block is summarized by its own truncated eigensystem
+(cheap, low-rank), and the window estimate is the merge of the last
+``window_blocks`` summaries — the same merge algebra the parallel
+synchronization uses (eqs. 15–16), reused across time instead of across
+engines.
 
 Compared to the damping estimator:
 
@@ -29,9 +31,12 @@ from collections import deque
 
 import numpy as np
 
-from .eigensystem import Eigensystem
-from .merge import merge_eigensystems
-from .robust import RobustIncrementalPCA
+from repro.core import (
+    Eigensystem,
+    IncrementalPCA,
+    RobustIncrementalPCA,
+    merge_eigensystems,
+)
 
 __all__ = ["SlidingWindowPCA"]
 
@@ -117,8 +122,6 @@ class SlidingWindowPCA:
             return RobustIncrementalPCA(
                 self.block_components, **kwargs
             )
-        from .incremental import IncrementalPCA
-
         kwargs.pop("extra_components", None)
         return IncrementalPCA(self.block_components, **kwargs)
 

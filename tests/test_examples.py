@@ -5,6 +5,7 @@ failures produce real tracebacks and coverage counts them.
 """
 
 import pathlib
+import re
 import sys
 
 import pytest
@@ -71,6 +72,12 @@ def test_live_stream_monitoring_runs(capsys):
     out = capsys.readouterr().out
     assert "DRIFT ALARM" in out
     assert "detection delay" in out
+    # The health verdict leaves OK after the break, never before it,
+    # and within two 250-row checks of it.
+    (break_at,) = re.findall(r"break injected at t=(\d+)", out)
+    alarms = [int(t) for t in re.findall(r"DRIFT ALARM at t=(\d+)", out)]
+    assert all(t > int(break_at) for t in alarms)
+    assert 0 < alarms[0] - int(break_at) <= 500
 
 
 def test_serving_quickstart_runs(capsys):

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import Eigensystem
 from repro.core.gaps import (
     GAP_RESIDUAL_MODES,
-    GapFiller,
-    corrected_residual_norm2,
     estimate_residual_norm2,
     estimate_residual_norm2_block,
     fill_block_from_basis,
@@ -15,6 +12,7 @@ from repro.core.gaps import (
     has_gaps,
     observed_mask,
 )
+from tests.oracles import corrected_residual_norm2
 
 
 @pytest.fixture
@@ -90,34 +88,6 @@ class TestFillFromBasis:
         mean, basis = subspace
         with pytest.raises(ValueError, match="shape"):
             fill_from_basis(np.zeros(5), mean, basis)
-
-
-class TestGapFiller:
-    def test_counters(self, subspace, rng):
-        mean, basis = subspace
-        state = Eigensystem(
-            mean=mean, basis=basis, eigenvalues=np.array([3.0, 2.0, 1.0])
-        )
-        filler = GapFiller(state)
-        x = rng.standard_normal(30)
-        filler.fill(x)  # no gaps
-        x2 = x.copy()
-        x2[:4] = np.nan
-        filler.fill(x2)
-        assert filler.n_vectors_filled == 1
-        assert filler.n_entries_filled == 4
-
-    def test_rebind_follows_new_state(self, subspace, rng):
-        mean, basis = subspace
-        s1 = Eigensystem(mean=mean, basis=basis,
-                         eigenvalues=np.array([3.0, 2.0, 1.0]))
-        s2 = Eigensystem(mean=mean + 100.0, basis=basis,
-                         eigenvalues=np.array([3.0, 2.0, 1.0]))
-        filler = GapFiller(s1)
-        filler.rebind(s2)
-        x = np.full(30, np.nan)
-        out = filler.fill(x)
-        assert np.allclose(out.filled, mean + 100.0)
 
 
 class TestResidualEstimation:
@@ -274,7 +244,7 @@ class TestIterativeGapFill:
 
     def test_recovers_subspace_and_values(self, rng):
         from repro.core import largest_principal_angle
-        from repro.core.gaps import iterative_gap_fill
+        from tests.oracles import iterative_gap_fill
         from repro.data import PlantedSubspaceModel
 
         model = PlantedSubspaceModel(
@@ -295,7 +265,7 @@ class TestIterativeGapFill:
         assert largest_principal_angle(state.basis, model.basis) < 0.1
 
     def test_complete_data_converges_immediately(self, rng):
-        from repro.core.gaps import iterative_gap_fill
+        from tests.oracles import iterative_gap_fill
 
         x = rng.standard_normal((50, 8))
         filled, _, n_iter = iterative_gap_fill(x, 2)
@@ -303,7 +273,7 @@ class TestIterativeGapFill:
         assert n_iter == 1
 
     def test_validation(self, rng):
-        from repro.core.gaps import iterative_gap_fill
+        from tests.oracles import iterative_gap_fill
 
         with pytest.raises(ValueError, match="\\(n, d\\)"):
             iterative_gap_fill(np.zeros(5), 2)

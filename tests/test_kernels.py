@@ -128,8 +128,8 @@ class TestInterpretedSourceParity:
 
     @pytest.mark.parametrize("d", [32, 1000])
     def test_block_update_solves_the_smaller_side(self, monkeypatch, d):
-        # A 4-component state at α = 0.999, so W = ⌊0.25/(1-α)⌋ rows
-        # (249 in floating point).  At d = 1000 > m + k = 68 every 64-row
+        # A 4-component state at α = 0.999, so W = ⌊0.25/(1-α)⌋ = 250
+        # rows.  At d = 1000 > m + k = 68 every 64-row
         # block solves the Gram.  At d = 32 the blocks only fold into the
         # d × d covariance: no eigh before W rows, one of order d at the
         # W-th row.
@@ -149,7 +149,7 @@ class TestInterpretedSourceParity:
             est.update_block(rng.standard_normal((64, d)))
             assert orders == [4 + 64]
             return
-        window = int(0.25 / (1.0 - est.alpha))
+        window = est._chunk_limits(d)[1]
         for lo in range(0, window - 1, 64):
             k = min(64, window - 1 - lo)
             est.update_block(rng.standard_normal((k, d)))

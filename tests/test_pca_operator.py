@@ -127,7 +127,9 @@ class TestBlockDiagnostics:
         list the per-row emission produced before the block tuple
         existed: seqs, engines and flags as captured then; weights and
         r2 as re-captured when the covariance route began solving once
-        per forgetting window instead of once per chunk."""
+        per forgetting window instead of once per chunk, and again when
+        that window became the documented ⌊0.25/(1-α)⌋ = 50 rows at
+        α = 0.995 (floating point had read 49)."""
         x, make_runner = block_diag_case
         golden = json.loads(
             (

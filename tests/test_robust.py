@@ -479,6 +479,15 @@ class TestSolveSchedule:
                 est.transform(np.nan_to_num(x[lo : lo + 4]))
         return est, diags
 
+    @pytest.mark.parametrize(
+        "alpha, window", [(0.999, 250), (0.995, 50), (0.99, 25)]
+    )
+    def test_solve_window_is_the_documented_floor(self, alpha, window):
+        # 0.25 / (1 - α) is one ulp short of an integer at each of these;
+        # d = 16 stays on the covariance route at every window.
+        est = RobustIncrementalPCA(4, extra_components=2, alpha=alpha)
+        assert est._chunk_limits(16) == (min(64, window), window)
+
     def test_reads_do_not_move_the_schedule(self):
         x = self._stream()
         quiet, quiet_diags = self._run(x, read=False)

@@ -8,7 +8,6 @@ from repro.data.streams import VectorStream
 from repro.io.checkpoint import CheckpointStore
 from repro.streams import (
     CallbackSink,
-    CallbackSource,
     CheckpointSink,
     CollectingSink,
     CSVFileSource,
@@ -73,19 +72,6 @@ class TestCSVSources:
     def test_directory_source_not_a_dir(self, tmp_path):
         with pytest.raises(NotADirectoryError):
             DirectorySource("dir", tmp_path / "missing")
-
-
-class TestCallbackSource:
-    def test_stops_on_none(self):
-        items = [np.zeros(2), np.ones(2), None, np.zeros(2)]
-        it = iter(items)
-        src = CallbackSource("cb", lambda: next(it))
-        got = list(src.generate())
-        assert len(got) == 2
-
-    def test_max_tuples(self):
-        src = CallbackSource("cb", lambda: np.zeros(2), max_tuples=4)
-        assert len(list(src.generate())) == 4
 
 
 class TestSinks:

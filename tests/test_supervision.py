@@ -37,8 +37,6 @@ from repro.streams.supervision import (
     InjectedFault,
     OperatorFailure,
     RestartFromCheckpoint,
-    Retry,
-    SkipTuple,
     StallDetected,
     Supervisor,
     Watchdog,
@@ -139,12 +137,6 @@ class TestFaultInjector:
 class TestPolicyValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
-            Retry(max_attempts=0)
-        with pytest.raises(ValueError):
-            Retry(backoff_s=-1)
-        with pytest.raises(ValueError):
-            SkipTuple(max_skips=0)
-        with pytest.raises(ValueError):
             RestartFromCheckpoint(checkpoint_every=0)
         with pytest.raises(ValueError):
             RestartFromCheckpoint(resume="replay")
@@ -160,7 +152,20 @@ def _explode_on_odd(t):
     return t
 
 
+class _Restartable(Functor):
+    """A stateless Functor that opts into checkpoint restarts."""
+
+    def snapshot_state(self):
+        return None
+
+    def restore_state(self, state):
+        pass
+
+
 class TestRetryAndSkip:
+    """``RestartFromCheckpoint``'s two resumes: ``"retry"`` re-dispatches
+    the failing tuple after the rollback, ``"skip"`` drops it."""
+
     def _graph(self, fn, n=20):
         g = Graph("pol")
         src = g.add(
@@ -171,7 +176,7 @@ class TestRetryAndSkip:
                 ),
             )
         )
-        op = g.add(Functor("flaky", fn))
+        op = g.add(_Restartable("flaky", fn))
         sink = g.add(CollectingSink("sink"))
         g.connect(src, op)
         g.connect(op, sink)
@@ -180,25 +185,27 @@ class TestRetryAndSkip:
     def test_retry_recovers_transient_crash(self):
         g, sink = self._graph(lambda t: t)
         FaultInjector().crash("flaky", at_tuple=4).install(g)
-        sup = Supervisor(policies={"flaky": Retry(max_attempts=2, backoff_s=0)})
+        sup = Supervisor(policies={"flaky": RestartFromCheckpoint()})
         stats = SynchronousEngine(g, supervisor=sup).run()
         # The injector fires once; the retry redelivers the same tuple.
         assert len(sink.tuples) == 20
         assert stats.failures["flaky"] == 1
-        assert stats.retries["flaky"] == 1
+        assert stats.restarts["flaky"] == 1
         assert stats.total_recoveries() == 1
         assert "flaky" in supervision_report(stats)
 
     def test_retry_exhaustion_escalates(self):
         g, _ = self._graph(lambda t: t)
         FaultInjector().crash("flaky", at_tuple=4, repeat=10).install(g)
-        sup = Supervisor(policies={"flaky": Retry(max_attempts=2, backoff_s=0)})
-        with pytest.raises(OperatorFailure, match="retries exhausted"):
+        sup = Supervisor(policies={"flaky": RestartFromCheckpoint()})
+        with pytest.raises(OperatorFailure, match="failed again"):
             SynchronousEngine(g, supervisor=sup).run()
 
     def test_skip_drops_poison_tuples(self):
         g, sink = self._graph(_explode_on_odd)
-        sup = Supervisor(policies={"flaky": SkipTuple()})
+        sup = Supervisor(
+            policies={"flaky": RestartFromCheckpoint(resume="skip")}
+        )
         stats = SynchronousEngine(g, supervisor=sup).run()
         assert len(sink.tuples) == 10
         assert stats.skipped_tuples["flaky"] == 10
@@ -212,7 +219,9 @@ class TestRetryAndSkip:
         ``RunStats`` or the ``repro_*_total`` counters — the host's
         ``done`` frame carried no supervision block."""
         g, sink = self._graph(_explode_on_odd, n=40)
-        sup = Supervisor(policies={"flaky": SkipTuple()})
+        sup = Supervisor(
+            policies={"flaky": RestartFromCheckpoint(resume="skip")}
+        )
         tel = Telemetry(TelemetryConfig(metrics=True, tracing=False))
         stats = concurrent_engine(
             runtime, g, supervisor=sup, telemetry=tel
@@ -227,12 +236,19 @@ class TestRetryAndSkip:
 
     def test_skip_budget_escalates(self):
         g, _ = self._graph(lambda t: (_ for _ in ()).throw(ValueError("bad")))
-        sup = Supervisor(policies={"flaky": SkipTuple(max_skips=3)})
-        with pytest.raises(OperatorFailure, match="skip budget"):
+        sup = Supervisor(policies={
+            "flaky": RestartFromCheckpoint(resume="skip", max_restarts=3)
+        })
+        with pytest.raises(OperatorFailure, match="restart budget"):
             SynchronousEngine(g, supervisor=sup).run()
+        # The fourth failure aborted the run: three were repaired.
+        assert sup.stats.failures == {"flaky": 4}
+        assert sup.stats.restarts == {"flaky": 3}
+        assert sup.stats.skipped_tuples == {"flaky": 3}
+        assert sup.stats.total_recoveries() == 3
 
     def test_punctuation_failure_retried_not_skipped(self):
-        class FlakyClose(Functor):
+        class FlakyClose(_Restartable):
             def __init__(self):
                 super().__init__("flaky", lambda t: t)
                 self.close_attempts = 0
@@ -251,7 +267,9 @@ class TestRetryAndSkip:
         sink = g.add(CollectingSink("sink"))
         g.connect(src, op)
         g.connect(op, sink)
-        sup = Supervisor(policies={"flaky": Retry(max_attempts=2, backoff_s=0)})
+        sup = Supervisor(
+            policies={"flaky": RestartFromCheckpoint(resume="skip")}
+        )
         SynchronousEngine(g, supervisor=sup).run()
         # close retried to success; punctuation propagated; sink closed.
         assert op.close_attempts == 2
@@ -259,7 +277,7 @@ class TestRetryAndSkip:
         assert sink.is_closed
 
     def test_punctuation_never_silently_skipped(self):
-        class BrokenClose(Functor):
+        class BrokenClose(_Restartable):
             def __init__(self):
                 super().__init__("broken", lambda t: t)
 
@@ -275,7 +293,9 @@ class TestRetryAndSkip:
         sink = g.add(CollectingSink("sink"))
         g.connect(src, op)
         g.connect(op, sink)
-        sup = Supervisor(policies={"broken": SkipTuple()})
+        sup = Supervisor(
+            policies={"broken": RestartFromCheckpoint(resume="skip")}
+        )
         with pytest.raises(OperatorFailure, match="punctuation"):
             SynchronousEngine(g, supervisor=sup).run()
 

@@ -19,7 +19,7 @@ from repro.streams import (
     FaultInjector,
     Functor,
     Graph,
-    Retry,
+    RestartFromCheckpoint,
     Split,
     Supervisor,
     SynchronousEngine,
@@ -418,22 +418,25 @@ class TestSupervisionTelemetry:
     def test_failure_and_retry_events_and_counters(self):
         x = np.arange(20, dtype=float).reshape(20, 1)
         g, sink = pipeline_graph(x)
+        union = next(op for op in g if op.name == "union")
+        # A stateless Union opts into checkpoint restarts.
+        union.snapshot_state = lambda: None
+        union.restore_state = lambda state: None
         FaultInjector().crash("union", at_tuple=5).install(g)
         tel = Telemetry()
-        sup = Supervisor(policies={"union": Retry(max_attempts=2,
-                                                  backoff_s=0.0)})
+        sup = Supervisor(policies={"union": RestartFromCheckpoint()})
         SynchronousEngine(g, supervisor=sup, telemetry=tel).run()
         assert len(sink.tuples) == 20  # retry repaired the crash
 
         sup_events = [e for e in tel.events.events()
                       if e["kind"] == "supervision"]
-        assert [e["event"] for e in sup_events] == ["failure", "retry"]
+        assert [e["event"] for e in sup_events] == ["failure", "restart"]
         assert all(e["op"] == "union" for e in sup_events)
         assert "error" in sup_events[0]
         assert tel.metrics.value(
             "repro_failures_total", operator="union") == 1.0
         assert tel.metrics.value(
-            "repro_retries_total", operator="union") == 1.0
+            "repro_restarts_total", operator="union") == 1.0
         recovery = tel.metrics.value(
             "repro_recovery_seconds_total", operator="union")
         assert recovery is not None and recovery >= 0.0

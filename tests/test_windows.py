@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    BatchPCA,
-    SlidingWindowPCA,
-    largest_principal_angle,
-)
+from repro.core import BatchPCA, largest_principal_angle
 from repro.data import PlantedSubspaceModel
+from tests.oracles import SlidingWindowPCA
 
 
 class TestSlidingWindowPCA:
