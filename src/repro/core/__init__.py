@@ -40,7 +40,13 @@ from .gaps import (
     has_gaps,
     observed_mask,
 )
-from .incremental import BlockUpdateResult, IncrementalPCA, UpdateResult
+from .incremental import (
+    BlockRoute,
+    BlockUpdateResult,
+    IncrementalPCA,
+    UpdateResult,
+    block_route,
+)
 from .kernels import jit_status
 from .lowrank import (
     build_merge_factor,
@@ -77,6 +83,7 @@ __all__ = [
     "BatchRobustPCA",
     "BisquareRho",
     "BlockGapFillResult",
+    "BlockRoute",
     "BlockUpdateResult",
     "CauchyRho",
     "ConvergenceReport",
@@ -93,6 +100,7 @@ __all__ = [
     "TraceRecorder",
     "UpdateResult",
     "align_signs",
+    "block_route",
     "breakdown_point",
     "build_merge_factor",
     "build_update_factor",

@@ -180,6 +180,7 @@ def expected_rho(rho: RhoFunction, dof: int) -> float:
     return float(np.mean(rho.rho(_scaled_nodes(dof))))
 
 
+@functools.lru_cache(maxsize=128)
 def calibrate_c2(
     delta: float,
     dof: int,
@@ -203,7 +204,8 @@ def calibrate_c2(
     Returns
     -------
     float
-        The calibrated ``c2``.
+        The calibrated ``c2`` (cached per argument set: each robust
+        eigenvalue call asks for the ``dof = 1`` constant again).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")

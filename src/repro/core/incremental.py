@@ -32,8 +32,10 @@ lives in :mod:`repro.core.robust`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +44,13 @@ from .eigensystem import Eigensystem
 from .exceptions import NotFittedError
 from .lowrank import rank_k_update, rank_one_update
 
-__all__ = ["UpdateResult", "BlockUpdateResult", "IncrementalPCA"]
+__all__ = [
+    "BlockRoute",
+    "BlockUpdateResult",
+    "IncrementalPCA",
+    "UpdateResult",
+    "block_route",
+]
 
 #: Bound on the scan exponent ``alpha^{-(k-1)}`` used by the exact
 #: per-row mean unrolling: chunks are sized so the rescaled cumulative
@@ -61,6 +69,42 @@ _MAX_SCAN_EXPONENT = 60.0
 #: the mean, scale and weights are refreshed every 64 rows and a block
 #: of any size takes the same path.
 _MAX_BLOCK_ROWS = 64
+
+
+class BlockRoute(NamedTuple):
+    """How the robust block path works through rows of width ``d``."""
+
+    #: Rows per chunk (one weighting pass each).
+    chunk: int
+    #: Rows per scheduled solve; 0: every chunk solves.
+    window: int
+    #: ``d <= rank + chunk``: a chunk's eigensolve is of the ``d × d``
+    #: covariance, and a block step is a few dozen small numpy calls.
+    covariance: bool
+
+
+@functools.lru_cache(maxsize=64)
+def block_route(d: int, rank: int, alpha: float) -> BlockRoute:
+    """The solve route of a rank-``rank`` estimator at width ``d``.
+
+    Chunks hold at most ``_MAX_BLOCK_ROWS`` rows and, for ``α < 1``, at
+    most ``W = ⌊0.25/(1-α)⌋`` of them: the block path weighs a chunk's
+    rows against the chunk-start state and forgets per chunk, and that
+    approximation stays mild below a quarter of the window
+    ``N = 1/(1-α)``.  On the covariance route (``d <= rank + chunk``)
+    a chunk only folds its rows into the ``d × d`` covariance and the
+    ``eigh`` that truncates it runs once per ``W`` rows; the Gram route
+    and ``α = 1`` solve every chunk.  The threaded runtime places
+    engines by the same rule (:func:`repro.parallel.build_parallel_pca_graph`).
+    """
+    if alpha >= 1.0:
+        return BlockRoute(_MAX_BLOCK_ROWS, 0, d <= rank + _MAX_BLOCK_ROWS)
+    # 1 - α is inexact in binary (0.25 / (1 - 0.999) reads
+    # 249.99999999999977), so round off that error before the floor.
+    window = max(1, int(round(0.25 / (1.0 - alpha), 6)))
+    chunk = min(_MAX_BLOCK_ROWS, window)
+    covariance = d <= rank + chunk
+    return BlockRoute(chunk, window if covariance else 0, covariance)
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,10 @@ from .gaps import (
     fill_from_basis,
 )
 from .incremental import (
-    _MAX_BLOCK_ROWS,
     BlockUpdateResult,
     UpdateResult,
     _WarmupBuffer,
+    block_route,
 )
 from .lowrank import _rank_k_update, rank_one_update
 from .rho import RhoFunction, make_rho
@@ -362,29 +362,14 @@ class RobustIncrementalPCA:
     fit = partial_fit
 
     def _chunk_limits(self, d: int) -> tuple[int, int]:
-        """Rows per chunk, and rows per scheduled solve (0: every chunk).
-
-        The block path evaluates residuals/weights against the
-        chunk-start state and applies forgetting per chunk rather than
-        per row; chunking to a fraction of the effective window
-        ``N = 1/(1-α)`` (and to an absolute cap) keeps that approximation
-        mild regardless of upstream batch size.
-
-        On the covariance route (``d <= p+q + chunk``) a chunk only folds
-        its rows into the ``d × d`` covariance; the ``eigh`` that
-        truncates it to ``p+q`` runs once per ``W = ⌊0.25/(1-α)⌋`` rows,
-        so the basis the residuals see is at most ``W`` rows old.  The
-        Gram route and ``α = 1`` solve every chunk.
-        """
-        if self.alpha >= 1.0:
-            return _MAX_BLOCK_ROWS, 0
-        # 1 - α is inexact in binary (0.25 / (1 - 0.999) reads
-        # 249.99999999999977), so round off that error before the floor.
-        window = max(1, int(round(0.25 / (1.0 - self.alpha), 6)))
-        limit = min(_MAX_BLOCK_ROWS, window)
-        if d <= self.n_components + self.extra_components + limit:
-            return limit, window
-        return limit, 0
+        """Rows per chunk, and rows per scheduled solve (0: every chunk),
+        from :func:`~repro.core.incremental.block_route`: the basis the
+        residuals see is at most one chunk old on the Gram route and
+        ``W = ⌊0.25/(1-α)⌋`` rows old on the covariance route."""
+        route = block_route(
+            d, self.n_components + self.extra_components, self.alpha
+        )
+        return route.chunk, route.window
 
     def _settle(self) -> None:
         """The scheduled solve: truncate the pending covariance to

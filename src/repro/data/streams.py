@@ -18,19 +18,25 @@ __all__ = ["shuffled", "repeat_epochs", "stack_rows", "VectorStream"]
 
 
 def stack_rows(rows: list, dim: int) -> np.ndarray:
-    """The float64 ``(len(rows), dim)`` stack of ``rows``, made in one
-    call once every row's shape is checked: a row that is not a
-    ``dim``-vector raises ``ValueError``."""
+    """The float64 ``(len(rows), dim)`` stack of ``rows``: a row that is
+    not a ``dim``-vector raises ``ValueError``.
+
+    One ``np.array`` call builds the block; the rows' shapes are only
+    scanned, to name the bad row, when that call raises or gives
+    another shape.
+    """
+    try:
+        block = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        block = None
+    if block is not None and block.shape == (len(rows), dim):
+        return block
     want = (dim,)
-    if {getattr(r, "shape", None) for r in rows} - {want}:
-        # Slow path: rows that are not arrays carry no .shape.
-        for shape in map(np.shape, rows):
-            if len(shape) != 1:
-                raise ValueError(f"expected a vector, got shape {shape}")
-            if shape != want:
-                raise ValueError(
-                    f"row dim changed from {dim} to {shape[0]}"
-                )
+    for shape in map(np.shape, rows):
+        if len(shape) != 1:
+            raise ValueError(f"expected a vector, got shape {shape}")
+        if shape != want:
+            raise ValueError(f"row dim changed from {dim} to {shape[0]}")
     return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 

@@ -16,10 +16,13 @@ The topology::
 
 The graph declares its coordination plane (batcher, split, controller)
 once; every runtime places from it — the threaded engine fuses the plane
-into one PE beside one PE per engine, the remote runtimes keep it on
-the coordinator and put each engine on a host — and the diagnostics sink
-runs on the engines' own threads.  :meth:`ParallelPCAApp.engine` is the
-one runtime switch.
+into one PE, the remote runtimes keep it on the coordinator and put each
+engine on a host — and the diagnostics sink runs on the engines' own
+threads.  On the threaded runtime the engines get one PE each on the
+Gram route and share one PE on the covariance route
+(:func:`~repro.core.incremental.block_route`): a narrow block step is a
+few dozen short numpy calls, and two threads of them only trade the GIL.
+:meth:`ParallelPCAApp.engine` is the one runtime switch.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, field
 
+from ..core.incremental import block_route
 from ..core.robust import RobustIncrementalPCA
 from ..data.streams import VectorStream
 from ..io.checkpoint import CheckpointStore
@@ -162,6 +166,17 @@ class ParallelPCAApp:
     def n_shed(self) -> int:
         """Data tuples shed by the load valve (0 when it is not armed)."""
         return getattr(self.source, "n_shed", 0)
+
+
+def _on_covariance_route(estimator, stream: VectorStream) -> bool:
+    """Whether ``estimator`` takes the covariance route on ``stream``'s
+    rows (:func:`~repro.core.incremental.block_route`); a duck-typed
+    estimator has no route."""
+    dim = getattr(stream, "dim", None)
+    if dim is None or not isinstance(estimator, RobustIncrementalPCA):
+        return False
+    rank = estimator.n_components + estimator.extra_components
+    return block_route(dim, rank, estimator.alpha).covariance
 
 
 def build_parallel_pca_graph(
@@ -339,6 +354,9 @@ def build_parallel_pca_graph(
         graph.connect(controller, op, out_port=i, in_port=1)  # ctl down
         if diag_sink is not None:
             graph.connect(op, diag_sink, out_port=1, in_port=i)
+
+    if all(_on_covariance_route(op.estimator, stream) for op in engines):
+        graph.declare_shared(engines)
 
     return ParallelPCAApp(
         graph=graph,

@@ -116,7 +116,8 @@ class ParallelStreamingPCA:
         ``"p2p"`` or a :class:`SyncStrategy`.
     runtime:
         ``"synchronous"`` (deterministic), ``"threaded"`` (one thread
-        for the coordination plane and one per PCA engine, shared GIL),
+        for the coordination plane, and one per PCA engine on the Gram
+        route or one for all of them on the covariance route),
         ``"process"`` (each PCA engine in its own local process reached
         over loopback TCP), or ``"cluster"`` (the same engine hosts as
         the paper's multi-node scale-out); both remote runtimes are

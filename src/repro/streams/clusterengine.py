@@ -117,7 +117,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .engine import SynchronousEngine, ThreadedEngine, row_weight
-from .fusion import ProcessingElement
+from .fusion import FusionPlan, ProcessingElement
 from .graph import Graph
 from .operators import Operator, Sink, Source
 from .supervision import (
@@ -832,6 +832,9 @@ class ClusterEngine(ThreadedEngine):
             raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
         super().__init__(
             graph,
+            # A host per operator: the threaded runtime's shared group
+            # would put every engine of it on one host.
+            fusion=FusionPlan.from_groups(graph, [graph.main_ops]),
             queue_size=_WINDOW_ROWS,
             supervisor=supervisor,
             stall_timeout_s=stall_timeout_s,

@@ -46,6 +46,8 @@ class Graph:
     A graph may declare its *coordination plane* (:meth:`declare_main`):
     the operators that share one processing element by default and stay
     on the coordinator when a runtime places the rest on engine hosts.
+    It may also declare one *shared group* (:meth:`declare_shared`) of
+    other operators that the threaded runtime runs on one thread.
     """
 
     def __init__(self, name: str = "app") -> None:
@@ -54,6 +56,7 @@ class Graph:
         self._edges: list[Edge] = []
         self._names: set[str] = set()
         self._main_ops: tuple[Operator, ...] = ()
+        self._shared_ops: tuple[Operator, ...] = ()
 
     # ------------------------------------------------------------------
     # Construction
@@ -104,15 +107,32 @@ class Graph:
         """Declare the coordination plane (replacing any earlier one).
 
         Every runtime reads it: the threaded engine fuses these
-        operators into one PE and gives every other operator its own,
-        and the remote runtimes keep them (with the sources and sinks)
-        on the coordinator.
+        operators into one PE and every other operator outside the
+        shared group (:meth:`declare_shared`) into one of its own, and
+        the remote runtimes keep them (with the sources and sinks) on
+        the coordinator.
         """
+        self._main_ops = self._known(ops)
+
+    def declare_shared(self, ops: Iterable[Operator]) -> None:
+        """Declare operators that share one thread on the threaded
+        runtime, apart from the coordination plane (replacing any
+        earlier group).
+
+        Only the threaded engine reads it: where each operator's work
+        is a run of short GIL-holding calls, threads of the same
+        process just trade the interpreter lock, and one thread does
+        the same work with fewer switches.  The remote runtimes still
+        give each operator its own host.
+        """
+        self._shared_ops = self._known(ops)
+
+    def _known(self, ops: Iterable[Operator]) -> tuple[Operator, ...]:
         ops = tuple(ops)
         for op in ops:
             if op not in self._operators:
                 raise GraphError(f"operator {op.name!r} is not in the graph")
-        self._main_ops = ops
+        return ops
 
     # ------------------------------------------------------------------
     # Introspection
@@ -122,6 +142,11 @@ class Graph:
     def main_ops(self) -> tuple[Operator, ...]:
         """The declared coordination plane (empty: none declared)."""
         return self._main_ops
+
+    @property
+    def shared_ops(self) -> tuple[Operator, ...]:
+        """The declared shared group (empty: none declared)."""
+        return self._shared_ops
 
     @property
     def operators(self) -> tuple[Operator, ...]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import (
     BatchPCA,
     BatchRobustPCA,
+    calibrate_c2,
     largest_principal_angle,
     make_rho,
     mscale_fixed_point,
@@ -99,6 +100,84 @@ class TestMScaleFixedPoint:
         if sigma2 > 0:
             lhs = float(np.mean(rho.rho(r2 / sigma2)))
             assert lhs == pytest.approx(delta, abs=1e-5)
+
+
+def _eq8_iteration(r2, rho, delta, tol=1e-14, max_iter=20_000):
+    """Paper eq. 8 iterated to its fixed point: the reference the
+    secant solve must agree with."""
+    sigma2 = float(np.median(r2[r2 > 0]))
+    for _ in range(max_iter):
+        new = float(np.sum(rho.wstar(r2 / sigma2) * r2)) / (r2.size * delta)
+        if abs(new - sigma2) <= tol * sigma2:
+            return new
+        sigma2 = new
+    raise AssertionError("eq. 8 did not converge")
+
+
+class _CountingRho:
+    """A ρ that counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def rho(self, t):
+        self.calls += 1
+        return self.inner.rho(t)
+
+
+class TestMScaleSecant:
+    """The secant solve lands on eq. 8's fixed point in a handful of ρ
+    evaluations, and solves the columns of a 2-D ``r2`` at once."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        family=st.sampled_from(["bisquare", "cauchy", "skipped"]),
+        dof=st.sampled_from([1, 4, 28]),
+        n=st.integers(8, 600),
+        scale=st.floats(0.01, 100.0),
+        outliers=st.floats(0.0, 0.3),
+    )
+    def test_agrees_with_the_eq8_iteration(
+        self, seed, family, dof, n, scale, outliers
+    ):
+        rng = np.random.default_rng(seed)
+        rho = make_rho(family, c2=calibrate_c2(0.5, dof, family))
+        r2 = scale * rng.chisquare(dof, size=n)
+        r2[rng.random(n) < outliers] *= 1e4
+        assert mscale_fixed_point(r2, rho, 0.5) == pytest.approx(
+            _eq8_iteration(r2, rho, 0.5), rel=1e-9
+        )
+
+    def test_columns_are_solved_at_once(self, rng):
+        rho = make_rho("bisquare", c2=calibrate_c2(0.5, 1))
+        r2 = rng.standard_normal((256, 4)) ** 2 * [1.0, 4.0, 0.01, 1e3]
+        r2[:20, 0] = 1e6
+        r2[:200, 3] = 0.0   # no more than a δ share positive: σ² = 0
+        counting = _CountingRho(rho)
+        sigma2 = mscale_fixed_point(r2, counting, 0.5)
+        assert sigma2.shape == (4,)
+        for j in range(3):
+            assert sigma2[j] == pytest.approx(
+                _eq8_iteration(r2[:, j], rho, 0.5), rel=1e-9
+            )
+            assert sigma2[j] == pytest.approx(
+                mscale_fixed_point(r2[:, j], rho, 0.5), rel=1e-12
+            )
+        assert sigma2[3] == 0.0
+        assert counting.calls <= 10
+
+    def test_robust_eigenvalues_match_per_column_solves(self, rng):
+        x = rng.standard_normal((128, 6)) * [5.0, 3.0, 1.0, 1.0, 1.0, 1.0]
+        basis = np.eye(6)[:, :3]
+        lam, med = robust_eigenvalues(x, basis, np.zeros(6), 0.5)
+        rho1 = make_rho("bisquare", c2=calibrate_c2(0.5, 1))
+        centered2 = (x[:, :3] - med) ** 2
+        for j in range(3):
+            assert lam[j] == pytest.approx(
+                _eq8_iteration(centered2[:, j], rho1, 0.5), rel=1e-9
+            )
 
 
 class TestMedian:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import block_route
 from repro.streams.chaos import (
     ChaosScenario,
     FaultSpec,
@@ -197,6 +198,56 @@ class TestBackgroundFaults:
         report = run_scenario(queue_stall_scenario("threaded"))
         assert report.ok, report.error
         assert report.n_lost == 0
+        assert report.affinity >= MIN_AFFINITY
+
+
+class TestSharedEngineThread:
+    """At d = 32 on the covariance route the threaded runtime runs every
+    engine on one thread; a fault on one engine must still stay with
+    it: no other engine is evicted, nothing outside a kill's blackout
+    window is lost, and the merged basis holds the affinity bar."""
+
+    #: α = 0.992 makes a chunk 31 rows, so d = 32 <= p + chunk: the
+    #: covariance route, with a sync window short enough for a few
+    #: rounds in 2 400 rows.
+    SHARED = dict(dim=32, alpha=0.992, n_samples=2400)
+
+    @staticmethod
+    def _evicted(report):
+        return {
+            e.get("engine") for e in report.events
+            if e.get("kind") == "membership" and e.get("event") == "evictions"
+        }
+
+    def test_the_engines_share_one_thread(self):
+        assert block_route(32, 4, self.SHARED["alpha"]).covariance
+
+    def test_delay_on_one_engine(self):
+        scenario = replace(
+            slow_operator_scenario("threaded"),
+            faults=(
+                FaultSpec(
+                    kind="delay", op="pca-0", at_tuple=50, duration=20,
+                    seconds=0.01,
+                ),
+            ),
+            **self.SHARED,
+        )
+        report = run_scenario(scenario)
+        assert report.ok, report.error
+        assert self._evicted(report) <= {0}
+        assert report.n_lost == 0
+        assert report.n_duplicated == 0
+        assert report.affinity >= MIN_AFFINITY
+
+    def test_kill_engine(self):
+        scenario = replace(kill_engine_scenario("threaded"), **self.SHARED)
+        report = run_scenario(scenario)
+        assert report.ok, report.error
+        assert self._evicted(report) == {1}
+        assert report.n_rejoins >= 1
+        assert report.n_duplicated == 0
+        assert 0 < report.n_lost <= scenario.faults[0].duration
         assert report.affinity >= MIN_AFFINITY
 
 

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.data.streams import VectorStream, repeat_epochs, shuffled
+from repro.data.streams import (
+    VectorStream,
+    repeat_epochs,
+    shuffled,
+    stack_rows,
+)
 
 
 class TestShuffled:
@@ -108,3 +115,83 @@ class TestBlockFace:
     def test_block_size_must_be_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
             next(VectorStream.from_array(np.zeros((3, 2))).blocks(0))
+
+
+def _stack_rows_by_shape_scan(rows, dim):
+    """``stack_rows`` as it was: every row's shape is checked before the
+    one ``np.array`` call."""
+    want = (dim,)
+    if {getattr(r, "shape", None) for r in rows} - {want}:
+        for shape in map(np.shape, rows):
+            if len(shape) != 1:
+                raise ValueError(f"expected a vector, got shape {shape}")
+            if shape != want:
+                raise ValueError(
+                    f"row dim changed from {dim} to {shape[0]}"
+                )
+    return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+
+
+_cells = st.floats(allow_nan=True, allow_infinity=True, width=32)
+
+
+@st.composite
+def _valid_rows(draw):
+    """``(rows, dim)``: arrays, float32 views of a wider buffer, plain
+    lists without ``.shape``, and NaN cells, in any mix."""
+    dim = draw(st.integers(1, 8))
+    k = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(k):
+        cells = draw(st.lists(_cells, min_size=dim, max_size=dim))
+        kind = draw(st.sampled_from(["f64", "f32view", "list", "int"]))
+        if kind == "f64":
+            rows.append(np.array(cells, dtype=np.float64))
+        elif kind == "f32view":
+            wide = np.zeros((2, dim), dtype=np.float32)
+            wide[1] = cells
+            rows.append(wide[1, :])
+        elif kind == "list":
+            rows.append([float(c) for c in cells])
+        else:
+            rows.append(np.arange(dim, dtype=np.int32))
+    return rows, dim
+
+
+def _invalid_rows(dim):
+    good = np.ones(dim)
+    return {
+        "wrong dimension": [good, np.ones(dim + 1)],
+        "wrong dimension list": [[1.0] * (dim + 2), good],
+        "2-D row": [good, np.ones((1, dim))],
+        "scalar": [good, 3.0],
+        "ragged": [good, [1.0, [2.0, 3.0]]],
+        "all 2-D": [np.ones((1, dim)), np.ones((1, dim))],
+    }
+
+
+class TestStackRows:
+    """One ``np.array`` call, then the shape scan only on failure: the
+    same blocks and the same errors as the scan-first stack."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_rows())
+    def test_valid_rows_give_the_same_bits(self, case):
+        rows, dim = case
+        got = stack_rows(rows, dim)
+        want = _stack_rows_by_shape_scan(rows, dim)
+        assert got.dtype == np.float64 and got.shape == (len(rows), dim)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3, 32])
+    @pytest.mark.parametrize(
+        "case", list(_invalid_rows(3)),
+    )
+    def test_invalid_rows_raise_the_same_error(self, case, dim):
+        rows = _invalid_rows(dim)[case]
+        with pytest.raises(Exception) as old:
+            _stack_rows_by_shape_scan(rows, dim)
+        with pytest.raises(type(old.value)) as new:
+            stack_rows(rows, dim)
+        assert isinstance(new.value, ValueError)
+        assert str(new.value) == str(old.value)

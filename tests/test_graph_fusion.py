@@ -146,6 +146,20 @@ class TestFusionPlan:
         with pytest.raises(GraphError, match="not in the graph"):
             g.declare_main([Functor("ghost", lambda t: t)])
 
+    def test_declared_shared_group_is_a_second_default_pe(self):
+        g, src, fs, sink = _linear_graph(n_functors=4)
+        g.declare_main([fs[0]])
+        g.declare_shared([fs[2], fs[3]])
+        pes = ThreadedEngine(g).fusion
+        assert pes.pe_of(fs[0]).operators == (fs[0],)
+        assert pes.pe_of(fs[2]).operators == (fs[2], fs[3])
+        assert pes.pe_of(fs[1]).operators == (fs[1],)
+        with pytest.raises(GraphError, match="not in the graph"):
+            g.declare_shared([Functor("ghost", lambda t: t)])
+        g.declare_shared([fs[0]])
+        with pytest.raises(GraphError, match="multiple PEs"):
+            ThreadedEngine(g)
+
     def test_validate_rejects_a_sink_in_a_pe(self):
         g, src, fs, sink = _linear_graph()
         plan = FusionPlan.per_operator(g)
