@@ -3,7 +3,8 @@
 Paper Fig. 6: "performance of the distributed Streaming PCA system
 processing tuples with 250 dimensions for 1–30 instances running in
 parallel", single-node placement vs distributed placement on the 10-node
-testbed, with ``N = 5000`` and the 0.5 s sync throttle.
+testbed, with ``N = 5000`` and the 0.5 s sync throttle.  The simulator
+does not model that throttle: its engines sync on the 1.5·N gate alone.
 
 Reproduced shapes (simulator; see DESIGN.md substitution table):
 

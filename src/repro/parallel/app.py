@@ -189,7 +189,6 @@ def build_parallel_pca_graph(
     split_seed: int = 0,
     sync_gate_factor: float = 1.5,
     collect_diagnostics: bool = True,
-    snapshot_every: int = 0,
     batch_size: int = 0,
     quarantine: bool = False,
     shed_max_rate_hz: float | None = None,
@@ -218,8 +217,6 @@ def build_parallel_pca_graph(
         The 1.5·N data-driven gate multiplier.
     collect_diagnostics:
         Attach a sink collecting per-observation diagnostics.
-    snapshot_every:
-        Periodic eigensystem snapshots on the diagnostics stream.
     batch_size:
         When > 1, the block is the unit from the ingest boundary on:
         the source emits ``(batch_size, d)`` block tuples and the
@@ -339,7 +336,6 @@ def build_parallel_pca_graph(
             engine_id=i,
             estimator=estimator,
             sync_gate_factor=sync_gate_factor,
-            snapshot_every=snapshot_every,
             emit_diagnostics=collect_diagnostics,
             heartbeat_every=heartbeat_every,
         )
@@ -375,7 +371,6 @@ def engine_restart_supervisor(
     *,
     directory: str | pathlib.Path | None = None,
     checkpoint_every: int = 200,
-    resume: str = "retry",
     max_restarts: int | None = None,
 ) -> Supervisor:
     """A :class:`Supervisor` giving every PCA engine restart-from-checkpoint.
@@ -397,7 +392,6 @@ def engine_restart_supervisor(
         policies[op.name] = RestartFromCheckpoint(
             checkpoint_every=checkpoint_every,
             store=store,
-            resume=resume,
             max_restarts=max_restarts,
         )
     return Supervisor(policies=policies)

@@ -13,8 +13,7 @@ Port layout (mirroring Fig. 2):
   punctuation, so a silent controller never stalls shutdown).
 * output 0 — control channel to the sync controller (``ready`` /
   ``state`` / ``final`` messages).
-* output 1 — diagnostics plus periodic ``snapshot`` tuples carrying the
-  eigensystem for checkpoint sinks.  A row tuple (field ``x``) yields one
+* output 1 — diagnostics.  A row tuple (field ``x``) yields one
   per-observation tuple (``seq``, ``weight``, ``r2``, ``is_outlier``,
   ``engine``); a block tuple (field ``xs``) yields **one**
   :data:`DIAGNOSTICS_SCHEMA` tuple holding the same values as arrays.
@@ -81,7 +80,7 @@ def expand_diagnostics(tuples: Iterable[StreamTuple]) -> list[dict[str, Any]]:
     Block tuples (:data:`DIAGNOSTICS_SCHEMA`) expand to one
     ``{seq, weight, r2, is_outlier, engine}`` dict per row; per-row
     tuples pass through as their payload; anything else on the stream
-    (snapshots) is dropped.  Order is the sink's arrival order.
+    is dropped.  Order is the sink's arrival order.
     """
     rows: list[dict[str, Any]] = []
     for tup in tuples:
@@ -135,18 +134,18 @@ class StreamingPCAOperator(Operator):
     sync_gate_factor:
         Multiplier on the effective window for the data-driven sync gate
         (the paper uses 1.5).
-    snapshot_every:
-        Emit a ``snapshot`` diagnostics tuple with the current state every
-        this many observations (0 disables).
     emit_diagnostics:
         Emit diagnostics on output port 1 — one tuple per row tuple,
         one :data:`DIAGNOSTICS_SCHEMA` tuple per block tuple.
     heartbeat_every:
         Send a lightweight ``heartbeat`` control message to the sync
         controller every this many data tuples (0 disables).  Heartbeats
-        give the controller's membership tracking a liveness signal even
-        while the sync gate is closed, so a silent-but-healthy engine is
-        never mistaken for a dead one.
+        give the controller's membership tracking a liveness signal while
+        the sync gate is closed.  They do not stop a healthy engine from
+        being evicted: one is sent only when a data tuple is processed,
+        so an engine whose inbox is backed up sends none (on the threaded
+        runtime with ``heartbeat_every=25`` a healthy engine was evicted
+        on 5 of 6 seeds; ROADMAP item 18).
     """
 
     def __init__(
@@ -156,7 +155,6 @@ class StreamingPCAOperator(Operator):
         estimator: RobustIncrementalPCA,
         *,
         sync_gate_factor: float = 1.5,
-        snapshot_every: int = 0,
         emit_diagnostics: bool = True,
         heartbeat_every: int = 0,
     ) -> None:
@@ -167,14 +165,11 @@ class StreamingPCAOperator(Operator):
             raise ValueError(
                 f"sync_gate_factor must be positive, got {sync_gate_factor}"
             )
-        if snapshot_every < 0:
-            raise ValueError("snapshot_every must be >= 0")
         if heartbeat_every < 0:
             raise ValueError("heartbeat_every must be >= 0")
         self.engine_id = int(engine_id)
         self.estimator = estimator
         self.sync_gate_factor = float(sync_gate_factor)
-        self.snapshot_every = int(snapshot_every)
         self.emit_diagnostics = bool(emit_diagnostics)
         self.heartbeat_every = int(heartbeat_every)
         self.n_syncs_received = 0
@@ -285,7 +280,6 @@ class StreamingPCAOperator(Operator):
             else:
                 monitor.note_rows(1, n_gap_rows=gappy)
             monitor.maybe_check(self.estimator)
-        self._maybe_snapshot(before=self.estimator.n_seen - 1)
         self._maybe_heartbeat()
         self._maybe_announce_ready()
 
@@ -300,7 +294,6 @@ class StreamingPCAOperator(Operator):
         the per-row stream of the unbatched path.
         """
         xs = np.asarray(tup["xs"], dtype=np.float64)
-        n_before = self.estimator.n_seen
         with self._lock():
             result = self.estimator.update_block(xs)
         self.n_data_rows += xs.shape[0]
@@ -329,7 +322,6 @@ class StreamingPCAOperator(Operator):
         if monitor is not None:
             monitor.note_block(xs, result)
             monitor.maybe_check(self.estimator)
-        self._maybe_snapshot(before=n_before)
         self._maybe_heartbeat()
         self._maybe_announce_ready()
 
@@ -344,29 +336,6 @@ class StreamingPCAOperator(Operator):
                     type="heartbeat", engine=self.engine_id
                 ),
                 port=0,
-            )
-
-    def _maybe_snapshot(self, *, before: int) -> None:
-        """Emit a snapshot when a block crossed a snapshot boundary.
-
-        The sequential path emitted at every exact multiple of
-        ``snapshot_every``; a block can jump past several multiples at
-        once, so the check is "did ``n_seen // snapshot_every``
-        advance" — one snapshot per crossing, never zero.
-        """
-        if not (self.snapshot_every and self.estimator.is_initialized):
-            return
-        after = self.estimator.n_seen
-        if after // self.snapshot_every > max(before, 0) // self.snapshot_every:
-            with self._lock():
-                state = self.estimator.public_state()
-            self.submit(
-                StreamTuple.data(
-                    state=state,
-                    engine=self.engine_id,
-                    kind="snapshot",
-                ),
-                port=1,
             )
 
     def _maybe_announce_ready(self) -> None:

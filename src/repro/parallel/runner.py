@@ -42,7 +42,7 @@ class ParallelRunResult:
     run_stats:
         Engine-level tuple counters and wall time.
     sync_stats:
-        Controller counters (grants, routed states, merges, throttles).
+        Controller counters (grants, routed states, merges, membership).
     engine_reports:
         Per-engine counter dicts from the operators.
     engine:

@@ -17,10 +17,10 @@ state to target engines per the configured topology:
 * :class:`PeerToPeerStrategy` — each state goes to one uniformly random
   other engine.
 
-The controller also enforces a *logical throttle* (the SPL ``Throttle``
-of Section III-B): a minimum number of routed messages between granted
-syncs per engine, and it tracks the final states engines emit at close so
-the application can produce a single global answer.
+The controller grants every ``ready`` it receives, so the engines' 1.5·N
+gate is the only control on the sync rate; it also tracks the final
+states engines emit at close so the application can produce a single
+global answer.
 
 Fault tolerance (graceful degradation of the merge path)
 --------------------------------------------------------
@@ -152,7 +152,6 @@ class SyncStats:
     n_ready: int = 0
     n_states_routed: int = 0
     n_merge_commands: int = 0
-    n_throttled: int = 0
     per_engine_syncs: dict[int, int] = field(default_factory=dict)
     n_heartbeats: int = 0
     n_evictions: int = 0
@@ -191,10 +190,6 @@ class SyncController(Operator):
         Number of PCA engines under coordination.
     strategy:
         A :class:`SyncStrategy` or a name for :func:`make_strategy`.
-    min_interval:
-        Logical throttle: after granting engine ``i`` a share, ignore its
-        next ``ready`` messages until the controller has seen this many
-        further messages overall.  0 disables throttling.
     stale_after:
         Membership staleness window, in controller messages: a tracked
         peer that stays silent while this many messages arrive from its
@@ -212,14 +207,11 @@ class SyncController(Operator):
         n_engines: int,
         *,
         strategy: SyncStrategy | str = "ring",
-        min_interval: int = 0,
         stale_after: int | None = None,
         quorum: int | None = None,
     ) -> None:
         if n_engines < 1:
             raise ValueError(f"n_engines must be >= 1, got {n_engines}")
-        if min_interval < 0:
-            raise ValueError("min_interval must be >= 0")
         if stale_after is not None and stale_after < 1:
             raise ValueError(f"stale_after must be >= 1, got {stale_after}")
         if quorum is not None and not (1 <= quorum <= n_engines):
@@ -232,7 +224,6 @@ class SyncController(Operator):
             strategy if isinstance(strategy, SyncStrategy)
             else make_strategy(strategy)
         )
-        self.min_interval = int(min_interval)
         self.stale_after = stale_after
         self.quorum = quorum
         self.stats = SyncStats()
@@ -243,7 +234,6 @@ class SyncController(Operator):
         #: Membership records, keyed by engine id (tracked peers only).
         self.peers: dict[int, PeerStatus] = {}
         self._messages_seen = 0
-        self._last_grant_at: dict[int, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -411,15 +401,6 @@ class SyncController(Operator):
 
     def _handle_ready(self, sender: int) -> None:
         self.stats.n_ready += 1
-        last = self._last_grant_at.get(sender)
-        if (
-            self.min_interval
-            and last is not None
-            and self._messages_seen - last < self.min_interval
-        ):
-            self.stats.n_throttled += 1
-            return
-        self._last_grant_at[sender] = self._messages_seen
         self.submit(StreamTuple.control(type="share"), port=sender)
 
     def bind_telemetry(self, telemetry) -> None:

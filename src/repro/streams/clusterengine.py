@@ -167,10 +167,10 @@ _LOSS_GRACE_S = 2.0
 #: Location of the coordinator in route tables (hosts are ints).
 _MAIN = "main"
 
-#: Attributes never shipped to a host: runtime wiring (closures),
-#: telemetry objects (hold locks), and probe callables.
+#: Attributes never shipped to a host: runtime wiring (closures) and
+#: telemetry objects (hold locks).
 _UNPICKLABLE_ATTRS = (
-    "_emit", "_load_probe", "_latency_hist", "_telemetry",
+    "_emit", "_latency_hist", "_telemetry",
     "_e2e_hist", "_watermark", "_health_monitor",
     "_state_lock",
 )
@@ -1027,12 +1027,6 @@ class ClusterEngine(ThreadedEngine):
             self._to_sink(dst, tup, port)
         else:
             self._put(pe.pe_id, dst, port, tup)
-
-    def _depth(self, src: Operator, dst: Operator) -> int:
-        loc = self._loc_of[dst.name]
-        if loc == _MAIN:
-            return super()._depth(src, dst)
-        return self._links[loc].outstanding
 
     def _gauges(self) -> tuple[list[tuple[str, int, int]], int]:
         gauges, inflight = super()._gauges()

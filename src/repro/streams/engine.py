@@ -67,7 +67,6 @@ from .fusion import FusionPlan, ProcessingElement, is_sink
 from .graph import Graph
 from .operators import Operator, Source
 from .profiling import enable_profiling, note_child_time
-from .split import Split
 from .supervision import EngineAborted, StallDetected, Supervisor, Watchdog
 from .telemetry import (
     BackpressureSampler,
@@ -93,7 +92,7 @@ class RunStats:
     source_tuples:
         Tuples produced per source, with punctuation counted explicitly
         on the operator and excluded (see :attr:`Operator.punct_out`).
-    failures / skipped_tuples / restarts / recovery_time_s:
+    failures / restarts / recovery_time_s:
         Supervision counters (name → count/seconds), populated when the
         engine ran with a :class:`~repro.streams.supervision.Supervisor`.
     """
@@ -105,7 +104,6 @@ class RunStats:
     #: Per-operator exclusive processing seconds (profiled runs only).
     processing_time_s: dict[str, float] = field(default_factory=dict)
     failures: dict[str, int] = field(default_factory=dict)
-    skipped_tuples: dict[str, int] = field(default_factory=dict)
     restarts: dict[str, int] = field(default_factory=dict)
     recovery_time_s: dict[str, float] = field(default_factory=dict)
 
@@ -117,8 +115,7 @@ class RunStats:
         return total / self.wall_time_s
 
     def total_recoveries(self) -> int:
-        """Failures repaired in-flight: one rollback each (a ``"skip"``
-        resume's dropped tuple is in ``skipped_tuples`` as well)."""
+        """Failures repaired in-flight: one rollback each."""
         return sum(self.restarts.values())
 
     @classmethod
@@ -140,7 +137,6 @@ class RunStats:
         if supervisor is not None:
             sup = supervisor.stats
             stats.failures = dict(sup.failures)
-            stats.skipped_tuples = dict(sup.skipped_tuples)
             stats.restarts = dict(sup.restarts)
             stats.recovery_time_s = dict(sup.recovery_time_s)
         return stats
@@ -546,12 +542,12 @@ class ThreadedEngine:
         Bound of each inter-PE queue (backpressure) in **rows**
         (:func:`row_weight`), counted until a tuple's dispatch has
         finished, so what a PE can hold does not grow with the batch
-        size; the ``least_loaded`` probe, the backpressure sampler and
-        the stall report read the same unit.  Control tuples weigh
+        size; the backpressure sampler and the stall report read the
+        same unit.  Control tuples weigh
         nothing and never wait, so control loops cannot deadlock on it.
     supervisor:
         Optional :class:`~repro.streams.supervision.Supervisor` applying
-        per-operator failure policies (retry / skip / checkpoint-restart)
+        per-operator failure policies (fail-fast or checkpoint-restart)
         to every dispatch; without one the engine is fail-fast.
     stall_timeout_s:
         Arm the deadlock/stall watchdog: if no tuple is enqueued or
@@ -710,25 +706,6 @@ class ThreadedEngine:
                         self._put(dst_pe.pe_id, dst, in_port, tup)
 
             op.bind(emit)
-
-            if isinstance(op, Split):
-                op.set_load_probe(self._make_probe(op))
-
-    def _make_probe(self, split: Split):
-        def probe(port: int) -> int:
-            succ = self.graph.successors(split, port)
-            return self._depth(split, succ[0][0]) if succ else 0
-
-        return probe
-
-    def _depth(self, src: Operator, dst: Operator) -> int:
-        """Rows queued from ``src`` towards ``dst`` — what the
-        ``least_loaded`` probe reads; a fused edge or a sink queues
-        nothing."""
-        dst_pe = self._pe_of.get(id(dst))
-        if dst_pe is None or dst_pe is self._pe_of[id(src)]:
-            return 0
-        return self._inboxes[dst_pe.pe_id].qsize()
 
     def _on_stall(self, stalled_s: float) -> None:
         lines = [

@@ -1,19 +1,19 @@
-"""Stream sinks: collectors, CSV writers, checkpoint writers.
+"""Stream sinks: in-memory collectors and callbacks.
 
 The output side of the application graph — result collection for tests
-and examples, and periodic eigensystem persistence (Section III-C).
+and examples.  An engine's eigensystem is persisted by its supervisor
+(:func:`repro.parallel.engine_restart_supervisor` with ``directory=``),
+not by a sink.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..io.checkpoint import CheckpointStore
-from ..io.csvio import write_vectors_csv
 from .operators import Sink
 from .tuples import StreamTuple
 
-__all__ = ["CollectingSink", "CallbackSink", "CSVSink", "CheckpointSink"]
+__all__ = ["CollectingSink", "CallbackSink"]
 
 
 class CollectingSink(Sink):
@@ -43,31 +43,3 @@ class CallbackSink(Sink):
 
     def consume(self, tup: StreamTuple, port: int) -> None:
         self._fn(tup, port)
-
-
-class CSVSink(Sink):
-    """Buffer the ``x`` vectors of incoming tuples; write CSV on close."""
-
-    def __init__(self, name: str, path: str) -> None:
-        super().__init__(name)
-        self.path = path
-        self._rows: list = []
-
-    def consume(self, tup: StreamTuple, port: int) -> None:
-        self._rows.append(tup["x"])
-
-    def close(self) -> None:
-        write_vectors_csv(self.path, self._rows)
-
-
-class CheckpointSink(Sink):
-    """Persist eigensystem tuples (field ``state``) to a checkpoint store."""
-
-    def __init__(self, name: str, store: CheckpointStore) -> None:
-        super().__init__(name)
-        self.store = store
-
-    def consume(self, tup: StreamTuple, port: int) -> None:
-        state = tup.get("state")
-        if state is not None:
-            self.store.maybe_save(state)

@@ -3,22 +3,19 @@
 The paper splits the input stream with InfoSphere's multithreaded split:
 "each new data tuple is being sent to a random running PCA engine which is
 free to process it", so "faster nodes will get more data than slower
-ones".  Three strategies reproduce that spectrum:
+ones".  Two strategies:
 
 * ``random`` — the paper's default: uniformly random target.
 * ``round_robin`` — deterministic, equal counts (useful in tests).
-* ``least_loaded`` — pick the output whose downstream queue is shortest;
-  under the threaded runtime this is what actually realizes
-  "free engines get more data" when engines run at different speeds (the
-  runtime injects a queue-depth probe at wiring time).
+
+Neither routes around a slow engine.  A target is picked without looking
+at its load; when a slow engine's bounded inbox fills, the split blocks
+on it (backpressure) and every other engine waits with it.
 
 Control tuples and punctuation are broadcast to *all* targets.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +24,7 @@ from .tuples import StreamTuple
 
 __all__ = ["Split"]
 
-_STRATEGIES = ("random", "round_robin", "least_loaded")
+_STRATEGIES = ("random", "round_robin")
 
 
 class Split(Operator):
@@ -38,8 +35,7 @@ class Split(Operator):
     n_targets:
         Number of downstream PCA engines.
     strategy:
-        ``"random"`` (paper default), ``"round_robin"``, or
-        ``"least_loaded"``.
+        ``"random"`` (paper default) or ``"round_robin"``.
     seed:
         Seed for the random strategy (deterministic experiments).
     """
@@ -62,39 +58,10 @@ class Split(Operator):
         self.strategy = strategy
         self._rng = np.random.default_rng(seed)
         self._next_rr = 0
-        self._load_probe: Callable[[int], int] | None = None
-        self._warned_no_probe = False
         self.sent_per_target = np.zeros(n_targets, dtype=np.int64)
 
-    def set_load_probe(self, probe: Callable[[int], int]) -> None:
-        """Install a queue-depth probe (threaded runtime only).
-
-        ``probe(port) -> pending tuple count`` for the channel behind
-        output ``port``; used by the ``least_loaded`` strategy.
-        """
-        self._load_probe = probe
-
     def _choose(self) -> int:
-        strategy = self.strategy
-        if strategy == "least_loaded":
-            if self._load_probe is not None:
-                loads = [self._load_probe(p) for p in range(self.n_outputs)]
-                lo = min(loads)
-                candidates = [p for p, v in enumerate(loads) if v == lo]
-                return int(self._rng.choice(candidates))
-            # No probe (synchronous engine): degrade deterministically to
-            # round-robin rather than silently to uniform random.
-            if not self._warned_no_probe:
-                self._warned_no_probe = True
-                warnings.warn(
-                    f"Split {self.name!r}: least_loaded strategy has no "
-                    "load probe (synchronous engine?); falling back to "
-                    "round_robin",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            strategy = "round_robin"
-        if strategy == "round_robin":
+        if self.strategy == "round_robin":
             port = self._next_rr
             self._next_rr = (self._next_rr + 1) % self.n_outputs
             return port

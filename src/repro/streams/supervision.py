@@ -12,8 +12,8 @@ layer:
   :class:`FailFast` (abort the run, the old behaviour) and
   :class:`RestartFromCheckpoint` (roll the operator's state back to the
   last snapshot — optionally persisted through
-  :class:`repro.io.checkpoint.CheckpointStore` — then retry or drop the
-  failing tuple).
+  :class:`repro.io.checkpoint.CheckpointStore` — then retry the failing
+  tuple once).
 * **Supervisor** — routes every dispatch through the configured policy
   and accumulates structured failure/recovery counters
   (:class:`SupervisionStats`), which the engines copy into
@@ -116,27 +116,17 @@ class RestartFromCheckpoint(FailurePolicy):
         Optional :class:`~repro.io.checkpoint.CheckpointStore` persisting
         eigensystem-shaped snapshots to disk; the in-memory copy is still
         the first restore source, the store covers cross-process resume.
-    resume:
-        ``"retry"`` re-dispatches the failing tuple once after the
-        rollback; ``"skip"`` drops it and counts it in
-        :attr:`SupervisionStats.skipped_tuples`.  Punctuation is always
-        retried: dropping an end-of-stream marker would wedge shutdown.
     max_restarts:
         Escalate after this many rollbacks (``None`` = unlimited).
     """
 
     checkpoint_every: int = 100
     store: object | None = None
-    resume: str = "retry"
     max_restarts: int | None = None
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.resume not in ("retry", "skip"):
-            raise ValueError(
-                f"resume must be 'retry' or 'skip', got {self.resume!r}"
-            )
         if self.max_restarts is not None and self.max_restarts < 1:
             raise ValueError("max_restarts must be >= 1 or None")
 
@@ -151,7 +141,6 @@ class SupervisionStats:
     """Structured failure/recovery counters (per operator name)."""
 
     failures: dict[str, int] = field(default_factory=dict)
-    skipped_tuples: dict[str, int] = field(default_factory=dict)
     restarts: dict[str, int] = field(default_factory=dict)
     recovery_time_s: dict[str, float] = field(default_factory=dict)
 
@@ -159,9 +148,7 @@ class SupervisionStats:
         return sum(self.failures.values())
 
     def total_recoveries(self) -> int:
-        """Failures that did *not* abort the run: one rollback each (a
-        ``"skip"`` resume also counts its dropped tuple in
-        ``skipped_tuples``, but it is one repaired failure)."""
+        """Failures that did *not* abort the run: one rollback each."""
         return sum(self.restarts.values())
 
 
@@ -287,24 +274,17 @@ class Supervisor:
             snap = policy.store.load_latest()
         if snap is not None:
             op.restore_state(snap)
-        if tup.is_punctuation or policy.resume == "retry":
-            try:
-                op._dispatch(tup, port)
-            except (EngineAborted, OperatorFailure):
-                raise
-            except Exception as again:
-                what = "punctuation" if tup.is_punctuation else "tuple"
-                raise OperatorFailure(
-                    name, again,
-                    f"{what} failed again after checkpoint restart",
-                ) from again
-            self._note_success(op, policy)
-            return
-        with self._lock:
-            self.stats.skipped_tuples[name] = (
-                self.stats.skipped_tuples.get(name, 0) + 1
-            )
-        self._emit_event("skip", name, seq=tup.seq)
+        try:
+            op._dispatch(tup, port)
+        except (EngineAborted, OperatorFailure):
+            raise
+        except Exception as again:
+            what = "punctuation" if tup.is_punctuation else "tuple"
+            raise OperatorFailure(
+                name, again,
+                f"{what} failed again after checkpoint restart",
+            ) from again
+        self._note_success(op, policy)
 
     def _note_success(
         self, op: "Operator", policy: FailurePolicy

@@ -936,7 +936,6 @@ class Telemetry:
         def collect() -> Iterator[tuple]:
             for metric, table in (
                 ("repro_failures_total", stats.failures),
-                ("repro_skipped_tuples_total", stats.skipped_tuples),
                 ("repro_restarts_total", stats.restarts),
                 ("repro_recovery_seconds_total", stats.recovery_time_s),
             ):
@@ -1070,14 +1069,13 @@ def operator_metric_samples(
     """Metric samples for a set of operators: the one collector body.
 
     Yields ``(name, kind, labels, value)`` rows for every operator's own
-    counters (plus the Split/Throttle/Batcher specials).  Used both by
+    counters (plus the Split/Batcher specials).  Used both by
     :meth:`Telemetry.attach_graph` (coordinator-side collector) and by
     engine hosts building their per-process metrics shard — the
     sample schema is identical on both sides by construction.
     """
     from .batcher import Batcher
     from .split import Split
-    from .throttle import Throttle
 
     pe_of = pe_of or {}
     for op in operators:
@@ -1094,11 +1092,6 @@ def operator_metric_samples(
             for t, n in enumerate(op.sent_per_target):
                 yield ("repro_split_sent_total", "counter",
                        dict(labels, target=str(t)), int(n))
-        if isinstance(op, Throttle):
-            yield ("repro_throttle_dropped_total", "counter",
-                   labels, op.n_dropped)
-            yield ("repro_throttle_achieved_hz", "gauge",
-                   labels, op.achieved_rate_hz())
         if isinstance(op, Batcher):
             yield ("repro_batch_achieved_size", "gauge",
                    labels, op.achieved_batch_size())

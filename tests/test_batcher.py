@@ -310,13 +310,15 @@ class TestBatchedParallelPipeline:
         assert app.batcher.achieved_batch_size() == pytest.approx(25.0)
 
 
-class TestThrottleBlockDrainShutdown:
-    """Satellite: Throttle(mode='block') sleeping inside a PE thread must
-    not stall the ThreadedEngine's two-phase drain shutdown or lose the
-    in-flight control (sync) tuple queued behind the sleep."""
+class TestSleepDrainShutdown:
+    """An operator sleeping inside its PE thread must not stall the
+    ThreadedEngine's two-phase drain shutdown or lose the in-flight
+    control (sync) tuple queued behind the sleep."""
 
     def _graph(self, n_rows, rate_hz):
-        from repro.streams import Source
+        import time
+
+        from repro.streams import Functor, Source
 
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((n_rows, 4))
@@ -324,26 +326,26 @@ class TestThrottleBlockDrainShutdown:
             StreamTuple.data(x=rows[i], seq=i) for i in range(n_rows)
         ]
         # A sync-style control tuple rides at the very end of the stream:
-        # it must survive the blocked throttle and reach the sink.
+        # it must survive the sleeping operator and reach the sink.
         items.append(StreamTuple.control(type="sync", epoch=1))
 
-        from repro.streams import Throttle
+        def pace(tup):
+            time.sleep(1.0 / rate_hz)
+            return tup
 
-        g = Graph("throttle-drain")
+        g = Graph("sleep-drain")
         src = g.add(Source("src", items))
-        thr = g.add(
-            Throttle("thr", rate_hz=rate_hz, mode="block")
-        )
+        slow = g.add(Functor("slow", pace))
         sink = g.add(CollectingSink("sink"))
-        g.connect(src, thr)
-        g.connect(thr, sink)
-        return g, thr, sink
+        g.connect(src, slow)
+        g.connect(slow, sink)
+        return g, slow, sink
 
-    def test_blocked_throttle_completes_drain_without_loss(self):
+    def test_sleeping_operator_completes_drain_without_loss(self):
         n_rows = 30
         # ~0.3 s of enforced sleeping spread over the run: enough to have
         # tuples in flight at punctuation time, small enough for CI.
-        g, thr, sink = self._graph(n_rows, rate_hz=100.0)
+        g, slow, sink = self._graph(n_rows, rate_hz=100.0)
         stats = ThreadedEngine(
             g, fusion=FusionPlan.per_operator(g)
         ).run(timeout_s=30.0)
@@ -351,34 +353,32 @@ class TestThrottleBlockDrainShutdown:
         ctl = [t for t in sink.tuples if t.is_control]
         assert len(data) == n_rows  # no tuple dropped at shutdown
         assert len(ctl) == 1 and ctl[0]["type"] == "sync"
-        assert thr.n_dropped == 0
-        assert thr.n_forwarded == n_rows + 1
+        assert slow.tuples_out - slow.punct_out == n_rows + 1
         assert stats.wall_time_s < 30.0
 
-    def test_blocked_throttle_fused_with_sink(self):
-        """Same guarantee when the throttle's consumer runs inside its
+    def test_sleeping_operator_fused_with_sink(self):
+        """Same guarantee when the operator's consumer runs inside its
         dispatch: a sink grouped with it has no PE of its own and runs
-        on the throttle's thread (sleep happens before that call)."""
-        g, thr, sink = self._graph(20, rate_hz=100.0)
-        stats = ThreadedEngine(
-            g, fusion=FusionPlan.from_groups(g, [[thr, sink]])
+        on the operator's thread (the sleep happens before that call)."""
+        g, slow, sink = self._graph(20, rate_hz=100.0)
+        ThreadedEngine(
+            g, fusion=FusionPlan.from_groups(g, [[slow, sink]])
         ).run(timeout_s=30.0)
         assert len([t for t in sink.tuples if t.is_data]) == 20
         assert len([t for t in sink.tuples if t.is_control]) == 1
-        assert thr.n_dropped == 0
 
-    def test_blocked_throttle_quiesce_within_deadline(self):
+    def test_sleeping_operator_quiesce_within_deadline(self):
         """A sleep in progress at quiesce time delays, but never stalls,
         the drain: total shutdown stays well under the engine timeout."""
         import time
 
-        g, thr, sink = self._graph(10, rate_hz=50.0)
+        g, slow, sink = self._graph(10, rate_hz=50.0)
         start = time.perf_counter()
         ThreadedEngine(g, fusion=FusionPlan.per_operator(g)).run(
             timeout_s=30.0
         )
         elapsed = time.perf_counter() - start
-        # 10 tuples at 50 Hz ≈ 0.2 s of throttling; anything close to
+        # 10 tuples at 50 Hz ≈ 0.2 s of sleeping; anything close to
         # the 30 s timeout means the drain was stalled by the sleep.
         assert elapsed < 10.0
         assert len([t for t in sink.tuples if t.is_data]) == 10

@@ -185,8 +185,7 @@ class TestDataWindow:
         """Regression: the link to a slow host queued the whole stream
         on the coordinator.  A data tuple now waits for credit, so the
         rows outstanding on the link — queued, in flight or not yet
-        consumed — never exceed the window, and the ``least_loaded``
-        probe reports them."""
+        consumed — never exceed the window."""
         n = 2000
         g = Graph("slow-host")
         src = g.add(

@@ -188,12 +188,6 @@ class TestThreadedEngine:
         # ``submit`` (queue_size=1); none of that is processing.
         assert busy["up"] < 0.25 * n * nap
 
-    def test_least_loaded_probe_installed(self):
-        x = np.zeros((50, 2))
-        g, sink = _fan_graph(x, split_strategy="least_loaded")
-        ThreadedEngine(g).run(timeout_s=30)
-        assert len(sink.tuples) == 50
-
     def test_no_leftover_threads(self):
         before = threading.active_count()
         x = np.zeros((20, 2))
@@ -704,22 +698,3 @@ class TestRunStats:
         assert stats.source_tuples["src"] == n + 1
         assert src.punct_out == 3
 
-    def test_least_loaded_fallback_round_robin_synchronous(self):
-        """Without a load probe the split degrades deterministically."""
-        x = np.zeros((30, 2))
-        g, sink = _fan_graph(x, n_ways=3, split_strategy="least_loaded")
-        split = next(op for op in g if op.name == "split")
-        with pytest.warns(RuntimeWarning, match="no load probe"):
-            SynchronousEngine(g).run()
-        assert len(sink.tuples) == 30
-        assert list(split.sent_per_target) == [10, 10, 10]
-
-    def test_least_loaded_threaded_has_probe_no_warning(self):
-        import warnings as _warnings
-
-        x = np.zeros((30, 2))
-        g, sink = _fan_graph(x, n_ways=3, split_strategy="least_loaded")
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", RuntimeWarning)
-            ThreadedEngine(g).run(timeout_s=30)
-        assert len(sink.tuples) == 30

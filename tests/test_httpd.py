@@ -35,13 +35,20 @@ from repro.serving import (
     TenantSpec,
 )
 from repro.parallel import ParallelStreamingPCA
-from repro.parallel.app import build_parallel_pca_graph
+from repro.parallel.app import (
+    build_parallel_pca_graph,
+    engine_restart_supervisor,
+)
+from repro.parallel.pca_operator import StreamingPCAOperator
+from repro.parallel.sync import SyncController
 from repro.streams import (
     OBSERVABILITY_ROUTES,
     Batcher,
     GuardedVectorSource,
     ObservabilityServer,
     ReconnectingChannel,
+    RestartFromCheckpoint,
+    Split,
     TailingFileSource,
     TCPVectorSource,
     Telemetry,
@@ -536,13 +543,55 @@ _PINNED_SIGNATURES = {
         "strategy: 'SyncStrategy | str' = 'ring', "
         "split_strategy: 'str' = 'random', split_seed: 'int' = 0, "
         "sync_gate_factor: 'float' = 1.5, "
-        "collect_diagnostics: 'bool' = True, snapshot_every: 'int' = 0, "
+        "collect_diagnostics: 'bool' = True, "
         "batch_size: 'int' = 0, quarantine: 'bool' = False, "
         "shed_max_rate_hz: 'float | None' = None, "
         "stale_after: 'int | None' = None, quorum: 'int | None' = None, "
         "heartbeat_every: 'int' = 0, health: 'bool' = False, "
         "health_check_every: 'int' = 256) -> 'ParallelPCAApp'",
     ),
+    "SyncController": (
+        SyncController.__init__,
+        "(self, name: 'str', n_engines: 'int', *, "
+        "strategy: 'SyncStrategy | str' = 'ring', "
+        "stale_after: 'int | None' = None, "
+        "quorum: 'int | None' = None) -> 'None'",
+    ),
+    "StreamingPCAOperator": (
+        StreamingPCAOperator.__init__,
+        "(self, name: 'str', engine_id: 'int', "
+        "estimator: 'RobustIncrementalPCA', *, "
+        "sync_gate_factor: 'float' = 1.5, "
+        "emit_diagnostics: 'bool' = True, "
+        "heartbeat_every: 'int' = 0) -> 'None'",
+    ),
+    "Split": (
+        Split.__init__,
+        "(self, name: 'str', n_targets: 'int', *, "
+        "strategy: 'str' = 'random', seed: 'int' = 0) -> 'None'",
+    ),
+    "RestartFromCheckpoint": (
+        RestartFromCheckpoint,
+        "(checkpoint_every: 'int' = 100, store: 'object | None' = None, "
+        "max_restarts: 'int | None' = None) -> None",
+    ),
+    "engine_restart_supervisor": (
+        engine_restart_supervisor,
+        "(app: 'ParallelPCAApp', *, "
+        "directory: 'str | pathlib.Path | None' = None, "
+        "checkpoint_every: 'int' = 200, "
+        "max_restarts: 'int | None' = None) -> 'Supervisor'",
+    ),
+}
+
+#: Keywords these constructors no longer take: the sync throttle, the
+#: snapshot tuples and the skip resume.  Passing one is a ``TypeError``.
+_REMOVED_KEYWORDS = {
+    "SyncController": ("min_interval",),
+    "StreamingPCAOperator": ("snapshot_every",),
+    "build_parallel_pca_graph": ("snapshot_every",),
+    "RestartFromCheckpoint": ("resume",),
+    "engine_restart_supervisor": ("resume",),
 }
 
 
@@ -554,6 +603,11 @@ class TestFrontEndSurface:
             if str(inspect.signature(target)) != expected
         }
         assert not drifted
+        for name, keywords in _REMOVED_KEYWORDS.items():
+            signature = inspect.signature(_PINNED_SIGNATURES[name][0])
+            for keyword in keywords:
+                with pytest.raises(TypeError, match=keyword):
+                    signature.bind_partial(**{keyword: None})
 
     def test_conn_timeout_must_be_positive(self):
         service = PCAService(ServingConfig(n_lanes=1))

@@ -20,16 +20,13 @@ from repro.data import (
     shuffled,
 )
 from repro.io.checkpoint import CheckpointStore
-from repro.io.csvio import write_vectors_csv
-from repro.parallel import ParallelStreamingPCA
-from repro.streams import (
-    CheckpointSink,
-    CSVFileSource,
-    Graph,
-    SynchronousEngine,
+from repro.io.csvio import read_vectors_csv, write_vectors_csv
+from repro.parallel import (
+    ParallelStreamingPCA,
+    build_parallel_pca_graph,
+    engine_restart_supervisor,
 )
-from repro.parallel.pca_operator import StreamingPCAOperator
-from repro.streams.operators import Sink
+from repro.streams import SynchronousEngine
 
 
 class TestGalaxyPipeline:
@@ -84,37 +81,30 @@ class TestGalaxyPipeline:
         assert err_stream < 1.2 * err_ref
 
     def test_csv_to_checkpoint_graph(self, tmp_path, rng):
-        """File source → PCA operator → checkpoint sink, on the graph
-        runtime (the paper's Fig. 2 I/O path)."""
+        """CSV file → PCA engine → checkpoint store, on the graph
+        runtime (the paper's Fig. 2 I/O path): the restart supervisor
+        persists the engine's state as it goes."""
         model = PlantedSubspaceModel(dim=20, seed=9)
         x = model.sample(400, rng)
         csv_path = tmp_path / "stream.csv"
         write_vectors_csv(csv_path, x)
 
-        g = Graph("io-pipeline")
-        src = g.add(CSVFileSource("src", csv_path))
-        est = RobustIncrementalPCA(3, alpha=0.99, init_size=20)
-        pca = g.add(
-            StreamingPCAOperator(
-                "pca", 0, est, snapshot_every=100, emit_diagnostics=False
-            )
+        app = build_parallel_pca_graph(
+            VectorStream.from_iterable(read_vectors_csv(csv_path), dim=20),
+            1,
+            lambda i: RobustIncrementalPCA(3, alpha=0.99, init_size=20),
+            collect_diagnostics=False,
         )
-        store = CheckpointStore(tmp_path / "ckpts", every=100)
-        sink = g.add(CheckpointSink("ck", store))
+        sup = engine_restart_supervisor(
+            app, directory=tmp_path / "ckpts", checkpoint_every=100
+        )
+        SynchronousEngine(app.graph, supervisor=sup).run()
 
-        class Devnull(Sink):
-            def consume(self, tup, port):
-                pass
-
-        ctl = g.add(Devnull("ctl-sink"))
-        g.connect(src, pca, in_port=0)
-        g.connect(pca, ctl, out_port=0)
-        g.connect(pca, sink, out_port=1)
-        SynchronousEngine(g).run()
-
+        store = CheckpointStore(tmp_path / "ckpts" / "pca-0")
         history = store.load_history()
         assert len(history) >= 3
-        final = history[-1][1]
+        final = store.load_latest()
+        assert final.n_seen == history[-1][1].n_seen
         assert largest_principal_angle(
             final.basis[:, :3], model.basis
         ) < 0.25

@@ -54,14 +54,6 @@ class TestDataPath:
         _feed(op, model, rng, 100)
         assert [t for t, port in out if port == 1] == []
 
-    def test_snapshots_emitted(self, model, rng):
-        op, out = _make_op(snapshot_every=25)
-        _feed(op, model, rng, 100)
-        snaps = [t for t, port in out
-                 if port == 1 and t.get("kind") == "snapshot"]
-        assert len(snaps) == 4  # init at 20, snapshots at 25/50/75/100
-        assert snaps[0]["state"].n_components == 3
-
 
 class TestBlockDiagnostics:
     """A block tuple leaves as ONE diagnostics tuple; the per-row view
@@ -113,11 +105,12 @@ class TestBlockDiagnostics:
         assert [t for t, port in out if port == 1] == []
 
     def test_expand_mixes_row_and_block_forms(self, model, rng):
-        op, out = _make_op(snapshot_every=25)
+        op, out = _make_op()
         _feed(op, model, rng, 30)                       # 10 per-row tuples
         op._dispatch(self._block(model, rng, 16, start=30), 0)
         port1 = [t for t, port in out if port == 1]
-        assert any(t.get("kind") == "snapshot" for t in port1)
+        # A tuple that is neither form is dropped.
+        port1.insert(5, StreamTuple.data(kind="other", engine=0))
         rows = expand_diagnostics(port1)
         assert [r["seq"] for r in rows] == list(range(20, 46))
         assert all(set(r) == set(rows[0]) for r in rows)
@@ -180,6 +173,11 @@ class TestSyncProtocol:
         assert len(states) == 1
         assert states[0]["state"].n_components == 3
         assert op.n_states_shared == 1
+        # The controller gets a private copy: later updates never reach
+        # a state that was already handed out.
+        frozen = states[0]["state"].basis.copy()
+        _feed(op, model, rng, 200)
+        np.testing.assert_array_equal(states[0]["state"].basis, frozen)
 
     def test_share_before_init_is_noop(self, model, rng):
         op, out = _make_op()
@@ -258,8 +256,8 @@ class TestLifecycle:
         est = RobustIncrementalPCA(2)
         with pytest.raises(ValueError, match="sync_gate_factor"):
             StreamingPCAOperator("p", 0, est, sync_gate_factor=0.0)
-        with pytest.raises(ValueError, match="snapshot_every"):
-            StreamingPCAOperator("p", 0, est, snapshot_every=-1)
+        with pytest.raises(ValueError, match="heartbeat_every"):
+            StreamingPCAOperator("p", 0, est, heartbeat_every=-1)
 
 
 class TestConcurrentStateReads:
@@ -323,19 +321,6 @@ class TestConcurrentStateReads:
             for t in threads:
                 t.join(timeout=10.0)
         assert problems == []
-
-    def test_snapshot_listener_receives_copies(self, model, rng):
-        """Whoever consumes the port-1 ``snapshot`` tuples (a checkpoint
-        sink, a dashboard) holds private copies: later updates never
-        reach a state that was already handed out."""
-        op, out = _make_op(snapshot_every=25)
-        _feed(op, model, rng, 100)
-        seen = [t for t, _ in out if t.payload.get("kind") == "snapshot"]
-        assert seen
-        assert all(t["engine"] == 0 for t in seen)
-        frozen = seen[0]["state"].basis.copy()
-        _feed(op, model, rng, 200)
-        np.testing.assert_array_equal(seen[0]["state"].basis, frozen)
 
     def test_operator_survives_pickle_roundtrip(self, model, rng):
         """The remote runtimes ship operators to engine hosts (pickled

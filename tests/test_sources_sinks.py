@@ -1,17 +1,13 @@
-"""Tests for stream sources, sinks, and the CSV/checkpoint IO they use."""
+"""Tests for stream sources, sinks, and the CSV IO they use."""
 
 import numpy as np
 import pytest
 
-from repro.core import Eigensystem
 from repro.data.streams import VectorStream
-from repro.io.checkpoint import CheckpointStore
 from repro.streams import (
     CallbackSink,
-    CheckpointSink,
     CollectingSink,
     CSVFileSource,
-    CSVSink,
     DirectorySource,
     Graph,
     SynchronousEngine,
@@ -88,31 +84,3 @@ class TestSinks:
         sink.bind(lambda t, p: None)
         sink._dispatch(StreamTuple.data(x=7), 0)
         assert got == [(7, 0)]
-
-    def test_csv_sink_writes_on_close(self, tmp_path, rng):
-        from repro.io.csvio import read_vectors_csv
-
-        x = rng.standard_normal((4, 3))
-        g = Graph("csv")
-        src = g.add(VectorSource("src", VectorStream.from_array(x)))
-        path = tmp_path / "out.csv"
-        sink = g.add(CSVSink("sink", str(path)))
-        g.connect(src, sink)
-        SynchronousEngine(g).run()
-        got = np.vstack(list(read_vectors_csv(path)))
-        assert np.allclose(got, x)
-
-    def test_checkpoint_sink(self, tmp_path, rng):
-        store = CheckpointStore(tmp_path, every=1)
-        sink = CheckpointSink("ck", store)
-        sink.bind(lambda t, p: None)
-        basis, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-        state = Eigensystem(
-            mean=np.zeros(6), basis=basis,
-            eigenvalues=np.array([2.0, 1.0]), n_seen=100,
-        )
-        sink._dispatch(StreamTuple.data(state=state, engine=0, kind="snapshot"), 0)
-        assert len(store.list()) == 1
-        # Tuples without a state field are ignored.
-        sink._dispatch(StreamTuple.data(other=1), 0)
-        assert len(store.list()) == 1

@@ -1,10 +1,9 @@
-"""Tests for the Split load balancer and the Throttle operator."""
+"""Tests for the Split load balancer."""
 
 import numpy as np
 import pytest
 
 from repro.streams.split import Split
-from repro.streams.throttle import Throttle
 from repro.streams.tuples import StreamTuple
 
 
@@ -43,37 +42,6 @@ class TestSplit:
             ports.append([p for _, p in out])
         assert ports[0] == ports[1]
 
-    def test_least_loaded_uses_probe(self):
-        split = Split("s", 3, strategy="least_loaded", seed=0)
-        wire(split)
-        loads = {0: 10, 1: 0, 2: 10}
-        split.set_load_probe(lambda p: loads[p])
-        for i in range(20):
-            split._dispatch(StreamTuple.data(x=i), 0)
-        assert split.sent_per_target[1] == 20
-
-    def test_least_loaded_without_probe_falls_back_round_robin(self):
-        split = Split("s", 3, strategy="least_loaded", seed=0)
-        out = wire(split)
-        with pytest.warns(RuntimeWarning, match="no load probe"):
-            for i in range(9):
-                split._dispatch(StreamTuple.data(x=i), 0)
-        # Deterministic round-robin, not uniform random.
-        assert [p for _, p in out] == [0, 1, 2] * 3
-        assert list(split.sent_per_target) == [3, 3, 3]
-
-    def test_no_probe_warning_emitted_once(self):
-        split = Split("s", 2, strategy="least_loaded")
-        wire(split)
-        with pytest.warns(RuntimeWarning):
-            split._dispatch(StreamTuple.data(x=0), 0)
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            for i in range(5):
-                split._dispatch(StreamTuple.data(x=i), 0)
-
     def test_control_broadcast(self):
         split = Split("s", 3, strategy="round_robin")
         out = wire(split)
@@ -86,120 +54,6 @@ class TestSplit:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_targets"):
             Split("s", 0)
-        with pytest.raises(ValueError, match="strategy"):
-            Split("s", 2, strategy="zigzag")
-
-
-class TestThrottleLogical:
-    def test_logical_period(self):
-        th = Throttle("t", logical_period=3)
-        out = wire(th)
-        for i in range(9):
-            th._dispatch(StreamTuple.data(x=i), 0)
-        assert [t["x"] for t, _ in out] == [2, 5, 8]
-        assert th.n_dropped == 6
-
-    def test_period_one_passes_everything(self):
-        th = Throttle("t", logical_period=1)
-        out = wire(th)
-        for i in range(5):
-            th._dispatch(StreamTuple.data(x=i), 0)
-        assert len(out) == 5
-
-
-class TestThrottleWallClock:
-    def test_drop_mode_with_fake_clock(self):
-        now = [0.0]
-        th = Throttle("t", rate_hz=10.0, mode="drop", clock=lambda: now[0])
-        out = wire(th)
-        # Two tuples in the same instant: second is dropped.
-        th._dispatch(StreamTuple.data(x=0), 0)
-        th._dispatch(StreamTuple.data(x=1), 0)
-        assert len(out) == 1
-        assert th.n_dropped == 1
-        # After the rate interval, the next one passes.
-        now[0] += 0.11
-        th._dispatch(StreamTuple.data(x=2), 0)
-        assert len(out) == 2
-
-    def test_combined_logical_and_rate(self):
-        now = [0.0]
-        th = Throttle(
-            "t", rate_hz=1000.0, logical_period=2, mode="drop",
-            clock=lambda: now[0],
-        )
-        out = wire(th)
-        for i in range(6):
-            now[0] += 0.01
-            th._dispatch(StreamTuple.data(x=i), 0)
-        # Logical gate admits every 2nd; rate never binds at 10ms spacing.
-        assert [t["x"] for t, _ in out] == [1, 3, 5]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="rate_hz"):
-            Throttle("t", rate_hz=0.0)
-        with pytest.raises(ValueError, match="logical_period"):
-            Throttle("t", logical_period=0)
-        with pytest.raises(ValueError, match="mode"):
-            Throttle("t", rate_hz=1.0, mode="defer")
-
-
-class TestThrottleAchievedRate:
-    def test_achieved_rate_matches_configured_rate(self):
-        now = [0.0]
-        # Binary-exact numbers (1/8 s period, 1/16 s arrivals) keep the
-        # fake-clock grid float-drift free.
-        th = Throttle("t", rate_hz=8.0, mode="drop", clock=lambda: now[0])
-        wire(th)
-        assert th.achieved_rate_hz() == 0.0  # nothing forwarded yet
-        # Offer at 16 Hz; the throttle passes every other tuple, so the
-        # achieved rate converges on the configured 8 Hz.
-        for i in range(21):
-            now[0] = i * 0.0625
-            th._dispatch(StreamTuple.data(x=i), 0)
-        assert th.n_forwarded == 11
-        assert th.n_dropped == 10
-        assert th.achieved_rate_hz() == pytest.approx(8.0)
-
-    def test_single_forward_reports_zero(self):
-        now = [0.0]
-        th = Throttle("t", rate_hz=5.0, clock=lambda: now[0])
-        wire(th)
-        th._dispatch(StreamTuple.data(x=0), 0)
-        assert th.n_forwarded == 1
-        assert th.achieved_rate_hz() == 0.0  # one forward = no interval
-
-    def test_exported_as_telemetry_gauge(self):
-        from repro.data import VectorStream
-        from repro.streams.engine import SynchronousEngine
-        from repro.streams.graph import Graph
-        from repro.streams.sinks import CollectingSink
-        from repro.streams.sources import VectorSource
-        from repro.streams.telemetry import Telemetry
-
-        now = [0.0]
-        g = Graph("rate")
-        src = g.add(VectorSource(
-            "src", VectorStream.from_array(np.zeros((11, 2)))
-        ))
-        th = Throttle("t", rate_hz=100.0, mode="drop",
-                      clock=lambda: now[0])
-        # Advance the fake clock 10ms per arrival: forwards land exactly
-        # on the 100 Hz grid, so nothing is dropped.
-        orig = th.process
-
-        def paced(tup, port):
-            orig(tup, port)
-            now[0] += 0.01
-
-        th.process = paced
-        g.add(th)
-        sink = g.add(CollectingSink("sink"))
-        g.connect(src, th)
-        g.connect(th, sink)
-        tel = Telemetry()
-        SynchronousEngine(g, telemetry=tel).run()
-        assert th.n_forwarded == 11
-        gauge = tel.metrics.value("repro_throttle_achieved_hz", operator="t")
-        assert gauge == pytest.approx(th.achieved_rate_hz())
-        assert gauge == pytest.approx(100.0)
+        for strategy in ("zigzag", "least_loaded"):
+            with pytest.raises(ValueError, match="strategy"):
+                Split("s", 2, strategy=strategy)

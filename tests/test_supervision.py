@@ -138,18 +138,27 @@ class TestPolicyValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
             RestartFromCheckpoint(checkpoint_every=0)
-        with pytest.raises(ValueError):
-            RestartFromCheckpoint(resume="replay")
+        with pytest.raises(TypeError, match="resume"):
+            RestartFromCheckpoint(resume="retry")
         with pytest.raises(ValueError):
             Watchdog(0)
         with pytest.raises(TypeError, match="FailurePolicy"):
             Supervisor(policies={"x": object()})
 
 
-def _explode_on_odd(t):
-    if int(t["x"][0]) % 2:
-        raise ValueError("poison")
-    return t
+class _FailOddOnce:
+    """Raise the first time each odd row arrives; pass it on the retry.
+    A module-level class, so the operator pickles to a remote host."""
+
+    def __init__(self):
+        self.failed = set()
+
+    def __call__(self, t):
+        x = int(t["x"][0])
+        if x % 2 and x not in self.failed:
+            self.failed.add(x)
+            raise ValueError("transient")
+        return t
 
 
 class _Restartable(Functor):
@@ -163,8 +172,10 @@ class _Restartable(Functor):
 
 
 class TestRetryAndSkip:
-    """``RestartFromCheckpoint``'s two resumes: ``"retry"`` re-dispatches
-    the failing tuple after the rollback, ``"skip"`` drops it."""
+    """``RestartFromCheckpoint`` re-dispatches the failing tuple once
+    after the rollback; no failure is skipped, neither a data tuple nor
+    punctuation (a bad row leaves the stream through the dead-letter
+    queue, before it reaches an engine)."""
 
     def _graph(self, fn, n=20):
         g = Graph("pol")
@@ -201,50 +212,37 @@ class TestRetryAndSkip:
         with pytest.raises(OperatorFailure, match="failed again"):
             SynchronousEngine(g, supervisor=sup).run()
 
-    def test_skip_drops_poison_tuples(self):
-        g, sink = self._graph(_explode_on_odd)
-        sup = Supervisor(
-            policies={"flaky": RestartFromCheckpoint(resume="skip")}
-        )
-        stats = SynchronousEngine(g, supervisor=sup).run()
-        assert len(sink.tuples) == 10
-        assert stats.skipped_tuples["flaky"] == 10
-        assert stats.failures["flaky"] == 10
-
     @pytest.mark.parametrize("runtime", ["threaded", "process", "cluster"])
-    def test_skip_counters_are_runtime_independent(
+    def test_restart_counters_are_runtime_independent(
         self, runtime, concurrent_engine
     ):
         """Regression: a failure handled on a cluster host never reached
         ``RunStats`` or the ``repro_*_total`` counters — the host's
         ``done`` frame carried no supervision block."""
-        g, sink = self._graph(_explode_on_odd, n=40)
-        sup = Supervisor(
-            policies={"flaky": RestartFromCheckpoint(resume="skip")}
-        )
+        g, sink = self._graph(_FailOddOnce(), n=40)
+        sup = Supervisor(policies={"flaky": RestartFromCheckpoint()})
         tel = Telemetry(TelemetryConfig(metrics=True, tracing=False))
         stats = concurrent_engine(
             runtime, g, supervisor=sup, telemetry=tel
         ).run(timeout_s=60)
-        assert len(sink.tuples) == 20
+        assert len(sink.tuples) == 40
         assert stats.failures == {"flaky": 20}
-        assert stats.skipped_tuples == {"flaky": 20}
+        assert stats.restarts == {"flaky": 20}
         assert (
-            'repro_skipped_tuples_total{operator="flaky"} 20'
+            'repro_restarts_total{operator="flaky"} 20'
             in tel.to_prometheus()
         )
 
-    def test_skip_budget_escalates(self):
-        g, _ = self._graph(lambda t: (_ for _ in ()).throw(ValueError("bad")))
+    def test_retry_budget_escalates(self):
+        g, _ = self._graph(_FailOddOnce())
         sup = Supervisor(policies={
-            "flaky": RestartFromCheckpoint(resume="skip", max_restarts=3)
+            "flaky": RestartFromCheckpoint(max_restarts=3)
         })
         with pytest.raises(OperatorFailure, match="restart budget"):
             SynchronousEngine(g, supervisor=sup).run()
         # The fourth failure aborted the run: three were repaired.
         assert sup.stats.failures == {"flaky": 4}
         assert sup.stats.restarts == {"flaky": 3}
-        assert sup.stats.skipped_tuples == {"flaky": 3}
         assert sup.stats.total_recoveries() == 3
 
     def test_punctuation_failure_retried_not_skipped(self):
@@ -267,9 +265,7 @@ class TestRetryAndSkip:
         sink = g.add(CollectingSink("sink"))
         g.connect(src, op)
         g.connect(op, sink)
-        sup = Supervisor(
-            policies={"flaky": RestartFromCheckpoint(resume="skip")}
-        )
+        sup = Supervisor(policies={"flaky": RestartFromCheckpoint()})
         SynchronousEngine(g, supervisor=sup).run()
         # close retried to success; punctuation propagated; sink closed.
         assert op.close_attempts == 2
@@ -293,9 +289,7 @@ class TestRetryAndSkip:
         sink = g.add(CollectingSink("sink"))
         g.connect(src, op)
         g.connect(op, sink)
-        sup = Supervisor(
-            policies={"broken": RestartFromCheckpoint(resume="skip")}
-        )
+        sup = Supervisor(policies={"broken": RestartFromCheckpoint()})
         with pytest.raises(OperatorFailure, match="punctuation"):
             SynchronousEngine(g, supervisor=sup).run()
 
